@@ -205,8 +205,7 @@ def run_hahn(cfg, out: Path) -> _Report:
 def _t2_bracket(model: SpectrumModel, n_pulses: int) -> float:
     """Total time where the analytic decay exponent crosses 1."""
     def excess(log_t):
-        sched = make_cpmg(n_pulses, math.exp(log_t)) if n_pulses else None
-        return qubitsim.chi_ff(model, sched) - 1.0
+        return qubitsim.chi_ff(model, make_cpmg(n_pulses, math.exp(log_t))) - 1.0
     lo, hi = math.log(1e-7), math.log(10.0)
     return math.exp(_optimize.brentq(excess, lo, hi, xtol=1e-3))
 

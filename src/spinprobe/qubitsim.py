@@ -33,7 +33,8 @@ from scipy.constants import physical_constants
 
 from . import spectra
 from ._rng import derive_rng
-from .sequences import PulseSchedule, filter_function
+from .sequences import (PulseSchedule, cpmg_filter_function, filter_function,
+                        make_cpmg, make_ramsey)
 from .spectra import SpectrumModel, NoiseTrace
 
 __all__ = [
@@ -371,6 +372,15 @@ def _tail_beyond(model: SpectrumModel, schedule: PulseSchedule, f_hi: float) -> 
     return tail
 
 
+def _filter(schedule: PulseSchedule, f_hz):
+    """``|Y|^2`` of ``schedule``: the CPMG closed form when the pulses sit
+    exactly where :func:`make_cpmg` puts them, the segment sum otherwise."""
+    n = schedule.n_pulses
+    if n and schedule.pulse_times == make_cpmg(n, schedule.total_time).pulse_times:
+        return cpmg_filter_function(n, schedule.total_time, f_hz)
+    return filter_function(schedule, f_hz)
+
+
 def chi_ff(model: SpectrumModel, schedule: PulseSchedule, *,
            calibration: float = PSD_CHI_CALIBRATION,
            f_min: float | None = None,
@@ -384,6 +394,10 @@ def chi_ff(model: SpectrumModel, schedule: PulseSchedule, *,
     Without an explicit ``f_max`` a closed-form estimate of the high-side
     tail is added; with one, the integral is sharply band-limited, which is
     how a sampled Monte Carlo trace behaves at its Nyquist edge.
+
+    CPMG schedules (Hahn included) are filtered with the closed form
+    :func:`~spinprobe.sequences.cpmg_filter_function`, any other schedule
+    with the per-segment sum :func:`~spinprobe.sequences.filter_function`.
     """
     if f_min is None:
         worst = model.max_exponent
@@ -401,12 +415,12 @@ def chi_ff(model: SpectrumModel, schedule: PulseSchedule, *,
     for line in model.lines:
         if line.width_hz is not None:
             s = s + spectra._lorentzian(grid, line, line.width_hz)
-    integral = float(np.trapezoid(s * filter_function(schedule, grid), grid))
+    integral = float(np.trapezoid(s * _filter(schedule, grid), grid))
     if f_max is None:
         integral += _tail_beyond(model, schedule, float(grid[-1]))
     for line in model.lines:
         if line.width_hz is None:  # resolution-limited: treat as delta
-            integral += line.power * filter_function(schedule, line.center_hz)
+            integral += line.power * _filter(schedule, line.center_hz)
     return calibration * 0.5 * integral
 
 
@@ -424,7 +438,6 @@ def coherence_ff(model: SpectrumModel, schedule: PulseSchedule, *,
 
 
 def _schedule_for(n_pulses: int, total_time: float) -> PulseSchedule:
-    from .sequences import make_cpmg, make_ramsey
     if n_pulses == 0:
         return make_ramsey(total_time)
     return make_cpmg(n_pulses, total_time)

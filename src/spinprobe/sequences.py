@@ -11,6 +11,13 @@ exp(i*omega*t) dt`` and y the +-1 toggling function, so the filter has units
 of s^2 and ``phase variance = int_0^inf S(f) |Y(2*pi*f)|**2 df`` for a
 one-sided PSD S (up to the package-wide calibration applied by the
 coherence engines, see :mod:`spinprobe.qubitsim`).
+
+Two paths evaluate it.  :func:`filter_function` sums the exact Fourier
+integral of every constant-sign segment, so it serves any schedule at
+O(N) cost per frequency; it is the generic path and the reference the
+tests hold everything else to.  :func:`cpmg_filter_function` is the closed
+form for equally spaced pulses (:func:`make_cpmg`), O(1) per frequency,
+which :func:`spinprobe.qubitsim.chi_ff` uses whenever a schedule is CPMG.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ __all__ = [
     "make_hahn",
     "make_cpmg",
     "filter_function",
+    "cpmg_filter_function",
     "response",
     "toggling_sign",
     "export_schedule",
@@ -108,7 +116,9 @@ def response(schedule: PulseSchedule, f_hz) -> np.ndarray:
     mids = 0.5 * (edges[:-1] + edges[1:])
     widths = np.diff(edges)
     signs = schedule.segment_signs
-    # (nseg, nf) outer products; schedules are short so this stays small
+    # (nseg, nf) complex outer products: O(N) work and memory per frequency,
+    # about 0.9 GB of temporaries for CPMG-64 on the 864k-point chi_ff grid
+    # at T = 10 s; cpmg_filter_function avoids them for CPMG schedules
     phase = np.exp(2j * np.pi * np.outer(mids, f))
     kernel = widths[:, None] * np.sinc(np.outer(widths, f))
     y = np.sum(signs[:, None] * phase * kernel, axis=0)
@@ -120,6 +130,36 @@ def filter_function(schedule: PulseSchedule, f_hz) -> np.ndarray:
     y = response(schedule, np.atleast_1d(np.asarray(f_hz, dtype=float)))
     mag2 = np.abs(y) ** 2
     return mag2 if np.ndim(f_hz) else float(mag2[0])
+
+
+def cpmg_filter_function(n_pulses: int, total_time: float, f_hz) -> np.ndarray:
+    """Closed-form ``|Y(2*pi*f)|**2`` of ``make_cpmg(n_pulses, total_time)``.
+
+    With ``tau = T/N`` and ``u = f*tau`` (Cywinski et al., PRB 77, 174509
+    (2008))::
+
+        |Y|^2 = tau^2 sinc^2(u/2) sin^2(pi u/2) (sin(N pi r) / sin(pi r))^2
+        r = u - floor(u) - 1/2
+
+    i.e. one inter-pulse cell's echo response times the array factor of N
+    cells of alternating sign.  The reduced argument r puts the removable
+    0/0 of the array factor exactly at r = 0, the passband centres
+    ``(2k+1) * N / (2T)``, where the ratio takes its limit N (quadrature
+    grids land on those points).  Agrees with :func:`filter_function` on
+    the same schedule to rounding.
+    """
+    if n_pulses < 1:
+        raise ValueError(f"n_pulses must be >= 1, got {n_pulses}")
+    f = np.asarray(f_hz, dtype=float)
+    tau = total_time / n_pulses
+    u = f * tau
+    r = u - np.floor(u) - 0.5
+    den = np.sin(np.pi * r)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.where(den == 0.0, float(n_pulses),
+                         np.sin(n_pulses * np.pi * r) / den)
+    mag2 = (tau * np.sinc(0.5 * u) * np.sin(0.5 * np.pi * u) * ratio) ** 2
+    return mag2 if np.ndim(f_hz) else float(mag2)
 
 
 def toggling_sign(schedule: PulseSchedule, t) -> np.ndarray:

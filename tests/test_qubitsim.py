@@ -22,7 +22,10 @@ from spinprobe.qubitsim import (
     rabi_p_up,
     resonance_frequency_hz,
 )
-from spinprobe.sequences import filter_function, make_cpmg, make_hahn, make_ramsey
+from spinprobe import qubitsim, sequences
+from spinprobe.sequences import (PulseSchedule, export_schedule, filter_function,
+                                 import_schedule, make_cpmg, make_hahn,
+                                 make_ramsey)
 from spinprobe.spectra import (
     NoiseTrace,
     PowerLawTerm,
@@ -166,6 +169,50 @@ class TestChiAnalytic:
         assert t_raw == pytest.approx(5.4569e-3, rel=1e-3)
         # raw convention lands within 30% of the nominal 6.7 ms target
         assert abs(t_raw - 6.7e-3) / 6.7e-3 < 0.30
+
+
+class TestChiFilterDispatch:
+    # white floor plus a resolution-limited line: both the quadrature grid
+    # and the delta-line term evaluate the filter
+    MODEL = SpectrumModel(powerlaws=(), white_floor=350.0,
+                          lines=(SpectralLine(3600.0, 1.5e6, None),))
+
+    @staticmethod
+    def _count_calls(monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [1, 16, 64])
+    def test_round_trip_schedule_takes_closed_form(self, n, tmp_path, monkeypatch):
+        sch = make_cpmg(n, 3.7e-4)
+        path = tmp_path / "sched.csv"
+        export_schedule(sch, path)
+        back = import_schedule(path)
+        calls = self._count_calls(monkeypatch, qubitsim, "filter_function")
+        assert chi_ff(self.MODEL, back) == chi_ff(self.MODEL, sch)
+        assert calls == []
+
+    def test_other_schedules_take_segment_sum(self, monkeypatch):
+        t = 1e-3
+        moved = make_cpmg(4, t).pulse_times
+        moved = (moved[0] * (1 + 1e-12),) + moved[1:]
+        calls = self._count_calls(monkeypatch, qubitsim, "filter_function")
+        for sch in (make_ramsey(t), PulseSchedule(total_time=t, pulse_times=moved)):
+            calls.clear()
+            chi_ff(self.MODEL, sch)
+            assert len(calls) == 2  # grid and line
+            assert calls[0][0] is sch
+
+    def test_cpmg64_makes_no_segment_sum(self, monkeypatch):
+        calls = self._count_calls(monkeypatch, sequences, "response")
+        assert chi_ff(self.MODEL, make_cpmg(64, 10.0)) > 0
+        assert calls == []
 
 
 class TestAccumulatePhase:

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinprobe.sequences import (
     PulseSchedule,
     SCHEDULE_HEADER,
+    cpmg_filter_function,
     export_schedule,
     filter_function,
     import_schedule,
@@ -155,6 +158,52 @@ class TestPassband:
                 assert r == pytest.approx(1.0 / (k * n) ** 2, rel=1e-9)
             else:
                 assert r < 1e-24
+
+
+def _closed_form_atol(t):
+    # 1e-13 of the passband peak |Y(N/2T)|^2 = (2T/pi)^2
+    return 1e-13 * (2.0 * t / np.pi) ** 2
+
+
+class TestCpmgClosedForm:
+    @pytest.mark.parametrize("t", [1e-6, 3.7e-4, 1e-3, 0.37, 10.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 32, 64])
+    def test_matches_segment_sum(self, n, t):
+        # passband centres (2k+1) N/(2T) are the removable 0/0 of the
+        # array factor; probe them exactly, 1e-9 off, and towards f = 0
+        centres = (2 * np.arange(40) + 1) * n / (2.0 * t)
+        f = np.concatenate([
+            [0.0], np.geomspace(1e-12 / t, 0.1 / t, 50),
+            centres, centres * (1 + 1e-9), centres * (1 - 1e-9),
+            np.linspace(0.0, 40.0 * n / t, 4001)])
+        np.testing.assert_allclose(cpmg_filter_function(n, t, f),
+                                   filter_function(make_cpmg(n, t), f),
+                                   rtol=0, atol=_closed_form_atol(t))
+
+    def test_scalar_and_array_forms(self):
+        v = cpmg_filter_function(2, T, 1e3)
+        assert isinstance(v, float)
+        arr = cpmg_filter_function(2, T, np.array([1e3, 2e3]))
+        assert arr.shape == (2,)
+        assert arr[0] == v
+        assert v == pytest.approx(filter_function(make_cpmg(2, T), 1e3),
+                                  rel=1e-12)
+        # f1 = N/(2T) lands exactly on the 0/0 point; the limit is (2T/pi)^2
+        assert cpmg_filter_function(2, T, 1.0 / T) == pytest.approx(
+            (2.0 * T / np.pi) ** 2, rel=1e-12)
+
+    def test_rejects_zero_pulses(self):
+        with pytest.raises(ValueError):
+            cpmg_filter_function(0, T, 1e3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 64), t=st.floats(1e-6, 10.0),
+           x=st.floats(0.0, 100.0))
+    def test_matches_segment_sum_property(self, n, t, x):
+        # x is the frequency in units of the passband centre N/(2T)
+        f = x * n / (2.0 * t)
+        assert abs(cpmg_filter_function(n, t, f)
+                   - filter_function(make_cpmg(n, t), f)) <= _closed_form_atol(t)
 
 
 class TestParseval:
