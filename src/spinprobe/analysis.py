@@ -15,7 +15,7 @@ import numpy as np
 from scipy import optimize as _optimize
 
 from ._rng import derive_child_seed
-from .qubitsim import PSD_CHI_CALIBRATION, DecayCurve, decay_vs_pulses
+from .qubitsim import PSD_CHI_CALIBRATION, DecayCurve, decay_vs_pulses_many
 from .spectra import PsdEstimate, SpectrumModel
 
 __all__ = [
@@ -335,19 +335,18 @@ def spectroscopy_scan(model: SpectrumModel, f_grid_hz, pulse_counts,
     frequency, exponential fits, and PSD assembly.
 
     Each frequency f gets a fixed wait ``1/(2f)`` and a pulse-count scan;
-    the per-point seeds derive from (seed, frequency index) so the result
-    is independent of evaluation order.
+    the per-point seeds derive from (seed, frequency index, pulse-count
+    index) so the result is independent of evaluation order.  All points
+    of all frequencies run in one process pool.
     """
     f_grid = np.asarray(f_grid_hz, dtype=float)
     if np.any(f_grid <= 0):
         raise ValueError("spectroscopy frequencies must be > 0")
-    points = []
-    for i, f in enumerate(f_grid):
-        tau = 1.0 / (2.0 * f)
-        curve = decay_vs_pulses(model, tau, pulse_counts, n_traj,
-                                derive_child_seed(seed, i),
-                                calibration=calibration,
-                                duration_factor=duration_factor,
-                                samples_per_interval=samples_per_interval)
-        points.append(spectroscopy_point(curve, tau, t2_hahn=t2_hahn))
-    return reconstruct_psd(points)
+    taus = 1.0 / (2.0 * f_grid)
+    curves = decay_vs_pulses_many(
+        model, taus, pulse_counts, n_traj,
+        [derive_child_seed(seed, i) for i in range(f_grid.size)],
+        calibration=calibration, duration_factor=duration_factor,
+        samples_per_interval=samples_per_interval)
+    return reconstruct_psd([spectroscopy_point(curve, tau, t2_hahn=t2_hahn)
+                            for curve, tau in zip(curves, taus)])

@@ -10,6 +10,7 @@ spacing ``linear`` or ``log``.
 from __future__ import annotations
 
 import copy
+import math
 from pathlib import Path
 
 import jsonschema
@@ -330,6 +331,30 @@ def _schema_error(exc: jsonschema.ValidationError, where: str) -> ConfigError:
     return ConfigError(f"{where}{path}: {exc.message}")
 
 
+def _check_finite(node, path: str) -> None:
+    """Reject NaN and infinity anywhere; jsonschema's bounds let NaN by."""
+    if isinstance(node, dict):
+        for key, val in node.items():
+            _check_finite(val, f"{path}.{key}" if path else str(key))
+    elif isinstance(node, list):
+        for i, val in enumerate(node):
+            _check_finite(val, f"{path}.{i}")
+    elif isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(f"{path}: must be finite, got {node!r}")
+
+
+def _check_time_grid(spec, path: str) -> None:
+    """Evolution times: at least two points, all of them > 0."""
+    try:
+        times = grid_values(spec)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    if times.size < 2:
+        raise ConfigError(f"{path}: needs at least 2 times, got {times.size}")
+    if np.any(times <= 0):
+        raise ConfigError(f"{path}: times must be > 0, got {float(times.min())!r}")
+
+
 def validate_config(raw: dict) -> dict:
     """Validate a parsed config and return the normalized form.
 
@@ -359,6 +384,9 @@ def validate_config(raw: dict) -> dict:
         jsonschema.validate(cfg["protocol"], proto_schema)
     except jsonschema.ValidationError as exc:
         raise _schema_error(exc, "protocol.") from None
+    _check_finite(cfg, "")
+    if "times_s" in cfg["protocol"]:
+        _check_time_grid(cfg["protocol"]["times_s"], "protocol.times_s")
     if kind in SPECTRUM_KINDS:
         if "spectrum" not in cfg or not cfg["spectrum"]:
             raise ConfigError(f"spectrum: required for kind={kind}")

@@ -1,24 +1,25 @@
 """Experiment runner: config in, manifest plus data files out.
 
-Exit codes: 0 success, 2 invalid config or locked output directory,
-3 completed with fit failures recorded in the manifest.  ``rerun``
-re-executes a manifest's config echo and returns 1 on any checksum
-mismatch.  A run writes every file under ``output_dir`` and finishes
-with ``manifest.json``; the manifest's inventory lists the sha256 of
-every other file so reruns can be compared byte for byte.
+Exit codes: 0 success, 2 invalid config, invalid worker count or locked
+output directory, 3 completed with fit failures recorded in the
+manifest.  ``rerun`` re-executes a manifest's config echo and returns 1
+on any checksum mismatch.  A run writes every file under ``output_dir``
+and finishes with ``manifest.json``; the manifest's inventory lists the
+sha256 of every other file so reruns can be compared byte for byte.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
 import tempfile
 import time
 from pathlib import Path
 
 from .. import __version__
-from .._parallel import ENV_VAR
+from .._parallel import ENV_VAR, worker_count
 from .config import ConfigError, load_config, validate_config
 from .pipelines import PIPELINES
 
@@ -27,7 +28,7 @@ MANIFEST_NAME = "manifest.json"
 
 
 class RunError(RuntimeError):
-    """Run could not start (lock contention, bad manifest)."""
+    """Run could not start (lock contention, bad manifest, bad worker count)."""
 
 
 def _sha256(path: Path) -> str:
@@ -58,19 +59,35 @@ def _acquire_lock(out: Path) -> Path:
     return lock
 
 
+def _resolve_workers(workers, cfg: dict) -> int:
+    """The run's worker count: the ``workers`` argument, then
+    ``cfg["workers"]``, then the environment, then 1.  A bad value raises
+    :class:`RunError` naming where it came from."""
+    if workers is not None:
+        source = "--workers"
+    else:
+        workers = cfg.get("workers")
+        source = "workers" if workers is not None else ENV_VAR
+    try:
+        return worker_count(None if workers is None else operator.index(workers))
+    except (TypeError, ValueError):
+        given = os.environ.get(ENV_VAR) if workers is None else workers
+        raise RunError(f"{source} must be an integer >= 1, got {given!r}") from None
+
+
 def execute(cfg: dict, out: Path, *, workers: int | None = None) -> dict:
     """Run one validated config into ``out`` and write the manifest.
 
     Returns the manifest dict.  Worker-count precedence: the ``workers``
-    argument, then ``cfg["workers"]``, then the environment, then 1.
+    argument, then ``cfg["workers"]``, then the environment, then 1; an
+    invalid count raises :class:`RunError` before anything is written.
     """
+    n_workers = _resolve_workers(workers, cfg)
     out.mkdir(parents=True, exist_ok=True)
     lock = _acquire_lock(out)
     prev = os.environ.get(ENV_VAR)
     try:
-        effective = workers if workers is not None else cfg.get("workers")
-        if effective is not None:
-            os.environ[ENV_VAR] = str(int(effective))
+        os.environ[ENV_VAR] = str(n_workers)
         t0 = time.perf_counter()
         report = PIPELINES[cfg["kind"]](cfg, out)
         manifest = {

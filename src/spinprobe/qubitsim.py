@@ -2,13 +2,27 @@
 
 Two interchangeable coherence engines live here:
 
-* :func:`coherence_mc` draws Gaussian noise trajectories from a spectrum
-  model, integrates the toggled phase for each one and averages cos(phi).
+* :func:`coherence_mc` averages cos(phi) over Gaussian noise trajectories
+  drawn from a spectrum model.
 * :func:`chi_ff` / :func:`coherence_ff` evaluate the same decay through the
   filter-function quadrature ``chi = cal * 0.5 * int S(f) |Y(2 pi f)|^2 df``.
 
 For Gaussian noise the two agree exactly in expectation, which the test
 suite leans on heavily.
+
+Every toggled phase goes through one :class:`PhaseFunctional`, built per
+(schedule, sample rate, trace length).  It holds the weights ``a`` that
+turn a sampled trace into its phase, ``phi = a @ x`` (trapezoid rule,
+linear interpolation at the segment edges, toggling signs), and from
+``rfft(a)`` the weights that give the same phase straight from the
+Gaussian Fourier coefficients a synthesized trace is made of.  Replay
+(:func:`accumulate_phase`, :func:`coherence_replay`) takes ``a @ x`` on
+windows of a recorded trace.  The Monte Carlo engine and the tone scan
+of :mod:`spinprobe.starktone` never form a trace: a trajectory costs its
+normal draws and one dot product, on the same random stream
+:func:`spectra.draw_trace_samples` would consume.  The decay scans send
+all their points, across every wait of a spectroscopy scan, through one
+process pool.
 
 Calibration convention
 ----------------------
@@ -47,6 +61,7 @@ __all__ = [
     "resonance_frequency_hz",
     "rabi_p_up",
     "rabi_chevron",
+    "PhaseFunctional",
     "accumulate_phase",
     "coherence_mc",
     "coherence_replay",
@@ -54,6 +69,7 @@ __all__ = [
     "coherence_ff",
     "decay_vs_time",
     "decay_vs_pulses",
+    "decay_vs_pulses_many",
 ]
 
 # Closes the round trip between simulated decay times and the S = pi^2/(4*T2)
@@ -190,36 +206,78 @@ class DecayCurve:
             return np.where(self.w > 0, self.std_err / self.w, np.nan)
 
 
-def _boundary_weights(schedule: PulseSchedule, sample_rate: float, n: int):
-    """Indices and fractions to read the running phase integral at segment
-    edges, plus per-edge signed weights implementing the toggled sum."""
-    edges = schedule.boundaries
-    pos = edges * sample_rate
-    idx = np.clip(pos.astype(int), 0, n - 2)
-    frac = pos - idx
-    signs = schedule.segment_signs
-    # phi = sum_j s_j * (C(e_{j+1}) - C(e_j)) regrouped per edge
-    w_edge = np.zeros(edges.size)
-    w_edge[1:] += signs
-    w_edge[:-1] -= signs
-    return idx, frac, w_edge
+class PhaseFunctional:
+    """Toggled phase of one schedule as a linear functional of a sampled trace.
 
-
-def _phases_from_batch(traces: np.ndarray, sample_rate: float,
-                       idx: np.ndarray, frac: np.ndarray,
-                       w_edge: np.ndarray) -> np.ndarray:
-    """Toggled phase integral for each row of a (B, n) sample block.
-
-    The running integral C(t) of the detuning is piecewise linear between
-    samples (trapezoid rule), so linear interpolation at segment edges is
-    exact for the discretized process.
+    On an n-sample record at ``sample_rate`` the phase is ``weights @
+    samples``.  The weights hold the trapezoid rule for the running
+    integral C(t) (piecewise linear between samples, so linear
+    interpolation at the segment edges is exact for the discretized
+    process) and the toggling sign of every segment.  A synthesized trace
+    is the irfft of independent Gaussian coefficients, so its phase is
+    also a dot product of :func:`spectra.trace_normals` with
+    :meth:`normal_weights`, so Monte Carlo never forms the trace.
     """
-    dt = 1.0 / sample_rate
-    c = np.empty_like(traces)
-    c[:, 0] = 0.0
-    np.cumsum((traces[:, 1:] + traces[:, :-1]) * (0.5 * dt), axis=1, out=c[:, 1:])
-    c_at = c[:, idx] * (1.0 - frac) + c[:, idx + 1] * frac
-    return c_at @ w_edge
+
+    def __init__(self, schedule: PulseSchedule, sample_rate: float, n: int):
+        edges = schedule.boundaries
+        pos = edges * sample_rate
+        idx = np.clip(pos.astype(int), 0, n - 2)
+        frac = pos - idx
+        signs = schedule.segment_signs
+        # phi = sum_j s_j * (C(e_{j+1}) - C(e_j)) regrouped per edge, then
+        # spread over the two samples of C each edge interpolates between
+        w_edge = np.zeros(edges.size)
+        w_edge[1:] += signs
+        w_edge[:-1] -= signs
+        w_c = (np.bincount(idx, w_edge * (1.0 - frac), minlength=n)
+               + np.bincount(idx + 1, w_edge * frac, minlength=n))
+        # C[m] = dt * (x[0]/2 + x[1] + ... + x[m-1] + x[m]/2) for m >= 1 and
+        # C[0] = 0: x[j] gets dt/2 times (the C-weight summed over m >= j,
+        # zero for j = 0) plus (the C-weight summed over m >= j + 1)
+        tail = np.zeros(n + 1)
+        tail[1:n] = np.cumsum(w_c[:0:-1])[::-1]
+        self.sample_rate = float(sample_rate)
+        self.n = int(n)
+        self.weights = (0.5 / sample_rate) * (tail[:-1] + tail[1:])
+
+    @classmethod
+    def on_mc_grid(cls, schedule: PulseSchedule, duration_factor: float,
+                   samples_per_interval: int) -> "PhaseFunctional":
+        """Functional on the Monte Carlo grid: ``samples_per_interval``
+        samples per inter-pulse interval over ``duration_factor`` times the
+        schedule, and at least 64 samples."""
+        if duration_factor < 1.0:
+            raise ValueError("duration_factor must be >= 1 so the trace covers the schedule")
+        intervals = max(schedule.n_pulses, 1)
+        rate = samples_per_interval * intervals / schedule.total_time
+        # +1 keeps the readout boundary on the sampled part of the record even
+        # when duration_factor is exactly 1
+        n = int(round(duration_factor * schedule.total_time * rate)) + 1
+        if n < 64:
+            rate *= 64.0 / n
+            n = 64
+        return cls(schedule, rate, n)
+
+    def normal_weights(self, model: SpectrumModel) -> np.ndarray:
+        """Weights h such that ``h @ spectra.trace_normals(n, rng)`` is the
+        phase on the trace ``spectra.draw_trace_samples`` would make from
+        ``model`` and ``rng``.
+
+        irfft sums ``c_k e^{+2 pi i jk/n} / n`` with each interior bin
+        paired with its conjugate, so the phase is ``(2/n) Re(c_k conj(R_k))``
+        summed over bins, ``R = rfft(weights)``; the real Nyquist bin of an
+        even n is unpaired and enters as ``c R / n``.
+        """
+        n = self.n
+        r = np.fft.rfft(self.weights) * (2.0 / n)
+        k = (n - 1) // 2
+        parts = [r[1:k + 1].real, r[1:k + 1].imag]
+        if n % 2 == 0:
+            parts.append([0.5 * r[-1].real])
+        s_bins = spectra.rfft_bin_density(model, self.sample_rate, n)
+        return (spectra.normal_amplitudes(s_bins, self.sample_rate, n)
+                * np.concatenate(parts))
 
 
 def accumulate_phase(trace: NoiseTrace, schedule: PulseSchedule,
@@ -235,39 +293,25 @@ def accumulate_phase(trace: NoiseTrace, schedule: PulseSchedule,
     i0 = int(round(t_offset * rate))
     need = min(int(math.ceil(schedule.total_time * rate)) + 2,
                trace.n_samples - i0)
-    block = trace.samples[i0:i0 + need][None, :]
-    idx, frac, w_edge = _boundary_weights(schedule, rate, block.shape[1])
-    return float(_phases_from_batch(block, rate, idx, frac, w_edge)[0])
-
-
-def _mc_grid(schedule: PulseSchedule, duration_factor: float,
-             samples_per_interval: int) -> tuple[float, int]:
-    """Sample rate and trace length covering the schedule's band."""
-    if duration_factor < 1.0:
-        raise ValueError("duration_factor must be >= 1 so the trace covers the schedule")
-    intervals = max(schedule.n_pulses, 1)
-    rate = samples_per_interval * intervals / schedule.total_time
-    # +1 keeps the readout boundary on the sampled part of the record even
-    # when duration_factor is exactly 1
-    n = int(round(duration_factor * schedule.total_time * rate)) + 1
-    if n < 64:
-        rate *= 64.0 / n
-        n = 64
-    return rate, n
+    phase = PhaseFunctional(schedule, rate, need)
+    return float(phase.weights @ trace.samples[i0:i0 + need])
 
 
 def coherence_mc(model: SpectrumModel, schedule: PulseSchedule,
                  n_traj: int, seed: int, *,
                  calibration: float = PSD_CHI_CALIBRATION,
                  duration_factor: float = 2.0,
-                 samples_per_interval: int = 16,
-                 max_batch: int = 512) -> CoherencePoint:
+                 samples_per_interval: int = 16) -> CoherencePoint:
     """Monte Carlo decay estimate W = <cos phi> over noise realizations.
 
-    Trajectory i draws its trace from ``derive_rng(seed, i)``, so results
-    are bit-identical however the work is batched or distributed.  The
-    trace band is [1/(duration_factor*T), samples_per_interval*N/(2T)];
-    spectral weight outside it is not seen by this estimator.
+    Trajectory i draws its Gaussian Fourier coefficients from
+    ``derive_rng(seed, i)``, so results are bit-identical however the work
+    is distributed.  Its phase is the dot product of those normals with
+    :meth:`PhaseFunctional.normal_weights`, equal to integrating the
+    trace :func:`spectra.draw_trace_samples` would synthesize from the
+    same stream.  The trace band is [1/(duration_factor*T),
+    samples_per_interval*N/(2T)]; spectral weight outside it is not seen
+    by this estimator.
 
     Parameters
     ----------
@@ -277,25 +321,14 @@ def coherence_mc(model: SpectrumModel, schedule: PulseSchedule,
     """
     if n_traj < 2:
         raise ValueError("need at least 2 trajectories for a standard error")
-    rate, n = _mc_grid(schedule, duration_factor, samples_per_interval)
-    s_bins = spectra.rfft_bin_density(model, rate, n)
-    idx, frac, w_edge = _boundary_weights(schedule, rate, n)
-    scale = math.sqrt(calibration)
-    total = 0.0
-    total2 = 0.0
-    done = 0
-    while done < n_traj:
-        b = min(max_batch, n_traj - done)
-        block = np.empty((b, n))
-        for row in range(b):
-            rng = derive_rng(seed, done + row)
-            block[row] = spectra.draw_trace_samples(s_bins, rate, n, rng)
-        cos_phi = np.cos(scale * _phases_from_batch(block, rate, idx, frac, w_edge))
-        total += float(cos_phi.sum())
-        total2 += float((cos_phi**2).sum())
-        done += b
-    w = total / n_traj
-    var = max(total2 - n_traj * w * w, 0.0) / (n_traj - 1)
+    phase = PhaseFunctional.on_mc_grid(schedule, duration_factor,
+                                       samples_per_interval)
+    h = phase.normal_weights(model)
+    phases = np.fromiter((spectra.trace_normals(phase.n, derive_rng(seed, i)) @ h
+                          for i in range(n_traj)), dtype=float, count=n_traj)
+    cos_phi = np.cos(math.sqrt(calibration) * phases)
+    w = float(cos_phi.sum()) / n_traj
+    var = max(float((cos_phi**2).sum()) - n_traj * w * w, 0.0) / (n_traj - 1)
     return CoherencePoint(w=w, std_err=math.sqrt(var / n_traj), n_traj=n_traj)
 
 
@@ -454,24 +487,34 @@ def _decay_point(args) -> CoherencePoint:
                         samples_per_interval=samples_per_interval)
 
 
-def _run_decay_points(model: SpectrumModel, pulse_counts, times, n_traj: int,
-                      seed: int, calibration: float, duration_factor: float,
-                      samples_per_interval: int, label: str) -> DecayCurve:
+def _run_decay_curves(model: SpectrumModel, specs, n_traj: int,
+                      calibration: float, duration_factor: float,
+                      samples_per_interval: int) -> list[DecayCurve]:
+    """One curve per ``(pulse_counts, times, seed, label)`` spec; every
+    point of every curve goes through a single :func:`pmap`."""
     from ._parallel import pmap
     from ._rng import derive_child_seed
-    times = np.asarray(times, dtype=float)
-    pulse_counts = np.broadcast_to(np.asarray(pulse_counts, dtype=int), times.shape)
     model_dict = model.to_dict()
-    jobs = [(model_dict, int(n), float(t), n_traj,
-             derive_child_seed(seed, i), calibration,
-             duration_factor, samples_per_interval)
-            for i, (n, t) in enumerate(zip(pulse_counts, times))]
-    points = pmap(_decay_point, jobs)
-    return DecayCurve(times=times,
-                      w=np.array([p.w for p in points]),
-                      std_err=np.array([p.std_err for p in points]),
-                      n_pulses=pulse_counts,
-                      n_traj=n_traj, label=label)
+    grids, jobs = [], []
+    for pulse_counts, times, seed, label in specs:
+        times = np.asarray(times, dtype=float)
+        pulse_counts = np.broadcast_to(np.asarray(pulse_counts, dtype=int),
+                                       times.shape)
+        grids.append((pulse_counts, times, label))
+        jobs.extend((model_dict, int(n), float(t), n_traj,
+                     derive_child_seed(seed, i), calibration,
+                     duration_factor, samples_per_interval)
+                    for i, (n, t) in enumerate(zip(pulse_counts, times)))
+    points = iter(pmap(_decay_point, jobs))
+    curves = []
+    for pulse_counts, times, label in grids:
+        curve_points = [next(points) for _ in times]
+        curves.append(DecayCurve(times=times,
+                                 w=np.array([p.w for p in curve_points]),
+                                 std_err=np.array([p.std_err for p in curve_points]),
+                                 n_pulses=pulse_counts,
+                                 n_traj=n_traj, label=label))
+    return curves
 
 
 def decay_vs_time(model: SpectrumModel, n_pulses: int, times, n_traj: int,
@@ -482,9 +525,9 @@ def decay_vs_time(model: SpectrumModel, n_pulses: int, times, n_traj: int,
     """Coherence decay at fixed pulse count over a grid of total times."""
     if not label:
         label = {0: "ramsey", 1: "hahn"}.get(n_pulses, f"cpmg-{n_pulses}")
-    return _run_decay_points(model, n_pulses, times, n_traj, seed,
+    return _run_decay_curves(model, [(n_pulses, times, seed, label)], n_traj,
                              calibration, duration_factor,
-                             samples_per_interval, label)
+                             samples_per_interval)[0]
 
 
 def decay_vs_pulses(model: SpectrumModel, tau_wait: float, pulse_counts,
@@ -499,11 +542,28 @@ def decay_vs_pulses(model: SpectrumModel, tau_wait: float, pulse_counts,
     total time N*tau_wait is exponential with rate proportional to the
     spectral density there.
     """
+    return decay_vs_pulses_many(model, [tau_wait], pulse_counts, n_traj,
+                                [seed], calibration=calibration,
+                                duration_factor=duration_factor,
+                                samples_per_interval=samples_per_interval)[0]
+
+
+def decay_vs_pulses_many(model: SpectrumModel, tau_waits, pulse_counts,
+                         n_traj: int, seeds, *,
+                         calibration: float = PSD_CHI_CALIBRATION,
+                         duration_factor: float = 2.0,
+                         samples_per_interval: int = 16) -> list[DecayCurve]:
+    """:func:`decay_vs_pulses` at each wait ``tau_waits[i]`` with seed
+    ``seeds[i]``, all points of all curves in one process pool.
+
+    The curves are identical to separate :func:`decay_vs_pulses` calls;
+    one pool keeps every worker busy while the long many-pulse points of
+    one wait finish.
+    """
     counts = np.asarray(pulse_counts, dtype=int)
     if np.any(counts < 1):
         raise ValueError("pulse counts must be >= 1 when tau_wait is fixed")
-    times = counts * float(tau_wait)
-    return _run_decay_points(model, counts, times, n_traj, seed,
-                             calibration, duration_factor,
-                             samples_per_interval,
-                             label=f"tau_w={tau_wait:.3e}s")
+    specs = [(counts, counts * float(tau), seed, f"tau_w={float(tau):.3e}s")
+             for tau, seed in zip(tau_waits, seeds, strict=True)]
+    return _run_decay_curves(model, specs, n_traj, calibration,
+                             duration_factor, samples_per_interval)

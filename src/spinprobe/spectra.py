@@ -32,6 +32,8 @@ __all__ = [
     "PsdEstimate",
     "eval_psd",
     "rfft_bin_density",
+    "trace_normals",
+    "normal_amplitudes",
     "draw_trace_samples",
     "synthesize",
     "psd_welch",
@@ -271,22 +273,47 @@ def rfft_bin_density(model: SpectrumModel, sample_rate: float, n: int) -> np.nda
     return s
 
 
+def trace_normals(n: int, rng: np.random.Generator) -> np.ndarray:
+    """The n - 1 standard normals behind one n-sample trace, in draw order.
+
+    With ``K = (n - 1) // 2`` they are the real parts of rfft bins 1..K,
+    then their imaginary parts, then (even n only) the real Nyquist bin.
+    Every consumer of a trace's randomness draws through here, so a
+    trajectory seeded once yields the same numbers whether its trace is
+    synthesized or only its phase is computed.
+    """
+    return rng.normal(size=n - 1)
+
+
+def normal_amplitudes(s_bins: np.ndarray, sample_rate: float, n: int) -> np.ndarray:
+    """rfft coefficient per unit of each entry of :func:`trace_normals`.
+
+    Scaled so each positive bin contributes ``S(f_k) * df`` to the sample
+    variance; the real Nyquist bin of an even-n trace carries twice the
+    per-component amplitude.
+    """
+    df = sample_rate / n
+    amp = (n / 2.0) * np.sqrt(s_bins[1:(n - 1) // 2 + 1] * df)
+    parts = [amp, amp]
+    if n % 2 == 0:
+        parts.append([n * math.sqrt(s_bins[-1] * df)])
+    return np.concatenate(parts)
+
+
 def draw_trace_samples(s_bins: np.ndarray, sample_rate: float, n: int,
                        rng: np.random.Generator) -> np.ndarray:
     """One Gaussian realization of an n-sample trace from bin densities.
 
     Each positive rfft bin receives an independent complex Gaussian
-    amplitude scaled so its contribution to the sample variance equals
-    S(f_k) * df; the trace variance approximates ``int S df`` over
-    (0, Nyquist].
+    amplitude (see :func:`trace_normals` and :func:`normal_amplitudes`);
+    the trace variance approximates ``int S df`` over (0, Nyquist].
     """
-    df = sample_rate / n
+    z = trace_normals(n, rng) * normal_amplitudes(s_bins, sample_rate, n)
+    k = (n - 1) // 2
     coeff = np.zeros(s_bins.size, dtype=complex)
-    k = np.arange(1, (n + 1) // 2)
-    amp = (n / 2.0) * np.sqrt(s_bins[k] * df)
-    coeff[k] = amp * rng.normal(size=k.size) + 1j * amp * rng.normal(size=k.size)
+    coeff[1:k + 1] = z[:k] + 1j * z[k:2 * k]
     if n % 2 == 0:  # real Nyquist bin
-        coeff[-1] = n * math.sqrt(s_bins[-1] * df) * rng.normal()
+        coeff[-1] = z[-1]
     return np.fft.irfft(coeff, n)
 
 

@@ -21,8 +21,7 @@ import numpy as np
 from . import spectra
 from ._parallel import pmap
 from ._rng import derive_child_seed, derive_rng
-from .qubitsim import (PSD_CHI_CALIBRATION, ReadoutModel, _boundary_weights,
-                       _mc_grid, _phases_from_batch)
+from .qubitsim import PSD_CHI_CALIBRATION, PhaseFunctional, ReadoutModel
 from .sequences import filter_function, make_cpmg, response
 from .spectra import SpectrumModel
 
@@ -31,7 +30,6 @@ __all__ = [
     "ToneConfig",
     "ToneWave",
     "ToneScanResult",
-    "DONOR_REFERENCE",
     "default_stark_map",
     "esr_frequency",
     "fit_stark_map",
@@ -44,14 +42,6 @@ __all__ = [
 ]
 
 TONE_SCAN_HEADER = "f_hz,amplitude_vpp,p_up,std_err"
-
-# Donor-bound electrons in the same material see far weaker gate coupling and
-# a correspondingly lower noise floor; kept here as an alternative parameter
-# set for side-by-side runs.
-DONOR_REFERENCE = {
-    "coefficient_hz_per_v": -2.27e6,
-    "white_floor_rad2_s": 10.0,
-}
 
 
 @dataclass(frozen=True)
@@ -225,9 +215,8 @@ def _tone_cell(args) -> tuple[float, float]:
     model = SpectrumModel.from_dict(model_dict)
     schedule = make_cpmg(n_pulses, n_pulses * tau)
     readout = ReadoutModel(visibility=vis, floor=floor)
-    rate, n = _mc_grid(schedule, 1.0, samples_per_interval)
-    s_bins = spectra.rfft_bin_density(model, rate, n)
-    idx, frac, w_edge = _boundary_weights(schedule, rate, n)
+    phase = PhaseFunctional.on_mc_grid(schedule, 1.0, samples_per_interval)
+    h = phase.normal_weights(model)
     # the tone enters through the exact segment Fourier integral; only its
     # modulus matters once the phase is randomized
     y_mag = abs(response(schedule, f_tone))
@@ -236,8 +225,7 @@ def _tone_cell(args) -> tuple[float, float]:
     hits = 0
     for shot in range(shots):
         rng = derive_rng(cell_seed, shot)
-        trace = spectra.draw_trace_samples(s_bins, rate, n, rng)
-        phi_noise = _phases_from_batch(trace[None, :], rate, idx, frac, w_edge)[0]
+        phi_noise = spectra.trace_normals(phase.n, rng) @ h
         theta = rng.uniform(0.0, 2 * math.pi) if fixed_phase is None else fixed_phase
         phi = scale * phi_noise + a * math.sin(theta)
         p = float(readout.apply(0.5 * (1.0 + math.cos(phi))))

@@ -20,7 +20,9 @@ from spinprobe.analysis import (
     spectroscopy_scan,
     t2_scaling_exponent,
 )
-from spinprobe.qubitsim import DecayCurve, chi_ff
+from spinprobe import _parallel
+from spinprobe._rng import derive_child_seed
+from spinprobe.qubitsim import DecayCurve, chi_ff, decay_vs_pulses
 from spinprobe.sequences import make_cpmg
 from spinprobe.spectra import PowerLawTerm, SpectrumModel, eval_psd
 
@@ -174,6 +176,28 @@ class TestSpectroscopyScan:
         np.testing.assert_allclose(est.s, 350.0, rtol=0.25)
         est2 = spectroscopy_scan(WHITE, grid, [2, 4, 8], 200, 17)
         np.testing.assert_array_equal(est.s, est2.s)
+
+    def test_one_pool_matches_per_frequency_loop(self, monkeypatch):
+        pool_sizes = []
+        pmap = _parallel.pmap
+
+        def counting(fn, jobs, workers=None):
+            jobs = list(jobs)
+            pool_sizes.append(len(jobs))
+            return pmap(fn, jobs, workers)
+
+        monkeypatch.setattr(_parallel, "pmap", counting)
+        grid, counts = [2e3, 8e3, 3e4], [2, 4, 8]
+        est = spectroscopy_scan(PINK, grid, counts, 48, 23)
+        assert pool_sizes == [len(grid) * len(counts)]
+        points = []
+        for i, f in enumerate(grid):
+            tau = 1.0 / (2.0 * f)
+            curve = decay_vs_pulses(PINK, tau, counts, 48, derive_child_seed(23, i))
+            points.append(spectroscopy_point(curve, tau))
+        ref = reconstruct_psd(points)
+        for name in ("f", "s", "ci_low", "ci_high"):
+            np.testing.assert_array_equal(getattr(est, name), getattr(ref, name))
 
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):

@@ -94,6 +94,40 @@ class TestValidateConfig:
         with pytest.raises(ConfigError):
             validate_config(["kind", "ramsey"])
 
+    def test_nan_white_floor_rejected(self, tmp_path):
+        p = tmp_path / "nan.yaml"
+        p.write_text(yaml.safe_dump({k: v for k, v in TINY_RAMSEY.items()
+                                     if k != "spectrum"})
+                     + "spectrum:\n  white_floor: .nan\n")
+        with pytest.raises(ConfigError, match="spectrum.white_floor"):
+            load_config(p)
+
+    def test_infinite_powerlaw_amplitude_rejected(self):
+        cfg = {**TINY_RAMSEY, "spectrum": {"powerlaws": [
+            {"amplitude": float("inf"), "exponent": 1.0}]}}
+        with pytest.raises(ConfigError, match="spectrum.powerlaws.0.amplitude"):
+            validate_config(cfg)
+
+    def test_negative_times_rejected(self):
+        cfg = {**TINY_RAMSEY, "protocol": {
+            **TINY_RAMSEY["protocol"],
+            "times_s": {"start": -1e-4, "stop": 4e-3, "num": 3,
+                        "spacing": "linear"}}}
+        with pytest.raises(ConfigError, match="protocol.times_s"):
+            validate_config(cfg)
+
+    def test_one_point_time_grid_rejected(self):
+        cfg = {**TINY_RAMSEY,
+               "protocol": {**TINY_RAMSEY["protocol"], "times_s": [1e-4]}}
+        with pytest.raises(ConfigError, match="protocol.times_s"):
+            validate_config(cfg)
+
+    def test_negative_times_exit_2(self, tmp_path):
+        cfg = {**TINY_RAMSEY, "kind": "hahn", "protocol": {
+            **TINY_RAMSEY["protocol"], "times_s": [-1e-4, 1e-3, 2e-3]}}
+        p = _write_yaml(tmp_path, cfg)
+        assert run(p, workers=1, output_dir=tmp_path / "o") == 2
+
 
 class TestLoadConfig:
     def test_round_trip(self, tmp_path):
@@ -173,6 +207,33 @@ class TestRunner:
         with pytest.raises(RunError):
             rerun(tmp_path / "missing.json", workers=1)
 
+    def test_zero_workers_argument_exits_2(self, tmp_path, capsys):
+        cfg_path = _write_yaml(tmp_path, TINY_CHEVRON)
+        out = tmp_path / "out"
+        assert run(cfg_path, workers=0, output_dir=out) == 2
+        assert "--workers" in capsys.readouterr().out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-2", "two"])
+    def test_bad_worker_environment_exits_2(self, tmp_path, monkeypatch,
+                                            capsys, value):
+        monkeypatch.setenv(ENV_VAR, value)
+        cfg_path = _write_yaml(tmp_path, TINY_CHEVRON)
+        assert run(cfg_path, output_dir=tmp_path / "out") == 2
+        assert ENV_VAR in capsys.readouterr().out
+
+    def test_config_workers_beat_bad_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, "0")
+        cfg_path = _write_yaml(tmp_path, dict(TINY_CHEVRON, workers=1))
+        assert run(cfg_path, output_dir=tmp_path / "out") == 0
+        assert os.environ[ENV_VAR] == "0"
+
+    def test_execute_rejects_bad_count_before_writing(self, tmp_path):
+        cfg = validate_config(dict(TINY_CHEVRON))
+        with pytest.raises(RunError, match="--workers"):
+            execute(cfg, tmp_path / "out", workers=0)
+        assert not (tmp_path / "out").exists()
+
     def test_worker_count_does_not_change_results(self, tmp_path):
         cfg = validate_config(dict(TINY_RAMSEY))
         m1 = execute(cfg, tmp_path / "a", workers=1)
@@ -213,6 +274,20 @@ class TestCli:
         out = capsys.readouterr().out
         for kind in ("ramsey", "voltage_psd", "tone_scan"):
             assert kind in out
+
+    def test_run_zero_workers_exits_2(self, tmp_path, capsys):
+        p = _write_yaml(tmp_path, dict(TINY_CHEVRON,
+                                       output_dir=str(tmp_path / "out")))
+        assert main(["run", str(p), "--workers", "0"]) == 2
+        assert "--workers" in capsys.readouterr().out
+
+    def test_rerun_bad_environment_exits_2(self, tmp_path, monkeypatch, capsys):
+        cfg = dict(TINY_CHEVRON, output_dir=str(tmp_path / "out"))
+        p = _write_yaml(tmp_path, cfg)
+        assert main(["run", str(p), "--workers", "1"]) == 0
+        monkeypatch.setenv(ENV_VAR, "0")
+        assert main(["rerun", str(tmp_path / "out" / MANIFEST_NAME)]) == 2
+        assert ENV_VAR in capsys.readouterr().out
 
     def test_run_and_rerun(self, tmp_path, capsys):
         cfg = dict(TINY_CHEVRON, output_dir=str(tmp_path / "out"))

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from spinprobe.qubitsim import (
     PSD_CHI_CALIBRATION,
     CoherencePoint,
+    PhaseFunctional,
     QubitParams,
     ReadoutModel,
     accumulate_phase,
@@ -22,7 +25,8 @@ from spinprobe.qubitsim import (
     rabi_p_up,
     resonance_frequency_hz,
 )
-from spinprobe import qubitsim, sequences
+from spinprobe import qubitsim, sequences, spectra
+from spinprobe._rng import derive_rng
 from spinprobe.sequences import (PulseSchedule, export_schedule, filter_function,
                                  import_schedule, make_cpmg, make_hahn,
                                  make_ramsey)
@@ -243,14 +247,105 @@ class TestAccumulatePhase:
             accumulate_phase(tr, make_ramsey(4e-4), t_offset=2e-4)
 
 
+def _reference_phase(samples, rate, schedule):
+    """Toggled phase by cumulative trapezoid, linear interpolation at the
+    segment edges and the segment signs, plus the trapezoid's L1 bound
+    ``dt * sum |x|`` over the window as the scale for a relative check."""
+    c = np.concatenate(([0.0], np.cumsum((samples[1:] + samples[:-1]) / (2 * rate))))
+    pos = schedule.boundaries * rate
+    idx = np.clip(pos.astype(int), 0, samples.size - 2)
+    frac = pos - idx
+    c_edge = c[idx] * (1.0 - frac) + c[idx + 1] * frac
+    window = samples[:int(math.ceil(schedule.total_time * rate)) + 2]
+    return (float(schedule.segment_signs @ np.diff(c_edge)),
+            float(np.abs(window).sum()) / rate)
+
+
+class TestPhaseFunctional:
+    @settings(max_examples=60, deadline=None)
+    @given(n_pulses=st.integers(0, 64),
+           total_time=st.floats(1e-6, 1e-1),
+           samples_per_interval=st.integers(2, 32),
+           extra=st.integers(0, 40),
+           composite=st.booleans(),
+           seed=st.integers(0, 2**32))
+    def test_matches_time_domain_phase(self, n_pulses, total_time,
+                                       samples_per_interval, extra,
+                                       composite, seed):
+        # any n at least as long as the schedule: odd and even, so the
+        # unpaired Nyquist bin of even n is covered
+        sch = (make_ramsey(total_time) if n_pulses == 0
+               else make_cpmg(n_pulses, total_time))
+        rate = samples_per_interval * max(n_pulses, 1) / total_time
+        n = int(math.ceil(total_time * rate)) + 1 + extra
+        model = COMPOSITE if composite else WHITE
+        phase = PhaseFunctional(sch, rate, n)
+        phi = spectra.trace_normals(n, derive_rng(seed)) @ phase.normal_weights(model)
+        trace = spectra.draw_trace_samples(spectra.rfft_bin_density(model, rate, n),
+                                           rate, n, derive_rng(seed))
+        ref, scale = _reference_phase(trace, rate, sch)
+        assert abs(phi - ref) <= 1e-12 * scale
+        assert abs(phase.weights @ trace - ref) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n_pulses,total_time,spi,n", [
+        (0, 1e-4, 16, 64),      # padded to 64 samples: even n
+        (2, 1e-3, 16, 65),      # 2 * 16 * 2 + 1: odd n
+        (32, 3e-3, 32, 2049),
+        (5, 2e-3, 16, 161),
+    ])
+    def test_mc_grid_lengths(self, n_pulses, total_time, spi, n):
+        sch = (make_ramsey(total_time) if n_pulses == 0
+               else make_cpmg(n_pulses, total_time))
+        phase = PhaseFunctional.on_mc_grid(sch, 2.0, spi)
+        assert phase.n == n
+        rate = phase.sample_rate
+        phi = spectra.trace_normals(n, derive_rng(4)) @ phase.normal_weights(COMPOSITE)
+        trace = spectra.draw_trace_samples(
+            spectra.rfft_bin_density(COMPOSITE, rate, n), rate, n, derive_rng(4))
+        ref, scale = _reference_phase(trace, rate, sch)
+        assert abs(phi - ref) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("schedule", [make_ramsey(1e-3), make_hahn(1e-3),
+                                          make_cpmg(5, 1e-3)])
+    def test_truncated_last_replay_window(self, schedule):
+        tr = synthesize(COMPOSITE, 1.3e5, 4e-3, 8)
+        t0 = tr.duration - schedule.total_time
+        i0 = int(round(t0 * tr.sample_rate))
+        need = tr.n_samples - i0
+        # the window is cut short by the end of the record
+        assert need < int(math.ceil(schedule.total_time * tr.sample_rate)) + 2
+        ref, scale = _reference_phase(tr.samples[i0:], tr.sample_rate, schedule)
+        assert abs(accumulate_phase(tr, schedule, t0) - ref) <= 1e-12 * scale
+
+    def test_rejects_short_duration_factor(self):
+        with pytest.raises(ValueError):
+            PhaseFunctional.on_mc_grid(make_cpmg(2, 1e-3), 0.5, 16)
+
+
 class TestCoherenceMc:
     # white noise with chi ~ 0.5 at this duration
     T_HALF = 0.5 / ((4 / np.pi**2) * 350.0)
 
     def test_batching_is_bit_identical(self):
-        a = coherence_mc(WHITE, make_cpmg(2, 1e-3), 300, 7, max_batch=512)
-        b = coherence_mc(WHITE, make_cpmg(2, 1e-3), 300, 7, max_batch=64)
+        a = coherence_mc(WHITE, make_cpmg(2, 1e-3), 300, 7)
+        b = coherence_mc(WHITE, make_cpmg(2, 1e-3), 300, 7)
         assert a.w == b.w and a.std_err == b.std_err
+
+    def test_no_inverse_fft(self, monkeypatch):
+        calls = []
+        irfft = np.fft.irfft
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return irfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", spy)
+        coherence_mc(COMPOSITE, make_cpmg(4, 1e-3), 50, 1)
+        coherence_mc(COMPOSITE, make_ramsey(1e-4), 50, 1)
+        assert calls == []
+        # the spy sees the synthesis path, which does use the inverse FFT
+        spectra.draw_trace_samples(np.ones(33), 1e3, 64, derive_rng(0))
+        assert len(calls) == 1
 
     def test_needs_two_trajectories(self):
         with pytest.raises(ValueError):
