@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 from scipy import optimize as _optimize
 
+from ._csvio import write_columns
 from ._rng import derive_rng
 from .analysis import FitError
 from .qubitsim import ReadoutModel
@@ -369,10 +370,8 @@ def interleaved_gate_fidelity(p_reference: float, p_interleaved: float) -> float
 
 
 def export_rb_curve(curve: RbCurve, path) -> None:
-    with Path(path).open("w") as fh:
-        fh.write(RB_HEADER + "\n")
-        for m, s, e in zip(curve.depths, curve.mean_survival, curve.std_err):
-            fh.write(f"{int(m)},{float(s)!r},{float(e)!r},{curve.n_sequences}\n")
+    write_columns(path, RB_HEADER, (curve.depths, curve.mean_survival, curve.std_err,
+                                    np.full(curve.depths.size, curve.n_sequences)))
 
 
 def import_rb_curve(path) -> RbCurve:

@@ -1,7 +1,6 @@
 """Declarative experiment runner: configs, pipelines, manifests, CLI."""
 
 from .config import KINDS, ConfigError, load_config, validate_config
-from .feedback import FeedbackLog, frequency_feedback
 from .runner import RunError, execute, rerun, run
 
 __all__ = [
@@ -13,6 +12,4 @@ __all__ = [
     "rerun",
     "execute",
     "RunError",
-    "frequency_feedback",
-    "FeedbackLog",
 ]

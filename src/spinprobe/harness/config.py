@@ -343,16 +343,18 @@ def _check_finite(node, path: str) -> None:
         raise ConfigError(f"{path}: must be finite, got {node!r}")
 
 
-def _check_time_grid(spec, path: str) -> None:
-    """Evolution times: at least two points, all of them > 0."""
+def _check_positive_grid(spec, path: str, min_points: int = 1) -> None:
+    """Evolution times or probe frequencies: enough points, all of them > 0."""
     try:
-        times = grid_values(spec)
+        values = grid_values(spec)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    if times.size < 2:
-        raise ConfigError(f"{path}: needs at least 2 times, got {times.size}")
-    if np.any(times <= 0):
-        raise ConfigError(f"{path}: times must be > 0, got {float(times.min())!r}")
+    if values.size < min_points:
+        raise ConfigError(f"{path}: needs at least {min_points} points, "
+                          f"got {values.size}")
+    if np.any(values <= 0):
+        raise ConfigError(f"{path}: values must be > 0, "
+                          f"got {float(values.min())!r}")
 
 
 def validate_config(raw: dict) -> dict:
@@ -385,8 +387,19 @@ def validate_config(raw: dict) -> dict:
     except jsonschema.ValidationError as exc:
         raise _schema_error(exc, "protocol.") from None
     _check_finite(cfg, "")
-    if "times_s" in cfg["protocol"]:
-        _check_time_grid(cfg["protocol"]["times_s"], "protocol.times_s")
+    proto = cfg["protocol"]
+    if "times_s" in proto:
+        _check_positive_grid(proto["times_s"], "protocol.times_s", min_points=2)
+    if "f_grid_hz" in proto:
+        _check_positive_grid(proto["f_grid_hz"], "protocol.f_grid_hz")
+    if proto.get("spectroscopy"):
+        _check_positive_grid(proto["spectroscopy"]["f_grid_hz"],
+                             "protocol.spectroscopy.f_grid_hz")
+    gate_field = {"tone_scan": "gate", "voltage_psd": "stark_gate"}.get(kind)
+    gates = cfg["stark"]["coefficients_hz_per_v"]
+    if gate_field and proto[gate_field] not in gates:
+        raise ConfigError(f"protocol.{gate_field}: {proto[gate_field]!r} is not "
+                          f"in stark.coefficients_hz_per_v (has {sorted(gates)})")
     if kind in SPECTRUM_KINDS:
         if "spectrum" not in cfg or not cfg["spectrum"]:
             raise ConfigError(f"spectrum: required for kind={kind}")

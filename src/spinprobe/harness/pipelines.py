@@ -19,6 +19,7 @@ import numpy as np
 from scipy import optimize as _optimize
 
 from .. import analysis, benchmarking, qubitsim, spectra, starktone
+from .._csvio import write_columns
 from .._rng import derive_child_seed
 from ..qubitsim import QubitParams, ReadoutModel
 from ..sequences import make_cpmg
@@ -67,18 +68,9 @@ class _Report:
                 "fit_failures": self.fit_failures, "summary": self.summary}
 
 
-def _write_rows(report: _Report, path: Path, header: str, rows) -> None:
-    with path.open("w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+def _write_csv(report: _Report, path: Path, header: str, *columns) -> None:
+    write_columns(path, header, columns)
     report.files.append(path.name)
-
-
-def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
 
 
 def _write_json(report: _Report, path: Path, obj) -> None:
@@ -137,9 +129,8 @@ def run_rabi_chevron(cfg, out: Path) -> _Report:
         det = grid_values(proto["detuning_hz"])
         dur = grid_values(proto["duration_s"])
         p = qubitsim.rabi_chevron(qubit, det, dur)
-        rows = ((det[i], dur[j], p[i, j])
-                for i in range(det.size) for j in range(dur.size))
-        _write_rows(report, out / "chevron.csv", CHEVRON_HEADER, rows)
+        _write_csv(report, out / "chevron.csv", CHEVRON_HEADER,
+                   np.repeat(det, dur.size), np.tile(dur, det.size), p.ravel())
         _write_json(report, out / "plot_chevron.json", {
             "title": "Rabi chevron",
             "x": _axis("pulse duration", "s", dur),
@@ -170,8 +161,8 @@ def _run_decay_kind(cfg, out: Path, n_pulses: int) -> _Report:
             duration_factor=proto["duration_factor"],
             samples_per_interval=proto["samples_per_interval"])
         p_up = readout.apply(0.5 * (1.0 + curve.w))
-        _write_rows(report, out / "decay.csv", DECAY_HEADER,
-                    zip(curve.times, curve.w, curve.std_err, p_up))
+        _write_csv(report, out / "decay.csv", DECAY_HEADER,
+                   curve.times, curve.w, curve.std_err, p_up)
         _plot_1d(report, out / "plot_decay.json",
                  f"{curve.label} decay", _axis("total evolution time", "s", times),
                  _axis("coherence W", "1", curve.w), y_err=curve.std_err)
@@ -217,7 +208,6 @@ def run_cpmg_t2_vs_n(cfg, out: Path) -> _Report:
     counts = [int(n) for n in proto["pulse_counts"]]
     curves = []
     with report.stage("t2_scans") as seed:
-        rows = []
         for i, n in enumerate(counts):
             t2_est = _t2_bracket(model, n)
             times = np.geomspace(proto["t_factor_min"] * t2_est,
@@ -228,32 +218,36 @@ def run_cpmg_t2_vs_n(cfg, out: Path) -> _Report:
                 duration_factor=proto["duration_factor"],
                 samples_per_interval=proto["samples_per_interval"])
             curves.append(curve)
-            rows.extend((n, t, w, e) for t, w, e in
-                        zip(curve.times, curve.w, curve.std_err))
-        _write_rows(report, out / "decay_curves.csv",
-                    "n_pulses," + DECAY_HEADER.replace(",p_up", ""), rows)
+        _write_csv(report, out / "decay_curves.csv",
+                   "n_pulses," + DECAY_HEADER.replace(",p_up", ""),
+                   np.repeat(counts, [c.times.size for c in curves]),
+                   np.concatenate([c.times for c in curves]),
+                   np.concatenate([c.w for c in curves]),
+                   np.concatenate([c.std_err for c in curves]))
     with report.stage("fits"):
-        t2s, t2errs, fit_rows = [], [], []
+        used, t2s, t2errs, exps, exp_errs = [], [], [], [], []
         for n, curve in zip(counts, curves):
             if proto["fit"] == "stretched":
                 fit = report.try_fit(f"fit_n{n}", lambda c=curve:
                                      analysis.fit_stretched(c.times, c.w, c.std_err))
                 if fit is not None:
-                    fit_rows.append((n, fit.t2, fit.t2_err, fit.exponent,
-                                     fit.exponent_err))
+                    exps.append(fit.exponent)
+                    exp_errs.append(fit.exponent_err)
             else:
                 fit = report.try_fit(f"fit_n{n}", lambda c=curve:
                                      analysis.fit_exponential(c.times, c.w, c.std_err))
                 if fit is not None:
-                    fit_rows.append((n, fit.t2, fit.t2_err, math.nan, math.nan))
+                    exps.append(math.nan)
+                    exp_errs.append(math.nan)
             if fit is not None:
+                used.append(n)
                 t2s.append(fit.t2)
                 t2errs.append(fit.t2_err)
-        _write_rows(report, out / "t2_vs_n.csv", T2N_HEADER, fit_rows)
+        _write_csv(report, out / "t2_vs_n.csv", T2N_HEADER,
+                   used, t2s, t2errs, exps, exp_errs)
     with report.stage("scaling_fit"):
         scaling = None
         if len(t2s) >= 2:
-            used = [r[0] for r in fit_rows]
             scaling_fit = report.try_fit("scaling_fit", lambda:
                                          analysis.t2_scaling_exponent(used, t2s, t2errs))
             if scaling_fit is not None:
@@ -261,9 +255,9 @@ def run_cpmg_t2_vs_n(cfg, out: Path) -> _Report:
                            "beta_err": scaling_fit.slope_err,
                            "prefactor_s": scaling_fit.prefactor}
         _write_json(report, out / "scaling.json", scaling)
-        if fit_rows:
+        if used:
             _plot_1d(report, out / "plot_t2_vs_n.json", "T2 vs pulse number",
-                     _axis("pulse count N", "1", [r[0] for r in fit_rows]),
+                     _axis("pulse count N", "1", used),
                      _axis("T2", "s", t2s), y_err=t2errs,
                      extra={"scaling": scaling})
     report.summary = {"scaling": scaling, "n_fitted": len(t2s)}
@@ -380,8 +374,8 @@ def run_stark_map(cfg, out: Path) -> _Report:
                       for a, b in zip(g1.ravel(), g2.ravel())])
         from .._rng import derive_rng
         f = f + proto["jitter_hz"] * derive_rng(seed).normal(size=f.size)
-        _write_rows(report, out / "stark_grid.csv", STARK_GRID_HEADER,
-                    zip(g1.ravel(), g2.ravel(), f))
+        _write_csv(report, out / "stark_grid.csv", STARK_GRID_HEADER,
+                   g1.ravel(), g2.ravel(), f)
     with report.stage("plane_fit"):
         fitted = starktone.fit_stark_map(
             {"G1": g1.ravel(), "G2": g2.ravel()}, f,
@@ -451,8 +445,8 @@ def run_voltage_psd(cfg, out: Path) -> _Report:
     with report.stage("welch"):
         nperseg = int(round(proto["nperseg_s"] * trace.sample_rate))
         est_v = spectra.psd_welch(trace, nperseg=nperseg)
-        _write_rows(report, out / "psd_voltage.csv", VOLT_PSD_HEADER,
-                    zip(est_v.f, est_v.s, est_v.ci_low, est_v.ci_high))
+        _write_csv(report, out / "psd_voltage.csv", VOLT_PSD_HEADER,
+                   est_v.f, est_v.s, est_v.ci_low, est_v.ci_high)
         lo, hi = proto["band_hz"]
         rms = spectra.integrate_rms(est_v, lo, hi)
         est_dw = spectra.voltage_to_detuning_psd(est_v, coeff)

@@ -27,6 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ._csvio import write_columns
+
 __all__ = [
     "PulseSchedule",
     "make_ramsey",
@@ -170,12 +172,11 @@ def toggling_sign(schedule: PulseSchedule, t) -> np.ndarray:
 
 
 def export_schedule(schedule: PulseSchedule, path) -> None:
-    with Path(path).open("w") as fh:
-        fh.write(SCHEDULE_HEADER + "\n")
-        for idx, t in enumerate(schedule.pulse_times, start=1):
-            fh.write(f"{idx},{float(t)!r}\n")
-        # readout row closes the window; index 0 marks it
-        fh.write(f"0,{float(schedule.total_time)!r}\n")
+    # readout row closes the window; index 0 marks it
+    n = len(schedule.pulse_times)
+    write_columns(path, SCHEDULE_HEADER,
+                  (np.append(np.arange(1, n + 1), 0),
+                   np.append(schedule.pulse_times, schedule.total_time)))
 
 
 def import_schedule(path) -> PulseSchedule:

@@ -19,9 +19,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import signal as _signal
-from scipy import stats as _stats
+from scipy import fft as _fft
+from scipy import special as _special
 
+from ._csvio import write_columns
 from ._rng import derive_rng
 
 __all__ = [
@@ -335,33 +336,45 @@ def synthesize(model: SpectrumModel, sample_rate: float, duration: float,
                       provenance=f"synthesized seed={int(seed)}", unit=unit)
 
 
-def psd_welch(trace: NoiseTrace, *, nperseg: int | None = None,
-              window: str = "hann", overlap: float = 0.5,
-              detrend: str = "constant") -> PsdEstimate:
+def psd_welch(trace: NoiseTrace, *, nperseg: int | None = None) -> PsdEstimate:
     """Welch estimate of the one-sided PSD of a trace.
 
-    Defaults: Hann window, 50% overlap, segment length ~ n/8 (power of two).
-    Density scaling, so the integral of the estimate over frequency matches
-    the sample variance.  Fewer than two segments is allowed but flagged.
+    Periodic Hann window, 50% overlap, mean removed from each segment,
+    segment length ~ n/8 (power of two) unless given.  Density scaling, so
+    the integral of the estimate over frequency matches the sample variance.
+    Fewer than two segments is allowed but flagged.  The arithmetic follows
+    ``scipy.signal.welch(..., window="hann", detrend="constant",
+    scaling="density")`` step for step and reproduces it bit for bit.
     """
-    n = trace.n_samples
+    x = trace.samples
+    n = x.size
     if nperseg is None:
         nperseg = 2 ** int(math.log2(max(n // 8, 64)))
     nperseg = int(min(nperseg, n))
-    noverlap = int(nperseg * overlap)
-    f, s = _signal.welch(trace.samples, fs=trace.sample_rate, window=window,
-                         nperseg=nperseg, noverlap=noverlap, detrend=detrend,
-                         scaling="density")
-    n_segments = 1 + max(0, (n - nperseg)) // max(1, nperseg - noverlap)
+    if nperseg < 2:
+        raise ValueError(f"nperseg must be >= 2, got {nperseg}")
+    hop = nperseg - nperseg // 2
+    n_segments = 1 + (n - nperseg) // hop
+    win = (0.5 + 0.5 * np.cos(np.linspace(-math.pi, math.pi, nperseg + 1)))[:-1]
+    # builtin sum: scipy's left-to-right order, which np.sum's pairwise one is not
+    win = win * (1 / np.sqrt(sum(win**2) / (1 / trace.sample_rate)))
+    power = np.empty((nperseg // 2 + 1, n_segments))
+    for k in range(n_segments):
+        seg = x[k * hop:k * hop + nperseg]
+        spec = _fft.rfft((seg - np.mean(seg)) * win)
+        power[:, k] = spec.real**2 + spec.imag**2
+    power[1:-1 if nperseg % 2 == 0 else None] *= 2  # one-sided: fold negative f
+    s = power.mean(axis=-1)
+    f = _fft.rfftfreq(nperseg, 1 / trace.sample_rate)
     warnings = ()
     if n_segments < 2:
         warnings = ("single segment: no averaging, confidence bounds are wide",)
-    # chi-squared pointwise CI with ~2 dof per averaged segment
+    # chi-squared pointwise CI with ~2 dof per averaged segment;
+    # 2 * gammaincinv(dof / 2, q) is the chi-squared quantile
     dof = 2 * n_segments
-    lo_fac = dof / _stats.chi2.ppf(0.975, dof)
-    hi_fac = dof / _stats.chi2.ppf(0.025, dof)
-    keep = f > 0  # drop the detrended DC bin
-    f, s = f[keep], np.maximum(s[keep], 0.0)
+    lo_fac = dof / (2 * _special.gammaincinv(dof / 2, 0.975))
+    hi_fac = dof / (2 * _special.gammaincinv(dof / 2, 0.025))
+    f, s = f[1:], s[1:]  # drop the detrended DC bin
     return PsdEstimate(f=f, s=s, ci_low=s * lo_fac, ci_high=s * hi_fac,
                        estimator_tag="welch_periodogram", warnings=warnings)
 
@@ -401,15 +414,10 @@ def voltage_to_detuning_model(model: SpectrumModel, coeff_hz_per_v: float) -> Sp
 
 
 def export_trace(trace: NoiseTrace, path) -> None:
-    path = Path(path)
     header = TRACE_HEADERS.get(trace.unit)
     if header is None:
         raise ValueError(f"no CSV header defined for unit {trace.unit!r}")
-    t = trace.times
-    with path.open("w") as fh:
-        fh.write(header + "\n")
-        for ti, xi in zip(t, trace.samples):
-            fh.write(f"{float(ti)!r},{float(xi)!r}\n")
+    write_columns(path, header, (trace.times, trace.samples))
 
 
 def import_trace(path) -> NoiseTrace:
@@ -432,10 +440,8 @@ def import_trace(path) -> NoiseTrace:
 
 
 def export_psd(estimate: PsdEstimate, path) -> None:
-    with Path(path).open("w") as fh:
-        fh.write(PSD_HEADER + "\n")
-        for row in zip(estimate.f, estimate.s, estimate.ci_low, estimate.ci_high):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_columns(path, PSD_HEADER, (estimate.f, estimate.s, estimate.ci_low,
+                                     estimate.ci_high))
 
 
 def import_psd(path, estimator_tag: str = "welch_periodogram") -> PsdEstimate:

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import spectra
+from ._csvio import write_columns
 from ._parallel import pmap
 from ._rng import derive_child_seed, derive_rng
 from .qubitsim import PSD_CHI_CALIBRATION, PhaseFunctional, ReadoutModel
@@ -311,13 +312,10 @@ def detect_tone_threshold(result: ToneScanResult, f_tone: float,
 
 
 def export_tone_scan(result: ToneScanResult, path) -> None:
-    with Path(path).open("w") as fh:
-        fh.write(TONE_SCAN_HEADER + "\n")
-        for i, amp in enumerate(result.amplitudes_vpp):
-            for j, f in enumerate(result.f_hz):
-                fh.write(f"{float(f)!r},{float(amp)!r},"
-                         f"{float(result.p_up[i, j])!r},"
-                         f"{float(result.std_err[i, j])!r}\n")
+    n_amp, n_f = result.p_up.shape
+    write_columns(path, TONE_SCAN_HEADER,
+                  (np.tile(result.f_hz, n_amp), np.repeat(result.amplitudes_vpp, n_f),
+                   result.p_up.ravel(), result.std_err.ravel()))
 
 
 def import_tone_scan(path, shots: int = 0) -> ToneScanResult:

@@ -1,19 +1,21 @@
-"""Config validation, the run/rerun machinery, CLI, and drift feedback."""
+"""Config validation, the run/rerun machinery, and the CLI."""
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
+import spinprobe
 import spinprobe.analysis
 from spinprobe._parallel import ENV_VAR, worker_count
 from spinprobe.analysis import FitError
 from spinprobe.harness import ConfigError, RunError, execute, rerun, run
 from spinprobe.harness.cli import main
 from spinprobe.harness.config import grid_values, load_config, validate_config
-from spinprobe.harness.feedback import frequency_feedback, make_drift
 from spinprobe.harness.runner import LOCK_NAME, MANIFEST_NAME
 
 TINY_CHEVRON = {
@@ -36,6 +38,39 @@ TINY_RAMSEY = {
         "n_traj": 16,
         "fit": "exponential",
     },
+}
+
+TINY_SPECTROSCOPY = {
+    "kind": "noise_spectroscopy",
+    "seed": 5,
+    "output_dir": "unused",
+    "spectrum": {"white_floor": 350.0},
+    "protocol": {"f_grid_hz": [2e3, 4e3], "pulse_counts": [2, 4], "n_traj": 8},
+}
+
+TINY_TONE = {
+    "kind": "tone_scan",
+    "seed": 9,
+    "output_dir": "unused",
+    "spectrum": {"white_floor": 350.0},
+}
+
+TINY_VOLTAGE = {
+    "kind": "voltage_psd",
+    "seed": 10,
+    "output_dir": "unused",
+    "spectrum": {"white_floor": 8e-18},
+    "protocol": {"sample_rate_hz": 1e4, "duration_s": 1.0, "nperseg_s": 0.1,
+                 "band_hz": [20.0, 4e3]},
+}
+
+TINY_CPMG = {
+    "kind": "cpmg_t2_vs_n",
+    "seed": 4,
+    "output_dir": "unused",
+    "spectrum": {"white_floor": 350.0},
+    "protocol": {"pulse_counts": [1, 2], "n_traj": 16, "n_times": 3,
+                 "fit": "exponential"},
 }
 
 
@@ -128,6 +163,38 @@ class TestValidateConfig:
         p = _write_yaml(tmp_path, cfg)
         assert run(p, workers=1, output_dir=tmp_path / "o") == 2
 
+    @pytest.mark.parametrize("grid", [
+        {"start": 0.0, "stop": 5e4, "num": 4},
+        {"start": -1e3, "stop": 5e4, "num": 4, "spacing": "log"},
+        [2e3, -4e3],
+    ])
+    def test_nonpositive_spectroscopy_frequencies_rejected(self, grid):
+        with pytest.raises(ConfigError, match="protocol.f_grid_hz"):
+            validate_config({**TINY_SPECTROSCOPY, "protocol": {
+                **TINY_SPECTROSCOPY["protocol"], "f_grid_hz": grid}})
+        spec = {"f_grid_hz": grid, "pulse_counts": [2, 4], "n_traj": 8}
+        with pytest.raises(ConfigError,
+                           match="protocol.spectroscopy.f_grid_hz"):
+            validate_config({**TINY_VOLTAGE, "protocol": {
+                **TINY_VOLTAGE["protocol"], "spectroscopy": spec}})
+
+    def test_unknown_tone_gate_rejected(self):
+        with pytest.raises(ConfigError, match="protocol.gate: 'G9'"):
+            validate_config({**TINY_TONE, "protocol": {"gate": "G9"}})
+
+    def test_tone_gate_checked_against_the_given_stark_map(self):
+        stark = {"f0_ref_hz": 38.7e9, "coefficients_hz_per_v": {"G1": -3e7}}
+        with pytest.raises(ConfigError, match="protocol.gate"):
+            validate_config({**TINY_TONE, "stark": stark})
+        cfg = validate_config({**TINY_TONE, "stark": stark,
+                               "protocol": {"gate": "G1"}})
+        assert cfg["protocol"]["gate"] == "G1"
+
+    def test_unknown_stark_gate_rejected(self):
+        with pytest.raises(ConfigError, match="protocol.stark_gate"):
+            validate_config({**TINY_VOLTAGE, "protocol": {
+                **TINY_VOLTAGE["protocol"], "stark_gate": "G3"}})
+
 
 class TestLoadConfig:
     def test_round_trip(self, tmp_path):
@@ -185,6 +252,26 @@ class TestRunner:
         assert manifest["fit_failures"]
         assert "synthetic failure" in manifest["fit_failures"][0]["message"]
         assert "synthetic failure" in capsys.readouterr().out
+
+    def test_t2_vs_n_rows(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(_write_yaml(tmp_path, TINY_CPMG), workers=1, output_dir=out) == 0
+        header, *rows = (out / "t2_vs_n.csv").read_text().splitlines()
+        assert header == "n_pulses,t2_s,t2_err_s,exponent,exponent_err"
+        assert [r.split(",")[0] for r in rows] == ["1", "2"]
+        assert all(r.endswith(",nan,nan") for r in rows)
+
+    def test_t2_vs_n_with_every_fit_failing_is_header_only(self, tmp_path,
+                                                          monkeypatch):
+        def boom(*a, **k):
+            raise FitError("synthetic failure", {"reason": "test"})
+
+        monkeypatch.setattr(spinprobe.analysis, "fit_exponential", boom)
+        out = tmp_path / "out"
+        assert run(_write_yaml(tmp_path, TINY_CPMG), workers=1, output_dir=out) == 3
+        assert (out / "t2_vs_n.csv").read_text() == \
+            "n_pulses,t2_s,t2_err_s,exponent,exponent_err\n"
+        assert not (out / "plot_t2_vs_n.json").exists()
 
     def test_rerun_reproduces_bit_identically(self, tmp_path):
         cfg_path = _write_yaml(tmp_path, TINY_CHEVRON)
@@ -289,6 +376,29 @@ class TestCli:
         assert main(["rerun", str(tmp_path / "out" / MANIFEST_NAME)]) == 2
         assert ENV_VAR in capsys.readouterr().out
 
+    @pytest.mark.parametrize("cfg, field", [
+        ({**TINY_SPECTROSCOPY, "protocol": {**TINY_SPECTROSCOPY["protocol"],
+                                            "f_grid_hz": [0.0, 4e3]}},
+         "protocol.f_grid_hz"),
+        ({**TINY_VOLTAGE, "protocol": {**TINY_VOLTAGE["protocol"], "spectroscopy": {
+            "f_grid_hz": {"start": -2e3, "stop": 4e3, "num": 3},
+            "pulse_counts": [2, 4], "n_traj": 8}}},
+         "protocol.spectroscopy.f_grid_hz"),
+        ({**TINY_TONE, "protocol": {"gate": "G9"}}, "protocol.gate"),
+        ({**TINY_VOLTAGE, "protocol": {**TINY_VOLTAGE["protocol"],
+                                       "stark_gate": "G9"}},
+         "protocol.stark_gate"),
+    ])
+    def test_run_bad_config_exits_2_before_running(self, tmp_path, capsys,
+                                                   cfg, field):
+        out = tmp_path / "out"
+        p = _write_yaml(tmp_path, dict(cfg, output_dir=str(out)))
+        assert main(["run", str(p)]) == 2
+        printed = capsys.readouterr()
+        assert printed.out.startswith(f"error: {field}:")
+        assert "Traceback" not in printed.out + printed.err
+        assert not out.exists()
+
     def test_run_and_rerun(self, tmp_path, capsys):
         cfg = dict(TINY_CHEVRON, output_dir=str(tmp_path / "out"))
         p = _write_yaml(tmp_path, cfg)
@@ -297,37 +407,14 @@ class TestCli:
                      "--workers", "1"]) == 0
 
 
-class TestFeedback:
-    def test_drift_factories(self):
-        t = np.array([0.0, 1.0, 2.0])
-        np.testing.assert_array_equal(make_drift("none")(t), np.zeros(3))
-        np.testing.assert_allclose(make_drift("linear", rate_hz_per_s=50.0)(t),
-                                   [0.0, 50.0, 100.0])
-        walk = make_drift("random_walk", step_hz=100.0, seed=5)
-        np.testing.assert_array_equal(walk(t), walk(t))
-        with pytest.raises(ValueError):
-            make_drift("spiral")
-
-    def test_static_resonance_needs_no_correction(self):
-        log = frequency_feedback(make_drift("none"), 0.05, 5.0)
-        assert log.stats()["max_abs_residual_hz"] == pytest.approx(0.0, abs=1e-6)
-        np.testing.assert_allclose(log.corrections, 0.0, atol=1e-6)
-        assert not log.flagged
-
-    def test_linear_drift_tracked_to_one_step(self):
-        # residual saturates near rate * interval once the servo catches up
-        rate, dt = 2e4, 0.05
-        log = frequency_feedback(make_drift("linear", rate_hz_per_s=rate), dt, 30.0)
-        assert log.stats()["max_abs_residual_hz"] <= 1.05 * rate * dt
-        assert not log.flagged
-
-    def test_runaway_drift_is_flagged(self):
-        log = frequency_feedback(make_drift("linear", rate_hz_per_s=5e6), 0.05, 5.0)
-        assert log.flagged
-
-    def test_shot_noise_still_tracks(self):
-        rate, dt = 2e4, 0.05
-        log = frequency_feedback(make_drift("linear", rate_hz_per_s=rate), dt,
-                                 10.0, shots=500, seed=2)
-        assert log.stats()["max_abs_residual_hz"] < 20 * rate * dt
-        assert not log.flagged
+def test_cli_import_loads_no_scipy_signal_or_stats():
+    """The import graph is deterministic: a run loads neither package."""
+    code = ("import sys, spinprobe.harness.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.signal', 'scipy.stats'))))")
+    src = os.path.dirname(os.path.dirname(spinprobe.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy import signal, stats
 
 from spinprobe.spectra import (
     NoiseTrace,
@@ -207,6 +209,42 @@ class TestWelch:
         df = est.f[1] - est.f[0]
         near = np.abs(est.f - 3600.0) < 1000.0
         assert np.sum(est.s[near]) * df == pytest.approx(1.5e6, rel=0.25)
+
+
+    # (sample rate, duration, nperseg): even, odd, n not a multiple of the
+    # hop, one segment (nperseg == n), the default, and nperseg > n
+    @pytest.mark.parametrize("rate, duration, nperseg", [
+        (10e3, 1.0, 1000),
+        (10e3, 1.0, 333),
+        (10e3, 1.037, 256),
+        (10e3, 1.037, 257),
+        (10e3, 0.5, 5000),
+        (10e3, 0.8, None),
+        (1e3, 0.1, 100),
+        (1e3, 0.1, 4000),
+    ])
+    def test_bit_equal_to_scipy_welch(self, rate, duration, nperseg):
+        tr = synthesize(LINE_ONLY.scaled(1e-3), rate, duration, 17)
+        # an offset, so the per-segment mean removal matters
+        tr = dataclasses.replace(tr, samples=tr.samples + 20.0)
+        est = psd_welch(tr, nperseg=nperseg)
+        n = tr.n_samples
+        seg = 2 ** int(math.log2(max(n // 8, 64))) if nperseg is None \
+            else min(nperseg, n)
+        f, s = signal.welch(tr.samples, fs=tr.sample_rate, window="hann",
+                            nperseg=seg, noverlap=seg // 2, detrend="constant",
+                            scaling="density")
+        assert np.array_equal(est.f, f[1:])
+        assert np.array_equal(est.s, s[1:])
+        n_seg = 1 + (n - seg) // (seg - seg // 2)
+        dof = 2 * n_seg
+        assert np.array_equal(est.ci_low, s[1:] * (dof / stats.chi2.ppf(0.975, dof)))
+        assert np.array_equal(est.ci_high, s[1:] * (dof / stats.chi2.ppf(0.025, dof)))
+        assert bool(est.warnings) == (n_seg < 2)
+
+    def test_too_short_segment_rejected(self):
+        with pytest.raises(ValueError, match="nperseg"):
+            psd_welch(synthesize(WHITE, 10e3, 0.1, 5), nperseg=1)
 
 
 class TestIntegrateRms:
