@@ -25,7 +25,7 @@ import numpy as np
 from scipy import optimize as _optimize
 
 from ._csvio import write_columns
-from ._rng import derive_rng
+from ._rng import derive_rngs
 from .analysis import FitError
 from .qubitsim import ReadoutModel
 
@@ -272,8 +272,7 @@ def _simulate_rb(depths, n_sequences: int, d: float, seed: int,
     errs = []
     for di, m in enumerate(depths):
         vals = np.empty(n_sequences)
-        for k in range(n_sequences):
-            rng = derive_rng(seed, di, k)
+        for k, rng in enumerate(derive_rngs(seed, n_sequences, di)):
             choice = rng.integers(0, 24, size=m)
             net = 0
             total = 0

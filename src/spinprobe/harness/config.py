@@ -17,6 +17,8 @@ import jsonschema
 import numpy as np
 import yaml
 
+from ..benchmarking import CLIFFORD_DECOMPOSITIONS
+
 KINDS = (
     "rabi_chevron",
     "ramsey",
@@ -343,18 +345,60 @@ def _check_finite(node, path: str) -> None:
         raise ConfigError(f"{path}: must be finite, got {node!r}")
 
 
-def _check_positive_grid(spec, path: str, min_points: int = 1) -> None:
-    """Evolution times or probe frequencies: enough points, all of them > 0."""
+def _grid(spec, path: str) -> np.ndarray:
     try:
-        values = grid_values(spec)
+        return grid_values(spec)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+
+
+def _check_positive_grid(spec, path: str, min_points: int = 1) -> None:
+    """Evolution times or probe frequencies: enough points, all of them > 0."""
+    values = _grid(spec, path)
     if values.size < min_points:
         raise ConfigError(f"{path}: needs at least {min_points} points, "
                           f"got {values.size}")
     if np.any(values <= 0):
         raise ConfigError(f"{path}: values must be > 0, "
                           f"got {float(values.min())!r}")
+
+
+def gate_index(spec) -> int:
+    """Clifford index of an ``interleaved_rbm`` gate: an index in [0, 24)
+    or the name of a single-primitive Clifford such as ``"X90"``."""
+    if isinstance(spec, int):
+        if not 0 <= spec < 24:
+            raise ConfigError(f"protocol.gate: index {spec} out of range [0, 24)")
+        return spec
+    try:
+        return CLIFFORD_DECOMPOSITIONS.index((spec,))
+    except ValueError:
+        raise ConfigError(f"protocol.gate: {spec!r} is not a single-primitive "
+                          f"Clifford") from None
+
+
+def _check_welch_band(proto: dict) -> None:
+    """The ``voltage_psd`` band must lie inside the Welch estimate's
+    frequency range, computed as :func:`spectra.synthesize` and
+    :func:`spectra.psd_welch` will compute it."""
+    rate = float(proto["sample_rate_hz"])
+    n = int(round(rate * proto["duration_s"]))
+    if n < 64:
+        raise ConfigError(f"protocol.duration_s: duration_s*sample_rate_hz = "
+                          f"{n} samples; need at least 64")
+    nperseg = min(int(round(proto["nperseg_s"] * rate)), n)
+    if nperseg < 2:
+        raise ConfigError(f"protocol.nperseg_s: nperseg_s*sample_rate_hz = "
+                          f"{nperseg} samples; need at least 2")
+    lo, hi = proto["band_hz"]
+    if not lo < hi:
+        raise ConfigError(f"protocol.band_hz: need lo < hi, got [{lo}, {hi}]")
+    df = 1.0 / (nperseg * (1 / rate))  # rfftfreq's bin spacing, bit for bit
+    f_min, f_max = df, (nperseg // 2) * df
+    if lo < f_min or hi > f_max:
+        raise ConfigError(f"protocol.band_hz: [{lo}, {hi}] Hz is outside the "
+                          f"Welch range [{f_min:.6g}, {f_max:.6g}] Hz "
+                          f"(nperseg = {nperseg} samples)")
 
 
 def validate_config(raw: dict) -> dict:
@@ -388,6 +432,9 @@ def validate_config(raw: dict) -> dict:
         raise _schema_error(exc, "protocol.") from None
     _check_finite(cfg, "")
     proto = cfg["protocol"]
+    for key, schema in PROTOCOL_SCHEMAS[kind].items():
+        if schema is _GRID:  # a log grid with an endpoint <= 0 cannot be built
+            _grid(proto[key], f"protocol.{key}")
     if "times_s" in proto:
         _check_positive_grid(proto["times_s"], "protocol.times_s", min_points=2)
     if "f_grid_hz" in proto:
@@ -400,6 +447,13 @@ def validate_config(raw: dict) -> dict:
     if gate_field and proto[gate_field] not in gates:
         raise ConfigError(f"protocol.{gate_field}: {proto[gate_field]!r} is not "
                           f"in stark.coefficients_hz_per_v (has {sorted(gates)})")
+    if kind == "stark_map" and sorted(gates) != ["G1", "G2"]:
+        raise ConfigError(f"stark.coefficients_hz_per_v: stark_map needs "
+                          f"exactly gates G1 and G2, got {sorted(gates)}")
+    if kind == "interleaved_rbm":
+        gate_index(proto["gate"])
+    if kind == "voltage_psd":
+        _check_welch_band(proto)
     if kind in SPECTRUM_KINDS:
         if "spectrum" not in cfg or not cfg["spectrum"]:
             raise ConfigError(f"spectrum: required for kind={kind}")

@@ -24,7 +24,7 @@ from .._rng import derive_child_seed
 from ..qubitsim import QubitParams, ReadoutModel
 from ..sequences import make_cpmg
 from ..spectra import SpectrumModel
-from .config import ConfigError, grid_values
+from .config import gate_index, grid_values
 
 DECAY_HEADER = "time_s,coherence_w,std_err,p_up"
 CHEVRON_HEADER = "detuning_hz,duration_s,p_up"
@@ -343,29 +343,14 @@ def run_rbm(cfg, out: Path) -> _Report:
     return _rb_common(cfg, out, None)
 
 
-def _gate_index(spec) -> int:
-    if isinstance(spec, int):
-        if not 0 <= spec < 24:
-            raise ConfigError(f"protocol.gate: index {spec} out of range [0, 24)")
-        return spec
-    word = (spec,)
-    for i, w in enumerate(benchmarking.CLIFFORD_DECOMPOSITIONS):
-        if w == word:
-            return i
-    raise ConfigError(f"protocol.gate: {spec!r} is not a single-primitive Clifford")
-
-
 def run_interleaved_rbm(cfg, out: Path) -> _Report:
-    return _rb_common(cfg, out, _gate_index(cfg["protocol"]["gate"]))
+    return _rb_common(cfg, out, gate_index(cfg["protocol"]["gate"]))
 
 
 def run_stark_map(cfg, out: Path) -> _Report:
     report = _Report(cfg["seed"])
     proto = cfg["protocol"]
     true_map = _stark(cfg)
-    gates = sorted(true_map.coefficients_hz_per_v)
-    if gates != ["G1", "G2"]:
-        raise ConfigError("stark_map pipeline expects gates G1 and G2")
     with report.stage("map_measurement") as seed:
         v1 = grid_values(proto["v_g1_v"])
         v2 = grid_values(proto["v_g2_v"])

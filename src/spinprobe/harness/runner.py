@@ -4,8 +4,9 @@ Exit codes: 0 success, 2 invalid config, invalid worker count or locked
 output directory, 3 completed with fit failures recorded in the
 manifest.  ``rerun`` re-executes a manifest's config echo and returns 1
 on any checksum mismatch.  A run writes every file under ``output_dir``
-and finishes with ``manifest.json``; the manifest's inventory lists the
-sha256 of every other file so reruns can be compared byte for byte.
+and finishes with ``manifest.json``, renamed into place only once it is
+complete; the manifest's inventory lists the sha256 of every other file
+so reruns can be compared byte for byte.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .pipelines import PIPELINES
 
 LOCK_NAME = ".spinprobe.lock"
 MANIFEST_NAME = "manifest.json"
+MANIFEST_TMP_NAME = MANIFEST_NAME + ".tmp"
 
 
 class RunError(RuntimeError):
@@ -42,7 +44,8 @@ def _sha256(path: Path) -> str:
 def _inventory(out: Path) -> dict[str, str]:
     files = {}
     for p in sorted(out.rglob("*")):
-        if p.is_file() and p.name not in (MANIFEST_NAME, LOCK_NAME):
+        if p.is_file() and p.name not in (MANIFEST_NAME, MANIFEST_TMP_NAME,
+                                          LOCK_NAME):
             files[p.relative_to(out).as_posix()] = _sha256(p)
     return files
 
@@ -75,6 +78,19 @@ def _resolve_workers(workers, cfg: dict) -> int:
         raise RunError(f"{source} must be an integer >= 1, got {given!r}") from None
 
 
+def _write_manifest(out: Path, manifest: dict) -> None:
+    """Write ``manifest.json`` whole or not at all: dump to a temporary
+    file beside it, then rename it into place."""
+    tmp = out / MANIFEST_TMP_NAME
+    try:
+        with tmp.open("w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, out / MANIFEST_NAME)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def execute(cfg: dict, out: Path, *, workers: int | None = None) -> dict:
     """Run one validated config into ``out`` and write the manifest.
 
@@ -101,9 +117,7 @@ def execute(cfg: dict, out: Path, *, workers: int | None = None) -> dict:
             "wall_clock_s": round(time.perf_counter() - t0, 3),
             "inventory": _inventory(out),
         }
-        with (out / MANIFEST_NAME).open("w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_manifest(out, manifest)
         return manifest
     finally:
         lock.unlink(missing_ok=True)

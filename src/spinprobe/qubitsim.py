@@ -46,7 +46,7 @@ import numpy as np
 from scipy.constants import physical_constants
 
 from . import spectra
-from ._rng import derive_rng
+from ._rng import derive_rng, derive_rngs
 from .sequences import (PulseSchedule, cpmg_filter_function, filter_function,
                         make_cpmg, make_ramsey)
 from .spectra import SpectrumModel, NoiseTrace
@@ -306,7 +306,8 @@ def coherence_mc(model: SpectrumModel, schedule: PulseSchedule,
 
     Trajectory i draws its Gaussian Fourier coefficients from
     ``derive_rng(seed, i)``, so results are bit-identical however the work
-    is distributed.  Its phase is the dot product of those normals with
+    is distributed; :func:`derive_rngs` seeds all of those streams in one
+    vectorised pass.  Its phase is the dot product of those normals with
     :meth:`PhaseFunctional.normal_weights`, equal to integrating the
     trace :func:`spectra.draw_trace_samples` would synthesize from the
     same stream.  The trace band is [1/(duration_factor*T),
@@ -324,8 +325,9 @@ def coherence_mc(model: SpectrumModel, schedule: PulseSchedule,
     phase = PhaseFunctional.on_mc_grid(schedule, duration_factor,
                                        samples_per_interval)
     h = phase.normal_weights(model)
-    phases = np.fromiter((spectra.trace_normals(phase.n, derive_rng(seed, i)) @ h
-                          for i in range(n_traj)), dtype=float, count=n_traj)
+    phases = np.fromiter((spectra.trace_normals(phase.n, rng) @ h
+                          for rng in derive_rngs(seed, n_traj)),
+                         dtype=float, count=n_traj)
     cos_phi = np.cos(math.sqrt(calibration) * phases)
     w = float(cos_phi.sum()) / n_traj
     var = max(float((cos_phi**2).sum()) - n_traj * w * w, 0.0) / (n_traj - 1)

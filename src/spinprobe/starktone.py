@@ -21,7 +21,7 @@ import numpy as np
 from . import spectra
 from ._csvio import write_columns
 from ._parallel import pmap
-from ._rng import derive_child_seed, derive_rng
+from ._rng import derive_child_seed, derive_rngs
 from .qubitsim import PSD_CHI_CALIBRATION, PhaseFunctional, ReadoutModel
 from .sequences import filter_function, make_cpmg, response
 from .spectra import SpectrumModel
@@ -224,8 +224,7 @@ def _tone_cell(args) -> tuple[float, float]:
     a = 2 * math.pi * abs(coeff) * (amp_pp / 2.0) * y_mag
     scale = math.sqrt(calibration)
     hits = 0
-    for shot in range(shots):
-        rng = derive_rng(cell_seed, shot)
+    for rng in derive_rngs(cell_seed, shots):
         phi_noise = spectra.trace_normals(phase.n, rng) @ h
         theta = rng.uniform(0.0, 2 * math.pi) if fixed_phase is None else fixed_phase
         phi = scale * phi_noise + a * math.sin(theta)

@@ -11,12 +11,16 @@ import yaml
 
 import spinprobe
 import spinprobe.analysis
+from spinprobe import spectra
 from spinprobe._parallel import ENV_VAR, worker_count
 from spinprobe.analysis import FitError
+from spinprobe.benchmarking import CLIFFORD_DECOMPOSITIONS
 from spinprobe.harness import ConfigError, RunError, execute, rerun, run
+from spinprobe.harness import runner as runner_module
 from spinprobe.harness.cli import main
-from spinprobe.harness.config import grid_values, load_config, validate_config
-from spinprobe.harness.runner import LOCK_NAME, MANIFEST_NAME
+from spinprobe.harness.config import (gate_index, grid_values, load_config,
+                                      validate_config)
+from spinprobe.harness.runner import LOCK_NAME, MANIFEST_NAME, MANIFEST_TMP_NAME
 
 TINY_CHEVRON = {
     "kind": "rabi_chevron",
@@ -63,6 +67,15 @@ TINY_VOLTAGE = {
     "protocol": {"sample_rate_hz": 1e4, "duration_s": 1.0, "nperseg_s": 0.1,
                  "band_hz": [20.0, 4e3]},
 }
+
+TINY_IRB = {
+    "kind": "interleaved_rbm",
+    "seed": 11,
+    "output_dir": "unused",
+    "protocol": {"depths": [1, 2, 4], "n_sequences": 4, "shots": 10},
+}
+
+TINY_STARK = {"kind": "stark_map", "seed": 12, "output_dir": "unused"}
 
 TINY_CPMG = {
     "kind": "cpmg_t2_vs_n",
@@ -195,6 +208,65 @@ class TestValidateConfig:
             validate_config({**TINY_VOLTAGE, "protocol": {
                 **TINY_VOLTAGE["protocol"], "stark_gate": "G3"}})
 
+    @pytest.mark.parametrize("gate", ["X90", "Y180", "I", 0, 23])
+    def test_interleaved_gate_accepted(self, gate):
+        cfg = validate_config({**TINY_IRB, "protocol": {"gate": gate}})
+        index = gate_index(cfg["protocol"]["gate"])
+        if isinstance(gate, int):
+            assert index == gate
+        else:
+            assert CLIFFORD_DECOMPOSITIONS[index] == (gate,)
+
+    @pytest.mark.parametrize("gate", ["Z5", "X90 X90", 24, -1])
+    def test_interleaved_gate_rejected(self, gate):
+        with pytest.raises(ConfigError, match="protocol.gate"):
+            validate_config({**TINY_IRB, "protocol": {"gate": gate}})
+
+    @pytest.mark.parametrize("gates", [{"G1": -3e7}, {"G1": -3e7, "G3": 1e7},
+                                       {"G1": -3e7, "G2": -2e7, "G3": 1e7}])
+    def test_stark_map_needs_exactly_g1_and_g2(self, gates):
+        stark = {"f0_ref_hz": 38.7e9, "coefficients_hz_per_v": gates}
+        with pytest.raises(ConfigError, match="stark.coefficients_hz_per_v"):
+            validate_config({**TINY_STARK, "stark": stark})
+
+    @pytest.mark.parametrize("change, field", [
+        ({"band_hz": [300.0, 300.0]}, "protocol.band_hz"),
+        ({"band_hz": [400.0, 300.0]}, "protocol.band_hz"),
+        ({"band_hz": [5.0, 4e3]}, "protocol.band_hz"),    # below 1/nperseg_s
+        ({"band_hz": [20.0, 5001.0]}, "protocol.band_hz"),  # above Nyquist
+        ({"sample_rate_hz": 1000.0}, "protocol.band_hz"),
+        ({"nperseg_s": 1e-4}, "protocol.nperseg_s"),
+        ({"duration_s": 1e-3}, "protocol.duration_s"),
+    ])
+    def test_welch_band_outside_range_rejected(self, change, field):
+        with pytest.raises(ConfigError, match=field):
+            validate_config({**TINY_VOLTAGE, "protocol": {
+                **TINY_VOLTAGE["protocol"], **change}})
+
+    def test_default_band_rejected_at_low_sample_rate(self):
+        with pytest.raises(ConfigError, match="protocol.band_hz"):
+            validate_config({**TINY_VOLTAGE,
+                             "protocol": {"sample_rate_hz": 1000}})
+
+    @pytest.mark.parametrize("nperseg_s, duration_s", [(0.1, 1.0), (0.0999, 1.0),
+                                                       (3.0, 1.0)])
+    def test_welch_band_edges_match_the_estimate(self, nperseg_s, duration_s):
+        proto = {**TINY_VOLTAGE["protocol"], "nperseg_s": nperseg_s,
+                 "duration_s": duration_s}
+        rate = proto["sample_rate_hz"]
+        trace = spectra.synthesize(spectra.SpectrumModel(white_floor=1e-12),
+                                   rate, duration_s, 0, unit="V")
+        est = spectra.psd_welch(trace,
+                                nperseg=int(round(nperseg_s * rate)))
+        lo, hi = float(est.f[0]), float(est.f[-1])
+        validate_config({**TINY_VOLTAGE,
+                         "protocol": {**proto, "band_hz": [lo, hi]}})
+        spectra.integrate_rms(est, lo, hi)
+        for band in ([np.nextafter(lo, 0), hi], [lo, np.nextafter(hi, np.inf)]):
+            with pytest.raises(ConfigError, match="protocol.band_hz"):
+                validate_config({**TINY_VOLTAGE, "protocol": {
+                    **proto, "band_hz": [float(b) for b in band]}})
+
 
 class TestLoadConfig:
     def test_round_trip(self, tmp_path):
@@ -227,6 +299,31 @@ class TestRunner:
             assert (out / path).is_file()
             assert len(digest) == 64
         assert not (out / LOCK_NAME).exists()
+
+    def test_manifest_written_whole_or_not_at_all(self, tmp_path, monkeypatch):
+        cfg = validate_config(dict(TINY_CHEVRON))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / MANIFEST_TMP_NAME).write_text("left by a killed run")
+        manifest = execute(cfg, out, workers=1)
+        assert MANIFEST_TMP_NAME not in manifest["inventory"]
+        complete = (out / MANIFEST_NAME).read_text()
+        assert json.loads(complete) == manifest
+        assert not (out / MANIFEST_TMP_NAME).exists()
+
+        def fail_midway(obj, fh, **kwargs):
+            fh.write('{"kind": "rabi_ch')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(runner_module.json, "dump", fail_midway)
+        fresh = tmp_path / "fresh"
+        for target in (out, fresh):
+            with pytest.raises(OSError, match="disk full"):
+                execute(cfg, target, workers=1)
+            assert not (target / MANIFEST_TMP_NAME).exists()
+            assert not (target / LOCK_NAME).exists()
+        assert (out / MANIFEST_NAME).read_text() == complete
+        assert not (fresh / MANIFEST_NAME).exists()
 
     def test_run_invalid_config_exits_2(self, tmp_path):
         p = tmp_path / "bad.yaml"
@@ -388,6 +485,17 @@ class TestCli:
         ({**TINY_VOLTAGE, "protocol": {**TINY_VOLTAGE["protocol"],
                                        "stark_gate": "G9"}},
          "protocol.stark_gate"),
+        ({**TINY_IRB, "protocol": {**TINY_IRB["protocol"], "gate": "Z5"}},
+         "protocol.gate"),
+        ({**TINY_STARK, "stark": {"f0_ref_hz": 38.7e9,
+                                  "coefficients_hz_per_v": {"G1": -3e7}}},
+         "stark.coefficients_hz_per_v"),
+        ({**TINY_VOLTAGE, "protocol": {"sample_rate_hz": 1000}},
+         "protocol.band_hz"),
+        ({**TINY_CHEVRON, "protocol": {**TINY_CHEVRON["protocol"],
+                                       "detuning_hz": {"start": -4e5, "stop": 4e5,
+                                                       "num": 5, "spacing": "log"}}},
+         "protocol.detuning_hz"),
     ])
     def test_run_bad_config_exits_2_before_running(self, tmp_path, capsys,
                                                    cfg, field):

@@ -1,0 +1,120 @@
+"""The batched seeder against the one-stream-at-a-time NumPy oracle."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spinprobe import benchmarking, qubitsim, starktone
+from spinprobe._rng import derive_rng, derive_rngs
+from spinprobe.qubitsim import ReadoutModel, coherence_mc
+from spinprobe.sequences import make_cpmg
+from spinprobe.spectra import PowerLawTerm, SpectrumModel
+
+MODEL = SpectrumModel(powerlaws=(PowerLawTerm(2e5, 1.0),), white_floor=350.0)
+
+SEEDS = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, -1, -2**63]),
+    st.integers(-2**70, 2**70))
+PREFIX_VALUES = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 5]),
+                          st.integers(0, 2**70))
+
+
+def _draws(rng, methods, m):
+    out = []
+    for name in methods:
+        if name == "normal":
+            out.append(rng.normal(size=m))
+        elif name == "uniform":
+            out.append(rng.uniform(0.0, 2 * np.pi))
+        elif name == "integers":
+            out.append(rng.integers(0, 24, size=m))
+        else:
+            out.append(rng.binomial(m, 0.3))
+            out.append(rng.binomial(1, 0.8))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=SEEDS, prefix=st.lists(PREFIX_VALUES, max_size=2),
+       count=st.integers(1, 6), m=st.integers(1, 40),
+       methods=st.lists(st.sampled_from(["normal", "uniform", "integers",
+                                         "binomial"]), min_size=1, max_size=4))
+def test_streams_equal_derive_rng(seed, prefix, count, m, methods):
+    n = 0
+    for i, rng in enumerate(derive_rngs(seed, count, *prefix)):
+        got = _draws(rng, methods, m)
+        want = _draws(derive_rng(seed, *prefix, i), methods, m)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b, strict=True)
+        n += 1
+    assert n == count
+
+
+def test_late_indices_of_a_long_batch():
+    rngs = derive_rngs(2**64 - 1, 5000, 3)
+    for i, rng in enumerate(rngs):
+        if i in (0, 255, 256, 4095, 4999):
+            np.testing.assert_array_equal(rng.normal(size=9),
+                                          derive_rng(2**64 - 1, 3, i).normal(size=9))
+
+
+def test_one_generator_reseeded_in_place():
+    first, *rest = list(derive_rngs(7, 4))
+    assert all(r is first for r in rest)
+
+
+def test_empty_and_bad_arguments():
+    assert list(derive_rngs(1, 0)) == []
+    with pytest.raises(ValueError):
+        derive_rngs(1, 2**32 + 1)
+    with pytest.raises(ValueError):
+        derive_rngs(1, -1)
+    with pytest.raises(ValueError):
+        derive_rngs(1, 3, -2)
+
+
+# each returns plain floats, whose repr is exact
+def _rb():
+    curve = benchmarking._simulate_rb([1, 4, 9], 6, 0.01, 5, ReadoutModel(),
+                                      40, 3, "interleaved")
+    return curve.mean_survival.tolist() + curve.std_err.tolist()
+
+
+def _tone():
+    args = (MODEL.to_dict(), 4, 50e-6, 2e-4, -2.3e7, 1e4, None, 40, 17,
+            qubitsim.PSD_CHI_CALIBRATION, 8, 0.55, 0.225)
+    return starktone._tone_cell(args)
+
+
+def _mc():
+    point = coherence_mc(MODEL, make_cpmg(4, 2e-4), 30, 9,
+                         samples_per_interval=8)
+    return point.w, point.std_err
+
+
+@pytest.mark.parametrize("run, module", [(_mc, qubitsim), (_tone, starktone),
+                                         (_rb, benchmarking)])
+def test_equals_the_per_item_derive_rng_loop(monkeypatch, run, module):
+    batched = run()
+    monkeypatch.setattr(module, "derive_rngs", lambda seed, count, *prefix: (
+        derive_rng(seed, *prefix, i) for i in range(count)))
+    looped = run()
+    assert repr(batched) == repr(looped)
+
+
+@pytest.mark.parametrize("run", [_mc, _tone, _rb])
+def test_no_seed_sequence_per_item(monkeypatch, run):
+    calls = []
+    seed_sequence = np.random.SeedSequence
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", spy)
+    run()
+    assert calls == []
+    # the spy sees the one-stream path, which does build a SeedSequence
+    derive_rng(0, 1)
+    assert len(calls) == 1
