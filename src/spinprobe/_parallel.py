@@ -1,4 +1,4 @@
-"""Order-preserving parallel map over scan points.
+"""Order-preserving parallel map over scan points and output row blocks.
 
 Worker processes only change wall-clock time, never results: every job
 carries its own derived seed, so outputs are bit-identical for any worker

@@ -19,12 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 from scipy import optimize as _optimize
 
-from ._csvio import write_columns
+from ._csvio import read_columns, write_columns
 from ._rng import derive_rngs
 from .analysis import FitError
 from .qubitsim import ReadoutModel
@@ -374,12 +373,6 @@ def export_rb_curve(curve: RbCurve, path) -> None:
 
 
 def import_rb_curve(path) -> RbCurve:
-    with Path(path).open() as fh:
-        header = fh.readline().strip()
-        if header != RB_HEADER:
-            raise ValueError(f"unrecognized RB header {header!r}")
-        data = np.loadtxt(fh, delimiter=",")
-    data = np.atleast_2d(data)
-    n_seq = int(data[0, 3])
-    return RbCurve(depths=data[:, 0].astype(int), mean_survival=data[:, 1],
-                   std_err=data[:, 2], n_sequences=n_seq)
+    _, (depths, survival, std_err, n_seq) = read_columns(path, RB_HEADER)
+    return RbCurve(depths=depths.astype(int), mean_survival=survival,
+                   std_err=std_err, n_sequences=int(n_seq[0]))

@@ -18,6 +18,7 @@ import numpy as np
 import yaml
 
 from ..benchmarking import CLIFFORD_DECOMPOSITIONS
+from ..starktone import scan_columns, tone_column
 
 KINDS = (
     "rabi_chevron",
@@ -401,6 +402,25 @@ def _check_welch_band(proto: dict) -> None:
                           f"(nperseg = {nperseg} samples)")
 
 
+def _check_tone_column(proto: dict) -> None:
+    """The ``tone_scan`` tone must fall on one of the columns the scan
+    keeps, by the rule :func:`starktone.detect_tone_threshold` applies,
+    and detection needs at least one other kept column to compare with."""
+    taus = [1.0 / (2.0 * f) for f in proto["f_columns_hz"]]
+    keep, _ = scan_columns(taus, proto["total_time_s"])
+    f_kept = [1.0 / (2 * tau) for tau, _ in keep]
+    if len(f_kept) < 2:
+        raise ConfigError(f"protocol.f_columns_hz: {len(f_kept)} of the columns "
+                          f"fit half a wait into total_time_s; need at least 2")
+    try:
+        tone_column(f_kept, proto["f_tone_hz"])
+    except ValueError:
+        raise ConfigError(
+            f"protocol.f_tone_hz: {proto['f_tone_hz']!r} Hz is not within 5% of "
+            f"any scanned column (kept: "
+            f"{', '.join(f'{f:.6g}' for f in f_kept) or 'none'} Hz)") from None
+
+
 def validate_config(raw: dict) -> dict:
     """Validate a parsed config and return the normalized form.
 
@@ -447,9 +467,17 @@ def validate_config(raw: dict) -> dict:
     if gate_field and proto[gate_field] not in gates:
         raise ConfigError(f"protocol.{gate_field}: {proto[gate_field]!r} is not "
                           f"in stark.coefficients_hz_per_v (has {sorted(gates)})")
-    if kind == "stark_map" and sorted(gates) != ["G1", "G2"]:
-        raise ConfigError(f"stark.coefficients_hz_per_v: stark_map needs "
-                          f"exactly gates G1 and G2, got {sorted(gates)}")
+    if kind == "stark_map":
+        if sorted(gates) != ["G1", "G2"]:
+            raise ConfigError(f"stark.coefficients_hz_per_v: stark_map needs "
+                              f"exactly gates G1 and G2, got {sorted(gates)}")
+        for key in ("v_g1_v", "v_g2_v"):  # the plane fit needs spread in both
+            n_distinct = np.unique(grid_values(proto[key])).size
+            if n_distinct < 2:
+                raise ConfigError(f"protocol.{key}: needs at least 2 distinct "
+                                  f"voltages, got {n_distinct}")
+    if kind == "tone_scan":
+        _check_tone_column(proto)
     if kind == "interleaved_rbm":
         gate_index(proto["gate"])
     if kind == "voltage_psd":

@@ -9,7 +9,6 @@ indices, so outputs never depend on timing or worker count.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from contextlib import contextmanager
@@ -19,7 +18,7 @@ import numpy as np
 from scipy import optimize as _optimize
 
 from .. import analysis, benchmarking, qubitsim, spectra, starktone
-from .._csvio import write_columns
+from .._csvio import Csv, write_files
 from .._rng import derive_child_seed
 from ..qubitsim import QubitParams, ReadoutModel
 from ..sequences import make_cpmg
@@ -68,31 +67,29 @@ class _Report:
                 "fit_failures": self.fit_failures, "summary": self.summary}
 
 
-def _write_csv(report: _Report, path: Path, header: str, *columns) -> None:
-    write_columns(path, header, columns)
-    report.files.append(path.name)
+def _write(report: _Report, out: Path, files: dict) -> None:
+    """Write a stage's ``{name: Csv or JSON object}`` in one codec call, so
+    a column that several of its files share is formatted once."""
+    write_files({out / name: content for name, content in files.items()})
+    report.files.extend(files)
 
 
-def _write_json(report: _Report, path: Path, obj) -> None:
-    with path.open("w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    report.files.append(path.name)
+def _floats(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).ravel()
 
 
 def _axis(label: str, unit: str, values) -> dict:
-    return {"label": label, "unit": unit,
-            "values": [float(v) for v in np.asarray(values).ravel()]}
+    return {"label": label, "unit": unit, "values": _floats(values)}
 
 
-def _plot_1d(report: _Report, path: Path, title: str, x: dict, y: dict,
-             y_err=None, extra: dict | None = None) -> None:
+def _plot(title: str, x: dict, y: dict, y_err=None,
+          extra: dict | None = None) -> dict:
     obj = {"title": title, "x": x, "y": y}
     if y_err is not None:
-        obj["y_err"] = [float(v) for v in np.asarray(y_err).ravel()]
+        obj["y_err"] = _floats(y_err)
     if extra:
         obj.update(extra)
-    _write_json(report, path, obj)
+    return obj
 
 
 def _qubit(cfg) -> QubitParams:
@@ -129,14 +126,15 @@ def run_rabi_chevron(cfg, out: Path) -> _Report:
         det = grid_values(proto["detuning_hz"])
         dur = grid_values(proto["duration_s"])
         p = qubitsim.rabi_chevron(qubit, det, dur)
-        _write_csv(report, out / "chevron.csv", CHEVRON_HEADER,
-                   np.repeat(det, dur.size), np.tile(dur, det.size), p.ravel())
-        _write_json(report, out / "plot_chevron.json", {
-            "title": "Rabi chevron",
-            "x": _axis("pulse duration", "s", dur),
-            "y": _axis("drive detuning", "Hz", det),
-            "z": {"label": "P_up", "unit": "1",
-                  "values_2d": [[float(v) for v in row] for row in p]},
+        _write(report, out, {
+            "chevron.csv": Csv(CHEVRON_HEADER, (np.repeat(det, dur.size),
+                                                np.tile(dur, det.size), p.ravel())),
+            "plot_chevron.json": {
+                "title": "Rabi chevron",
+                "x": _axis("pulse duration", "s", dur),
+                "y": _axis("drive detuning", "Hz", det),
+                "z": {"label": "P_up", "unit": "1", "values_2d": p},
+            },
         })
     imax = np.unravel_index(int(np.argmax(p)), p.shape)
     report.summary = {
@@ -161,11 +159,13 @@ def _run_decay_kind(cfg, out: Path, n_pulses: int) -> _Report:
             duration_factor=proto["duration_factor"],
             samples_per_interval=proto["samples_per_interval"])
         p_up = readout.apply(0.5 * (1.0 + curve.w))
-        _write_csv(report, out / "decay.csv", DECAY_HEADER,
-                   curve.times, curve.w, curve.std_err, p_up)
-        _plot_1d(report, out / "plot_decay.json",
-                 f"{curve.label} decay", _axis("total evolution time", "s", times),
-                 _axis("coherence W", "1", curve.w), y_err=curve.std_err)
+        _write(report, out, {
+            "decay.csv": Csv(DECAY_HEADER,
+                             (curve.times, curve.w, curve.std_err, p_up)),
+            "plot_decay.json": _plot(
+                f"{curve.label} decay", _axis("total evolution time", "s", times),
+                _axis("coherence W", "1", curve.w), y_err=curve.std_err),
+        })
     with report.stage("fit"):
         if proto["fit"] == "stretched":
             fit = report.try_fit("fit", lambda: analysis.fit_stretched(
@@ -180,7 +180,7 @@ def _run_decay_kind(cfg, out: Path, n_pulses: int) -> _Report:
             fit_dict = None if fit is None else {
                 "kind": "exponential", "t2_s": fit.t2, "t2_err_s": fit.t2_err,
                 "chi2_reduced": fit.chi2_reduced}
-        _write_json(report, out / "fit.json", fit_dict)
+        _write(report, out, {"fit.json": fit_dict})
     report.summary = {"n_pulses": n_pulses, "fit": fit_dict}
     return report
 
@@ -218,12 +218,12 @@ def run_cpmg_t2_vs_n(cfg, out: Path) -> _Report:
                 duration_factor=proto["duration_factor"],
                 samples_per_interval=proto["samples_per_interval"])
             curves.append(curve)
-        _write_csv(report, out / "decay_curves.csv",
-                   "n_pulses," + DECAY_HEADER.replace(",p_up", ""),
-                   np.repeat(counts, [c.times.size for c in curves]),
-                   np.concatenate([c.times for c in curves]),
-                   np.concatenate([c.w for c in curves]),
-                   np.concatenate([c.std_err for c in curves]))
+        _write(report, out, {"decay_curves.csv": Csv(
+            "n_pulses," + DECAY_HEADER.replace(",p_up", ""),
+            (np.repeat(counts, [c.times.size for c in curves]),
+             np.concatenate([c.times for c in curves]),
+             np.concatenate([c.w for c in curves]),
+             np.concatenate([c.std_err for c in curves])))})
     with report.stage("fits"):
         used, t2s, t2errs, exps, exp_errs = [], [], [], [], []
         for n, curve in zip(counts, curves):
@@ -243,8 +243,8 @@ def run_cpmg_t2_vs_n(cfg, out: Path) -> _Report:
                 used.append(n)
                 t2s.append(fit.t2)
                 t2errs.append(fit.t2_err)
-        _write_csv(report, out / "t2_vs_n.csv", T2N_HEADER,
-                   used, t2s, t2errs, exps, exp_errs)
+        _write(report, out, {"t2_vs_n.csv": Csv(
+            T2N_HEADER, (used, t2s, t2errs, exps, exp_errs))})
     with report.stage("scaling_fit"):
         scaling = None
         if len(t2s) >= 2:
@@ -254,12 +254,12 @@ def run_cpmg_t2_vs_n(cfg, out: Path) -> _Report:
                 scaling = {"beta": scaling_fit.slope,
                            "beta_err": scaling_fit.slope_err,
                            "prefactor_s": scaling_fit.prefactor}
-        _write_json(report, out / "scaling.json", scaling)
+        files = {"scaling.json": scaling}
         if used:
-            _plot_1d(report, out / "plot_t2_vs_n.json", "T2 vs pulse number",
-                     _axis("pulse count N", "1", used),
-                     _axis("T2", "s", t2s), y_err=t2errs,
-                     extra={"scaling": scaling})
+            files["plot_t2_vs_n.json"] = _plot(
+                "T2 vs pulse number", _axis("pulse count N", "1", used),
+                _axis("T2", "s", t2s), y_err=t2errs, extra={"scaling": scaling})
+        _write(report, out, files)
     report.summary = {"scaling": scaling, "n_fitted": len(t2s)}
     return report
 
@@ -277,12 +277,13 @@ def run_noise_spectroscopy(cfg, out: Path) -> _Report:
             samples_per_interval=proto["samples_per_interval"])
         spectra.export_psd(est, out / "psd_reconstructed.csv")
         report.files.append("psd_reconstructed.csv")
-        _write_json(report, out / "points.json", list(est.points_detail))
-        _plot_1d(report, out / "plot_psd.json", "reconstructed noise PSD",
-                 _axis("frequency", "Hz", est.f),
-                 _axis("S", "rad^2/s", est.s),
-                 y_err=(est.ci_high - est.ci_low) / 2,
-                 extra={"warnings": list(est.warnings)})
+        _write(report, out, {
+            "points.json": list(est.points_detail),
+            "plot_psd.json": _plot(
+                "reconstructed noise PSD", _axis("frequency", "Hz", est.f),
+                _axis("S", "rad^2/s", est.s), y_err=(est.ci_high - est.ci_low) / 2,
+                extra={"warnings": list(est.warnings)}),
+        })
     report.summary = {"n_points": est.n_points, "warnings": list(est.warnings),
                       "f_range_hz": [float(est.f[0]), float(est.f[-1])]}
     return report
@@ -311,10 +312,10 @@ def _rb_common(cfg, out: Path, interleaved_gate: int | None) -> _Report:
                 "true_clifford_fidelity": proto["clifford_fidelity"],
                 "depolarizing_per_primitive": d,
             }
-        _plot_1d(report, out / "plot_rb.json", "randomized benchmarking",
-                 _axis("sequence length M", "Cliffords", ref.depths),
-                 _axis("mean survival", "1", ref.mean_survival),
-                 y_err=ref.std_err)
+        _write(report, out, {"plot_rb.json": _plot(
+            "randomized benchmarking",
+            _axis("sequence length M", "Cliffords", ref.depths),
+            _axis("mean survival", "1", ref.mean_survival), y_err=ref.std_err)})
     if interleaved_gate is not None:
         with report.stage("interleaved") as seed:
             inter = benchmarking.rb_interleaved(
@@ -334,7 +335,7 @@ def _rb_common(cfg, out: Path, interleaved_gate: int | None) -> _Report:
                     "gate_fidelity": benchmarking.interleaved_gate_fidelity(
                         fit.p, ifit.p),
                 }
-    _write_json(report, out / "rb_fit.json", summaries)
+    _write(report, out, {"rb_fit.json": summaries})
     report.summary = summaries
     return report
 
@@ -359,8 +360,8 @@ def run_stark_map(cfg, out: Path) -> _Report:
                       for a, b in zip(g1.ravel(), g2.ravel())])
         from .._rng import derive_rng
         f = f + proto["jitter_hz"] * derive_rng(seed).normal(size=f.size)
-        _write_csv(report, out / "stark_grid.csv", STARK_GRID_HEADER,
-                   g1.ravel(), g2.ravel(), f)
+        _write(report, out, {"stark_grid.csv": Csv(
+            STARK_GRID_HEADER, (g1.ravel(), g2.ravel(), f))})
     with report.stage("plane_fit"):
         fitted = starktone.fit_stark_map(
             {"G1": g1.ravel(), "G2": g2.ravel()}, f,
@@ -371,13 +372,13 @@ def run_stark_map(cfg, out: Path) -> _Report:
             "residual_rms_hz": fitted.residual_rms_hz,
             "true_coefficients_hz_per_v": true_map.coefficients_hz_per_v,
         }
-        _write_json(report, out / "stark_fit.json", result)
-        _write_json(report, out / "plot_stark_map.json", {
-            "title": "ESR frequency vs gate voltages",
-            "x": _axis("V_G1", "V", v1), "y": _axis("V_G2", "V", v2),
-            "z": {"label": "f", "unit": "Hz",
-                  "values_2d": [[float(v) for v in row]
-                                for row in f.reshape(g1.shape)]},
+        _write(report, out, {
+            "stark_fit.json": result,
+            "plot_stark_map.json": {
+                "title": "ESR frequency vs gate voltages",
+                "x": _axis("V_G1", "V", v1), "y": _axis("V_G2", "V", v2),
+                "z": {"label": "f", "unit": "Hz", "values_2d": f.reshape(g1.shape)},
+            },
         })
     report.summary = result
     return report
@@ -401,13 +402,14 @@ def run_tone_scan(cfg, out: Path) -> _Report:
         report.files.append("tone_scan.csv")
     with report.stage("detection"):
         detection = starktone.detect_tone_threshold(result, tone.f_tone)
-        _write_json(report, out / "tone_detection.json", detection)
-        _write_json(report, out / "plot_tone_scan.json", {
-            "title": "tone-injection response map",
-            "x": _axis("filter frequency", "Hz", result.f_hz),
-            "y": _axis("tone amplitude", "Vpp", result.amplitudes_vpp),
-            "z": {"label": "P_up", "unit": "1",
-                  "values_2d": [[float(v) for v in row] for row in result.p_up]},
+        _write(report, out, {
+            "tone_detection.json": detection,
+            "plot_tone_scan.json": {
+                "title": "tone-injection response map",
+                "x": _axis("filter frequency", "Hz", result.f_hz),
+                "y": _axis("tone amplitude", "Vpp", result.amplitudes_vpp),
+                "z": {"label": "P_up", "unit": "1", "values_2d": result.p_up},
+            },
         })
     report.summary = {"threshold_vpp": detection["threshold_vpp"],
                       "tone_column_hz": detection["tone_column_hz"],
@@ -430,16 +432,17 @@ def run_voltage_psd(cfg, out: Path) -> _Report:
     with report.stage("welch"):
         nperseg = int(round(proto["nperseg_s"] * trace.sample_rate))
         est_v = spectra.psd_welch(trace, nperseg=nperseg)
-        _write_csv(report, out / "psd_voltage.csv", VOLT_PSD_HEADER,
-                   est_v.f, est_v.s, est_v.ci_low, est_v.ci_high)
         lo, hi = proto["band_hz"]
         rms = spectra.integrate_rms(est_v, lo, hi)
         est_dw = spectra.voltage_to_detuning_psd(est_v, coeff)
-        spectra.export_psd(est_dw, out / "psd_detuning.csv")
-        report.files.append("psd_detuning.csv")
-        _plot_1d(report, out / "plot_voltage_psd.json", "gate voltage PSD",
-                 _axis("frequency", "Hz", est_v.f),
-                 _axis("S_V", "V^2/Hz", est_v.s))
+        # f is shared by all three files and S_V by two: 7 distinct columns
+        _write(report, out, {
+            "psd_voltage.csv": spectra.psd_csv(est_v, VOLT_PSD_HEADER),
+            "psd_detuning.csv": spectra.psd_csv(est_dw),
+            "plot_voltage_psd.json": _plot(
+                "gate voltage PSD", _axis("frequency", "Hz", est_v.f),
+                _axis("S_V", "V^2/Hz", est_v.s)),
+        })
     summary = {"band_hz": [float(lo), float(hi)], "band_rms_v": rms,
                "stark_gate": proto["stark_gate"],
                "stark_coefficient_hz_per_v": coeff,
@@ -463,7 +466,7 @@ def run_voltage_psd(cfg, out: Path) -> _Report:
             report.files.append("psd_reconstructed.csv")
             summary["spectroscopy_f_range_hz"] = [float(est_rec.f[0]),
                                                   float(est_rec.f[-1])]
-    _write_json(report, out / "voltage_summary.json", summary)
+    _write(report, out, {"voltage_summary.json": summary})
     report.summary = summary
     return report
 

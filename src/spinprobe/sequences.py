@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._csvio import write_columns
+from ._csvio import read_columns, write_columns
 
 __all__ = [
     "PulseSchedule",
@@ -181,22 +181,15 @@ def export_schedule(schedule: PulseSchedule, path) -> None:
 
 def import_schedule(path) -> PulseSchedule:
     path = Path(path)
-    with path.open() as fh:
-        header = fh.readline().strip()
-        if header != SCHEDULE_HEADER:
-            raise ValueError(f"unrecognized schedule header {header!r}")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    total = None
-    pulses = []
-    for idx_s, t_s in rows:
-        idx, t = int(idx_s), float(t_s)
-        if idx == 0:
-            total = t
-        else:
-            pulses.append((idx, t))
-    if total is None:
-        raise ValueError("schedule CSV lacks the index-0 readout row")
-    pulses.sort()
-    return PulseSchedule(total_time=total,
-                         pulse_times=tuple(t for _, t in pulses),
+    _, (index, times) = read_columns(path, SCHEDULE_HEADER)
+    if index.dtype.kind != "i":
+        raise ValueError(f"{path}: pulse_index must be integers")
+    times = times.astype(float)
+    readout = times[index == 0]
+    if not readout.size:
+        raise ValueError(f"{path}: schedule CSV lacks the index-0 readout row")
+    order = np.lexsort((times, index))
+    pulses = order[index[order] != 0]
+    return PulseSchedule(total_time=float(readout[-1]),
+                         pulse_times=tuple(times[pulses].tolist()),
                          label=f"external:{path.name}")

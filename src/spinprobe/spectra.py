@@ -22,7 +22,7 @@ import numpy as np
 from scipy import fft as _fft
 from scipy import special as _special
 
-from ._csvio import write_columns
+from ._csvio import Csv, read_columns, write_columns, write_files
 from ._rng import derive_rng
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "voltage_to_detuning_model",
     "export_trace",
     "import_trace",
+    "psd_csv",
     "export_psd",
     "import_psd",
 ]
@@ -422,15 +423,10 @@ def export_trace(trace: NoiseTrace, path) -> None:
 
 def import_trace(path) -> NoiseTrace:
     path = Path(path)
-    with path.open() as fh:
-        header = fh.readline().strip()
-        unit = {v: k for k, v in TRACE_HEADERS.items()}.get(header)
-        if unit is None:
-            raise ValueError(f"unrecognized trace header {header!r}")
-        data = np.loadtxt(fh, delimiter=",")
-    if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 2:
-        raise ValueError("trace CSV must have two columns and at least two rows")
-    t, x = data[:, 0], data[:, 1]
+    header, (t, x) = read_columns(path, *TRACE_HEADERS.values())
+    unit = {v: k for k, v in TRACE_HEADERS.items()}[header]
+    if t.size < 2:
+        raise ValueError(f"{path}: a trace needs at least two rows")
     dt = np.diff(t)
     if np.any(dt <= 0) or np.ptp(dt) > 1e-6 * dt.mean():
         raise ValueError("trace time base must be uniform and increasing")
@@ -439,17 +435,15 @@ def import_trace(path) -> NoiseTrace:
                       seed=None, provenance=f"external:{path.name}", unit=unit)
 
 
+def psd_csv(estimate: PsdEstimate, header: str = PSD_HEADER) -> Csv:
+    """The estimate as a CSV table for :func:`spinprobe._csvio.write_files`."""
+    return Csv(header, (estimate.f, estimate.s, estimate.ci_low, estimate.ci_high))
+
+
 def export_psd(estimate: PsdEstimate, path) -> None:
-    write_columns(path, PSD_HEADER, (estimate.f, estimate.s, estimate.ci_low,
-                                     estimate.ci_high))
+    write_files({path: psd_csv(estimate)})
 
 
 def import_psd(path, estimator_tag: str = "welch_periodogram") -> PsdEstimate:
-    with Path(path).open() as fh:
-        header = fh.readline().strip()
-        if header != PSD_HEADER:
-            raise ValueError(f"unrecognized PSD header {header!r}")
-        data = np.loadtxt(fh, delimiter=",")
-    data = np.atleast_2d(data)
-    return PsdEstimate(f=data[:, 0], s=data[:, 1], ci_low=data[:, 2],
-                       ci_high=data[:, 3], estimator_tag=estimator_tag)
+    _, (f, s, lo, hi) = read_columns(path, PSD_HEADER)
+    return PsdEstimate(f=f, s=s, ci_low=lo, ci_high=hi, estimator_tag=estimator_tag)

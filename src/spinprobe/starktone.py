@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import spectra
-from ._csvio import write_columns
+from ._csvio import read_columns, write_columns
 from ._parallel import pmap
 from ._rng import derive_child_seed, derive_rngs
 from .qubitsim import PSD_CHI_CALIBRATION, PhaseFunctional, ReadoutModel
@@ -36,6 +35,8 @@ __all__ = [
     "fit_stark_map",
     "tone_to_detuning",
     "harmonic_weights",
+    "scan_columns",
+    "tone_column",
     "tone_scan",
     "detect_tone_threshold",
     "export_tone_scan",
@@ -235,6 +236,30 @@ def _tone_cell(args) -> tuple[float, float]:
     return p_hat, se
 
 
+def scan_columns(tau_grid, total_time: float):
+    """The waits :func:`tone_scan` keeps, as ``(tau, n_pulses)`` pairs, and
+    the ones it drops because not even half a pulse interval fits.  The
+    passband of a kept column is ``1 / (2 * tau)``."""
+    keep, dropped = [], []
+    for tau in np.asarray(tau_grid, dtype=float).tolist():
+        if total_time / tau < 0.5:
+            dropped.append(tau)
+        else:
+            keep.append((tau, max(1, int(round(total_time / tau)))))
+    return keep, dropped
+
+
+def tone_column(f_hz, f_tone: float) -> int:
+    """Index of the scan column that carries the tone: the nearest one,
+    which must lie within 5% of ``f_tone``; ``ValueError`` otherwise."""
+    f_hz = np.asarray(f_hz, dtype=float)
+    if f_hz.size:
+        col = int(np.argmin(np.abs(f_hz - f_tone)))
+        if abs(f_hz[col] - f_tone) <= 0.05 * f_tone:
+            return col
+    raise ValueError(f"no scan column near {f_tone} Hz")
+
+
 def tone_scan(model: SpectrumModel, tone: ToneConfig, stark: StarkMap,
               tau_grid, total_time: float, amplitudes_vpp, shots: int,
               seed: int, *, readout: ReadoutModel = ReadoutModel(0.55, 0.225),
@@ -249,18 +274,10 @@ def tone_scan(model: SpectrumModel, tone: ToneConfig, stark: StarkMap,
     so worker count never changes the numbers.
     """
     coeff = stark.coefficient(tone.gate)
-    taus = np.asarray(tau_grid, dtype=float)
     amps = np.asarray(amplitudes_vpp, dtype=float)
-    keep, dropped, info = [], [], []
-    for tau in taus:
-        n_pulses = max(1, int(round(total_time / tau)))
-        if total_time / tau < 0.5:
-            dropped.append(float(tau))
-            continue
-        keep.append((float(tau), n_pulses))
-        info.append({"tau_wait": float(tau), "n_pulses": n_pulses,
-                     "f_hz": 1.0 / (2 * tau),
-                     "actual_total_time": n_pulses * float(tau)})
+    keep, dropped = scan_columns(tau_grid, total_time)
+    info = [{"tau_wait": tau, "n_pulses": n_pulses, "f_hz": 1.0 / (2 * tau),
+             "actual_total_time": n_pulses * tau} for tau, n_pulses in keep]
     jobs = []
     model_dict = model.to_dict()
     for col, (tau, n_pulses) in enumerate(keep):
@@ -291,9 +308,7 @@ def detect_tone_threshold(result: ToneScanResult, f_tone: float,
     errors (median standard error scaled by the usual 1.2533/sqrt(K)
     efficiency factor).
     """
-    col = int(np.argmin(np.abs(result.f_hz - f_tone)))
-    if abs(result.f_hz[col] - f_tone) > 0.05 * f_tone:
-        raise ValueError(f"no scan column near {f_tone} Hz")
+    col = tone_column(result.f_hz, f_tone)
     others = np.arange(result.f_hz.size) != col
     k_off = int(np.count_nonzero(others))
     rows = []
@@ -318,12 +333,8 @@ def export_tone_scan(result: ToneScanResult, path) -> None:
 
 
 def import_tone_scan(path, shots: int = 0) -> ToneScanResult:
-    with Path(path).open() as fh:
-        header = fh.readline().strip()
-        if header != TONE_SCAN_HEADER:
-            raise ValueError(f"unrecognized tone-scan header {header!r}")
-        data = np.loadtxt(fh, delimiter=",")
-    data = np.atleast_2d(data)
+    _, columns = read_columns(path, TONE_SCAN_HEADER)
+    data = np.column_stack(columns).astype(float)
     f = np.unique(data[:, 0])
     amps = np.unique(data[:, 1])
     p = np.full((amps.size, f.size), np.nan)

@@ -11,7 +11,7 @@ import yaml
 
 import spinprobe
 import spinprobe.analysis
-from spinprobe import spectra
+from spinprobe import _csvio, spectra, starktone
 from spinprobe._parallel import ENV_VAR, worker_count
 from spinprobe.analysis import FitError
 from spinprobe.benchmarking import CLIFFORD_DECOMPOSITIONS
@@ -67,6 +67,11 @@ TINY_VOLTAGE = {
     "protocol": {"sample_rate_hz": 1e4, "duration_s": 1.0, "nperseg_s": 0.1,
                  "band_hz": [20.0, 4e3]},
 }
+
+# more Welch bins (20000) than one output row block
+BLOCKED_VOLTAGE = {**TINY_VOLTAGE, "protocol": {
+    "sample_rate_hz": 1e4, "duration_s": 8.0, "nperseg_s": 4.0,
+    "band_hz": [1.0, 4e3]}}
 
 TINY_IRB = {
     "kind": "interleaved_rbm",
@@ -221,6 +226,42 @@ class TestValidateConfig:
     def test_interleaved_gate_rejected(self, gate):
         with pytest.raises(ConfigError, match="protocol.gate"):
             validate_config({**TINY_IRB, "protocol": {"gate": gate}})
+
+    @pytest.mark.parametrize("change", [
+        {"f_tone_hz": 5e5},
+        {"f_tone_hz": 21100.0},  # 20 kHz is the nearest column, 5.2% away
+        # the 20 kHz column is dropped: 1e-5 s holds under half a 25 us wait
+        {"f_columns_hz": [20e3, 80e3, 100e3], "total_time_s": 1e-5},
+    ])
+    def test_tone_off_every_kept_column_rejected(self, change):
+        with pytest.raises(ConfigError, match="protocol.f_tone_hz"):
+            validate_config({**TINY_TONE, "protocol": change})
+
+    def test_tone_scan_needs_two_kept_columns(self):
+        # only the 20 kHz wait (25 us) fits half an interval into 15 us
+        with pytest.raises(ConfigError, match="protocol.f_columns_hz"):
+            validate_config({**TINY_TONE, "protocol": {
+                "f_columns_hz": [20e3, 1e3], "total_time_s": 1.5e-5}})
+
+    def test_tone_column_rule_matches_detection(self):
+        cfg = validate_config({**TINY_TONE, "protocol": {"f_tone_hz": 21000.0}})
+        assert cfg["protocol"]["f_tone_hz"] == 21000.0
+        result = starktone.ToneScanResult(
+            f_hz=[16e3, 20e3], amplitudes_vpp=[1e-4], p_up=[[0.5, 0.5]],
+            std_err=[[0.01, 0.01]], shots=10)
+        assert starktone.detect_tone_threshold(result, 21000.0)[
+            "tone_column_hz"] == 20e3
+        with pytest.raises(ValueError, match="no scan column"):
+            starktone.detect_tone_threshold(result, 21100.0)
+
+    @pytest.mark.parametrize("change, field", [
+        ({"v_g1_v": [0.0]}, "protocol.v_g1_v"),
+        ({"v_g1_v": [0.01, 0.01, 0.01]}, "protocol.v_g1_v"),
+        ({"v_g2_v": {"start": 0.01, "stop": 0.01, "num": 4}}, "protocol.v_g2_v"),
+    ])
+    def test_stark_grid_without_spread_rejected(self, change, field):
+        with pytest.raises(ConfigError, match=f"{field}: needs at least 2 distinct"):
+            validate_config({**TINY_STARK, "protocol": change})
 
     @pytest.mark.parametrize("gates", [{"G1": -3e7}, {"G1": -3e7, "G3": 1e7},
                                        {"G1": -3e7, "G2": -2e7, "G3": 1e7}])
@@ -424,6 +465,25 @@ class TestRunner:
         m2 = execute(cfg, tmp_path / "b", workers=2)
         assert m1["inventory"] == m2["inventory"]
 
+    def test_blocked_voltage_psd_identical_at_1_and_2_workers(self, tmp_path):
+        cfg = validate_config(BLOCKED_VOLTAGE)
+        m1 = execute(cfg, tmp_path / "a", workers=1)
+        m2 = execute(cfg, tmp_path / "b", workers=2)
+        assert m1["inventory"] == m2["inventory"]
+        n_bins = len((tmp_path / "a" / "psd_voltage.csv").read_text().splitlines()) - 1
+        assert n_bins > _csvio.BLOCK_ROWS
+
+    def test_welch_stage_formats_each_column_once(self, tmp_path, monkeypatch):
+        """f, S_V, two V-unit CI columns and three detuning columns: the
+        two CSVs and the plot share f and S_V instead of formatting 10."""
+        formatted = []
+        real = _csvio._format
+        monkeypatch.setattr(_csvio, "_format",
+                            lambda c: formatted.append(c.size) or real(c))
+        execute(validate_config(BLOCKED_VOLTAGE), tmp_path / "out", workers=1)
+        n_bins = len((tmp_path / "out" / "psd_voltage.csv").read_text().splitlines()) - 1
+        assert sum(formatted) == 7 * n_bins
+
 
 class TestWorkerCount:
     def test_explicit_argument_wins(self, monkeypatch):
@@ -496,6 +556,8 @@ class TestCli:
                                        "detuning_hz": {"start": -4e5, "stop": 4e5,
                                                        "num": 5, "spacing": "log"}}},
          "protocol.detuning_hz"),
+        ({**TINY_TONE, "protocol": {"f_tone_hz": 5e5}}, "protocol.f_tone_hz"),
+        ({**TINY_STARK, "protocol": {"v_g1_v": [0.0]}}, "protocol.v_g1_v"),
     ])
     def test_run_bad_config_exits_2_before_running(self, tmp_path, capsys,
                                                    cfg, field):
