@@ -5,16 +5,12 @@ and the decays are stretched with exponent 1 + alpha.  Both exponents are
 read off from simulated scans and compared with the closed forms.
 """
 
-import math
-
 import numpy as np
-from scipy.optimize import brentq
 
 from spinprobe.analysis import (expected_scaling_exponent,
                                 expected_stretching_exponent, fit_stretched,
                                 t2_scaling_exponent)
-from spinprobe.qubitsim import chi_ff, decay_vs_time
-from spinprobe.sequences import make_cpmg
+from spinprobe.qubitsim import cpmg_t2, decay_vs_time
 from spinprobe.spectra import PowerLawTerm, SpectrumModel
 
 COUNTS = [1, 2, 4, 8, 16, 32, 64]
@@ -25,9 +21,7 @@ for amplitude, alpha in ((3e7, 1.0), (3e13, 2.5)):
     t2s, errs, stretches = [], [], []
     for i, n in enumerate(COUNTS):
         # center the time grid on the analytic 1/e time
-        def excess(log_t):
-            return chi_ff(model, make_cpmg(n, math.exp(log_t))) - 1.0
-        t_pred = math.exp(brentq(excess, math.log(1e-6), 0.0, xtol=1e-6))
+        t_pred = cpmg_t2(model, n)
         times = np.geomspace(0.3 * t_pred, 2.5 * t_pred, 8)
         curve = decay_vs_time(model, n, times, 300, seed=1000 + i,
                               samples_per_interval=32)

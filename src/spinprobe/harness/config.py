@@ -18,6 +18,8 @@ import numpy as np
 import yaml
 
 from ..benchmarking import CLIFFORD_DECOMPOSITIONS
+from ..qubitsim import cpmg_chi
+from ..spectra import SpectrumModel
 from ..starktone import scan_columns, tone_column
 
 KINDS = (
@@ -421,6 +423,25 @@ def _check_tone_column(proto: dict) -> None:
             f"{', '.join(f'{f:.6g}' for f in f_kept) or 'none'} Hz)") from None
 
 
+def _check_t2_search(cfg: dict) -> None:
+    """``cpmg_t2_vs_n`` centres each time grid on :func:`qubitsim.cpmg_t2`,
+    which needs a filter integral that converges at f -> 0 and a chi = 1
+    crossing in its search range at every pulse count.  The tables built
+    here stay cached for the pipeline."""
+    for i, term in enumerate(cfg["spectrum"].get("powerlaws", ())):
+        if term["amplitude"] > 0 and term["exponent"] >= 3:
+            raise ConfigError(
+                f"spectrum.powerlaws.{i}.exponent: {term['exponent']!r} with "
+                f"amplitude > 0 diverges at f -> 0; cpmg_t2_vs_n needs < 3")
+    model = SpectrumModel.from_dict(cfg["spectrum"])
+    for n in cfg["protocol"]["pulse_counts"]:
+        try:
+            cpmg_chi(model, n).bracket
+        except ValueError as exc:
+            raise ConfigError(f"protocol.pulse_counts: N = {n}: {exc}, so "
+                              f"there is no T2 to centre the times on") from None
+
+
 def validate_config(raw: dict) -> dict:
     """Validate a parsed config and return the normalized form.
 
@@ -485,6 +506,8 @@ def validate_config(raw: dict) -> dict:
     if kind in SPECTRUM_KINDS:
         if "spectrum" not in cfg or not cfg["spectrum"]:
             raise ConfigError(f"spectrum: required for kind={kind}")
+    if kind == "cpmg_t2_vs_n":
+        _check_t2_search(cfg)
     cfg.setdefault("spectrum", {})
     return cfg
 

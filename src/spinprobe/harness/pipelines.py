@@ -15,13 +15,11 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
-from scipy import optimize as _optimize
 
 from .. import analysis, benchmarking, qubitsim, spectra, starktone
 from .._csvio import Csv, write_files
 from .._rng import derive_child_seed
 from ..qubitsim import QubitParams, ReadoutModel
-from ..sequences import make_cpmg
 from ..spectra import SpectrumModel
 from .config import gate_index, grid_values
 
@@ -193,14 +191,6 @@ def run_hahn(cfg, out: Path) -> _Report:
     return _run_decay_kind(cfg, out, n_pulses=1)
 
 
-def _t2_bracket(model: SpectrumModel, n_pulses: int) -> float:
-    """Total time where the analytic decay exponent crosses 1."""
-    def excess(log_t):
-        return qubitsim.chi_ff(model, make_cpmg(n_pulses, math.exp(log_t))) - 1.0
-    lo, hi = math.log(1e-7), math.log(10.0)
-    return math.exp(_optimize.brentq(excess, lo, hi, xtol=1e-3))
-
-
 def run_cpmg_t2_vs_n(cfg, out: Path) -> _Report:
     report = _Report(cfg["seed"])
     proto = cfg["protocol"]
@@ -209,7 +199,7 @@ def run_cpmg_t2_vs_n(cfg, out: Path) -> _Report:
     curves = []
     with report.stage("t2_scans") as seed:
         for i, n in enumerate(counts):
-            t2_est = _t2_bracket(model, n)
+            t2_est = qubitsim.cpmg_t2(model, n)
             times = np.geomspace(proto["t_factor_min"] * t2_est,
                                  proto["t_factor_max"] * t2_est,
                                  proto["n_times"])

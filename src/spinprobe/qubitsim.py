@@ -10,6 +10,16 @@ Two interchangeable coherence engines live here:
 For Gaussian noise the two agree exactly in expectation, which the test
 suite leans on heavily.
 
+:func:`cpmg_t2` gives the analytic 1/e time of a CPMG-N decay, where the
+``cpmg_t2_vs_n`` pipeline centres its time grids.  It uses
+:class:`CpmgChi`, chi_ff of ``make_cpmg(N, T)`` as a function of T built
+from one table in x = f*T per (model, N), and kept for the process by
+:func:`cpmg_chi`.  The white floor and power laws become
+``sum_k c_k T^(alpha_k + 1)``; only lines are integrated per T.  The
+search solves that smooth part for T_s first and looks for chi = 1 in
+[1e-7 s, min(T_s, 10 s)], never far above T2.  :func:`chi_ff` stays the
+general engine and the reference the tests hold :class:`CpmgChi` to.
+
 Every toggled phase goes through one :class:`PhaseFunctional`, built per
 (schedule, sample rate, trace length).  It holds the weights ``a`` that
 turn a sampled trace into its phase, ``phi = a @ x`` (trapezoid rule,
@@ -39,11 +49,13 @@ results for injected tones.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import physical_constants
+from scipy.optimize import brentq
 
 from . import spectra
 from ._rng import derive_rng, derive_rngs
@@ -67,6 +79,9 @@ __all__ = [
     "coherence_replay",
     "chi_ff",
     "coherence_ff",
+    "CpmgChi",
+    "cpmg_chi",
+    "cpmg_t2",
     "decay_vs_time",
     "decay_vs_pulses",
     "decay_vs_pulses_many",
@@ -380,18 +395,25 @@ def _integration_grid(schedule: PulseSchedule, model: SpectrumModel,
         lin_start = f_lo
     panels.append(np.arange(lin_start, f_hi, 1.0 / (16.0 * t_total)))
     panels.append([f_hi])
-    for line in model.lines:
-        if line.width_hz is None:
-            continue
-        wlo = max(line.center_hz - 8.0 * line.width_hz, f_lo)
-        whi = min(line.center_hz + 8.0 * line.width_hz, f_hi)
-        if wlo < whi:
-            panels.append(np.linspace(wlo, whi, 257))
+    panels += _line_windows([l for l in model.lines if l.width_hz is not None],
+                            f_lo, f_hi)
     grid = np.unique(np.concatenate([np.asarray(p, dtype=float) for p in panels]))
     return grid[(grid >= f_lo) & (grid <= f_hi)]
 
 
-def _tail_beyond(model: SpectrumModel, schedule: PulseSchedule, f_hi: float) -> float:
+def _line_windows(lorentzians, f_lo: float, f_hi: float) -> list[np.ndarray]:
+    """257 points across +-8 widths of each Lorentzian line, clipped to
+    [f_lo, f_hi]: the resolution the quadrature gives a line."""
+    windows = []
+    for line in lorentzians:
+        wlo = max(line.center_hz - 8.0 * line.width_hz, f_lo)
+        whi = min(line.center_hz + 8.0 * line.width_hz, f_hi)
+        if wlo < whi:
+            windows.append(np.linspace(wlo, whi, 257))
+    return windows
+
+
+def _tail_beyond(model: SpectrumModel, n_pulses: int, f_hi: float) -> float:
     """``int_{f_hi}^{inf} S(f) <|Y|^2>(f) df`` using the averaged envelope.
 
     Averaged over its fast oscillation the filter falls off as
@@ -399,7 +421,7 @@ def _tail_beyond(model: SpectrumModel, schedule: PulseSchedule, f_hi: float) -> 
     each smooth model component.  Lorentzian line tails are ~f^-4 out here
     and are dropped.
     """
-    env = (4.0 * schedule.n_pulses + 2.0) / (4.0 * math.pi**2)
+    env = (4.0 * n_pulses + 2.0) / (4.0 * math.pi**2)
     tail = model.white_floor * env / f_hi
     for term in model.powerlaws:
         s_at = term.amplitude / (2.0 * math.pi * f_hi) ** term.exponent
@@ -452,7 +474,7 @@ def chi_ff(model: SpectrumModel, schedule: PulseSchedule, *,
             s = s + spectra._lorentzian(grid, line, line.width_hz)
     integral = float(np.trapezoid(s * _filter(schedule, grid), grid))
     if f_max is None:
-        integral += _tail_beyond(model, schedule, float(grid[-1]))
+        integral += _tail_beyond(model, schedule.n_pulses, float(grid[-1]))
     for line in model.lines:
         if line.width_hz is None:  # resolution-limited: treat as delta
             integral += line.power * _filter(schedule, line.center_hz)
@@ -466,6 +488,133 @@ def coherence_ff(model: SpectrumModel, schedule: PulseSchedule, *,
     """exp(-chi) for Gaussian noise; companion of :func:`coherence_mc`."""
     return math.exp(-chi_ff(model, schedule, calibration=calibration,
                             f_min=f_min, f_max=f_max))
+
+
+# ---------------------------------------------------------------------------
+# CPMG decay exponent versus total time
+
+# total times (s) within which cpmg_t2 looks for chi = 1
+T2_SEARCH_S = (1e-7, 10.0)
+
+
+class CpmgChi:
+    """``chi_ff(model, make_cpmg(n_pulses, T))`` as a function of T alone.
+
+    The CPMG filter depends on f and T only through x = f*T:
+    ``|Y|^2(f; T) = T^2 g(f*T)`` with g the filter at T = 1 s.  The
+    default grid of :func:`chi_ff` is fixed in x (400 geometric points up
+    to x = N/8, steps of 1/16 up to 40N, then the end point), so g is
+    evaluated on it once.  The white floor and each power law, the tail
+    beyond the grid included, then reduce to ``c_k T^(alpha_k + 1)``
+    (:meth:`smooth`), equal to chi_ff's to rounding.  A resolution-limited
+    line is the closed form at its centre.  Lorentzian lines are
+    integrated per T at chi_ff's resolution: the table mapped to f = x/T,
+    each line's 257-point window merged in, and the 1/16 lattice
+    continued up to the highest ``center + 12*width`` when that lies
+    beyond the table.  With Lorentzian lines present chi_ff also
+    integrates the smooth part over the line windows and up to that
+    point, which this leaves to the table and the tail; the two differ
+    by up to about 1e-3 of chi.
+    """
+
+    def __init__(self, model: SpectrumModel, n_pulses: int):
+        if any(t.amplitude > 0 and t.exponent >= 3.0 for t in model.powerlaws):
+            raise ValueError("power-law exponent >= 3 diverges at f -> 0")
+        n = self.n_pulses = int(n_pulses)
+        x_end = 40.0 * n
+        self.x = np.unique(np.concatenate((
+            np.geomspace(5e-10 * n, n / 8.0, 400),
+            np.arange(n / 8.0, x_end, 1.0 / 16.0), [x_end])))
+        self.g = cpmg_filter_function(n, 1.0, self.x)
+        parts = [(SpectrumModel(powerlaws=(t,)), t.exponent + 1.0)
+                 for t in model.powerlaws if t.amplitude > 0]
+        if model.white_floor:
+            parts.append((SpectrumModel(white_floor=model.white_floor), 1.0))
+        # (c_k, alpha_k + 1), c_k being component k's chi at T = 1 s
+        self._smooth = tuple(
+            (0.5 * PSD_CHI_CALIBRATION * (
+                float(np.trapezoid(spectra._smooth_psd(part, self.x) * self.g,
+                                   self.x))
+                + _tail_beyond(part, n, x_end)), power)
+            for part, power in parts)
+        lines = [l for l in model.lines if l.power > 0]
+        self._deltas = tuple(l for l in lines if l.width_hz is None)
+        self._lorentz = tuple(l for l in lines if l.width_hz is not None)
+
+    def smooth(self, t: float) -> float:
+        """chi of the white floor and the power laws: strictly increasing
+        in T (when the model has any)."""
+        return sum(c * t**p for c, p in self._smooth)
+
+    def lines(self, t: float) -> float:
+        """chi of the spectral lines at total time ``t``."""
+        n = self.n_pulses
+        integral = sum(l.power * cpmg_filter_function(n, t, l.center_hz)
+                       for l in self._deltas)
+        if self._lorentz:
+            x, g = self.x, self.g
+            f_hi = max(x[-1] / t, *(l.center_hz + 12.0 * l.width_hz
+                                    for l in self._lorentz))
+            if f_hi * t > x[-1]:
+                ext = np.append(np.arange(x[-1] + 1.0 / 16.0, f_hi * t,
+                                          1.0 / 16.0), f_hi * t)
+                x = np.concatenate((x, ext))
+                g = np.concatenate((g, cpmg_filter_function(n, 1.0, ext)))
+            windows = _line_windows(self._lorentz, x[0] / t, f_hi)
+            if windows:
+                wx = np.sort(np.concatenate(windows)) * t
+                at = np.searchsorted(x, wx)
+                x = np.insert(x, at, wx)
+                g = np.insert(g, at, cpmg_filter_function(n, 1.0, wx))
+            f = x / t
+            s = sum(spectra._lorentzian(f, l, l.width_hz) for l in self._lorentz)
+            # int S(f) T^2 g(f T) df = T int S(x/T) g(x) dx
+            integral += t * float(np.trapezoid(s * g, x))
+        return 0.5 * PSD_CHI_CALIBRATION * integral
+
+    def __call__(self, t: float) -> float:
+        return self.smooth(t) + self.lines(t)
+
+    @functools.cached_property
+    def bracket(self) -> tuple[float, float]:
+        """``(lo, hi)`` with chi(lo) < 1 <= chi(hi): ``hi`` is where the
+        smooth part alone reaches 1 (lines only add to chi), or the end of
+        :data:`T2_SEARCH_S` if it never does there.  Raises
+        ``ValueError`` when chi does not cross 1 inside
+        :data:`T2_SEARCH_S`."""
+        lo, hi = T2_SEARCH_S
+        if self(lo) >= 1.0:
+            raise ValueError(f"chi >= 1 already at T = {lo:g} s")
+        if self.smooth(hi) > 1.0:
+            hi = math.exp(brentq(lambda lt: self.smooth(math.exp(lt)) - 1.0,
+                                 math.log(lo), math.log(hi)))
+        elif self(hi) < 1.0:
+            raise ValueError(f"chi stays below 1 up to T = {hi:g} s")
+        return lo, hi
+
+    def t2(self) -> float:
+        """Total time at which chi crosses 1, searched inside
+        :attr:`bracket`: the smooth root itself when the lines add nothing
+        there, else brentq at ``xtol`` 1e-3 in log T.  Chi can cross 1
+        more than once when lines dominate; brentq returns one crossing in
+        the bracket, and the bracket never reaches past the smooth root."""
+        lo, hi = self.bracket
+        if self(hi) <= 1.0:
+            return hi
+        return math.exp(brentq(lambda lt: self(math.exp(lt)) - 1.0,
+                               math.log(lo), math.log(hi), xtol=1e-3))
+
+
+@functools.lru_cache(maxsize=32)
+def cpmg_chi(model: SpectrumModel, n_pulses: int) -> CpmgChi:
+    """The :class:`CpmgChi` of ``(model, n_pulses)``, built once per process."""
+    return CpmgChi(model, n_pulses)
+
+
+def cpmg_t2(model: SpectrumModel, n_pulses: int) -> float:
+    """Total time T at which ``chi_ff(model, make_cpmg(n_pulses, T))``
+    crosses 1: the analytic 1/e time (see :meth:`CpmgChi.t2`)."""
+    return cpmg_chi(model, n_pulses).t2()
 
 
 # ---------------------------------------------------------------------------

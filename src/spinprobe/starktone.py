@@ -306,11 +306,15 @@ def detect_tone_threshold(result: ToneScanResult, f_tone: float,
     Detection at one amplitude row: the tone-column P_up sits below the
     median of the other columns by at least ``n_sigma`` pooled standard
     errors (median standard error scaled by the usual 1.2533/sqrt(K)
-    efficiency factor).
+    efficiency factor).  Raises ``ValueError`` for a scan with one column,
+    which leaves nothing to compare the tone column with.
     """
     col = tone_column(result.f_hz, f_tone)
     others = np.arange(result.f_hz.size) != col
     k_off = int(np.count_nonzero(others))
+    if k_off == 0:
+        raise ValueError("tone detection needs a second frequency column "
+                         "to compare the tone column with; the scan has one")
     rows = []
     for i, amp in enumerate(result.amplitudes_vpp):
         med = float(np.median(result.p_up[i, others]))

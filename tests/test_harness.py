@@ -11,11 +11,12 @@ import yaml
 
 import spinprobe
 import spinprobe.analysis
-from spinprobe import _csvio, spectra, starktone
+from spinprobe import _csvio, qubitsim, spectra, starktone
 from spinprobe._parallel import ENV_VAR, worker_count
 from spinprobe.analysis import FitError
 from spinprobe.benchmarking import CLIFFORD_DECOMPOSITIONS
 from spinprobe.harness import ConfigError, RunError, execute, rerun, run
+from spinprobe.harness import pipelines
 from spinprobe.harness import runner as runner_module
 from spinprobe.harness.cli import main
 from spinprobe.harness.config import (gate_index, grid_values, load_config,
@@ -270,6 +271,31 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="stark.coefficients_hz_per_v"):
             validate_config({**TINY_STARK, "stark": stark})
 
+    @pytest.mark.parametrize("spectrum, pulse_counts, message", [
+        ({"powerlaws": [{"amplitude": 1.0, "exponent": 1.0},
+                        {"amplitude": 1e10, "exponent": 3.0}]}, [1, 2],
+         "spectrum.powerlaws.1.exponent: 3.0 with amplitude > 0 diverges"),
+        ({"white_floor": 1e-6}, [1, 2],
+         "protocol.pulse_counts: N = 1: chi stays below 1 up to T = 10 s"),
+        ({"white_floor": 1e12}, [1, 2],
+         "protocol.pulse_counts: N = 1: chi >= 1 already at T = 1e-07 s"),
+        # T2 grows past 10 s only at the larger pulse count
+        ({"powerlaws": [{"amplitude": 300.0, "exponent": 2.5}]}, [1, 64],
+         "protocol.pulse_counts: N = 64: chi stays below 1"),
+    ])
+    def test_cpmg_t2_search_checked(self, spectrum, pulse_counts, message):
+        cfg = {**TINY_CPMG, "spectrum": spectrum,
+               "protocol": {**TINY_CPMG["protocol"], "pulse_counts": pulse_counts}}
+        with pytest.raises(ConfigError, match=message):
+            validate_config(cfg)
+
+    @pytest.mark.parametrize("cfg, amplitude", [(TINY_CPMG, 0.0),
+                                                (TINY_RAMSEY, 1e10)])
+    def test_steep_power_law_allowed_where_it_converges(self, cfg, amplitude):
+        # a zero amplitude adds nothing, and Monte Carlo is band-limited
+        validate_config({**cfg, "spectrum": {"white_floor": 350.0, "powerlaws": [
+            {"amplitude": amplitude, "exponent": 3.0}]}})
+
     @pytest.mark.parametrize("change, field", [
         ({"band_hz": [300.0, 300.0]}, "protocol.band_hz"),
         ({"band_hz": [400.0, 300.0]}, "protocol.band_hz"),
@@ -410,6 +436,37 @@ class TestRunner:
         assert (out / "t2_vs_n.csv").read_text() == \
             "n_pulses,t2_s,t2_err_s,exponent,exponent_err\n"
         assert not (out / "plot_t2_vs_n.json").exists()
+
+    def test_t2_search_builds_one_table_per_pulse_count(self, tmp_path,
+                                                        monkeypatch):
+        built, chi_ff_calls = [], []
+
+        class Counted(qubitsim.CpmgChi):
+            def __init__(self, model, n_pulses):
+                built.append(n_pulses)
+                super().__init__(model, n_pulses)
+
+        monkeypatch.setattr(qubitsim, "CpmgChi", Counted)
+        monkeypatch.setattr(qubitsim, "chi_ff",
+                            lambda *a, **k: chi_ff_calls.append(a))
+        cfg = {**TINY_CPMG, "spectrum": {
+            "powerlaws": [{"amplitude": 3e7, "exponent": 1.0}],
+            "white_floor": 350.0,
+            "lines": [{"center_hz": 3600.0, "power": 1.5e6, "width_hz": 150.0}]},
+            "protocol": {**TINY_CPMG["protocol"], "pulse_counts": [1, 4, 64]}}
+        qubitsim.cpmg_chi.cache_clear()
+        try:
+            cfg = validate_config(cfg)
+            assert built == [1, 4, 64]
+            (tmp_path / "out").mkdir()
+            pipelines.run_cpmg_t2_vs_n(cfg, tmp_path / "out")
+            assert built == [1, 4, 64]  # the pipeline reuses validation's
+            qubitsim.cpmg_chi.cache_clear()
+            pipelines.run_cpmg_t2_vs_n(cfg, tmp_path / "out")
+            assert built == [1, 4, 64] * 2
+        finally:
+            qubitsim.cpmg_chi.cache_clear()
+        assert chi_ff_calls == []
 
     def test_rerun_reproduces_bit_identically(self, tmp_path):
         cfg_path = _write_yaml(tmp_path, TINY_CHEVRON)
@@ -558,6 +615,10 @@ class TestCli:
          "protocol.detuning_hz"),
         ({**TINY_TONE, "protocol": {"f_tone_hz": 5e5}}, "protocol.f_tone_hz"),
         ({**TINY_STARK, "protocol": {"v_g1_v": [0.0]}}, "protocol.v_g1_v"),
+        ({**TINY_CPMG, "spectrum": {"powerlaws": [{"amplitude": 1e10,
+                                                   "exponent": 3.0}]}},
+         "spectrum.powerlaws.0.exponent"),
+        ({**TINY_CPMG, "spectrum": {"white_floor": 1e-6}}, "protocol.pulse_counts"),
     ])
     def test_run_bad_config_exits_2_before_running(self, tmp_path, capsys,
                                                    cfg, field):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -17,6 +17,8 @@ from spinprobe.qubitsim import (
     accumulate_phase,
     chi_ff,
     coherence_ff,
+    cpmg_chi,
+    cpmg_t2,
     coherence_mc,
     coherence_replay,
     decay_vs_pulses,
@@ -217,6 +219,113 @@ class TestChiFilterDispatch:
         calls = self._count_calls(monkeypatch, sequences, "response")
         assert chi_ff(self.MODEL, make_cpmg(64, 10.0)) > 0
         assert calls == []
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@st.composite
+def _cpmg_cases(draw, widths):
+    """(model, N, T): random smooth parts, from none to dominant, and up to
+    two lines placed relative to 1/T, so centres run from far below the
+    passband to above the 40N/T end of the table.  ``widths`` draws a
+    line width in units of 1/T, or None for a resolution-limited line."""
+    n = draw(st.integers(1, 64))
+    t = draw(_log_uniform(1e-6, 1.0))
+    powerlaws = draw(st.lists(st.builds(PowerLawTerm, _log_uniform(1e-3, 1e14),
+                                        st.floats(0.0, 2.99)), max_size=2))
+    white = draw(st.just(0.0) | _log_uniform(1e-2, 1e4))
+    lines = draw(st.lists(st.builds(
+        SpectralLine, _log_uniform(1e-3, 3e3).map(lambda x: x / t),
+        _log_uniform(1e-3, 1e12),
+        widths.map(lambda w: None if w is None else w / t)), max_size=2))
+    return SpectrumModel(powerlaws=powerlaws, white_floor=white,
+                         lines=lines), n, t
+
+
+class TestCpmgChi:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_cpmg_cases(st.none()))
+    def test_matches_chi_ff_without_lorentzian_lines(self, case):
+        model, n, t = case
+        assert qubitsim.CpmgChi(model, n)(t) == pytest.approx(
+            chi_ff(model, make_cpmg(n, t)), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_cpmg_cases(st.none() | _log_uniform(1e-3, 100.0)))
+    # the shipped model, and its line alone, with the line window reaching
+    # above the table
+    @example(case=(COMPOSITE, 64, 0.56))
+    @example(case=(SpectrumModel(lines=COMPOSITE.lines), 64, 0.56))
+    # a line above 40N/T = 12.8 kHz, integrated on the continued lattice
+    @example(case=(SpectrumModel(white_floor=1.0,
+                                 lines=(SpectralLine(1.5e4, 1e6, 200.0),)), 32, 0.1))
+    # a line narrower than 1/T on the passband
+    @example(case=(SpectrumModel(white_floor=1.0,
+                                 lines=(SpectralLine(8e3, 1e6, 5.0),)), 16, 1e-3))
+    def test_matches_chi_ff_with_lorentzian_lines(self, case):
+        model, n, t = case
+        want = chi_ff(model, make_cpmg(n, t))
+        assume(want > 1e-6)
+        assert qubitsim.CpmgChi(model, n)(t) == pytest.approx(want, rel=2e-3)
+
+    def test_steep_exponent_rejected(self):
+        with pytest.raises(ValueError, match="exponent >= 3"):
+            qubitsim.CpmgChi(SpectrumModel(powerlaws=(PowerLawTerm(1e10, 3.0),)), 4)
+        zero = SpectrumModel(powerlaws=(PowerLawTerm(0.0, 3.0),), white_floor=1.0)
+        assert qubitsim.CpmgChi(zero, 4)(1e-3) == pytest.approx(
+            chi_ff(zero, make_cpmg(4, 1e-3)), rel=1e-12)
+
+    def test_cached_per_model_and_pulse_count(self):
+        copy = SpectrumModel.from_dict(COMPOSITE.to_dict())
+        assert cpmg_chi(copy, 8) is cpmg_chi(COMPOSITE, 8)
+        assert cpmg_chi(COMPOSITE, 16) is not cpmg_chi(COMPOSITE, 8)
+
+
+class TestCpmgT2:
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_line_free_root_is_the_smooth_root(self, n):
+        model = SpectrumModel(powerlaws=(PowerLawTerm(3e7, 1.0),), white_floor=350.0)
+        t2 = cpmg_t2(model, n)
+        assert cpmg_chi(model, n).bracket[1] == t2
+        assert chi_ff(model, make_cpmg(n, t2)) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    def test_shipped_model_root_inside_the_smooth_bracket(self, n):
+        chi = cpmg_chi(COMPOSITE, n)
+        lo, hi = chi.bracket
+        assert chi.smooth(hi) == pytest.approx(1.0, rel=1e-12)
+        t2 = cpmg_t2(COMPOSITE, n)
+        assert lo < t2 < hi
+        assert chi(t2 * math.exp(-2e-3)) < 1.0 < chi(t2 * math.exp(2e-3))
+
+    def test_search_never_passes_the_smooth_root(self):
+        # a strong narrow line makes chi cross 1 many times below the
+        # white floor's own crossing; the search returns one of those
+        model = SpectrumModel(white_floor=10.0,
+                              lines=(SpectralLine(5e3, 3e7, 50.0),))
+        chi = cpmg_chi(model, 8)
+        t_smooth = chi.bracket[1]
+        assert t_smooth == pytest.approx(math.pi**2 / (4 * 10.0), rel=1e-3)
+        t2 = cpmg_t2(model, 8)
+        assert t2 < 0.5 * t_smooth
+        below, above = chi(t2 * math.exp(-2e-3)), chi(t2 * math.exp(2e-3))
+        assert min(below, above) < 1.0 < max(below, above)
+
+    def test_line_only_model_searches_up_to_ten_seconds(self):
+        model = SpectrumModel(lines=(SpectralLine(1.0, 1e3, 2.0),))
+        assert cpmg_chi(model, 2).bracket == qubitsim.T2_SEARCH_S
+        t2 = cpmg_t2(model, 2)
+        assert chi_ff(model, make_cpmg(2, t2)) == pytest.approx(1.0, abs=1e-2)
+
+    @pytest.mark.parametrize("model, message", [
+        (SpectrumModel(white_floor=1e-6), "stays below 1 up to T = 10 s"),
+        (SpectrumModel(white_floor=1e12), "already at T = 1e-07 s"),
+    ])
+    def test_no_crossing_raises(self, model, message):
+        with pytest.raises(ValueError, match=message):
+            cpmg_t2(model, 4)
 
 
 class TestAccumulatePhase:

@@ -192,6 +192,14 @@ class TestThresholdDetection:
         with pytest.raises(ValueError):
             detect_tone_threshold(self._synthetic([0.0, 0.0, 0.0]), 3.2e4)
 
+    def test_single_column_rejected(self):
+        full = self._synthetic([0.0, 0.075, 0.15])
+        one = ToneScanResult(f_hz=full.f_hz[:1], amplitudes_vpp=full.amplitudes_vpp,
+                             p_up=full.p_up[:, :1], std_err=full.std_err[:, :1],
+                             shots=100)
+        with pytest.raises(ValueError, match="second frequency column"):
+            detect_tone_threshold(one, 2e4)
+
 
 class TestCsv:
     def test_round_trip(self, tmp_path):
