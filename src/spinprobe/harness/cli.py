@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import KINDS, PROTOCOL_DEFAULTS, ConfigError, load_config
+from .config import KINDS, PROTOCOLS, ConfigError, load_config
 from .runner import RunError, rerun, run
 
 
@@ -39,7 +39,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "list-experiments":
         for kind in KINDS:
-            keys = ", ".join(sorted(PROTOCOL_DEFAULTS[kind]))
+            keys = ", ".join(sorted(PROTOCOLS[kind]))
             print(f"{kind}: {keys}")
         return 0
     if args.command == "validate":

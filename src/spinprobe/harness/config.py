@@ -1,26 +1,38 @@
-"""Experiment configuration: YAML surface, schema validation, defaults.
+"""Experiment configuration: YAML surface, one field table, defaults.
 
 A config is one YAML document.  Required everywhere: ``kind``, ``seed``,
 ``output_dir``.  ``spectrum`` describes detuning noise in rad^2/s for the
 coherence kinds and voltage noise in V^2/Hz for ``voltage_psd``.  Grids can
 be given as explicit lists or as ``{start, stop, num, spacing}`` with
-spacing ``linear`` or ``log``.
+spacing ``linear`` (the default) or ``log``; a given grid replaces the
+default whole.
+
+Every field is declared once, as a :class:`Field` in :data:`TOP` or, for
+``protocol``, in :data:`PROTOCOLS`: its accepted JSON types, its bounds,
+any enum, item or extra rule, and its default.  :func:`validate_config`
+walks a config against that table.  The walk rejects unknown keys,
+missing required keys, wrong types (a bool is never a number, a float
+never an integer), NaN and +-inf, and values out of bounds, and fills in
+every default; each error names the field's dotted path.  Checks that
+span several fields follow the walk.
 """
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 import math
+import operator
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
-import jsonschema
 import numpy as np
 import yaml
 
 from ..benchmarking import CLIFFORD_DECOMPOSITIONS
-from ..qubitsim import cpmg_chi
+from ..qubitsim import QubitParams, ReadoutModel, cpmg_chi
 from ..spectra import SpectrumModel
-from ..starktone import scan_columns, tone_column
+from ..starktone import StarkMap, default_stark_map, scan_columns, tone_column
 
 KINDS = (
     "rabi_chevron",
@@ -44,268 +56,104 @@ class ConfigError(ValueError):
     """Invalid configuration; message names the offending field."""
 
 
-_GRID = {
-    "oneOf": [
-        {"type": "array", "items": {"type": "number"}, "minItems": 1},
-        {
-            "type": "object",
-            "required": ["start", "stop", "num"],
-            "additionalProperties": False,
-            "properties": {
-                "start": {"type": "number"},
-                "stop": {"type": "number"},
-                "num": {"type": "integer", "minimum": 1},
-                "spacing": {"enum": ["linear", "log"]},
-            },
-        },
-    ]
-}
+REQUIRED = object()  # Field.default: the key must be given
+OMITTED = object()   # Field.default: the key may be left out, and stays out
 
-_SPECTRUM = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "powerlaws": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["amplitude", "exponent"],
-                "additionalProperties": False,
-                "properties": {
-                    "amplitude": {"type": "number", "minimum": 0},
-                    "exponent": {"type": "number", "minimum": 0, "maximum": 3},
-                },
-            },
-        },
-        "white_floor": {"type": "number", "minimum": 0},
-        "lines": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["center_hz", "power"],
-                "additionalProperties": False,
-                "properties": {
-                    "center_hz": {"type": "number", "exclusiveMinimum": 0},
-                    "power": {"type": "number", "minimum": 0},
-                    "width_hz": {"type": ["number", "null"], "exclusiveMinimum": 0},
-                },
-            },
-        },
-    },
-}
 
-_STARK = {
-    "type": "object",
-    "required": ["f0_ref_hz", "coefficients_hz_per_v"],
-    "additionalProperties": False,
-    "properties": {
-        "f0_ref_hz": {"type": "number"},
-        "coefficients_hz_per_v": {
-            "type": "object",
-            "additionalProperties": {"type": "number"},
-            "minProperties": 1,
-        },
-        "reference_voltages": {
-            "type": "object",
-            "additionalProperties": {"type": "number"},
-        },
-    },
-}
+@dataclass(frozen=True)
+class Field:
+    """One config value.  ``types`` lists the accepted JSON types
+    (``"number"`` takes integers too); the bounds apply to numbers and
+    ``length`` to strings, arrays and maps.  An ``array`` checks each of
+    its ``items``; an ``object`` has the fixed keys of ``fields`` or, as
+    a map, free keys whose values follow ``values``.  ``rule`` runs last,
+    on the normalized value, and raises :class:`ConfigError`."""
 
-_POSINT = {"type": "integer", "minimum": 1}
-_POSNUM = {"type": "number", "exclusiveMinimum": 0}
+    types: str
+    default: object = REQUIRED
+    ge: float | None = None
+    gt: float | None = None
+    le: float | None = None
+    lt: float | None = None
+    enum: tuple = ()
+    length: tuple[int, int | None] = (0, None)
+    items: Field | None = None
+    fields: dict[str, Field] | None = None
+    values: Field | None = None
+    rule: Callable | None = None
 
-PROTOCOL_SCHEMAS: dict[str, dict] = {
-    "rabi_chevron": {
-        "detuning_hz": _GRID,
-        "duration_s": _GRID,
-    },
-    "ramsey": {
-        "times_s": _GRID,
-        "n_traj": _POSINT,
-        "fit": {"enum": ["exponential", "stretched"]},
-        "duration_factor": _POSNUM,
-        "samples_per_interval": _POSINT,
-    },
-    "hahn": {
-        "times_s": _GRID,
-        "n_traj": _POSINT,
-        "fit": {"enum": ["exponential", "stretched"]},
-        "duration_factor": _POSNUM,
-        "samples_per_interval": _POSINT,
-    },
-    "cpmg_t2_vs_n": {
-        "pulse_counts": {"type": "array", "items": _POSINT, "minItems": 2},
-        "n_traj": _POSINT,
-        "n_times": {"type": "integer", "minimum": 3},
-        "t_factor_min": _POSNUM,
-        "t_factor_max": _POSNUM,
-        "fit": {"enum": ["exponential", "stretched"]},
-        "duration_factor": _POSNUM,
-        "samples_per_interval": _POSINT,
-    },
-    "noise_spectroscopy": {
-        "f_grid_hz": _GRID,
-        "pulse_counts": {"type": "array", "items": _POSINT, "minItems": 2},
-        "n_traj": _POSINT,
-        "t2_hahn_s": {"type": ["number", "null"], "exclusiveMinimum": 0},
-        "duration_factor": _POSNUM,
-        "samples_per_interval": _POSINT,
-    },
-    "rbm": {
-        "depths": {"type": "array", "items": _POSINT, "minItems": 3},
-        "n_sequences": _POSINT,
-        "shots": _POSINT,
-        "clifford_fidelity": {"type": "number",
-                              "exclusiveMinimum": 0.5, "exclusiveMaximum": 1},
-    },
-    "interleaved_rbm": {
-        "depths": {"type": "array", "items": _POSINT, "minItems": 3},
-        "n_sequences": _POSINT,
-        "shots": _POSINT,
-        "clifford_fidelity": {"type": "number",
-                              "exclusiveMinimum": 0.5, "exclusiveMaximum": 1},
-        "gate": {"type": ["string", "integer"]},
-    },
-    "stark_map": {
-        "v_g1_v": _GRID,
-        "v_g2_v": _GRID,
-        "jitter_hz": {"type": "number", "minimum": 0},
-    },
-    "tone_scan": {
-        "f_tone_hz": _POSNUM,
-        "gate": {"type": "string"},
-        "amplitudes_vpp": {"type": "array", "items": {"type": "number", "minimum": 0},
-                           "minItems": 1},
-        "f_columns_hz": {"type": "array", "items": _POSNUM, "minItems": 2},
-        "total_time_s": _POSNUM,
-        "shots": _POSINT,
-        "phase": {"type": ["number", "null"]},
-        "samples_per_interval": _POSINT,
-    },
-    "voltage_psd": {
-        "sample_rate_hz": _POSNUM,
-        "duration_s": _POSNUM,
-        "nperseg_s": _POSNUM,
-        "band_hz": {"type": "array", "items": {"type": "number", "minimum": 0},
-                    "minItems": 2, "maxItems": 2},
-        "stark_gate": {"type": "string"},
-        "qubit_floor_rad2_s": {"type": "number", "minimum": 0},
-        "spectroscopy": {
-            "type": ["object", "null"],
-            "properties": {
-                "f_grid_hz": _GRID,
-                "pulse_counts": {"type": "array", "items": _POSINT,
-                                 "minItems": 2},
-                "n_traj": _POSINT,
-                "samples_per_interval": _POSINT,
-            },
-            "required": ["f_grid_hz", "pulse_counts", "n_traj"],
-            "additionalProperties": False,
-        },
-        "export_trace": {"type": "boolean"},
-    },
-}
 
-_AMP_LADDER = [40e-6 * 2 ** (k / 2) for k in range(10)]  # 40 uVpp to ~905 uVpp
+def _json_type(value) -> str:
+    if value is None:
+        return "null"
+    for cls, name in ((bool, "boolean"), (int, "integer"), (float, "number"),
+                      (str, "string"), (list, "array"), (dict, "object")):
+        if isinstance(value, cls):
+            return name
+    return type(value).__name__
 
-PROTOCOL_DEFAULTS: dict[str, dict] = {
-    "rabi_chevron": {
-        "detuning_hz": {"start": -1.5e6, "stop": 1.5e6, "num": 61,
-                        "spacing": "linear"},
-        "duration_s": {"start": 4e-8, "stop": 6.4e-6, "num": 81,
-                       "spacing": "linear"},
-    },
-    "ramsey": {
-        "times_s": {"start": 2e-6, "stop": 3e-4, "num": 12, "spacing": "log"},
-        "n_traj": 500, "fit": "stretched",
-        "duration_factor": 2.0, "samples_per_interval": 16,
-    },
-    "hahn": {
-        "times_s": {"start": 5e-6, "stop": 2e-3, "num": 12, "spacing": "log"},
-        "n_traj": 500, "fit": "stretched",
-        "duration_factor": 2.0, "samples_per_interval": 16,
-    },
-    "cpmg_t2_vs_n": {
-        "pulse_counts": [1, 2, 4, 8, 16, 32, 64],
-        "n_traj": 400, "n_times": 8, "t_factor_min": 0.3, "t_factor_max": 2.2,
-        "fit": "stretched", "duration_factor": 2.0, "samples_per_interval": 16,
-    },
-    "noise_spectroscopy": {
-        "f_grid_hz": {"start": 1300.0, "stop": 50000.0, "num": 12,
-                      "spacing": "log"},
-        "pulse_counts": [2, 4, 8, 16, 32],
-        "n_traj": 500, "t2_hahn_s": None,
-        "duration_factor": 2.0, "samples_per_interval": 32,
-    },
-    "rbm": {
-        "depths": [1, 2, 4, 8, 16, 32, 64, 128, 200, 300],
-        "n_sequences": 30, "shots": 100, "clifford_fidelity": 0.9983,
-    },
-    "interleaved_rbm": {
-        "depths": [1, 2, 4, 8, 16, 32, 64, 128, 200, 300],
-        "n_sequences": 30, "shots": 100, "clifford_fidelity": 0.9983,
-        "gate": "X90",
-    },
-    "stark_map": {
-        "v_g1_v": {"start": -0.016, "stop": 0.016, "num": 5, "spacing": "linear"},
-        "v_g2_v": {"start": -0.016, "stop": 0.016, "num": 5, "spacing": "linear"},
-        "jitter_hz": 10e3,
-    },
-    "tone_scan": {
-        "f_tone_hz": 20e3, "gate": "G2",
-        "amplitudes_vpp": _AMP_LADDER,
-        "f_columns_hz": [10e3 / 3, 4e3, 5e3, 20e3 / 3, 8e3, 10e3,
-                         40e3 / 3, 16e3, 20e3, 80e3 / 3, 33e3, 40e3],
-        "total_time_s": 300e-6, "shots": 160, "phase": None,
-        "samples_per_interval": 32,
-    },
-    "voltage_psd": {
-        "sample_rate_hz": 120e3, "duration_s": 45.0, "nperseg_s": 5.0,
-        "band_hz": [0.2, 50e3], "stark_gate": "G2",
-        "qubit_floor_rad2_s": 350.0, "spectroscopy": None,
-        "export_trace": False,
-    },
-}
 
-QUBIT_DEFAULTS = {"g_factor": 1.9789, "field_t": 1.4, "rabi_hz": 390625.0}
-READOUT_DEFAULTS = {"visibility": 0.55, "floor": 0.225}
-STARK_DEFAULTS = {
-    "f0_ref_hz": 38.7765e9,
-    "coefficients_hz_per_v": {"G1": -36.21e6, "G2": -22.88e6},
-    "reference_voltages": {"G1": 0.0, "G2": 0.0},
-}
+_BOUNDS = (("ge", ">=", operator.ge), ("gt", ">", operator.gt),
+           ("le", "<=", operator.le), ("lt", "<", operator.lt))
 
-TOP_SCHEMA = {
-    "type": "object",
-    "required": ["kind", "seed", "output_dir"],
-    "additionalProperties": False,
-    "properties": {
-        "kind": {"enum": list(KINDS)},
-        "seed": {"type": "integer", "minimum": 0},
-        "output_dir": {"type": "string", "minLength": 1},
-        "workers": {"type": ["integer", "null"], "minimum": 1},
-        "qubit": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "g_factor": _POSNUM, "field_t": _POSNUM, "rabi_hz": _POSNUM,
-            },
-        },
-        "readout": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "visibility": {"type": "number", "exclusiveMinimum": 0,
-                               "maximum": 1},
-                "floor": {"type": "number", "minimum": 0, "maximum": 1},
-            },
-        },
-        "spectrum": _SPECTRUM,
-        "stark": _STARK,
-        "protocol": {"type": "object"},
-    },
-}
+
+def _check(value, spec: Field, path: str):
+    """``value`` checked against ``spec``, defaults filled in below it.
+
+    Arrays and objects come back as new containers, so the result shares
+    nothing with the input."""
+    kind, types = _json_type(value), spec.types.split()
+    if kind not in types and not (kind == "integer" and "number" in types):
+        raise ConfigError(f"{path}: must be {' or '.join(types)}, got {value!r}")
+    if spec.enum and value not in spec.enum:
+        raise ConfigError(f"{path}: {value!r} is not one of "
+                          f"{', '.join(map(str, spec.enum))}")
+    if kind == "number" and not math.isfinite(value):
+        raise ConfigError(f"{path}: must be finite, got {value!r}")
+    if kind in ("integer", "number"):
+        for name, sign, holds in _BOUNDS:
+            bound = getattr(spec, name)
+            if bound is not None and not holds(value, bound):
+                raise ConfigError(f"{path}: must be {sign} {bound}, got {value!r}")
+    if kind in ("string", "array") or (kind == "object" and spec.fields is None):
+        lo, hi = spec.length
+        if len(value) < lo or (hi is not None and len(value) > hi):
+            span = f"at least {lo}" if hi is None else f"{lo} to {hi}"
+            raise ConfigError(f"{path}: needs {span} entries, got {len(value)}")
+    if kind == "array":
+        value = [_check(v, spec.items, f"{path}.{i}") for i, v in enumerate(value)]
+    elif kind == "object" and spec.fields is not None:
+        value = _check_fields(value, spec.fields, f"{path}.")
+    elif kind == "object":
+        for key in value:
+            if not isinstance(key, str):
+                raise ConfigError(f"{path}: keys must be strings, got {key!r}")
+        value = {k: _check(v, spec.values, f"{path}.{k}") for k, v in value.items()}
+    if spec.rule is not None:
+        try:
+            spec.rule(value)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+    return value
+
+
+def _check_fields(given: dict, fields: dict[str, Field], prefix: str) -> dict:
+    for key in given:
+        if key not in fields:
+            raise ConfigError(f"{prefix}{key}: unknown field (expected one of "
+                              f"{', '.join(fields)})")
+    out = {}
+    for key, spec in fields.items():
+        if key in given:
+            value = given[key]
+        elif spec.default is REQUIRED:
+            raise ConfigError(f"{prefix}{key}: required")
+        elif spec.default is OMITTED:
+            continue
+        else:
+            value = spec.default
+        out[key] = _check(value, spec, prefix + key)
+    return out
 
 
 def grid_values(spec) -> np.ndarray:
@@ -320,50 +168,168 @@ def grid_values(spec) -> np.ndarray:
     return np.linspace(spec["start"], spec["stop"], spec["num"])
 
 
-def _merge_defaults(defaults: dict, given: dict | None) -> dict:
-    out = copy.deepcopy(defaults)
-    for key, val in (given or {}).items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict) \
-                and key not in ("coefficients_hz_per_v", "reference_voltages"):
-            out[key] = _merge_defaults(out[key], val)
-        else:
-            out[key] = copy.deepcopy(val)
-    return out
+_NUMBER = Field("number")
+_POSINT = Field("integer", ge=1)
+_GRID_FIELDS = {
+    "start": _NUMBER,
+    "stop": _NUMBER,
+    "num": Field("integer", ge=1, le=10 ** 6),  # validation materializes it
+    "spacing": Field("string", "linear", enum=("linear", "log")),
+}
 
 
-def _schema_error(exc: jsonschema.ValidationError, where: str) -> ConfigError:
-    path = ".".join(str(p) for p in exc.absolute_path) or "(top level)"
-    return ConfigError(f"{where}{path}: {exc.message}")
+def _grid(default=REQUIRED, *, positive: bool = False,
+          min_points: int = 1) -> Field:
+    """A list of numbers or ``{start, stop, num, spacing}``.  A log grid
+    needs endpoints > 0; a ``positive`` grid (times, frequencies) needs
+    every value > 0."""
+    def rule(spec):
+        values = grid_values(spec)
+        if values.size < min_points:
+            raise ConfigError(f"needs at least {min_points} points, "
+                              f"got {values.size}")
+        if positive and np.any(values <= 0):
+            raise ConfigError(f"values must be > 0, got {float(values.min())!r}")
+    return Field("array object", default, length=(1, None), items=_NUMBER,
+                 fields=_GRID_FIELDS, rule=rule)
 
 
-def _check_finite(node, path: str) -> None:
-    """Reject NaN and infinity anywhere; jsonschema's bounds let NaN by."""
-    if isinstance(node, dict):
-        for key, val in node.items():
-            _check_finite(val, f"{path}.{key}" if path else str(key))
-    elif isinstance(node, list):
-        for i, val in enumerate(node):
-            _check_finite(val, f"{path}.{i}")
-    elif isinstance(node, float) and not math.isfinite(node):
-        raise ConfigError(f"{path}: must be finite, got {node!r}")
+def _spaced(spacing, start, stop, num, **kwargs) -> Field:
+    """A grid whose default is ``{start, stop, num, spacing}``."""
+    return _grid({"start": start, "stop": stop, "num": num, "spacing": spacing},
+                 **kwargs)
 
 
-def _grid(spec, path: str) -> np.ndarray:
-    try:
-        return grid_values(spec)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+def _pulse_counts(default=REQUIRED) -> Field:
+    return Field("array", default, items=_POSINT, length=(2, None))
 
 
-def _check_positive_grid(spec, path: str, min_points: int = 1) -> None:
-    """Evolution times or probe frequencies: enough points, all of them > 0."""
-    values = _grid(spec, path)
-    if values.size < min_points:
-        raise ConfigError(f"{path}: needs at least {min_points} points, "
-                          f"got {values.size}")
-    if np.any(values <= 0):
-        raise ConfigError(f"{path}: values must be > 0, "
-                          f"got {float(values.min())!r}")
+def _monte_carlo(n_traj, samples_per_interval, duration_factor=2.0) -> dict:
+    """Trajectory fields of the Monte Carlo kinds.  The library needs two
+    trajectories for a standard error and a trace at least as long as the
+    sequence; ``duration_factor=None`` leaves that field out."""
+    fields = {"n_traj": Field("integer", n_traj, ge=2),
+              "samples_per_interval": Field("integer", samples_per_interval, ge=1)}
+    if duration_factor is not None:
+        fields["duration_factor"] = Field("number", duration_factor, ge=1)
+    return fields
+
+
+_FIT = Field("string", "stretched", enum=("exponential", "stretched"))
+
+
+def _decay(start, stop) -> dict:
+    """ramsey and hahn: one decay curve over ``times_s``, then a fit; only
+    the default time span differs."""
+    times_s = _spaced("log", start, stop, 12, positive=True, min_points=2)
+    return {"times_s": times_s, "fit": _FIT, **_monte_carlo(500, 16)}
+
+
+_RB = {
+    "depths": Field("array", [1, 2, 4, 8, 16, 32, 64, 128, 200, 300],
+                    items=_POSINT, length=(3, None)),
+    "n_sequences": Field("integer", 30, ge=2),  # two for a standard error
+    "shots": Field("integer", 100, ge=1),
+    "clifford_fidelity": Field("number", 0.9983, gt=0.5, lt=1),
+}
+
+_AMP_LADDER = [40e-6 * 2 ** (k / 2) for k in range(10)]  # 40 uVpp to ~905 uVpp
+
+PROTOCOLS: dict[str, dict[str, Field]] = {
+    "rabi_chevron": {
+        "detuning_hz": _spaced("linear", -1.5e6, 1.5e6, 61),
+        "duration_s": _spaced("linear", 4e-8, 6.4e-6, 81),
+    },
+    "ramsey": _decay(2e-6, 3e-4),
+    "hahn": _decay(5e-6, 2e-3),
+    "cpmg_t2_vs_n": {
+        "pulse_counts": _pulse_counts([1, 2, 4, 8, 16, 32, 64]),
+        "n_times": Field("integer", 8, ge=3),
+        "t_factor_min": Field("number", 0.3, gt=0),
+        "t_factor_max": Field("number", 2.2, gt=0),
+        "fit": _FIT,
+        **_monte_carlo(400, 16),
+    },
+    "noise_spectroscopy": {
+        "f_grid_hz": _spaced("log", 1300.0, 50000.0, 12, positive=True),
+        "pulse_counts": _pulse_counts([2, 4, 8, 16, 32]),
+        "t2_hahn_s": Field("number null", None, gt=0),
+        **_monte_carlo(500, 32),
+    },
+    "rbm": _RB,
+    "interleaved_rbm": {**_RB, "gate": Field("string integer", "X90")},
+    "stark_map": {
+        "v_g1_v": _spaced("linear", -0.016, 0.016, 5),
+        "v_g2_v": _spaced("linear", -0.016, 0.016, 5),
+        "jitter_hz": Field("number", 10e3, ge=0),
+    },
+    "tone_scan": {
+        "f_tone_hz": Field("number", 20e3, gt=0),
+        "gate": Field("string", "G2"),
+        "amplitudes_vpp": Field("array", _AMP_LADDER, items=Field("number", ge=0),
+                                length=(1, None)),
+        "f_columns_hz": Field("array", [10e3 / 3, 4e3, 5e3, 20e3 / 3, 8e3, 10e3,
+                                        40e3 / 3, 16e3, 20e3, 80e3 / 3, 33e3, 40e3],
+                              items=Field("number", gt=0), length=(2, None)),
+        "total_time_s": Field("number", 300e-6, gt=0),
+        "shots": Field("integer", 160, ge=1),
+        "phase": Field("number null", None),
+        "samples_per_interval": Field("integer", 32, ge=1),
+    },
+    "voltage_psd": {
+        "sample_rate_hz": Field("number", 120e3, gt=0),
+        "duration_s": Field("number", 45.0, gt=0),
+        "nperseg_s": Field("number", 5.0, gt=0),
+        "band_hz": Field("array", [0.2, 50e3], items=Field("number", ge=0),
+                         length=(2, 2)),
+        "stark_gate": Field("string", "G2"),
+        "qubit_floor_rad2_s": Field("number", 350.0, ge=0),
+        "spectroscopy": Field("object null", None, fields={
+            "f_grid_hz": _grid(positive=True),
+            "pulse_counts": _pulse_counts(),
+            **_monte_carlo(REQUIRED, 32, duration_factor=None),
+        }),
+        "export_trace": Field("boolean", False),
+    },
+}
+
+_STARK = default_stark_map()
+
+TOP: dict[str, Field] = {
+    "kind": Field("string", enum=KINDS),
+    "seed": Field("integer", ge=0),
+    "output_dir": Field("string", length=(1, None)),
+    "workers": Field("integer null", None, ge=1),
+    "qubit": Field("object", {}, fields={
+        f.name: Field("number", f.default, gt=0)
+        for f in dataclasses.fields(QubitParams)}),
+    "readout": Field("object", {}, fields={
+        "visibility": Field("number", 0.55, gt=0, le=1),
+        "floor": Field("number", 0.225, ge=0, le=1),
+    }),
+    "spectrum": Field("object", {}, fields={
+        "powerlaws": Field("array", OMITTED, items=Field("object", fields={
+            "amplitude": Field("number", ge=0),
+            "exponent": Field("number", ge=0, le=3),
+        })),
+        "white_floor": Field("number", OMITTED, ge=0),
+        "lines": Field("array", OMITTED, items=Field("object", fields={
+            "center_hz": Field("number", gt=0),
+            "power": Field("number", ge=0),
+            "width_hz": Field("number null", OMITTED, gt=0),
+        })),
+    }),
+    # default_stark_map(); a given map names its f0 and coefficients
+    "stark": Field("object", {"f0_ref_hz": _STARK.f0_ref_hz,
+                              "coefficients_hz_per_v": _STARK.coefficients_hz_per_v},
+                   fields={
+        "f0_ref_hz": _NUMBER,
+        "coefficients_hz_per_v": Field("object", values=_NUMBER, length=(1, None)),
+        "reference_voltages": Field("object", _STARK.reference_voltages,
+                                    values=_NUMBER),
+    }),
+    "protocol": Field("object", {}, fields={}),  # replaced by PROTOCOLS[kind]
+}
 
 
 def gate_index(spec) -> int:
@@ -385,6 +351,9 @@ def _check_welch_band(proto: dict) -> None:
     frequency range, computed as :func:`spectra.synthesize` and
     :func:`spectra.psd_welch` will compute it."""
     rate = float(proto["sample_rate_hz"])
+    for key in ("duration_s", "nperseg_s"):
+        if not math.isfinite(proto[key] * rate):
+            raise ConfigError(f"protocol.{key}: {key}*sample_rate_hz overflows")
     n = int(round(rate * proto["duration_s"]))
     if n < 64:
         raise ConfigError(f"protocol.duration_s: duration_s*sample_rate_hz = "
@@ -426,8 +395,8 @@ def _check_tone_column(proto: dict) -> None:
 def _check_t2_search(cfg: dict) -> None:
     """``cpmg_t2_vs_n`` centres each time grid on :func:`qubitsim.cpmg_t2`,
     which needs a filter integral that converges at f -> 0 and a chi = 1
-    crossing in its search range at every pulse count.  The tables built
-    here stay cached for the pipeline."""
+    crossing in its search range at every pulse count, found without
+    overflow.  The tables built here stay cached for the pipeline."""
     for i, term in enumerate(cfg["spectrum"].get("powerlaws", ())):
         if term["amplitude"] > 0 and term["exponent"] >= 3:
             raise ConfigError(
@@ -436,8 +405,9 @@ def _check_t2_search(cfg: dict) -> None:
     model = SpectrumModel.from_dict(cfg["spectrum"])
     for n in cfg["protocol"]["pulse_counts"]:
         try:
-            cpmg_chi(model, n).bracket
-        except ValueError as exc:
+            with np.errstate(over="raise"):
+                cpmg_chi(model, n).bracket
+        except (ValueError, FloatingPointError) as exc:
             raise ConfigError(f"protocol.pulse_counts: N = {n}: {exc}, so "
                               f"there is no T2 to centre the times on") from None
 
@@ -450,39 +420,18 @@ def validate_config(raw: dict) -> dict:
     """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
-    try:
-        jsonschema.validate(raw, TOP_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise _schema_error(exc, "") from None
-    kind = raw["kind"]
-    cfg = copy.deepcopy(raw)
-    cfg["qubit"] = _merge_defaults(QUBIT_DEFAULTS, raw.get("qubit"))
-    cfg["readout"] = _merge_defaults(READOUT_DEFAULTS, raw.get("readout"))
-    cfg["stark"] = _merge_defaults(STARK_DEFAULTS, raw.get("stark"))
-    cfg["workers"] = raw.get("workers")
-    cfg["protocol"] = _merge_defaults(PROTOCOL_DEFAULTS[kind],
-                                      raw.get("protocol"))
-    proto_schema = {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": PROTOCOL_SCHEMAS[kind],
-    }
-    try:
-        jsonschema.validate(cfg["protocol"], proto_schema)
-    except jsonschema.ValidationError as exc:
-        raise _schema_error(exc, "protocol.") from None
-    _check_finite(cfg, "")
+    kind = raw.get("kind")
+    fields = TOP
+    if isinstance(kind, str) and kind in PROTOCOLS:  # else the walk names kind
+        fields = {**TOP, "protocol": Field("object", {}, fields=PROTOCOLS[kind])}
+    cfg = _check_fields(raw, fields, "")
+    for section, build in (("qubit", QubitParams), ("readout", ReadoutModel),
+                           ("stark", StarkMap)):
+        try:
+            build(**cfg[section])
+        except ValueError as exc:
+            raise ConfigError(f"{section}: {exc}") from None
     proto = cfg["protocol"]
-    for key, schema in PROTOCOL_SCHEMAS[kind].items():
-        if schema is _GRID:  # a log grid with an endpoint <= 0 cannot be built
-            _grid(proto[key], f"protocol.{key}")
-    if "times_s" in proto:
-        _check_positive_grid(proto["times_s"], "protocol.times_s", min_points=2)
-    if "f_grid_hz" in proto:
-        _check_positive_grid(proto["f_grid_hz"], "protocol.f_grid_hz")
-    if proto.get("spectroscopy"):
-        _check_positive_grid(proto["spectroscopy"]["f_grid_hz"],
-                             "protocol.spectroscopy.f_grid_hz")
     gate_field = {"tone_scan": "gate", "voltage_psd": "stark_gate"}.get(kind)
     gates = cfg["stark"]["coefficients_hz_per_v"]
     if gate_field and proto[gate_field] not in gates:
@@ -503,12 +452,10 @@ def validate_config(raw: dict) -> dict:
         gate_index(proto["gate"])
     if kind == "voltage_psd":
         _check_welch_band(proto)
-    if kind in SPECTRUM_KINDS:
-        if "spectrum" not in cfg or not cfg["spectrum"]:
-            raise ConfigError(f"spectrum: required for kind={kind}")
+    if kind in SPECTRUM_KINDS and not cfg["spectrum"]:
+        raise ConfigError(f"spectrum: required for kind={kind}")
     if kind == "cpmg_t2_vs_n":
         _check_t2_search(cfg)
-    cfg.setdefault("spectrum", {})
     return cfg
 
 

@@ -21,6 +21,7 @@ from .._csvio import Csv, write_files
 from .._rng import derive_child_seed
 from ..qubitsim import QubitParams, ReadoutModel
 from ..spectra import SpectrumModel
+from ..starktone import StarkMap
 from .config import gate_index, grid_values
 
 DECAY_HEADER = "time_s,coherence_w,std_err,p_up"
@@ -90,26 +91,8 @@ def _plot(title: str, x: dict, y: dict, y_err=None,
     return obj
 
 
-def _qubit(cfg) -> QubitParams:
-    q = cfg["qubit"]
-    return QubitParams(g_factor=q["g_factor"], field_t=q["field_t"],
-                       rabi_hz=q["rabi_hz"])
-
-
-def _readout(cfg) -> ReadoutModel:
-    r = cfg["readout"]
-    return ReadoutModel(visibility=r["visibility"], floor=r["floor"])
-
-
 def _model(cfg) -> SpectrumModel:
     return SpectrumModel.from_dict(cfg["spectrum"])
-
-
-def _stark(cfg) -> starktone.StarkMap:
-    s = cfg["stark"]
-    return starktone.StarkMap(f0_ref_hz=s["f0_ref_hz"],
-                              coefficients_hz_per_v=dict(s["coefficients_hz_per_v"]),
-                              reference_voltages=dict(s.get("reference_voltages", {})))
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +102,7 @@ def _stark(cfg) -> starktone.StarkMap:
 def run_rabi_chevron(cfg, out: Path) -> _Report:
     report = _Report(cfg["seed"])
     proto = cfg["protocol"]
-    qubit = _qubit(cfg)
+    qubit = QubitParams(**cfg["qubit"])
     with report.stage("chevron"):
         det = grid_values(proto["detuning_hz"])
         dur = grid_values(proto["duration_s"])
@@ -149,7 +132,7 @@ def _run_decay_kind(cfg, out: Path, n_pulses: int) -> _Report:
     report = _Report(cfg["seed"])
     proto = cfg["protocol"]
     model = _model(cfg)
-    readout = _readout(cfg)
+    readout = ReadoutModel(**cfg["readout"])
     with report.stage("decay_scan") as seed:
         times = grid_values(proto["times_s"])
         curve = qubitsim.decay_vs_time(
@@ -195,7 +178,7 @@ def run_cpmg_t2_vs_n(cfg, out: Path) -> _Report:
     report = _Report(cfg["seed"])
     proto = cfg["protocol"]
     model = _model(cfg)
-    counts = [int(n) for n in proto["pulse_counts"]]
+    counts = proto["pulse_counts"]
     curves = []
     with report.stage("t2_scans") as seed:
         for i, n in enumerate(counts):
@@ -261,7 +244,7 @@ def run_noise_spectroscopy(cfg, out: Path) -> _Report:
     with report.stage("spectroscopy") as seed:
         f_grid = grid_values(proto["f_grid_hz"])
         est = analysis.spectroscopy_scan(
-            model, f_grid, [int(n) for n in proto["pulse_counts"]],
+            model, f_grid, proto["pulse_counts"],
             proto["n_traj"], seed, t2_hahn=proto["t2_hahn_s"],
             duration_factor=proto["duration_factor"],
             samples_per_interval=proto["samples_per_interval"])
@@ -282,9 +265,9 @@ def run_noise_spectroscopy(cfg, out: Path) -> _Report:
 def _rb_common(cfg, out: Path, interleaved_gate: int | None) -> _Report:
     report = _Report(cfg["seed"])
     proto = cfg["protocol"]
-    readout = _readout(cfg)
+    readout = ReadoutModel(**cfg["readout"])
     d = benchmarking.depolarizing_from_clifford_fidelity(proto["clifford_fidelity"])
-    depths = [int(m) for m in proto["depths"]]
+    depths = proto["depths"]
     summaries = {}
     with report.stage("reference") as seed:
         ref = benchmarking.rb_reference(depths, proto["n_sequences"], d, seed,
@@ -341,7 +324,7 @@ def run_interleaved_rbm(cfg, out: Path) -> _Report:
 def run_stark_map(cfg, out: Path) -> _Report:
     report = _Report(cfg["seed"])
     proto = cfg["protocol"]
-    true_map = _stark(cfg)
+    true_map = StarkMap(**cfg["stark"])
     with report.stage("map_measurement") as seed:
         v1 = grid_values(proto["v_g1_v"])
         v2 = grid_values(proto["v_g2_v"])
@@ -378,8 +361,8 @@ def run_tone_scan(cfg, out: Path) -> _Report:
     report = _Report(cfg["seed"])
     proto = cfg["protocol"]
     model = _model(cfg)
-    stark = _stark(cfg)
-    readout = _readout(cfg)
+    stark = StarkMap(**cfg["stark"])
+    readout = ReadoutModel(**cfg["readout"])
     tone = starktone.ToneConfig(gate=proto["gate"], f_tone=proto["f_tone_hz"],
                                 amplitude_pp=0.0, phase=proto["phase"])
     with report.stage("scan") as seed:
@@ -411,7 +394,7 @@ def run_voltage_psd(cfg, out: Path) -> _Report:
     report = _Report(cfg["seed"])
     proto = cfg["protocol"]
     vmodel = _model(cfg)
-    stark = _stark(cfg)
+    stark = StarkMap(**cfg["stark"])
     coeff = stark.coefficient(proto["stark_gate"])
     with report.stage("trace") as seed:
         trace = spectra.synthesize(vmodel, proto["sample_rate_hz"],
@@ -437,7 +420,7 @@ def run_voltage_psd(cfg, out: Path) -> _Report:
                "stark_gate": proto["stark_gate"],
                "stark_coefficient_hz_per_v": coeff,
                "welch_warnings": list(est_v.warnings)}
-    spec_cfg = proto.get("spectroscopy")
+    spec_cfg = proto["spectroscopy"]
     if spec_cfg:
         with report.stage("spectroscopy") as seed:
             dmodel = spectra.voltage_to_detuning_model(vmodel, coeff)
@@ -448,10 +431,8 @@ def run_voltage_psd(cfg, out: Path) -> _Report:
                     lines=dmodel.lines)
             est_rec = analysis.spectroscopy_scan(
                 dmodel, grid_values(spec_cfg["f_grid_hz"]),
-                [int(n) for n in spec_cfg["pulse_counts"]],
-                int(spec_cfg["n_traj"]), seed,
-                samples_per_interval=int(
-                    spec_cfg.get("samples_per_interval", 32)))
+                spec_cfg["pulse_counts"], spec_cfg["n_traj"], seed,
+                samples_per_interval=spec_cfg["samples_per_interval"])
             spectra.export_psd(est_rec, out / "psd_reconstructed.csv")
             report.files.append("psd_reconstructed.csv")
             summary["spectroscopy_f_range_hz"] = [float(est_rec.f[0]),

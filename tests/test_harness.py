@@ -1,13 +1,21 @@
 """Config validation, the run/rerun machinery, and the CLI."""
 
+import copy
+import functools
 import json
+import math
+import operator
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinprobe
 import spinprobe.analysis
@@ -22,6 +30,9 @@ from spinprobe.harness.cli import main
 from spinprobe.harness.config import (gate_index, grid_values, load_config,
                                       validate_config)
 from spinprobe.harness.runner import LOCK_NAME, MANIFEST_NAME, MANIFEST_TMP_NAME
+from spinprobe.qubitsim import QubitParams
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 TINY_CHEVRON = {
     "kind": "rabi_chevron",
@@ -282,6 +293,8 @@ class TestValidateConfig:
         # T2 grows past 10 s only at the larger pulse count
         ({"powerlaws": [{"amplitude": 300.0, "exponent": 2.5}]}, [1, 64],
          "protocol.pulse_counts: N = 64: chi stays below 1"),
+        ({"powerlaws": [{"amplitude": 1e300, "exponent": 1.0}]}, [1, 2],
+         "protocol.pulse_counts: N = 1: overflow"),
     ])
     def test_cpmg_t2_search_checked(self, spectrum, pulse_counts, message):
         cfg = {**TINY_CPMG, "spectrum": spectrum,
@@ -304,6 +317,8 @@ class TestValidateConfig:
         ({"sample_rate_hz": 1000.0}, "protocol.band_hz"),
         ({"nperseg_s": 1e-4}, "protocol.nperseg_s"),
         ({"duration_s": 1e-3}, "protocol.duration_s"),
+        ({"duration_s": 1e300, "sample_rate_hz": 1e300}, "protocol.duration_s"),
+        ({"nperseg_s": 1e300, "sample_rate_hz": 1e300}, "protocol.nperseg_s"),
     ])
     def test_welch_band_outside_range_rejected(self, change, field):
         with pytest.raises(ConfigError, match=field):
@@ -333,6 +348,105 @@ class TestValidateConfig:
             with pytest.raises(ConfigError, match="protocol.band_hz"):
                 validate_config({**TINY_VOLTAGE, "protocol": {
                     **proto, "band_hz": [float(b) for b in band]}})
+
+    @pytest.mark.parametrize("change, message", [
+        ({"seed": True}, "seed: must be integer, got True"),
+        ({"seed": 3.0}, "seed: must be integer, got 3.0"),
+        ({"workers": 0}, "workers: must be >= 1, got 0"),
+        ({"qubit": {"field_t": False}}, "qubit.field_t: must be number, got False"),
+        ({"qubit": {"mass_kg": 1.0}}, "qubit.mass_kg: unknown field"),
+        ({"spectrum": {"white_floor": -math.inf}},
+         "spectrum.white_floor: must be finite, got -inf"),
+        ({"spectrum": {"lines": [{"center_hz": 3e3}]}},
+         "spectrum.lines.0.power: required"),
+        ({"stark": {"f0_ref_hz": 38.7e9}}, "stark.coefficients_hz_per_v: required"),
+        ({"protocol": {"fit": "linear"}},
+         "protocol.fit: 'linear' is not one of exponential, stretched"),
+        ({"protocol": {"times_s": []}}, "protocol.times_s: needs at least 1 entries"),
+        ({"protocol": {"times_s": {"start": 1e-4, "stop": 1e-3, "num": 10 ** 7}}},
+         "protocol.times_s.num: must be <= 1000000"),
+    ])
+    def test_field_table_errors_name_the_path(self, change, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            validate_config({**TINY_RAMSEY, **change})
+
+    @pytest.mark.parametrize("readout", [{"visibility": 1.0, "floor": 0.5},
+                                         {"floor": 0.5}])
+    def test_readout_range_checked_by_the_model(self, readout):
+        with pytest.raises(ConfigError, match=re.escape(
+                "readout: readout range must stay inside [0, 1]")):
+            validate_config({**TINY_RAMSEY, "readout": readout})
+
+    def test_qubit_and_stark_defaults_come_from_the_library(self):
+        cfg = validate_config(dict(TINY_CHEVRON))
+        assert QubitParams(**cfg["qubit"]) == QubitParams()
+        assert starktone.StarkMap(**cfg["stark"]) == starktone.default_stark_map()
+
+    def test_given_grid_replaces_the_default_whole(self):
+        grid = {"start": 1000.0, "stop": 5000.0, "num": 3}
+        spec = validate_config({**TINY_SPECTROSCOPY, "protocol": {
+            **TINY_SPECTROSCOPY["protocol"], "f_grid_hz": grid}})
+        volt = validate_config({**TINY_VOLTAGE, "protocol": {
+            **TINY_VOLTAGE["protocol"], "spectroscopy": {
+                "f_grid_hz": grid, "pulse_counts": [2, 4], "n_traj": 8}}})
+        for given in (spec["protocol"]["f_grid_hz"],
+                      volt["protocol"]["spectroscopy"]["f_grid_hz"]):
+            assert given == {**grid, "spacing": "linear"}
+            np.testing.assert_array_equal(grid_values(given), [1e3, 3e3, 5e3])
+        with pytest.raises(ConfigError, match="protocol.times_s.start: required"):
+            validate_config({**TINY_RAMSEY, "kind": "hahn",
+                             "protocol": {"times_s": {"num": 4}}})
+
+    def test_spectroscopy_block_carries_its_default(self):
+        cfg = validate_config({**TINY_VOLTAGE, "protocol": {
+            **TINY_VOLTAGE["protocol"], "spectroscopy": {
+                "f_grid_hz": [2e3], "pulse_counts": [2, 4], "n_traj": 8}}})
+        assert cfg["protocol"]["spectroscopy"]["samples_per_interval"] == 32
+
+
+SHIPPED = [yaml.safe_load(p.read_text()) for p in sorted(CONFIG_DIR.glob("*.yaml"))]
+EXTREMES = [None, True, "x", [], {}, -1, 0, 1, 2, 2 ** 62, -1.0, 0.0, 5e-324,
+            1e300, -1e300, math.nan, math.inf, -math.inf]
+
+
+def _paths(node, path=()):
+    """The path of every node below ``node``, itself included."""
+    yield path
+    if isinstance(node, (dict, list)):
+        keys = node if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            yield from _paths(node[key], path + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A shipped config with one to three fields dropped, set to an extreme
+    or a value of the wrong type, or swapped for another kind's section."""
+    cfg = copy.deepcopy(draw(st.sampled_from(SHIPPED)))
+    for _ in range(draw(st.integers(1, 3))):
+        *head, key = draw(st.sampled_from(list(_paths(cfg))[1:]))
+        parent = functools.reduce(operator.getitem, head, cfg)
+        action = draw(st.sampled_from(["drop", "set", "swap"]))
+        if action == "drop":
+            del parent[key]
+        elif action == "set":
+            parent[key] = draw(st.sampled_from(EXTREMES))
+        else:
+            donor = draw(st.sampled_from(SHIPPED))
+            section = draw(st.sampled_from(sorted(donor)))
+            cfg[section] = copy.deepcopy(donor[section])
+    return cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=mutated_configs())
+def test_mutated_shipped_configs_fail_only_with_config_error(raw):
+    try:
+        cfg = validate_config(raw)
+    except ConfigError:
+        return
+    again = validate_config(cfg)
+    assert json.dumps(again, sort_keys=True) == json.dumps(cfg, sort_keys=True)
 
 
 class TestLoadConfig:
@@ -619,6 +733,29 @@ class TestCli:
                                                    "exponent": 3.0}]}},
          "spectrum.powerlaws.0.exponent"),
         ({**TINY_CPMG, "spectrum": {"white_floor": 1e-6}}, "protocol.pulse_counts"),
+        # bounds the library enforces once the run has started
+        ({**TINY_RAMSEY, "protocol": {**TINY_RAMSEY["protocol"], "n_traj": 1}},
+         "protocol.n_traj"),
+        ({**TINY_RAMSEY, "kind": "hahn",
+          "protocol": {**TINY_RAMSEY["protocol"], "n_traj": 1}}, "protocol.n_traj"),
+        ({**TINY_CPMG, "protocol": {**TINY_CPMG["protocol"], "n_traj": 1}},
+         "protocol.n_traj"),
+        ({**TINY_SPECTROSCOPY, "protocol": {**TINY_SPECTROSCOPY["protocol"],
+                                            "n_traj": 1}}, "protocol.n_traj"),
+        ({**TINY_VOLTAGE, "protocol": {**TINY_VOLTAGE["protocol"], "spectroscopy": {
+            "f_grid_hz": [2e3, 4e3], "pulse_counts": [2, 4], "n_traj": 1}}},
+         "protocol.spectroscopy.n_traj"),
+        ({**TINY_RAMSEY, "protocol": {**TINY_RAMSEY["protocol"],
+                                      "duration_factor": 0.5}},
+         "protocol.duration_factor"),
+        ({**TINY_SPECTROSCOPY, "protocol": {**TINY_SPECTROSCOPY["protocol"],
+                                            "duration_factor": 0.5}},
+         "protocol.duration_factor"),
+        ({**TINY_IRB, "kind": "rbm",
+          "protocol": {**TINY_IRB["protocol"], "n_sequences": 1}},
+         "protocol.n_sequences"),
+        ({**TINY_RAMSEY, "readout": {"visibility": 1.0, "floor": 0.5}}, "readout"),
+        ({**TINY_TONE, "readout": {"visibility": 1.0, "floor": 0.5}}, "readout"),
     ])
     def test_run_bad_config_exits_2_before_running(self, tmp_path, capsys,
                                                    cfg, field):
@@ -639,10 +776,11 @@ class TestCli:
 
 
 def test_cli_import_loads_no_scipy_signal_or_stats():
-    """The import graph is deterministic: a run loads neither package."""
+    """The import graph is deterministic: a run loads none of these
+    packages."""
     code = ("import sys, spinprobe.harness.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.signal', 'scipy.stats'))))")
+            "if m.startswith(('scipy.signal', 'scipy.stats', 'jsonschema'))))")
     src = os.path.dirname(os.path.dirname(spinprobe.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")])}
