@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as _optimize
 
+from . import _solve
 from ._rng import derive_child_seed
 from .qubitsim import PSD_CHI_CALIBRATION, DecayCurve, decay_vs_pulses_many
 from .spectra import PsdEstimate, SpectrumModel
@@ -148,14 +148,10 @@ def fit_exponential(times, w, std_err=None) -> ExponentialFit:
         raise FitError("need at least 2 points", {"n_points": int(t.size)})
     sigma = _sigma_or_none(std_err)
 
-    def model(tt, t2):
-        return np.exp(-tt / t2)
-
     guess = _t2_guess(t, y)
     try:
-        popt, pcov = _optimize.curve_fit(
-            model, t, y, p0=[guess], sigma=sigma, absolute_sigma=sigma is not None,
-            bounds=([guess * 1e-4], [guess * 1e4]), maxfev=10000)
+        popt, pcov = _solve.fit_exp_decay(t, y, sigma, [guess],
+                                          ([guess * 1e-4], [guess * 1e4]))
     except (RuntimeError, ValueError) as exc:
         raise FitError(f"exponential fit failed: {exc}",
                        {"guess": guess, "t_range": [float(t[0]), float(t[-1])],
@@ -163,7 +159,7 @@ def fit_exponential(times, w, std_err=None) -> ExponentialFit:
     (t2,) = popt
     (t2_err,) = _check_cov(popt, pcov, {"model": "exponential"})
     return ExponentialFit(t2=float(t2), t2_err=float(t2_err),
-                          chi2_reduced=_reduced_chi2(y - model(t, t2), sigma, 1))
+                          chi2_reduced=_reduced_chi2(y - np.exp(-t / t2), sigma, 1))
 
 
 def fit_stretched(times, w, std_err=None, *,
@@ -175,16 +171,11 @@ def fit_stretched(times, w, std_err=None, *,
         raise FitError("need at least 3 points", {"n_points": int(t.size)})
     sigma = _sigma_or_none(std_err)
 
-    def model(tt, t2, n):
-        return np.exp(-np.power(tt / t2, n))
-
     guess = _t2_guess(t, y)
     lo, hi = exponent_bounds
     try:
-        popt, pcov = _optimize.curve_fit(
-            model, t, y, p0=[guess, 1.0], sigma=sigma,
-            absolute_sigma=sigma is not None,
-            bounds=([guess * 1e-4, lo], [guess * 1e4, hi]), maxfev=20000)
+        popt, pcov = _solve.fit_stretched_decay(
+            t, y, sigma, [guess, 1.0], ([guess * 1e-4, lo], [guess * 1e4, hi]))
     except (RuntimeError, ValueError) as exc:
         raise FitError(f"stretched fit failed: {exc}",
                        {"guess": guess, "t_range": [float(t[0]), float(t[-1])],
@@ -193,7 +184,8 @@ def fit_stretched(times, w, std_err=None, *,
     t2_err, n_err = _check_cov(popt, pcov, {"model": "stretched"})
     return StretchedFit(t2=float(t2), t2_err=float(t2_err),
                         exponent=float(n), exponent_err=float(n_err),
-                        chi2_reduced=_reduced_chi2(y - model(t, *popt), sigma, 2))
+                        chi2_reduced=_reduced_chi2(
+                            y - np.exp(-np.power(t / t2, n)), sigma, 2))
 
 
 def fit_power_law(x, y, y_err=None) -> PowerLawFit:

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import optimize as _optimize
 
 from ._csvio import read_columns, write_columns
 from ._rng import derive_rngs
+from ._solve import brentq, fit_rb_decay
 from .analysis import FitError
 from .qubitsim import ReadoutModel
 
@@ -216,7 +216,7 @@ def depolarizing_from_clifford_fidelity(f_clifford: float) -> float:
     """Invert :func:`clifford_fidelity_from_depolarizing` for d."""
     if not 0.5 < f_clifford < 1.0:
         raise ValueError(f"Clifford fidelity must be in (0.5, 1), got {f_clifford}")
-    return float(_optimize.brentq(
+    return float(brentq(
         lambda d: clifford_fidelity_from_depolarizing(d) - f_clifford, 0.0, 0.9))
 
 
@@ -337,16 +337,9 @@ def fit_rb(curve: RbCurve) -> RbFit:
         sig = np.maximum(sig, sig[sig > 0].min() * 1e-3)
     b0 = float(min(max(y[-1], -0.4), 0.9))
     a0 = float(min(max(y[0] - b0, 1e-3), 1.4))
-    p0 = 0.995
-
-    def model(mm, a, p, b):
-        return a * p**mm + b
-
     try:
-        popt, pcov = _optimize.curve_fit(
-            model, m, y, p0=[a0, p0, b0], sigma=sig,
-            absolute_sigma=sig is not None,
-            bounds=([0.0, 0.5, -0.5], [1.5, 1.0, 1.0]), maxfev=20000)
+        popt, pcov = fit_rb_decay(m, y, sig, [a0, 0.995, b0],
+                                  ([0.0, 0.5, -0.5], [1.5, 1.0, 1.0]))
     except (RuntimeError, ValueError) as exc:
         raise FitError(f"RB fit failed: {exc}",
                        {"depths": m.tolist(), "survival": y.tolist()}) from exc

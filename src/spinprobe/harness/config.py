@@ -200,8 +200,15 @@ def _spaced(spacing, start, stop, num, **kwargs) -> Field:
                  **kwargs)
 
 
+# most refocusing pulses in one sequence: validation tabulates 640*N
+# filter points per CPMG pulse count, and a tone-scan column builds its
+# whole pulse train
+MAX_PULSES = 1024
+
+
 def _pulse_counts(default=REQUIRED) -> Field:
-    return Field("array", default, items=_POSINT, length=(2, None))
+    return Field("array", default, items=Field("integer", ge=1, le=MAX_PULSES),
+                 length=(2, None))
 
 
 def _monte_carlo(n_traj, samples_per_interval, duration_factor=2.0) -> dict:
@@ -374,10 +381,18 @@ def _check_welch_band(proto: dict) -> None:
 
 
 def _check_tone_column(proto: dict) -> None:
-    """The ``tone_scan`` tone must fall on one of the columns the scan
-    keeps, by the rule :func:`starktone.detect_tone_threshold` applies,
-    and detection needs at least one other kept column to compare with."""
+    """Each kept ``tone_scan`` column plays at most :data:`MAX_PULSES`
+    pulses.  The tone must fall on one of the columns the scan keeps, by
+    the rule :func:`starktone.detect_tone_threshold` applies, and
+    detection needs at least one other kept column to compare with."""
     taus = [1.0 / (2.0 * f) for f in proto["f_columns_hz"]]
+    for i, tau in enumerate(taus):
+        ratio = proto["total_time_s"] / tau  # scan_columns' pulse count, rounded
+        if ratio >= 0.5 and (math.isinf(ratio) or round(ratio) > MAX_PULSES):
+            raise ConfigError(
+                f"protocol.f_columns_hz.{i}: {proto['f_columns_hz'][i]!r} Hz "
+                f"needs {ratio:.6g} pulses in total_time_s; at most "
+                f"{MAX_PULSES}")
     keep, _ = scan_columns(taus, proto["total_time_s"])
     f_kept = [1.0 / (2 * tau) for tau, _ in keep]
     if len(f_kept) < 2:

@@ -54,11 +54,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import physical_constants
-from scipy.optimize import brentq
 
 from . import spectra
 from ._rng import derive_rng, derive_rngs
+from ._solve import brentq
 from .sequences import (PulseSchedule, cpmg_filter_function, filter_function,
                         make_cpmg, make_ramsey)
 from .spectra import SpectrumModel, NoiseTrace
@@ -91,7 +90,8 @@ __all__ = [
 # spectroscopy convention; see the module docstring.
 PSD_CHI_CALIBRATION = 16.0 / math.pi**2
 
-BOHR_HZ_PER_T = physical_constants["Bohr magneton in Hz/T"][0]
+# CODATA 2022 Bohr magneton over h, in Hz/T
+BOHR_HZ_PER_T = 13996244917.1
 
 
 @dataclass(frozen=True)
@@ -540,6 +540,7 @@ class CpmgChi:
         lines = [l for l in model.lines if l.power > 0]
         self._deltas = tuple(l for l in lines if l.width_hz is None)
         self._lorentz = tuple(l for l in lines if l.width_hz is not None)
+        self._ends: dict[float, float] = {}
 
     def smooth(self, t: float) -> float:
         """chi of the white floor and the power laws: strictly increasing
@@ -575,34 +576,51 @@ class CpmgChi:
     def __call__(self, t: float) -> float:
         return self.smooth(t) + self.lines(t)
 
+    def _chi_once(self, t: float) -> float:
+        """chi at ``t``, evaluated once: the search meets its ends up to
+        three times."""
+        if t not in self._ends:
+            self._ends[t] = self(t)
+        return self._ends[t]
+
     @functools.cached_property
     def bracket(self) -> tuple[float, float]:
         """``(lo, hi)`` with chi(lo) < 1 <= chi(hi): ``hi`` is where the
         smooth part alone reaches 1 (lines only add to chi), or the end of
         :data:`T2_SEARCH_S` if it never does there.  Raises
         ``ValueError`` when chi does not cross 1 inside
-        :data:`T2_SEARCH_S`."""
+        :data:`T2_SEARCH_S`.  The ends of :data:`T2_SEARCH_S` are checked
+        where the search in log T meets them, at ``exp(log(T))``, which
+        can be an ulp away (10 s becomes 10.000000000000002 s)."""
         lo, hi = T2_SEARCH_S
-        if self(lo) >= 1.0:
+        if self._chi_once(_log_round_trip(lo)) >= 1.0:
             raise ValueError(f"chi >= 1 already at T = {lo:g} s")
         if self.smooth(hi) > 1.0:
             hi = math.exp(brentq(lambda lt: self.smooth(math.exp(lt)) - 1.0,
                                  math.log(lo), math.log(hi)))
-        elif self(hi) < 1.0:
+        elif self._chi_once(_log_round_trip(hi)) < 1.0:
             raise ValueError(f"chi stays below 1 up to T = {hi:g} s")
         return lo, hi
 
     def t2(self) -> float:
         """Total time at which chi crosses 1, searched inside
         :attr:`bracket`: the smooth root itself when the lines add nothing
-        there, else brentq at ``xtol`` 1e-3 in log T.  Chi can cross 1
-        more than once when lines dominate; brentq returns one crossing in
-        the bracket, and the bracket never reaches past the smooth root."""
+        there, else brentq at ``xtol`` 1e-3 in log T, starting from the
+        chi values at the ends that :attr:`bracket` already has.  Chi can
+        cross 1 more than once when lines dominate; brentq returns one
+        crossing in the bracket, and the bracket never reaches past the
+        smooth root."""
         lo, hi = self.bracket
-        if self(hi) <= 1.0:
+        if hi < T2_SEARCH_S[1] and self._chi_once(hi) <= 1.0:
             return hi
+        chi_lo, chi_hi = (self._chi_once(_log_round_trip(t)) for t in (lo, hi))
         return math.exp(brentq(lambda lt: self(math.exp(lt)) - 1.0,
-                               math.log(lo), math.log(hi), xtol=1e-3))
+                               math.log(lo), math.log(hi), xtol=1e-3,
+                               fa=chi_lo - 1.0, fb=chi_hi - 1.0))
+
+
+def _log_round_trip(t: float) -> float:
+    return math.exp(math.log(t))
 
 
 @functools.lru_cache(maxsize=32)

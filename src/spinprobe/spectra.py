@@ -19,11 +19,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import fft as _fft
-from scipy import special as _special
 
 from ._csvio import Csv, read_columns, write_columns, write_files
 from ._rng import derive_rng
+from ._solve import gamma_quantile
 
 __all__ = [
     "PowerLawTerm",
@@ -337,6 +336,70 @@ def synthesize(model: SpectrumModel, sample_rate: float, duration: float,
                       provenance=f"synthesized seed={int(seed)}", unit=unit)
 
 
+# (P^-1(n, 0.025), P^-1(n, 0.975)) for n = 1..100 Welch segments, P the
+# regularized lower incomplete gamma: the values earlier releases used,
+# within 5 ulps of exact, so their Welch bounds stay byte-identical.
+# gamma_quantile reproduces each to 1e-14 and covers larger n.
+_WELCH_GAMMA_QUANTILES = (
+    (0.025317807984289876, 3.6888794541139354), (0.24220927854396496, 5.571643390938898),
+    (0.6186721228956014, 7.22468766772396), (1.0898653736263249, 8.767273069742323),
+    (1.6234863901184207, 10.241588675403694), (2.2018942534908508, 11.66833207932267),
+    (2.8143630515198654, 13.059474022518685), (3.4538321767485014, 14.422675361702376),
+    (4.115373097378334, 15.763189220193313), (4.7953886961324335, 17.084803451419166),
+    (5.49116036723684, 18.39035604201778), (6.200575108722218, 19.682038513301954),
+    (6.921952491003801, 20.96158504817696), (7.653930276300595, 22.230395918158873),
+    (8.395386132783315, 23.489621121835576), (9.145382453641524, 24.740218871485844),
+    (9.903126469607294, 25.98299759756094), (10.667940780399528, 27.218646815906613),
+    (11.43924116436673, 28.447760267527983), (12.216519585403944, 29.67085357158559),
+    (12.999330984076186, 30.8883779026746), (13.78728287222961, 32.100730734943404),
+    (14.580027037044678, 33.308264387125234), (15.377252854686462, 34.51129289483303),
+    (16.178681847829328, 35.71009759375321), (16.98406321559634, 36.904931697530365),
+    (17.793170131764775, 38.096024083124995), (18.60579665585753, 39.28358244516213),
+    (19.421755137547937, 40.46779594326819), (20.240874021420915, 41.6488374385866),
+    (21.062995979141853, 42.82686539480766), (21.887976311284564, 44.00202550324875),
+    (22.71568157272984, 45.17445207942047), (23.54598838457227, 46.344269269169295),
+    (24.37878240251976, 47.511592095203085), (25.21395741731523, 48.676527369083075),
+    (26.05141456710603, 49.83917448923619), (26.89106164519615, 50.999626141930825),
+    (27.732812489436476, 52.15796891925961), (28.576586441788965, 53.31428386583284),
+    (29.42230786845528, 54.468646963984064), (30.2699057324777, 55.62112956573492),
+    (31.119313211967185, 56.77179877849065), (31.970467358144333, 57.92071781038363),
+    (32.82330878823446, 59.06794628030773), (33.677781408971875, 60.21354049695881),
+    (34.53383216706575, 61.357553710586004), (35.39141082348324, 62.50003634064697),
+    (36.25046974882914, 63.641036182127266), (37.110963737461866, 64.7805985929183),
+    (37.97284983829076, 65.91876666433681), (38.83608720046123, 67.05558137660378),
+    (39.70063693235747, 68.19108174087289), (40.56646197254475, 69.32530492920425),
+    (41.433526971438475, 70.45828639371071), (42.301798182630215, 71.59005997595936),
+    (43.17124336292474, 72.72065800758494), (44.04183168024975, 73.85011140296281),
+    (44.913533628693436, 74.97844974469457), (45.786320950007266, 76.10570136257577),
+    (46.66016656098253, 77.23189340664332), (47.53504448617258, 78.35705191483608),
+    (48.41092979548724, 79.48120187574625), (49.28779854623545, 80.6043672868905),
+    (50.16562772923427, 81.72657120888499), (51.044395218641284, 82.84783581587158),
+    (51.924079725200535, 83.9681824425068), (52.80466075262246, 85.08763162779636),
+    (53.686118556844825, 86.20620315602955), (54.568434107945485, 87.32391609504528),
+    (55.451589054499024, 88.44078883203895), (56.33556569018834, 89.55683910710061),
+    (57.22034692249915, 90.67208404465795), (58.10591624334097, 91.78654018298154),
+    (58.99225770145145, 92.90022350189663), (59.879355876453594, 94.01314944883276),
+    (60.76719585444652, 95.12533296333159), (61.65576320502033, 96.2367885001229),
+    (62.545043959594864, 97.34753005086979), (63.43502459099035, 98.45757116467573),
+    (64.32569199414536, 99.56692496743847), (65.21703346790436, 100.67560418012904),
+    (66.10903669780309, 101.78362113606813), (67.001689739786, 102.89098779726608),
+    (67.89498100479449, 103.9977157698877), (68.78889924416998, 105.10381631889896),
+    (69.6834335358197, 106.20930038194719), (70.57857327109681, 107.31417858252382),
+    (71.47430814235075, 108.41846124245428), (72.37062813110597, 109.52215839375643),
+    (73.26752349683107, 110.62527978990643), (74.16498476626239, 111.72783491654769),
+    (75.06300272324934, 112.82983300167609), (75.96156839909021, 113.93128302533263),
+    (76.86067306333014, 115.03219372883225), (77.76030821499445, 116.13257362355552),
+    (78.66046557423232, 117.23243099932849), (79.56113707434764, 118.33177393241384),
+    (80.46231485419538, 119.43061029313529), (81.36399125092314, 120.52894775315546),
+)
+
+
+def _welch_gamma_quantiles(n_segments: int) -> tuple[float, float]:
+    if n_segments <= len(_WELCH_GAMMA_QUANTILES):
+        return _WELCH_GAMMA_QUANTILES[n_segments - 1]
+    return gamma_quantile(n_segments, 0.025), gamma_quantile(n_segments, 0.975)
+
+
 def psd_welch(trace: NoiseTrace, *, nperseg: int | None = None) -> PsdEstimate:
     """Welch estimate of the one-sided PSD of a trace.
 
@@ -362,19 +425,20 @@ def psd_welch(trace: NoiseTrace, *, nperseg: int | None = None) -> PsdEstimate:
     power = np.empty((nperseg // 2 + 1, n_segments))
     for k in range(n_segments):
         seg = x[k * hop:k * hop + nperseg]
-        spec = _fft.rfft((seg - np.mean(seg)) * win)
+        spec = np.fft.rfft((seg - np.mean(seg)) * win)
         power[:, k] = spec.real**2 + spec.imag**2
     power[1:-1 if nperseg % 2 == 0 else None] *= 2  # one-sided: fold negative f
     s = power.mean(axis=-1)
-    f = _fft.rfftfreq(nperseg, 1 / trace.sample_rate)
+    f = np.fft.rfftfreq(nperseg, 1 / trace.sample_rate)
     warnings = ()
     if n_segments < 2:
         warnings = ("single segment: no averaging, confidence bounds are wide",)
-    # chi-squared pointwise CI with ~2 dof per averaged segment;
-    # 2 * gammaincinv(dof / 2, q) is the chi-squared quantile
+    # chi-squared pointwise CI with ~2 dof per averaged segment; the
+    # chi-squared quantile is twice the gamma one at shape dof/2
     dof = 2 * n_segments
-    lo_fac = dof / (2 * _special.gammaincinv(dof / 2, 0.975))
-    hi_fac = dof / (2 * _special.gammaincinv(dof / 2, 0.025))
+    q_lo, q_hi = _welch_gamma_quantiles(n_segments)
+    lo_fac = dof / (2 * q_hi)
+    hi_fac = dof / (2 * q_lo)
     f, s = f[1:], s[1:]  # drop the detrended DC bin
     return PsdEstimate(f=f, s=s, ci_low=s * lo_fac, ci_high=s * hi_fac,
                        estimator_tag="welch_periodogram", warnings=warnings)

@@ -756,6 +756,16 @@ class TestCli:
          "protocol.n_sequences"),
         ({**TINY_RAMSEY, "readout": {"visibility": 1.0, "floor": 0.5}}, "readout"),
         ({**TINY_TONE, "readout": {"visibility": 1.0, "floor": 0.5}}, "readout"),
+        # more pulses than MAX_PULSES: a CPMG table of 640*N points, and a
+        # tone-scan column's pulse train of 6e296 pulses
+        ({**TINY_CPMG, "protocol": {**TINY_CPMG["protocol"],
+                                    "pulse_counts": [1, 4000]}},
+         "protocol.pulse_counts.1"),
+        ({**TINY_TONE, "protocol": {"f_columns_hz": [1.0e300, 20e3, 10e3]}},
+         "protocol.f_columns_hz.0"),
+        ({**TINY_TONE, "protocol": {"f_columns_hz": [1.0e300, 20e3, 10e3],
+                                    "total_time_s": 1e10}},  # inf pulses
+         "protocol.f_columns_hz.0"),
     ])
     def test_run_bad_config_exits_2_before_running(self, tmp_path, capsys,
                                                    cfg, field):
@@ -775,15 +785,43 @@ class TestCli:
                      "--workers", "1"]) == 0
 
 
-def test_cli_import_loads_no_scipy_signal_or_stats():
+def _src_env() -> dict:
+    src = os.path.dirname(os.path.dirname(spinprobe.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+
+
+def test_cli_import_loads_no_scipy_or_jsonschema():
     """The import graph is deterministic: a run loads none of these
     packages."""
     code = ("import sys, spinprobe.harness.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.signal', 'scipy.stats', 'jsonschema'))))")
-    src = os.path.dirname(os.path.dirname(spinprobe.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+            "if m.startswith(('scipy', 'jsonschema'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_runs_with_scipy_blocked(tmp_path):
+    """A run needs numpy and the standard library only: with ``scipy``
+    unimportable, small configs of the kinds that fit decays and RB
+    curves, search T2 and estimate a Welch PSD all exit 0."""
+    tiny_rbm = {**TINY_IRB, "kind": "rbm", "protocol": {
+        k: v for k, v in TINY_IRB["protocol"].items() if k != "gate"}}
+    tiny_voltage = {**TINY_VOLTAGE, "protocol": {
+        **TINY_VOLTAGE["protocol"], "spectroscopy": {
+            "f_grid_hz": [2e3, 4e3], "pulse_counts": [2, 4], "n_traj": 8}}}
+    tiny_cpmg = {**TINY_CPMG, "spectrum": {
+        "white_floor": 350.0,
+        "lines": [{"center_hz": 3600.0, "power": 1.5e6, "width_hz": 150.0}]},
+        "protocol": {**TINY_CPMG["protocol"], "fit": "stretched"}}
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from spinprobe.harness.cli import main; "
+            "sys.exit(main(['run', sys.argv[1], '--workers', '1']))")
+    for name, cfg in (("ramsey", TINY_RAMSEY), ("rbm", tiny_rbm),
+                      ("cpmg_t2_vs_n", tiny_cpmg), ("voltage_psd", tiny_voltage)):
+        p = _write_yaml(tmp_path, dict(cfg, output_dir=str(tmp_path / name)),
+                        name=f"{name}.yaml")
+        done = subprocess.run([sys.executable, "-c", code, str(p)],
+                              env=_src_env(), capture_output=True, text=True)
+        assert done.returncode == 0, (name, done.stdout, done.stderr)

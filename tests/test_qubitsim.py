@@ -319,6 +319,23 @@ class TestCpmgT2:
         t2 = cpmg_t2(model, 2)
         assert chi_ff(model, make_cpmg(2, t2)) == pytest.approx(1.0, abs=1e-2)
 
+    def test_search_end_evaluated_once(self, monkeypatch):
+        # the line alone stays below chi = 1 in its smooth part, so the
+        # search runs to 10 s, where the line's lattice is longest
+        at_end = []
+        lines = qubitsim.CpmgChi.lines
+
+        def counted(chi, t):
+            at_end.append(t == pytest.approx(10.0, rel=1e-12))
+            return lines(chi, t)
+
+        monkeypatch.setattr(qubitsim.CpmgChi, "lines", counted)
+        model = SpectrumModel(lines=(SpectralLine(3600.0, 1.5e6, 150.0),))
+        chi = qubitsim.CpmgChi(model, 8)
+        assert chi.bracket == qubitsim.T2_SEARCH_S
+        chi.t2()
+        assert sum(at_end) == 1
+
     @pytest.mark.parametrize("model, message", [
         (SpectrumModel(white_floor=1e-6), "stays below 1 up to T = 10 s"),
         (SpectrumModel(white_floor=1e12), "already at T = 1e-07 s"),
