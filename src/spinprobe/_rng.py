@@ -6,19 +6,21 @@ name yields the same numbers however work is batched or which worker
 executes it.  :func:`derive_rng` builds one stream the NumPy way.
 :func:`derive_rngs` yields the streams ``derive_rng(base_seed, *prefix, i)``
 for i = 0 .. count-1 bit for bit, but evaluates the ``SeedSequence`` hash
-for all indices in one vectorised uint32 pass and re-seeds one PCG64 in
-place, which makes per-trajectory streams about five times cheaper to set
-up.  Both steps are fixed, documented algorithms (NumPy NEP 19; O'Neill
-2014, *PCG*).
+for all indices in one vectorised uint32 pass and hands each index's
+state words to ``PCG64`` through the ``ISeedSequence`` interface, which
+is how ``PCG64(SeedSequence)`` seeds itself; no per-stream
+``SeedSequence`` is built.  The hash is a fixed, documented algorithm
+(NumPy NEP 19; O'Neill 2014, *PCG*).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
 
 # numpy.random.SeedSequence's hash constants (after O'Neill's seed_seq_fe)
 _POOL_SIZE = 4
@@ -29,8 +31,6 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
-# multiplier of PCG64's 128-bit LCG step
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def derive_seedseq(base_seed: int, *path: int) -> np.random.SeedSequence:
@@ -106,11 +106,9 @@ def derive_rngs(base_seed: int, count: int, *prefix: int):
     """Iterate, for i = 0 .. count-1, over generators seeded as
     ``derive_rng(base_seed, *prefix, i)``.
 
-    Every draw method gives exactly the numbers of that stream.  The
-    yielded :class:`numpy.random.Generator` is one object re-seeded in
-    place before each yield: draw from it before advancing the iterator
-    and do not keep it.  Requires ``count <= 2**32``, so each index is one
-    entropy word.
+    Every draw method gives exactly the numbers of that stream, and each
+    yielded :class:`numpy.random.Generator` is a new object that may be
+    kept.  Requires ``count <= 2**32``, so each index is one entropy word.
     """
     if not 0 <= count <= 1 << 32:
         raise ValueError(f"count must be in [0, 2**32], got {count}")
@@ -127,23 +125,24 @@ def derive_rngs(base_seed: int, count: int, *prefix: int):
     state = np.empty((count, 8), dtype="<u4")
     for k in range(8):
         state[:, k], const = _hashmix(pool[k % _POOL_SIZE], const, _MULT_B)
-    return _reseeded(state.view("<u8").tolist())
+    return map(_pcg64_seeder(), state.view("<u8").astype(np.uint64, copy=False))
 
 
-def _reseeded(seeds: list):
-    """One PCG64 generator, set to each ``generate_state(4, uint64)`` seed
-    in turn the way ``PCG64(seed_seq)`` would set it."""
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    for s_hi, s_lo, q_hi, q_lo in seeds:
-        # pcg_setseq_128_srandom_r: inc = 2*initseq + 1, then two LCG steps
-        # with initstate added in between
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc)
-                      & _MASK128,
-                      "inc": inc},
-            "has_uint32": 0, "uinteger": 0,
-        }
-        yield rng
+@functools.cache
+def _pcg64_seeder():
+    """``words -> Generator(PCG64(s))`` for a seed sequence ``s`` whose
+    ``generate_state(4, uint64)`` is ``words``.  Built on first use, so
+    importing spinprobe does not import ``numpy.random``."""
+    from numpy.random import Generator, PCG64
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        """The state words PCG64 asks its seed sequence for, precomputed."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return lambda words: Generator(PCG64(StateWords(words)))

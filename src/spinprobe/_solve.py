@@ -20,6 +20,8 @@ least-squares fits of the decay and RB models.
   (Levenberg-Marquardt with the full Hessian) in (log T2, n), and
   :func:`fit_rb_decay` a 1-D search over p with a and b solved in their
   box at each p (variable projection).
+* :func:`distinct` is ``np.unique`` of NaN-free values by sort and mask,
+  without the ``numpy.ma`` import ``np.unique`` makes on first use.
 """
 
 from __future__ import annotations
@@ -30,6 +32,16 @@ import numpy as np
 
 EPS = float(np.finfo(float).eps)
 _RTOL = 4 * EPS
+
+
+def distinct(values) -> np.ndarray:
+    """The sorted distinct entries of NaN-free ``values``, flattened:
+    the values ``np.unique`` returns."""
+    a = np.sort(np.ravel(values))
+    keep = np.empty(a.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 def _value(f, x: float) -> float:

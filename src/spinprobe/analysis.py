@@ -54,9 +54,12 @@ def _sigma_or_none(std_err) -> np.ndarray | None:
     err = np.asarray(std_err, dtype=float)
     if np.all(err == 0):
         return None
+    positive = err[err > 0]
+    if positive.size == 0:
+        raise FitError("std_err has no positive entry to weight the fit by",
+                       {"n_points": int(err.size)})
     # zero-error points would get infinite weight; pin them near the best
-    floor = err[err > 0].min() * 1e-3
-    return np.maximum(err, floor)
+    return np.maximum(err, positive.min() * 1e-3)
 
 
 def _check_cov(popt, pcov, context: dict):

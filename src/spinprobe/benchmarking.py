@@ -264,26 +264,27 @@ class RbCurve:
 def _simulate_rb(depths, n_sequences: int, d: float, seed: int,
                  readout: ReadoutModel, shots: int | None,
                  interleaved: int | None, label: str) -> RbCurve:
-    counts = primitive_counts()
-    comp = compose_table()
-    inv = inverse_indices()
+    # Python lists and ints: indexing numpy arrays per Clifford would make
+    # every step numpy scalar math
+    counts = primitive_counts().tolist()
+    comp = compose_table().tolist()
+    inv = inverse_indices().tolist()
     means = []
     errs = []
     for di, m in enumerate(depths):
         vals = np.empty(n_sequences)
         for k, rng in enumerate(derive_rngs(seed, n_sequences, di)):
-            choice = rng.integers(0, 24, size=m)
             net = 0
             total = 0
-            for c in choice:
-                net = comp[net, c]
+            for c in rng.integers(0, 24, size=m).tolist():
+                net = comp[net][c]
                 total += counts[c]
                 if interleaved is not None:
-                    net = comp[net, interleaved]
+                    net = comp[net][interleaved]
                     total += counts[interleaved]
-            rec = inv[net]
-            total += counts[rec]
-            p_obs = readout.apply(rb_survival_probability(int(total), d))
+            total += counts[inv[net]]
+            p_ideal = rb_survival_probability(total, d)
+            p_obs = readout.floor + readout.visibility * p_ideal  # readout.apply
             if shots is not None:
                 p_obs = rng.binomial(shots, min(max(p_obs, 0.0), 1.0)) / shots
             vals[k] = p_obs

@@ -29,6 +29,7 @@ from typing import Callable
 import numpy as np
 import yaml
 
+from .._solve import distinct
 from ..benchmarking import CLIFFORD_DECOMPOSITIONS
 from ..qubitsim import QubitParams, ReadoutModel, cpmg_chi
 from ..spectra import SpectrumModel
@@ -457,7 +458,7 @@ def validate_config(raw: dict) -> dict:
             raise ConfigError(f"stark.coefficients_hz_per_v: stark_map needs "
                               f"exactly gates G1 and G2, got {sorted(gates)}")
         for key in ("v_g1_v", "v_g2_v"):  # the plane fit needs spread in both
-            n_distinct = np.unique(grid_values(proto[key])).size
+            n_distinct = distinct(grid_values(proto[key])).size
             if n_distinct < 2:
                 raise ConfigError(f"protocol.{key}: needs at least 2 distinct "
                                   f"voltages, got {n_distinct}")

@@ -50,13 +50,31 @@ def _inventory(out: Path) -> dict[str, str]:
     return files
 
 
+def _lock_holder(lock: Path) -> str:
+    """The lock's holder as the "locked" error names it: its pid, and
+    whether that process is gone (the lock is then stale)."""
+    try:
+        pid = int(lock.read_text().removeprefix("pid=").strip())
+    except (OSError, ValueError):
+        pid = 0
+    if pid <= 0:  # kill(pid <= 0) would address process groups
+        return "holder unknown"
+    try:
+        os.kill(pid, 0)  # signal 0 only asks whether the process exists
+    except ProcessLookupError:
+        return f"pid {pid}, no longer running"
+    except (OSError, OverflowError):
+        pass  # it exists but is not ours to signal, or pid is out of range
+    return f"pid {pid}"
+
+
 def _acquire_lock(out: Path) -> Path:
     lock = out / LOCK_NAME
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
         raise RunError(f"output directory {out} is locked by another run "
-                       f"(remove {lock} if stale)") from None
+                       f"({_lock_holder(lock)}; remove {lock} if stale)") from None
     with os.fdopen(fd, "w") as fh:
         fh.write(f"pid={os.getpid()}\n")
     return lock

@@ -57,7 +57,7 @@ import numpy as np
 
 from . import spectra
 from ._rng import derive_rng, derive_rngs
-from ._solve import brentq
+from ._solve import brentq, distinct
 from .sequences import (PulseSchedule, cpmg_filter_function, filter_function,
                         make_cpmg, make_ramsey)
 from .spectra import SpectrumModel, NoiseTrace
@@ -321,8 +321,9 @@ def coherence_mc(model: SpectrumModel, schedule: PulseSchedule,
 
     Trajectory i draws its Gaussian Fourier coefficients from
     ``derive_rng(seed, i)``, so results are bit-identical however the work
-    is distributed; :func:`derive_rngs` seeds all of those streams in one
-    vectorised pass.  Its phase is the dot product of those normals with
+    is distributed; :func:`derive_rngs` hashes all of those stream names
+    in one vectorised pass.  The normals of every trajectory land in one
+    reused buffer, and its phase is the dot product of them with
     :meth:`PhaseFunctional.normal_weights`, equal to integrating the
     trace :func:`spectra.draw_trace_samples` would synthesize from the
     same stream.  The trace band is [1/(duration_factor*T),
@@ -340,7 +341,8 @@ def coherence_mc(model: SpectrumModel, schedule: PulseSchedule,
     phase = PhaseFunctional.on_mc_grid(schedule, duration_factor,
                                        samples_per_interval)
     h = phase.normal_weights(model)
-    phases = np.fromiter((spectra.trace_normals(phase.n, rng) @ h
+    normals = np.empty(phase.n - 1)
+    phases = np.fromiter((spectra.trace_normals(phase.n, rng, normals).dot(h)
                           for rng in derive_rngs(seed, n_traj)),
                          dtype=float, count=n_traj)
     cos_phi = np.cos(math.sqrt(calibration) * phases)
@@ -397,7 +399,7 @@ def _integration_grid(schedule: PulseSchedule, model: SpectrumModel,
     panels.append([f_hi])
     panels += _line_windows([l for l in model.lines if l.width_hz is not None],
                             f_lo, f_hi)
-    grid = np.unique(np.concatenate([np.asarray(p, dtype=float) for p in panels]))
+    grid = distinct(np.concatenate([np.asarray(p, dtype=float) for p in panels]))
     return grid[(grid >= f_lo) & (grid <= f_hi)]
 
 
@@ -522,7 +524,7 @@ class CpmgChi:
             raise ValueError("power-law exponent >= 3 diverges at f -> 0")
         n = self.n_pulses = int(n_pulses)
         x_end = 40.0 * n
-        self.x = np.unique(np.concatenate((
+        self.x = distinct(np.concatenate((
             np.geomspace(5e-10 * n, n / 8.0, 400),
             np.arange(n / 8.0, x_end, 1.0 / 16.0), [x_end])))
         self.g = cpmg_filter_function(n, 1.0, self.x)

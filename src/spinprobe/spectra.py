@@ -274,16 +274,22 @@ def rfft_bin_density(model: SpectrumModel, sample_rate: float, n: int) -> np.nda
     return s
 
 
-def trace_normals(n: int, rng: np.random.Generator) -> np.ndarray:
+def trace_normals(n: int, rng: np.random.Generator,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """The n - 1 standard normals behind one n-sample trace, in draw order.
 
     With ``K = (n - 1) // 2`` they are the real parts of rfft bins 1..K,
     then their imaginary parts, then (even n only) the real Nyquist bin.
     Every consumer of a trace's randomness draws through here, so a
     trajectory seeded once yields the same numbers whether its trace is
-    synthesized or only its phase is computed.
+    synthesized or only its phase is computed.  ``out``, a float64 array
+    of n - 1 entries, receives the draws in place of a new array.
     """
-    return rng.normal(size=n - 1)
+    if out is None:
+        return rng.standard_normal(n - 1)
+    if out.shape != (n - 1,):
+        raise ValueError(f"out must have shape ({n - 1},), got {out.shape}")
+    return rng.standard_normal(out=out)
 
 
 def normal_amplitudes(s_bins: np.ndarray, sample_rate: float, n: int) -> np.ndarray:

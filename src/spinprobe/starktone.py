@@ -21,6 +21,7 @@ from . import spectra
 from ._csvio import read_columns, write_columns
 from ._parallel import pmap
 from ._rng import derive_child_seed, derive_rngs
+from ._solve import distinct
 from .qubitsim import PSD_CHI_CALIBRATION, PhaseFunctional, ReadoutModel
 from .sequences import filter_function, make_cpmg, response
 from .spectra import SpectrumModel
@@ -216,7 +217,6 @@ def _tone_cell(args) -> tuple[float, float]:
      cell_seed, calibration, samples_per_interval, vis, floor) = args
     model = SpectrumModel.from_dict(model_dict)
     schedule = make_cpmg(n_pulses, n_pulses * tau)
-    readout = ReadoutModel(visibility=vis, floor=floor)
     phase = PhaseFunctional.on_mc_grid(schedule, 1.0, samples_per_interval)
     h = phase.normal_weights(model)
     # the tone enters through the exact segment Fourier integral; only its
@@ -225,11 +225,14 @@ def _tone_cell(args) -> tuple[float, float]:
     a = 2 * math.pi * abs(coeff) * (amp_pp / 2.0) * y_mag
     scale = math.sqrt(calibration)
     hits = 0
+    normals = np.empty(phase.n - 1)
+    # per shot, only Python floats: theta is rng.uniform(0, 2 pi)'s draw,
+    # and p is ReadoutModel(vis, floor).apply's value
     for rng in derive_rngs(cell_seed, shots):
-        phi_noise = spectra.trace_normals(phase.n, rng) @ h
-        theta = rng.uniform(0.0, 2 * math.pi) if fixed_phase is None else fixed_phase
+        phi_noise = float(spectra.trace_normals(phase.n, rng, normals).dot(h))
+        theta = 2 * math.pi * rng.random() if fixed_phase is None else fixed_phase
         phi = scale * phi_noise + a * math.sin(theta)
-        p = float(readout.apply(0.5 * (1.0 + math.cos(phi))))
+        p = floor + vis * (0.5 * (1.0 + math.cos(phi)))
         hits += rng.binomial(1, min(max(p, 0.0), 1.0))
     p_hat = hits / shots
     se = math.sqrt(max(p_hat * (1 - p_hat), 0.25 / shots) / shots)
@@ -317,7 +320,9 @@ def detect_tone_threshold(result: ToneScanResult, f_tone: float,
                          "to compare the tone column with; the scan has one")
     rows = []
     for i, amp in enumerate(result.amplitudes_vpp):
-        med = float(np.median(result.p_up[i, others]))
+        ranked = np.sort(result.p_up[i, others]).tolist()  # NaN sorts last
+        med = (math.nan if math.isnan(ranked[-1])  # np.median's value
+               else (ranked[(k_off - 1) // 2] + ranked[k_off // 2]) / 2)
         se_med = 1.2533 * float(np.mean(result.std_err[i, others])) / math.sqrt(k_off)
         pooled = math.hypot(float(result.std_err[i, col]), se_med)
         deficit = med - float(result.p_up[i, col])
@@ -339,8 +344,8 @@ def export_tone_scan(result: ToneScanResult, path) -> None:
 def import_tone_scan(path, shots: int = 0) -> ToneScanResult:
     _, columns = read_columns(path, TONE_SCAN_HEADER)
     data = np.column_stack(columns).astype(float)
-    f = np.unique(data[:, 0])
-    amps = np.unique(data[:, 1])
+    f = distinct(data[:, 0])
+    amps = distinct(data[:, 1])
     p = np.full((amps.size, f.size), np.nan)
     se = np.full((amps.size, f.size), np.nan)
     for row in data:

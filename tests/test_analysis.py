@@ -65,6 +65,13 @@ class TestCurveFits:
         with pytest.raises(FitError):
             fit_stretched([1e-4, 2e-4], [0.9, 0.5])
 
+    @pytest.mark.parametrize("fit", [fit_exponential, fit_stretched])
+    @pytest.mark.parametrize("std_err", [[0.0, math.nan, 0.0],
+                                         [0.0, -0.1, 0.0], [math.nan] * 3])
+    def test_std_err_without_a_positive_entry_raises_fit_error(self, fit, std_err):
+        with pytest.raises(FitError, match="no positive entry"):
+            fit([1, 2, 3], [0.9, 0.7, 0.5], std_err)
+
     def test_evaluate_round_trip(self):
         t = np.geomspace(1e-5, 5e-3, 12)
         y = np.exp(-((t / 8e-4) ** 1.3))

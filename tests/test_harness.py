@@ -518,6 +518,21 @@ class TestRunner:
         (out / LOCK_NAME).touch()
         assert run(cfg_path, workers=1, output_dir=out) == 2
 
+    def test_lock_names_its_holder(self, tmp_path, capsys):
+        cfg_path = _write_yaml(tmp_path, TINY_CHEVRON)
+        out = tmp_path / "out"
+        out.mkdir()
+        gone = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                              check=True, capture_output=True, text=True)
+        for text, says in ((f"pid={os.getpid()}\n", f"pid {os.getpid()};"),
+                           (f"pid={gone.stdout.strip()}\n",
+                            f"pid {gone.stdout.strip()}, no longer running;"),
+                           ("pid=-1\n", "holder unknown;"), ("", "holder unknown;")):
+            (out / LOCK_NAME).write_text(text)
+            assert run(cfg_path, workers=1, output_dir=out) == 2
+            assert says in capsys.readouterr().out
+        assert (out / LOCK_NAME).read_text() == ""  # a held lock is left alone
+
     def test_fit_failure_exits_3_and_is_recorded(self, tmp_path, monkeypatch, capsys):
         def boom(*a, **k):
             raise FitError("synthetic failure", {"reason": "test"})
@@ -799,6 +814,21 @@ def test_cli_import_loads_no_scipy_or_jsonschema():
             "if m.startswith(('scipy', 'jsonschema'))))")
     out = subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True,
                          capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_validation_loads_no_numpy_random_or_ma():
+    """Importing the CLI and validating every shipped config stays off
+    ``numpy.random`` (needed only by stochastic stages) and ``numpy.ma``
+    (which ``np.unique`` and ``np.median`` import on first use)."""
+    code = ("import sys, spinprobe.harness.cli; "
+            "from spinprobe.harness.config import load_config; "
+            "[load_config(p) for p in sys.argv[1:]]; "
+            "print(sorted({'numpy.random', 'numpy.ma'} & set(sys.modules)))")
+    configs = sorted(str(p) for p in CONFIG_DIR.glob("*.yaml"))
+    assert len(configs) == 10
+    out = subprocess.run([sys.executable, "-c", code, *configs], env=_src_env(),
+                         check=True, capture_output=True, text=True).stdout
     assert out.strip() == "[]"
 
 

@@ -29,6 +29,10 @@ def _draws(rng, methods, m):
             out.append(rng.uniform(0.0, 2 * np.pi))
         elif name == "integers":
             out.append(rng.integers(0, 24, size=m))
+        elif name == "standard_normal":
+            out.append(rng.standard_normal(out=np.empty(m)))
+        elif name == "random":
+            out.append(rng.random())
         else:
             out.append(rng.binomial(m, 0.3))
             out.append(rng.binomial(1, 0.8))
@@ -39,7 +43,8 @@ def _draws(rng, methods, m):
 @given(seed=SEEDS, prefix=st.lists(PREFIX_VALUES, max_size=2),
        count=st.integers(1, 6), m=st.integers(1, 40),
        methods=st.lists(st.sampled_from(["normal", "uniform", "integers",
-                                         "binomial"]), min_size=1, max_size=4))
+                                         "binomial", "standard_normal",
+                                         "random"]), min_size=1, max_size=4))
 def test_streams_equal_derive_rng(seed, prefix, count, m, methods):
     n = 0
     for i, rng in enumerate(derive_rngs(seed, count, *prefix)):
@@ -59,9 +64,14 @@ def test_late_indices_of_a_long_batch():
                                           derive_rng(2**64 - 1, 3, i).normal(size=9))
 
 
-def test_one_generator_reseeded_in_place():
-    first, *rest = list(derive_rngs(7, 4))
-    assert all(r is first for r in rest)
+def test_kept_generators_keep_their_streams():
+    """Generators collected before any draw are independent objects, each
+    still on its own stream, whatever order they are drawn from."""
+    rngs = list(derive_rngs(7, 4, 2))
+    assert len({id(r) for r in rngs}) == 4
+    for i in (3, 0, 2, 1):
+        np.testing.assert_array_equal(rngs[i].normal(size=5),
+                                      derive_rng(7, 2, i).normal(size=5))
 
 
 def test_empty_and_bad_arguments():

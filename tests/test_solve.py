@@ -23,6 +23,15 @@ from spinprobe.spectra import PowerLawTerm, SpectralLine, SpectrumModel
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
+@pytest.mark.parametrize("values", [
+    [], [2.5], [3.0, 1.0, 3.0, 2.0, 1.0], [[0.5, -0.0], [0.0, 0.5]],
+    np.random.default_rng(0).integers(0, 50, 400) / 8.0,
+    np.geomspace(1e-9, 1.0, 300).tolist() * 2])
+def test_distinct_equals_np_unique(values):
+    np.testing.assert_array_equal(_solve.distinct(values), np.unique(values),
+                                  strict=True)
+
+
 class TestBrentq:
     @pytest.mark.parametrize("f, a, b", [
         (lambda x: x**3 - 2 * x - 5, 2.0, 3.0),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import signal, stats
 
+from spinprobe._rng import derive_rng
 from spinprobe.spectra import (
     NoiseTrace,
     PowerLawTerm,
@@ -20,6 +21,7 @@ from spinprobe.spectra import (
     psd_welch,
     rfft_bin_density,
     synthesize,
+    trace_normals,
     voltage_to_detuning_model,
     voltage_to_detuning_psd,
 )
@@ -142,6 +144,16 @@ class TestSynthesis:
     def test_minimum_length_enforced(self):
         with pytest.raises(ValueError):
             synthesize(WHITE, 100.0, 0.01, 0)
+
+    @pytest.mark.parametrize("n", [2, 64, 65])
+    def test_trace_normals_into_a_buffer(self, n):
+        """``out`` receives the stream's normals, whatever it held."""
+        buf = np.full(n - 1, np.nan)
+        assert trace_normals(n, derive_rng(3, 1), buf) is buf
+        np.testing.assert_array_equal(buf, derive_rng(3, 1).normal(size=n - 1))
+        np.testing.assert_array_equal(trace_normals(n, derive_rng(3, 1)), buf)
+        with pytest.raises(ValueError, match="shape"):
+            trace_normals(n + 1, derive_rng(3, 1), buf)
 
 
 class TestTraceValidation:

@@ -192,6 +192,19 @@ class TestThresholdDetection:
         with pytest.raises(ValueError):
             detect_tone_threshold(self._synthetic([0.0, 0.0, 0.0]), 3.2e4)
 
+    @pytest.mark.parametrize("n_f", [3, 4, 5])
+    def test_deficit_is_measured_from_the_np_median(self, n_f):
+        rng = np.random.default_rng(n_f)
+        p = rng.uniform(0.3, 0.9, size=(3, n_f)).round(2)  # ties included
+        p[2, -1] = np.nan  # a missing cell, as import_tone_scan leaves one
+        result = ToneScanResult(f_hz=2e4 / np.arange(1, n_f + 1),
+                                amplitudes_vpp=[0.0, 1e-4, 2e-4], p_up=p,
+                                std_err=np.full((3, n_f), 0.01), shots=100)
+        rows = detect_tone_threshold(result, 2e4)["rows"]
+        for i, row in enumerate(rows):
+            want = float(np.median(p[i, 1:])) - float(p[i, 0])
+            assert repr(row["deficit"]) == repr(want)  # nan included
+
     def test_single_column_rejected(self):
         full = self._synthetic([0.0, 0.075, 0.15])
         one = ToneScanResult(f_hz=full.f_hz[:1], amplitudes_vpp=full.amplitudes_vpp,
