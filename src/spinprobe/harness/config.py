@@ -206,6 +206,10 @@ def _spaced(spacing, start, stop, num, **kwargs) -> Field:
 # whole pulse train
 MAX_PULSES = 1024
 
+# most samples in a synthesized voltage_psd trace: six times the shipped
+# 5.4M, about 1.1 GB of synthesis peak (the rfft coefficients plus irfft)
+MAX_TRACE_SAMPLES = 2 ** 25
+
 
 def _pulse_counts(default=REQUIRED) -> Field:
     return Field("array", default, items=Field("integer", ge=1, le=MAX_PULSES),
@@ -355,8 +359,9 @@ def gate_index(spec) -> int:
 
 
 def _check_welch_band(proto: dict) -> None:
-    """The ``voltage_psd`` band must lie inside the Welch estimate's
-    frequency range, computed as :func:`spectra.synthesize` and
+    """The ``voltage_psd`` trace holds 64 to :data:`MAX_TRACE_SAMPLES`
+    samples, and the band must lie inside the Welch estimate's frequency
+    range, computed as :func:`spectra.synthesize` and
     :func:`spectra.psd_welch` will compute it."""
     rate = float(proto["sample_rate_hz"])
     for key in ("duration_s", "nperseg_s"):
@@ -366,6 +371,9 @@ def _check_welch_band(proto: dict) -> None:
     if n < 64:
         raise ConfigError(f"protocol.duration_s: duration_s*sample_rate_hz = "
                           f"{n} samples; need at least 64")
+    if n > MAX_TRACE_SAMPLES:
+        raise ConfigError(f"protocol.duration_s: duration_s*sample_rate_hz = "
+                          f"{n} samples; at most {MAX_TRACE_SAMPLES}")
     nperseg = min(int(round(proto["nperseg_s"] * rate)), n)
     if nperseg < 2:
         raise ConfigError(f"protocol.nperseg_s: nperseg_s*sample_rate_hz = "

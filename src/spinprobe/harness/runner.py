@@ -5,8 +5,8 @@ output directory, 3 completed with fit failures recorded in the
 manifest.  ``rerun`` re-executes a manifest's config echo and returns 1
 on any checksum mismatch.  A run writes every file under ``output_dir``
 and finishes with ``manifest.json``, renamed into place only once it is
-complete; the manifest's inventory lists the sha256 of every other file
-so reruns can be compared byte for byte.
+complete; the manifest's inventory lists the sha256 of every file the
+run wrote, so reruns can be compared byte for byte.
 """
 
 from __future__ import annotations
@@ -41,13 +41,10 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _inventory(out: Path) -> dict[str, str]:
-    files = {}
-    for p in sorted(out.rglob("*")):
-        if p.is_file() and p.name not in (MANIFEST_NAME, MANIFEST_TMP_NAME,
-                                          LOCK_NAME):
-            files[p.relative_to(out).as_posix()] = _sha256(p)
-    return files
+def _inventory(out: Path, names) -> dict[str, str]:
+    """sha256 of each file the run wrote, by name: files an earlier run
+    left in ``out`` stay out of it."""
+    return {name: _sha256(out / name) for name in sorted(names)}
 
 
 def _lock_holder(lock: Path) -> str:
@@ -133,7 +130,7 @@ def execute(cfg: dict, out: Path, *, workers: int | None = None) -> dict:
             "fit_failures": report.fit_failures,
             "summary": report.summary,
             "wall_clock_s": round(time.perf_counter() - t0, 3),
-            "inventory": _inventory(out),
+            "inventory": _inventory(out, report.files),
         }
         _write_manifest(out, manifest)
         return manifest

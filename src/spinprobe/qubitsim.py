@@ -30,7 +30,8 @@ Gaussian Fourier coefficients a synthesized trace is made of.  Replay
 windows of a recorded trace.  The Monte Carlo engine and the tone scan
 of :mod:`spinprobe.starktone` never form a trace: a trajectory costs its
 normal draws and one dot product, on the same random stream
-:func:`spectra.draw_trace_samples` would consume.  The decay scans send
+:func:`spectra.draw_trace_samples` draws in blocks when it synthesizes
+the trace from the model.  The decay scans send
 all their points, across every wait of a spectroscopy scan, through one
 process pool.
 
@@ -276,8 +277,8 @@ class PhaseFunctional:
 
     def normal_weights(self, model: SpectrumModel) -> np.ndarray:
         """Weights h such that ``h @ spectra.trace_normals(n, rng)`` is the
-        phase on the trace ``spectra.draw_trace_samples`` would make from
-        ``model`` and ``rng``.
+        phase on the trace ``spectra.draw_trace_samples(model,
+        self.sample_rate, n, rng)`` makes from the same stream.
 
         irfft sums ``c_k e^{+2 pi i jk/n} / n`` with each interior bin
         paired with its conjugate, so the phase is ``(2/n) Re(c_k conj(R_k))``
@@ -325,8 +326,8 @@ def coherence_mc(model: SpectrumModel, schedule: PulseSchedule,
     in one vectorised pass.  The normals of every trajectory land in one
     reused buffer, and its phase is the dot product of them with
     :meth:`PhaseFunctional.normal_weights`, equal to integrating the
-    trace :func:`spectra.draw_trace_samples` would synthesize from the
-    same stream.  The trace band is [1/(duration_factor*T),
+    trace ``spectra.draw_trace_samples(model, ...)`` would synthesize
+    from the same stream.  The trace band is [1/(duration_factor*T),
     samples_per_interval*N/(2T)]; spectral weight outside it is not seen
     by this estimator.
 

@@ -252,25 +252,32 @@ def _line_bin_power(line: SpectralLine, edges: np.ndarray, width: float) -> np.n
     return line.power * np.diff(cdf)
 
 
-def rfft_bin_density(model: SpectrumModel, sample_rate: float, n: int) -> np.ndarray:
-    """Model PSD averaged onto the rfft bin grid of an n-sample trace.
+def _bin_density(model: SpectrumModel, df: float, a: int, b: int) -> np.ndarray:
+    """Model PSD averaged onto rfft bins a..b-1 (a >= 1) of spacing df.
 
     Smooth components are sampled at the bin centres; lines are integrated
     over each bin (exact Lorentzian CDF) so their total power survives even
-    when narrower than one bin.  Bin 0 is zero: content below 1/duration
-    is truncated and traces come out zero-mean.
+    when narrower than one bin.  Every bin depends on its own index alone,
+    so any split of a range into blocks gives the same values bit for bit.
     """
-    df = sample_rate / n
-    nbin = n // 2 + 1
-    f = np.arange(nbin) * df
-    s = np.zeros(nbin)
-    s[1:] = _smooth_psd(model, f[1:])
+    s = _smooth_psd(model, np.arange(a, b) * df)
     if model.lines:
-        edges = (np.arange(nbin + 1) - 0.5) * df
+        edges = (np.arange(a, b + 1) - 0.5) * df
         for line in model.lines:
             width = line.width_hz if line.width_hz is not None else df
             s += _line_bin_power(line, edges, width) / df
-    s[0] = 0.0
+    return s
+
+
+def rfft_bin_density(model: SpectrumModel, sample_rate: float, n: int) -> np.ndarray:
+    """Model PSD averaged onto the rfft bin grid of an n-sample trace.
+
+    The whole-range call of the per-block helper that synthesis uses (see
+    :func:`draw_trace_samples`).  Bin 0 is zero: content below 1/duration
+    is truncated and traces come out zero-mean.
+    """
+    s = np.zeros(n // 2 + 1)
+    s[1:] = _bin_density(model, sample_rate / n, 1, s.size)
     return s
 
 
@@ -280,16 +287,24 @@ def trace_normals(n: int, rng: np.random.Generator,
 
     With ``K = (n - 1) // 2`` they are the real parts of rfft bins 1..K,
     then their imaginary parts, then (even n only) the real Nyquist bin.
-    Every consumer of a trace's randomness draws through here, so a
+    Every consumer of a trace's randomness draws them in this order, so a
     trajectory seeded once yields the same numbers whether its trace is
-    synthesized or only its phase is computed.  ``out``, a float64 array
-    of n - 1 entries, receives the draws in place of a new array.
+    synthesized (:func:`draw_trace_samples` draws them in blocks, which
+    gives the same stream) or only its phase is computed.  ``out``, a
+    float64 array of n - 1 entries, receives the draws in place of a new
+    array.
     """
     if out is None:
         return rng.standard_normal(n - 1)
     if out.shape != (n - 1,):
         raise ValueError(f"out must have shape ({n - 1},), got {out.shape}")
     return rng.standard_normal(out=out)
+
+
+def _amplitudes(s: np.ndarray, df: float, n: int) -> np.ndarray:
+    """rfft coefficient per unit normal of bins with densities ``s``,
+    scaled so each contributes ``S(f_k) * df`` to the sample variance."""
+    return (n / 2.0) * np.sqrt(s * df)
 
 
 def normal_amplitudes(s_bins: np.ndarray, sample_rate: float, n: int) -> np.ndarray:
@@ -300,27 +315,51 @@ def normal_amplitudes(s_bins: np.ndarray, sample_rate: float, n: int) -> np.ndar
     per-component amplitude.
     """
     df = sample_rate / n
-    amp = (n / 2.0) * np.sqrt(s_bins[1:(n - 1) // 2 + 1] * df)
+    amp = _amplitudes(s_bins[1:(n - 1) // 2 + 1], df, n)
     parts = [amp, amp]
     if n % 2 == 0:
-        parts.append([n * math.sqrt(s_bins[-1] * df)])
+        parts.append(2 * _amplitudes(s_bins[-1:], df, n))
     return np.concatenate(parts)
 
 
-def draw_trace_samples(s_bins: np.ndarray, sample_rate: float, n: int,
+# rfft bins per block of the coefficient construction in draw_trace_samples
+_BLOCK_BINS = 1 << 16
+
+
+def draw_trace_samples(model: SpectrumModel, sample_rate: float, n: int,
                        rng: np.random.Generator) -> np.ndarray:
-    """One Gaussian realization of an n-sample trace from bin densities.
+    """One Gaussian realization of an n-sample trace of the model.
 
     Each positive rfft bin receives an independent complex Gaussian
-    amplitude (see :func:`trace_normals` and :func:`normal_amplitudes`);
-    the trace variance approximates ``int S df`` over (0, Nyquist].
+    amplitude: the entries of :func:`trace_normals` times
+    :func:`normal_amplitudes` of :func:`rfft_bin_density`.  The trace
+    variance approximates ``int S df`` over (0, Nyquist].
+
+    The coefficients are filled in blocks of ``_BLOCK_BINS`` bins, in the
+    draw order of :func:`trace_normals`: a first pass parks each block's
+    amplitudes in the imaginary parts and writes normals times amplitudes
+    into the real parts, a second pass forms ``re + 1j * im`` from the
+    imaginary-part normals, as the whole-length construction did, then
+    come the even-n Nyquist bin and ``irfft``.  Only block-sized arrays
+    live beside the coefficients and the ``irfft`` workspace, and the
+    samples equal those of the whole-length construction bit for bit.
     """
-    z = trace_normals(n, rng) * normal_amplitudes(s_bins, sample_rate, n)
+    df = sample_rate / n
     k = (n - 1) // 2
-    coeff = np.zeros(s_bins.size, dtype=complex)
-    coeff[1:k + 1] = z[:k] + 1j * z[k:2 * k]
+    coeff = np.zeros(n // 2 + 1, dtype=complex)
+    blocks = [(a, min(a + _BLOCK_BINS, k + 1)) for a in range(1, k + 1, _BLOCK_BINS)]
+    normals = np.empty(min(_BLOCK_BINS, k))
+    for a, b in blocks:
+        amp = coeff.imag[a:b]
+        amp[...] = _amplitudes(_bin_density(model, df, a, b), df, n)
+        np.multiply(rng.standard_normal(out=normals[:b - a]), amp,
+                    out=coeff.real[a:b])
+    for a, b in blocks:
+        z = rng.standard_normal(out=normals[:b - a]) * coeff.imag[a:b]
+        coeff[a:b] = coeff.real[a:b] + 1j * z
     if n % 2 == 0:  # real Nyquist bin
-        coeff[-1] = z[-1]
+        s = _bin_density(model, df, n // 2, n // 2 + 1)
+        coeff[-1:] = rng.standard_normal(1) * (2 * _amplitudes(s, df, n))
     return np.fft.irfft(coeff, n)
 
 
@@ -328,15 +367,15 @@ def synthesize(model: SpectrumModel, sample_rate: float, duration: float,
                seed: int, *, unit: str = "rad/s") -> NoiseTrace:
     """Generate a Gaussian trace whose one-sided PSD follows the model.
 
-    Deterministic per seed; see :func:`rfft_bin_density` and
-    :func:`draw_trace_samples` for the construction.
+    Deterministic per seed; see :func:`draw_trace_samples` for the
+    construction.  Its memory is one complex coefficient array plus what
+    ``irfft`` needs.
     """
     n = int(round(sample_rate * duration))
     if n < 64:
         raise ValueError(
             f"duration*sample_rate = {n} samples; need at least 64 for synthesis")
-    s = rfft_bin_density(model, sample_rate, n)
-    samples = draw_trace_samples(s, sample_rate, n, derive_rng(seed))
+    samples = draw_trace_samples(model, sample_rate, n, derive_rng(seed))
     return NoiseTrace(samples=samples, sample_rate=float(sample_rate),
                       duration=n / sample_rate, seed=int(seed),
                       provenance=f"synthesized seed={int(seed)}", unit=unit)

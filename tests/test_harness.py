@@ -27,8 +27,8 @@ from spinprobe.harness import ConfigError, RunError, execute, rerun, run
 from spinprobe.harness import pipelines
 from spinprobe.harness import runner as runner_module
 from spinprobe.harness.cli import main
-from spinprobe.harness.config import (gate_index, grid_values, load_config,
-                                      validate_config)
+from spinprobe.harness.config import (KINDS, MAX_TRACE_SAMPLES, gate_index,
+                                      grid_values, load_config, validate_config)
 from spinprobe.harness.runner import LOCK_NAME, MANIFEST_NAME, MANIFEST_TMP_NAME
 from spinprobe.qubitsim import QubitParams
 
@@ -101,6 +101,22 @@ TINY_CPMG = {
     "spectrum": {"white_floor": 350.0},
     "protocol": {"pulse_counts": [1, 2], "n_traj": 16, "n_times": 3,
                  "fit": "exponential"},
+}
+
+# one small config per kind; voltage_psd also writes its optional files
+TINY_BY_KIND = {
+    "rabi_chevron": TINY_CHEVRON,
+    "ramsey": TINY_RAMSEY,
+    "hahn": {**TINY_RAMSEY, "kind": "hahn"},
+    "cpmg_t2_vs_n": TINY_CPMG,
+    "noise_spectroscopy": TINY_SPECTROSCOPY,
+    "rbm": {**TINY_IRB, "kind": "rbm"},
+    "interleaved_rbm": TINY_IRB,
+    "stark_map": TINY_STARK,
+    "tone_scan": TINY_TONE,
+    "voltage_psd": {**TINY_VOLTAGE, "protocol": {
+        **TINY_VOLTAGE["protocol"], "export_trace": True,
+        "spectroscopy": TINY_SPECTROSCOPY["protocol"]}},
 }
 
 
@@ -324,6 +340,16 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match=field):
             validate_config({**TINY_VOLTAGE, "protocol": {
                 **TINY_VOLTAGE["protocol"], **change}})
+
+    def test_trace_length_capped(self):
+        proto = {**TINY_VOLTAGE["protocol"], "sample_rate_hz": 1e4}
+        longest = {**proto, "duration_s": MAX_TRACE_SAMPLES / 1e4}
+        validate_config({**TINY_VOLTAGE, "protocol": longest})
+        with pytest.raises(ConfigError, match=re.escape(
+                f"protocol.duration_s: duration_s*sample_rate_hz = "
+                f"{MAX_TRACE_SAMPLES + 1} samples; at most {MAX_TRACE_SAMPLES}")):
+            validate_config({**TINY_VOLTAGE, "protocol": {
+                **proto, "duration_s": (MAX_TRACE_SAMPLES + 1) / 1e4}})
 
     def test_default_band_rejected_at_low_sample_rate(self):
         with pytest.raises(ConfigError, match="protocol.band_hz"):
@@ -603,6 +629,28 @@ class TestRunner:
         assert run(cfg_path, workers=1, output_dir=out) == 0
         assert rerun(out / MANIFEST_NAME, workers=1) == 0
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_inventory_is_the_files_on_disk(self, tmp_path, kind):
+        out = tmp_path / "out"
+        manifest = execute(validate_config(copy.deepcopy(TINY_BY_KIND[kind])),
+                           out, workers=1)
+        on_disk = {p.relative_to(out).as_posix() for p in out.rglob("*")
+                   if p.is_file()} - {MANIFEST_NAME}
+        assert set(manifest["inventory"]) == on_disk
+        assert list(manifest["inventory"]) == sorted(on_disk)
+
+    def test_reused_directory_inventories_this_run_only(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(_write_yaml(tmp_path, TINY_CHEVRON), workers=1,
+                   output_dir=out) == 0
+        assert run(_write_yaml(tmp_path, TINY_BY_KIND["hahn"], "hahn.yaml"),
+                   workers=1, output_dir=out) == 0
+        manifest = json.loads((out / MANIFEST_NAME).read_text())
+        assert list(manifest["inventory"]) == ["decay.csv", "fit.json",
+                                               "plot_decay.json"]
+        assert f"wrote 3 files to {out}" in capsys.readouterr().out
+        assert rerun(out / MANIFEST_NAME, workers=1) == 0
+
     def test_rerun_detects_tampering(self, tmp_path, capsys):
         cfg_path = _write_yaml(tmp_path, TINY_CHEVRON)
         out = tmp_path / "out"
@@ -698,6 +746,13 @@ class TestCli:
         p.write_text("seed: 1\n")
         assert main(["validate", str(p)]) == 2
         assert "error" in capsys.readouterr().out
+
+    def test_validate_rejects_an_overlong_trace(self, tmp_path, capsys):
+        # 4.5e6 s at 120 kHz: 5.4e11 samples, terabytes of synthesis
+        p = _write_yaml(tmp_path, {**TINY_VOLTAGE, "protocol": {
+            "sample_rate_hz": 120e3, "duration_s": 4.5e6}})
+        assert main(["validate", str(p)]) == 2
+        assert "protocol.duration_s" in capsys.readouterr().out
 
     def test_list_experiments(self, capsys):
         assert main(["list-experiments"]) == 0

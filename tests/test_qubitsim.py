@@ -407,8 +407,7 @@ class TestPhaseFunctional:
         model = COMPOSITE if composite else WHITE
         phase = PhaseFunctional(sch, rate, n)
         phi = spectra.trace_normals(n, derive_rng(seed)) @ phase.normal_weights(model)
-        trace = spectra.draw_trace_samples(spectra.rfft_bin_density(model, rate, n),
-                                           rate, n, derive_rng(seed))
+        trace = spectra.draw_trace_samples(model, rate, n, derive_rng(seed))
         ref, scale = _reference_phase(trace, rate, sch)
         assert abs(phi - ref) <= 1e-12 * scale
         assert abs(phase.weights @ trace - ref) <= 1e-12 * scale
@@ -426,8 +425,7 @@ class TestPhaseFunctional:
         assert phase.n == n
         rate = phase.sample_rate
         phi = spectra.trace_normals(n, derive_rng(4)) @ phase.normal_weights(COMPOSITE)
-        trace = spectra.draw_trace_samples(
-            spectra.rfft_bin_density(COMPOSITE, rate, n), rate, n, derive_rng(4))
+        trace = spectra.draw_trace_samples(COMPOSITE, rate, n, derive_rng(4))
         ref, scale = _reference_phase(trace, rate, sch)
         assert abs(phi - ref) <= 1e-12 * scale
 
@@ -470,7 +468,7 @@ class TestCoherenceMc:
         coherence_mc(COMPOSITE, make_ramsey(1e-4), 50, 1)
         assert calls == []
         # the spy sees the synthesis path, which does use the inverse FFT
-        spectra.draw_trace_samples(np.ones(33), 1e3, 64, derive_rng(0))
+        spectra.draw_trace_samples(WHITE, 1e3, 64, derive_rng(0))
         assert len(calls) == 1
 
     def test_needs_two_trajectories(self):

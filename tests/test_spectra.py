@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import signal, stats
 
+from spinprobe import spectra
 from spinprobe._rng import derive_rng
 from spinprobe.spectra import (
     NoiseTrace,
@@ -12,6 +14,7 @@ from spinprobe.spectra import (
     PsdEstimate,
     SpectralLine,
     SpectrumModel,
+    draw_trace_samples,
     eval_psd,
     export_psd,
     export_trace,
@@ -189,6 +192,95 @@ class TestRfftBinDensity:
         s = rfft_bin_density(LINE_ONLY, rate, n)
         assert np.sum(s) * df == pytest.approx(1.5e6, rel=0.02)
         assert np.argmax(s) == round(3600.0 / df)
+
+
+def _one_shot_density(model, rate, n):
+    """Bin densities computed over the whole grid at once: smooth terms at
+    the bin centres, lines integrated over each bin, bin 0 zero."""
+    df = rate / n
+    nbin = n // 2 + 1
+    f = np.arange(nbin) * df
+    s = np.zeros(nbin)
+    s[1:] = np.full(nbin - 1, float(model.white_floor))
+    for term in model.powerlaws:
+        s[1:] += term.amplitude / (2.0 * math.pi * f[1:]) ** term.exponent
+    edges = (np.arange(nbin + 1) - 0.5) * df
+    for line in model.lines:
+        hw = (line.width_hz if line.width_hz is not None else df) / 2.0
+        cdf = np.arctan((edges - line.center_hz) / hw) / math.pi
+        s += line.power * np.diff(cdf) / df
+    s[0] = 0.0
+    return s
+
+
+def _one_shot_samples(model, rate, n, rng):
+    """The trace built from whole-length arrays: every normal times its
+    amplitude, then ``re + 1j * im`` per bin, the Nyquist bin, irfft."""
+    s = _one_shot_density(model, rate, n)
+    df = rate / n
+    k = (n - 1) // 2
+    amp = (n / 2.0) * np.sqrt(s[1:k + 1] * df)
+    parts = [amp, amp] + ([[n * math.sqrt(s[-1] * df)]] if n % 2 == 0 else [])
+    z = trace_normals(n, rng) * np.concatenate(parts)
+    coeff = np.zeros(s.size, dtype=complex)
+    coeff[1:k + 1] = z[:k] + 1j * z[k:2 * k]
+    if n % 2 == 0:
+        coeff[-1] = z[-1]
+    return np.fft.irfft(coeff, n)
+
+
+BLOCK_MODELS = {
+    "white": WHITE,
+    "power_laws": SpectrumModel(powerlaws=(PowerLawTerm(3e7, 1.0),
+                                           PowerLawTerm(3e13, 2.5)),
+                                white_floor=3.0),
+    "line": LINE_ONLY,
+    "unresolved_line": SpectrumModel(white_floor=1.0,
+                                     lines=(SpectralLine(60.0, 10.0, None),)),
+    "zero": SpectrumModel(),
+}
+
+
+class TestBlockSynthesis:
+    """Block-by-block synthesis against the whole-length construction."""
+
+    @pytest.mark.parametrize("block", [7, None])
+    @pytest.mark.parametrize("n", [64, 65, 1000, 1001])
+    @pytest.mark.parametrize("name", sorted(BLOCK_MODELS))
+    def test_bit_identical_to_one_shot(self, monkeypatch, name, n, block):
+        if block is not None:
+            monkeypatch.setattr(spectra, "_BLOCK_BINS", block)
+        model, rate = BLOCK_MODELS[name], 1e4
+        ref = _one_shot_samples(model, rate, n, derive_rng(8))
+        got = draw_trace_samples(model, rate, n, derive_rng(8))
+        assert got.tobytes() == ref.tobytes()
+        assert synthesize(model, rate, n / rate, 8).samples.tobytes() == ref.tobytes()
+        assert (rfft_bin_density(model, rate, n).tobytes()
+                == _one_shot_density(model, rate, n).tobytes())
+
+    @pytest.mark.parametrize("n", [2 * 65536 + 3, 2 * 65536 + 6])
+    def test_several_default_blocks(self, n):
+        model = SpectrumModel(powerlaws=(PowerLawTerm(3e7, 1.0),), white_floor=3.0,
+                              lines=(SpectralLine(3600.0, 1.5e6, 150.0),
+                                     SpectralLine(60.0, 10.0, None)))
+        ref = _one_shot_samples(model, 1.2e5, n, derive_rng(2))
+        assert draw_trace_samples(model, 1.2e5, n, derive_rng(2)).tobytes() == ref.tobytes()
+
+    def test_traced_peak_memory(self):
+        """Only the coefficients and irfft's work outlive a block: the
+        traced peak stays within 2.5 times the samples (whole-length
+        arrays took 3.6 times)."""
+        model = SpectrumModel(white_floor=8e-18,
+                              lines=(SpectralLine(3600.0, 1e-9, 150.0),
+                                     SpectralLine(50.0, 1e-10, None)))
+        tracemalloc.start()
+        try:
+            trace = synthesize(model, 1e5, 10.0, 3, unit="V")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.n_samples == 10 ** 6
+        assert peak <= 2.5 * trace.samples.nbytes
 
 
 class TestWelch:
