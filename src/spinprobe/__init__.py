@@ -26,8 +26,7 @@ from .qubitsim import (PSD_CHI_CALIBRATION, CoherencePoint, DecayCurve,
                        decay_vs_pulses, decay_vs_time, rabi_chevron, rabi_p_up,
                        resonance_frequency_hz)
 from .sequences import (PulseSchedule, cpmg_filter_function, filter_function,
-                        make_cpmg, make_hahn, make_ramsey, response,
-                        toggling_sign)
+                        make_cpmg, make_hahn, make_ramsey, response)
 from .spectra import (NoiseTrace, PowerLawTerm, PsdEstimate, SpectralLine,
                       SpectrumModel, eval_psd, integrate_rms, psd_welch,
                       synthesize, voltage_to_detuning_model,
@@ -49,7 +48,7 @@ __all__ = [
     "voltage_to_detuning_psd", "voltage_to_detuning_model",
     # sequences
     "PulseSchedule", "make_ramsey", "make_hahn", "make_cpmg",
-    "filter_function", "cpmg_filter_function", "response", "toggling_sign",
+    "filter_function", "cpmg_filter_function", "response",
     # qubitsim
     "PSD_CHI_CALIBRATION", "QubitParams", "ReadoutModel", "CoherencePoint",
     "DecayCurve", "resonance_frequency_hz", "rabi_p_up", "rabi_chevron",

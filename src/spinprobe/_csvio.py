@@ -1,4 +1,4 @@
-"""The one output codec: every CSV and JSON file of a run, and the reader.
+"""The one output codec: every CSV and JSON file of a run.
 
 A stage hands :func:`write_files` all of its files at once.  A CSV is a
 :class:`Csv`: a header and equal-length 1-D columns.  A JSON file is any
@@ -20,15 +20,11 @@ other array for its ``tolist()``).
   :func:`~spinprobe._parallel.pmap`; the main process joins the pieces in
   order and writes each file in one call.  The bytes depend on neither
   the block size nor the worker count.
-
-:func:`read_columns` reads a CSV back, checking its header, and returns
-columns that equal the written ones bit for bit.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,12 +33,11 @@ import numpy as np
 
 from . import _parallel
 
-__all__ = ["BLOCK_ROWS", "Csv", "write_files", "write_columns", "read_columns"]
+__all__ = ["BLOCK_ROWS", "Csv", "write_files", "write_columns"]
 
 BLOCK_ROWS = 1 << 14
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_INT_TEXT = re.compile(r"\s*[+-]?\d+\s*")
 
 
 @dataclass(frozen=True)
@@ -193,43 +188,3 @@ def write_files(files: dict) -> None:
 def write_columns(path, header: str, columns) -> None:
     """Write one CSV: ``header``, then one row per index of ``columns``."""
     write_files({path: Csv(header, tuple(columns))})
-
-
-def read_columns(path, *headers: str) -> tuple[str, list[np.ndarray]]:
-    """Read a CSV whose first line is one of ``headers``.
-
-    Returns that header and one 1-D array per header field: ``int64`` for a
-    column of integer literals, ``float64`` otherwise, each value parsed by
-    ``int`` or ``float``, so a file from :func:`write_columns` reads back
-    bit for bit.  Blank lines are skipped.  Raises ``ValueError`` naming
-    the file for a foreign header, a row with the wrong number of fields,
-    a value that is not a number, or no data rows at all.
-    """
-    path = Path(path)
-    with path.open() as fh:
-        header = fh.readline().strip()
-        if header not in headers:
-            expected = " or ".join(map(repr, headers))
-            raise ValueError(f"{path}: unrecognized header {header!r}, "
-                             f"expected {expected}")
-        n_fields = header.count(",") + 1
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            cells = line.strip().split(",")
-            if len(cells) != n_fields:
-                raise ValueError(f"{path}:{lineno}: expected {n_fields} fields, "
-                                 f"got {len(cells)}")
-            rows.append(cells)
-    if not rows:
-        raise ValueError(f"{path}: no data rows after the header")
-    columns = []
-    for cells in zip(*rows):
-        is_int = all(_INT_TEXT.fullmatch(s) for s in cells)
-        try:
-            columns.append(np.array(list(map(int, cells)), dtype=np.int64) if is_int
-                           else np.array(list(map(float, cells)), dtype=float))
-        except (ValueError, OverflowError) as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    return header, columns

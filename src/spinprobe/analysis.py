@@ -94,9 +94,6 @@ class ExponentialFit:
     t2_err: float
     chi2_reduced: float
 
-    def evaluate(self, t):
-        return np.exp(-np.asarray(t, dtype=float) / self.t2)
-
 
 @dataclass(frozen=True)
 class StretchedFit:
@@ -107,9 +104,6 @@ class StretchedFit:
     exponent: float
     exponent_err: float
     chi2_reduced: float
-
-    def evaluate(self, t):
-        return np.exp(-((np.asarray(t, dtype=float) / self.t2) ** self.exponent))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._csvio import read_columns, write_columns
+from ._csvio import write_columns
 from ._rng import derive_rngs
 from ._solve import brentq, fit_rb_decay
 from .analysis import FitError
@@ -30,28 +30,23 @@ from .qubitsim import ReadoutModel
 
 __all__ = [
     "PRIMITIVES",
-    "PRIMITIVE_DURATIONS",
     "CLIFFORD_DECOMPOSITIONS",
     "RbCurve",
     "RbFit",
     "clifford_unitaries",
-    "same_up_to_phase",
     "compose_table",
     "inverse_indices",
     "primitive_counts",
     "mean_primitives_per_clifford",
-    "minimal_word_lengths",
     "clifford_fidelity_from_depolarizing",
     "depolarizing_from_clifford_fidelity",
     "primitive_fidelity_from_clifford",
-    "sequence_duration",
     "rb_survival_probability",
     "rb_reference",
     "rb_interleaved",
     "fit_rb",
     "interleaved_gate_fidelity",
     "export_rb_curve",
-    "import_rb_curve",
 ]
 
 RB_HEADER = "M,mean_survival,std_err,n_sequences"
@@ -73,20 +68,6 @@ PRIMITIVES: dict[str, np.ndarray] = {
     "X180": _rot(_SX, math.pi),
     "Y180": _rot(_SY, math.pi),
 }
-
-# pi pulses run at half the drive period of the pi/2s on this hardware model;
-# the idle is padded to the pi/2 length
-PRIMITIVE_DURATIONS: dict[str, float] = {
-    "I": 0.875e-6,
-    "X90": 0.875e-6,
-    "-X90": 0.875e-6,
-    "Y90": 0.875e-6,
-    "-Y90": 0.875e-6,
-    "X180": 1.75e-6,
-    "Y180": 1.75e-6,
-}
-
-INTER_PRIMITIVE_GAP_S = 100e-9
 
 # Application order: first pulse played first.  Grouped by rotation class:
 # Paulis, the eight 2pi/3 axis rotations, the six pi/2s, the six Hadamard-like
@@ -132,11 +113,6 @@ def clifford_unitaries() -> np.ndarray:
     return np.stack([_word_unitary(w) for w in CLIFFORD_DECOMPOSITIONS])
 
 
-def same_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when two 2x2 unitaries differ only by a global phase."""
-    return abs(abs(np.trace(a.conj().T @ b)) - 2.0) < tol
-
-
 def _index_of(u: np.ndarray) -> int:
     table = clifford_unitaries()
     overlaps = np.abs(np.einsum("kij,ij->k", table.conj(), u))
@@ -171,33 +147,6 @@ def mean_primitives_per_clifford() -> float:
     return float(primitive_counts().mean())
 
 
-def minimal_word_lengths() -> np.ndarray:
-    """BFS distance from the identity over the non-idle primitives.
-
-    The identity Clifford reports 1: it is realized as an explicit idle
-    pulse, never as an empty word.
-    """
-    gens = [PRIMITIVES[k] for k in PRIMITIVES if k != "I"]
-    dist = np.full(24, -1)
-    frontier = [_ID]
-    depth = 0
-    while np.any(dist < 0):
-        depth += 1
-        nxt = []
-        for u in frontier:
-            for g in gens:
-                v = g @ u
-                k = _index_of(v)
-                if dist[k] < 0:
-                    dist[k] = depth
-                    nxt.append(v)
-        frontier = nxt
-        if depth > 6:
-            raise RuntimeError("primitive set does not generate the group")
-    dist[0] = 1  # idle convention
-    return dist
-
-
 # ---------------------------------------------------------------------------
 # Error model
 
@@ -223,15 +172,6 @@ def depolarizing_from_clifford_fidelity(f_clifford: float) -> float:
 def primitive_fidelity_from_clifford(f_clifford: float) -> float:
     """Per-primitive fidelity from the Clifford average via the 1.875 ratio."""
     return 1.0 - (1.0 - f_clifford) / mean_primitives_per_clifford()
-
-
-def sequence_duration(words: list[tuple[str, ...]],
-                      gap_s: float = INTER_PRIMITIVE_GAP_S) -> float:
-    """Wall-clock duration of a pulse sequence including inter-pulse gaps."""
-    names = [name for w in words for name in w]
-    if not names:
-        return 0.0
-    return sum(PRIMITIVE_DURATIONS[n] for n in names) + gap_s * (len(names) - 1)
 
 
 def rb_survival_probability(total_primitives: int, d: float) -> float:
@@ -325,9 +265,6 @@ class RbFit:
     clifford_fidelity_err: float
     primitive_fidelity: float
 
-    def evaluate(self, depths):
-        return self.amplitude * self.p ** np.asarray(depths, dtype=float) + self.offset
-
 
 def fit_rb(curve: RbCurve) -> RbFit:
     """Fit the exponential RB decay; p is invariant under affine readout."""
@@ -364,9 +301,3 @@ def interleaved_gate_fidelity(p_reference: float, p_interleaved: float) -> float
 def export_rb_curve(curve: RbCurve, path) -> None:
     write_columns(path, RB_HEADER, (curve.depths, curve.mean_survival, curve.std_err,
                                     np.full(curve.depths.size, curve.n_sequences)))
-
-
-def import_rb_curve(path) -> RbCurve:
-    _, (depths, survival, std_err, n_seq) = read_columns(path, RB_HEADER)
-    return RbCurve(depths=depths.astype(int), mean_survival=survival,
-                   std_err=std_err, n_sequences=int(n_seq[0]))

@@ -1,7 +1,7 @@
 """Per-kind experiment pipelines: compute, fit, persist.
 
 Every pipeline takes the normalized config and an output directory and
-returns a report dict: ``files`` written, ``stages`` (name, derived seed,
+returns a ``_Report``: ``files`` written, ``stages`` (name, derived seed,
 wall-clock), ``fit_failures``, and a ``summary`` for the manifest.  All
 randomness flows from seeds derived off the master seed with fixed stage
 indices, so outputs never depend on timing or worker count.
@@ -60,10 +60,6 @@ class _Report:
             self.fit_failures.append({"stage": stage_name, "message": str(exc),
                                       "diagnostics": exc.diagnostics})
             return None
-
-    def as_dict(self) -> dict:
-        return {"stages": self.stages, "files": self.files,
-                "fit_failures": self.fit_failures, "summary": self.summary}
 
 
 def _write(report: _Report, out: Path, files: dict) -> None:

@@ -1,12 +1,12 @@
 """Experiment runner: config in, manifest plus data files out.
 
-Exit codes: 0 success, 2 invalid config, invalid worker count or locked
-output directory, 3 completed with fit failures recorded in the
-manifest.  ``rerun`` re-executes a manifest's config echo and returns 1
-on any checksum mismatch.  A run writes every file under ``output_dir``
-and finishes with ``manifest.json``, renamed into place only once it is
-complete; the manifest's inventory lists the sha256 of every file the
-run wrote, so reruns can be compared byte for byte.
+Exit codes: 0 success, 2 invalid config, invalid worker count, locked
+output directory or malformed manifest, 3 completed with fit failures
+recorded in the manifest.  ``rerun`` re-executes a manifest's config echo
+and returns 1 on any checksum mismatch.  A run writes every file under
+``output_dir`` and finishes with ``manifest.json``, renamed into place
+only once it is complete; the manifest's inventory lists the sha256 of
+every file the run wrote, so reruns can be compared byte for byte.
 """
 
 from __future__ import annotations
@@ -170,15 +170,25 @@ def rerun(manifest_path, *, workers: int | None = None) -> int:
     """Re-execute a manifest's config echo and compare file checksums.
 
     Runs into a temporary directory, so the original outputs are never
-    touched.  Returns 0 if every file matches, 1 otherwise.
+    touched.  Returns 0 if every file matches, 1 otherwise.  A manifest
+    that cannot be read, is not a mapping with a ``config`` and an
+    ``inventory`` mapping, or holds an invalid config raises
+    :class:`RunError` before anything runs.
     """
     manifest_path = Path(manifest_path)
     try:
-        with manifest_path.open() as fh:
+        with manifest_path.open(encoding="utf-8") as fh:
             manifest = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise RunError(f"cannot read manifest {manifest_path}: {exc}") from None
+    if not (isinstance(manifest, dict)
+            and all(isinstance(manifest.get(k), dict) for k in ("config", "inventory"))):
+        raise RunError(f"manifest {manifest_path} needs a 'config' and an "
+                       f"'inventory' mapping")
+    try:
         cfg = validate_config(manifest["config"])
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        raise RunError(f"cannot read manifest {manifest_path}: {exc}") from exc
+    except ConfigError as exc:
+        raise RunError(f"manifest {manifest_path}: {exc}") from None
     with tempfile.TemporaryDirectory(prefix="spinprobe_rerun_") as tmp:
         fresh = execute(cfg, Path(tmp), workers=workers)
     old, new = manifest["inventory"], fresh["inventory"]

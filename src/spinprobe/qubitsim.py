@@ -143,14 +143,6 @@ class ReadoutModel:
     def apply(self, p_ideal):
         return self.floor + self.visibility * np.asarray(p_ideal, dtype=float)
 
-    def invert(self, p_obs):
-        return (np.asarray(p_obs, dtype=float) - self.floor) / self.visibility
-
-    def sample(self, p_ideal, shots: int, rng: np.random.Generator):
-        """Empirical probability from ``shots`` binary outcomes."""
-        p = np.clip(self.apply(p_ideal), 0.0, 1.0)
-        return rng.binomial(shots, p) / shots
-
 
 def rabi_p_up(rabi_hz, detuning_hz, duration_s):
     """Spin-up probability for a resonant square drive (rotating frame).
@@ -182,14 +174,6 @@ class CoherencePoint:
     std_err: float
     n_traj: int
 
-    @property
-    def chi(self) -> float:
-        return -math.log(self.w) if self.w > 0 else math.nan
-
-    @property
-    def chi_std_err(self) -> float:
-        return self.std_err / self.w if self.w > 0 else math.nan
-
 
 @dataclass(frozen=True)
 class DecayCurve:
@@ -210,16 +194,6 @@ class DecayCurve:
                                            self.times.shape).copy())
         if not (self.times.shape == self.w.shape == self.std_err.shape):
             raise ValueError("decay curve arrays must be congruent")
-
-    @property
-    def chi(self) -> np.ndarray:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(self.w > 0, -np.log(np.maximum(self.w, 1e-300)), np.nan)
-
-    @property
-    def chi_std_err(self) -> np.ndarray:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(self.w > 0, self.std_err / self.w, np.nan)
 
 
 class PhaseFunctional:

@@ -23,11 +23,8 @@ which :func:`spinprobe.qubitsim.chi_ff` uses whenever a schedule is CPMG.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-
-from ._csvio import read_columns, write_columns
 
 __all__ = [
     "PulseSchedule",
@@ -37,12 +34,7 @@ __all__ = [
     "filter_function",
     "cpmg_filter_function",
     "response",
-    "toggling_sign",
-    "export_schedule",
-    "import_schedule",
 ]
-
-SCHEDULE_HEADER = "pulse_index,time_s"
 
 
 @dataclass(frozen=True)
@@ -162,34 +154,3 @@ def cpmg_filter_function(n_pulses: int, total_time: float, f_hz) -> np.ndarray:
                          np.sin(n_pulses * np.pi * r) / den)
     mag2 = (tau * np.sinc(0.5 * u) * np.sin(0.5 * np.pi * u) * ratio) ** 2
     return mag2 if np.ndim(f_hz) else float(mag2)
-
-
-def toggling_sign(schedule: PulseSchedule, t) -> np.ndarray:
-    """Sign of y(t): +1 before the first pulse, flipping at each pulse."""
-    t_arr = np.asarray(t, dtype=float)
-    flips = np.searchsorted(np.asarray(schedule.pulse_times), t_arr, side="right")
-    return (-1.0) ** flips
-
-
-def export_schedule(schedule: PulseSchedule, path) -> None:
-    # readout row closes the window; index 0 marks it
-    n = len(schedule.pulse_times)
-    write_columns(path, SCHEDULE_HEADER,
-                  (np.append(np.arange(1, n + 1), 0),
-                   np.append(schedule.pulse_times, schedule.total_time)))
-
-
-def import_schedule(path) -> PulseSchedule:
-    path = Path(path)
-    _, (index, times) = read_columns(path, SCHEDULE_HEADER)
-    if index.dtype.kind != "i":
-        raise ValueError(f"{path}: pulse_index must be integers")
-    times = times.astype(float)
-    readout = times[index == 0]
-    if not readout.size:
-        raise ValueError(f"{path}: schedule CSV lacks the index-0 readout row")
-    order = np.lexsort((times, index))
-    pulses = order[index[order] != 0]
-    return PulseSchedule(total_time=float(readout[-1]),
-                         pulse_times=tuple(times[pulses].tolist()),
-                         label=f"external:{path.name}")

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
-from ._csvio import Csv, read_columns, write_columns, write_files
+from ._csvio import Csv, write_columns, write_files
 from ._rng import derive_rng
 from ._solve import gamma_quantile
 
@@ -41,10 +40,8 @@ __all__ = [
     "voltage_to_detuning_psd",
     "voltage_to_detuning_model",
     "export_trace",
-    "import_trace",
     "psd_csv",
     "export_psd",
-    "import_psd",
 ]
 
 TRACE_HEADERS = {"rad/s": "time_s,delta_omega_rad_per_s", "V": "time_s,volts"}
@@ -520,28 +517,11 @@ def voltage_to_detuning_model(model: SpectrumModel, coeff_hz_per_v: float) -> Sp
 
 
 # ---------------------------------------------------------------------------
-# CSV interchange
+# CSV export
 
 
 def export_trace(trace: NoiseTrace, path) -> None:
-    header = TRACE_HEADERS.get(trace.unit)
-    if header is None:
-        raise ValueError(f"no CSV header defined for unit {trace.unit!r}")
-    write_columns(path, header, (trace.times, trace.samples))
-
-
-def import_trace(path) -> NoiseTrace:
-    path = Path(path)
-    header, (t, x) = read_columns(path, *TRACE_HEADERS.values())
-    unit = {v: k for k, v in TRACE_HEADERS.items()}[header]
-    if t.size < 2:
-        raise ValueError(f"{path}: a trace needs at least two rows")
-    dt = np.diff(t)
-    if np.any(dt <= 0) or np.ptp(dt) > 1e-6 * dt.mean():
-        raise ValueError("trace time base must be uniform and increasing")
-    rate = 1.0 / dt.mean()
-    return NoiseTrace(samples=x, sample_rate=rate, duration=x.size / rate,
-                      seed=None, provenance=f"external:{path.name}", unit=unit)
+    write_columns(path, TRACE_HEADERS[trace.unit], (trace.times, trace.samples))
 
 
 def psd_csv(estimate: PsdEstimate, header: str = PSD_HEADER) -> Csv:
@@ -551,8 +531,3 @@ def psd_csv(estimate: PsdEstimate, header: str = PSD_HEADER) -> Csv:
 
 def export_psd(estimate: PsdEstimate, path) -> None:
     write_files({path: psd_csv(estimate)})
-
-
-def import_psd(path, estimator_tag: str = "welch_periodogram") -> PsdEstimate:
-    _, (f, s, lo, hi) = read_columns(path, PSD_HEADER)
-    return PsdEstimate(f=f, s=s, ci_low=lo, ci_high=hi, estimator_tag=estimator_tag)

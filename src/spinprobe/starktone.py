@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectra
-from ._csvio import read_columns, write_columns
+from ._csvio import write_columns
 from ._parallel import pmap
 from ._rng import derive_child_seed, derive_rngs
-from ._solve import distinct
 from .qubitsim import PSD_CHI_CALIBRATION, PhaseFunctional, ReadoutModel
 from .sequences import filter_function, make_cpmg, response
 from .spectra import SpectrumModel
@@ -41,7 +40,6 @@ __all__ = [
     "tone_scan",
     "detect_tone_threshold",
     "export_tone_scan",
-    "import_tone_scan",
 ]
 
 TONE_SCAN_HEADER = "f_hz,amplitude_vpp,p_up,std_err"
@@ -143,11 +141,6 @@ class ToneWave:
     amplitude_rad_s: float
     f_tone: float
     phase: float | None
-
-    def __call__(self, t, phase: float | None = None) -> np.ndarray:
-        theta = phase if phase is not None else (self.phase or 0.0)
-        t = np.asarray(t, dtype=float)
-        return self.amplitude_rad_s * np.sin(2 * math.pi * self.f_tone * t + theta)
 
 
 def tone_to_detuning(tone: ToneConfig, stark: StarkMap) -> ToneWave:
@@ -339,19 +332,3 @@ def export_tone_scan(result: ToneScanResult, path) -> None:
     write_columns(path, TONE_SCAN_HEADER,
                   (np.tile(result.f_hz, n_amp), np.repeat(result.amplitudes_vpp, n_f),
                    result.p_up.ravel(), result.std_err.ravel()))
-
-
-def import_tone_scan(path, shots: int = 0) -> ToneScanResult:
-    _, columns = read_columns(path, TONE_SCAN_HEADER)
-    data = np.column_stack(columns).astype(float)
-    f = distinct(data[:, 0])
-    amps = distinct(data[:, 1])
-    p = np.full((amps.size, f.size), np.nan)
-    se = np.full((amps.size, f.size), np.nan)
-    for row in data:
-        i = int(np.argmin(np.abs(amps - row[1])))
-        j = int(np.argmin(np.abs(f - row[0])))
-        p[i, j] = row[2]
-        se[i, j] = row[3]
-    return ToneScanResult(f_hz=f, amplitudes_vpp=amps, p_up=p, std_err=se,
-                          shots=shots)

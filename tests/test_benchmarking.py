@@ -6,7 +6,6 @@ from scipy.optimize import brentq
 
 from spinprobe.benchmarking import (
     CLIFFORD_DECOMPOSITIONS,
-    PRIMITIVE_DURATIONS,
     PRIMITIVES,
     RB_HEADER,
     RbCurve,
@@ -16,20 +15,48 @@ from spinprobe.benchmarking import (
     depolarizing_from_clifford_fidelity,
     export_rb_curve,
     fit_rb,
-    import_rb_curve,
     interleaved_gate_fidelity,
     inverse_indices,
     mean_primitives_per_clifford,
-    minimal_word_lengths,
     primitive_counts,
     primitive_fidelity_from_clifford,
     rb_interleaved,
     rb_reference,
     rb_survival_probability,
-    same_up_to_phase,
-    sequence_duration,
 )
 from spinprobe.qubitsim import ReadoutModel
+
+
+def same_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
+    """True when two 2x2 unitaries differ only by a global phase."""
+    return abs(abs(np.trace(a.conj().T @ b)) - 2.0) < tol
+
+
+def minimal_word_lengths() -> np.ndarray:
+    """BFS distance from the identity over the non-idle primitives.
+
+    The identity Clifford reports 1: it is realized as an explicit idle
+    pulse, never as an empty word.
+    """
+    us = clifford_unitaries()
+    gens = [u for name, u in PRIMITIVES.items() if name != "I"]
+    dist = np.full(24, -1)
+    frontier = [np.eye(2, dtype=complex)]
+    depth = 0
+    while np.any(dist < 0):
+        depth += 1
+        assert depth <= 6, "primitive set does not generate the group"
+        nxt = []
+        for u in frontier:
+            for g in gens:
+                v = g @ u
+                [k] = [i for i in range(24) if same_up_to_phase(us[i], v)]
+                if dist[k] < 0:
+                    dist[k] = depth
+                    nxt.append(v)
+        frontier = nxt
+    dist[0] = 1  # idle convention
+    return dist
 
 
 class TestCliffordGroup:
@@ -167,31 +194,15 @@ class TestRbSimulation:
                     n_sequences=3)
 
 
-class TestDurations:
-    def test_sequence_duration_sums_gaps(self):
-        # two 90s and one 180 with two inter-pulse gaps
-        assert sequence_duration([("X90", "Y180"), ("I",)]) == pytest.approx(3.7e-6)
-        assert sequence_duration([]) == 0.0
-
-    def test_half_pulses_are_half_duration(self):
-        assert PRIMITIVE_DURATIONS["X180"] == pytest.approx(
-            2 * PRIMITIVE_DURATIONS["X90"])
-
-
 class TestCsv:
     def test_round_trip(self, tmp_path):
         curve = rb_reference([1, 8, 32], 12, 2e-3, 4, shots=160)
         p = tmp_path / "rb.csv"
         export_rb_curve(curve, p)
-        assert p.read_text().splitlines()[0] == RB_HEADER
-        back = import_rb_curve(p)
-        np.testing.assert_array_equal(back.depths, curve.depths)
-        np.testing.assert_array_equal(back.mean_survival, curve.mean_survival)
-        np.testing.assert_array_equal(back.std_err, curve.std_err)
-        assert back.n_sequences == 12
-
-    def test_rejects_foreign_header(self, tmp_path):
-        p = tmp_path / "rb.csv"
-        p.write_text("a,b,c,d\n1,2,3,4\n")
-        with pytest.raises(ValueError):
-            import_rb_curve(p)
+        header, *rows = p.read_text().splitlines()
+        assert header == RB_HEADER
+        depths, survival, std_err, n_seq = zip(*(r.split(",") for r in rows))
+        assert list(map(int, depths)) == curve.depths.tolist()
+        assert list(map(float, survival)) == curve.mean_survival.tolist()
+        assert list(map(float, std_err)) == curve.std_err.tolist()
+        assert set(n_seq) == {"12"}

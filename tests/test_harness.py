@@ -2,10 +2,12 @@
 
 import copy
 import functools
+import importlib
 import json
 import math
 import operator
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -847,6 +849,36 @@ class TestCli:
         assert "Traceback" not in printed.out + printed.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys, command):
+        p = tmp_path / "bad.yaml"
+        p.write_bytes(b"\xff\xfe")
+        assert main([command, str(p)]) == 2
+        printed = capsys.readouterr()
+        assert printed.out.startswith("error: ") and str(p) in printed.out
+        assert "Traceback" not in printed.out + printed.err
+
+    @pytest.mark.parametrize("content", [
+        json.dumps({"config": {"kind": "nope"}, "inventory": {}}).encode(),
+        json.dumps({"config": {"kind": "nope"}}).encode(),
+        b"[]",
+        b"\xff\xfe{}",
+        json.dumps({"config": TINY_CHEVRON}).encode(),
+    ], ids=["invalid-config", "invalid-config-no-inventory", "not-a-mapping",
+            "not-utf8", "no-inventory"])
+    def test_rerun_malformed_manifest_exits_2(self, tmp_path, capsys,
+                                              monkeypatch, content):
+        p = tmp_path / MANIFEST_NAME
+        p.write_bytes(content)
+        ran = []
+        monkeypatch.setattr(runner_module, "execute",
+                            lambda *args, **kwargs: ran.append(args))
+        assert main(["rerun", str(p), "--workers", "1"]) == 2
+        printed = capsys.readouterr()
+        assert printed.out.startswith("error: ")
+        assert "Traceback" not in printed.out + printed.err
+        assert ran == []  # rejected before anything runs
+
     def test_run_and_rerun(self, tmp_path, capsys):
         cfg = dict(TINY_CHEVRON, output_dir=str(tmp_path / "out"))
         p = _write_yaml(tmp_path, cfg)
@@ -859,6 +891,20 @@ def _src_env() -> dict:
     src = os.path.dirname(os.path.dirname(spinprobe.__file__))
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")])}
+
+
+MODULES_WITH_ALL = [
+    name for name in ["spinprobe"] + [
+        m.name for m in pkgutil.walk_packages(spinprobe.__path__, "spinprobe.")]
+    if hasattr(importlib.import_module(name), "__all__")]
+
+
+@pytest.mark.parametrize("name", MODULES_WITH_ALL)
+def test_every_name_in_all_exists(name):
+    """``from module import *`` fails on a name ``__all__`` lists but the
+    module no longer defines."""
+    module = importlib.import_module(name)
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
 def test_cli_import_loads_no_scipy_or_jsonschema():

@@ -7,16 +7,12 @@ from hypothesis import strategies as st
 
 from spinprobe.sequences import (
     PulseSchedule,
-    SCHEDULE_HEADER,
     cpmg_filter_function,
-    export_schedule,
     filter_function,
-    import_schedule,
     make_cpmg,
     make_hahn,
     make_ramsey,
     response,
-    toggling_sign,
 )
 
 T = 1e-3
@@ -77,14 +73,13 @@ class TestConstruction:
 class TestToggling:
     def test_sign_starts_positive_and_flips(self):
         sch = make_cpmg(2, T)  # pulses at T/4, 3T/4
-        t = np.array([0.0, 0.1 * T, 0.26 * T, 0.5 * T, 0.76 * T, 0.99 * T])
-        np.testing.assert_array_equal(toggling_sign(sch, t),
-                                      [1, 1, -1, -1, 1, 1])
+        np.testing.assert_array_equal(sch.boundaries, [0.0, T / 4, 3 * T / 4, T])
+        np.testing.assert_array_equal(sch.segment_signs, [1, -1, 1])
 
     def test_ramsey_sign_constant(self):
         sch = make_ramsey(T)
-        np.testing.assert_array_equal(
-            toggling_sign(sch, np.linspace(0, T, 7)), np.ones(7))
+        np.testing.assert_array_equal(sch.boundaries, [0.0, T])
+        np.testing.assert_array_equal(sch.segment_signs, [1])
 
 
 class TestResponse:
@@ -217,33 +212,3 @@ class TestParseval:
         integral = np.trapezoid(filter_function(sch, f), f)
         integral += (4 * n + 2) / (4 * np.pi ** 2 * cap)
         assert integral == pytest.approx(T / 2.0, rel=1e-9)
-
-
-class TestCsv:
-    def test_round_trip(self, tmp_path):
-        sch = make_cpmg(6, 3.7e-4)
-        p = tmp_path / "sched.csv"
-        export_schedule(sch, p)
-        assert p.read_text().splitlines()[0] == SCHEDULE_HEADER
-        back = import_schedule(p)
-        assert back.total_time == sch.total_time
-        assert back.pulse_times == sch.pulse_times
-
-    def test_index_zero_row_carries_total_time(self, tmp_path):
-        p = tmp_path / "sched.csv"
-        export_schedule(make_hahn(2e-4), p)
-        rows = [l.split(",") for l in p.read_text().splitlines()[1:]]
-        zero = [t for i, t in rows if int(i) == 0]
-        assert len(zero) == 1 and float(zero[0]) == 2e-4
-
-    def test_rejects_missing_readout_row(self, tmp_path):
-        p = tmp_path / "bad.csv"
-        p.write_text(SCHEDULE_HEADER + "\n1,0.0001\n")
-        with pytest.raises(ValueError):
-            import_schedule(p)
-
-    def test_rejects_foreign_header(self, tmp_path):
-        p = tmp_path / "bad.csv"
-        p.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError):
-            import_schedule(p)
