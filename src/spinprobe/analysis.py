@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _solve
 from ._rng import derive_child_seed
-from .qubitsim import PSD_CHI_CALIBRATION, DecayCurve, decay_vs_pulses_many
+from .qubitsim import PSD_CHI_CALIBRATION, DecayCurve, submit_decay_vs_pulses
 from .spectra import PsdEstimate, SpectrumModel
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "spectroscopy_point",
     "reconstruct_psd",
     "spectroscopy_scan",
+    "submit_spectroscopy_scan",
 ]
 
 
@@ -88,11 +89,13 @@ def _t2_guess(times: np.ndarray, w: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ExponentialFit:
-    """W(t) = exp(-t / t2)."""
+    """W(t) = exp(-t / t2).  ``on_bound``: t2 ended on an end of its
+    search range, guess·1e-4 or guess·1e4 (see :func:`fit_exponential`)."""
 
     t2: float
     t2_err: float
     chi2_reduced: float
+    on_bound: bool = False
 
 
 @dataclass(frozen=True)
@@ -146,9 +149,9 @@ def fit_exponential(times, w, std_err=None) -> ExponentialFit:
     sigma = _sigma_or_none(std_err)
 
     guess = _t2_guess(t, y)
+    lo, hi = guess * 1e-4, guess * 1e4
     try:
-        popt, pcov = _solve.fit_exp_decay(t, y, sigma, [guess],
-                                          ([guess * 1e-4], [guess * 1e4]))
+        popt, pcov = _solve.fit_exp_decay(t, y, sigma, [guess], ([lo], [hi]))
     except (RuntimeError, ValueError) as exc:
         raise FitError(f"exponential fit failed: {exc}",
                        {"guess": guess, "t_range": [float(t[0]), float(t[-1])],
@@ -156,7 +159,8 @@ def fit_exponential(times, w, std_err=None) -> ExponentialFit:
     (t2,) = popt
     (t2_err,) = _check_cov(popt, pcov, {"model": "exponential"})
     return ExponentialFit(t2=float(t2), t2_err=float(t2_err),
-                          chi2_reduced=_reduced_chi2(y - np.exp(-t / t2), sigma, 1))
+                          chi2_reduced=_reduced_chi2(y - np.exp(-t / t2), sigma, 1),
+                          on_bound=not lo * (1 + 1e-9) < t2 < hi * (1 - 1e-9))
 
 
 def fit_stretched(times, w, std_err=None, *,
@@ -243,6 +247,8 @@ def expected_stretching_exponent(alpha: float) -> float:
 # ---------------------------------------------------------------------------
 # CPMG noise spectroscopy
 
+FIT_ON_BOUND = "fit_on_bound"
+
 
 @dataclass(frozen=True)
 class SpectroscopyPoint:
@@ -276,12 +282,16 @@ def spectroscopy_point(curve: DecayCurve, tau_wait: float, *,
     versus total time is a plain exponential; its decay time is the
     frequency-resolved T2 at ``1/(2*tau_wait)``.  A point whose wait is no
     longer small against the single-echo decay time can't separate the
-    filter passband from the overall envelope, so it gets flagged.
+    filter passband from the overall envelope, so it gets flagged.  So
+    does a fit whose T2 ended on a bound of its search range or has zero
+    error: its S and interval say nothing about the noise.
     """
     fit = fit_exponential(curve.times, curve.w, curve.std_err)
     flags = []
     if t2_hahn is not None and tau_wait > approach_fraction * t2_hahn:
         flags.append("out_of_range:tau_wait_approaches_hahn_t2")
+    if fit.on_bound or fit.t2_err == 0:
+        flags.append(FIT_ON_BOUND)
     return SpectroscopyPoint(tau_wait=float(tau_wait), t2s=fit.t2,
                              t2s_err=fit.t2_err,
                              pulse_counts=tuple(int(n) for n in curve.n_pulses),
@@ -303,9 +313,13 @@ def reconstruct_psd(points: list[SpectroscopyPoint]) -> PsdEstimate:
     s = np.array([p.s_value for p in pts])
     half = 1.959964 * np.array([p.s_err for p in pts])
     warnings = []
-    n_flagged = sum(1 for p in pts if p.flags)
-    if n_flagged:
-        warnings.append(f"{n_flagged} of {len(pts)} points flagged out of range")
+    n_out = sum(1 for p in pts if set(p.flags) - {FIT_ON_BOUND})
+    if n_out:
+        warnings.append(f"{n_out} of {len(pts)} points flagged out of range")
+    n_bound = sum(1 for p in pts if FIT_ON_BOUND in p.flags)
+    if n_bound:
+        warnings.append(f"{n_bound} of {len(pts)} points flagged fit on bound "
+                        f"(T2 at a search limit or with zero error)")
     detail = tuple({"f_hz": p.f_hz, "tau_wait": p.tau_wait, "t2s": p.t2s,
                     "t2s_err": p.t2s_err, "pulse_counts": p.pulse_counts,
                     "flags": p.flags} for p in pts)
@@ -326,16 +340,32 @@ def spectroscopy_scan(model: SpectrumModel, f_grid_hz, pulse_counts,
     Each frequency f gets a fixed wait ``1/(2f)`` and a pulse-count scan;
     the per-point seeds derive from (seed, frequency index, pulse-count
     index) so the result is independent of evaluation order.  All points
-    of all frequencies run in one process pool.
+    of all frequencies run in one map over the process pool.
     """
+    return submit_spectroscopy_scan(
+        model, f_grid_hz, pulse_counts, n_traj, seed, calibration=calibration,
+        t2_hahn=t2_hahn, duration_factor=duration_factor,
+        samples_per_interval=samples_per_interval)()
+
+
+def submit_spectroscopy_scan(model: SpectrumModel, f_grid_hz, pulse_counts,
+                             n_traj: int, seed: int, *,
+                             calibration: float = PSD_CHI_CALIBRATION,
+                             t2_hahn: float | None = None,
+                             duration_factor: float = 2.0,
+                             samples_per_interval: int = 16):
+    """:func:`spectroscopy_scan` with its decay points submitted to the
+    run's process pool and not yet collected.  Returns a handle whose
+    call waits for them, fits them and gives the :class:`PsdEstimate`."""
     f_grid = np.asarray(f_grid_hz, dtype=float)
     if np.any(f_grid <= 0):
         raise ValueError("spectroscopy frequencies must be > 0")
     taus = 1.0 / (2.0 * f_grid)
-    curves = decay_vs_pulses_many(
+    pending = submit_decay_vs_pulses(
         model, taus, pulse_counts, n_traj,
         [derive_child_seed(seed, i) for i in range(f_grid.size)],
         calibration=calibration, duration_factor=duration_factor,
         samples_per_interval=samples_per_interval)
-    return reconstruct_psd([spectroscopy_point(curve, tau, t2_hahn=t2_hahn)
-                            for curve, tau in zip(curves, taus)])
+    return lambda: reconstruct_psd([
+        spectroscopy_point(curve, tau, t2_hahn=t2_hahn)
+        for curve, tau in zip(pending(), taus)])

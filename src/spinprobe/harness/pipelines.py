@@ -5,6 +5,14 @@ returns a ``_Report``: ``files`` written, ``stages`` (name, derived seed,
 wall-clock), ``fit_failures``, and a ``summary`` for the manifest.  All
 randomness flows from seeds derived off the master seed with fixed stage
 indices, so outputs never depend on timing or worker count.
+
+A pipeline runs inside its run's one process pool
+(:func:`spinprobe._parallel.run_pool`), and may submit a stage's work
+before earlier stages run: ``voltage_psd`` submits its spectroscopy
+scan, which reads the model and not the trace, before it builds the
+trace.  A stage's ``seconds`` is the main process's wall-clock time in
+the stage, so such a stage reads only the time it waited for its
+results, and work submitted earlier may run during other stages.
 """
 
 from __future__ import annotations
@@ -41,9 +49,13 @@ class _Report:
         self.fit_failures: list[dict] = []
         self.summary: dict = {}
 
+    def seed(self, index: int) -> int:
+        """The seed of the run's stage number ``index``."""
+        return derive_child_seed(self.master_seed, index)
+
     @contextmanager
     def stage(self, name: str):
-        seed = derive_child_seed(self.master_seed, len(self.stages))
+        seed = self.seed(len(self.stages))
         t0 = time.perf_counter()
         info = {"name": name, "seed": seed}
         try:
@@ -392,6 +404,21 @@ def run_voltage_psd(cfg, out: Path) -> _Report:
     vmodel = _model(cfg)
     stark = StarkMap(**cfg["stark"])
     coeff = stark.coefficient(proto["stark_gate"])
+    spec_cfg = proto["spectroscopy"]
+    if spec_cfg:
+        # the scan reads the model, not the trace: submit it first, with
+        # the seed of its stage (the third), so the pool runs it while the
+        # main process builds the trace and its Welch estimate
+        dmodel = spectra.voltage_to_detuning_model(vmodel, coeff)
+        if proto["qubit_floor_rad2_s"]:
+            dmodel = SpectrumModel(
+                powerlaws=dmodel.powerlaws,
+                white_floor=dmodel.white_floor + proto["qubit_floor_rad2_s"],
+                lines=dmodel.lines)
+        scan = analysis.submit_spectroscopy_scan(
+            dmodel, grid_values(spec_cfg["f_grid_hz"]),
+            spec_cfg["pulse_counts"], spec_cfg["n_traj"], report.seed(2),
+            samples_per_interval=spec_cfg["samples_per_interval"])
     with report.stage("trace") as seed:
         trace = spectra.synthesize(vmodel, proto["sample_rate_hz"],
                                    proto["duration_s"], seed, unit="V")
@@ -416,19 +443,9 @@ def run_voltage_psd(cfg, out: Path) -> _Report:
                "stark_gate": proto["stark_gate"],
                "stark_coefficient_hz_per_v": coeff,
                "welch_warnings": list(est_v.warnings)}
-    spec_cfg = proto["spectroscopy"]
     if spec_cfg:
-        with report.stage("spectroscopy") as seed:
-            dmodel = spectra.voltage_to_detuning_model(vmodel, coeff)
-            if proto["qubit_floor_rad2_s"]:
-                dmodel = SpectrumModel(
-                    powerlaws=dmodel.powerlaws,
-                    white_floor=dmodel.white_floor + proto["qubit_floor_rad2_s"],
-                    lines=dmodel.lines)
-            est_rec = analysis.spectroscopy_scan(
-                dmodel, grid_values(spec_cfg["f_grid_hz"]),
-                spec_cfg["pulse_counts"], spec_cfg["n_traj"], seed,
-                samples_per_interval=spec_cfg["samples_per_interval"])
+        with report.stage("spectroscopy"):
+            est_rec = scan()
             spectra.export_psd(est_rec, out / "psd_reconstructed.csv")
             report.files.append("psd_reconstructed.csv")
             summary["spectroscopy_f_range_hz"] = [float(est_rec.f[0]),

@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 
 from .. import __version__
-from .._parallel import ENV_VAR, worker_count
+from .._parallel import ENV_VAR, run_pool, worker_count
 from .config import ConfigError, load_config, validate_config
 from .pipelines import PIPELINES
 
@@ -112,15 +112,18 @@ def execute(cfg: dict, out: Path, *, workers: int | None = None) -> dict:
     Returns the manifest dict.  Worker-count precedence: the ``workers``
     argument, then ``cfg["workers"]``, then the environment, then 1; an
     invalid count raises :class:`RunError` before anything is written.
+    The pipeline runs in one process pool of that many workers (none at
+    one worker), shut down before the manifest is written; if the
+    pipeline raises, the pool's queued jobs are cancelled and the lock
+    is released before the exception propagates.
     """
     n_workers = _resolve_workers(workers, cfg)
     out.mkdir(parents=True, exist_ok=True)
     lock = _acquire_lock(out)
-    prev = os.environ.get(ENV_VAR)
     try:
-        os.environ[ENV_VAR] = str(n_workers)
         t0 = time.perf_counter()
-        report = PIPELINES[cfg["kind"]](cfg, out)
+        with run_pool(n_workers):
+            report = PIPELINES[cfg["kind"]](cfg, out)
         manifest = {
             "toolkit_version": __version__,
             "kind": cfg["kind"],
@@ -136,10 +139,6 @@ def execute(cfg: dict, out: Path, *, workers: int | None = None) -> dict:
         return manifest
     finally:
         lock.unlink(missing_ok=True)
-        if prev is None:
-            os.environ.pop(ENV_VAR, None)
-        else:
-            os.environ[ENV_VAR] = prev
 
 
 def run(config_path, *, workers: int | None = None,

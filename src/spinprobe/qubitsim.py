@@ -31,9 +31,10 @@ windows of a recorded trace.  The Monte Carlo engine and the tone scan
 of :mod:`spinprobe.starktone` never form a trace: a trajectory costs its
 normal draws and one dot product, on the same random stream
 :func:`spectra.draw_trace_samples` draws in blocks when it synthesizes
-the trace from the model.  The decay scans send
-all their points, across every wait of a spectroscopy scan, through one
-process pool.
+the trace from the model.  The decay scans submit all their points,
+across every wait of a spectroscopy scan, to the run's one process pool
+(:mod:`spinprobe._parallel`) in one map, and
+:func:`submit_decay_vs_pulses` returns before they finish.
 
 Calibration convention
 ----------------------
@@ -56,8 +57,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectra
-from ._rng import derive_rng, derive_rngs
+from . import _parallel, spectra
+from ._rng import derive_child_seed, derive_rng, derive_rngs
 from ._solve import brentq, distinct
 from .sequences import (PulseSchedule, cpmg_filter_function, filter_function,
                         make_cpmg, make_ramsey)
@@ -84,7 +85,7 @@ __all__ = [
     "cpmg_t2",
     "decay_vs_time",
     "decay_vs_pulses",
-    "decay_vs_pulses_many",
+    "submit_decay_vs_pulses",
 ]
 
 # Closes the round trip between simulated decay times and the S = pi^2/(4*T2)
@@ -633,13 +634,12 @@ def _decay_point(args) -> CoherencePoint:
                         samples_per_interval=samples_per_interval)
 
 
-def _run_decay_curves(model: SpectrumModel, specs, n_traj: int,
-                      calibration: float, duration_factor: float,
-                      samples_per_interval: int) -> list[DecayCurve]:
+def _submit_decay_curves(model: SpectrumModel, specs, n_traj: int,
+                         calibration: float, duration_factor: float,
+                         samples_per_interval: int):
     """One curve per ``(pulse_counts, times, seed, label)`` spec; every
-    point of every curve goes through a single :func:`pmap`."""
-    from ._parallel import pmap
-    from ._rng import derive_child_seed
+    point of every curve goes through a single :func:`_parallel.submit`.
+    Returns a handle whose call gives the curves."""
     model_dict = model.to_dict()
     grids, jobs = [], []
     for pulse_counts, times, seed, label in specs:
@@ -651,15 +651,18 @@ def _run_decay_curves(model: SpectrumModel, specs, n_traj: int,
                      derive_child_seed(seed, i), calibration,
                      duration_factor, samples_per_interval)
                     for i, (n, t) in enumerate(zip(pulse_counts, times)))
-    points = iter(pmap(_decay_point, jobs))
-    curves = []
-    for pulse_counts, times, label in grids:
-        curve_points = [next(points) for _ in times]
-        curves.append(DecayCurve(times=times,
-                                 w=np.array([p.w for p in curve_points]),
-                                 std_err=np.array([p.std_err for p in curve_points]),
-                                 n_pulses=pulse_counts,
-                                 n_traj=n_traj, label=label))
+    pending = _parallel.submit(_decay_point, jobs)
+
+    def curves() -> list[DecayCurve]:
+        points = iter(pending())
+        out = []
+        for pulse_counts, times, label in grids:
+            curve_points = [next(points) for _ in times]
+            out.append(DecayCurve(
+                times=times, w=np.array([p.w for p in curve_points]),
+                std_err=np.array([p.std_err for p in curve_points]),
+                n_pulses=pulse_counts, n_traj=n_traj, label=label))
+        return out
     return curves
 
 
@@ -671,9 +674,9 @@ def decay_vs_time(model: SpectrumModel, n_pulses: int, times, n_traj: int,
     """Coherence decay at fixed pulse count over a grid of total times."""
     if not label:
         label = {0: "ramsey", 1: "hahn"}.get(n_pulses, f"cpmg-{n_pulses}")
-    return _run_decay_curves(model, [(n_pulses, times, seed, label)], n_traj,
-                             calibration, duration_factor,
-                             samples_per_interval)[0]
+    return _submit_decay_curves(model, [(n_pulses, times, seed, label)],
+                                n_traj, calibration, duration_factor,
+                                samples_per_interval)()[0]
 
 
 def decay_vs_pulses(model: SpectrumModel, tau_wait: float, pulse_counts,
@@ -688,22 +691,23 @@ def decay_vs_pulses(model: SpectrumModel, tau_wait: float, pulse_counts,
     total time N*tau_wait is exponential with rate proportional to the
     spectral density there.
     """
-    return decay_vs_pulses_many(model, [tau_wait], pulse_counts, n_traj,
-                                [seed], calibration=calibration,
-                                duration_factor=duration_factor,
-                                samples_per_interval=samples_per_interval)[0]
+    return submit_decay_vs_pulses(model, [tau_wait], pulse_counts, n_traj,
+                                  [seed], calibration=calibration,
+                                  duration_factor=duration_factor,
+                                  samples_per_interval=samples_per_interval)()[0]
 
 
-def decay_vs_pulses_many(model: SpectrumModel, tau_waits, pulse_counts,
-                         n_traj: int, seeds, *,
-                         calibration: float = PSD_CHI_CALIBRATION,
-                         duration_factor: float = 2.0,
-                         samples_per_interval: int = 16) -> list[DecayCurve]:
+def submit_decay_vs_pulses(model: SpectrumModel, tau_waits, pulse_counts,
+                           n_traj: int, seeds, *,
+                           calibration: float = PSD_CHI_CALIBRATION,
+                           duration_factor: float = 2.0,
+                           samples_per_interval: int = 16):
     """:func:`decay_vs_pulses` at each wait ``tau_waits[i]`` with seed
-    ``seeds[i]``, all points of all curves in one process pool.
+    ``seeds[i]``, all points of all curves submitted to the process pool
+    at once.  Returns a handle whose call gives the curves.
 
     The curves are identical to separate :func:`decay_vs_pulses` calls;
-    one pool keeps every worker busy while the long many-pulse points of
+    one map keeps every worker busy while the long many-pulse points of
     one wait finish.
     """
     counts = np.asarray(pulse_counts, dtype=int)
@@ -711,5 +715,5 @@ def decay_vs_pulses_many(model: SpectrumModel, tau_waits, pulse_counts,
         raise ValueError("pulse counts must be >= 1 when tau_wait is fixed")
     specs = [(counts, counts * float(tau), seed, f"tau_w={float(tau):.3e}s")
              for tau, seed in zip(tau_waits, seeds, strict=True)]
-    return _run_decay_curves(model, specs, n_traj, calibration,
-                             duration_factor, samples_per_interval)
+    return _submit_decay_curves(model, specs, n_traj, calibration,
+                                duration_factor, samples_per_interval)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spinprobe.analysis import (
+    FIT_ON_BOUND,
     FitError,
     SpectroscopyPoint,
     band_slope,
@@ -19,7 +20,7 @@ from spinprobe.analysis import (
     spectroscopy_scan,
     t2_scaling_exponent,
 )
-from spinprobe import _parallel
+from spinprobe import _parallel, analysis
 from spinprobe._rng import derive_child_seed
 from spinprobe.qubitsim import DecayCurve, chi_ff, decay_vs_pulses
 from spinprobe.sequences import make_cpmg
@@ -141,6 +142,36 @@ class TestSpectroscopyEstimator:
         assert spectroscopy_point(curve, tau, t2_hahn=3 * tau).flags
         assert not spectroscopy_point(curve, tau, t2_hahn=100 * tau).flags
 
+    @pytest.mark.parametrize("w", [[-0.01, -0.02, -0.005], [1.0, 1.0, 1.0]],
+                             ids=["decayed", "flat"])
+    def test_fit_on_bound_flag(self, w):
+        # decayed before the first point, T2 runs to its lower bound; never
+        # decaying, to its upper one
+        counts = np.array([2, 4, 8])
+        tau = 1e-5
+        curve = DecayCurve(times=counts * tau, w=np.array(w),
+                           std_err=np.full(3, 0.05), n_pulses=counts,
+                           n_traj=20, label="stuck")
+        assert fit_exponential(curve.times, curve.w, curve.std_err).on_bound
+        pt = spectroscopy_point(curve, tau)
+        assert pt.flags == (FIT_ON_BOUND,)
+        est = reconstruct_psd([pt])
+        assert est.warnings == ("1 of 1 points flagged fit on bound "
+                                "(T2 at a search limit or with zero error)",)
+        assert est.points_detail[0]["flags"] == (FIT_ON_BOUND,)
+
+    def test_zero_error_fit_is_flagged(self, monkeypatch):
+        curve, tau = self._analytic_curve(WHITE, 5e3, [2, 4, 8])
+        assert not spectroscopy_point(curve, tau).flags
+        real = fit_exponential
+
+        def zero_error(*args):
+            fit = real(*args)
+            return type(fit)(t2=fit.t2, t2_err=0.0, chi2_reduced=fit.chi2_reduced)
+
+        monkeypatch.setattr(analysis, "fit_exponential", zero_error)
+        assert spectroscopy_point(curve, tau).flags == (FIT_ON_BOUND,)
+
     def test_reconstruct_orders_and_propagates(self):
         pts = [SpectroscopyPoint(tau_wait=1 / (2 * f), t2s=1e-3, t2s_err=1e-4,
                                  pulse_counts=(2, 4), flags=())
@@ -186,14 +217,14 @@ class TestSpectroscopyScan:
 
     def test_one_pool_matches_per_frequency_loop(self, monkeypatch):
         pool_sizes = []
-        pmap = _parallel.pmap
+        submit = _parallel.submit
 
-        def counting(fn, jobs, workers=None):
+        def counting(fn, jobs):
             jobs = list(jobs)
             pool_sizes.append(len(jobs))
-            return pmap(fn, jobs, workers)
+            return submit(fn, jobs)
 
-        monkeypatch.setattr(_parallel, "pmap", counting)
+        monkeypatch.setattr(_parallel, "submit", counting)
         grid, counts = [2e3, 8e3, 3e4], [2, 4, 8]
         est = spectroscopy_scan(PINK, grid, counts, 48, 23)
         assert pool_sizes == [len(grid) * len(counts)]

@@ -5,12 +5,14 @@ import functools
 import importlib
 import json
 import math
+import multiprocessing
 import operator
 import os
 import pkgutil
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +23,9 @@ from hypothesis import strategies as st
 
 import spinprobe
 import spinprobe.analysis
-from spinprobe import _csvio, qubitsim, spectra, starktone
+from spinprobe import _csvio, _parallel, qubitsim, spectra, starktone
 from spinprobe._parallel import ENV_VAR, worker_count
+from spinprobe._rng import derive_child_seed
 from spinprobe.analysis import FitError
 from spinprobe.benchmarking import CLIFFORD_DECOMPOSITIONS
 from spinprobe.harness import ConfigError, RunError, execute, rerun, run
@@ -86,6 +89,13 @@ TINY_VOLTAGE = {
 BLOCKED_VOLTAGE = {**TINY_VOLTAGE, "protocol": {
     "sample_rate_hz": 1e4, "duration_s": 8.0, "nperseg_s": 4.0,
     "band_hz": [1.0, 4e3]}}
+
+# BLOCKED_VOLTAGE with a spectroscopy block, which voltage_psd submits
+# to the run's pool before it builds the trace
+OVERLAPPED_VOLTAGE = {**BLOCKED_VOLTAGE, "protocol": {
+    **BLOCKED_VOLTAGE["protocol"], "qubit_floor_rad2_s": 350.0,
+    "spectroscopy": {"f_grid_hz": [2e3, 3e3, 4e3], "pulse_counts": [2, 4],
+                     "n_traj": 8}}}
 
 TINY_IRB = {
     "kind": "interleaved_rbm",
@@ -695,6 +705,24 @@ class TestRunner:
             execute(cfg, tmp_path / "out", workers=0)
         assert not (tmp_path / "out").exists()
 
+    def test_spectroscopy_fit_on_t2_bound_is_flagged(self, tmp_path):
+        # at 50 kHz the qubit has dephased before the first point, so the
+        # fit ends on its lower T2 bound with zero error
+        cfg_path = _write_yaml(tmp_path, {
+            "kind": "noise_spectroscopy", "seed": 1, "output_dir": "unused",
+            "spectrum": {"white_floor": 1.0e12},
+            "protocol": {"f_grid_hz": {"start": 1300, "stop": 50000, "num": 3,
+                                       "spacing": "log"},
+                         "pulse_counts": [2, 4], "n_traj": 20}})
+        out = tmp_path / "out"
+        assert run(cfg_path, workers=1, output_dir=out) == 0
+        points = json.loads((out / "points.json").read_text())
+        assert [p["flags"] for p in points] == [[], [], ["fit_on_bound"]]
+        assert points[-1]["t2s_err"] == 0.0
+        summary = json.loads((out / MANIFEST_NAME).read_text())["summary"]
+        assert summary["warnings"] == ["1 of 3 points flagged fit on bound "
+                                       "(T2 at a search limit or with zero error)"]
+
     def test_worker_count_does_not_change_results(self, tmp_path):
         cfg = validate_config(dict(TINY_RAMSEY))
         m1 = execute(cfg, tmp_path / "a", workers=1)
@@ -719,6 +747,109 @@ class TestRunner:
         execute(validate_config(BLOCKED_VOLTAGE), tmp_path / "out", workers=1)
         n_bins = len((tmp_path / "out" / "psd_voltage.csv").read_text().splitlines()) - 1
         assert sum(formatted) == 7 * n_bins
+
+
+def _pid(_job) -> int:
+    return os.getpid()
+
+
+def _inner_map_pids(_job) -> list[int]:
+    """The pid of the process running this job, then those its own map
+    ran its jobs in."""
+    return [os.getpid()] + _parallel.pmap(_pid, range(3))
+
+
+_DECAY_POINT = qubitsim._decay_point
+_MARK_DIR = "SPINPROBE_TEST_MARK_DIR"
+
+
+def _marked_decay_point(args):
+    """A decay point that leaves a file named after its seed, slowly."""
+    (Path(os.environ[_MARK_DIR]) / str(args[4])).touch()
+    time.sleep(0.1)
+    return _DECAY_POINT(args)
+
+
+class TestRunPool:
+    def test_overlapped_voltage_psd_identical_at_1_and_2_workers(self, tmp_path):
+        cfg = validate_config(OVERLAPPED_VOLTAGE)
+        m1 = execute(cfg, tmp_path / "a", workers=1)
+        m2 = execute(cfg, tmp_path / "b", workers=2)
+        assert not multiprocessing.active_children()
+        assert m1["inventory"] == m2["inventory"]
+        assert "psd_reconstructed.csv" in m1["inventory"]
+        n_bins = len((tmp_path / "a" / "psd_voltage.csv").read_text().splitlines()) - 1
+        assert n_bins > _csvio.BLOCK_ROWS
+        stages = [[(s["name"], s["seed"]) for s in m["stages"]] for m in (m1, m2)]
+        names = ["trace", "welch", "spectroscopy"]
+        assert stages[0] == stages[1] == [
+            (name, derive_child_seed(cfg["seed"], i)) for i, name in enumerate(names)]
+
+    def test_failed_run_cancels_queued_jobs_and_leaves_no_process(
+            self, tmp_path, monkeypatch):
+        def boom(files):
+            raise OSError("disk full")
+
+        # the pipeline calls write_files by the name it imported; the welch
+        # stage's write fails while the spectroscopy jobs are still queued
+        monkeypatch.setattr(pipelines, "write_files", boom)
+        monkeypatch.setattr(_csvio, "write_files", boom)
+        marks = tmp_path / "marks"
+        marks.mkdir()
+        monkeypatch.setenv(_MARK_DIR, str(marks))
+        monkeypatch.setattr(qubitsim, "_decay_point", _marked_decay_point)
+        cfg = validate_config({**OVERLAPPED_VOLTAGE, "protocol": {
+            **OVERLAPPED_VOLTAGE["protocol"],
+            "spectroscopy": {"f_grid_hz": [2e3, 3e3, 4e3],
+                             "pulse_counts": [2, 4, 8, 16], "n_traj": 8}}})
+        out = tmp_path / "out"
+        with pytest.raises(OSError, match="disk full"):
+            execute(cfg, out, workers=2)
+        assert not multiprocessing.active_children()
+        assert not (out / LOCK_NAME).exists()
+        assert _parallel._run is None
+        # of the 12 jobs, only those already handed to a worker ran
+        assert len(list(marks.iterdir())) < 12
+
+    def test_one_worker_run_creates_no_pool(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-worker run opened a process pool")
+
+        monkeypatch.setattr(_parallel, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setenv(ENV_VAR, "2")
+        execute(validate_config(OVERLAPPED_VOLTAGE), tmp_path / "out", workers=1)
+
+    def test_run_leaves_the_environment_alone(self, tmp_path, monkeypatch):
+        seen = []
+        real = pipelines.PIPELINES["ramsey"]
+
+        def recording(cfg, out):
+            seen.append(os.environ.get(ENV_VAR))
+            return real(cfg, out)
+
+        monkeypatch.setitem(pipelines.PIPELINES, "ramsey", recording)
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        execute(validate_config(dict(TINY_RAMSEY)), tmp_path / "out", workers=2)
+        assert seen == [None]
+        assert ENV_VAR not in os.environ
+
+    def test_map_inside_a_worker_runs_inline(self, monkeypatch):
+        # the environment asks for two workers; a job's own map must still
+        # stay in the worker that runs the job
+        monkeypatch.setenv(ENV_VAR, "2")
+        with _parallel.run_pool(2):
+            inner = _parallel.pmap(_inner_map_pids, range(4))
+        assert not multiprocessing.active_children()
+        for pids in inner:
+            assert pids[0] != os.getpid()
+            assert set(pids) == {pids[0]}
+
+    def test_submit_collects_in_order(self):
+        with _parallel.run_pool(2):
+            pending = _parallel.submit(abs, [-3, 1, -2, 5])
+            assert _parallel.pmap(abs, [-7, 8]) == [7, 8]
+            assert pending() == [3, 1, 2, 5]
+        assert _parallel.submit(abs, [-1, -2])() == [1, 2]
 
 
 class TestWorkerCount:
