@@ -179,11 +179,18 @@ _GRID_FIELDS = {
 }
 
 
+def _repeated(values) -> list:
+    """The values that occur more than once in ``values``, sorted."""
+    a = np.sort(np.asarray(values, dtype=float))
+    return distinct(a[1:][a[1:] == a[:-1]]).tolist()
+
+
 def _grid(default=REQUIRED, *, positive: bool = False,
-          min_points: int = 1) -> Field:
+          min_points: int = 1, unique: bool = False) -> Field:
     """A list of numbers or ``{start, stop, num, spacing}``.  A log grid
     needs endpoints > 0; a ``positive`` grid (times, frequencies) needs
-    every value > 0."""
+    every value > 0; a ``unique`` one (a spectroscopy grid, one PSD point
+    per frequency) no value twice."""
     def rule(spec):
         values = grid_values(spec)
         if values.size < min_points:
@@ -191,6 +198,9 @@ def _grid(default=REQUIRED, *, positive: bool = False,
                               f"got {values.size}")
         if positive and np.any(values <= 0):
             raise ConfigError(f"values must be > 0, got {float(values.min())!r}")
+        if unique and (repeated := _repeated(values)):
+            raise ConfigError(f"values must be distinct, got "
+                              f"{', '.join(map(repr, repeated))} more than once")
     return Field("array object", default, length=(1, None), items=_NUMBER,
                  fields=_GRID_FIELDS, rule=rule)
 
@@ -212,8 +222,14 @@ MAX_TRACE_SAMPLES = 2 ** 25
 
 
 def _pulse_counts(default=REQUIRED) -> Field:
+    """Distinct pulse counts: every kind fits or averages over N, and a
+    repeated N adds no point."""
+    def rule(counts):
+        if repeated := _repeated(counts):
+            raise ConfigError(f"repeats N = "
+                              f"{', '.join(str(int(n)) for n in repeated)}")
     return Field("array", default, items=Field("integer", ge=1, le=MAX_PULSES),
-                 length=(2, None))
+                 length=(2, None), rule=rule)
 
 
 def _monte_carlo(n_traj, samples_per_interval, duration_factor=2.0) -> dict:
@@ -263,7 +279,8 @@ PROTOCOLS: dict[str, dict[str, Field]] = {
         **_monte_carlo(400, 16),
     },
     "noise_spectroscopy": {
-        "f_grid_hz": _spaced("log", 1300.0, 50000.0, 12, positive=True),
+        "f_grid_hz": _spaced("log", 1300.0, 50000.0, 12, positive=True,
+                             unique=True),
         "pulse_counts": _pulse_counts([2, 4, 8, 16, 32]),
         "t2_hahn_s": Field("number null", None, gt=0),
         **_monte_carlo(500, 32),
@@ -297,7 +314,7 @@ PROTOCOLS: dict[str, dict[str, Field]] = {
         "stark_gate": Field("string", "G2"),
         "qubit_floor_rad2_s": Field("number", 350.0, ge=0),
         "spectroscopy": Field("object null", None, fields={
-            "f_grid_hz": _grid(positive=True),
+            "f_grid_hz": _grid(positive=True, unique=True),
             "pulse_counts": _pulse_counts(),
             **_monte_carlo(REQUIRED, 32, duration_factor=None),
         }),

@@ -36,7 +36,8 @@ DECAY_HEADER = "time_s,coherence_w,std_err,p_up"
 CHEVRON_HEADER = "detuning_hz,duration_s,p_up"
 T2N_HEADER = "n_pulses,t2_s,t2_err_s,exponent,exponent_err"
 STARK_GRID_HEADER = "v_g1,v_g2,f_hz"
-VOLT_PSD_HEADER = "f_hz,S_v2_per_hz,ci_low,ci_high"
+VOLT_PSD_HEADER = "f_hz,S_v2_per_hz"
+DETUNING_PSD_HEADER = "f_hz,S_rad2_per_s"
 
 
 class _Report:
@@ -428,13 +429,16 @@ def run_voltage_psd(cfg, out: Path) -> _Report:
     with report.stage("welch"):
         nperseg = int(round(proto["nperseg_s"] * trace.sample_rate))
         est_v = spectra.psd_welch(trace, nperseg=nperseg)
+        n_segments = spectra.welch_segments(trace.n_samples, nperseg)
         lo, hi = proto["band_hz"]
         rms = spectra.integrate_rms(est_v, lo, hi)
         est_dw = spectra.voltage_to_detuning_psd(est_v, coeff)
-        # f is shared by all three files and S_V by two: 7 distinct columns
+        # the bounds are S times the summary's welch_ci_factors, so the
+        # files hold S alone; f is shared by all three and S_V by two:
+        # 3 distinct columns
         _write(report, out, {
-            "psd_voltage.csv": spectra.psd_csv(est_v, VOLT_PSD_HEADER),
-            "psd_detuning.csv": spectra.psd_csv(est_dw),
+            "psd_voltage.csv": Csv(VOLT_PSD_HEADER, (est_v.f, est_v.s)),
+            "psd_detuning.csv": Csv(DETUNING_PSD_HEADER, (est_dw.f, est_dw.s)),
             "plot_voltage_psd.json": _plot(
                 "gate voltage PSD", _axis("frequency", "Hz", est_v.f),
                 _axis("S_V", "V^2/Hz", est_v.s)),
@@ -442,6 +446,8 @@ def run_voltage_psd(cfg, out: Path) -> _Report:
     summary = {"band_hz": [float(lo), float(hi)], "band_rms_v": rms,
                "stark_gate": proto["stark_gate"],
                "stark_coefficient_hz_per_v": coeff,
+               "welch_segments": n_segments,
+               "welch_ci_factors": list(spectra.welch_ci_factors(n_segments)),
                "welch_warnings": list(est_v.warnings)}
     if spec_cfg:
         with report.stage("spectroscopy"):

@@ -115,12 +115,16 @@ def execute(cfg: dict, out: Path, *, workers: int | None = None) -> dict:
     The pipeline runs in one process pool of that many workers (none at
     one worker), shut down before the manifest is written; if the
     pipeline raises, the pool's queued jobs are cancelled and the lock
-    is released before the exception propagates.
+    is released before the exception propagates, with no manifest left
+    in ``out``.
     """
     n_workers = _resolve_workers(workers, cfg)
     out.mkdir(parents=True, exist_ok=True)
     lock = _acquire_lock(out)
     try:
+        # an earlier run's manifest would not describe files this run
+        # overwrites, and must not outlive a run that fails
+        (out / MANIFEST_NAME).unlink(missing_ok=True)
         t0 = time.perf_counter()
         with run_pool(n_workers):
             report = PIPELINES[cfg["kind"]](cfg, out)

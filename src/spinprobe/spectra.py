@@ -35,12 +35,13 @@ __all__ = [
     "normal_amplitudes",
     "draw_trace_samples",
     "synthesize",
+    "welch_segments",
+    "welch_ci_factors",
     "psd_welch",
     "integrate_rms",
     "voltage_to_detuning_psd",
     "voltage_to_detuning_model",
     "export_trace",
-    "psd_csv",
     "export_psd",
 ]
 
@@ -442,6 +443,22 @@ def _welch_gamma_quantiles(n_segments: int) -> tuple[float, float]:
     return gamma_quantile(n_segments, 0.025), gamma_quantile(n_segments, 0.975)
 
 
+def welch_segments(n_samples: int, nperseg: int) -> int:
+    """Segments :func:`psd_welch` averages over a trace of ``n_samples``:
+    ``nperseg`` clipped to the trace, 50% overlap."""
+    nperseg = min(nperseg, n_samples)
+    return 1 + (n_samples - nperseg) // (nperseg - nperseg // 2)
+
+
+def welch_ci_factors(n_segments: int) -> tuple[float, float]:
+    """(low, high): :func:`psd_welch`'s pointwise 95% bounds are the
+    estimate times these.  Chi-squared with ~2 dof per averaged segment;
+    the chi-squared quantile is twice the gamma one at shape dof/2."""
+    dof = 2 * n_segments
+    q_lo, q_hi = _welch_gamma_quantiles(n_segments)
+    return dof / (2 * q_hi), dof / (2 * q_lo)
+
+
 def psd_welch(trace: NoiseTrace, *, nperseg: int | None = None) -> PsdEstimate:
     """Welch estimate of the one-sided PSD of a trace.
 
@@ -460,7 +477,7 @@ def psd_welch(trace: NoiseTrace, *, nperseg: int | None = None) -> PsdEstimate:
     if nperseg < 2:
         raise ValueError(f"nperseg must be >= 2, got {nperseg}")
     hop = nperseg - nperseg // 2
-    n_segments = 1 + (n - nperseg) // hop
+    n_segments = welch_segments(n, nperseg)
     win = (0.5 + 0.5 * np.cos(np.linspace(-math.pi, math.pi, nperseg + 1)))[:-1]
     # builtin sum: scipy's left-to-right order, which np.sum's pairwise one is not
     win = win * (1 / np.sqrt(sum(win**2) / (1 / trace.sample_rate)))
@@ -475,12 +492,7 @@ def psd_welch(trace: NoiseTrace, *, nperseg: int | None = None) -> PsdEstimate:
     warnings = ()
     if n_segments < 2:
         warnings = ("single segment: no averaging, confidence bounds are wide",)
-    # chi-squared pointwise CI with ~2 dof per averaged segment; the
-    # chi-squared quantile is twice the gamma one at shape dof/2
-    dof = 2 * n_segments
-    q_lo, q_hi = _welch_gamma_quantiles(n_segments)
-    lo_fac = dof / (2 * q_hi)
-    hi_fac = dof / (2 * q_lo)
+    lo_fac, hi_fac = welch_ci_factors(n_segments)
     f, s = f[1:], s[1:]  # drop the detrended DC bin
     return PsdEstimate(f=f, s=s, ci_low=s * lo_fac, ci_high=s * hi_fac,
                        estimator_tag="welch_periodogram", warnings=warnings)
@@ -524,10 +536,6 @@ def export_trace(trace: NoiseTrace, path) -> None:
     write_columns(path, TRACE_HEADERS[trace.unit], (trace.times, trace.samples))
 
 
-def psd_csv(estimate: PsdEstimate, header: str = PSD_HEADER) -> Csv:
-    """The estimate as a CSV table for :func:`spinprobe._csvio.write_files`."""
-    return Csv(header, (estimate.f, estimate.s, estimate.ci_low, estimate.ci_high))
-
-
 def export_psd(estimate: PsdEstimate, path) -> None:
-    write_files({path: psd_csv(estimate)})
+    write_files({path: Csv(PSD_HEADER, (estimate.f, estimate.s,
+                                        estimate.ci_low, estimate.ci_high))})

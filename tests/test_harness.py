@@ -132,6 +132,12 @@ TINY_BY_KIND = {
 }
 
 
+def _read_table(path) -> list[np.ndarray]:
+    """The columns of a numeric CSV written by the run, header dropped."""
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    return [np.array([float(v) for v in col]) for col in zip(*rows)]
+
+
 def _write_yaml(tmp_path, cfg, name="cfg.yaml"):
     p = tmp_path / name
     p.write_text(yaml.safe_dump(cfg))
@@ -235,6 +241,37 @@ class TestValidateConfig:
                            match="protocol.spectroscopy.f_grid_hz"):
             validate_config({**TINY_VOLTAGE, "protocol": {
                 **TINY_VOLTAGE["protocol"], "spectroscopy": spec}})
+
+    @pytest.mark.parametrize("kind", ["noise_spectroscopy", "voltage_psd"])
+    def test_repeated_spectroscopy_frequency_exits_2(self, tmp_path, capsys, kind):
+        spec = {**TINY_SPECTROSCOPY["protocol"], "f_grid_hz": [3e3, 3e3]}
+        if kind == "voltage_psd":
+            cfg, field = {**TINY_VOLTAGE, "protocol": {
+                **TINY_VOLTAGE["protocol"], "spectroscopy": spec}}, \
+                "protocol.spectroscopy.f_grid_hz"
+        else:
+            cfg, field = {**TINY_SPECTROSCOPY, "protocol": spec}, "protocol.f_grid_hz"
+        out = tmp_path / "o"
+        assert run(_write_yaml(tmp_path, cfg), workers=1, output_dir=out) == 2
+        assert f"{field}: values must be distinct, got 3000.0 more than once" \
+            in capsys.readouterr().out
+        assert not out.exists()
+
+    def test_unsorted_spectroscopy_grid_runs(self, tmp_path):
+        cfg = {**TINY_SPECTROSCOPY, "protocol": {
+            **TINY_SPECTROSCOPY["protocol"], "f_grid_hz": [4e3, 2e3]}}
+        out = tmp_path / "o"
+        assert run(_write_yaml(tmp_path, cfg), workers=1, output_dir=out) == 0
+        f = _read_table(out / "psd_reconstructed.csv")[0]
+        assert f.tolist() == [2e3, 4e3]
+
+    @pytest.mark.parametrize("kind", ["cpmg_t2_vs_n", "noise_spectroscopy"])
+    def test_repeated_pulse_count_exits_2(self, tmp_path, capsys, kind):
+        base = TINY_BY_KIND[kind]
+        cfg = {**base, "protocol": {**base["protocol"], "pulse_counts": [4, 2, 4]}}
+        assert run(_write_yaml(tmp_path, cfg), workers=1,
+                   output_dir=tmp_path / "o") == 2
+        assert "protocol.pulse_counts: repeats N = 4" in capsys.readouterr().out
 
     def test_unknown_tone_gate_rejected(self):
         with pytest.raises(ConfigError, match="protocol.gate: 'G9'"):
@@ -541,8 +578,8 @@ class TestRunner:
                 execute(cfg, target, workers=1)
             assert not (target / MANIFEST_TMP_NAME).exists()
             assert not (target / LOCK_NAME).exists()
-        assert (out / MANIFEST_NAME).read_text() == complete
-        assert not (fresh / MANIFEST_NAME).exists()
+            # the failed run overwrote the files the old manifest listed
+            assert not (target / MANIFEST_NAME).exists()
 
     def test_run_invalid_config_exits_2(self, tmp_path):
         p = tmp_path / "bad.yaml"
@@ -738,15 +775,49 @@ class TestRunner:
         assert n_bins > _csvio.BLOCK_ROWS
 
     def test_welch_stage_formats_each_column_once(self, tmp_path, monkeypatch):
-        """f, S_V, two V-unit CI columns and three detuning columns: the
-        two CSVs and the plot share f and S_V instead of formatting 10."""
+        """f, S_V and S_dw: the two CSVs and the plot share f and S_V, so
+        3 columns are formatted instead of 6."""
         formatted = []
         real = _csvio._format
         monkeypatch.setattr(_csvio, "_format",
                             lambda c: formatted.append(c.size) or real(c))
         execute(validate_config(BLOCKED_VOLTAGE), tmp_path / "out", workers=1)
         n_bins = len((tmp_path / "out" / "psd_voltage.csv").read_text().splitlines()) - 1
-        assert sum(formatted) == 7 * n_bins
+        assert sum(formatted) == 3 * n_bins
+
+    def test_welch_files_hold_f_and_s(self, tmp_path):
+        execute(validate_config(TINY_VOLTAGE), tmp_path / "out", workers=1)
+        heads = {name: (tmp_path / "out" / name).read_text().split("\n", 1)[0]
+                 for name in ("psd_voltage.csv", "psd_detuning.csv")}
+        assert heads == {"psd_voltage.csv": "f_hz,S_v2_per_hz",
+                         "psd_detuning.csv": "f_hz,S_rad2_per_s"}
+
+    def test_welch_bounds_are_s_times_the_summary_factors(self, tmp_path):
+        cfg = validate_config(TINY_VOLTAGE)
+        out = tmp_path / "out"
+        summary = execute(cfg, out, workers=1)["summary"]
+        assert json.loads((out / "voltage_summary.json").read_text()) == summary
+        proto = cfg["protocol"]
+        trace = spectra.synthesize(
+            spectra.SpectrumModel.from_dict(cfg["spectrum"]),
+            proto["sample_rate_hz"], proto["duration_s"],
+            derive_child_seed(cfg["seed"], 0), unit="V")
+        est_v = spectra.psd_welch(trace, nperseg=int(round(
+            proto["nperseg_s"] * proto["sample_rate_hz"])))
+        est_dw = spectra.voltage_to_detuning_psd(
+            est_v, summary["stark_coefficient_hz_per_v"])
+        assert summary["welch_segments"] == 19
+        low, high = summary["welch_ci_factors"]
+        # psd_welch's bounds are S*c bit for bit.  The detuning bounds were
+        # (S*c)*g; the file gives (S*g)*c.  Each lies within 1.5 ulp of
+        # S*g*c, so the two part by at most 2 ulp, and do at 2 here.
+        for name, est, ulps in (("psd_voltage.csv", est_v, 0),
+                                ("psd_detuning.csv", est_dw, 2)):
+            f, s = _read_table(out / name)
+            assert np.array_equal(f, est.f)
+            assert np.array_equal(s, est.s)
+            for factor, bound in ((low, est.ci_low), (high, est.ci_high)):
+                np.testing.assert_array_max_ulp(s * factor, bound, maxulp=ulps)
 
 
 def _pid(_job) -> int:
@@ -810,6 +881,21 @@ class TestRunPool:
         assert _parallel._run is None
         # of the 12 jobs, only those already handed to a worker ran
         assert len(list(marks.iterdir())) < 12
+
+    def test_failed_run_leaves_no_earlier_manifest(self, tmp_path, monkeypatch):
+        cfg = validate_config(TINY_VOLTAGE)
+        out = tmp_path / "out"
+        execute(cfg, out, workers=1)
+        assert (out / MANIFEST_NAME).exists()
+
+        def boom(files):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pipelines, "write_files", boom)
+        with pytest.raises(OSError, match="disk full"):
+            execute(cfg, out, workers=1)
+        assert not (out / MANIFEST_NAME).exists()
+        assert not (out / LOCK_NAME).exists()
 
     def test_one_worker_run_creates_no_pool(self, tmp_path, monkeypatch):
         def no_pool(*args, **kwargs):

@@ -339,9 +339,12 @@ class TestWelch:
         assert np.array_equal(est.f, f[1:])
         assert np.array_equal(est.s, s[1:])
         n_seg = 1 + (n - seg) // (seg - seg // 2)
+        assert spectra.welch_segments(n, seg if nperseg is None else nperseg) == n_seg
         dof = 2 * n_seg
-        assert np.array_equal(est.ci_low, s[1:] * (dof / stats.chi2.ppf(0.975, dof)))
-        assert np.array_equal(est.ci_high, s[1:] * (dof / stats.chi2.ppf(0.025, dof)))
+        factors = (dof / stats.chi2.ppf(0.975, dof), dof / stats.chi2.ppf(0.025, dof))
+        assert spectra.welch_ci_factors(n_seg) == factors
+        assert np.array_equal(est.ci_low, s[1:] * factors[0])
+        assert np.array_equal(est.ci_high, s[1:] * factors[1])
         assert bool(est.warnings) == (n_seg < 2)
 
     def test_too_short_segment_rejected(self):
