@@ -16,10 +16,10 @@ other array for its ``tolist()``).
   and equals ``json.dump(obj, fh, indent=2, sort_keys=True)`` followed by
   ``"\\n"``, byte for byte.
 * **Row blocks.**  Rows are formatted in blocks of :data:`BLOCK_ROWS`.  A
-  call with more rows than one block sends its blocks through the run's
-  :func:`~spinprobe._parallel.pmap`; the main process joins the pieces in
-  order and writes each file in one call.  The bytes depend on neither
-  the block size nor the worker count.
+  call with more rows than one block maps its blocks through
+  :func:`spinprobe._parallel.submit`, across the run's workers; the main
+  process joins the pieces in order and writes each file in one call.
+  The bytes depend on neither the block size nor the worker count.
 """
 
 from __future__ import annotations
@@ -170,8 +170,7 @@ def write_files(files: dict) -> None:
     n_rows = max((c.size for c in layout.columns), default=0)
     jobs = [([c[start:start + BLOCK_ROWS] for c in layout.columns], layout.tables)
             for start in range(0, n_rows, BLOCK_ROWS)]
-    blocks = (_parallel.pmap(_format_block, jobs) if len(jobs) > 1
-              else [_format_block(job) for job in jobs])
+    blocks = _parallel.submit(_format_block, jobs)()
     for path, parts in parts_by_path.items():
         text = []
         for part in parts:

@@ -4,41 +4,25 @@ Worker processes only change wall-clock time, never results: every job
 carries its own derived seed, so outputs are bit-identical for any worker
 count.
 
-A run maps everything through one pool (:func:`run_pool`).  At one
-worker it creates no pool and every map runs inline.  At two or more it
-forks its workers at the first map of more than one job, in the main
-thread before the pool's manager thread starts, and shuts them down when
-the run ends; a run that raises cancels the jobs still queued first.
-:func:`submit` hands jobs to the run's pool and returns at once, so the
-main process can work while they run; calling the handle it returns
-gives the results in order.  :func:`pmap` is submit-and-collect.  Pool
-workers start with a run pool of one worker, so a map inside a job runs
-inline and never forks a nested pool.
+:func:`submit` is the one map.  It hands jobs to the run's pool
+(:func:`run_pool`) and returns at once, so the main process can work
+while they run; calling the handle it returns gives the results in
+order.  At one worker a run creates no pool.  At two or more it forks
+its workers at the first map of more than one job, in the main thread
+before the pool's manager thread starts, and shuts them down when the
+run ends; a run that raises cancels the jobs still queued first.
 
-Outside a run, each :func:`pmap` call opens a pool of its own, and
-:func:`submit` maps at once.  The worker count then comes from, in
-order: the ``workers`` argument, the ``SPINPROBE_WORKERS`` environment
-variable, then 1.
+Outside a run, and inside a pool worker, no pool is in use: calling the
+handle runs the jobs inline, so a map inside a job never forks a nested
+pool.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
-__all__ = ["worker_count", "run_pool", "submit", "pmap"]
-
-ENV_VAR = "SPINPROBE_WORKERS"
-
-
-def worker_count(workers: int | None = None) -> int:
-    if workers is None:
-        raw = os.environ.get(ENV_VAR, "").strip()
-        workers = int(raw) if raw else 1
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
-    return workers
+__all__ = ["run_pool", "submit"]
 
 
 class _Pool:
@@ -46,12 +30,10 @@ class _Pool:
     pool of that many workers."""
 
     def __init__(self, workers: int):
-        self.workers = worker_count(workers)
+        self.workers = workers
         self._executor: ProcessPoolExecutor | None = None
 
     def submit(self, fn, jobs: list):
-        if self.workers == 1 or len(jobs) <= 1:
-            return lambda: [fn(job) for job in jobs]
         if self._executor is None:
             self._executor = ProcessPoolExecutor(self.workers,
                                                  initializer=_in_worker)
@@ -68,15 +50,15 @@ _run: _Pool | None = None  # the pool of the run in progress, if any
 
 def _in_worker() -> None:
     global _run
-    _run = _Pool(1)
+    _run = None  # the forked copy of the parent's pool is not this process's
 
 
 @contextmanager
 def run_pool(workers: int):
     """Send every map made inside the block through one pool of
-    ``workers`` workers, shut down when the block ends.  If the block
-    raises, the jobs not yet started are cancelled and the exception
-    propagates once the running ones have finished."""
+    ``workers`` (>= 1) workers, shut down when the block ends.  If the
+    block raises, the jobs not yet started are cancelled and the
+    exception propagates once the running ones have finished."""
     global _run
     outer, pool = _run, _Pool(workers)
     _run = pool
@@ -94,18 +76,7 @@ def run_pool(workers: int):
 def submit(fn, jobs):
     """Apply ``fn`` to each job through the run's pool without waiting.
     Returns a handle; calling it once gives the results, in order."""
-    if _run is None:
-        results = pmap(fn, jobs)
-        return lambda: results
-    return _run.submit(fn, list(jobs))
-
-
-def pmap(fn, jobs, workers: int | None = None) -> list:
-    """Apply ``fn`` to each job, in order, optionally across processes:
-    through the run's pool, or, outside a run or with ``workers`` given,
-    through a pool of this call's own."""
     jobs = list(jobs)
-    if workers is None and _run is not None:
-        return _run.submit(fn, jobs)()
-    with run_pool(min(worker_count(workers), max(len(jobs), 1))):
-        return _run.submit(fn, jobs)()
+    if _run is None or _run.workers == 1 or len(jobs) <= 1:
+        return lambda: [fn(job) for job in jobs]
+    return _run.submit(fn, jobs)

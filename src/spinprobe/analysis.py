@@ -15,7 +15,8 @@ import numpy as np
 
 from . import _solve
 from ._rng import derive_child_seed
-from .qubitsim import PSD_CHI_CALIBRATION, DecayCurve, submit_decay_vs_pulses
+from .qubitsim import (DURATION_FACTOR, PSD_CHI_CALIBRATION,
+                       SAMPLES_PER_INTERVAL, DecayCurve, submit_decay_vs_pulses)
 from .spectra import PsdEstimate, SpectrumModel
 
 __all__ = [
@@ -36,6 +37,9 @@ __all__ = [
     "spectroscopy_scan",
     "submit_spectroscopy_scan",
 ]
+
+# two-sided 95% quantile of the standard normal
+_Z95 = 1.959964
 
 
 class FitError(RuntimeError):
@@ -225,7 +229,7 @@ def band_slope(estimate: PsdEstimate, f_lo: float, f_hi: float) -> PowerLawFit:
         raise FitError("fewer than 2 estimate points in band",
                        {"band": [f_lo, f_hi],
                         "f_range": [float(estimate.f[0]), float(estimate.f[-1])]})
-    err = (estimate.ci_high[sel] - estimate.ci_low[sel]) / (2 * 1.959964)
+    err = (estimate.ci_high[sel] - estimate.ci_low[sel]) / (2 * _Z95)
     return fit_power_law(estimate.f[sel], estimate.s[sel], err)
 
 
@@ -311,7 +315,7 @@ def reconstruct_psd(points: list[SpectroscopyPoint]) -> PsdEstimate:
     pts = sorted(points, key=lambda p: p.f_hz)
     f = np.array([p.f_hz for p in pts])
     s = np.array([p.s_value for p in pts])
-    half = 1.959964 * np.array([p.s_err for p in pts])
+    half = _Z95 * np.array([p.s_err for p in pts])
     warnings = []
     n_out = sum(1 for p in pts if set(p.flags) - {FIT_ON_BOUND})
     if n_out:
@@ -332,8 +336,8 @@ def spectroscopy_scan(model: SpectrumModel, f_grid_hz, pulse_counts,
                       n_traj: int, seed: int, *,
                       calibration: float = PSD_CHI_CALIBRATION,
                       t2_hahn: float | None = None,
-                      duration_factor: float = 2.0,
-                      samples_per_interval: int = 16) -> PsdEstimate:
+                      duration_factor: float = DURATION_FACTOR,
+                      samples_per_interval: int = SAMPLES_PER_INTERVAL) -> PsdEstimate:
     """Full simulated CPMG spectroscopy: decay scans at each target
     frequency, exponential fits, and PSD assembly.
 
@@ -352,8 +356,8 @@ def submit_spectroscopy_scan(model: SpectrumModel, f_grid_hz, pulse_counts,
                              n_traj: int, seed: int, *,
                              calibration: float = PSD_CHI_CALIBRATION,
                              t2_hahn: float | None = None,
-                             duration_factor: float = 2.0,
-                             samples_per_interval: int = 16):
+                             duration_factor: float = DURATION_FACTOR,
+                             samples_per_interval: int = SAMPLES_PER_INTERVAL):
     """:func:`spectroscopy_scan` with its decay points submitted to the
     run's process pool and not yet collected.  Returns a handle whose
     call waits for them, fits them and gives the :class:`PsdEstimate`."""

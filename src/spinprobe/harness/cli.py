@@ -19,8 +19,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="validate a config and execute it")
     p_run.add_argument("config", help="path to a YAML experiment config")
     p_run.add_argument("--workers", type=int, default=None,
-                       help="process count for trajectory batches "
-                            "(overrides config and environment)")
+                       help="worker processes for the run "
+                            "(overrides the config's workers)")
 
     p_val = sub.add_parser("validate",
                            help="check a config without running anything")

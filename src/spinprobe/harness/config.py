@@ -31,7 +31,8 @@ import yaml
 
 from .._solve import distinct
 from ..benchmarking import CLIFFORD_DECOMPOSITIONS
-from ..qubitsim import QubitParams, ReadoutModel, cpmg_chi
+from ..qubitsim import (DURATION_FACTOR, SAMPLES_PER_INTERVAL, QubitParams,
+                        ReadoutModel, cpmg_chi)
 from ..spectra import SpectrumModel
 from ..starktone import StarkMap, default_stark_map, scan_columns, tone_column
 
@@ -188,14 +189,15 @@ def _repeated(values) -> list:
 def _grid(default=REQUIRED, *, positive: bool = False,
           min_points: int = 1, unique: bool = False) -> Field:
     """A list of numbers or ``{start, stop, num, spacing}``.  A log grid
-    needs endpoints > 0; a ``positive`` grid (times, frequencies) needs
-    every value > 0; a ``unique`` one (a spectroscopy grid, one PSD point
-    per frequency) no value twice."""
+    needs endpoints > 0; ``min_points`` counts distinct values (a fit or a
+    plane needs spread, not repeats); a ``positive`` grid (times,
+    frequencies) needs every value > 0; a ``unique`` one (a spectroscopy
+    grid, one PSD point per frequency) no value twice."""
     def rule(spec):
         values = grid_values(spec)
-        if values.size < min_points:
-            raise ConfigError(f"needs at least {min_points} points, "
-                              f"got {values.size}")
+        if (n_distinct := distinct(values).size) < min_points:
+            raise ConfigError(f"needs at least {min_points} distinct points, "
+                              f"got {n_distinct}")
         if positive and np.any(values <= 0):
             raise ConfigError(f"values must be > 0, got {float(values.min())!r}")
         if unique and (repeated := _repeated(values)):
@@ -220,6 +222,11 @@ MAX_PULSES = 1024
 # 5.4M, about 1.1 GB of synthesis peak (the rfft coefficients plus irfft)
 MAX_TRACE_SAMPLES = 2 ** 25
 
+# most worker processes in a run: a pool forks all of its workers at its
+# first map, so a mistyped count would fork that many processes at once;
+# 64 is far above any core count a run here gains from
+MAX_WORKERS = 64
+
 
 def _pulse_counts(default=REQUIRED) -> Field:
     """Distinct pulse counts: every kind fits or averages over N, and a
@@ -232,7 +239,8 @@ def _pulse_counts(default=REQUIRED) -> Field:
                  length=(2, None), rule=rule)
 
 
-def _monte_carlo(n_traj, samples_per_interval, duration_factor=2.0) -> dict:
+def _monte_carlo(n_traj, samples_per_interval=SAMPLES_PER_INTERVAL,
+                 duration_factor=DURATION_FACTOR) -> dict:
     """Trajectory fields of the Monte Carlo kinds.  The library needs two
     trajectories for a standard error and a trace at least as long as the
     sequence; ``duration_factor=None`` leaves that field out."""
@@ -250,12 +258,18 @@ def _decay(start, stop) -> dict:
     """ramsey and hahn: one decay curve over ``times_s``, then a fit; only
     the default time span differs."""
     times_s = _spaced("log", start, stop, 12, positive=True, min_points=2)
-    return {"times_s": times_s, "fit": _FIT, **_monte_carlo(500, 16)}
+    return {"times_s": times_s, "fit": _FIT, **_monte_carlo(500)}
+
+
+def _depths_spread(depths) -> None:
+    """The RB decay fit has three parameters, so it needs three depths."""
+    if (n_distinct := distinct(depths).size) < 3:
+        raise ConfigError(f"needs at least 3 distinct depths, got {n_distinct}")
 
 
 _RB = {
     "depths": Field("array", [1, 2, 4, 8, 16, 32, 64, 128, 200, 300],
-                    items=_POSINT, length=(3, None)),
+                    items=_POSINT, rule=_depths_spread),
     "n_sequences": Field("integer", 30, ge=2),  # two for a standard error
     "shots": Field("integer", 100, ge=1),
     "clifford_fidelity": Field("number", 0.9983, gt=0.5, lt=1),
@@ -276,7 +290,7 @@ PROTOCOLS: dict[str, dict[str, Field]] = {
         "t_factor_min": Field("number", 0.3, gt=0),
         "t_factor_max": Field("number", 2.2, gt=0),
         "fit": _FIT,
-        **_monte_carlo(400, 16),
+        **_monte_carlo(400),
     },
     "noise_spectroscopy": {
         "f_grid_hz": _spaced("log", 1300.0, 50000.0, 12, positive=True,
@@ -288,8 +302,9 @@ PROTOCOLS: dict[str, dict[str, Field]] = {
     "rbm": _RB,
     "interleaved_rbm": {**_RB, "gate": Field("string integer", "X90")},
     "stark_map": {
-        "v_g1_v": _spaced("linear", -0.016, 0.016, 5),
-        "v_g2_v": _spaced("linear", -0.016, 0.016, 5),
+        # the plane fit needs spread in both voltages
+        "v_g1_v": _spaced("linear", -0.016, 0.016, 5, min_points=2),
+        "v_g2_v": _spaced("linear", -0.016, 0.016, 5, min_points=2),
         "jitter_hz": Field("number", 10e3, ge=0),
     },
     "tone_scan": {
@@ -328,7 +343,7 @@ TOP: dict[str, Field] = {
     "kind": Field("string", enum=KINDS),
     "seed": Field("integer", ge=0),
     "output_dir": Field("string", length=(1, None)),
-    "workers": Field("integer null", None, ge=1),
+    "workers": Field("integer null", None, ge=1, le=MAX_WORKERS),
     "qubit": Field("object", {}, fields={
         f.name: Field("number", f.default, gt=0)
         for f in dataclasses.fields(QubitParams)}),
@@ -482,11 +497,6 @@ def validate_config(raw: dict) -> dict:
         if sorted(gates) != ["G1", "G2"]:
             raise ConfigError(f"stark.coefficients_hz_per_v: stark_map needs "
                               f"exactly gates G1 and G2, got {sorted(gates)}")
-        for key in ("v_g1_v", "v_g2_v"):  # the plane fit needs spread in both
-            n_distinct = distinct(grid_values(proto[key])).size
-            if n_distinct < 2:
-                raise ConfigError(f"protocol.{key}: needs at least 2 distinct "
-                                  f"voltages, got {n_distinct}")
     if kind == "tone_scan":
         _check_tone_column(proto)
     if kind == "interleaved_rbm":
@@ -496,6 +506,10 @@ def validate_config(raw: dict) -> dict:
     if kind in SPECTRUM_KINDS and not cfg["spectrum"]:
         raise ConfigError(f"spectrum: required for kind={kind}")
     if kind == "cpmg_t2_vs_n":
+        if not proto["t_factor_min"] < proto["t_factor_max"]:
+            raise ConfigError(f"protocol.t_factor_min: must be < t_factor_max, "
+                              f"got {proto['t_factor_min']!r} and "
+                              f"{proto['t_factor_max']!r}")
         _check_t2_search(cfg)
     return cfg
 

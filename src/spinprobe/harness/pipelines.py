@@ -7,10 +7,11 @@ randomness flows from seeds derived off the master seed with fixed stage
 indices, so outputs never depend on timing or worker count.
 
 A pipeline runs inside its run's one process pool
-(:func:`spinprobe._parallel.run_pool`), and may submit a stage's work
-before earlier stages run: ``voltage_psd`` submits its spectroscopy
-scan, which reads the model and not the trace, before it builds the
-trace.  A stage's ``seconds`` is the main process's wall-clock time in
+(:func:`spinprobe._parallel.run_pool`); every map it makes, itself or
+through the library, goes through :func:`spinprobe._parallel.submit`.
+It may submit a stage's work before earlier stages run: ``voltage_psd``
+submits its spectroscopy scan, which reads the model and not the trace,
+before it builds the trace.  A stage's ``seconds`` is the main process's wall-clock time in
 the stage, so such a stage reads only the time it waited for its
 results, and work submitted earlier may run during other stages.
 """

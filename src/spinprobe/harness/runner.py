@@ -20,8 +20,8 @@ import time
 from pathlib import Path
 
 from .. import __version__
-from .._parallel import ENV_VAR, run_pool, worker_count
-from .config import ConfigError, load_config, validate_config
+from .._parallel import run_pool
+from .config import MAX_WORKERS, ConfigError, load_config, validate_config
 from .pipelines import PIPELINES
 
 LOCK_NAME = ".spinprobe.lock"
@@ -79,18 +79,19 @@ def _acquire_lock(out: Path) -> Path:
 
 def _resolve_workers(workers, cfg: dict) -> int:
     """The run's worker count: the ``workers`` argument, then
-    ``cfg["workers"]``, then the environment, then 1.  A bad value raises
-    :class:`RunError` naming where it came from."""
-    if workers is not None:
-        source = "--workers"
-    else:
-        workers = cfg.get("workers")
-        source = "workers" if workers is not None else ENV_VAR
+    ``cfg["workers"]`` (validated with the config), then 1.  A
+    ``workers`` argument outside [1, :data:`MAX_WORKERS`] raises
+    :class:`RunError`."""
+    if workers is None:
+        return cfg.get("workers") or 1
     try:
-        return worker_count(None if workers is None else operator.index(workers))
-    except (TypeError, ValueError):
-        given = os.environ.get(ENV_VAR) if workers is None else workers
-        raise RunError(f"{source} must be an integer >= 1, got {given!r}") from None
+        count = operator.index(workers)
+    except TypeError:
+        count = 0
+    if not 1 <= count <= MAX_WORKERS:
+        raise RunError(f"--workers must be an integer from 1 to {MAX_WORKERS}, "
+                       f"got {workers!r}")
+    return count
 
 
 def _write_manifest(out: Path, manifest: dict) -> None:
@@ -110,8 +111,8 @@ def execute(cfg: dict, out: Path, *, workers: int | None = None) -> dict:
     """Run one validated config into ``out`` and write the manifest.
 
     Returns the manifest dict.  Worker-count precedence: the ``workers``
-    argument, then ``cfg["workers"]``, then the environment, then 1; an
-    invalid count raises :class:`RunError` before anything is written.
+    argument, then ``cfg["workers"]``, then 1; an invalid count raises
+    :class:`RunError` before anything is written.
     The pipeline runs in one process pool of that many workers (none at
     one worker), shut down before the manifest is written; if the
     pipeline raises, the pool's queued jobs are cancelled and the lock

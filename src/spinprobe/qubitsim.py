@@ -66,6 +66,8 @@ from .spectra import SpectrumModel, NoiseTrace
 
 __all__ = [
     "PSD_CHI_CALIBRATION",
+    "DURATION_FACTOR",
+    "SAMPLES_PER_INTERVAL",
     "BOHR_HZ_PER_T",
     "QubitParams",
     "ReadoutModel",
@@ -91,6 +93,11 @@ __all__ = [
 # Closes the round trip between simulated decay times and the S = pi^2/(4*T2)
 # spectroscopy convention; see the module docstring.
 PSD_CHI_CALIBRATION = 16.0 / math.pi**2
+
+# The Monte Carlo trace grid: a trace DURATION_FACTOR times as long as the
+# sequence, SAMPLES_PER_INTERVAL samples per inter-pulse interval
+DURATION_FACTOR = 2.0
+SAMPLES_PER_INTERVAL = 16
 
 # CODATA 2022 Bohr magneton over h, in Hz/T
 BOHR_HZ_PER_T = 13996244917.1
@@ -291,8 +298,8 @@ def accumulate_phase(trace: NoiseTrace, schedule: PulseSchedule,
 def coherence_mc(model: SpectrumModel, schedule: PulseSchedule,
                  n_traj: int, seed: int, *,
                  calibration: float = PSD_CHI_CALIBRATION,
-                 duration_factor: float = 2.0,
-                 samples_per_interval: int = 16) -> CoherencePoint:
+                 duration_factor: float = DURATION_FACTOR,
+                 samples_per_interval: int = SAMPLES_PER_INTERVAL) -> CoherencePoint:
     """Monte Carlo decay estimate W = <cos phi> over noise realizations.
 
     Trajectory i draws its Gaussian Fourier coefficients from
@@ -668,8 +675,8 @@ def _submit_decay_curves(model: SpectrumModel, specs, n_traj: int,
 
 def decay_vs_time(model: SpectrumModel, n_pulses: int, times, n_traj: int,
                   seed: int, *, calibration: float = PSD_CHI_CALIBRATION,
-                  duration_factor: float = 2.0,
-                  samples_per_interval: int = 16,
+                  duration_factor: float = DURATION_FACTOR,
+                  samples_per_interval: int = SAMPLES_PER_INTERVAL,
                   label: str = "") -> DecayCurve:
     """Coherence decay at fixed pulse count over a grid of total times."""
     if not label:
@@ -682,8 +689,8 @@ def decay_vs_time(model: SpectrumModel, n_pulses: int, times, n_traj: int,
 def decay_vs_pulses(model: SpectrumModel, tau_wait: float, pulse_counts,
                     n_traj: int, seed: int, *,
                     calibration: float = PSD_CHI_CALIBRATION,
-                    duration_factor: float = 2.0,
-                    samples_per_interval: int = 16) -> DecayCurve:
+                    duration_factor: float = DURATION_FACTOR,
+                    samples_per_interval: int = SAMPLES_PER_INTERVAL) -> DecayCurve:
     """Coherence decay at fixed inter-pulse wait over a grid of pulse counts.
 
     This is the spectroscopy drive: with tau_wait pinned, every point
@@ -700,8 +707,8 @@ def decay_vs_pulses(model: SpectrumModel, tau_wait: float, pulse_counts,
 def submit_decay_vs_pulses(model: SpectrumModel, tau_waits, pulse_counts,
                            n_traj: int, seeds, *,
                            calibration: float = PSD_CHI_CALIBRATION,
-                           duration_factor: float = 2.0,
-                           samples_per_interval: int = 16):
+                           duration_factor: float = DURATION_FACTOR,
+                           samples_per_interval: int = SAMPLES_PER_INTERVAL):
     """:func:`decay_vs_pulses` at each wait ``tau_waits[i]`` with seed
     ``seeds[i]``, all points of all curves submitted to the process pool
     at once.  Returns a handle whose call gives the curves.

@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import spectra
+from . import _parallel, spectra
 from ._csvio import write_columns
-from ._parallel import pmap
 from ._rng import derive_child_seed, derive_rngs
 from .qubitsim import PSD_CHI_CALIBRATION, PhaseFunctional, ReadoutModel
 from .sequences import filter_function, make_cpmg, response
@@ -282,7 +281,7 @@ def tone_scan(model: SpectrumModel, tone: ToneConfig, stark: StarkMap,
                          tone.f_tone, tone.phase, shots,
                          derive_child_seed(seed, col, row), calibration,
                          samples_per_interval, readout.visibility, readout.floor))
-    results = pmap(_tone_cell, jobs)
+    results = _parallel.submit(_tone_cell, jobs)()
     n_f, n_a = len(keep), amps.size
     p = np.empty((n_a, n_f))
     se = np.empty((n_a, n_f))

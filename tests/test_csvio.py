@@ -8,9 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinprobe import _csvio
+from spinprobe import _csvio, _parallel
 from spinprobe._csvio import BLOCK_ROWS, Csv, write_columns, write_files
-from spinprobe._parallel import ENV_VAR
 from spinprobe.benchmarking import RB_HEADER, RbCurve, export_rb_curve
 from spinprobe.spectra import SpectrumModel, export_trace, synthesize
 from spinprobe.starktone import TONE_SCAN_HEADER, ToneScanResult, export_tone_scan
@@ -154,13 +153,13 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
-    def test_csv_and_json_match_references(self, tmp_path, monkeypatch, workers, n):
-        monkeypatch.setenv(ENV_VAR, str(workers))
+    def test_csv_and_json_match_references(self, tmp_path, workers, n):
         i, x, y = _wide_columns(n)
         plot = {"title": "t", "x": {"values": x}, "i": i, "y": [x, y]}
-        write_files({tmp_path / "a.csv": Csv("i,x,y", (i, x, y)),
-                     tmp_path / "b.csv": Csv("x", (x,)),
-                     tmp_path / "p.json": plot})
+        with _parallel.run_pool(workers):
+            write_files({tmp_path / "a.csv": Csv("i,x,y", (i, x, y)),
+                         tmp_path / "b.csv": Csv("x", (x,)),
+                         tmp_path / "p.json": plot})
         assert (tmp_path / "a.csv").read_text() == _reference_rows("i,x,y", zip(i, x, y))
         assert (tmp_path / "b.csv").read_text() == _reference_rows("x", zip(x))
         plain = {"title": "t", "x": {"values": x.tolist()}, "i": i.tolist(),

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 import spinprobe
 import spinprobe.analysis
 from spinprobe import _csvio, _parallel, qubitsim, spectra, starktone
-from spinprobe._parallel import ENV_VAR, worker_count
 from spinprobe._rng import derive_child_seed
 from spinprobe.analysis import FitError
 from spinprobe.benchmarking import CLIFFORD_DECOMPOSITIONS
@@ -32,8 +31,9 @@ from spinprobe.harness import ConfigError, RunError, execute, rerun, run
 from spinprobe.harness import pipelines
 from spinprobe.harness import runner as runner_module
 from spinprobe.harness.cli import main
-from spinprobe.harness.config import (KINDS, MAX_TRACE_SAMPLES, gate_index,
-                                      grid_values, load_config, validate_config)
+from spinprobe.harness.config import (KINDS, MAX_TRACE_SAMPLES, MAX_WORKERS,
+                                      gate_index, grid_values, load_config,
+                                      validate_config)
 from spinprobe.harness.runner import LOCK_NAME, MANIFEST_NAME, MANIFEST_TMP_NAME
 from spinprobe.qubitsim import QubitParams
 
@@ -722,19 +722,35 @@ class TestRunner:
         assert "--workers" in capsys.readouterr().out
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["0", "-2", "two"])
-    def test_bad_worker_environment_exits_2(self, tmp_path, monkeypatch,
-                                            capsys, value):
-        monkeypatch.setenv(ENV_VAR, value)
-        cfg_path = _write_yaml(tmp_path, TINY_CHEVRON)
-        assert run(cfg_path, output_dir=tmp_path / "out") == 2
-        assert ENV_VAR in capsys.readouterr().out
-
     def test_config_workers_beat_bad_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "0")
+        monkeypatch.setenv("SPINPROBE_WORKERS", "0")
         cfg_path = _write_yaml(tmp_path, dict(TINY_CHEVRON, workers=1))
         assert run(cfg_path, output_dir=tmp_path / "out") == 0
-        assert os.environ[ENV_VAR] == "0"
+        assert os.environ["SPINPROBE_WORKERS"] == "0"
+
+    def test_worker_environment_is_ignored(self, tmp_path, monkeypatch):
+        # the count comes from --workers or workers: alone, never the environment
+        monkeypatch.setenv("SPINPROBE_WORKERS", "0")
+        cfg_path = _write_yaml(tmp_path, TINY_CHEVRON)
+        assert run(cfg_path, output_dir=tmp_path / "out") == 0
+
+    @pytest.mark.parametrize("where", ["config", "--workers"])
+    def test_worker_count_above_max_exits_2(self, tmp_path, monkeypatch,
+                                            capsys, where):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a rejected worker count opened a process pool")
+
+        monkeypatch.setattr(_parallel, "ProcessPoolExecutor", no_pool)
+        out = tmp_path / "out"
+        cfg = dict(TINY_CHEVRON, output_dir=str(out))
+        argv = ["--workers", str(MAX_WORKERS + 1)]
+        if where == "config":
+            cfg["workers"], argv = MAX_WORKERS + 1, []
+        p = _write_yaml(tmp_path, cfg)
+        assert main(["run", str(p), *argv]) == 2
+        field = "workers" if where == "config" else "--workers"
+        assert capsys.readouterr().out.startswith(f"error: {field}")
+        assert not out.exists()
 
     def test_execute_rejects_bad_count_before_writing(self, tmp_path):
         cfg = validate_config(dict(TINY_CHEVRON))
@@ -827,7 +843,7 @@ def _pid(_job) -> int:
 def _inner_map_pids(_job) -> list[int]:
     """The pid of the process running this job, then those its own map
     ran its jobs in."""
-    return [os.getpid()] + _parallel.pmap(_pid, range(3))
+    return [os.getpid()] + _parallel.submit(_pid, range(3))()
 
 
 _DECAY_POINT = qubitsim._decay_point
@@ -902,29 +918,35 @@ class TestRunPool:
             raise AssertionError("a one-worker run opened a process pool")
 
         monkeypatch.setattr(_parallel, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setenv(ENV_VAR, "2")
         execute(validate_config(OVERLAPPED_VOLTAGE), tmp_path / "out", workers=1)
+
+    def test_submit_outside_a_run_maps_inline(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a map outside a run opened a process pool")
+
+        # outside a run no pool exists, whatever the environment asks for
+        monkeypatch.setattr(_parallel, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setenv("SPINPROBE_WORKERS", "2")
+        assert _parallel.submit(abs, [-3, 1, -2, 5])() == [3, 1, 2, 5]
 
     def test_run_leaves_the_environment_alone(self, tmp_path, monkeypatch):
         seen = []
         real = pipelines.PIPELINES["ramsey"]
 
         def recording(cfg, out):
-            seen.append(os.environ.get(ENV_VAR))
+            seen.append(dict(os.environ))
             return real(cfg, out)
 
         monkeypatch.setitem(pipelines.PIPELINES, "ramsey", recording)
-        monkeypatch.delenv(ENV_VAR, raising=False)
+        before = dict(os.environ)
         execute(validate_config(dict(TINY_RAMSEY)), tmp_path / "out", workers=2)
-        assert seen == [None]
-        assert ENV_VAR not in os.environ
+        assert seen == [before]
+        assert dict(os.environ) == before
 
-    def test_map_inside_a_worker_runs_inline(self, monkeypatch):
-        # the environment asks for two workers; a job's own map must still
-        # stay in the worker that runs the job
-        monkeypatch.setenv(ENV_VAR, "2")
+    def test_map_inside_a_worker_runs_inline(self):
+        # a job's own map stays in the worker that runs the job
         with _parallel.run_pool(2):
-            inner = _parallel.pmap(_inner_map_pids, range(4))
+            inner = _parallel.submit(_inner_map_pids, range(4))()
         assert not multiprocessing.active_children()
         for pids in inner:
             assert pids[0] != os.getpid()
@@ -933,25 +955,9 @@ class TestRunPool:
     def test_submit_collects_in_order(self):
         with _parallel.run_pool(2):
             pending = _parallel.submit(abs, [-3, 1, -2, 5])
-            assert _parallel.pmap(abs, [-7, 8]) == [7, 8]
+            assert _parallel.submit(abs, [-7, 8])() == [7, 8]
             assert pending() == [3, 1, 2, 5]
         assert _parallel.submit(abs, [-1, -2])() == [1, 2]
-
-
-class TestWorkerCount:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "6")
-        assert worker_count(3) == 3
-
-    def test_environment_fallback(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "4")
-        assert worker_count() == 4
-        monkeypatch.delenv(ENV_VAR)
-        assert worker_count() == 1
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            worker_count(0)
 
 
 class TestCli:
@@ -984,14 +990,6 @@ class TestCli:
                                        output_dir=str(tmp_path / "out")))
         assert main(["run", str(p), "--workers", "0"]) == 2
         assert "--workers" in capsys.readouterr().out
-
-    def test_rerun_bad_environment_exits_2(self, tmp_path, monkeypatch, capsys):
-        cfg = dict(TINY_CHEVRON, output_dir=str(tmp_path / "out"))
-        p = _write_yaml(tmp_path, cfg)
-        assert main(["run", str(p), "--workers", "1"]) == 0
-        monkeypatch.setenv(ENV_VAR, "0")
-        assert main(["rerun", str(tmp_path / "out" / MANIFEST_NAME)]) == 2
-        assert ENV_VAR in capsys.readouterr().out
 
     @pytest.mark.parametrize("cfg, field", [
         ({**TINY_SPECTROSCOPY, "protocol": {**TINY_SPECTROSCOPY["protocol"],
@@ -1055,6 +1053,16 @@ class TestCli:
         ({**TINY_TONE, "protocol": {"f_columns_hz": [1.0e300, 20e3, 10e3],
                                     "total_time_s": 1e10}},  # inf pulses
          "protocol.f_columns_hz.0"),
+        # fits on repeated points, which made up an exponent or a fidelity
+        ({**TINY_RAMSEY, "protocol": {**TINY_RAMSEY["protocol"], "fit": "stretched",
+                                      "times_s": [1e-4, 1e-4, 1e-4]}},
+         "protocol.times_s"),
+        ({**TINY_CPMG, "protocol": {**TINY_CPMG["protocol"], "t_factor_min": 1.0,
+                                    "t_factor_max": 1.0}},
+         "protocol.t_factor_min"),
+        ({**TINY_IRB, "kind": "rbm",
+          "protocol": {**TINY_IRB["protocol"], "depths": [8, 8, 8, 8]}},
+         "protocol.depths"),
     ])
     def test_run_bad_config_exits_2_before_running(self, tmp_path, capsys,
                                                    cfg, field):
