@@ -12,19 +12,24 @@ import math
 
 import numpy as np
 
+from spinprobe import derive_child_seed
 from spinprobe.analysis import fit_exponential, spectroscopy_scan
-from spinprobe.qubitsim import PSD_CHI_CALIBRATION, decay_vs_pulses
+from spinprobe.qubitsim import PSD_CHI_CALIBRATION, coherence_mc
+from spinprobe.sequences import make_cpmg
 from spinprobe.spectra import SpectrumModel
 
 S0 = 350.0
 WHITE = SpectrumModel(powerlaws=(), white_floor=S0, lines=())
 
-# 1. raw convention: measure the white 1/e time at calibration = 1
+# 1. raw convention: measure the white 1/e time at calibration = 1, one
+#    fixed-wait point per pulse count
 tau = 1.0 / (2 * 5000.0)
 counts = [2, 4, 8, 16, 32, 64]
-curve = decay_vs_pulses(WHITE, tau, counts, 3000, seed=42, calibration=1.0,
-                        samples_per_interval=64)
-fit = fit_exponential(curve.times, curve.w, curve.std_err)
+times = [n * tau for n in counts]
+points = [coherence_mc(WHITE, make_cpmg(n, t), 3000, derive_child_seed(42, i),
+                       calibration=1.0, samples_per_interval=64)
+          for i, (n, t) in enumerate(zip(counts, times))]
+fit = fit_exponential(times, [p.w for p in points], [p.std_err for p in points])
 print(f"raw 1/e time {fit.t2 * 1e3:.3f} ms vs 4/S0 = {4 / S0 * 1e3:.3f} ms")
 
 # 2. push it through the protocol's mapping: S = pi^2 / (4 T2)

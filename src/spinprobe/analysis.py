@@ -15,8 +15,8 @@ import numpy as np
 
 from . import _solve
 from ._rng import derive_child_seed
-from .qubitsim import (DURATION_FACTOR, PSD_CHI_CALIBRATION,
-                       SAMPLES_PER_INTERVAL, DecayCurve, submit_decay_vs_pulses)
+from .qubitsim import (DURATION_FACTOR, SAMPLES_PER_INTERVAL, DecayCurve,
+                       fixed_wait_spec, submit_decay_curves)
 from .spectra import PsdEstimate, SpectrumModel
 
 __all__ = [
@@ -334,27 +334,26 @@ def reconstruct_psd(points: list[SpectroscopyPoint]) -> PsdEstimate:
 
 def spectroscopy_scan(model: SpectrumModel, f_grid_hz, pulse_counts,
                       n_traj: int, seed: int, *,
-                      calibration: float = PSD_CHI_CALIBRATION,
                       t2_hahn: float | None = None,
                       duration_factor: float = DURATION_FACTOR,
                       samples_per_interval: int = SAMPLES_PER_INTERVAL) -> PsdEstimate:
     """Full simulated CPMG spectroscopy: decay scans at each target
     frequency, exponential fits, and PSD assembly.
 
-    Each frequency f gets a fixed wait ``1/(2f)`` and a pulse-count scan;
-    the per-point seeds derive from (seed, frequency index, pulse-count
-    index) so the result is independent of evaluation order.  All points
-    of all frequencies run in one map over the process pool.
+    Frequency i gets a fixed wait ``1/(2f)`` and a pulse-count scan at
+    seed ``derive_child_seed(seed, i)``, whose point j runs at
+    ``derive_child_seed`` of that and j, so the result is independent of
+    evaluation order.  All points of all frequencies run in one map over
+    the process pool.
     """
     return submit_spectroscopy_scan(
-        model, f_grid_hz, pulse_counts, n_traj, seed, calibration=calibration,
-        t2_hahn=t2_hahn, duration_factor=duration_factor,
+        model, f_grid_hz, pulse_counts, n_traj, seed, t2_hahn=t2_hahn,
+        duration_factor=duration_factor,
         samples_per_interval=samples_per_interval)()
 
 
 def submit_spectroscopy_scan(model: SpectrumModel, f_grid_hz, pulse_counts,
                              n_traj: int, seed: int, *,
-                             calibration: float = PSD_CHI_CALIBRATION,
                              t2_hahn: float | None = None,
                              duration_factor: float = DURATION_FACTOR,
                              samples_per_interval: int = SAMPLES_PER_INTERVAL):
@@ -365,10 +364,10 @@ def submit_spectroscopy_scan(model: SpectrumModel, f_grid_hz, pulse_counts,
     if np.any(f_grid <= 0):
         raise ValueError("spectroscopy frequencies must be > 0")
     taus = 1.0 / (2.0 * f_grid)
-    pending = submit_decay_vs_pulses(
-        model, taus, pulse_counts, n_traj,
-        [derive_child_seed(seed, i) for i in range(f_grid.size)],
-        calibration=calibration, duration_factor=duration_factor,
+    pending = submit_decay_curves(
+        model, [fixed_wait_spec(tau, pulse_counts, derive_child_seed(seed, i))
+                for i, tau in enumerate(taus)],
+        n_traj, duration_factor=duration_factor,
         samples_per_interval=samples_per_interval)
     return lambda: reconstruct_psd([
         spectroscopy_point(curve, tau, t2_hahn=t2_hahn)

@@ -31,10 +31,12 @@ import yaml
 
 from .._solve import distinct
 from ..benchmarking import CLIFFORD_DECOMPOSITIONS
-from ..qubitsim import (DURATION_FACTOR, SAMPLES_PER_INTERVAL, QubitParams,
-                        ReadoutModel, cpmg_chi)
+from ..qubitsim import (DURATION_FACTOR, HARDWARE_READOUT,
+                        SAMPLES_PER_INTERVAL, QubitParams, ReadoutModel,
+                        cpmg_chi)
 from ..spectra import SpectrumModel
-from ..starktone import StarkMap, default_stark_map, scan_columns, tone_column
+from ..starktone import (TONE_SAMPLES_PER_INTERVAL, StarkMap,
+                         default_stark_map, scan_columns, tone_column)
 
 KINDS = (
     "rabi_chevron",
@@ -318,7 +320,8 @@ PROTOCOLS: dict[str, dict[str, Field]] = {
         "total_time_s": Field("number", 300e-6, gt=0),
         "shots": Field("integer", 160, ge=1),
         "phase": Field("number null", None),
-        "samples_per_interval": Field("integer", 32, ge=1),
+        "samples_per_interval": Field("integer", TONE_SAMPLES_PER_INTERVAL,
+                                      ge=1),
     },
     "voltage_psd": {
         "sample_rate_hz": Field("number", 120e3, gt=0),
@@ -348,8 +351,8 @@ TOP: dict[str, Field] = {
         f.name: Field("number", f.default, gt=0)
         for f in dataclasses.fields(QubitParams)}),
     "readout": Field("object", {}, fields={
-        "visibility": Field("number", 0.55, gt=0, le=1),
-        "floor": Field("number", 0.225, ge=0, le=1),
+        "visibility": Field("number", HARDWARE_READOUT.visibility, gt=0, le=1),
+        "floor": Field("number", HARDWARE_READOUT.floor, ge=0, le=1),
     }),
     "spectrum": Field("object", {}, fields={
         "powerlaws": Field("array", OMITTED, items=Field("object", fields={
@@ -499,6 +502,10 @@ def validate_config(raw: dict) -> dict:
                               f"exactly gates G1 and G2, got {sorted(gates)}")
     if kind == "tone_scan":
         _check_tone_column(proto)
+    if kind in ("ramsey", "hahn") and proto["fit"] == "stretched":
+        if (n_distinct := distinct(grid_values(proto["times_s"])).size) < 3:
+            raise ConfigError(f"protocol.times_s: the stretched fit needs at "
+                              f"least 3 distinct points, got {n_distinct}")
     if kind == "interleaved_rbm":
         gate_index(proto["gate"])
     if kind == "voltage_psd":

@@ -31,10 +31,10 @@ windows of a recorded trace.  The Monte Carlo engine and the tone scan
 of :mod:`spinprobe.starktone` never form a trace: a trajectory costs its
 normal draws and one dot product, on the same random stream
 :func:`spectra.draw_trace_samples` draws in blocks when it synthesizes
-the trace from the model.  The decay scans submit all their points,
-across every wait of a spectroscopy scan, to the run's one process pool
-(:mod:`spinprobe._parallel`) in one map, and
-:func:`submit_decay_vs_pulses` returns before they finish.
+the trace from the model.  Every Monte Carlo decay scan goes through
+:func:`submit_decay_curves`, which submits all its points, across every
+wait of a spectroscopy scan, to the run's one process pool
+(:mod:`spinprobe._parallel`) in one map and returns before they finish.
 
 Calibration convention
 ----------------------
@@ -44,9 +44,11 @@ adopts the spectroscopy convention in which a decay time maps to a spectral
 density through ``S = pi^2 / (4*T2)``; closing that loop requires scaling
 chi by ``PSD_CHI_CALIBRATION = 16/pi^2``.  The constant is applied in the
 coherence engines only; :mod:`spinprobe.spectra` stays strictly physical
-(trace variance equals the PSD integral).  Pass ``calibration=1.0`` to
-recover the uncalibrated physics, e.g. when comparing against closed-form
-results for injected tones.
+(trace variance equals the PSD integral).  The point engines
+(:func:`coherence_mc`, :func:`coherence_replay`, :func:`chi_ff`,
+:func:`coherence_ff`) take ``calibration=1.0`` to recover the uncalibrated
+physics; the scans built on them always use the constant, and a raw scan
+runs on ``model.scaled(1 / PSD_CHI_CALIBRATION)``.
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ __all__ = [
     "BOHR_HZ_PER_T",
     "QubitParams",
     "ReadoutModel",
+    "HARDWARE_READOUT",
     "CoherencePoint",
     "DecayCurve",
     "resonance_frequency_hz",
@@ -87,7 +90,8 @@ __all__ = [
     "cpmg_t2",
     "decay_vs_time",
     "decay_vs_pulses",
-    "submit_decay_vs_pulses",
+    "fixed_wait_spec",
+    "submit_decay_curves",
 ]
 
 # Closes the round trip between simulated decay times and the S = pi^2/(4*T2)
@@ -150,6 +154,10 @@ class ReadoutModel:
 
     def apply(self, p_ideal):
         return self.floor + self.visibility * np.asarray(p_ideal, dtype=float)
+
+
+# The hardware-like readout the configs and the tone scan default to
+HARDWARE_READOUT = ReadoutModel(visibility=0.55, floor=0.225)
 
 
 def rabi_p_up(rabi_hz, detuning_hz, duration_s):
@@ -631,32 +639,35 @@ def _schedule_for(n_pulses: int, total_time: float) -> PulseSchedule:
 
 
 def _decay_point(args) -> CoherencePoint:
-    (model_dict, n_pulses, t_total, n_traj, point_seed, calibration,
-     duration_factor, samples_per_interval) = args
-    model = SpectrumModel.from_dict(model_dict)
-    schedule = _schedule_for(n_pulses, t_total)
-    return coherence_mc(model, schedule, n_traj, point_seed,
-                        calibration=calibration,
-                        duration_factor=duration_factor,
+    (model, n_pulses, t_total, n_traj, point_seed, duration_factor,
+     samples_per_interval) = args
+    return coherence_mc(model, _schedule_for(n_pulses, t_total), n_traj,
+                        point_seed, duration_factor=duration_factor,
                         samples_per_interval=samples_per_interval)
 
 
-def _submit_decay_curves(model: SpectrumModel, specs, n_traj: int,
-                         calibration: float, duration_factor: float,
-                         samples_per_interval: int):
-    """One curve per ``(pulse_counts, times, seed, label)`` spec; every
-    point of every curve goes through a single :func:`_parallel.submit`.
-    Returns a handle whose call gives the curves."""
-    model_dict = model.to_dict()
+def submit_decay_curves(model: SpectrumModel, specs, n_traj: int, *,
+                        duration_factor: float,
+                        samples_per_interval: int):
+    """Monte Carlo decay curves, one per ``(pulse_counts, times, seed,
+    label)`` spec, with every point of every curve submitted to the run's
+    process pool in one :func:`_parallel.submit`.  Returns a handle whose
+    call gives the curves.
+
+    ``pulse_counts`` is one count or one per time.  Point i of a curve is
+    :func:`coherence_mc` on its schedule (Ramsey for 0 pulses, else CPMG)
+    at seed ``derive_child_seed(seed, i)``, so a curve does not depend on
+    the other curves submitted with it.
+    """
     grids, jobs = [], []
     for pulse_counts, times, seed, label in specs:
         times = np.asarray(times, dtype=float)
         pulse_counts = np.broadcast_to(np.asarray(pulse_counts, dtype=int),
                                        times.shape)
         grids.append((pulse_counts, times, label))
-        jobs.extend((model_dict, int(n), float(t), n_traj,
-                     derive_child_seed(seed, i), calibration,
-                     duration_factor, samples_per_interval)
+        jobs.extend((model, int(n), float(t), n_traj,
+                     derive_child_seed(seed, i), duration_factor,
+                     samples_per_interval)
                     for i, (n, t) in enumerate(zip(pulse_counts, times)))
     pending = _parallel.submit(_decay_point, jobs)
 
@@ -673,22 +684,31 @@ def _submit_decay_curves(model: SpectrumModel, specs, n_traj: int,
     return curves
 
 
+def fixed_wait_spec(tau_wait: float, pulse_counts, seed: int):
+    """The :func:`submit_decay_curves` spec of a fixed-wait scan: point i
+    plays ``pulse_counts[i]`` pulses over ``pulse_counts[i] * tau_wait``."""
+    counts = np.asarray(pulse_counts, dtype=int)
+    if np.any(counts < 1):
+        raise ValueError("pulse counts must be >= 1 when tau_wait is fixed")
+    tau = float(tau_wait)
+    return counts, counts * tau, seed, f"tau_w={tau:.3e}s"
+
+
 def decay_vs_time(model: SpectrumModel, n_pulses: int, times, n_traj: int,
-                  seed: int, *, calibration: float = PSD_CHI_CALIBRATION,
-                  duration_factor: float = DURATION_FACTOR,
+                  seed: int, *, duration_factor: float = DURATION_FACTOR,
                   samples_per_interval: int = SAMPLES_PER_INTERVAL,
                   label: str = "") -> DecayCurve:
     """Coherence decay at fixed pulse count over a grid of total times."""
     if not label:
         label = {0: "ramsey", 1: "hahn"}.get(n_pulses, f"cpmg-{n_pulses}")
-    return _submit_decay_curves(model, [(n_pulses, times, seed, label)],
-                                n_traj, calibration, duration_factor,
-                                samples_per_interval)()[0]
+    return submit_decay_curves(
+        model, [(n_pulses, times, seed, label)], n_traj,
+        duration_factor=duration_factor,
+        samples_per_interval=samples_per_interval)()[0]
 
 
 def decay_vs_pulses(model: SpectrumModel, tau_wait: float, pulse_counts,
                     n_traj: int, seed: int, *,
-                    calibration: float = PSD_CHI_CALIBRATION,
                     duration_factor: float = DURATION_FACTOR,
                     samples_per_interval: int = SAMPLES_PER_INTERVAL) -> DecayCurve:
     """Coherence decay at fixed inter-pulse wait over a grid of pulse counts.
@@ -698,29 +718,7 @@ def decay_vs_pulses(model: SpectrumModel, tau_wait: float, pulse_counts,
     total time N*tau_wait is exponential with rate proportional to the
     spectral density there.
     """
-    return submit_decay_vs_pulses(model, [tau_wait], pulse_counts, n_traj,
-                                  [seed], calibration=calibration,
-                                  duration_factor=duration_factor,
-                                  samples_per_interval=samples_per_interval)()[0]
-
-
-def submit_decay_vs_pulses(model: SpectrumModel, tau_waits, pulse_counts,
-                           n_traj: int, seeds, *,
-                           calibration: float = PSD_CHI_CALIBRATION,
-                           duration_factor: float = DURATION_FACTOR,
-                           samples_per_interval: int = SAMPLES_PER_INTERVAL):
-    """:func:`decay_vs_pulses` at each wait ``tau_waits[i]`` with seed
-    ``seeds[i]``, all points of all curves submitted to the process pool
-    at once.  Returns a handle whose call gives the curves.
-
-    The curves are identical to separate :func:`decay_vs_pulses` calls;
-    one map keeps every worker busy while the long many-pulse points of
-    one wait finish.
-    """
-    counts = np.asarray(pulse_counts, dtype=int)
-    if np.any(counts < 1):
-        raise ValueError("pulse counts must be >= 1 when tau_wait is fixed")
-    specs = [(counts, counts * float(tau), seed, f"tau_w={float(tau):.3e}s")
-             for tau, seed in zip(tau_waits, seeds, strict=True)]
-    return _submit_decay_curves(model, specs, n_traj, calibration,
-                                duration_factor, samples_per_interval)
+    return submit_decay_curves(
+        model, [fixed_wait_spec(tau_wait, pulse_counts, seed)], n_traj,
+        duration_factor=duration_factor,
+        samples_per_interval=samples_per_interval)()[0]

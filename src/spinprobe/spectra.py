@@ -112,19 +112,6 @@ class SpectrumModel:
             lines=tuple(replace(l, power=l.power * gain) for l in self.lines),
         )
 
-    def to_dict(self) -> dict:
-        d: dict = {}
-        if self.powerlaws:
-            d["powerlaws"] = [{"amplitude": t.amplitude, "exponent": t.exponent}
-                              for t in self.powerlaws]
-        if self.white_floor:
-            d["white_floor"] = self.white_floor
-        if self.lines:
-            d["lines"] = [{"center_hz": l.center_hz, "power": l.power,
-                           **({"width_hz": l.width_hz} if l.width_hz is not None else {})}
-                          for l in self.lines]
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "SpectrumModel":
         return cls(
@@ -251,11 +238,12 @@ def _line_bin_power(line: SpectralLine, edges: np.ndarray, width: float) -> np.n
 
 
 def _bin_density(model: SpectrumModel, df: float, a: int, b: int) -> np.ndarray:
-    """Model PSD averaged onto rfft bins a..b-1 (a >= 1) of spacing df.
+    """Model PSD on rfft bins a..b-1 (a >= 1) of spacing df.
 
-    Smooth components are sampled at the bin centres; lines are integrated
-    over each bin (exact Lorentzian CDF) so their total power survives even
-    when narrower than one bin.  Every bin depends on its own index alone,
+    Smooth components (power laws, white floor) are sampled at the bin
+    centres, not averaged over the bin; only lines are integrated over each
+    bin (exact Lorentzian CDF) so their total power survives even when
+    narrower than one bin.  Every bin depends on its own index alone,
     so any split of a range into blocks gives the same values bit for bit.
     """
     s = _smooth_psd(model, np.arange(a, b) * df)
@@ -268,7 +256,8 @@ def _bin_density(model: SpectrumModel, df: float, a: int, b: int) -> np.ndarray:
 
 
 def rfft_bin_density(model: SpectrumModel, sample_rate: float, n: int) -> np.ndarray:
-    """Model PSD averaged onto the rfft bin grid of an n-sample trace.
+    """Model PSD on the rfft bin grid of an n-sample trace: smooth
+    components sampled at the bin centres, lines integrated over each bin.
 
     The whole-range call of the per-block helper that synthesis uses (see
     :func:`draw_trace_samples`).  Bin 0 is zero: content below 1/duration

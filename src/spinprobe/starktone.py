@@ -20,11 +20,13 @@ import numpy as np
 from . import _parallel, spectra
 from ._csvio import write_columns
 from ._rng import derive_child_seed, derive_rngs
-from .qubitsim import PSD_CHI_CALIBRATION, PhaseFunctional, ReadoutModel
+from .qubitsim import (HARDWARE_READOUT, PSD_CHI_CALIBRATION,
+                       PhaseFunctional, ReadoutModel)
 from .sequences import filter_function, make_cpmg, response
 from .spectra import SpectrumModel
 
 __all__ = [
+    "TONE_SAMPLES_PER_INTERVAL",
     "StarkMap",
     "ToneConfig",
     "ToneWave",
@@ -42,6 +44,9 @@ __all__ = [
 ]
 
 TONE_SCAN_HEADER = "f_hz,amplitude_vpp,p_up,std_err"
+
+# Monte Carlo samples per inter-pulse interval of a tone-scan cell
+TONE_SAMPLES_PER_INTERVAL = 32
 
 
 @dataclass(frozen=True)
@@ -205,9 +210,8 @@ class ToneScanResult:
 
 
 def _tone_cell(args) -> tuple[float, float]:
-    (model_dict, n_pulses, tau, amp_pp, coeff, f_tone, fixed_phase, shots,
-     cell_seed, calibration, samples_per_interval, vis, floor) = args
-    model = SpectrumModel.from_dict(model_dict)
+    (model, n_pulses, tau, amp_pp, coeff, f_tone, fixed_phase, shots,
+     cell_seed, samples_per_interval, vis, floor) = args
     schedule = make_cpmg(n_pulses, n_pulses * tau)
     phase = PhaseFunctional.on_mc_grid(schedule, 1.0, samples_per_interval)
     h = phase.normal_weights(model)
@@ -215,7 +219,7 @@ def _tone_cell(args) -> tuple[float, float]:
     # modulus matters once the phase is randomized
     y_mag = abs(response(schedule, f_tone))
     a = 2 * math.pi * abs(coeff) * (amp_pp / 2.0) * y_mag
-    scale = math.sqrt(calibration)
+    scale = math.sqrt(PSD_CHI_CALIBRATION)
     hits = 0
     normals = np.empty(phase.n - 1)
     # per shot, only Python floats: theta is rng.uniform(0, 2 pi)'s draw,
@@ -257,9 +261,9 @@ def tone_column(f_hz, f_tone: float) -> int:
 
 def tone_scan(model: SpectrumModel, tone: ToneConfig, stark: StarkMap,
               tau_grid, total_time: float, amplitudes_vpp, shots: int,
-              seed: int, *, readout: ReadoutModel = ReadoutModel(0.55, 0.225),
-              calibration: float = PSD_CHI_CALIBRATION,
-              samples_per_interval: int = 32) -> ToneScanResult:
+              seed: int, *, readout: ReadoutModel = HARDWARE_READOUT,
+              samples_per_interval: int = TONE_SAMPLES_PER_INTERVAL
+              ) -> ToneScanResult:
     """2D P_up map over (filter frequency, tone amplitude).
 
     Every cell runs a CPMG sequence with ``N = max(1, round(total_time /
@@ -274,12 +278,11 @@ def tone_scan(model: SpectrumModel, tone: ToneConfig, stark: StarkMap,
     info = [{"tau_wait": tau, "n_pulses": n_pulses, "f_hz": 1.0 / (2 * tau),
              "actual_total_time": n_pulses * tau} for tau, n_pulses in keep]
     jobs = []
-    model_dict = model.to_dict()
     for col, (tau, n_pulses) in enumerate(keep):
         for row, amp in enumerate(amps):
-            jobs.append((model_dict, n_pulses, tau, float(amp), coeff,
+            jobs.append((model, n_pulses, tau, float(amp), coeff,
                          tone.f_tone, tone.phase, shots,
-                         derive_child_seed(seed, col, row), calibration,
+                         derive_child_seed(seed, col, row),
                          samples_per_interval, readout.visibility, readout.floor))
     results = _parallel.submit(_tone_cell, jobs)()
     n_f, n_a = len(keep), amps.size

@@ -22,7 +22,7 @@ from spinprobe.analysis import (
 )
 from spinprobe import _parallel, analysis
 from spinprobe._rng import derive_child_seed
-from spinprobe.qubitsim import DecayCurve, chi_ff, decay_vs_pulses
+from spinprobe.qubitsim import DecayCurve, chi_ff, coherence_mc, decay_vs_pulses
 from spinprobe.sequences import make_cpmg
 from spinprobe.spectra import PowerLawTerm, SpectrumModel, eval_psd
 
@@ -240,6 +240,35 @@ class TestSpectroscopyScan:
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):
             spectroscopy_scan(WHITE, [0.0, 1e3], [2, 4], 50, 0)
+
+    def test_points_are_coherence_mc(self, monkeypatch):
+        # frequency i, count j: coherence_mc on make_cpmg(N_j, N_j * tau_i)
+        # at derive_child_seed(derive_child_seed(seed, i), j)
+        curves = []
+        submit = analysis.submit_decay_curves
+
+        def recording(*args, **kwargs):
+            pending = submit(*args, **kwargs)
+
+            def collect():
+                curves.extend(pending())
+                return curves
+            return collect
+
+        monkeypatch.setattr(analysis, "submit_decay_curves", recording)
+        grid, counts = [2e3, 3e4], [2, 4, 8]
+        spectroscopy_scan(PINK, grid, counts, 24, 31, duration_factor=3.0,
+                          samples_per_interval=8)
+        assert len(curves) == len(grid)
+        for i, (f, curve) in enumerate(zip(grid, curves)):
+            tau = 1.0 / (2.0 * f)
+            np.testing.assert_array_equal(curve.n_pulses, counts)
+            for j, n in enumerate(counts):
+                assert curve.times[j] == n * tau
+                p = coherence_mc(PINK, make_cpmg(n, n * tau), 24,
+                                 derive_child_seed(derive_child_seed(31, i), j),
+                                 duration_factor=3.0, samples_per_interval=8)
+                assert (curve.w[j], curve.std_err[j]) == (p.w, p.std_err)
 
 
 class TestCompositeBandStructure:

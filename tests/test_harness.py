@@ -1063,6 +1063,14 @@ class TestCli:
         ({**TINY_IRB, "kind": "rbm",
           "protocol": {**TINY_IRB["protocol"], "depths": [8, 8, 8, 8]}},
          "protocol.depths"),
+        # two points: enough for an exponential, not for a stretched fit
+        ({**TINY_RAMSEY, "protocol": {**TINY_RAMSEY["protocol"], "fit": "stretched",
+                                      "times_s": [1e-4, 2e-3]}},
+         "protocol.times_s"),
+        ({**TINY_RAMSEY, "kind": "hahn",
+          "protocol": {**TINY_RAMSEY["protocol"], "fit": "stretched",
+                       "times_s": [1e-4, 2e-3, 2e-3]}},
+         "protocol.times_s"),
     ])
     def test_run_bad_config_exits_2_before_running(self, tmp_path, capsys,
                                                    cfg, field):

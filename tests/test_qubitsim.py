@@ -27,7 +27,7 @@ from spinprobe.qubitsim import (
     resonance_frequency_hz,
 )
 from spinprobe import qubitsim, sequences, spectra
-from spinprobe._rng import derive_rng
+from spinprobe._rng import derive_child_seed, derive_rng
 from spinprobe.sequences import (PulseSchedule, filter_function, make_cpmg,
                                  make_hahn, make_ramsey)
 from spinprobe.spectra import (
@@ -272,7 +272,9 @@ class TestCpmgChi:
             chi_ff(zero, make_cpmg(4, 1e-3)), rel=1e-12)
 
     def test_cached_per_model_and_pulse_count(self):
-        copy = SpectrumModel.from_dict(COMPOSITE.to_dict())
+        copy = SpectrumModel(
+            powerlaws=(PowerLawTerm(3e13, 2.5), PowerLawTerm(3e7, 1.0)),
+            white_floor=350.0, lines=(SpectralLine(3600.0, 1.5e6, 150.0),))
         assert cpmg_chi(copy, 8) is cpmg_chi(COMPOSITE, 8)
         assert cpmg_chi(COMPOSITE, 16) is not cpmg_chi(COMPOSITE, 8)
 
@@ -536,3 +538,27 @@ class TestDecayScans:
     def test_fixed_wait_rejects_pulse_free_points(self):
         with pytest.raises(ValueError):
             decay_vs_pulses(WHITE, 1e-4, [0, 2], 64, 0)
+
+    @pytest.mark.parametrize("n_pulses", [0, 1, 4])
+    def test_decay_vs_time_points_are_coherence_mc(self, n_pulses):
+        # point i: coherence_mc on its schedule at derive_child_seed(seed, i)
+        times = np.geomspace(1e-4, 2e-3, 3)
+        curve = decay_vs_time(COMPOSITE, n_pulses, times, 24, 7,
+                              duration_factor=3.0, samples_per_interval=8)
+        for i, t in enumerate(times):
+            sch = make_ramsey(t) if n_pulses == 0 else make_cpmg(n_pulses, t)
+            p = coherence_mc(COMPOSITE, sch, 24, derive_child_seed(7, i),
+                             duration_factor=3.0, samples_per_interval=8)
+            assert (curve.w[i], curve.std_err[i]) == (p.w, p.std_err)
+
+    def test_decay_vs_pulses_points_are_coherence_mc(self):
+        tau, counts = 1e-4, [1, 2, 4, 8]
+        curve = decay_vs_pulses(COMPOSITE, tau, counts, 24, 9,
+                                duration_factor=3.0, samples_per_interval=8)
+        assert curve.label == "tau_w=1.000e-04s"
+        for i, n in enumerate(counts):
+            assert curve.times[i] == n * tau
+            p = coherence_mc(COMPOSITE, make_cpmg(n, n * tau), 24,
+                             derive_child_seed(9, i), duration_factor=3.0,
+                             samples_per_interval=8)
+            assert (curve.w[i], curve.std_err[i]) == (p.w, p.std_err)

@@ -92,8 +92,7 @@ def _rb():
 
 
 def _tone():
-    args = (MODEL.to_dict(), 4, 50e-6, 2e-4, -2.3e7, 1e4, None, 40, 17,
-            qubitsim.PSD_CHI_CALIBRATION, 8, 0.55, 0.225)
+    args = (MODEL, 4, 50e-6, 2e-4, -2.3e7, 1e4, None, 40, 17, 8, 0.55, 0.225)
     return starktone._tone_cell(args)
 
 

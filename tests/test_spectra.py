@@ -58,14 +58,6 @@ class TestModelValidation:
         assert model.max_exponent == 2.5
         assert WHITE.max_exponent == 0.0
 
-    def test_dict_round_trip(self):
-        model = SpectrumModel(
-            powerlaws=(PowerLawTerm(3e13, 2.5), PowerLawTerm(3e7, 1.0)),
-            white_floor=350.0,
-            lines=(SpectralLine(3600.0, 1.5e6, 150.0),
-                   SpectralLine(60.0, 10.0, None)))
-        assert SpectrumModel.from_dict(model.to_dict()) == model
-
     def test_scaled(self):
         model = ONE_OVER_F.scaled(2.5)
         f = np.array([100.0, 5e3])

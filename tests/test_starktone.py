@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
-from spinprobe.qubitsim import ReadoutModel, coherence_ff
+from spinprobe.qubitsim import PSD_CHI_CALIBRATION, ReadoutModel, coherence_ff
 from spinprobe.sequences import make_cpmg, response
 from spinprobe.spectra import SpectrumModel
 from spinprobe.starktone import (
@@ -145,8 +145,9 @@ class TestToneScan:
         w_noise = coherence_ff(WHITE, sch, calibration=1.0)
         p_exp = ReadoutModel(0.55, 0.225).apply(0.5 * (1 + w_noise * j0(0.8)))
         tone = ToneConfig(gate="G2", f_tone=2e4, amplitude_pp=a_pp, phase=None)
-        res = tone_scan(WHITE, tone, default_stark_map(), [tau], total,
-                        [a_pp], 3000, 5, calibration=1.0,
+        # the scan calibrates the noise; the unscaled model gives raw physics
+        res = tone_scan(WHITE.scaled(1 / PSD_CHI_CALIBRATION), tone,
+                        default_stark_map(), [tau], total, [a_pp], 3000, 5,
                         samples_per_interval=64)
         assert abs(res.p_up[0, 0] - p_exp) < 4 * res.std_err[0, 0]
 
