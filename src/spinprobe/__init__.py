@@ -29,8 +29,7 @@ from .sequences import (PulseSchedule, cpmg_filter_function, filter_function,
                         make_cpmg, make_hahn, make_ramsey, response)
 from .spectra import (NoiseTrace, PowerLawTerm, PsdEstimate, SpectralLine,
                       SpectrumModel, eval_psd, integrate_rms, psd_welch,
-                      synthesize, voltage_to_detuning_model,
-                      voltage_to_detuning_psd)
+                      synthesize, voltage_to_detuning_model)
 from .starktone import (StarkMap, ToneConfig, ToneScanResult,
                         default_stark_map, detect_tone_threshold,
                         esr_frequency, fit_stark_map, harmonic_weights,
@@ -45,7 +44,7 @@ __all__ = [
     # spectra
     "PowerLawTerm", "SpectralLine", "SpectrumModel", "NoiseTrace",
     "PsdEstimate", "eval_psd", "synthesize", "psd_welch", "integrate_rms",
-    "voltage_to_detuning_psd", "voltage_to_detuning_model",
+    "voltage_to_detuning_model",
     # sequences
     "PulseSchedule", "make_ramsey", "make_hahn", "make_cpmg",
     "filter_function", "cpmg_filter_function", "response",

@@ -38,7 +38,7 @@ CHEVRON_HEADER = "detuning_hz,duration_s,p_up"
 T2N_HEADER = "n_pulses,t2_s,t2_err_s,exponent,exponent_err"
 STARK_GRID_HEADER = "v_g1,v_g2,f_hz"
 VOLT_PSD_HEADER = "f_hz,S_v2_per_hz"
-DETUNING_PSD_HEADER = "f_hz,S_rad2_per_s"
+DETUNING_PSD_HEADER = "f_hz,S_rad2_per_s,n_bins"
 
 
 class _Report:
@@ -189,18 +189,20 @@ def run_cpmg_t2_vs_n(cfg, out: Path) -> _Report:
     proto = cfg["protocol"]
     model = _model(cfg)
     counts = proto["pulse_counts"]
-    curves = []
     with report.stage("t2_scans") as seed:
+        # one map over every pulse count's points; curve i has seed
+        # derive_child_seed(seed, i), as its own decay_vs_time call would
+        specs = []
         for i, n in enumerate(counts):
             t2_est = qubitsim.cpmg_t2(model, n)
             times = np.geomspace(proto["t_factor_min"] * t2_est,
                                  proto["t_factor_max"] * t2_est,
                                  proto["n_times"])
-            curve = qubitsim.decay_vs_time(
-                model, n, times, proto["n_traj"], derive_child_seed(seed, i),
-                duration_factor=proto["duration_factor"],
-                samples_per_interval=proto["samples_per_interval"])
-            curves.append(curve)
+            specs.append((n, times, derive_child_seed(seed, i), f"cpmg-{n}"))
+        curves = qubitsim.submit_decay_curves(
+            model, specs, proto["n_traj"],
+            duration_factor=proto["duration_factor"],
+            samples_per_interval=proto["samples_per_interval"])()
         _write(report, out, {"decay_curves.csv": Csv(
             "n_pulses," + DECAY_HEADER.replace(",p_up", ""),
             (np.repeat(counts, [c.times.size for c in curves]),
@@ -433,16 +435,17 @@ def run_voltage_psd(cfg, out: Path) -> _Report:
         n_segments = spectra.welch_segments(trace.n_samples, nperseg)
         lo, hi = proto["band_hz"]
         rms = spectra.integrate_rms(est_v, lo, hi)
-        est_dw = spectra.voltage_to_detuning_psd(est_v, coeff)
         # the bounds are S times the summary's welch_ci_factors, so the
-        # files hold S alone; f is shared by all three and S_V by two:
-        # 3 distinct columns
+        # files hold S alone; only psd_voltage.csv keeps every Welch bin,
+        # the detuning PSD and the plot share one log-binned f
+        f_b, s_b, n_bins = spectra.log_bin(est_v.f, est_v.s)
         _write(report, out, {
             "psd_voltage.csv": Csv(VOLT_PSD_HEADER, (est_v.f, est_v.s)),
-            "psd_detuning.csv": Csv(DETUNING_PSD_HEADER, (est_dw.f, est_dw.s)),
+            "psd_detuning.csv": Csv(DETUNING_PSD_HEADER, (
+                f_b, s_b * spectra.detuning_gain(coeff), n_bins)),
             "plot_voltage_psd.json": _plot(
-                "gate voltage PSD", _axis("frequency", "Hz", est_v.f),
-                _axis("S_V", "V^2/Hz", est_v.s)),
+                "gate voltage PSD", _axis("frequency", "Hz", f_b),
+                _axis("S_V", "V^2/Hz", s_b)),
         })
     summary = {"band_hz": [float(lo), float(hi)], "band_rms_v": rms,
                "stark_gate": proto["stark_gate"],

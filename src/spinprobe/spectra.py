@@ -39,7 +39,9 @@ __all__ = [
     "welch_ci_factors",
     "psd_welch",
     "integrate_rms",
-    "voltage_to_detuning_psd",
+    "LOG_BINS_PER_DECADE",
+    "log_bin",
+    "detuning_gain",
     "voltage_to_detuning_model",
     "export_trace",
     "export_psd",
@@ -468,8 +470,8 @@ def psd_welch(trace: NoiseTrace, *, nperseg: int | None = None) -> PsdEstimate:
     hop = nperseg - nperseg // 2
     n_segments = welch_segments(n, nperseg)
     win = (0.5 + 0.5 * np.cos(np.linspace(-math.pi, math.pi, nperseg + 1)))[:-1]
-    # builtin sum: scipy's left-to-right order, which np.sum's pairwise one is not
-    win = win * (1 / np.sqrt(sum(win**2) / (1 / trace.sample_rate)))
+    # cumsum: scipy's left-to-right order, which np.sum's pairwise one is not
+    win = win * (1 / np.sqrt(np.cumsum(win**2)[-1] / (1 / trace.sample_rate)))
     power = np.empty((nperseg // 2 + 1, n_segments))
     for k in range(n_segments):
         seg = x[k * hop:k * hop + nperseg]
@@ -502,19 +504,44 @@ def integrate_rms(estimate: PsdEstimate, f_lo: float, f_hi: float) -> float:
     return float(math.sqrt(np.trapezoid(ss, fs)))
 
 
-def voltage_to_detuning_psd(estimate: PsdEstimate, coeff_hz_per_v: float) -> PsdEstimate:
-    """Map a voltage PSD (V^2/Hz) to a detuning PSD (rad^2/s) via a linear
-    frequency-pull coefficient: S_dw(f) = (2*pi*k)^2 * S_V(f)."""
-    gain = (2.0 * math.pi * abs(coeff_hz_per_v)) ** 2
-    return PsdEstimate(f=estimate.f, s=estimate.s * gain,
-                       ci_low=estimate.ci_low * gain, ci_high=estimate.ci_high * gain,
-                       estimator_tag=estimate.estimator_tag,
-                       warnings=estimate.warnings)
+# log-spaced frequency bins per decade of :func:`log_bin`
+LOG_BINS_PER_DECADE = 400
+
+
+def log_bin(f, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Means of a spectrum over log-spaced frequency bins.
+
+    Bin j holds the points with ``floor(LOG_BINS_PER_DECADE * log10(f))
+    == j``.  Returns ``(f_b, s_b, n_bins)``: the mean f and mean s of each
+    bin that holds a point, and how many it holds.  ``f`` must be
+    strictly increasing and positive.  A bin with one point keeps its f and
+    s bit for bit; a bin narrower than the point spacing holds at most one,
+    so on a uniform grid the points below about ``LOG_BINS_PER_DECADE /
+    ln(10)`` spacings pass through unbinned.
+    """
+    f = np.asarray(f, dtype=float)
+    s = np.asarray(s, dtype=float)
+    if f.shape != s.shape or f.ndim != 1 or not f.size:
+        raise ValueError("log_bin needs non-empty 1-D f and s of equal length")
+    if f[0] <= 0 or np.any(np.diff(f) <= 0):
+        raise ValueError("log_bin needs strictly increasing f > 0")
+    j = np.floor(LOG_BINS_PER_DECADE * np.log10(f))
+    starts = np.flatnonzero(np.concatenate(([True], j[1:] != j[:-1])))
+    n_bins = np.diff(np.append(starts, f.size))
+    return (np.add.reduceat(f, starts) / n_bins,
+            np.add.reduceat(s, starts) / n_bins, n_bins)
+
+
+def detuning_gain(coeff_hz_per_v: float) -> float:
+    """``(2*pi*|k|)^2``: a voltage PSD (V^2/Hz) times this is the detuning
+    PSD (rad^2/s) of a qubit whose frequency pulls k Hz per volt."""
+    return (2.0 * math.pi * abs(coeff_hz_per_v)) ** 2
 
 
 def voltage_to_detuning_model(model: SpectrumModel, coeff_hz_per_v: float) -> SpectrumModel:
-    """Model-level counterpart of :func:`voltage_to_detuning_psd`."""
-    return model.scaled((2.0 * math.pi * abs(coeff_hz_per_v)) ** 2)
+    """The detuning spectrum of a voltage spectrum model, scaled by
+    :func:`detuning_gain`."""
+    return model.scaled(detuning_gain(coeff_hz_per_v))
 
 
 # ---------------------------------------------------------------------------

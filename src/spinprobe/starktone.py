@@ -209,30 +209,37 @@ class ToneScanResult:
             raise ValueError(f"p_up/std_err must have shape {expect}")
 
 
-def _tone_cell(args) -> tuple[float, float]:
-    (model, n_pulses, tau, amp_pp, coeff, f_tone, fixed_phase, shots,
-     cell_seed, samples_per_interval, vis, floor) = args
+def _tone_column(args) -> list[tuple[float, float]]:
+    """``(p_hat, std_err)`` of every amplitude row of one scan column.
+
+    The column's noise weights and tone response are built once; row i
+    draws its shots from ``cell_seeds[i]``."""
+    (model, n_pulses, tau, amps_pp, coeff, f_tone, fixed_phase, shots,
+     cell_seeds, samples_per_interval, vis, floor) = args
     schedule = make_cpmg(n_pulses, n_pulses * tau)
     phase = PhaseFunctional.on_mc_grid(schedule, 1.0, samples_per_interval)
     h = phase.normal_weights(model)
     # the tone enters through the exact segment Fourier integral; only its
     # modulus matters once the phase is randomized
     y_mag = abs(response(schedule, f_tone))
-    a = 2 * math.pi * abs(coeff) * (amp_pp / 2.0) * y_mag
     scale = math.sqrt(PSD_CHI_CALIBRATION)
-    hits = 0
     normals = np.empty(phase.n - 1)
-    # per shot, only Python floats: theta is rng.uniform(0, 2 pi)'s draw,
-    # and p is ReadoutModel(vis, floor).apply's value
-    for rng in derive_rngs(cell_seed, shots):
-        phi_noise = float(spectra.trace_normals(phase.n, rng, normals).dot(h))
-        theta = 2 * math.pi * rng.random() if fixed_phase is None else fixed_phase
-        phi = scale * phi_noise + a * math.sin(theta)
-        p = floor + vis * (0.5 * (1.0 + math.cos(phi)))
-        hits += rng.binomial(1, min(max(p, 0.0), 1.0))
-    p_hat = hits / shots
-    se = math.sqrt(max(p_hat * (1 - p_hat), 0.25 / shots) / shots)
-    return p_hat, se
+    cells = []
+    for amp_pp, cell_seed in zip(amps_pp, cell_seeds):
+        a = 2 * math.pi * abs(coeff) * (amp_pp / 2.0) * y_mag
+        hits = 0
+        # per shot, only Python floats: theta is rng.uniform(0, 2 pi)'s
+        # draw, and p is ReadoutModel(vis, floor).apply's value
+        for rng in derive_rngs(cell_seed, shots):
+            phi_noise = float(spectra.trace_normals(phase.n, rng, normals).dot(h))
+            theta = 2 * math.pi * rng.random() if fixed_phase is None else fixed_phase
+            phi = scale * phi_noise + a * math.sin(theta)
+            p = floor + vis * (0.5 * (1.0 + math.cos(phi)))
+            hits += rng.binomial(1, min(max(p, 0.0), 1.0))
+        p_hat = hits / shots
+        se = math.sqrt(max(p_hat * (1 - p_hat), 0.25 / shots) / shots)
+        cells.append((p_hat, se))
+    return cells
 
 
 def scan_columns(tau_grid, total_time: float):
@@ -270,28 +277,22 @@ def tone_scan(model: SpectrumModel, tone: ToneConfig, stark: StarkMap,
     tau))`` pulses under the background model plus the tone; the actual
     window N*tau is recorded per column since N must be an integer.  Cells
     draw independent trajectories from seeds derived per (column, row),
-    so worker count never changes the numbers.
+    so worker count never changes the numbers; each column is one job.
     """
     coeff = stark.coefficient(tone.gate)
     amps = np.asarray(amplitudes_vpp, dtype=float)
     keep, dropped = scan_columns(tau_grid, total_time)
     info = [{"tau_wait": tau, "n_pulses": n_pulses, "f_hz": 1.0 / (2 * tau),
              "actual_total_time": n_pulses * tau} for tau, n_pulses in keep]
-    jobs = []
-    for col, (tau, n_pulses) in enumerate(keep):
-        for row, amp in enumerate(amps):
-            jobs.append((model, n_pulses, tau, float(amp), coeff,
-                         tone.f_tone, tone.phase, shots,
-                         derive_child_seed(seed, col, row),
-                         samples_per_interval, readout.visibility, readout.floor))
-    results = _parallel.submit(_tone_cell, jobs)()
-    n_f, n_a = len(keep), amps.size
-    p = np.empty((n_a, n_f))
-    se = np.empty((n_a, n_f))
-    for j, (p_hat, err) in enumerate(results):
-        col, row = divmod(j, n_a)
-        p[row, col] = p_hat
-        se[row, col] = err
+    jobs = [(model, n_pulses, tau, amps.tolist(), coeff, tone.f_tone,
+             tone.phase, shots,
+             [derive_child_seed(seed, col, row) for row in range(amps.size)],
+             samples_per_interval, readout.visibility, readout.floor)
+            for col, (tau, n_pulses) in enumerate(keep)]
+    columns = _parallel.submit(_tone_column, jobs)()
+    # (n_amplitudes, n_columns); an empty scan keeps that shape
+    cells = np.array(columns, dtype=float).reshape(len(keep), amps.size, 2)
+    p, se = cells.transpose(2, 1, 0)
     return ToneScanResult(f_hz=np.array([1.0 / (2 * t) for t, _ in keep]),
                           amplitudes_vpp=amps, p_up=p, std_err=se, shots=shots,
                           cell_info=tuple(info), dropped=tuple(dropped))

@@ -629,6 +629,36 @@ class TestRunner:
         assert [r.split(",")[0] for r in rows] == ["1", "2"]
         assert all(r.endswith(",nan,nan") for r in rows)
 
+    def test_t2_scans_make_one_map(self, tmp_path, monkeypatch):
+        maps = []
+        real = _parallel.submit
+
+        def counting(fn, jobs):
+            jobs = list(jobs)
+            maps.append((fn, len(jobs)))
+            return real(fn, jobs)
+
+        monkeypatch.setattr(_parallel, "submit", counting)
+        cfg = validate_config({**TINY_CPMG, "protocol": {
+            **TINY_CPMG["protocol"], "pulse_counts": [1, 2, 4]}})
+        m = execute(cfg, tmp_path / "out", workers=1)
+        assert [(fn, n) for fn, n in maps if fn is not _csvio._format_block] == \
+            [(qubitsim._decay_point, 3 * 3)]
+        # curve i is decay_vs_time at derive_child_seed(t2_scans seed, i)
+        seed = m["stages"][0]["seed"]
+        cols = _read_table(tmp_path / "out" / "decay_curves.csv")
+        model = spectra.SpectrumModel.from_dict(cfg["spectrum"])
+        proto = cfg["protocol"]
+        for i, n in enumerate([1, 2, 4]):
+            rows = cols[0] == n
+            curve = qubitsim.decay_vs_time(
+                model, n, cols[1][rows], proto["n_traj"],
+                derive_child_seed(seed, i),
+                duration_factor=proto["duration_factor"],
+                samples_per_interval=proto["samples_per_interval"])
+            assert np.array_equal(cols[2][rows], curve.w)
+            assert np.array_equal(cols[3][rows], curve.std_err)
+
     def test_t2_vs_n_with_every_fit_failing_is_header_only(self, tmp_path,
                                                           monkeypatch):
         def boom(*a, **k):
@@ -791,22 +821,25 @@ class TestRunner:
         assert n_bins > _csvio.BLOCK_ROWS
 
     def test_welch_stage_formats_each_column_once(self, tmp_path, monkeypatch):
-        """f, S_V and S_dw: the two CSVs and the plot share f and S_V, so
-        3 columns are formatted instead of 6."""
+        """f and S_V at full resolution, then the binned f, S_V, S_dw and
+        n_bins: psd_detuning.csv and the plot share the binned f, so 6
+        columns are formatted instead of 7."""
         formatted = []
         real = _csvio._format
         monkeypatch.setattr(_csvio, "_format",
                             lambda c: formatted.append(c.size) or real(c))
         execute(validate_config(BLOCKED_VOLTAGE), tmp_path / "out", workers=1)
-        n_bins = len((tmp_path / "out" / "psd_voltage.csv").read_text().splitlines()) - 1
-        assert sum(formatted) == 3 * n_bins
+        n_welch = len((tmp_path / "out" / "psd_voltage.csv").read_text().splitlines()) - 1
+        n_rows = len((tmp_path / "out" / "psd_detuning.csv").read_text().splitlines()) - 1
+        assert n_rows < n_welch / 10
+        assert sum(formatted) == 2 * n_welch + 4 * n_rows
 
     def test_welch_files_hold_f_and_s(self, tmp_path):
         execute(validate_config(TINY_VOLTAGE), tmp_path / "out", workers=1)
         heads = {name: (tmp_path / "out" / name).read_text().split("\n", 1)[0]
                  for name in ("psd_voltage.csv", "psd_detuning.csv")}
         assert heads == {"psd_voltage.csv": "f_hz,S_v2_per_hz",
-                         "psd_detuning.csv": "f_hz,S_rad2_per_s"}
+                         "psd_detuning.csv": "f_hz,S_rad2_per_s,n_bins"}
 
     def test_welch_bounds_are_s_times_the_summary_factors(self, tmp_path):
         cfg = validate_config(TINY_VOLTAGE)
@@ -820,20 +853,38 @@ class TestRunner:
             derive_child_seed(cfg["seed"], 0), unit="V")
         est_v = spectra.psd_welch(trace, nperseg=int(round(
             proto["nperseg_s"] * proto["sample_rate_hz"])))
-        est_dw = spectra.voltage_to_detuning_psd(
-            est_v, summary["stark_coefficient_hz_per_v"])
         assert summary["welch_segments"] == 19
         low, high = summary["welch_ci_factors"]
-        # psd_welch's bounds are S*c bit for bit.  The detuning bounds were
-        # (S*c)*g; the file gives (S*g)*c.  Each lies within 1.5 ulp of
-        # S*g*c, so the two part by at most 2 ulp, and do at 2 here.
-        for name, est, ulps in (("psd_voltage.csv", est_v, 0),
-                                ("psd_detuning.csv", est_dw, 2)):
-            f, s = _read_table(out / name)
-            assert np.array_equal(f, est.f)
-            assert np.array_equal(s, est.s)
-            for factor, bound in ((low, est.ci_low), (high, est.ci_high)):
-                np.testing.assert_array_max_ulp(s * factor, bound, maxulp=ulps)
+        # psd_welch's bounds are S*c bit for bit
+        f, s = _read_table(out / "psd_voltage.csv")
+        assert np.array_equal(f, est_v.f)
+        assert np.array_equal(s, est_v.s)
+        assert np.array_equal(s * low, est_v.ci_low)
+        assert np.array_equal(s * high, est_v.ci_high)
+
+    def test_detuning_psd_is_the_log_binned_welch_estimate(self, tmp_path):
+        cfg = validate_config(TINY_VOLTAGE)
+        out = tmp_path / "out"
+        summary = execute(cfg, out, workers=1)["summary"]
+        f_v, s_v = _read_table(out / "psd_voltage.csv")
+        f_b, s_dw, n_bins = _read_table(out / "psd_detuning.csv")
+        # every Welch bin lands in exactly one row, in order
+        assert np.array_equal(n_bins, n_bins.astype(int))
+        assert n_bins.min() >= 1 and n_bins.sum() == f_v.size
+        assert np.all(np.diff(f_b) > 0)
+        assert (n_bins == 1).any() and (n_bins > 1).any()
+        ends = np.cumsum(n_bins.astype(int))
+        starts = ends - n_bins.astype(int)
+        assert np.all((f_v[starts] <= f_b) & (f_b <= f_v[ends - 1]))
+        # a one-bin row is the Welch bin times the gain, bit for bit
+        gain = spectra.detuning_gain(summary["stark_coefficient_hz_per_v"])
+        one = n_bins == 1
+        assert np.array_equal(f_b[one], f_v[starts[one]])
+        assert np.array_equal(s_dw[one], s_v[starts[one]] * gain)
+        # the plot draws the binned f and S_V
+        plot = json.loads((out / "plot_voltage_psd.json").read_text())
+        assert np.array_equal(plot["x"]["values"], f_b)
+        assert np.array_equal(np.array(plot["y"]["values"]) * gain, s_dw)
 
 
 def _pid(_job) -> int:

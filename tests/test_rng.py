@@ -92,8 +92,9 @@ def _rb():
 
 
 def _tone():
-    args = (MODEL, 4, 50e-6, 2e-4, -2.3e7, 1e4, None, 40, 17, 8, 0.55, 0.225)
-    return starktone._tone_cell(args)
+    args = (MODEL, 4, 50e-6, [2e-4, 4e-4], -2.3e7, 1e4, None, 40, [17, 18],
+            8, 0.55, 0.225)
+    return starktone._tone_column(args)
 
 
 def _mc():

@@ -23,8 +23,9 @@ from spinprobe.spectra import (
     rfft_bin_density,
     synthesize,
     trace_normals,
+    detuning_gain,
+    log_bin,
     voltage_to_detuning_model,
-    voltage_to_detuning_psd,
 )
 
 WHITE = SpectrumModel(powerlaws=(), white_floor=350.0, lines=())
@@ -370,15 +371,9 @@ class TestIntegrateRms:
 
 
 class TestVoltageConversion:
-    def test_psd_scaling(self):
-        f = np.geomspace(10.0, 1e4, 20)
-        s = np.full_like(f, 2e-18)
-        est = PsdEstimate(f=f, s=s, ci_low=0.5 * s, ci_high=2 * s,
-                          estimator_tag="welch_periodogram")
-        out = voltage_to_detuning_psd(est, -22.88e6)
-        k2 = (2 * np.pi * 22.88e6) ** 2
-        assert out.s == pytest.approx(s * k2)
-        assert out.ci_low == pytest.approx(0.5 * s * k2)
+    def test_gain(self):
+        assert detuning_gain(-22.88e6) == detuning_gain(22.88e6) == \
+            (2 * math.pi * 22.88e6) ** 2
 
     def test_model_scaling(self):
         vmodel = SpectrumModel(powerlaws=(PowerLawTerm(1e-12, 1.0),),
@@ -388,6 +383,35 @@ class TestVoltageConversion:
         k2 = (2 * np.pi * 22.88e6) ** 2
         f = np.array([100.0, 3600.0, 2e4])
         assert eval_psd(dmodel, f) == pytest.approx(k2 * eval_psd(vmodel, f))
+
+
+class TestLogBin:
+    def test_every_point_in_one_bin_in_order(self):
+        f = np.arange(1, 20001) * 0.25
+        s = derive_rng(3).exponential(size=f.size)
+        f_b, s_b, n = log_bin(f, s)
+        assert n.sum() == f.size and n.min() >= 1
+        assert np.all(np.diff(f_b) > 0)
+        ends = np.cumsum(n)
+        starts = ends - n
+        np.testing.assert_allclose(f_b, [f[a:b].mean() for a, b in zip(starts, ends)],
+                                   rtol=1e-14)
+        np.testing.assert_allclose(s_b, [s[a:b].mean() for a, b in zip(starts, ends)],
+                                   rtol=1e-13)
+        # one bin per point while bins are narrower than the spacing
+        below = f < 0.9 * 0.25 * spectra.LOG_BINS_PER_DECADE / math.log(10)
+        assert np.all(n[:np.count_nonzero(below)] == 1)
+        one = n == 1
+        assert np.array_equal(f_b[one], f[starts[one]])
+        assert np.array_equal(s_b[one], s[starts[one]])
+        # bins are fixed in log10(f): one decade holds LOG_BINS_PER_DECADE
+        decade = (f_b >= 1e2) & (f_b < 1e3)
+        assert np.count_nonzero(decade) == spectra.LOG_BINS_PER_DECADE
+
+    @pytest.mark.parametrize("f", [[], [0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
+    def test_bad_grid_rejected(self, f):
+        with pytest.raises(ValueError, match="log_bin"):
+            log_bin(f, np.ones(len(f)))
 
 
 def _read_csv(path):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
+from spinprobe import starktone
+from spinprobe._rng import derive_child_seed
 from spinprobe.qubitsim import PSD_CHI_CALIBRATION, ReadoutModel, coherence_ff
 from spinprobe.sequences import make_cpmg, response
 from spinprobe.spectra import SpectrumModel
@@ -158,6 +160,26 @@ class TestToneScan:
         a = tone_scan(*args)
         b = tone_scan(*args)
         np.testing.assert_array_equal(a.p_up, b.p_up)
+
+    def test_one_response_per_column_and_cells_at_their_seeds(self, monkeypatch):
+        calls = []
+        real = starktone.response
+        monkeypatch.setattr(starktone, "response",
+                            lambda *a: calls.append(a) or real(*a))
+        tone = ToneConfig(gate="G2", f_tone=2e4, amplitude_pp=0.0)
+        stark = default_stark_map()
+        taus, amps = [25e-6, 50e-6, 125e-6], [0.0, 1e-4, 2e-4]
+        res = tone_scan(WHITE, tone, stark, taus, 300e-6, amps, 20, 3)
+        assert len(calls) == len(taus)
+        # cell (row, col) is its column's job run for that row alone
+        for col, info in enumerate(res.cell_info):
+            for row, amp in enumerate(amps):
+                (cell,) = starktone._tone_column((
+                    WHITE, info["n_pulses"], info["tau_wait"], [amp],
+                    stark.coefficient("G2"), 2e4, None, 20,
+                    [derive_child_seed(3, col, row)],
+                    starktone.TONE_SAMPLES_PER_INTERVAL, 0.55, 0.225))
+                assert cell == (res.p_up[row, col], res.std_err[row, col])
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
