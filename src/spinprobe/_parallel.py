@@ -7,10 +7,14 @@ count.
 :func:`submit` is the one map.  It hands jobs to the run's pool
 (:func:`run_pool`) and returns at once, so the main process can work
 while they run; calling the handle it returns gives the results in
-order.  At one worker a run creates no pool.  At two or more it forks
-its workers at the first map of more than one job, in the main thread
-before the pool's manager thread starts, and shuts them down when the
-run ends; a run that raises cancels the jobs still queued first.
+order.  At one worker a run creates no pool.  At two or more, at the
+first map of more than one job, it imports the pool machinery
+(``concurrent.futures.process`` and ``multiprocessing``, with the
+socket, subprocess and logging modules they load) and forks its
+workers, in the main thread before the pool's manager thread starts;
+a run that opens no pool never loads that machinery.  The workers are
+shut down when the run ends; a run that raises cancels the jobs still
+queued first.
 
 Outside a run, and inside a pool worker, no pool is in use: calling the
 handle runs the jobs inline, so a map inside a job never forks a nested
@@ -19,7 +23,6 @@ pool.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
 __all__ = ["run_pool", "submit"]
@@ -31,10 +34,12 @@ class _Pool:
 
     def __init__(self, workers: int):
         self.workers = workers
-        self._executor: ProcessPoolExecutor | None = None
+        self._executor = None
 
     def submit(self, fn, jobs: list):
         if self._executor is None:
+            # imported here, so only a run that opens a pool loads it
+            from concurrent.futures import ProcessPoolExecutor
             self._executor = ProcessPoolExecutor(self.workers,
                                                  initializer=_in_worker)
         futures = [self._executor.submit(fn, job) for job in jobs]

@@ -351,6 +351,8 @@ def coherence_replay(trace: NoiseTrace, schedule: PulseSchedule,
     overlap for long schedules, so the standard error understates the truth
     when n_slices exceeds duration/total_time.
     """
+    if n_slices < 2:
+        raise ValueError("need at least 2 slices for a standard error")
     span = trace.duration - schedule.total_time
     if span <= 0:
         raise ValueError("trace shorter than the schedule window")

@@ -1,5 +1,6 @@
 """Config validation, the run/rerun machinery, and the CLI."""
 
+import concurrent.futures
 import copy
 import functools
 import importlib
@@ -770,7 +771,7 @@ class TestRunner:
         def no_pool(*args, **kwargs):
             raise AssertionError("a rejected worker count opened a process pool")
 
-        monkeypatch.setattr(_parallel, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         out = tmp_path / "out"
         cfg = dict(TINY_CHEVRON, output_dir=str(out))
         argv = ["--workers", str(MAX_WORKERS + 1)]
@@ -968,7 +969,7 @@ class TestRunPool:
         def no_pool(*args, **kwargs):
             raise AssertionError("a one-worker run opened a process pool")
 
-        monkeypatch.setattr(_parallel, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         execute(validate_config(OVERLAPPED_VOLTAGE), tmp_path / "out", workers=1)
 
     def test_submit_outside_a_run_maps_inline(self, monkeypatch):
@@ -976,7 +977,7 @@ class TestRunPool:
             raise AssertionError("a map outside a run opened a process pool")
 
         # outside a run no pool exists, whatever the environment asks for
-        monkeypatch.setattr(_parallel, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         monkeypatch.setenv("SPINPROBE_WORKERS", "2")
         assert _parallel.submit(abs, [-3, 1, -2, 5])() == [3, 1, 2, 5]
 
@@ -1215,6 +1216,58 @@ def test_validation_loads_no_numpy_random_or_ma():
     out = subprocess.run([sys.executable, "-c", code, *configs], env=_src_env(),
                          check=True, capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+POOL_MODULES = ["concurrent.futures.process", "multiprocessing"]
+
+# validates the shipped configs it is given, runs the tiny one at the
+# given worker count with every decay point leaving a file named after
+# the pid that ran it, then prints its own pid and the pool modules loaded
+_MARKED_RUN = f"""\
+import os, sys
+from pathlib import Path
+from spinprobe import qubitsim
+from spinprobe.harness.cli import main
+from spinprobe.harness.config import load_config
+
+config, workers, marks, *shipped = sys.argv[1:]
+for path in shipped:
+    load_config(path)
+real = qubitsim._decay_point
+
+def marked(args):
+    Path(marks, str(os.getpid())).touch()
+    return real(args)
+
+qubitsim._decay_point = marked
+assert main(["run", config, "--workers", workers]) == 0
+print(os.getpid(), sorted(set({POOL_MODULES!r}) & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_only_a_run_with_a_pool_loads_the_pool_machinery(tmp_path, workers):
+    """Importing the CLI, validating every shipped config and running a
+    scan at one worker leave the process-pool stack unloaded; at two
+    workers the scan loads it and its points run in forked workers."""
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    p = _write_yaml(tmp_path, dict(TINY_SPECTROSCOPY,
+                                   output_dir=str(tmp_path / "out")))
+    shipped = sorted(str(c) for c in CONFIG_DIR.glob("*.yaml"))
+    assert len(shipped) == 10
+    out = subprocess.run([sys.executable, "-c", _MARKED_RUN, str(p),
+                          str(workers), str(marks), *shipped],
+                         env=_src_env(), check=True, capture_output=True,
+                         text=True, timeout=120).stdout
+    pid, loaded = out.splitlines()[-1].split(" ", 1)
+    ran_in = {int(m.name) for m in marks.iterdir()}
+    if workers == 1:
+        assert loaded == "[]"
+        assert ran_in == {int(pid)}
+    else:
+        assert loaded == repr(POOL_MODULES)
+        assert ran_in and int(pid) not in ran_in
 
 
 def test_runs_with_scipy_blocked(tmp_path):

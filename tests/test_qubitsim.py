@@ -512,6 +512,13 @@ class TestCoherenceReplay:
         with pytest.raises(ValueError):
             coherence_replay(tr, make_cpmg(2, 2e-3), 10, 0)
 
+    @pytest.mark.parametrize("n_slices", [0, 1])
+    def test_needs_two_slices(self, n_slices):
+        # one slice gives no standard error, and no slice no mean
+        tr = synthesize(WHITE, 1e5, 0.1, 0)
+        with pytest.raises(ValueError, match="at least 2 slices"):
+            coherence_replay(tr, make_hahn(1e-3), n_slices, 0)
+
 
 class TestDecayScans:
     def test_fixed_pulses_scan_shapes(self):
