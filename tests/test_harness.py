@@ -1143,6 +1143,22 @@ class TestCli:
         assert printed.out.startswith("error: ") and str(p) in printed.out
         assert "Traceback" not in printed.out + printed.err
 
+    @pytest.mark.parametrize("make_out", [
+        lambda tmp: Path(os.devnull, "x"),  # under a device: NotADirectoryError
+        lambda tmp: tmp / "taken",  # a regular file: FileExistsError
+    ], ids=["under-dev-null", "regular-file"])
+    def test_uncreatable_output_dir_exits_2(self, tmp_path, capsys, make_out):
+        out = make_out(tmp_path)
+        (tmp_path / "taken").write_text("keep\n")
+        p = _write_yaml(tmp_path, dict(TINY_CHEVRON, output_dir=str(out)))
+        before = sorted(tmp_path.iterdir())
+        assert main(["run", str(p)]) == 2
+        printed = capsys.readouterr()
+        assert printed.out.startswith(f"error: cannot create output directory {out}: ")
+        assert "Traceback" not in printed.out + printed.err
+        assert sorted(tmp_path.iterdir()) == before
+        assert (tmp_path / "taken").read_text() == "keep\n"
+
     @pytest.mark.parametrize("content", [
         json.dumps({"config": {"kind": "nope"}, "inventory": {}}).encode(),
         json.dumps({"config": {"kind": "nope"}}).encode(),
@@ -1268,6 +1284,61 @@ def test_only_a_run_with_a_pool_loads_the_pool_machinery(tmp_path, workers):
     else:
         assert loaded == repr(POOL_MODULES)
         assert ran_in and int(pid) not in ran_in
+
+
+# validates the shipped configs it is given and the tiny one, then
+# executes the tiny one twice at the given worker count, with every decay
+# point leaving a file named after the pid that ran it and holding that
+# process's freeze count; prints its own pid, whether the collector was
+# on after validation, and the freeze count then and after each run
+_FREEZE_RUN = """\
+import gc, os, sys
+from pathlib import Path
+from spinprobe import qubitsim
+import spinprobe.harness.cli
+from spinprobe.harness.config import load_config
+from spinprobe.harness.runner import execute
+
+config, workers, marks, outs, *shipped = sys.argv[1:]
+for path in shipped:
+    load_config(path)
+cfg = load_config(config)
+enabled, counts = gc.isenabled(), [gc.get_freeze_count()]
+real = qubitsim._decay_point
+
+def marked(args):
+    Path(marks, str(os.getpid())).write_text(str(gc.get_freeze_count()))
+    return real(args)
+
+qubitsim._decay_point = marked
+for name in ("first", "second"):
+    execute(cfg, Path(outs, name), workers=int(workers))
+    counts.append(gc.get_freeze_count())
+print(os.getpid(), int(enabled), *counts)
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_first_run_freezes_the_heap_before_its_pool(tmp_path, workers):
+    """Importing the CLI and validating every shipped config leave the
+    heap unfrozen and the collector on.  The first ``execute`` freezes
+    the heap before its pool forks, so at two workers the decay points
+    run in workers whose heap is frozen too; a second ``execute``
+    freezes nothing more."""
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    p = _write_yaml(tmp_path, TINY_SPECTROSCOPY)
+    shipped = sorted(str(c) for c in CONFIG_DIR.glob("*.yaml"))
+    out = subprocess.run([sys.executable, "-c", _FREEZE_RUN, str(p), str(workers),
+                          str(marks), str(tmp_path), *shipped],
+                         env=_src_env(), check=True, capture_output=True,
+                         text=True, timeout=120).stdout
+    pid, enabled, validated, first, second = map(int, out.split())
+    assert enabled and validated == 0
+    assert first > 0 and second == first
+    seen = {int(m.name): int(m.read_text()) for m in marks.iterdir()}
+    assert seen and all(count > 0 for count in seen.values())
+    assert (set(seen) == {pid}) if workers == 1 else (pid not in seen)
 
 
 def test_runs_with_scipy_blocked(tmp_path):
