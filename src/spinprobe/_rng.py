@@ -1,16 +1,21 @@
 """Deterministic seed derivation shared by every stochastic stage.
 
-A stream is named by ``(base_seed, path)``: NumPy's ``SeedSequence``
-hashes that name and seeds a PCG64 generator with the result, so the same
-name yields the same numbers however work is batched or which worker
-executes it.  :func:`derive_rng` builds one stream the NumPy way.
-:func:`derive_rngs` yields the streams ``derive_rng(base_seed, *prefix, i)``
-for i = 0 .. count-1 bit for bit, but evaluates the ``SeedSequence`` hash
-for all indices in one vectorised uint32 pass and hands each index's
-state words to ``PCG64`` through the ``ISeedSequence`` interface, which
-is how ``PCG64(SeedSequence)`` seeds itself; no per-stream
-``SeedSequence`` is built.  The hash is a fixed, documented algorithm
-(NumPy NEP 19; O'Neill 2014, *PCG*).
+A stream is named by ``(base_seed, path)``, and the same name yields the
+same numbers however work is batched or which worker executes it.  Every
+name is hashed here, with NumPy's ``SeedSequence`` algorithm (NumPy
+NEP 19; O'Neill 2014, *PCG*), a fixed, documented hash that
+:func:`_state_words` evaluates on Python ints or on uint32 arrays alike.
+A stage, point or cell seed is the first uint64 the hash gives
+(:func:`derive_child_seed`, or :func:`derive_child_seeds` for a whole
+list in one vectorised pass).  A stream is a PCG64 generator seeded with
+four uint64 state words of the hash: :func:`derive_rngs` and
+:func:`derive_rng_rows` hash every stream of a batch in one vectorised
+pass and hand each stream's words to ``PCG64`` through the
+``ISeedSequence`` interface, which is how ``PCG64(SeedSequence)`` seeds
+itself.  numpy only runs PCG64 from those words, so a run that draws
+nothing never imports ``numpy.random``.  :func:`derive_rng` builds one
+stream the NumPy way, with a ``SeedSequence``; it is the reference every
+batched path equals bit for bit.
 """
 
 from __future__ import annotations
@@ -47,15 +52,6 @@ def derive_rng(base_seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(derive_seedseq(base_seed, *path))
 
 
-def derive_child_seed(base_seed: int, *path: int) -> int:
-    """Flatten a derived stream back to a plain integer seed.
-
-    Lets nested stages (scan point -> trajectory) chain derivations while
-    each layer only ever handles ints.
-    """
-    return int(derive_seedseq(base_seed, *path).generate_state(1, np.uint64)[0])
-
-
 def _words(n: int) -> list[int]:
     """``n`` as little-endian uint32 words, the way SeedSequence coerces it."""
     if n < 0:
@@ -64,6 +60,26 @@ def _words(n: int) -> list[int]:
     while n := n >> 32:
         words.append(n & _MASK32)
     return words
+
+
+def _entropy(base_words: list, path) -> list:
+    """SeedSequence's entropy words for ``entropy=base, spawn_key=path``,
+    with the base given as its two uint32 words (ints or arrays).
+
+    SeedSequence zero-pads the base to the pool size when a spawn key
+    follows, and a missing pool word hashes as 0, so padding the two
+    words of any 64-bit base to four gives its hash with or without a
+    key.  An entry of ``path`` is an int or, as the last one, a uint32
+    array of one word per item."""
+    entropy = base_words + [0] * (_POOL_SIZE - len(base_words))
+    for p in path:
+        entropy += [p] if isinstance(p, np.ndarray) else _words(int(p))
+    return entropy
+
+
+def _base_words(base_seed: int) -> list[int]:
+    base = int(base_seed) & _MASK64
+    return [base & _MASK32, base >> 32]
 
 
 # The hash steps below take Python ints or uint32 arrays alike: every
@@ -82,13 +98,15 @@ def _mix(x, y):
     return r ^ r >> _XSHIFT
 
 
-def _pool(entropy: list) -> list:
-    """``SeedSequence.mix_entropy`` over a list of entropy words."""
+def _state_words(entropy: list, n_words: int) -> list:
+    """``SeedSequence.generate_state(n_words, np.uint32)`` of the sequence
+    whose entropy words are ``entropy``: ``mix_entropy`` into the pool,
+    then ``n_words`` words cycled from it.  Array entries broadcast, so
+    one call hashes a whole batch of names."""
     const = _INIT_A
     pool = []
-    for i in range(_POOL_SIZE):
-        word, const = _hashmix(entropy[i] if i < len(entropy) else 0, const,
-                               _MULT_A)
+    for i in range(_POOL_SIZE):  # _entropy pads to at least the pool size
+        word, const = _hashmix(entropy[i], const, _MULT_A)
         pool.append(word)
     for i_src in range(_POOL_SIZE):
         for i_dst in range(_POOL_SIZE):
@@ -99,40 +117,79 @@ def _pool(entropy: list) -> list:
         for i_dst in range(_POOL_SIZE):
             word, const = _hashmix(extra, const, _MULT_A)
             pool[i_dst] = _mix(pool[i_dst], word)
-    return pool
+    const = _INIT_B
+    state = []
+    for k in range(n_words):
+        word, const = _hashmix(pool[k % _POOL_SIZE], const, _MULT_B)
+        state.append(word)
+    return state
+
+
+def _indices(count: int) -> np.ndarray:
+    """The spawn-key words 0 .. count-1; one word each needs count <= 2**32."""
+    if not 0 <= count <= 1 << 32:
+        raise ValueError(f"count must be in [0, 2**32], got {count}")
+    return np.arange(count, dtype=np.uint32)
+
+
+def derive_child_seed(base_seed: int, *path: int) -> int:
+    """Flatten a derived stream back to a plain integer seed: the first
+    uint64 of ``derive_seedseq(base_seed, *path).generate_state``.
+
+    Lets nested stages (scan point -> trajectory) chain derivations while
+    each layer only ever handles ints.
+    """
+    lo, hi = _state_words(_entropy(_base_words(base_seed), path), 2)
+    return lo | hi << 32
+
+
+def derive_child_seeds(base_seed: int, count: int, *prefix: int) -> list[int]:
+    """``[derive_child_seed(base_seed, *prefix, i) for i in range(count)]``,
+    hashed in one vectorised pass.  Requires ``count <= 2**32``."""
+    path = (*prefix, _indices(count))
+    lo, hi = _state_words(_entropy(_base_words(base_seed), path), 2)
+    return (lo.astype(np.uint64) | hi.astype(np.uint64) << np.uint64(32)).tolist()
+
+
+def _streams(base_words: list, count: int, prefix):
+    """Generators for the names ``(base, *prefix, i)``, i = 0 .. count-1,
+    every base and index hashed in one pass; see :func:`derive_rng_rows`."""
+    words = _state_words(_entropy(base_words, (*prefix, _indices(count))), 8)
+    # generate_state(4, np.uint64): the 8 words paired little-endian
+    state = np.stack(words, axis=-1, dtype="<u4").reshape(-1, 8)
+    generator, pcg64, state_words = _pcg64_types()
+    return map(generator, map(pcg64, map(
+        state_words, state.view("<u8").astype(np.uint64, copy=False))))
 
 
 def derive_rngs(base_seed: int, count: int, *prefix: int):
     """Iterate, for i = 0 .. count-1, over generators seeded as
     ``derive_rng(base_seed, *prefix, i)``.
 
-    Every draw method gives exactly the numbers of that stream, and each
-    yielded :class:`numpy.random.Generator` is a new object that may be
-    kept.  Requires ``count <= 2**32``, so each index is one entropy word.
+    All of the streams are hashed in one vectorised pass.  Every draw
+    method gives exactly the numbers of that stream, and each yielded
+    :class:`numpy.random.Generator` is a new object that may be kept.
+    Requires ``count <= 2**32``, so each index is one entropy word.
     """
-    if not 0 <= count <= 1 << 32:
-        raise ValueError(f"count must be in [0, 2**32], got {count}")
-    run_words = _words(int(base_seed) & _MASK64)
-    # a spawn key is present, so SeedSequence zero-pads the run entropy
-    entropy = run_words + [0] * (_POOL_SIZE - len(run_words))
-    for p in prefix:
-        entropy += _words(int(p))
-    entropy.append(np.arange(count, dtype=np.uint32))
-    pool = _pool(entropy)
-    # generate_state(4, np.uint64): 8 words cycled from the pool, paired
-    # little-endian into uint64s
-    const = _INIT_B
-    state = np.empty((count, 8), dtype="<u4")
-    for k in range(8):
-        state[:, k], const = _hashmix(pool[k % _POOL_SIZE], const, _MULT_B)
-    return map(_pcg64_seeder(), state.view("<u8").astype(np.uint64, copy=False))
+    return _streams(_base_words(base_seed), count, prefix)
+
+
+def derive_rng_rows(base_seeds, count: int, *prefix: int):
+    """:func:`derive_rngs` for several bases in one pass: the generators
+    of ``derive_rng(base, *prefix, i)``, base by base and, within a base,
+    for i = 0 .. count-1."""
+    bases = np.array([int(b) & _MASK64 for b in base_seeds],
+                     dtype=np.uint64)[:, None]
+    return _streams([(bases & np.uint64(_MASK32)).astype(np.uint32),
+                     (bases >> np.uint64(32)).astype(np.uint32)], count, prefix)
 
 
 @functools.cache
-def _pcg64_seeder():
-    """``words -> Generator(PCG64(s))`` for a seed sequence ``s`` whose
-    ``generate_state(4, uint64)`` is ``words``.  Built on first use, so
-    importing spinprobe does not import ``numpy.random``."""
+def _pcg64_types():
+    """``Generator``, ``PCG64`` and ``StateWords``, where
+    ``StateWords(words)`` is a seed sequence whose ``generate_state(4,
+    uint64)`` is ``words``.  Built on first use, so importing spinprobe
+    does not import ``numpy.random``."""
     from numpy.random import Generator, PCG64
     from numpy.random.bit_generator import ISeedSequence
 
@@ -145,4 +202,4 @@ def _pcg64_seeder():
         def generate_state(self, n_words, dtype=np.uint32):
             return self.words
 
-    return lambda words: Generator(PCG64(StateWords(words)))
+    return Generator, PCG64, StateWords

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _solve
-from ._rng import derive_child_seed
+from ._rng import derive_child_seeds
 from .qubitsim import (DURATION_FACTOR, SAMPLES_PER_INTERVAL, DecayCurve,
                        fixed_wait_spec, submit_decay_curves)
 from .spectra import PsdEstimate, SpectrumModel
@@ -365,8 +365,8 @@ def submit_spectroscopy_scan(model: SpectrumModel, f_grid_hz, pulse_counts,
         raise ValueError("spectroscopy frequencies must be > 0")
     taus = 1.0 / (2.0 * f_grid)
     pending = submit_decay_curves(
-        model, [fixed_wait_spec(tau, pulse_counts, derive_child_seed(seed, i))
-                for i, tau in enumerate(taus)],
+        model, [fixed_wait_spec(tau, pulse_counts, wait_seed)
+                for tau, wait_seed in zip(taus, derive_child_seeds(seed, taus.size))],
         n_traj, duration_factor=duration_factor,
         samples_per_interval=samples_per_interval)
     return lambda: reconstruct_psd([

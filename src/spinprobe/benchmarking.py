@@ -113,30 +113,26 @@ def clifford_unitaries() -> np.ndarray:
     return np.stack([_word_unitary(w) for w in CLIFFORD_DECOMPOSITIONS])
 
 
-def _index_of(u: np.ndarray) -> int:
+def _indices_of(us: np.ndarray) -> np.ndarray:
+    """Table index of each unitary in ``us`` (shape ``(..., 2, 2)``), up to
+    a global phase, as int8, from one lookup against the whole table."""
     table = clifford_unitaries()
-    overlaps = np.abs(np.einsum("kij,ij->k", table.conj(), u))
-    k = int(np.argmax(overlaps))
-    if abs(overlaps[k] - 2.0) > 1e-6:
+    overlaps = np.abs(np.einsum("kij,...ij->...k", table.conj(), us))
+    if np.any(np.abs(overlaps.max(axis=-1) - 2.0) > 1e-6):
         raise ValueError("unitary is not in the Clifford table")
-    return k
+    return np.argmax(overlaps, axis=-1).astype(np.int8)
 
 
 @lru_cache(maxsize=1)
 def compose_table() -> np.ndarray:
     """``table[i, j]`` = index of (Clifford i followed by Clifford j)."""
     us = clifford_unitaries()
-    out = np.empty((24, 24), dtype=np.int8)
-    for i in range(24):
-        for j in range(24):
-            out[i, j] = _index_of(us[j] @ us[i])
-    return out
+    return _indices_of(np.einsum("jab,ibc->ijac", us, us))
 
 
 @lru_cache(maxsize=1)
 def inverse_indices() -> np.ndarray:
-    us = clifford_unitaries()
-    return np.array([_index_of(us[i].conj().T) for i in range(24)], dtype=np.int8)
+    return _indices_of(clifford_unitaries().conj().transpose(0, 2, 1))
 
 
 def primitive_counts() -> np.ndarray:

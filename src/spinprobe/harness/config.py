@@ -188,13 +188,22 @@ def _repeated(values) -> list:
     return distinct(a[1:][a[1:] == a[:-1]]).tolist()
 
 
+# largest magnitude of a value whose square, or whose product with
+# another such value, a pipeline forms: 1e150 squared stays finite
+MAX_SQUARED = 1e150
+
+_BELOW_MAX_SQUARED = Field("number", gt=-MAX_SQUARED, lt=MAX_SQUARED)
+
+
 def _grid(default=REQUIRED, *, positive: bool = False,
-          min_points: int = 1, unique: bool = False) -> Field:
+          min_points: int = 1, unique: bool = False,
+          squared: bool = False) -> Field:
     """A list of numbers or ``{start, stop, num, spacing}``.  A log grid
     needs endpoints > 0; ``min_points`` counts distinct values (a fit or a
     plane needs spread, not repeats); a ``positive`` grid (times,
     frequencies) needs every value > 0; a ``unique`` one (a spectroscopy
-    grid, one PSD point per frequency) no value twice."""
+    grid, one PSD point per frequency) no value twice; a ``squared`` one
+    values and endpoints of magnitude below :data:`MAX_SQUARED`."""
     def rule(spec):
         values = grid_values(spec)
         if (n_distinct := distinct(values).size) < min_points:
@@ -205,8 +214,12 @@ def _grid(default=REQUIRED, *, positive: bool = False,
         if unique and (repeated := _repeated(values)):
             raise ConfigError(f"values must be distinct, got "
                               f"{', '.join(map(repr, repeated))} more than once")
-    return Field("array object", default, length=(1, None), items=_NUMBER,
-                 fields=_GRID_FIELDS, rule=rule)
+    number, fields = _NUMBER, _GRID_FIELDS
+    if squared:
+        number = _BELOW_MAX_SQUARED
+        fields = {**fields, "start": number, "stop": number}
+    return Field("array object", default, length=(1, None), items=number,
+                 fields=fields, rule=rule)
 
 
 def _spaced(spacing, start, stop, num, **kwargs) -> Field:
@@ -281,8 +294,9 @@ _AMP_LADDER = [40e-6 * 2 ** (k / 2) for k in range(10)]  # 40 uVpp to ~905 uVpp
 
 PROTOCOLS: dict[str, dict[str, Field]] = {
     "rabi_chevron": {
-        "detuning_hz": _spaced("linear", -1.5e6, 1.5e6, 61),
-        "duration_s": _spaced("linear", 4e-8, 6.4e-6, 81),
+        # rabi_p_up squares the detuning and multiplies it by the duration
+        "detuning_hz": _spaced("linear", -1.5e6, 1.5e6, 61, squared=True),
+        "duration_s": _spaced("linear", 4e-8, 6.4e-6, 81, squared=True),
     },
     "ramsey": _decay(2e-6, 3e-4),
     "hahn": _decay(5e-6, 2e-3),
@@ -307,7 +321,8 @@ PROTOCOLS: dict[str, dict[str, Field]] = {
         # the plane fit needs spread in both voltages
         "v_g1_v": _spaced("linear", -0.016, 0.016, 5, min_points=2),
         "v_g2_v": _spaced("linear", -0.016, 0.016, 5, min_points=2),
-        "jitter_hz": Field("number", 10e3, ge=0),
+        # the plane fit's residual rms squares the jitter
+        "jitter_hz": Field("number", 10e3, ge=0, lt=MAX_SQUARED),
     },
     "tone_scan": {
         "f_tone_hz": Field("number", 20e3, gt=0),

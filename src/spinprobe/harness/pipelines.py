@@ -27,7 +27,7 @@ import numpy as np
 
 from .. import analysis, benchmarking, qubitsim, spectra, starktone
 from .._csvio import Csv, write_files
-from .._rng import derive_child_seed
+from .._rng import derive_child_seed, derive_child_seeds
 from ..qubitsim import QubitParams, ReadoutModel
 from ..spectra import SpectrumModel
 from ..starktone import StarkMap
@@ -193,12 +193,12 @@ def run_cpmg_t2_vs_n(cfg, out: Path) -> _Report:
         # one map over every pulse count's points; curve i has seed
         # derive_child_seed(seed, i), as its own decay_vs_time call would
         specs = []
-        for i, n in enumerate(counts):
+        for n, curve_seed in zip(counts, derive_child_seeds(seed, len(counts))):
             t2_est = qubitsim.cpmg_t2(model, n)
             times = np.geomspace(proto["t_factor_min"] * t2_est,
                                  proto["t_factor_max"] * t2_est,
                                  proto["n_times"])
-            specs.append((n, times, derive_child_seed(seed, i), f"cpmg-{n}"))
+            specs.append((n, times, curve_seed, f"cpmg-{n}"))
         curves = qubitsim.submit_decay_curves(
             model, specs, proto["n_traj"],
             duration_factor=proto["duration_factor"],

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _parallel, spectra
-from ._rng import derive_child_seed, derive_rng, derive_rngs
+from ._rng import derive_child_seeds, derive_rng, derive_rngs
 from ._solve import brentq, distinct
 from .sequences import (PulseSchedule, cpmg_filter_function, filter_function,
                         make_cpmg, make_ramsey)
@@ -333,7 +333,8 @@ def coherence_mc(model: SpectrumModel, schedule: PulseSchedule,
                                        samples_per_interval)
     h = phase.normal_weights(model)
     normals = np.empty(phase.n - 1)
-    phases = np.fromiter((spectra.trace_normals(phase.n, rng, normals).dot(h)
+    # each trajectory's normals, in spectra.trace_normals' draw order
+    phases = np.fromiter((rng.standard_normal(out=normals).dot(h)
                           for rng in derive_rngs(seed, n_traj)),
                          dtype=float, count=n_traj)
     cos_phi = np.cos(math.sqrt(calibration) * phases)
@@ -667,10 +668,10 @@ def submit_decay_curves(model: SpectrumModel, specs, n_traj: int, *,
         pulse_counts = np.broadcast_to(np.asarray(pulse_counts, dtype=int),
                                        times.shape)
         grids.append((pulse_counts, times, label))
-        jobs.extend((model, int(n), float(t), n_traj,
-                     derive_child_seed(seed, i), duration_factor,
-                     samples_per_interval)
-                    for i, (n, t) in enumerate(zip(pulse_counts, times)))
+        jobs.extend((model, int(n), float(t), n_traj, point_seed,
+                     duration_factor, samples_per_interval)
+                    for n, t, point_seed in zip(
+                        pulse_counts, times, derive_child_seeds(seed, times.size)))
     pending = _parallel.submit(_decay_point, jobs)
 
     def curves() -> list[DecayCurve]:

@@ -12,14 +12,15 @@ has exact nulls.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _parallel, spectra
+from . import _parallel
 from ._csvio import write_columns
-from ._rng import derive_child_seed, derive_rngs
+from ._rng import derive_child_seeds, derive_rng_rows
 from .qubitsim import (HARDWARE_READOUT, PSD_CHI_CALIBRATION,
                        PhaseFunctional, ReadoutModel)
 from .sequences import filter_function, make_cpmg, response
@@ -212,8 +213,9 @@ class ToneScanResult:
 def _tone_column(args) -> list[tuple[float, float]]:
     """``(p_hat, std_err)`` of every amplitude row of one scan column.
 
-    The column's noise weights and tone response are built once; row i
-    draws its shots from ``cell_seeds[i]``."""
+    The column's noise weights and tone response are built once; shot j
+    of row i draws from ``derive_rng(cell_seeds[i], j)``, and every shot
+    stream of the column is hashed in one pass."""
     (model, n_pulses, tau, amps_pp, coeff, f_tone, fixed_phase, shots,
      cell_seeds, samples_per_interval, vis, floor) = args
     schedule = make_cpmg(n_pulses, n_pulses * tau)
@@ -223,15 +225,17 @@ def _tone_column(args) -> list[tuple[float, float]]:
     # modulus matters once the phase is randomized
     y_mag = abs(response(schedule, f_tone))
     scale = math.sqrt(PSD_CHI_CALIBRATION)
+    # the shots' normals, in spectra.trace_normals' draw order
     normals = np.empty(phase.n - 1)
+    streams = derive_rng_rows(cell_seeds, shots)
     cells = []
-    for amp_pp, cell_seed in zip(amps_pp, cell_seeds):
+    for amp_pp in amps_pp:
         a = 2 * math.pi * abs(coeff) * (amp_pp / 2.0) * y_mag
         hits = 0
         # per shot, only Python floats: theta is rng.uniform(0, 2 pi)'s
         # draw, and p is ReadoutModel(vis, floor).apply's value
-        for rng in derive_rngs(cell_seed, shots):
-            phi_noise = float(spectra.trace_normals(phase.n, rng, normals).dot(h))
+        for rng in itertools.islice(streams, shots):
+            phi_noise = float(rng.standard_normal(out=normals).dot(h))
             theta = 2 * math.pi * rng.random() if fixed_phase is None else fixed_phase
             phi = scale * phi_noise + a * math.sin(theta)
             p = floor + vis * (0.5 * (1.0 + math.cos(phi)))
@@ -286,7 +290,7 @@ def tone_scan(model: SpectrumModel, tone: ToneConfig, stark: StarkMap,
              "actual_total_time": n_pulses * tau} for tau, n_pulses in keep]
     jobs = [(model, n_pulses, tau, amps.tolist(), coeff, tone.f_tone,
              tone.phase, shots,
-             [derive_child_seed(seed, col, row) for row in range(amps.size)],
+             derive_child_seeds(seed, amps.size, col),
              samples_per_interval, readout.visibility, readout.floor)
             for col, (tau, n_pulses) in enumerate(keep)]
     columns = _parallel.submit(_tone_column, jobs)()

@@ -1,5 +1,6 @@
 """Config validation, the run/rerun machinery, and the CLI."""
 
+import ast
 import concurrent.futures
 import copy
 import functools
@@ -1123,6 +1124,13 @@ class TestCli:
           "protocol": {**TINY_RAMSEY["protocol"], "fit": "stretched",
                        "times_s": [1e-4, 2e-3, 2e-3]}},
          "protocol.times_s"),
+        # values whose squares overflowed into nan and inf outputs
+        ({**TINY_CHEVRON, "protocol": {"detuning_hz": [1e300, -1e300]}},
+         "protocol.detuning_hz.0"),
+        ({**TINY_CHEVRON, "protocol": {"detuning_hz": [1e149],
+                                       "duration_s": [1e200]}},
+         "protocol.duration_s.0"),
+        ({**TINY_STARK, "protocol": {"jitter_hz": 1e300}}, "protocol.jitter_hz"),
     ])
     def test_run_bad_config_exits_2_before_running(self, tmp_path, capsys,
                                                    cfg, field):
@@ -1232,6 +1240,29 @@ def test_validation_loads_no_numpy_random_or_ma():
     out = subprocess.run([sys.executable, "-c", code, *configs], env=_src_env(),
                          check=True, capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+# runs the config it is given, then prints the numpy.random modules loaded
+_RANDOM_MODULES_AFTER_RUN = """\
+import sys
+from spinprobe.harness.cli import main
+
+assert main(["run", sys.argv[1]]) == 0
+print(sorted(m for m in sys.modules if m.startswith("numpy.random")))
+"""
+
+
+@pytest.mark.parametrize("cfg, draws", [(TINY_CHEVRON, False), (TINY_RAMSEY, True)],
+                         ids=["rabi_chevron", "ramsey"])
+def test_only_a_run_that_draws_loads_numpy_random(tmp_path, cfg, draws):
+    """Stage seeds are hashed without numpy, so ``rabi_chevron``, which
+    draws nothing, never loads ``numpy.random``; ``ramsey`` must."""
+    p = _write_yaml(tmp_path, dict(cfg, output_dir=str(tmp_path / "out")))
+    out = subprocess.run([sys.executable, "-c", _RANDOM_MODULES_AFTER_RUN, str(p)],
+                         env=_src_env(), check=True, capture_output=True,
+                         text=True, timeout=120).stdout
+    loaded = ast.literal_eval(out.splitlines()[-1])
+    assert ("numpy.random" in loaded) if draws else loaded == []
 
 
 POOL_MODULES = ["concurrent.futures.process", "multiprocessing"]

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinprobe import benchmarking, qubitsim, starktone
-from spinprobe._rng import derive_rng, derive_rngs
+from spinprobe._rng import (derive_child_seed, derive_child_seeds, derive_rng,
+                            derive_rng_rows, derive_rngs)
 from spinprobe.qubitsim import ReadoutModel, coherence_mc
 from spinprobe.sequences import make_cpmg
 from spinprobe.spectra import PowerLawTerm, SpectrumModel
@@ -56,6 +57,35 @@ def test_streams_equal_derive_rng(seed, prefix, count, m, methods):
     assert n == count
 
 
+@settings(max_examples=300, deadline=None)
+@given(seed=SEEDS, path=st.lists(PREFIX_VALUES, max_size=3))
+def test_child_seed_is_the_seed_sequence_hash(seed, path):
+    want = np.random.SeedSequence(entropy=seed & (2**64 - 1),
+                                  spawn_key=path).generate_state(1, np.uint64)
+    assert derive_child_seed(seed, *path) == int(want[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=SEEDS, prefix=st.lists(PREFIX_VALUES, max_size=2),
+       count=st.integers(0, 6))
+def test_child_seeds_equal_the_per_item_child_seed(seed, prefix, count):
+    got = derive_child_seeds(seed, count, *prefix)
+    assert got == [derive_child_seed(seed, *prefix, i) for i in range(count)]
+    assert all(type(s) is int for s in got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds=st.lists(SEEDS, max_size=4), prefix=st.lists(PREFIX_VALUES, max_size=2),
+       count=st.integers(0, 5))
+def test_rng_rows_equal_derive_rng_per_base_and_index(seeds, prefix, count):
+    got = [rng.normal(size=3) for rng in derive_rng_rows(seeds, count, *prefix)]
+    want = [derive_rng(b, *prefix, i).normal(size=3)
+            for b in seeds for i in range(count)]
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b, strict=True)
+
+
 def test_late_indices_of_a_long_batch():
     rngs = derive_rngs(2**64 - 1, 5000, 3)
     for i, rng in enumerate(rngs):
@@ -84,6 +114,21 @@ def test_empty_and_bad_arguments():
         derive_rngs(1, 3, -2)
 
 
+def test_batched_seeds_take_the_counts_derive_rngs_takes():
+    assert derive_child_seeds(1, 0) == []
+    assert list(derive_rng_rows([1, 2], 0)) == []
+    assert list(derive_rng_rows([], 3)) == []
+    for bad in (-1, 2**32 + 1):
+        with pytest.raises(ValueError):
+            derive_child_seeds(1, bad)
+        with pytest.raises(ValueError):
+            derive_rng_rows([1], bad)
+    with pytest.raises(ValueError):
+        derive_child_seeds(1, 3, -2)
+    with pytest.raises(ValueError):
+        derive_child_seed(1, -2)
+
+
 # each returns plain floats, whose repr is exact
 def _rb():
     curve = benchmarking._simulate_rb([1, 4, 9], 6, 0.01, 5, ReadoutModel(),
@@ -103,13 +148,29 @@ def _mc():
     return point.w, point.std_err
 
 
+def _per_item_rngs(seed, count, *prefix):
+    return (derive_rng(seed, *prefix, i) for i in range(count))
+
+
+def _per_item_rng_rows(seeds, count, *prefix):
+    return (rng for seed in seeds for rng in _per_item_rngs(seed, count, *prefix))
+
+
+# the batched seeder each module's hot loop calls, and its per-item oracle
+PER_ITEM = {qubitsim: ("derive_rngs", _per_item_rngs),
+            starktone: ("derive_rng_rows", _per_item_rng_rows),
+            benchmarking: ("derive_rngs", _per_item_rngs)}
+
+
 @pytest.mark.parametrize("run, module", [(_mc, qubitsim), (_tone, starktone),
                                          (_rb, benchmarking)])
 def test_equals_the_per_item_derive_rng_loop(monkeypatch, run, module):
     batched = run()
-    monkeypatch.setattr(module, "derive_rngs", lambda seed, count, *prefix: (
-        derive_rng(seed, *prefix, i) for i in range(count)))
+    name, oracle = PER_ITEM[module]
+    calls = []
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or oracle(*a))
     looped = run()
+    assert calls
     assert repr(batched) == repr(looped)
 
 
