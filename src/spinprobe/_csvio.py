@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _parallel
 
-__all__ = ["BLOCK_ROWS", "Csv", "write_files", "write_columns"]
+__all__ = ["BLOCK_ROWS", "Csv", "write_files"]
 
 BLOCK_ROWS = 1 << 14
 
@@ -182,8 +182,3 @@ def write_files(files: dict) -> None:
                 text += [row_sep, piece] if i else [piece]
         with Path(path).open("w") as fh:
             fh.writelines(text)
-
-
-def write_columns(path, header: str, columns) -> None:
-    """Write one CSV: ``header``, then one row per index of ``columns``."""
-    write_files({path: Csv(header, tuple(columns))})

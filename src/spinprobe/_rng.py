@@ -38,18 +38,12 @@ _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
 
 
-def derive_seedseq(base_seed: int, *path: int) -> np.random.SeedSequence:
-    """Counter-based child seed: (base_seed, path) -> SeedSequence.
-
-    The same (base_seed, path) always yields the same stream, regardless of
-    how work is batched or which worker executes it.
-    """
-    return np.random.SeedSequence(entropy=int(base_seed) & _MASK64,
-                                  spawn_key=tuple(int(p) for p in path))
-
-
 def derive_rng(base_seed: int, *path: int) -> np.random.Generator:
-    return np.random.default_rng(derive_seedseq(base_seed, *path))
+    """The stream named (base_seed, path), seeded through a NumPy
+    ``SeedSequence``: the same name always yields the same stream,
+    regardless of how work is batched or which worker executes it."""
+    return np.random.default_rng(np.random.SeedSequence(
+        entropy=int(base_seed) & _MASK64, spawn_key=tuple(int(p) for p in path)))
 
 
 def _words(n: int) -> list[int]:
@@ -134,7 +128,8 @@ def _indices(count: int) -> np.ndarray:
 
 def derive_child_seed(base_seed: int, *path: int) -> int:
     """Flatten a derived stream back to a plain integer seed: the first
-    uint64 of ``derive_seedseq(base_seed, *path).generate_state``.
+    uint64 of ``generate_state`` of the ``SeedSequence`` that
+    :func:`derive_rng` builds for ``(base_seed, path)``.
 
     Lets nested stages (scan point -> trajectory) chain derivations while
     each layer only ever handles ints.

@@ -22,7 +22,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._csvio import write_columns
 from ._rng import derive_rngs
 from ._solve import brentq, fit_rb_decay
 from .analysis import FitError
@@ -46,10 +45,7 @@ __all__ = [
     "rb_interleaved",
     "fit_rb",
     "interleaved_gate_fidelity",
-    "export_rb_curve",
 ]
-
-RB_HEADER = "M,mean_survival,std_err,n_sequences"
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -292,8 +288,3 @@ def fit_rb(curve: RbCurve) -> RbFit:
 def interleaved_gate_fidelity(p_reference: float, p_interleaved: float) -> float:
     """Gate fidelity from the ratio of interleaved to reference decays."""
     return 1.0 - (1.0 - p_interleaved / p_reference) / 2.0
-
-
-def export_rb_curve(curve: RbCurve, path) -> None:
-    write_columns(path, RB_HEADER, (curve.depths, curve.mean_survival, curve.std_err,
-                                    np.full(curve.depths.size, curve.n_sequences)))

@@ -19,7 +19,6 @@ span several fields follow the walk.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import operator
 from dataclasses import dataclass
@@ -309,8 +308,9 @@ PROTOCOLS: dict[str, dict[str, Field]] = {
         **_monte_carlo(400),
     },
     "noise_spectroscopy": {
+        # each point's fit squares a decay time that scales as 1/f
         "f_grid_hz": _spaced("log", 1300.0, 50000.0, 12, positive=True,
-                             unique=True),
+                             unique=True, squared=True),
         "pulse_counts": _pulse_counts([2, 4, 8, 16, 32]),
         "t2_hahn_s": Field("number null", None, gt=0),
         **_monte_carlo(500, 32),
@@ -347,7 +347,7 @@ PROTOCOLS: dict[str, dict[str, Field]] = {
         "stark_gate": Field("string", "G2"),
         "qubit_floor_rad2_s": Field("number", 350.0, ge=0),
         "spectroscopy": Field("object null", None, fields={
-            "f_grid_hz": _grid(positive=True, unique=True),
+            "f_grid_hz": _grid(positive=True, unique=True, squared=True),
             "pulse_counts": _pulse_counts(),
             **_monte_carlo(REQUIRED, 32, duration_factor=None),
         }),
@@ -363,8 +363,12 @@ TOP: dict[str, Field] = {
     "output_dir": Field("string", length=(1, None)),
     "workers": Field("integer null", None, ge=1, le=MAX_WORKERS),
     "qubit": Field("object", {}, fields={
-        f.name: Field("number", f.default, gt=0)
-        for f in dataclasses.fields(QubitParams)}),
+        "g_factor": Field("number", QubitParams.g_factor, gt=0),
+        "field_t": Field("number", QubitParams.field_t, gt=0),
+        # rabi_p_up divides the drive's square by itself plus the
+        # detuning's, so that square must neither overflow nor reach 0
+        "rabi_hz": Field("number", QubitParams.rabi_hz, gt=1 / MAX_SQUARED,
+                         lt=MAX_SQUARED)}),
     "readout": Field("object", {}, fields={
         "visibility": Field("number", HARDWARE_READOUT.visibility, gt=0, le=1),
         "floor": Field("number", HARDWARE_READOUT.floor, ge=0, le=1),

@@ -36,7 +36,11 @@ from .config import gate_index, grid_values
 DECAY_HEADER = "time_s,coherence_w,std_err,p_up"
 CHEVRON_HEADER = "detuning_hz,duration_s,p_up"
 T2N_HEADER = "n_pulses,t2_s,t2_err_s,exponent,exponent_err"
+PSD_HEADER = "f_hz,S_rad2_per_s,ci_low,ci_high"
+RB_HEADER = "M,mean_survival,std_err,n_sequences"
 STARK_GRID_HEADER = "v_g1,v_g2,f_hz"
+TONE_SCAN_HEADER = "f_hz,amplitude_vpp,p_up,std_err"
+TRACE_HEADER = "time_s,volts"
 VOLT_PSD_HEADER = "f_hz,S_v2_per_hz"
 DETUNING_PSD_HEADER = "f_hz,S_rad2_per_s,n_bins"
 
@@ -78,9 +82,31 @@ class _Report:
 
 def _write(report: _Report, out: Path, files: dict) -> None:
     """Write a stage's ``{name: Csv or JSON object}`` in one codec call, so
-    a column that several of its files share is formatted once."""
+    a column that several of its files share is formatted once.  This is
+    the one place a file of a run is written and registered."""
     write_files({out / name: content for name, content in files.items()})
     report.files.extend(files)
+
+
+def _psd_csv(est: spectra.PsdEstimate) -> Csv:
+    return Csv(PSD_HEADER, (est.f, est.s, est.ci_low, est.ci_high))
+
+
+def _rb_csv(curve: benchmarking.RbCurve) -> Csv:
+    return Csv(RB_HEADER, (curve.depths, curve.mean_survival, curve.std_err,
+                           np.full(curve.depths.size, curve.n_sequences)))
+
+
+def _tone_scan_csv(result: starktone.ToneScanResult) -> Csv:
+    # one row per cell, amplitude-major
+    n_amp, n_f = result.p_up.shape
+    return Csv(TONE_SCAN_HEADER, (
+        np.tile(result.f_hz, n_amp), np.repeat(result.amplitudes_vpp, n_f),
+        result.p_up.ravel(), result.std_err.ravel()))
+
+
+def _trace_csv(trace: spectra.NoiseTrace) -> Csv:
+    return Csv(TRACE_HEADER, (trace.times, trace.samples))
 
 
 def _floats(values) -> np.ndarray:
@@ -260,9 +286,8 @@ def run_noise_spectroscopy(cfg, out: Path) -> _Report:
             proto["n_traj"], seed, t2_hahn=proto["t2_hahn_s"],
             duration_factor=proto["duration_factor"],
             samples_per_interval=proto["samples_per_interval"])
-        spectra.export_psd(est, out / "psd_reconstructed.csv")
-        report.files.append("psd_reconstructed.csv")
         _write(report, out, {
+            "psd_reconstructed.csv": _psd_csv(est),
             "points.json": list(est.points_detail),
             "plot_psd.json": _plot(
                 "reconstructed noise PSD", _axis("frequency", "Hz", est.f),
@@ -284,8 +309,7 @@ def _rb_common(cfg, out: Path, interleaved_gate: int | None) -> _Report:
     with report.stage("reference") as seed:
         ref = benchmarking.rb_reference(depths, proto["n_sequences"], d, seed,
                                         readout=readout, shots=proto["shots"])
-        benchmarking.export_rb_curve(ref, out / "rb_reference.csv")
-        report.files.append("rb_reference.csv")
+        _write(report, out, {"rb_reference.csv": _rb_csv(ref)})
     with report.stage("reference_fit"):
         fit = report.try_fit("reference_fit", lambda: benchmarking.fit_rb(ref))
         if fit is not None:
@@ -306,8 +330,7 @@ def _rb_common(cfg, out: Path, interleaved_gate: int | None) -> _Report:
             inter = benchmarking.rb_interleaved(
                 interleaved_gate, depths, proto["n_sequences"], d, seed,
                 readout=readout, shots=proto["shots"])
-            benchmarking.export_rb_curve(inter, out / "rb_interleaved.csv")
-            report.files.append("rb_interleaved.csv")
+            _write(report, out, {"rb_interleaved.csv": _rb_csv(inter)})
         with report.stage("interleaved_fit"):
             ifit = report.try_fit("interleaved_fit",
                                   lambda: benchmarking.fit_rb(inter))
@@ -383,8 +406,7 @@ def run_tone_scan(cfg, out: Path) -> _Report:
             model, tone, stark, taus, proto["total_time_s"],
             proto["amplitudes_vpp"], proto["shots"], seed, readout=readout,
             samples_per_interval=proto["samples_per_interval"])
-        starktone.export_tone_scan(result, out / "tone_scan.csv")
-        report.files.append("tone_scan.csv")
+        _write(report, out, {"tone_scan.csv": _tone_scan_csv(result)})
     with report.stage("detection"):
         detection = starktone.detect_tone_threshold(result, tone.f_tone)
         _write(report, out, {
@@ -427,8 +449,7 @@ def run_voltage_psd(cfg, out: Path) -> _Report:
         trace = spectra.synthesize(vmodel, proto["sample_rate_hz"],
                                    proto["duration_s"], seed, unit="V")
         if proto["export_trace"]:
-            spectra.export_trace(trace, out / "voltage_trace.csv")
-            report.files.append("voltage_trace.csv")
+            _write(report, out, {"voltage_trace.csv": _trace_csv(trace)})
     with report.stage("welch"):
         nperseg = int(round(proto["nperseg_s"] * trace.sample_rate))
         est_v = spectra.psd_welch(trace, nperseg=nperseg)
@@ -456,8 +477,7 @@ def run_voltage_psd(cfg, out: Path) -> _Report:
     if spec_cfg:
         with report.stage("spectroscopy"):
             est_rec = scan()
-            spectra.export_psd(est_rec, out / "psd_reconstructed.csv")
-            report.files.append("psd_reconstructed.csv")
+            _write(report, out, {"psd_reconstructed.csv": _psd_csv(est_rec)})
             summary["spectroscopy_f_range_hz"] = [float(est_rec.f[0]),
                                                   float(est_rec.f[-1])]
     _write(report, out, {"voltage_summary.json": summary})

@@ -25,16 +25,15 @@ Every toggled phase goes through one :class:`PhaseFunctional`, built per
 turn a sampled trace into its phase, ``phi = a @ x`` (trapezoid rule,
 linear interpolation at the segment edges, toggling signs), and from
 ``rfft(a)`` the weights that give the same phase straight from the
-Gaussian Fourier coefficients a synthesized trace is made of.  Replay
-(:func:`accumulate_phase`, :func:`coherence_replay`) takes ``a @ x`` on
-windows of a recorded trace.  The Monte Carlo engine and the tone scan
-of :mod:`spinprobe.starktone` never form a trace: a trajectory costs its
-normal draws and one dot product, on the same random stream
-:func:`spectra.draw_trace_samples` draws in blocks when it synthesizes
-the trace from the model.  Every Monte Carlo decay scan goes through
-:func:`submit_decay_curves`, which submits all its points, across every
-wait of a spectroscopy scan, to the run's one process pool
-(:mod:`spinprobe._parallel`) in one map and returns before they finish.
+Gaussian Fourier coefficients a synthesized trace is made of.  The Monte
+Carlo engine and the tone scan of :mod:`spinprobe.starktone` never form
+a trace: a trajectory costs its normal draws and one dot product, on the
+same random stream :func:`spectra.draw_trace_samples` draws in blocks
+when it synthesizes the trace from the model.  Every Monte Carlo decay
+scan goes through :func:`submit_decay_curves`, which submits all its
+points, across every wait of a spectroscopy scan, to the run's one
+process pool (:mod:`spinprobe._parallel`) in one map and returns before
+they finish.
 
 Calibration convention
 ----------------------
@@ -45,10 +44,10 @@ density through ``S = pi^2 / (4*T2)``; closing that loop requires scaling
 chi by ``PSD_CHI_CALIBRATION = 16/pi^2``.  The constant is applied in the
 coherence engines only; :mod:`spinprobe.spectra` stays strictly physical
 (trace variance equals the PSD integral).  The point engines
-(:func:`coherence_mc`, :func:`coherence_replay`, :func:`chi_ff`,
-:func:`coherence_ff`) take ``calibration=1.0`` to recover the uncalibrated
-physics; the scans built on them always use the constant, and a raw scan
-runs on ``model.scaled(1 / PSD_CHI_CALIBRATION)``.
+(:func:`coherence_mc`, :func:`chi_ff`, :func:`coherence_ff`) take
+``calibration=1.0`` to recover the uncalibrated physics; the scans
+(:func:`submit_decay_curves` and what is built on it) always use the
+constant, and a raw scan runs on ``model.scaled(1 / PSD_CHI_CALIBRATION)``.
 """
 
 from __future__ import annotations
@@ -60,11 +59,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _parallel, spectra
-from ._rng import derive_child_seeds, derive_rng, derive_rngs
+from ._rng import derive_child_seeds, derive_rngs
 from ._solve import brentq, distinct
 from .sequences import (PulseSchedule, cpmg_filter_function, filter_function,
                         make_cpmg, make_ramsey)
-from .spectra import SpectrumModel, NoiseTrace
+from .spectra import SpectrumModel
 
 __all__ = [
     "PSD_CHI_CALIBRATION",
@@ -80,16 +79,13 @@ __all__ = [
     "rabi_p_up",
     "rabi_chevron",
     "PhaseFunctional",
-    "accumulate_phase",
     "coherence_mc",
-    "coherence_replay",
     "chi_ff",
     "coherence_ff",
     "CpmgChi",
     "cpmg_chi",
     "cpmg_t2",
     "decay_vs_time",
-    "decay_vs_pulses",
     "fixed_wait_spec",
     "submit_decay_curves",
 ]
@@ -120,6 +116,9 @@ class QubitParams:
             raise ValueError("g_factor and field_t must be > 0")
         if self.rabi_hz <= 0:
             raise ValueError("rabi_hz must be > 0")
+        if not math.isfinite(self.resonance_hz):
+            raise ValueError(f"resonance_hz = g_factor * mu_B * field_t / h "
+                             f"must be finite, got {self.resonance_hz!r}")
 
     @property
     def resonance_hz(self) -> float:
@@ -221,8 +220,11 @@ class PhaseFunctional:
     interpolation at the segment edges is exact for the discretized
     process) and the toggling sign of every segment.  A synthesized trace
     is the irfft of independent Gaussian coefficients, so its phase is
-    also a dot product of :func:`spectra.trace_normals` with
-    :meth:`normal_weights`, so Monte Carlo never forms the trace.
+    also a dot product of the trace's n - 1 standard normals, in draw
+    order, with :meth:`normal_weights`, so Monte Carlo never forms the
+    trace.  The draw order: with ``K = (n - 1) // 2``, the real parts of
+    rfft bins 1..K, then their imaginary parts, then (even n only) the
+    real Nyquist bin.
     """
 
     def __init__(self, schedule: PulseSchedule, sample_rate: float, n: int):
@@ -266,7 +268,8 @@ class PhaseFunctional:
         return cls(schedule, rate, n)
 
     def normal_weights(self, model: SpectrumModel) -> np.ndarray:
-        """Weights h such that ``h @ spectra.trace_normals(n, rng)`` is the
+        """Weights h such that ``h @ rng.standard_normal(n - 1)`` (the
+        trace's normals, in the draw order of the class docstring) is the
         phase on the trace ``spectra.draw_trace_samples(model,
         self.sample_rate, n, rng)`` makes from the same stream.
 
@@ -286,23 +289,6 @@ class PhaseFunctional:
                 * np.concatenate(parts))
 
 
-def accumulate_phase(trace: NoiseTrace, schedule: PulseSchedule,
-                     t_offset: float = 0.0) -> float:
-    """Toggled phase picked up by one schedule riding a given noise trace.
-
-    The schedule window starts at ``t_offset`` into the trace; the window
-    must fit inside the record.
-    """
-    if t_offset < 0 or t_offset + schedule.total_time > trace.duration * (1 + 1e-9):
-        raise ValueError("schedule window does not fit inside the trace")
-    rate = trace.sample_rate
-    i0 = int(round(t_offset * rate))
-    need = min(int(math.ceil(schedule.total_time * rate)) + 2,
-               trace.n_samples - i0)
-    phase = PhaseFunctional(schedule, rate, need)
-    return float(phase.weights @ trace.samples[i0:i0 + need])
-
-
 def coherence_mc(model: SpectrumModel, schedule: PulseSchedule,
                  n_traj: int, seed: int, *,
                  calibration: float = PSD_CHI_CALIBRATION,
@@ -313,8 +299,9 @@ def coherence_mc(model: SpectrumModel, schedule: PulseSchedule,
     Trajectory i draws its Gaussian Fourier coefficients from
     ``derive_rng(seed, i)``, so results are bit-identical however the work
     is distributed; :func:`derive_rngs` hashes all of those stream names
-    in one vectorised pass.  The normals of every trajectory land in one
-    reused buffer, and its phase is the dot product of them with
+    in one vectorised pass.  The n - 1 normals of every trajectory, in
+    :class:`PhaseFunctional`'s draw order, land in one reused buffer, and
+    its phase is the dot product of them with
     :meth:`PhaseFunctional.normal_weights`, equal to integrating the
     trace ``spectra.draw_trace_samples(model, ...)`` would synthesize
     from the same stream.  The trace band is [1/(duration_factor*T),
@@ -333,7 +320,7 @@ def coherence_mc(model: SpectrumModel, schedule: PulseSchedule,
                                        samples_per_interval)
     h = phase.normal_weights(model)
     normals = np.empty(phase.n - 1)
-    # each trajectory's normals, in spectra.trace_normals' draw order
+    # each trajectory's normals, in PhaseFunctional's draw order
     phases = np.fromiter((rng.standard_normal(out=normals).dot(h)
                           for rng in derive_rngs(seed, n_traj)),
                          dtype=float, count=n_traj)
@@ -341,30 +328,6 @@ def coherence_mc(model: SpectrumModel, schedule: PulseSchedule,
     w = float(cos_phi.sum()) / n_traj
     var = max(float((cos_phi**2).sum()) - n_traj * w * w, 0.0) / (n_traj - 1)
     return CoherencePoint(w=w, std_err=math.sqrt(var / n_traj), n_traj=n_traj)
-
-
-def coherence_replay(trace: NoiseTrace, schedule: PulseSchedule,
-                     n_slices: int, seed: int, *,
-                     calibration: float = PSD_CHI_CALIBRATION) -> CoherencePoint:
-    """Decay estimate by replaying random windows of one long recorded trace.
-
-    Useful when the noise exists as data rather than as a model.  Slices
-    overlap for long schedules, so the standard error understates the truth
-    when n_slices exceeds duration/total_time.
-    """
-    if n_slices < 2:
-        raise ValueError("need at least 2 slices for a standard error")
-    span = trace.duration - schedule.total_time
-    if span <= 0:
-        raise ValueError("trace shorter than the schedule window")
-    rng = derive_rng(seed)
-    offsets = rng.uniform(0.0, span, size=n_slices)
-    scale = math.sqrt(calibration)
-    cos_phi = np.array([math.cos(scale * accumulate_phase(trace, schedule, t0))
-                        for t0 in offsets])
-    return CoherencePoint(w=float(cos_phi.mean()),
-                          std_err=float(cos_phi.std(ddof=1) / math.sqrt(n_slices)),
-                          n_traj=n_slices)
 
 
 # ---------------------------------------------------------------------------
@@ -706,22 +669,5 @@ def decay_vs_time(model: SpectrumModel, n_pulses: int, times, n_traj: int,
         label = {0: "ramsey", 1: "hahn"}.get(n_pulses, f"cpmg-{n_pulses}")
     return submit_decay_curves(
         model, [(n_pulses, times, seed, label)], n_traj,
-        duration_factor=duration_factor,
-        samples_per_interval=samples_per_interval)()[0]
-
-
-def decay_vs_pulses(model: SpectrumModel, tau_wait: float, pulse_counts,
-                    n_traj: int, seed: int, *,
-                    duration_factor: float = DURATION_FACTOR,
-                    samples_per_interval: int = SAMPLES_PER_INTERVAL) -> DecayCurve:
-    """Coherence decay at fixed inter-pulse wait over a grid of pulse counts.
-
-    This is the spectroscopy drive: with tau_wait pinned, every point
-    filters the same frequency ``1/(2*tau_wait)`` and the decay versus
-    total time N*tau_wait is exponential with rate proportional to the
-    spectral density there.
-    """
-    return submit_decay_curves(
-        model, [fixed_wait_spec(tau_wait, pulse_counts, seed)], n_traj,
         duration_factor=duration_factor,
         samples_per_interval=samples_per_interval)()[0]

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._csvio import Csv, write_columns, write_files
 from ._rng import derive_rng
 from ._solve import gamma_quantile
 
@@ -31,7 +30,6 @@ __all__ = [
     "PsdEstimate",
     "eval_psd",
     "rfft_bin_density",
-    "trace_normals",
     "normal_amplitudes",
     "draw_trace_samples",
     "synthesize",
@@ -43,12 +41,9 @@ __all__ = [
     "log_bin",
     "detuning_gain",
     "voltage_to_detuning_model",
-    "export_trace",
-    "export_psd",
 ]
 
-TRACE_HEADERS = {"rad/s": "time_s,delta_omega_rad_per_s", "V": "time_s,volts"}
-PSD_HEADER = "f_hz,S_rad2_per_s,ci_low,ci_high"
+_TRACE_UNITS = ("rad/s", "V")
 
 
 @dataclass(frozen=True)
@@ -143,9 +138,9 @@ class NoiseTrace:
         if not np.all(np.isfinite(samples)):
             raise ValueError("trace samples must be finite")
         object.__setattr__(self, "samples", samples)
-        if self.unit not in TRACE_HEADERS:
+        if self.unit not in _TRACE_UNITS:
             raise ValueError(f"unknown trace unit {self.unit!r}; "
-                             f"expected one of {sorted(TRACE_HEADERS)}")
+                             f"expected one of {sorted(_TRACE_UNITS)}")
         n = samples.size
         if abs(self.duration * self.sample_rate - n) > 0.5:
             raise ValueError(
@@ -270,26 +265,6 @@ def rfft_bin_density(model: SpectrumModel, sample_rate: float, n: int) -> np.nda
     return s
 
 
-def trace_normals(n: int, rng: np.random.Generator,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """The n - 1 standard normals behind one n-sample trace, in draw order.
-
-    With ``K = (n - 1) // 2`` they are the real parts of rfft bins 1..K,
-    then their imaginary parts, then (even n only) the real Nyquist bin.
-    Every consumer of a trace's randomness draws them in this order, so a
-    trajectory seeded once yields the same numbers whether its trace is
-    synthesized (:func:`draw_trace_samples` draws them in blocks, which
-    gives the same stream) or only its phase is computed.  ``out``, a
-    float64 array of n - 1 entries, receives the draws in place of a new
-    array.
-    """
-    if out is None:
-        return rng.standard_normal(n - 1)
-    if out.shape != (n - 1,):
-        raise ValueError(f"out must have shape ({n - 1},), got {out.shape}")
-    return rng.standard_normal(out=out)
-
-
 def _amplitudes(s: np.ndarray, df: float, n: int) -> np.ndarray:
     """rfft coefficient per unit normal of bins with densities ``s``,
     scaled so each contributes ``S(f_k) * df`` to the sample variance."""
@@ -297,7 +272,8 @@ def _amplitudes(s: np.ndarray, df: float, n: int) -> np.ndarray:
 
 
 def normal_amplitudes(s_bins: np.ndarray, sample_rate: float, n: int) -> np.ndarray:
-    """rfft coefficient per unit of each entry of :func:`trace_normals`.
+    """rfft coefficient per unit normal of an n-sample trace, in the draw
+    order of :func:`draw_trace_samples`.
 
     Scaled so each positive bin contributes ``S(f_k) * df`` to the sample
     variance; the real Nyquist bin of an even-n trace carries twice the
@@ -320,16 +296,23 @@ def draw_trace_samples(model: SpectrumModel, sample_rate: float, n: int,
     """One Gaussian realization of an n-sample trace of the model.
 
     Each positive rfft bin receives an independent complex Gaussian
-    amplitude: the entries of :func:`trace_normals` times
+    amplitude: the trace's n - 1 standard normals times
     :func:`normal_amplitudes` of :func:`rfft_bin_density`.  The trace
     variance approximates ``int S df`` over (0, Nyquist].
 
-    The coefficients are filled in blocks of ``_BLOCK_BINS`` bins, in the
-    draw order of :func:`trace_normals`: a first pass parks each block's
-    amplitudes in the imaginary parts and writes normals times amplitudes
-    into the real parts, a second pass forms ``re + 1j * im`` from the
-    imaginary-part normals, as the whole-length construction did, then
-    come the even-n Nyquist bin and ``irfft``.  Only block-sized arrays
+    The draw order: with ``K = (n - 1) // 2``, the real parts of rfft bins
+    1..K, then their imaginary parts, then (even n only) the real Nyquist
+    bin.  Every consumer of a trace's randomness draws them in this order,
+    so a trajectory seeded once yields the same numbers whether its trace
+    is synthesized here or only its phase is computed
+    (:meth:`spinprobe.qubitsim.PhaseFunctional.normal_weights`).
+
+    The coefficients are filled in blocks of ``_BLOCK_BINS`` bins, in that
+    draw order: a first pass parks each block's amplitudes in the
+    imaginary parts and writes normals times amplitudes into the real
+    parts, a second pass forms ``re + 1j * im`` from the imaginary-part
+    normals, as the whole-length construction did, then come the even-n
+    Nyquist bin and ``irfft``.  Only block-sized arrays
     live beside the coefficients and the ``irfft`` workspace, and the
     samples equal those of the whole-length construction bit for bit.
     """
@@ -542,16 +525,3 @@ def voltage_to_detuning_model(model: SpectrumModel, coeff_hz_per_v: float) -> Sp
     """The detuning spectrum of a voltage spectrum model, scaled by
     :func:`detuning_gain`."""
     return model.scaled(detuning_gain(coeff_hz_per_v))
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-
-
-def export_trace(trace: NoiseTrace, path) -> None:
-    write_columns(path, TRACE_HEADERS[trace.unit], (trace.times, trace.samples))
-
-
-def export_psd(estimate: PsdEstimate, path) -> None:
-    write_files({path: Csv(PSD_HEADER, (estimate.f, estimate.s,
-                                        estimate.ci_low, estimate.ci_high))})

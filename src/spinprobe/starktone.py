@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _parallel
-from ._csvio import write_columns
 from ._rng import derive_child_seeds, derive_rng_rows
 from .qubitsim import (HARDWARE_READOUT, PSD_CHI_CALIBRATION,
                        PhaseFunctional, ReadoutModel)
@@ -41,10 +40,7 @@ __all__ = [
     "tone_column",
     "tone_scan",
     "detect_tone_threshold",
-    "export_tone_scan",
 ]
-
-TONE_SCAN_HEADER = "f_hz,amplitude_vpp,p_up,std_err"
 
 # Monte Carlo samples per inter-pulse interval of a tone-scan cell
 TONE_SAMPLES_PER_INTERVAL = 32
@@ -225,7 +221,9 @@ def _tone_column(args) -> list[tuple[float, float]]:
     # modulus matters once the phase is randomized
     y_mag = abs(response(schedule, f_tone))
     scale = math.sqrt(PSD_CHI_CALIBRATION)
-    # the shots' normals, in spectra.trace_normals' draw order
+    # each shot's n - 1 normals in synthesis' draw order: the real parts
+    # of rfft bins 1..(n-1)//2, their imaginary parts, then an even n's
+    # Nyquist bin
     normals = np.empty(phase.n - 1)
     streams = derive_rng_rows(cell_seeds, shots)
     cells = []
@@ -332,10 +330,3 @@ def detect_tone_threshold(result: ToneScanResult, f_tone: float,
     detected = [r["amplitude_vpp"] for r in rows if r["detected"]]
     return {"threshold_vpp": min(detected) if detected else None,
             "tone_column_hz": float(result.f_hz[col]), "rows": rows}
-
-
-def export_tone_scan(result: ToneScanResult, path) -> None:
-    n_amp, n_f = result.p_up.shape
-    write_columns(path, TONE_SCAN_HEADER,
-                  (np.tile(result.f_hz, n_amp), np.repeat(result.amplitudes_vpp, n_f),
-                   result.p_up.ravel(), result.std_err.ravel()))

@@ -22,7 +22,9 @@ from spinprobe.analysis import (
 )
 from spinprobe import _parallel, analysis
 from spinprobe._rng import derive_child_seed
-from spinprobe.qubitsim import DecayCurve, chi_ff, coherence_mc, decay_vs_pulses
+from spinprobe.qubitsim import (DURATION_FACTOR, SAMPLES_PER_INTERVAL, DecayCurve,
+                                chi_ff, coherence_mc, fixed_wait_spec,
+                                submit_decay_curves)
 from spinprobe.sequences import make_cpmg
 from spinprobe.spectra import PowerLawTerm, SpectrumModel, eval_psd
 
@@ -231,7 +233,10 @@ class TestSpectroscopyScan:
         points = []
         for i, f in enumerate(grid):
             tau = 1.0 / (2.0 * f)
-            curve = decay_vs_pulses(PINK, tau, counts, 48, derive_child_seed(23, i))
+            curve = submit_decay_curves(
+                PINK, [fixed_wait_spec(tau, counts, derive_child_seed(23, i))], 48,
+                duration_factor=DURATION_FACTOR,
+                samples_per_interval=SAMPLES_PER_INTERVAL)()[0]
             points.append(spectroscopy_point(curve, tau))
         ref = reconstruct_psd(points)
         for name in ("f", "s", "ci_low", "ci_high"):

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from spinprobe._csvio import write_files
 from spinprobe.benchmarking import (
     CLIFFORD_DECOMPOSITIONS,
     PRIMITIVES,
-    RB_HEADER,
     RbCurve,
     clifford_fidelity_from_depolarizing,
     clifford_unitaries,
     compose_table,
     depolarizing_from_clifford_fidelity,
-    export_rb_curve,
     fit_rb,
     interleaved_gate_fidelity,
     inverse_indices,
@@ -24,6 +23,7 @@ from spinprobe.benchmarking import (
     rb_reference,
     rb_survival_probability,
 )
+from spinprobe.harness.pipelines import RB_HEADER, _rb_csv
 from spinprobe.qubitsim import ReadoutModel
 
 
@@ -198,7 +198,7 @@ class TestCsv:
     def test_round_trip(self, tmp_path):
         curve = rb_reference([1, 8, 32], 12, 2e-3, 4, shots=160)
         p = tmp_path / "rb.csv"
-        export_rb_curve(curve, p)
+        write_files({p: _rb_csv(curve)})
         header, *rows = p.read_text().splitlines()
         assert header == RB_HEADER
         depths, survival, std_err, n_seq = zip(*(r.split(",") for r in rows))

@@ -9,10 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinprobe import _csvio, _parallel
-from spinprobe._csvio import BLOCK_ROWS, Csv, write_columns, write_files
-from spinprobe.benchmarking import RB_HEADER, RbCurve, export_rb_curve
-from spinprobe.spectra import SpectrumModel, export_trace, synthesize
-from spinprobe.starktone import TONE_SCAN_HEADER, ToneScanResult, export_tone_scan
+from spinprobe._csvio import BLOCK_ROWS, Csv, write_files
+from spinprobe.benchmarking import RbCurve
+from spinprobe.harness.pipelines import (
+    RB_HEADER, TONE_SCAN_HEADER, _rb_csv, _tone_scan_csv, _trace_csv)
+from spinprobe.spectra import SpectrumModel, synthesize
+from spinprobe.starktone import ToneScanResult
 
 SPECIALS = [0.0, -0.0, 1.0, -2.5, 1e-300, 5e-324, 1.7976931348623157e308,
             0.1 + 0.2, np.nextafter(1.0, 2.0), np.nan, np.inf, -np.inf]
@@ -29,6 +31,10 @@ def _reference_rows(header, rows) -> str:
                                       for row in rows])
 
 
+def write_csv(path, header, columns) -> None:
+    write_files({path: Csv(header, tuple(columns))})
+
+
 class TestWriteColumns:
     def test_matches_row_formatter(self, tmp_path):
         floats = np.array(SPECIALS)
@@ -36,48 +42,49 @@ class TestWriteColumns:
         rng = np.random.default_rng(4)
         noise = rng.normal(size=floats.size) * 10.0 ** rng.integers(-30, 30, floats.size)
         p = tmp_path / "t.csv"
-        write_columns(p, "i,x,y", (ints, floats, noise))
+        write_csv(p, "i,x,y", (ints, floats, noise))
         assert p.read_text() == _reference_rows("i,x,y", zip(ints, floats, noise))
 
     def test_python_lists(self, tmp_path):
         p = tmp_path / "t.csv"
         cols = ([1, 2, 64], [0.5, float("nan"), -0.0], [np.float64(3.0), 1e-9, 7.0])
-        write_columns(p, "n,a,b", cols)
+        write_csv(p, "n,a,b", cols)
         assert p.read_text() == _reference_rows("n,a,b", zip(*cols))
 
     def test_empty_row_set_writes_header_only(self, tmp_path):
         p = tmp_path / "t.csv"
-        write_columns(p, "n_pulses,t2_s", ([], []))
+        write_csv(p, "n_pulses,t2_s", ([], []))
         assert p.read_text() == _reference_rows("n_pulses,t2_s", []) == "n_pulses,t2_s\n"
 
     def test_round_trip_is_bit_exact(self, tmp_path):
         x = np.random.default_rng(8).normal(size=200) * 1e-7
         p = tmp_path / "t.csv"
-        write_columns(p, "x", (x,))
+        write_csv(p, "x", (x,))
         back = np.array([float(v) for v in p.read_text().split()[1:]])
         assert np.array_equal(back, x)
 
     def test_ragged_columns_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="equal length"):
-            write_columns(tmp_path / "t.csv", "a,b", ([1.0, 2.0], [1.0]))
+            write_files({tmp_path / "t.csv": Csv("a,b", ([1.0, 2.0], [1.0]))})
         with pytest.raises(ValueError, match="1-D"):
-            write_columns(tmp_path / "t.csv", "a", (np.zeros((2, 2)),))
+            write_files({tmp_path / "t.csv": Csv("a", (np.zeros((2, 2)),))})
 
 
 class TestExportersKeepTheirBytes:
-    """Each exporter writes exactly the rows of the reference formatter."""
+    """Each layout a run writes its results in gives exactly the rows of
+    the reference formatter."""
 
     def test_trace(self, tmp_path):
         tr = synthesize(SpectrumModel(white_floor=1e-12), 10e3, 0.05, 3, unit="V")
         p = tmp_path / "trace.csv"
-        export_trace(tr, p)
+        write_files({p: _trace_csv(tr)})
         assert p.read_text() == _reference_rows("time_s,volts", zip(tr.times, tr.samples))
 
     def test_rb_curve(self, tmp_path):
         curve = RbCurve(depths=[1, 4, 16], mean_survival=[0.99, 0.9, np.nan],
                         std_err=[0.01, -0.0, 0.02], n_sequences=30)
         p = tmp_path / "rb.csv"
-        export_rb_curve(curve, p)
+        write_files({p: _rb_csv(curve)})
         assert p.read_text() == _reference_rows(RB_HEADER, zip(
             curve.depths, curve.mean_survival, curve.std_err, [30] * 3))
 
@@ -87,7 +94,7 @@ class TestExportersKeepTheirBytes:
                              p_up=rng.random((2, 3)), std_err=rng.random((2, 3)),
                              shots=10)
         p = tmp_path / "tone.csv"
-        export_tone_scan(res, p)
+        write_files({p: _tone_scan_csv(res)})
         rows = [(f, a, res.p_up[i, j], res.std_err[i, j])
                 for i, a in enumerate(res.amplitudes_vpp)
                 for j, f in enumerate(res.f_hz)]
@@ -222,7 +229,7 @@ class TestReadColumns:
     def test_round_trip_is_repr_exact(self, tmp_path_factory, columns):
         p = tmp_path_factory.mktemp("rt") / "t.csv"
         header = ",".join(f"c{k}" for k in range(len(columns)))
-        write_columns(p, header, columns)
+        write_csv(p, header, columns)
         got_header, back = _read_csv(p)
         assert got_header == header and len(back) == len(columns)
         for a, b in zip(columns, back):

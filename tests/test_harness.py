@@ -25,7 +25,8 @@ from hypothesis import strategies as st
 
 import spinprobe
 import spinprobe.analysis
-from spinprobe import _csvio, _parallel, qubitsim, spectra, starktone
+from spinprobe import (_csvio, _parallel, benchmarking, qubitsim, spectra,
+                       starktone)
 from spinprobe._rng import derive_child_seed
 from spinprobe.analysis import FitError
 from spinprobe.benchmarking import CLIFFORD_DECOMPOSITIONS
@@ -889,6 +890,99 @@ class TestRunner:
         assert np.array_equal(np.array(plot["y"]["values"]) * gain, s_dw)
 
 
+def _csv_cells(path) -> tuple[str, list[list[str]]]:
+    """Header and the cells of every row of a CSV the run wrote."""
+    header, *rows = path.read_text().splitlines()
+    return header, [row.split(",") for row in rows]
+
+
+def _run_tiny(tmp_path, cfg) -> tuple[Path, dict]:
+    """Output directory and manifest of one one-worker run of ``cfg``."""
+    out = tmp_path / "out"
+    manifest = execute(validate_config(cfg), out, workers=1)
+    files = {p.name for p in out.iterdir()} - {MANIFEST_NAME}
+    assert set(manifest["inventory"]) == files  # every file is registered
+    return out, manifest
+
+
+def _stage_seed(manifest, name: str) -> int:
+    return next(stage["seed"] for stage in manifest["stages"]
+                if stage["name"] == name)
+
+
+class TestCsvLayout:
+    """Each CSV a pipeline writes: its header, its row layout, and values
+    equal to the same run's plot or to the library call it stores."""
+
+    def test_rb_curves(self, tmp_path):
+        out, manifest = _run_tiny(tmp_path, TINY_IRB)
+        proto = manifest["config"]["protocol"]
+        plot = json.loads((out / "plot_rb.json").read_text())
+        inter = benchmarking.rb_interleaved(
+            gate_index(proto["gate"]), proto["depths"], proto["n_sequences"],
+            benchmarking.depolarizing_from_clifford_fidelity(
+                proto["clifford_fidelity"]),
+            _stage_seed(manifest, "interleaved"),
+            readout=qubitsim.ReadoutModel(**manifest["config"]["readout"]),
+            shots=proto["shots"])
+        for name, want in (("rb_reference.csv", (plot["x"]["values"],
+                                                  plot["y"]["values"],
+                                                  plot["y_err"])),
+                           ("rb_interleaved.csv", (inter.depths,
+                                                   inter.mean_survival,
+                                                   inter.std_err))):
+            header, rows = _csv_cells(out / name)
+            assert header == "M,mean_survival,std_err,n_sequences"
+            depths, survival, std_err, n_seq = zip(*rows)
+            # depths and the sequence count are written as integers
+            assert list(depths) == [str(m) for m in proto["depths"]]
+            assert set(n_seq) == {str(proto["n_sequences"])}
+            for text, values in zip((depths, survival, std_err), want):
+                assert [float(v) for v in text] == list(values)
+
+    def test_tone_scan(self, tmp_path):
+        out, _ = _run_tiny(tmp_path, TINY_TONE)
+        plot = json.loads((out / "plot_tone_scan.json").read_text())
+        f, amps = plot["x"]["values"], plot["y"]["values"]
+        p_up = np.array(plot["z"]["values_2d"])
+        header, rows = _csv_cells(out / "tone_scan.csv")
+        assert header == "f_hz,amplitude_vpp,p_up,std_err"
+        cols = np.array(rows, dtype=float).T
+        # one row per cell, amplitude-major
+        assert np.array_equal(cols[0], np.tile(f, len(amps)))
+        assert np.array_equal(cols[1], np.repeat(amps, len(f)))
+        assert np.array_equal(cols[2], p_up.ravel())
+        assert np.all(cols[3] > 0)
+
+    def test_psd_reconstructed(self, tmp_path):
+        out, _ = _run_tiny(tmp_path, TINY_SPECTROSCOPY)
+        plot = json.loads((out / "plot_psd.json").read_text())
+        header, rows = _csv_cells(out / "psd_reconstructed.csv")
+        assert header == "f_hz,S_rad2_per_s,ci_low,ci_high"
+        f, s, lo, hi = np.array(rows, dtype=float).T
+        assert np.array_equal(f, plot["x"]["values"])
+        assert np.array_equal(s, plot["y"]["values"])
+        assert np.array_equal((hi - lo) / 2, plot["y_err"])
+
+    def test_voltage_trace_and_its_spectroscopy(self, tmp_path):
+        out, manifest = _run_tiny(tmp_path, TINY_BY_KIND["voltage_psd"])
+        cfg = manifest["config"]
+        proto = cfg["protocol"]
+        trace = spectra.synthesize(
+            spectra.SpectrumModel.from_dict(cfg["spectrum"]),
+            proto["sample_rate_hz"], proto["duration_s"],
+            _stage_seed(manifest, "trace"), unit="V")
+        header, rows = _csv_cells(out / "voltage_trace.csv")
+        assert header == "time_s,volts"
+        t, v = np.array(rows, dtype=float).T
+        assert np.array_equal(t, np.arange(t.size) / proto["sample_rate_hz"])
+        assert np.array_equal(v, trace.samples)
+        header, rows = _csv_cells(out / "psd_reconstructed.csv")
+        assert header == "f_hz,S_rad2_per_s,ci_low,ci_high"
+        f = [float(row[0]) for row in rows]
+        assert [f[0], f[-1]] == manifest["summary"]["spectroscopy_f_range_hz"]
+
+
 def _pid(_job) -> int:
     return os.getpid()
 
@@ -1131,6 +1225,18 @@ class TestCli:
                                        "duration_s": [1e200]}},
          "protocol.duration_s.0"),
         ({**TINY_STARK, "protocol": {"jitter_hz": 1e300}}, "protocol.jitter_hz"),
+        # rabi_p_up squares the drive (nan chevron), and a Zeeman frequency
+        # past the float range wrote Infinity into the manifest
+        ({**TINY_CHEVRON, "qubit": {"rabi_hz": 1e200}}, "qubit.rabi_hz"),
+        ({**TINY_CHEVRON, "qubit": {"rabi_hz": 1e-200}}, "qubit.rabi_hz"),
+        ({**TINY_CHEVRON, "qubit": {"g_factor": 1e200, "field_t": 1e200}}, "qubit"),
+        # a decay time of order 1/f whose square underflows breaks the fit
+        ({**TINY_SPECTROSCOPY, "protocol": {**TINY_SPECTROSCOPY["protocol"],
+                                            "f_grid_hz": [1e300, 2e300]}},
+         "protocol.f_grid_hz.0"),
+        ({**TINY_VOLTAGE, "protocol": {**TINY_VOLTAGE["protocol"], "spectroscopy": {
+            **TINY_SPECTROSCOPY["protocol"], "f_grid_hz": [1e300, 2e300]}}},
+         "protocol.spectroscopy.f_grid_hz.0"),
     ])
     def test_run_bad_config_exits_2_before_running(self, tmp_path, capsys,
                                                    cfg, field):
@@ -1214,6 +1320,33 @@ def test_every_name_in_all_exists(name):
     module no longer defines."""
     module = importlib.import_module(name)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def _names_used() -> set[str]:
+    """Every name the package's modules (its ``__init__`` aside) and the
+    demos use: ``Name`` ids, ``Attribute`` attrs and imported names."""
+    package = Path(spinprobe.__file__).resolve().parent
+    demos = Path(__file__).resolve().parents[1] / "demos"
+    paths = [p for p in package.rglob("*.py") if p != package / "__init__.py"]
+    used = set()
+    for path in paths + sorted(demos.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_public_name_is_reached():
+    """A public name that neither the package nor a demo uses is reached
+    only by tests: delete it, or move it into the tests."""
+    used = _names_used()
+    unused = [f"{name}.{n}" for name in MODULES_WITH_ALL
+              for n in importlib.import_module(name).__all__ if n not in used]
+    assert unused == []
 
 
 def test_cli_import_loads_no_scipy_or_jsonschema():

@@ -9,19 +9,20 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from spinprobe.qubitsim import (
+    DURATION_FACTOR,
     PSD_CHI_CALIBRATION,
+    SAMPLES_PER_INTERVAL,
     PhaseFunctional,
     QubitParams,
     ReadoutModel,
-    accumulate_phase,
     chi_ff,
     coherence_ff,
     cpmg_chi,
     cpmg_t2,
     coherence_mc,
-    coherence_replay,
-    decay_vs_pulses,
     decay_vs_time,
+    fixed_wait_spec,
+    submit_decay_curves,
     rabi_chevron,
     rabi_p_up,
     resonance_frequency_hz,
@@ -30,13 +31,8 @@ from spinprobe import qubitsim, sequences, spectra
 from spinprobe._rng import derive_child_seed, derive_rng
 from spinprobe.sequences import (PulseSchedule, filter_function, make_cpmg,
                                  make_hahn, make_ramsey)
-from spinprobe.spectra import (
-    NoiseTrace,
-    PowerLawTerm,
-    SpectralLine,
-    SpectrumModel,
-    synthesize,
-)
+from spinprobe.spectra import PowerLawTerm, SpectralLine, SpectrumModel
+from test_spectra import trace_normals
 
 WHITE = SpectrumModel(powerlaws=(), white_floor=350.0, lines=())
 COMPOSITE = SpectrumModel(
@@ -342,31 +338,19 @@ class TestCpmgT2:
 
 
 class TestAccumulatePhase:
-    def _const_trace(self, value, rate=1e6, dur=2e-3):
-        n = int(rate * dur)
-        return NoiseTrace(samples=np.full(n, value), sample_rate=rate,
-                          duration=dur, seed=None, provenance="const")
+    """The phase a schedule accumulates on a constant detuning:
+    ``PhaseFunctional(schedule, rate, n).weights @ samples``."""
+
+    @staticmethod
+    def _phase(schedule, value=250.0, rate=1e6, n=2000):
+        return PhaseFunctional(schedule, rate, n).weights @ np.full(n, value)
 
     def test_ramsey_integrates_detuning(self):
-        tr = self._const_trace(250.0)
-        assert accumulate_phase(tr, make_ramsey(1e-3)) == pytest.approx(0.25, rel=1e-9)
+        assert self._phase(make_ramsey(1e-3)) == pytest.approx(0.25, rel=1e-9)
 
     def test_echo_cancels_static_detuning(self):
-        tr = self._const_trace(250.0)
-        assert accumulate_phase(tr, make_hahn(1e-3)) == pytest.approx(0.0, abs=1e-12)
-        assert accumulate_phase(tr, make_cpmg(6, 1e-3)) == pytest.approx(0.0, abs=1e-12)
-
-    def test_offset_window(self):
-        tr = self._const_trace(250.0)
-        assert accumulate_phase(tr, make_ramsey(1e-3), t_offset=5e-4) == pytest.approx(
-            0.25, rel=1e-9)
-
-    def test_window_must_fit(self):
-        tr = self._const_trace(250.0, dur=5e-4)
-        with pytest.raises(ValueError):
-            accumulate_phase(tr, make_ramsey(1e-3))
-        with pytest.raises(ValueError):
-            accumulate_phase(tr, make_ramsey(4e-4), t_offset=2e-4)
+        assert self._phase(make_hahn(1e-3)) == pytest.approx(0.0, abs=1e-12)
+        assert self._phase(make_cpmg(6, 1e-3)) == pytest.approx(0.0, abs=1e-12)
 
 
 def _reference_phase(samples, rate, schedule):
@@ -402,7 +386,7 @@ class TestPhaseFunctional:
         n = int(math.ceil(total_time * rate)) + 1 + extra
         model = COMPOSITE if composite else WHITE
         phase = PhaseFunctional(sch, rate, n)
-        phi = spectra.trace_normals(n, derive_rng(seed)) @ phase.normal_weights(model)
+        phi = trace_normals(n, derive_rng(seed)) @ phase.normal_weights(model)
         trace = spectra.draw_trace_samples(model, rate, n, derive_rng(seed))
         ref, scale = _reference_phase(trace, rate, sch)
         assert abs(phi - ref) <= 1e-12 * scale
@@ -420,22 +404,10 @@ class TestPhaseFunctional:
         phase = PhaseFunctional.on_mc_grid(sch, 2.0, spi)
         assert phase.n == n
         rate = phase.sample_rate
-        phi = spectra.trace_normals(n, derive_rng(4)) @ phase.normal_weights(COMPOSITE)
+        phi = trace_normals(n, derive_rng(4)) @ phase.normal_weights(COMPOSITE)
         trace = spectra.draw_trace_samples(COMPOSITE, rate, n, derive_rng(4))
         ref, scale = _reference_phase(trace, rate, sch)
         assert abs(phi - ref) <= 1e-12 * scale
-
-    @pytest.mark.parametrize("schedule", [make_ramsey(1e-3), make_hahn(1e-3),
-                                          make_cpmg(5, 1e-3)])
-    def test_truncated_last_replay_window(self, schedule):
-        tr = synthesize(COMPOSITE, 1.3e5, 4e-3, 8)
-        t0 = tr.duration - schedule.total_time
-        i0 = int(round(t0 * tr.sample_rate))
-        need = tr.n_samples - i0
-        # the window is cut short by the end of the record
-        assert need < int(math.ceil(schedule.total_time * tr.sample_rate)) + 2
-        ref, scale = _reference_phase(tr.samples[i0:], tr.sample_rate, schedule)
-        assert abs(accumulate_phase(tr, schedule, t0) - ref) <= 1e-12 * scale
 
     def test_rejects_short_duration_factor(self):
         with pytest.raises(ValueError):
@@ -493,33 +465,6 @@ class TestCoherenceMc:
         assert abs(p.w - w_ff) < 4 * p.std_err + 0.035 * chi * w_ff
 
 
-class TestCoherenceReplay:
-    def test_matches_model_prediction(self):
-        t = TestCoherenceMc.T_HALF
-        tr = synthesize(WHITE, 64 / t, 60 * t, 5)
-        sch = make_cpmg(2, t)
-        p = coherence_replay(tr, sch, 400, 1)
-        assert abs(p.w - coherence_ff(WHITE, sch)) < 4 * p.std_err
-
-    def test_deterministic_per_seed(self):
-        t = TestCoherenceMc.T_HALF
-        tr = synthesize(WHITE, 64 / t, 20 * t, 5)
-        sch = make_cpmg(2, t)
-        assert coherence_replay(tr, sch, 50, 9).w == coherence_replay(tr, sch, 50, 9).w
-
-    def test_trace_must_exceed_window(self):
-        tr = synthesize(WHITE, 1e5, 1e-3, 0)
-        with pytest.raises(ValueError):
-            coherence_replay(tr, make_cpmg(2, 2e-3), 10, 0)
-
-    @pytest.mark.parametrize("n_slices", [0, 1])
-    def test_needs_two_slices(self, n_slices):
-        # one slice gives no standard error, and no slice no mean
-        tr = synthesize(WHITE, 1e5, 0.1, 0)
-        with pytest.raises(ValueError, match="at least 2 slices"):
-            coherence_replay(tr, make_hahn(1e-3), n_slices, 0)
-
-
 class TestDecayScans:
     def test_fixed_pulses_scan_shapes(self):
         times = np.geomspace(1e-4, 2e-3, 4)
@@ -535,16 +480,26 @@ class TestDecayScans:
         curve = decay_vs_time(WHITE, 2, times, 256, 4)
         assert curve.w[0] > curve.w[1]
 
+    @staticmethod
+    def _fixed_wait(model, tau, counts, n_traj, seed, *,
+                    duration_factor=DURATION_FACTOR,
+                    samples_per_interval=SAMPLES_PER_INTERVAL):
+        """The fixed-wait curve spectroscopy builds for one frequency."""
+        return submit_decay_curves(
+            model, [fixed_wait_spec(tau, counts, seed)], n_traj,
+            duration_factor=duration_factor,
+            samples_per_interval=samples_per_interval)()[0]
+
     def test_fixed_wait_scan_times(self):
         counts = [1, 2, 4, 8]
         tau = 1e-4
-        curve = decay_vs_pulses(WHITE, tau, counts, 64, 3)
+        curve = self._fixed_wait(WHITE, tau, counts, 64, 3)
         np.testing.assert_allclose(curve.times, np.asarray(counts) * tau)
         np.testing.assert_array_equal(curve.n_pulses, counts)
 
     def test_fixed_wait_rejects_pulse_free_points(self):
         with pytest.raises(ValueError):
-            decay_vs_pulses(WHITE, 1e-4, [0, 2], 64, 0)
+            fixed_wait_spec(1e-4, [0, 2], 0)
 
     @pytest.mark.parametrize("n_pulses", [0, 1, 4])
     def test_decay_vs_time_points_are_coherence_mc(self, n_pulses):
@@ -558,10 +513,10 @@ class TestDecayScans:
                              duration_factor=3.0, samples_per_interval=8)
             assert (curve.w[i], curve.std_err[i]) == (p.w, p.std_err)
 
-    def test_decay_vs_pulses_points_are_coherence_mc(self):
+    def test_fixed_wait_points_are_coherence_mc(self):
         tau, counts = 1e-4, [1, 2, 4, 8]
-        curve = decay_vs_pulses(COMPOSITE, tau, counts, 24, 9,
-                                duration_factor=3.0, samples_per_interval=8)
+        curve = self._fixed_wait(COMPOSITE, tau, counts, 24, 9,
+                                 duration_factor=3.0, samples_per_interval=8)
         assert curve.label == "tau_w=1.000e-04s"
         for i, n in enumerate(counts):
             assert curve.times[i] == n * tau

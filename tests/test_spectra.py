@@ -7,7 +7,9 @@ import pytest
 from scipy import signal, stats
 
 from spinprobe import spectra
+from spinprobe._csvio import write_files
 from spinprobe._rng import derive_rng
+from spinprobe.harness.pipelines import _trace_csv
 from spinprobe.spectra import (
     NoiseTrace,
     PowerLawTerm,
@@ -16,13 +18,10 @@ from spinprobe.spectra import (
     SpectrumModel,
     draw_trace_samples,
     eval_psd,
-    export_psd,
-    export_trace,
     integrate_rms,
     psd_welch,
     rfft_bin_density,
     synthesize,
-    trace_normals,
     detuning_gain,
     log_bin,
     voltage_to_detuning_model,
@@ -33,6 +32,15 @@ ONE_OVER_F = SpectrumModel(powerlaws=(PowerLawTerm(3e7, 1.0),),
                            white_floor=0.0, lines=())
 LINE_ONLY = SpectrumModel(powerlaws=(), white_floor=0.0,
                           lines=(SpectralLine(3600.0, 1.5e6, 150.0),))
+
+
+def trace_normals(n: int, rng: np.random.Generator) -> np.ndarray:
+    """The draw-order oracle: the n - 1 standard normals behind one
+    n-sample trace, drawn at once.  With ``K = (n - 1) // 2`` they are the
+    real parts of rfft bins 1..K, then their imaginary parts, then (even n
+    only) the real Nyquist bin; synthesis, Monte Carlo and the tone scan
+    each draw them in this order, in blocks or into a reused buffer."""
+    return rng.standard_normal(n - 1)
 
 
 class TestModelValidation:
@@ -138,16 +146,6 @@ class TestSynthesis:
     def test_minimum_length_enforced(self):
         with pytest.raises(ValueError):
             synthesize(WHITE, 100.0, 0.01, 0)
-
-    @pytest.mark.parametrize("n", [2, 64, 65])
-    def test_trace_normals_into_a_buffer(self, n):
-        """``out`` receives the stream's normals, whatever it held."""
-        buf = np.full(n - 1, np.nan)
-        assert trace_normals(n, derive_rng(3, 1), buf) is buf
-        np.testing.assert_array_equal(buf, derive_rng(3, 1).normal(size=n - 1))
-        np.testing.assert_array_equal(trace_normals(n, derive_rng(3, 1)), buf)
-        with pytest.raises(ValueError, match="shape"):
-            trace_normals(n + 1, derive_rng(3, 1), buf)
 
 
 class TestTraceValidation:
@@ -421,26 +419,18 @@ def _read_csv(path):
 
 
 class TestCsv:
+    """A trace through the layout a run writes it in."""
+
     def test_trace_round_trip(self, tmp_path):
-        tr = synthesize(WHITE, 10e3, 0.1, 21)
+        tr = synthesize(WHITE, 10e3, 0.1, 21, unit="V")
         path = tmp_path / "trace.csv"
-        export_trace(tr, path)
-        header, (t, x) = _read_csv(path)
-        assert header == "time_s,delta_omega_rad_per_s"
+        write_files({path: _trace_csv(tr)})
+        _, (t, x) = _read_csv(path)
         np.testing.assert_array_equal(t, tr.times)
         np.testing.assert_array_equal(x, tr.samples)
 
     def test_voltage_trace_header(self, tmp_path):
         tr = synthesize(WHITE, 10e3, 0.1, 21, unit="V")
         path = tmp_path / "vtrace.csv"
-        export_trace(tr, path)
+        write_files({path: _trace_csv(tr)})
         assert path.read_text().splitlines()[0] == "time_s,volts"
-
-    def test_psd_round_trip(self, tmp_path):
-        est = psd_welch(synthesize(WHITE, 20e3, 1.0, 2))
-        path = tmp_path / "psd.csv"
-        export_psd(est, path)
-        header, columns = _read_csv(path)
-        assert header == "f_hz,S_rad2_per_s,ci_low,ci_high"
-        for back, want in zip(columns, (est.f, est.s, est.ci_low, est.ci_high)):
-            np.testing.assert_array_equal(back, want)

@@ -7,19 +7,19 @@ import pytest
 from scipy.special import j0
 
 from spinprobe import starktone
+from spinprobe._csvio import write_files
 from spinprobe._rng import derive_child_seed
+from spinprobe.harness.pipelines import TONE_SCAN_HEADER, _tone_scan_csv
 from spinprobe.qubitsim import PSD_CHI_CALIBRATION, ReadoutModel, coherence_ff
 from spinprobe.sequences import make_cpmg, response
 from spinprobe.spectra import SpectrumModel
 from spinprobe.starktone import (
-    TONE_SCAN_HEADER,
     StarkMap,
     ToneConfig,
     ToneScanResult,
     default_stark_map,
     detect_tone_threshold,
     esr_frequency,
-    export_tone_scan,
     fit_stark_map,
     harmonic_weights,
     tone_scan,
@@ -243,7 +243,7 @@ class TestCsv:
                              std_err=[[0.01, 0.011], [0.012, 0.013]],
                              shots=160)
         p = tmp_path / "scan.csv"
-        export_tone_scan(res, p)
+        write_files({p: _tone_scan_csv(res)})
         header, *rows = p.read_text().splitlines()
         assert header == TONE_SCAN_HEADER
         f, amp, p_up, se = np.array([[float(c) for c in r.split(",")] for r in rows]).T
