@@ -28,6 +28,7 @@ from .analysis import FitError
 from .qubitsim import ReadoutModel
 
 __all__ = [
+    "MAX_DEPOLARIZING",
     "PRIMITIVES",
     "CLIFFORD_DECOMPOSITIONS",
     "RbCurve",
@@ -143,6 +144,12 @@ def mean_primitives_per_clifford() -> float:
 # Error model
 
 
+# largest per-primitive contraction d the error model inverts a Clifford
+# fidelity for; clifford_fidelity_from_depolarizing(MAX_DEPOLARIZING) is
+# the lowest fidelity it reaches
+MAX_DEPOLARIZING = 0.9
+
+
 def clifford_fidelity_from_depolarizing(d: float) -> float:
     """Average Clifford fidelity implied by a per-primitive contraction d.
 
@@ -154,11 +161,14 @@ def clifford_fidelity_from_depolarizing(d: float) -> float:
 
 
 def depolarizing_from_clifford_fidelity(f_clifford: float) -> float:
-    """Invert :func:`clifford_fidelity_from_depolarizing` for d."""
-    if not 0.5 < f_clifford < 1.0:
-        raise ValueError(f"Clifford fidelity must be in (0.5, 1), got {f_clifford}")
-    return float(brentq(
-        lambda d: clifford_fidelity_from_depolarizing(d) - f_clifford, 0.0, 0.9))
+    """Invert :func:`clifford_fidelity_from_depolarizing` for d in
+    [0, :data:`MAX_DEPOLARIZING`]."""
+    floor = clifford_fidelity_from_depolarizing(MAX_DEPOLARIZING)
+    if not floor <= f_clifford < 1.0:
+        raise ValueError(f"Clifford fidelity must be in [{floor}, 1), "
+                         f"got {f_clifford}")
+    return float(brentq(lambda d: clifford_fidelity_from_depolarizing(d) - f_clifford,
+                        0.0, MAX_DEPOLARIZING))
 
 
 def primitive_fidelity_from_clifford(f_clifford: float) -> float:

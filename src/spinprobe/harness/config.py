@@ -29,13 +29,15 @@ import numpy as np
 import yaml
 
 from .._solve import distinct
-from ..benchmarking import CLIFFORD_DECOMPOSITIONS
+from ..benchmarking import (CLIFFORD_DECOMPOSITIONS, MAX_DEPOLARIZING,
+                             clifford_fidelity_from_depolarizing)
 from ..qubitsim import (DURATION_FACTOR, HARDWARE_READOUT,
                         SAMPLES_PER_INTERVAL, QubitParams, ReadoutModel,
                         cpmg_chi)
 from ..spectra import SpectrumModel
 from ..starktone import (TONE_SAMPLES_PER_INTERVAL, StarkMap,
-                         default_stark_map, scan_columns, tone_column)
+                         default_stark_map, esr_frequency, scan_columns,
+                         tone_column)
 
 KINDS = (
     "rabi_chevron",
@@ -286,7 +288,10 @@ _RB = {
                     items=_POSINT, rule=_depths_spread),
     "n_sequences": Field("integer", 30, ge=2),  # two for a standard error
     "shots": Field("integer", 100, ge=1),
-    "clifford_fidelity": Field("number", 0.9983, gt=0.5, lt=1),
+    # the error model's depolarizing d stops at MAX_DEPOLARIZING
+    "clifford_fidelity": Field(
+        "number", 0.9983, lt=1,
+        ge=clifford_fidelity_from_depolarizing(MAX_DEPOLARIZING)),
 }
 
 _AMP_LADDER = [40e-6 * 2 ** (k / 2) for k in range(10)]  # 40 uVpp to ~905 uVpp
@@ -318,16 +323,19 @@ PROTOCOLS: dict[str, dict[str, Field]] = {
     "rbm": _RB,
     "interleaved_rbm": {**_RB, "gate": Field("string integer", "X90")},
     "stark_map": {
-        # the plane fit needs spread in both voltages
-        "v_g1_v": _spaced("linear", -0.016, 0.016, 5, min_points=2),
-        "v_g2_v": _spaced("linear", -0.016, 0.016, 5, min_points=2),
+        # the plane fit needs spread in both voltages, and each voltage
+        # multiplies a Stark coefficient
+        "v_g1_v": _spaced("linear", -0.016, 0.016, 5, min_points=2, squared=True),
+        "v_g2_v": _spaced("linear", -0.016, 0.016, 5, min_points=2, squared=True),
         # the plane fit's residual rms squares the jitter
         "jitter_hz": Field("number", 10e3, ge=0, lt=MAX_SQUARED),
     },
     "tone_scan": {
         "f_tone_hz": Field("number", 20e3, gt=0),
         "gate": Field("string", "G2"),
-        "amplitudes_vpp": Field("array", _AMP_LADDER, items=Field("number", ge=0),
+        # each amplitude multiplies the gate's Stark coefficient
+        "amplitudes_vpp": Field("array", _AMP_LADDER,
+                                items=Field("number", ge=0, lt=MAX_SQUARED),
                                 length=(1, None)),
         "f_columns_hz": Field("array", [10e3 / 3, 4e3, 5e3, 20e3 / 3, 8e3, 10e3,
                                         40e3 / 3, 16e3, 20e3, 80e3 / 3, 33e3, 40e3],
@@ -385,14 +393,17 @@ TOP: dict[str, Field] = {
             "width_hz": Field("number null", OMITTED, gt=0),
         })),
     }),
-    # default_stark_map(); a given map names its f0 and coefficients
+    # default_stark_map(); a given map names its f0 and coefficients.  A
+    # coefficient is squared into the detuning gain and multiplies a
+    # voltage or a tone amplitude
     "stark": Field("object", {"f0_ref_hz": _STARK.f0_ref_hz,
                               "coefficients_hz_per_v": _STARK.coefficients_hz_per_v},
                    fields={
-        "f0_ref_hz": _NUMBER,
-        "coefficients_hz_per_v": Field("object", values=_NUMBER, length=(1, None)),
+        "f0_ref_hz": _BELOW_MAX_SQUARED,
+        "coefficients_hz_per_v": Field("object", values=_BELOW_MAX_SQUARED,
+                                       length=(1, None)),
         "reference_voltages": Field("object", _STARK.reference_voltages,
-                                    values=_NUMBER),
+                                    values=_BELOW_MAX_SQUARED),
     }),
     "protocol": Field("object", {}, fields={}),  # replaced by PROTOCOLS[kind]
 }
@@ -470,6 +481,19 @@ def _check_tone_column(proto: dict) -> None:
             f"{', '.join(f'{f:.6g}' for f in f_kept) or 'none'} Hz)") from None
 
 
+def _check_stark_frequencies(cfg: dict) -> None:
+    """The ``stark_map`` plane fit squares its residuals, so |f| over the
+    voltage grid stays below :data:`MAX_SQUARED`; f is linear in each
+    voltage, so its largest magnitude is at a corner of the grid."""
+    stark = StarkMap(**cfg["stark"])
+    v1, v2 = (grid_values(cfg["protocol"][key]) for key in ("v_g1_v", "v_g2_v"))
+    peak = max(abs(esr_frequency(stark, {"G1": a, "G2": b}))
+               for a in (v1.min(), v1.max()) for b in (v2.min(), v2.max()))
+    if peak >= MAX_SQUARED:
+        raise ConfigError(f"stark: |f| over the protocol's voltage grid reaches "
+                          f"{float(peak)!r} Hz; must be < {MAX_SQUARED}")
+
+
 def _check_t2_search(cfg: dict) -> None:
     """``cpmg_t2_vs_n`` centres each time grid on :func:`qubitsim.cpmg_t2`,
     which needs a filter integral that converges at f -> 0 and a chi = 1
@@ -519,6 +543,7 @@ def validate_config(raw: dict) -> dict:
         if sorted(gates) != ["G1", "G2"]:
             raise ConfigError(f"stark.coefficients_hz_per_v: stark_map needs "
                               f"exactly gates G1 and G2, got {sorted(gates)}")
+        _check_stark_frequencies(cfg)
     if kind == "tone_scan":
         _check_tone_column(proto)
     if kind in ("ramsey", "hahn") and proto["fit"] == "stretched":

@@ -81,9 +81,8 @@ class _Report:
 
 
 def _write(report: _Report, out: Path, files: dict) -> None:
-    """Write a stage's ``{name: Csv or JSON object}`` in one codec call, so
-    a column that several of its files share is formatted once.  This is
-    the one place a file of a run is written and registered."""
+    """Write a stage's ``{name: Csv or JSON object}`` in one codec call.
+    This is the one place a file of a run is written and registered."""
     write_files({out / name: content for name, content in files.items()})
     report.files.extend(files)
 
@@ -458,7 +457,7 @@ def run_voltage_psd(cfg, out: Path) -> _Report:
         rms = spectra.integrate_rms(est_v, lo, hi)
         # the bounds are S times the summary's welch_ci_factors, so the
         # files hold S alone; only psd_voltage.csv keeps every Welch bin,
-        # the detuning PSD and the plot share one log-binned f
+        # the detuning PSD and the plot hold the log-binned rows
         f_b, s_b, n_bins = spectra.log_bin(est_v.f, est_v.s)
         _write(report, out, {
             "psd_voltage.csv": Csv(VOLT_PSD_HEADER, (est_v.f, est_v.s)),

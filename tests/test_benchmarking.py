@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 from spinprobe._csvio import write_files
 from spinprobe.benchmarking import (
     CLIFFORD_DECOMPOSITIONS,
+    MAX_DEPOLARIZING,
     PRIMITIVES,
     RbCurve,
     clifford_fidelity_from_depolarizing,
@@ -130,6 +131,11 @@ class TestFidelityConversions:
             depolarizing_from_clifford_fidelity(1.0)
         with pytest.raises(ValueError):
             depolarizing_from_clifford_fidelity(0.4)
+        # the lowest fidelity the error model reaches inverts to its largest d
+        floor = clifford_fidelity_from_depolarizing(MAX_DEPOLARIZING)
+        assert depolarizing_from_clifford_fidelity(floor) == MAX_DEPOLARIZING
+        with pytest.raises(ValueError, match="must be in"):
+            depolarizing_from_clifford_fidelity(np.nextafter(floor, 0.0))
 
     def test_survival_formula(self):
         assert rb_survival_probability(0, 0.002) == pytest.approx(1.0)

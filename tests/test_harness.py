@@ -147,6 +147,10 @@ def _write_yaml(tmp_path, cfg, name="cfg.yaml"):
     return p
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 class TestGridValues:
     def test_explicit_list(self):
         np.testing.assert_allclose(grid_values([1.0, 3.0, 9.0]), [1, 3, 9])
@@ -720,6 +724,9 @@ class TestRunner:
                    if p.is_file()} - {MANIFEST_NAME}
         assert set(manifest["inventory"]) == on_disk
         assert list(manifest["inventory"]) == sorted(on_disk)
+        # strict JSON: no NaN or Infinity in any file, the manifest included
+        for path in out.rglob("*.json"):
+            json.loads(path.read_text(), parse_constant=_reject_constant)
 
     def test_reused_directory_inventories_this_run_only(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -823,19 +830,19 @@ class TestRunner:
         n_bins = len((tmp_path / "a" / "psd_voltage.csv").read_text().splitlines()) - 1
         assert n_bins > _csvio.BLOCK_ROWS
 
-    def test_welch_stage_formats_each_column_once(self, tmp_path, monkeypatch):
-        """f and S_V at full resolution, then the binned f, S_V, S_dw and
-        n_bins: psd_detuning.csv and the plot share the binned f, so 6
-        columns are formatted instead of 7."""
-        formatted = []
-        real = _csvio._format
-        monkeypatch.setattr(_csvio, "_format",
-                            lambda c: formatted.append(c.size) or real(c))
+    def test_welch_stage_formats_each_row_once(self, tmp_path, monkeypatch):
+        """psd_voltage.csv keeps every Welch bin, formatted in row blocks;
+        psd_detuning.csv holds the log-binned rows, one block."""
+        blocks = []
+        real = _csvio._format_block
+        monkeypatch.setattr(_csvio, "_format_block",
+                            lambda cols: blocks.append(cols[0].size) or real(cols))
         execute(validate_config(BLOCKED_VOLTAGE), tmp_path / "out", workers=1)
         n_welch = len((tmp_path / "out" / "psd_voltage.csv").read_text().splitlines()) - 1
         n_rows = len((tmp_path / "out" / "psd_detuning.csv").read_text().splitlines()) - 1
         assert n_rows < n_welch / 10
-        assert sum(formatted) == 2 * n_welch + 4 * n_rows
+        assert blocks == [min(_csvio.BLOCK_ROWS, n_welch - start) for start
+                          in range(0, n_welch, _csvio.BLOCK_ROWS)] + [n_rows]
 
     def test_welch_files_hold_f_and_s(self, tmp_path):
         execute(validate_config(TINY_VOLTAGE), tmp_path / "out", workers=1)
@@ -1237,6 +1244,26 @@ class TestCli:
         ({**TINY_VOLTAGE, "protocol": {**TINY_VOLTAGE["protocol"], "spectroscopy": {
             **TINY_SPECTROSCOPY["protocol"], "f_grid_hz": [1e300, 2e300]}}},
          "protocol.spectroscopy.f_grid_hz.0"),
+        # below the fidelity of the error model's largest depolarizing d,
+        # where inverting it for d had no root
+        ({**TINY_IRB, "kind": "rbm", "protocol": {
+            **TINY_IRB["protocol"], "clifford_fidelity": 0.51}},
+         "protocol.clifford_fidelity"),
+        ({**TINY_IRB, "protocol": {**TINY_IRB["protocol"], "clifford_fidelity": 0.51}},
+         "protocol.clifford_fidelity"),
+        # Stark magnitudes whose products and squares overflowed: the
+        # detuning gain, the plane fit's voltages, a tone's detuning and
+        # the fit's residual rms
+        ({**TINY_VOLTAGE, "stark": {"f0_ref_hz": 38.7e9, "coefficients_hz_per_v": {
+            "G1": -3e7, "G2": 1e160}}}, "stark.coefficients_hz_per_v.G2"),
+        ({**TINY_STARK, "protocol": {"v_g1_v": [-1e200, 1e200]}}, "protocol.v_g1_v.0"),
+        ({**TINY_TONE, "protocol": {"amplitudes_vpp": [1e308]}},
+         "protocol.amplitudes_vpp.0"),
+        ({**TINY_STARK, "stark": {"f0_ref_hz": 1e300, "coefficients_hz_per_v": {
+            "G1": 1e300, "G2": 1e300}}}, "stark.f0_ref_hz"),
+        ({**TINY_STARK, "stark": {"f0_ref_hz": 1e149, "coefficients_hz_per_v": {
+            "G1": 1e149, "G2": 1e149}}, "protocol": {"v_g1_v": [-1e149, 1e149]}},
+         "stark"),
     ])
     def test_run_bad_config_exits_2_before_running(self, tmp_path, capsys,
                                                    cfg, field):
