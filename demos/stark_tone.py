@@ -11,7 +11,7 @@ from spinprobe.qubitsim import ReadoutModel
 from spinprobe.spectra import PowerLawTerm, SpectralLine, SpectrumModel
 from spinprobe.starktone import (StarkMap, ToneConfig, detect_tone_threshold,
                                  esr_frequency, fit_stark_map,
-                                 harmonic_weights, tone_scan, tone_to_detuning)
+                                 harmonic_weights, tone_amplitude, tone_scan)
 
 STARK = StarkMap(f0_ref_hz=38.7765e9,
                  coefficients_hz_per_v={"G1": -36.21e6, "G2": -22.88e6})
@@ -28,10 +28,8 @@ for g in ("G1", "G2"):
           f"fit {fitted.coefficient(g) / 1e6:+.2f} MHz/V")
 
 # -- tone amplitude bookkeeping -------------------------------------------
-tone = ToneConfig(gate="G2", f_tone=20e3, amplitude_pp=160e-6)
-wave = tone_to_detuning(tone, STARK)
-print(f"\n160 uVpp on G2 -> {wave.amplitude_rad_s:.1f} rad/s at "
-      f"{wave.f_tone / 1e3:.0f} kHz")
+amplitude = tone_amplitude(STARK.coefficient("G2"), 160e-6)
+print(f"\n160 uVpp on G2 -> {amplitude:.1f} rad/s peak detuning")
 
 # odd submultiples of the tone keep full weight, even ones are nulls
 print("\nfilter weight at tone frequency, scan position k:")

@@ -1,4 +1,5 @@
-"""The one output codec: every CSV and JSON file of a run.
+"""The one output codec: every CSV and JSON file of a run, the manifest
+included, and the only place the package formats JSON.
 
 A stage hands :func:`write_files` all of its files at once.  A CSV is a
 :class:`Csv`: a header and equal-length 1-D columns.  A JSON file is any

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._rng import derive_rngs
 from ._solve import brentq, fit_rb_decay
-from .analysis import FitError
+from .analysis import FitError, _check_cov, _sigma_or_none
 from .qubitsim import ReadoutModel
 
 __all__ = [
@@ -272,9 +272,7 @@ def fit_rb(curve: RbCurve) -> RbFit:
     """Fit the exponential RB decay; p is invariant under affine readout."""
     m = curve.depths.astype(float)
     y = curve.mean_survival
-    sig = curve.std_err if np.any(curve.std_err > 0) else None
-    if sig is not None:
-        sig = np.maximum(sig, sig[sig > 0].min() * 1e-3)
+    sig = _sigma_or_none(curve.std_err)
     b0 = float(min(max(y[-1], -0.4), 0.9))
     a0 = float(min(max(y[0] - b0, 1e-3), 1.4))
     try:
@@ -284,10 +282,7 @@ def fit_rb(curve: RbCurve) -> RbFit:
         raise FitError(f"RB fit failed: {exc}",
                        {"depths": m.tolist(), "survival": y.tolist()}) from exc
     a, p, b = popt
-    perr = np.sqrt(np.diag(pcov))
-    if not np.all(np.isfinite(perr)):
-        raise FitError("RB fit covariance is degenerate",
-                       {"popt": [float(v) for v in popt]})
+    perr = _check_cov(popt, pcov, {"model": "rb"})
     f_c = (1.0 + p) / 2.0
     return RbFit(p=float(p), p_err=float(perr[1]), amplitude=float(a),
                  offset=float(b), clifford_fidelity=f_c,

@@ -13,8 +13,11 @@ any enum, item or extra rule, and its default.  :func:`validate_config`
 walks a config against that table.  The walk rejects unknown keys,
 missing required keys, wrong types (a bool is never a number, a float
 never an integer), NaN and +-inf, and values out of bounds, and fills in
-every default; each error names the field's dotted path.  Checks that
-span several fields follow the walk.
+every default; each error names the field's dotted path.  One magnitude
+rule covers every number: a value of a ``number`` field has magnitude
+below :data:`MAX_SQUARED`, so a pipeline may square it or multiply two
+such values without overflow.  Integer fields keep their own bounds.
+Checks that span several fields follow the walk.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from ..qubitsim import (DURATION_FACTOR, HARDWARE_READOUT,
                         cpmg_chi)
 from ..spectra import SpectrumModel
 from ..starktone import (TONE_SAMPLES_PER_INTERVAL, StarkMap,
-                         default_stark_map, esr_frequency, scan_columns,
-                         tone_column)
+                         default_stark_map, esr_frequency, plane_design,
+                         scan_columns, tone_column)
 
 KINDS = (
     "rabi_chevron",
@@ -98,6 +101,10 @@ def _json_type(value) -> str:
     return type(value).__name__
 
 
+# largest magnitude of a number field's value: 1e150 squared, or times
+# another such value, stays finite
+MAX_SQUARED = 1e150
+
 _BOUNDS = (("ge", ">=", operator.ge), ("gt", ">", operator.gt),
            ("le", "<=", operator.le), ("lt", "<", operator.lt))
 
@@ -115,6 +122,10 @@ def _check(value, spec: Field, path: str):
                           f"{', '.join(map(str, spec.enum))}")
     if kind == "number" and not math.isfinite(value):
         raise ConfigError(f"{path}: must be finite, got {value!r}")
+    if ("number" in types and kind in ("integer", "number")
+            and not abs(value) < MAX_SQUARED):
+        raise ConfigError(f"{path}: magnitude must be < {MAX_SQUARED}, "
+                          f"got {value!r}")
     if kind in ("integer", "number"):
         for name, sign, holds in _BOUNDS:
             bound = getattr(spec, name)
@@ -189,22 +200,13 @@ def _repeated(values) -> list:
     return distinct(a[1:][a[1:] == a[:-1]]).tolist()
 
 
-# largest magnitude of a value whose square, or whose product with
-# another such value, a pipeline forms: 1e150 squared stays finite
-MAX_SQUARED = 1e150
-
-_BELOW_MAX_SQUARED = Field("number", gt=-MAX_SQUARED, lt=MAX_SQUARED)
-
-
 def _grid(default=REQUIRED, *, positive: bool = False,
-          min_points: int = 1, unique: bool = False,
-          squared: bool = False) -> Field:
+          min_points: int = 1, unique: bool = False) -> Field:
     """A list of numbers or ``{start, stop, num, spacing}``.  A log grid
     needs endpoints > 0; ``min_points`` counts distinct values (a fit or a
     plane needs spread, not repeats); a ``positive`` grid (times,
     frequencies) needs every value > 0; a ``unique`` one (a spectroscopy
-    grid, one PSD point per frequency) no value twice; a ``squared`` one
-    values and endpoints of magnitude below :data:`MAX_SQUARED`."""
+    grid, one PSD point per frequency) no value twice."""
     def rule(spec):
         values = grid_values(spec)
         if (n_distinct := distinct(values).size) < min_points:
@@ -215,12 +217,8 @@ def _grid(default=REQUIRED, *, positive: bool = False,
         if unique and (repeated := _repeated(values)):
             raise ConfigError(f"values must be distinct, got "
                               f"{', '.join(map(repr, repeated))} more than once")
-    number, fields = _NUMBER, _GRID_FIELDS
-    if squared:
-        number = _BELOW_MAX_SQUARED
-        fields = {**fields, "start": number, "stop": number}
-    return Field("array object", default, length=(1, None), items=number,
-                 fields=fields, rule=rule)
+    return Field("array object", default, length=(1, None), items=_NUMBER,
+                 fields=_GRID_FIELDS, rule=rule)
 
 
 def _spaced(spacing, start, stop, num, **kwargs) -> Field:
@@ -298,9 +296,8 @@ _AMP_LADDER = [40e-6 * 2 ** (k / 2) for k in range(10)]  # 40 uVpp to ~905 uVpp
 
 PROTOCOLS: dict[str, dict[str, Field]] = {
     "rabi_chevron": {
-        # rabi_p_up squares the detuning and multiplies it by the duration
-        "detuning_hz": _spaced("linear", -1.5e6, 1.5e6, 61, squared=True),
-        "duration_s": _spaced("linear", 4e-8, 6.4e-6, 81, squared=True),
+        "detuning_hz": _spaced("linear", -1.5e6, 1.5e6, 61),
+        "duration_s": _spaced("linear", 4e-8, 6.4e-6, 81),
     },
     "ramsey": _decay(2e-6, 3e-4),
     "hahn": _decay(5e-6, 2e-3),
@@ -313,9 +310,8 @@ PROTOCOLS: dict[str, dict[str, Field]] = {
         **_monte_carlo(400),
     },
     "noise_spectroscopy": {
-        # each point's fit squares a decay time that scales as 1/f
         "f_grid_hz": _spaced("log", 1300.0, 50000.0, 12, positive=True,
-                             unique=True, squared=True),
+                             unique=True),
         "pulse_counts": _pulse_counts([2, 4, 8, 16, 32]),
         "t2_hahn_s": Field("number null", None, gt=0),
         **_monte_carlo(500, 32),
@@ -323,20 +319,16 @@ PROTOCOLS: dict[str, dict[str, Field]] = {
     "rbm": _RB,
     "interleaved_rbm": {**_RB, "gate": Field("string integer", "X90")},
     "stark_map": {
-        # the plane fit needs spread in both voltages, and each voltage
-        # multiplies a Stark coefficient
-        "v_g1_v": _spaced("linear", -0.016, 0.016, 5, min_points=2, squared=True),
-        "v_g2_v": _spaced("linear", -0.016, 0.016, 5, min_points=2, squared=True),
-        # the plane fit's residual rms squares the jitter
-        "jitter_hz": Field("number", 10e3, ge=0, lt=MAX_SQUARED),
+        # the plane fit needs spread in both voltages
+        "v_g1_v": _spaced("linear", -0.016, 0.016, 5, min_points=2),
+        "v_g2_v": _spaced("linear", -0.016, 0.016, 5, min_points=2),
+        "jitter_hz": Field("number", 10e3, ge=0),
     },
     "tone_scan": {
         "f_tone_hz": Field("number", 20e3, gt=0),
         "gate": Field("string", "G2"),
-        # each amplitude multiplies the gate's Stark coefficient
         "amplitudes_vpp": Field("array", _AMP_LADDER,
-                                items=Field("number", ge=0, lt=MAX_SQUARED),
-                                length=(1, None)),
+                                items=Field("number", ge=0), length=(1, None)),
         "f_columns_hz": Field("array", [10e3 / 3, 4e3, 5e3, 20e3 / 3, 8e3, 10e3,
                                         40e3 / 3, 16e3, 20e3, 80e3 / 3, 33e3, 40e3],
                               items=Field("number", gt=0), length=(2, None)),
@@ -355,7 +347,7 @@ PROTOCOLS: dict[str, dict[str, Field]] = {
         "stark_gate": Field("string", "G2"),
         "qubit_floor_rad2_s": Field("number", 350.0, ge=0),
         "spectroscopy": Field("object null", None, fields={
-            "f_grid_hz": _grid(positive=True, unique=True, squared=True),
+            "f_grid_hz": _grid(positive=True, unique=True),
             "pulse_counts": _pulse_counts(),
             **_monte_carlo(REQUIRED, 32, duration_factor=None),
         }),
@@ -374,9 +366,8 @@ TOP: dict[str, Field] = {
         "g_factor": Field("number", QubitParams.g_factor, gt=0),
         "field_t": Field("number", QubitParams.field_t, gt=0),
         # rabi_p_up divides the drive's square by itself plus the
-        # detuning's, so that square must neither overflow nor reach 0
-        "rabi_hz": Field("number", QubitParams.rabi_hz, gt=1 / MAX_SQUARED,
-                         lt=MAX_SQUARED)}),
+        # detuning's, so that square must not reach 0
+        "rabi_hz": Field("number", QubitParams.rabi_hz, gt=1 / MAX_SQUARED)}),
     "readout": Field("object", {}, fields={
         "visibility": Field("number", HARDWARE_READOUT.visibility, gt=0, le=1),
         "floor": Field("number", HARDWARE_READOUT.floor, ge=0, le=1),
@@ -393,17 +384,15 @@ TOP: dict[str, Field] = {
             "width_hz": Field("number null", OMITTED, gt=0),
         })),
     }),
-    # default_stark_map(); a given map names its f0 and coefficients.  A
-    # coefficient is squared into the detuning gain and multiplies a
-    # voltage or a tone amplitude
+    # default_stark_map(); a given map names its f0 and coefficients
     "stark": Field("object", {"f0_ref_hz": _STARK.f0_ref_hz,
                               "coefficients_hz_per_v": _STARK.coefficients_hz_per_v},
                    fields={
-        "f0_ref_hz": _BELOW_MAX_SQUARED,
-        "coefficients_hz_per_v": Field("object", values=_BELOW_MAX_SQUARED,
+        "f0_ref_hz": _NUMBER,
+        "coefficients_hz_per_v": Field("object", values=_NUMBER,
                                        length=(1, None)),
         "reference_voltages": Field("object", _STARK.reference_voltages,
-                                    values=_BELOW_MAX_SQUARED),
+                                    values=_NUMBER),
     }),
     "protocol": Field("object", {}, fields={}),  # replaced by PROTOCOLS[kind]
 }
@@ -429,9 +418,6 @@ def _check_welch_band(proto: dict) -> None:
     range, computed as :func:`spectra.synthesize` and
     :func:`spectra.psd_welch` will compute it."""
     rate = float(proto["sample_rate_hz"])
-    for key in ("duration_s", "nperseg_s"):
-        if not math.isfinite(proto[key] * rate):
-            raise ConfigError(f"protocol.{key}: {key}*sample_rate_hz overflows")
     n = int(round(rate * proto["duration_s"]))
     if n < 64:
         raise ConfigError(f"protocol.duration_s: duration_s*sample_rate_hz = "
@@ -462,7 +448,7 @@ def _check_tone_column(proto: dict) -> None:
     taus = [1.0 / (2.0 * f) for f in proto["f_columns_hz"]]
     for i, tau in enumerate(taus):
         ratio = proto["total_time_s"] / tau  # scan_columns' pulse count, rounded
-        if ratio >= 0.5 and (math.isinf(ratio) or round(ratio) > MAX_PULSES):
+        if round(ratio) > MAX_PULSES:
             raise ConfigError(
                 f"protocol.f_columns_hz.{i}: {proto['f_columns_hz'][i]!r} Hz "
                 f"needs {ratio:.6g} pulses in total_time_s; at most "
@@ -481,10 +467,14 @@ def _check_tone_column(proto: dict) -> None:
             f"{', '.join(f'{f:.6g}' for f in f_kept) or 'none'} Hz)") from None
 
 
-def _check_stark_frequencies(cfg: dict) -> None:
+def _check_stark_map(cfg: dict) -> None:
     """The ``stark_map`` plane fit squares its residuals, so |f| over the
     voltage grid stays below :data:`MAX_SQUARED`; f is linear in each
-    voltage, so its largest magnitude is at a corner of the grid."""
+    voltage, so its largest magnitude is at a corner of the grid.  The
+    fit's design must pass :func:`starktone.plane_design`.  Each grid has
+    spread, so a design it rejects has a gate whose offsets from its
+    reference dwarf the other columns: the error names the larger of that
+    gate's grid and reference."""
     stark = StarkMap(**cfg["stark"])
     v1, v2 = (grid_values(cfg["protocol"][key]) for key in ("v_g1_v", "v_g2_v"))
     peak = max(abs(esr_frequency(stark, {"G1": a, "G2": b}))
@@ -492,6 +482,17 @@ def _check_stark_frequencies(cfg: dict) -> None:
     if peak >= MAX_SQUARED:
         raise ConfigError(f"stark: |f| over the protocol's voltage grid reaches "
                           f"{float(peak)!r} Hz; must be < {MAX_SQUARED}")
+    refs = stark.reference_voltages
+    g1, g2 = np.meshgrid(v1, v2, indexing="ij")  # as the pipeline builds it
+    try:
+        plane_design({"G1": g1.ravel(), "G2": g2.ravel()}, refs)
+    except np.linalg.LinAlgError as exc:
+        gate, v = max(("G1", v1), ("G2", v2), key=lambda gv: np.abs(
+            gv[1] - refs.get(gv[0], 0.0)).max())
+        field = (f"stark.reference_voltages.{gate}"
+                 if abs(refs.get(gate, 0.0)) > np.abs(v).max()
+                 else f"protocol.v_g{gate[1]}_v")
+        raise ConfigError(f"{field}: {exc}") from None
 
 
 def _check_t2_search(cfg: dict) -> None:
@@ -543,7 +544,7 @@ def validate_config(raw: dict) -> dict:
         if sorted(gates) != ["G1", "G2"]:
             raise ConfigError(f"stark.coefficients_hz_per_v: stark_map needs "
                               f"exactly gates G1 and G2, got {sorted(gates)}")
-        _check_stark_frequencies(cfg)
+        _check_stark_map(cfg)
     if kind == "tone_scan":
         _check_tone_column(proto)
     if kind in ("ramsey", "hahn") and proto["fit"] == "stretched":

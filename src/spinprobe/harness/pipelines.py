@@ -71,13 +71,41 @@ class _Report:
             self.stages.append(info)
 
     def try_fit(self, stage_name: str, fn):
-        """Run a fit, recording (not raising) a FitError."""
+        """Run a fit, recording (not raising) a FitError.  A non-finite
+        number in its diagnostics is recorded as None, so the manifest
+        stays strict JSON."""
         try:
             return fn()
         except analysis.FitError as exc:
+            diagnostics = {key: _finite_or_none(value)
+                           for key, value in exc.diagnostics.items()}
             self.fit_failures.append({"stage": stage_name, "message": str(exc),
-                                      "diagnostics": exc.diagnostics})
+                                      "diagnostics": diagnostics})
             return None
+
+
+def _finite_or_none(value):
+    """``value``, or each item of a list, with a non-finite float as None."""
+    if isinstance(value, list):
+        return [_finite_or_none(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _decay_fit(report: _Report, stage_name: str, fit_kind: str, curve):
+    """Fit ``curve`` with the protocol's ``fit`` kind; the fit's fields as
+    a run reports them, or None when the fit fails."""
+    stretched = fit_kind == "stretched"
+    # looked up on the module per call, so a rebound fit is the one used
+    fit_fn = analysis.fit_stretched if stretched else analysis.fit_exponential
+    fit = report.try_fit(stage_name, lambda: fit_fn(curve.times, curve.w,
+                                                    curve.std_err))
+    if fit is None:
+        return None
+    fields = {"kind": fit_kind, "t2_s": fit.t2, "t2_err_s": fit.t2_err,
+              "chi2_reduced": fit.chi2_reduced}
+    if stretched:
+        fields.update(exponent=fit.exponent, exponent_err=fit.exponent_err)
+    return fields
 
 
 def _write(report: _Report, out: Path, files: dict) -> None:
@@ -183,19 +211,7 @@ def _run_decay_kind(cfg, out: Path, n_pulses: int) -> _Report:
                 _axis("coherence W", "1", curve.w), y_err=curve.std_err),
         })
     with report.stage("fit"):
-        if proto["fit"] == "stretched":
-            fit = report.try_fit("fit", lambda: analysis.fit_stretched(
-                curve.times, curve.w, curve.std_err))
-            fit_dict = None if fit is None else {
-                "kind": "stretched", "t2_s": fit.t2, "t2_err_s": fit.t2_err,
-                "exponent": fit.exponent, "exponent_err": fit.exponent_err,
-                "chi2_reduced": fit.chi2_reduced}
-        else:
-            fit = report.try_fit("fit", lambda: analysis.fit_exponential(
-                curve.times, curve.w, curve.std_err))
-            fit_dict = None if fit is None else {
-                "kind": "exponential", "t2_s": fit.t2, "t2_err_s": fit.t2_err,
-                "chi2_reduced": fit.chi2_reduced}
+        fit_dict = _decay_fit(report, "fit", proto["fit"], curve)
         _write(report, out, {"fit.json": fit_dict})
     report.summary = {"n_pulses": n_pulses, "fit": fit_dict}
     return report
@@ -237,22 +253,13 @@ def run_cpmg_t2_vs_n(cfg, out: Path) -> _Report:
     with report.stage("fits"):
         used, t2s, t2errs, exps, exp_errs = [], [], [], [], []
         for n, curve in zip(counts, curves):
-            if proto["fit"] == "stretched":
-                fit = report.try_fit(f"fit_n{n}", lambda c=curve:
-                                     analysis.fit_stretched(c.times, c.w, c.std_err))
-                if fit is not None:
-                    exps.append(fit.exponent)
-                    exp_errs.append(fit.exponent_err)
-            else:
-                fit = report.try_fit(f"fit_n{n}", lambda c=curve:
-                                     analysis.fit_exponential(c.times, c.w, c.std_err))
-                if fit is not None:
-                    exps.append(math.nan)
-                    exp_errs.append(math.nan)
+            fit = _decay_fit(report, f"fit_n{n}", proto["fit"], curve)
             if fit is not None:
                 used.append(n)
-                t2s.append(fit.t2)
-                t2errs.append(fit.t2_err)
+                t2s.append(fit["t2_s"])
+                t2errs.append(fit["t2_err_s"])
+                exps.append(fit.get("exponent", math.nan))
+                exp_errs.append(fit.get("exponent_err", math.nan))
         _write(report, out, {"t2_vs_n.csv": Csv(
             T2N_HEADER, (used, t2s, t2errs, exps, exp_errs))})
     with report.stage("scaling_fit"):

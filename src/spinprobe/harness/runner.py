@@ -24,15 +24,15 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
-import operator
 import os
 import tempfile
 import time
 from pathlib import Path
 
 from .. import __version__
+from .._csvio import write_files
 from .._parallel import run_pool
-from .config import MAX_WORKERS, ConfigError, load_config, validate_config
+from .config import TOP, ConfigError, _check, load_config, validate_config
 from .pipelines import PIPELINES
 
 LOCK_NAME = ".spinprobe.lock"
@@ -99,31 +99,12 @@ def _acquire_lock(out: Path) -> Path:
     return lock
 
 
-def _resolve_workers(workers, cfg: dict) -> int:
-    """The run's worker count: the ``workers`` argument, then
-    ``cfg["workers"]`` (validated with the config), then 1.  A
-    ``workers`` argument outside [1, :data:`MAX_WORKERS`] raises
-    :class:`RunError`."""
-    if workers is None:
-        return cfg.get("workers") or 1
-    try:
-        count = operator.index(workers)
-    except TypeError:
-        count = 0
-    if not 1 <= count <= MAX_WORKERS:
-        raise RunError(f"--workers must be an integer from 1 to {MAX_WORKERS}, "
-                       f"got {workers!r}")
-    return count
-
-
 def _write_manifest(out: Path, manifest: dict) -> None:
-    """Write ``manifest.json`` whole or not at all: dump to a temporary
-    file beside it, then rename it into place."""
+    """Write ``manifest.json`` whole or not at all: write it to a
+    temporary file beside it, then rename it into place."""
     tmp = out / MANIFEST_TMP_NAME
     try:
-        with tmp.open("w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_files({tmp: manifest})
         os.replace(tmp, out / MANIFEST_NAME)
     finally:
         tmp.unlink(missing_ok=True)
@@ -133,9 +114,10 @@ def execute(cfg: dict, out: Path, *, workers: int | None = None) -> dict:
     """Run one validated config into ``out`` and write the manifest.
 
     Returns the manifest dict.  Worker-count precedence: the ``workers``
-    argument, then ``cfg["workers"]``, then 1; an invalid count, or an
-    ``out`` that cannot be created or is locked, raises :class:`RunError`
-    before anything is written.
+    argument, then ``cfg["workers"]``, then 1; a ``workers`` argument the
+    config's ``workers`` field would reject, or an ``out`` that cannot be
+    created or is locked, raises :class:`RunError` before anything is
+    written.
     The pipeline runs in one process pool of that many workers (none at
     one worker), shut down before the manifest is written; if the
     pipeline raises, the pool's queued jobs are cancelled and the lock
@@ -146,7 +128,11 @@ def execute(cfg: dict, out: Path, *, workers: int | None = None) -> dict:
     (see the module docstring); with no ``gc.collect()`` first, as that
     full pass would cost about a third of what the freeze saves.
     """
-    n_workers = _resolve_workers(workers, cfg)
+    try:
+        workers = _check(workers, TOP["workers"], "--workers")
+    except ConfigError as exc:
+        raise RunError(str(exc)) from None
+    n_workers = workers or cfg.get("workers") or 1
     lock = _acquire_lock(out)
     try:
         # an earlier run's manifest would not describe files this run

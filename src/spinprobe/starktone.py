@@ -29,12 +29,12 @@ __all__ = [
     "TONE_SAMPLES_PER_INTERVAL",
     "StarkMap",
     "ToneConfig",
-    "ToneWave",
     "ToneScanResult",
     "default_stark_map",
     "esr_frequency",
+    "plane_design",
     "fit_stark_map",
-    "tone_to_detuning",
+    "tone_amplitude",
     "harmonic_weights",
     "scan_columns",
     "tone_column",
@@ -86,27 +86,35 @@ def esr_frequency(stark: StarkMap, delta_v: dict[str, float]) -> float:
     return f
 
 
+def plane_design(voltages: dict[str, np.ndarray],
+                 reference_voltages: dict[str, float]) -> np.ndarray:
+    """Design matrix of the Stark plane fit: ones, then ``V_g - ref_g``
+    for each gate in sorted order, over per-gate 1-D voltage arrays of
+    equal length.  Raises ``LinAlgError`` where the plane is not
+    identifiable: the points lie along one gate axis, or one column is so
+    large that the others fall below the rank tolerance."""
+    cols = [np.asarray(voltages[g], dtype=float) - reference_voltages.get(g, 0.0)
+            for g in sorted(voltages)]
+    a = np.vstack([np.ones_like(cols[0]), *cols]).T
+    if a.shape[0] < a.shape[1] or np.linalg.matrix_rank(a) < a.shape[1]:
+        raise np.linalg.LinAlgError(
+            "degenerate voltage grid: plane fit needs spread in every gate")
+    return a
+
+
 def fit_stark_map(voltages: dict[str, np.ndarray], f_hz,
                   reference_voltages: dict[str, float] | None = None) -> StarkMap:
     """Least-squares plane through measured (gate voltages, frequency) points.
 
-    Voltages are per-gate arrays of equal length.  Raises on degenerate
-    geometry (e.g. all points along one gate axis), where the plane is
-    not identifiable.
+    Voltages are per-gate arrays of the frequencies' length.  Raises on
+    a design :func:`plane_design` rejects.
     """
     gates = sorted(voltages)
     f = np.asarray(f_hz, dtype=float)
     refs = dict(reference_voltages or {g: 0.0 for g in gates})
-    cols = [np.ones_like(f)]
-    for g in gates:
-        v = np.asarray(voltages[g], dtype=float)
-        if v.shape != f.shape:
-            raise ValueError(f"gate {g!r} voltage array shape mismatch")
-        cols.append(v - refs.get(g, 0.0))
-    a = np.vstack(cols).T
-    if a.shape[0] < a.shape[1] or np.linalg.matrix_rank(a) < a.shape[1]:
-        raise np.linalg.LinAlgError(
-            "degenerate voltage grid: plane fit needs spread in every gate")
+    a = plane_design(voltages, refs)
+    if f.shape != (a.shape[0],):
+        raise ValueError("voltage and frequency arrays differ in length")
     beta, res, _, _ = np.linalg.lstsq(a, f, rcond=None)
     resid = f - a @ beta
     rms = float(np.sqrt(np.mean(resid**2)))
@@ -135,19 +143,11 @@ class ToneConfig:
             raise ValueError(f"amplitude_pp must be >= 0, got {self.amplitude_pp}")
 
 
-@dataclass(frozen=True)
-class ToneWave:
-    """Deterministic detuning component induced by a voltage tone."""
-
-    amplitude_rad_s: float
-    f_tone: float
-    phase: float | None
-
-
-def tone_to_detuning(tone: ToneConfig, stark: StarkMap) -> ToneWave:
-    """``delta_omega(t) = 2 pi |df/dV| (A_pp/2) sin(2 pi f t + phase)``."""
-    amp = 2 * math.pi * abs(stark.coefficient(tone.gate)) * tone.amplitude_pp / 2.0
-    return ToneWave(amplitude_rad_s=amp, f_tone=tone.f_tone, phase=tone.phase)
+def tone_amplitude(coefficient_hz_per_v: float, amplitude_pp: float) -> float:
+    """Peak detuning in rad/s of a tone of ``amplitude_pp`` volts peak to
+    peak on a gate of that Stark coefficient: the tone adds
+    ``delta_omega(t) = 2 pi |df/dV| (A_pp/2) sin(2 pi f t + phase)``."""
+    return 2 * math.pi * abs(coefficient_hz_per_v) * (amplitude_pp / 2.0)
 
 
 def harmonic_weights(n_pulses: int, f_tone: float, k_max: int = 7) -> list[dict]:
@@ -228,7 +228,7 @@ def _tone_column(args) -> list[tuple[float, float]]:
     streams = derive_rng_rows(cell_seeds, shots)
     cells = []
     for amp_pp in amps_pp:
-        a = 2 * math.pi * abs(coeff) * (amp_pp / 2.0) * y_mag
+        a = tone_amplitude(coeff, amp_pp) * y_mag
         hits = 0
         # per shot, only Python floats: theta is rng.uniform(0, 2 pi)'s
         # draw, and p is ReadoutModel(vis, floor).apply's value

@@ -1,7 +1,7 @@
 """Every demo runs to completion with warnings as errors.
 
 The demos are the only callers of some library functions (``band_slope``,
-``expected_*_exponent``, ``harmonic_weights``, ``tone_to_detuning``), so
+``expected_*_exponent``, ``harmonic_weights``), so
 running them keeps those paths exercised.
 """
 

@@ -365,8 +365,9 @@ class TestValidateConfig:
         # T2 grows past 10 s only at the larger pulse count
         ({"powerlaws": [{"amplitude": 300.0, "exponent": 2.5}]}, [1, 64],
          "protocol.pulse_counts: N = 64: chi stays below 1"),
+        # an amplitude that overflowed the search stops at the magnitude rule
         ({"powerlaws": [{"amplitude": 1e300, "exponent": 1.0}]}, [1, 2],
-         "protocol.pulse_counts: N = 1: overflow"),
+         "spectrum.powerlaws.0.amplitude: magnitude must be <"),
     ])
     def test_cpmg_t2_search_checked(self, spectrum, pulse_counts, message):
         cfg = {**TINY_CPMG, "spectrum": spectrum,
@@ -389,8 +390,9 @@ class TestValidateConfig:
         ({"sample_rate_hz": 1000.0}, "protocol.band_hz"),
         ({"nperseg_s": 1e-4}, "protocol.nperseg_s"),
         ({"duration_s": 1e-3}, "protocol.duration_s"),
-        ({"duration_s": 1e300, "sample_rate_hz": 1e300}, "protocol.duration_s"),
-        ({"nperseg_s": 1e300, "sample_rate_hz": 1e300}, "protocol.nperseg_s"),
+        # 1e298 samples, and a segment length past the magnitude rule
+        ({"duration_s": 1e149, "sample_rate_hz": 1e149}, "protocol.duration_s"),
+        ({"nperseg_s": 1e300}, "protocol.nperseg_s"),
     ])
     def test_welch_band_outside_range_rejected(self, change, field):
         with pytest.raises(ConfigError, match=field):
@@ -574,11 +576,12 @@ class TestRunner:
         assert json.loads(complete) == manifest
         assert not (out / MANIFEST_TMP_NAME).exists()
 
-        def fail_midway(obj, fh, **kwargs):
-            fh.write('{"kind": "rabi_ch')
+        def fail_midway(files):
+            for path in files:
+                Path(path).write_text('{"kind": "rabi_ch')
             raise OSError("disk full")
 
-        monkeypatch.setattr(runner_module.json, "dump", fail_midway)
+        monkeypatch.setattr(runner_module, "write_files", fail_midway)
         fresh = tmp_path / "fresh"
         for target in (out, fresh):
             with pytest.raises(OSError, match="disk full"):
@@ -1198,14 +1201,14 @@ class TestCli:
         ({**TINY_RAMSEY, "readout": {"visibility": 1.0, "floor": 0.5}}, "readout"),
         ({**TINY_TONE, "readout": {"visibility": 1.0, "floor": 0.5}}, "readout"),
         # more pulses than MAX_PULSES: a CPMG table of 640*N points, and a
-        # tone-scan column's pulse train of 6e296 pulses
+        # tone-scan column's pulse train of 6e145 pulses
         ({**TINY_CPMG, "protocol": {**TINY_CPMG["protocol"],
                                     "pulse_counts": [1, 4000]}},
          "protocol.pulse_counts.1"),
-        ({**TINY_TONE, "protocol": {"f_columns_hz": [1.0e300, 20e3, 10e3]}},
+        ({**TINY_TONE, "protocol": {"f_columns_hz": [1.0e149, 20e3, 10e3]}},
          "protocol.f_columns_hz.0"),
-        ({**TINY_TONE, "protocol": {"f_columns_hz": [1.0e300, 20e3, 10e3],
-                                    "total_time_s": 1e10}},  # inf pulses
+        ({**TINY_TONE, "protocol": {"f_columns_hz": [1.0e149, 20e3, 10e3],
+                                    "total_time_s": 1e149}},  # 2e298 pulses
          "protocol.f_columns_hz.0"),
         # fits on repeated points, which made up an exponent or a fidelity
         ({**TINY_RAMSEY, "protocol": {**TINY_RAMSEY["protocol"], "fit": "stretched",
@@ -1236,7 +1239,7 @@ class TestCli:
         # past the float range wrote Infinity into the manifest
         ({**TINY_CHEVRON, "qubit": {"rabi_hz": 1e200}}, "qubit.rabi_hz"),
         ({**TINY_CHEVRON, "qubit": {"rabi_hz": 1e-200}}, "qubit.rabi_hz"),
-        ({**TINY_CHEVRON, "qubit": {"g_factor": 1e200, "field_t": 1e200}}, "qubit"),
+        ({**TINY_CHEVRON, "qubit": {"g_factor": 9e149, "field_t": 9e149}}, "qubit"),
         # a decay time of order 1/f whose square underflows breaks the fit
         ({**TINY_SPECTROSCOPY, "protocol": {**TINY_SPECTROSCOPY["protocol"],
                                             "f_grid_hz": [1e300, 2e300]}},
@@ -1264,6 +1267,25 @@ class TestCli:
         ({**TINY_STARK, "stark": {"f0_ref_hz": 1e149, "coefficients_hz_per_v": {
             "G1": 1e149, "G2": 1e149}}, "protocol": {"v_g1_v": [-1e149, 1e149]}},
          "stark"),
+        # the magnitude rule on numbers that no per-field bound covered:
+        # each ran, then ended in overflow
+        ({**TINY_RAMSEY, "spectrum": {"white_floor": 1e200}},
+         "spectrum.white_floor"),
+        ({**TINY_RAMSEY, "spectrum": {"lines": [{"center_hz": 3e3, "power": 1e200}]}},
+         "spectrum.lines.0.power"),
+        ({**TINY_SPECTROSCOPY, "protocol": {**TINY_SPECTROSCOPY["protocol"],
+                                            "t2_hahn_s": 1e200}},
+         "protocol.t2_hahn_s"),
+        ({**TINY_RAMSEY, "protocol": {**TINY_RAMSEY["protocol"],
+                                      "times_s": [1e200, 2e200, 3e200]}},
+         "protocol.times_s.0"),
+        # voltages the plane fit could not resolve against one huge column
+        ({**TINY_STARK, "protocol": {"v_g1_v": [-1.0e140, 1.0e140]}},
+         "protocol.v_g1_v"),
+        ({**TINY_STARK, "stark": {
+            "f0_ref_hz": 38.7765e9, "coefficients_hz_per_v": {"G1": -3e7, "G2": -2e7},
+            "reference_voltages": {"G1": 1.0e100, "G2": 0.0}}},
+         "stark.reference_voltages.G1"),
     ])
     def test_run_bad_config_exits_2_before_running(self, tmp_path, capsys,
                                                    cfg, field):
@@ -1274,6 +1296,22 @@ class TestCli:
         assert printed.out.startswith(f"error: {field}:")
         assert "Traceback" not in printed.out + printed.err
         assert not out.exists()
+
+    def test_fit_failure_manifest_is_strict_json(self, tmp_path, capsys):
+        # times past 1e131 s overflow the spectrum's lowest bins, and the
+        # failed fits' diagnostics held NaN
+        cfg = yaml.safe_load((CONFIG_DIR / "cpmg_t2_vs_n.yaml").read_text())
+        cfg["protocol"].update(t_factor_max=1.0e135, n_traj=20)
+        out = tmp_path / "out"
+        p = _write_yaml(tmp_path, dict(cfg, output_dir=str(out)))
+        with pytest.warns(RuntimeWarning):  # the overflow itself
+            assert main(["run", str(p), "--workers", "1"]) == 3
+        printed = capsys.readouterr()
+        assert "Traceback" not in printed.out + printed.err
+        manifest = json.loads((out / MANIFEST_NAME).read_text(),
+                              parse_constant=_reject_constant)
+        assert [None, None] in [f["diagnostics"]["w_range"]
+                                for f in manifest["fit_failures"]]
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_non_utf8_config_exits_2(self, tmp_path, capsys, command):

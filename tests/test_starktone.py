@@ -22,8 +22,8 @@ from spinprobe.starktone import (
     esr_frequency,
     fit_stark_map,
     harmonic_weights,
+    tone_amplitude,
     tone_scan,
-    tone_to_detuning,
 )
 
 WHITE = SpectrumModel(powerlaws=(), white_floor=350.0, lines=())
@@ -89,17 +89,17 @@ class TestStarkFit:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             fit_stark_map({"G1": np.zeros(3), "G2": np.zeros(4)}, np.zeros(3))
+        with pytest.raises(ValueError, match="differ in length"):
+            fit_stark_map(self._grid(), np.zeros(24))
 
 
 class TestToneConversion:
     def test_peak_detuning_amplitude(self):
-        tone = ToneConfig(gate="G2", f_tone=2e4, amplitude_pp=160e-6)
-        wave = tone_to_detuning(tone, default_stark_map())
-        # 2 pi |df/dV| A_pp / 2
-        assert wave.amplitude_rad_s == pytest.approx(
-            2 * math.pi * 22.88e6 * 80e-6, rel=1e-12)
-        assert wave.amplitude_rad_s == pytest.approx(11500.74, rel=1e-6)
-        assert wave.f_tone == 2e4
+        amplitude = tone_amplitude(default_stark_map().coefficient("G2"), 160e-6)
+        # 2 pi |df/dV| A_pp / 2, the same for either sign of df/dV
+        assert amplitude == pytest.approx(2 * math.pi * 22.88e6 * 80e-6, rel=1e-12)
+        assert amplitude == pytest.approx(11500.74, rel=1e-6)
+        assert tone_amplitude(22.88e6, 160e-6) == amplitude
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
