@@ -11,7 +11,8 @@ from spinprobe.qubitsim import ReadoutModel
 from spinprobe.spectra import PowerLawTerm, SpectralLine, SpectrumModel
 from spinprobe.starktone import (StarkMap, ToneConfig, detect_tone_threshold,
                                  esr_frequency, fit_stark_map,
-                                 harmonic_weights, tone_amplitude, tone_scan)
+                                 harmonic_weights, scan_columns,
+                                 tone_amplitude, tone_scan)
 
 STARK = StarkMap(f0_ref_hz=38.7765e9,
                  coefficients_hz_per_v={"G1": -36.21e6, "G2": -22.88e6})
@@ -44,8 +45,9 @@ scan_tone = ToneConfig(gate="G2", f_tone=20e3, amplitude_pp=0.0, phase=None)
 columns = [10e3 / 3, 4e3, 5e3, 20e3 / 3, 8e3, 10e3, 40e3 / 3, 16e3, 20e3,
            80e3 / 3, 33e3, 40e3]
 ladder = [4.0e-5, 8.0e-5, 1.6e-4, 3.2e-4, 6.4e-4]
-result = tone_scan(MODEL, scan_tone, STARK, [1 / (2 * f) for f in columns],
-                   300e-6, ladder, 160, seed=2009,
+result = tone_scan(MODEL, scan_tone, STARK,
+                   scan_columns([1 / (2 * f) for f in columns], 300e-6),
+                   ladder, 160, seed=2009,
                    readout=ReadoutModel(0.55, 0.225))
 det = detect_tone_threshold(result, 20e3)
 print(f"\ndetection threshold: {det['threshold_vpp']} Vpp "

@@ -17,7 +17,9 @@ every default; each error names the field's dotted path.  One magnitude
 rule covers every number: a value of a ``number`` field has magnitude
 below :data:`MAX_SQUARED`, so a pipeline may square it or multiply two
 such values without overflow.  Integer fields keep their own bounds.
-Checks that span several fields follow the walk.
+
+What a run derives from several fields is checked where it is derived,
+by the kind's plan in :mod:`.pipelines`, which follows the walk.
 """
 
 from __future__ import annotations
@@ -32,32 +34,10 @@ import numpy as np
 import yaml
 
 from .._solve import distinct
-from ..benchmarking import (CLIFFORD_DECOMPOSITIONS, MAX_DEPOLARIZING,
-                             clifford_fidelity_from_depolarizing)
+from ..benchmarking import MAX_DEPOLARIZING, clifford_fidelity_from_depolarizing
 from ..qubitsim import (DURATION_FACTOR, HARDWARE_READOUT,
-                        SAMPLES_PER_INTERVAL, QubitParams, ReadoutModel,
-                        cpmg_chi)
-from ..spectra import SpectrumModel
-from ..starktone import (TONE_SAMPLES_PER_INTERVAL, StarkMap,
-                         default_stark_map, esr_frequency, plane_design,
-                         scan_columns, tone_column)
-
-KINDS = (
-    "rabi_chevron",
-    "ramsey",
-    "hahn",
-    "cpmg_t2_vs_n",
-    "noise_spectroscopy",
-    "rbm",
-    "interleaved_rbm",
-    "stark_map",
-    "tone_scan",
-    "voltage_psd",
-)
-
-# kinds whose pipelines sample the spectrum model
-SPECTRUM_KINDS = ("ramsey", "hahn", "cpmg_t2_vs_n", "noise_spectroscopy",
-                  "tone_scan", "voltage_psd")
+                        SAMPLES_PER_INTERVAL, QubitParams)
+from ..starktone import TONE_SAMPLES_PER_INTERVAL, default_stark_map
 
 
 class ConfigError(ValueError):
@@ -184,12 +164,15 @@ def grid_values(spec) -> np.ndarray:
     return np.linspace(spec["start"], spec["stop"], spec["num"])
 
 
+# most points of a grid, or of the stark_map mesh, which validation builds
+MAX_GRID_POINTS = 10 ** 6
+
 _NUMBER = Field("number")
 _POSINT = Field("integer", ge=1)
 _GRID_FIELDS = {
     "start": _NUMBER,
     "stop": _NUMBER,
-    "num": Field("integer", ge=1, le=10 ** 6),  # validation materializes it
+    "num": Field("integer", ge=1, le=MAX_GRID_POINTS),
     "spacing": Field("string", "linear", enum=("linear", "log")),
 }
 
@@ -232,8 +215,8 @@ def _spaced(spacing, start, stop, num, **kwargs) -> Field:
 # whole pulse train
 MAX_PULSES = 1024
 
-# most samples in a synthesized voltage_psd trace: six times the shipped
-# 5.4M, about 1.1 GB of synthesis peak (the rfft coefficients plus irfft)
+# most samples in a trace (so also in one Monte Carlo interval): six times
+# the shipped voltage_psd 5.4M, about 1.1 GB of synthesis peak
 MAX_TRACE_SAMPLES = 2 ** 25
 
 # most worker processes in a run: a pool forks all of its workers at its
@@ -259,7 +242,8 @@ def _monte_carlo(n_traj, samples_per_interval=SAMPLES_PER_INTERVAL,
     trajectories for a standard error and a trace at least as long as the
     sequence; ``duration_factor=None`` leaves that field out."""
     fields = {"n_traj": Field("integer", n_traj, ge=2),
-              "samples_per_interval": Field("integer", samples_per_interval, ge=1)}
+              "samples_per_interval": Field("integer", samples_per_interval, ge=1,
+                                            le=MAX_TRACE_SAMPLES)}
     if duration_factor is not None:
         fields["duration_factor"] = Field("number", duration_factor, ge=1)
     return fields
@@ -336,7 +320,7 @@ PROTOCOLS: dict[str, dict[str, Field]] = {
         "shots": Field("integer", 160, ge=1),
         "phase": Field("number null", None),
         "samples_per_interval": Field("integer", TONE_SAMPLES_PER_INTERVAL,
-                                      ge=1),
+                                      ge=1, le=MAX_TRACE_SAMPLES),
     },
     "voltage_psd": {
         "sample_rate_hz": Field("number", 120e3, gt=0),
@@ -354,6 +338,8 @@ PROTOCOLS: dict[str, dict[str, Field]] = {
         "export_trace": Field("boolean", False),
     },
 }
+
+KINDS = tuple(PROTOCOLS)
 
 _STARK = default_stark_map()
 
@@ -398,129 +384,13 @@ TOP: dict[str, Field] = {
 }
 
 
-def gate_index(spec) -> int:
-    """Clifford index of an ``interleaved_rbm`` gate: an index in [0, 24)
-    or the name of a single-primitive Clifford such as ``"X90"``."""
-    if isinstance(spec, int):
-        if not 0 <= spec < 24:
-            raise ConfigError(f"protocol.gate: index {spec} out of range [0, 24)")
-        return spec
-    try:
-        return CLIFFORD_DECOMPOSITIONS.index((spec,))
-    except ValueError:
-        raise ConfigError(f"protocol.gate: {spec!r} is not a single-primitive "
-                          f"Clifford") from None
-
-
-def _check_welch_band(proto: dict) -> None:
-    """The ``voltage_psd`` trace holds 64 to :data:`MAX_TRACE_SAMPLES`
-    samples, and the band must lie inside the Welch estimate's frequency
-    range, computed as :func:`spectra.synthesize` and
-    :func:`spectra.psd_welch` will compute it."""
-    rate = float(proto["sample_rate_hz"])
-    n = int(round(rate * proto["duration_s"]))
-    if n < 64:
-        raise ConfigError(f"protocol.duration_s: duration_s*sample_rate_hz = "
-                          f"{n} samples; need at least 64")
-    if n > MAX_TRACE_SAMPLES:
-        raise ConfigError(f"protocol.duration_s: duration_s*sample_rate_hz = "
-                          f"{n} samples; at most {MAX_TRACE_SAMPLES}")
-    nperseg = min(int(round(proto["nperseg_s"] * rate)), n)
-    if nperseg < 2:
-        raise ConfigError(f"protocol.nperseg_s: nperseg_s*sample_rate_hz = "
-                          f"{nperseg} samples; need at least 2")
-    lo, hi = proto["band_hz"]
-    if not lo < hi:
-        raise ConfigError(f"protocol.band_hz: need lo < hi, got [{lo}, {hi}]")
-    df = 1.0 / (nperseg * (1 / rate))  # rfftfreq's bin spacing, bit for bit
-    f_min, f_max = df, (nperseg // 2) * df
-    if lo < f_min or hi > f_max:
-        raise ConfigError(f"protocol.band_hz: [{lo}, {hi}] Hz is outside the "
-                          f"Welch range [{f_min:.6g}, {f_max:.6g}] Hz "
-                          f"(nperseg = {nperseg} samples)")
-
-
-def _check_tone_column(proto: dict) -> None:
-    """Each kept ``tone_scan`` column plays at most :data:`MAX_PULSES`
-    pulses.  The tone must fall on one of the columns the scan keeps, by
-    the rule :func:`starktone.detect_tone_threshold` applies, and
-    detection needs at least one other kept column to compare with."""
-    taus = [1.0 / (2.0 * f) for f in proto["f_columns_hz"]]
-    for i, tau in enumerate(taus):
-        ratio = proto["total_time_s"] / tau  # scan_columns' pulse count, rounded
-        if round(ratio) > MAX_PULSES:
-            raise ConfigError(
-                f"protocol.f_columns_hz.{i}: {proto['f_columns_hz'][i]!r} Hz "
-                f"needs {ratio:.6g} pulses in total_time_s; at most "
-                f"{MAX_PULSES}")
-    keep, _ = scan_columns(taus, proto["total_time_s"])
-    f_kept = [1.0 / (2 * tau) for tau, _ in keep]
-    if len(f_kept) < 2:
-        raise ConfigError(f"protocol.f_columns_hz: {len(f_kept)} of the columns "
-                          f"fit half a wait into total_time_s; need at least 2")
-    try:
-        tone_column(f_kept, proto["f_tone_hz"])
-    except ValueError:
-        raise ConfigError(
-            f"protocol.f_tone_hz: {proto['f_tone_hz']!r} Hz is not within 5% of "
-            f"any scanned column (kept: "
-            f"{', '.join(f'{f:.6g}' for f in f_kept) or 'none'} Hz)") from None
-
-
-def _check_stark_map(cfg: dict) -> None:
-    """The ``stark_map`` plane fit squares its residuals, so |f| over the
-    voltage grid stays below :data:`MAX_SQUARED`; f is linear in each
-    voltage, so its largest magnitude is at a corner of the grid.  The
-    fit's design must pass :func:`starktone.plane_design`.  Each grid has
-    spread, so a design it rejects has a gate whose offsets from its
-    reference dwarf the other columns: the error names the larger of that
-    gate's grid and reference."""
-    stark = StarkMap(**cfg["stark"])
-    v1, v2 = (grid_values(cfg["protocol"][key]) for key in ("v_g1_v", "v_g2_v"))
-    peak = max(abs(esr_frequency(stark, {"G1": a, "G2": b}))
-               for a in (v1.min(), v1.max()) for b in (v2.min(), v2.max()))
-    if peak >= MAX_SQUARED:
-        raise ConfigError(f"stark: |f| over the protocol's voltage grid reaches "
-                          f"{float(peak)!r} Hz; must be < {MAX_SQUARED}")
-    refs = stark.reference_voltages
-    g1, g2 = np.meshgrid(v1, v2, indexing="ij")  # as the pipeline builds it
-    try:
-        plane_design({"G1": g1.ravel(), "G2": g2.ravel()}, refs)
-    except np.linalg.LinAlgError as exc:
-        gate, v = max(("G1", v1), ("G2", v2), key=lambda gv: np.abs(
-            gv[1] - refs.get(gv[0], 0.0)).max())
-        field = (f"stark.reference_voltages.{gate}"
-                 if abs(refs.get(gate, 0.0)) > np.abs(v).max()
-                 else f"protocol.v_g{gate[1]}_v")
-        raise ConfigError(f"{field}: {exc}") from None
-
-
-def _check_t2_search(cfg: dict) -> None:
-    """``cpmg_t2_vs_n`` centres each time grid on :func:`qubitsim.cpmg_t2`,
-    which needs a filter integral that converges at f -> 0 and a chi = 1
-    crossing in its search range at every pulse count, found without
-    overflow.  The tables built here stay cached for the pipeline."""
-    for i, term in enumerate(cfg["spectrum"].get("powerlaws", ())):
-        if term["amplitude"] > 0 and term["exponent"] >= 3:
-            raise ConfigError(
-                f"spectrum.powerlaws.{i}.exponent: {term['exponent']!r} with "
-                f"amplitude > 0 diverges at f -> 0; cpmg_t2_vs_n needs < 3")
-    model = SpectrumModel.from_dict(cfg["spectrum"])
-    for n in cfg["protocol"]["pulse_counts"]:
-        try:
-            with np.errstate(over="raise"):
-                cpmg_chi(model, n).bracket
-        except (ValueError, FloatingPointError) as exc:
-            raise ConfigError(f"protocol.pulse_counts: N = {n}: {exc}, so "
-                              f"there is no T2 to centre the times on") from None
-
-
 def validate_config(raw: dict) -> dict:
-    """Validate a parsed config and return the normalized form.
-
-    Normalization applies all defaults, so the returned dict alone is
-    enough to reproduce the run.
+    """Validate a parsed config and return the normalized form: the field
+    walk, then the kind's plan (:func:`pipelines.plan`).  Normalization
+    applies all defaults, so the returned dict alone reproduces the run.
     """
+    from .pipelines import plan  # pipelines imports this module
+
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
     kind = raw.get("kind")
@@ -528,41 +398,7 @@ def validate_config(raw: dict) -> dict:
     if isinstance(kind, str) and kind in PROTOCOLS:  # else the walk names kind
         fields = {**TOP, "protocol": Field("object", {}, fields=PROTOCOLS[kind])}
     cfg = _check_fields(raw, fields, "")
-    for section, build in (("qubit", QubitParams), ("readout", ReadoutModel),
-                           ("stark", StarkMap)):
-        try:
-            build(**cfg[section])
-        except ValueError as exc:
-            raise ConfigError(f"{section}: {exc}") from None
-    proto = cfg["protocol"]
-    gate_field = {"tone_scan": "gate", "voltage_psd": "stark_gate"}.get(kind)
-    gates = cfg["stark"]["coefficients_hz_per_v"]
-    if gate_field and proto[gate_field] not in gates:
-        raise ConfigError(f"protocol.{gate_field}: {proto[gate_field]!r} is not "
-                          f"in stark.coefficients_hz_per_v (has {sorted(gates)})")
-    if kind == "stark_map":
-        if sorted(gates) != ["G1", "G2"]:
-            raise ConfigError(f"stark.coefficients_hz_per_v: stark_map needs "
-                              f"exactly gates G1 and G2, got {sorted(gates)}")
-        _check_stark_map(cfg)
-    if kind == "tone_scan":
-        _check_tone_column(proto)
-    if kind in ("ramsey", "hahn") and proto["fit"] == "stretched":
-        if (n_distinct := distinct(grid_values(proto["times_s"])).size) < 3:
-            raise ConfigError(f"protocol.times_s: the stretched fit needs at "
-                              f"least 3 distinct points, got {n_distinct}")
-    if kind == "interleaved_rbm":
-        gate_index(proto["gate"])
-    if kind == "voltage_psd":
-        _check_welch_band(proto)
-    if kind in SPECTRUM_KINDS and not cfg["spectrum"]:
-        raise ConfigError(f"spectrum: required for kind={kind}")
-    if kind == "cpmg_t2_vs_n":
-        if not proto["t_factor_min"] < proto["t_factor_max"]:
-            raise ConfigError(f"protocol.t_factor_min: must be < t_factor_max, "
-                              f"got {proto['t_factor_min']!r} and "
-                              f"{proto['t_factor_max']!r}")
-        _check_t2_search(cfg)
+    plan(cfg)
     return cfg
 
 

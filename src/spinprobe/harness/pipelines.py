@@ -1,26 +1,30 @@
-"""Per-kind experiment pipelines: compute, fit, persist.
+"""Per-kind experiment pipelines: a plan, then its run.
 
-Every pipeline takes the normalized config and an output directory and
-returns a ``_Report``: ``files`` written, ``stages`` (name, derived seed,
-wall-clock), ``fit_failures``, and a ``summary`` for the manifest.  All
-randomness flows from seeds derived off the master seed with fixed stage
-indices, so outputs never depend on timing or worker count.
+A kind's plan turns the normalized config into everything its run reads
+(typed models, grids, derived sizes), checking each value beside its
+derivation (:class:`ConfigError` names the field); validation is the
+field walk then :func:`plan`.  A plan draws nothing, opens no pool and
+of the T2 search checks only the bracket, whose tables
+:func:`qubitsim.cpmg_chi` keeps for the run.  The run it returns fills a
+``_Report``: ``files``, ``stages`` (name, derived seed, wall-clock),
+``fit_failures`` and a manifest ``summary``.  Seeds derive from the
+master seed by fixed stage indices, so outputs never depend on timing or
+worker count.
 
-A pipeline runs inside its run's one process pool
-(:func:`spinprobe._parallel.run_pool`); every map it makes, itself or
-through the library, goes through :func:`spinprobe._parallel.submit`.
-It may submit a stage's work before earlier stages run: ``voltage_psd``
-submits its spectroscopy scan, which reads the model and not the trace,
-before it builds the trace.  A stage's ``seconds`` is the main process's wall-clock time in
-the stage, so such a stage reads only the time it waited for its
-results, and work submitted earlier may run during other stages.
+A run's maps, its own or the library's, go through
+:func:`spinprobe._parallel.submit` to its one process pool.  It may
+submit a stage's work early (``voltage_psd`` submits its spectroscopy
+scan before it builds the trace); a stage's ``seconds`` is the main
+process's wall-clock time in it, waiting for results included.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +32,12 @@ import numpy as np
 from .. import analysis, benchmarking, qubitsim, spectra, starktone
 from .._csvio import Csv, write_files
 from .._rng import derive_child_seed, derive_child_seeds
+from .._solve import distinct
 from ..qubitsim import QubitParams, ReadoutModel
 from ..spectra import SpectrumModel
 from ..starktone import StarkMap
-from .config import gate_index, grid_values
+from .config import (MAX_GRID_POINTS, MAX_PULSES, MAX_SQUARED,
+                     MAX_TRACE_SAMPLES, ConfigError, grid_values)
 
 DECAY_HEADER = "time_s,coherence_w,std_err,p_up"
 CHEVRON_HEADER = "detuning_hz,duration_s,p_up"
@@ -154,352 +160,506 @@ def _plot(title: str, x: dict, y: dict, y_err=None,
     return obj
 
 
-def _model(cfg) -> SpectrumModel:
+def _spectrum(cfg) -> SpectrumModel:
+    if not cfg["spectrum"]:
+        raise ConfigError(f"spectrum: required for kind={cfg['kind']}")
     return SpectrumModel.from_dict(cfg["spectrum"])
 
 
+def _check_density(model: SpectrumModel, field: str, sequences,
+                   duration_factor: float, samples_per_interval: int) -> None:
+    """Each ``(n_pulses, total_time)`` of ``sequences`` (a run's longest
+    and shortest) has a finite Monte Carlo trace (:func:`qubitsim.mc_grid`),
+    and the model is finite at the lowest rfft bin of the longest, where a
+    power law's omega^alpha underflows to 0 on a long enough trace."""
+    try:
+        grids = [qubitsim.mc_grid(n_pulses, t, duration_factor, samples_per_interval)
+                 for n_pulses, t in sequences]
+    except (ArithmeticError, ValueError):  # an inf or NaN duration or rate
+        raise ConfigError(f"{field}: a sequence's duration or Monte Carlo "
+                          f"sample rate is not finite") from None
+    df = min(rate / n for rate, n in grids)
+    with np.errstate(all="ignore"):
+        density = spectra._bin_density(model, df, 1, 2)[0]
+    if not math.isfinite(density):
+        raise ConfigError(f"{field}: the noise density is not finite at "
+                          f"{df:.6g} Hz, the lowest frequency bin of the "
+                          f"longest trace")
+
+
+def _gate_coefficient(stark: StarkMap, proto: dict, key: str) -> float:
+    """The Stark coefficient of the gate ``protocol.<key>`` names."""
+    gates = stark.coefficients_hz_per_v
+    if proto[key] not in gates:
+        raise ConfigError(f"protocol.{key}: {proto[key]!r} is not in "
+                          f"stark.coefficients_hz_per_v (has {sorted(gates)})")
+    return gates[proto[key]]
+
+
+def gate_index(spec) -> int:
+    """Clifford index of an ``interleaved_rbm`` gate: an index in [0, 24)
+    or the name of a single-primitive Clifford such as ``"X90"``."""
+    if isinstance(spec, int) and 0 <= spec < 24:
+        return spec
+    if (spec,) in benchmarking.CLIFFORD_DECOMPOSITIONS:
+        return benchmarking.CLIFFORD_DECOMPOSITIONS.index((spec,))
+    raise ConfigError(f"protocol.gate: {spec!r} is neither an index in [0, 24) "
+                      f"nor a single-primitive Clifford")
+
+
 # ---------------------------------------------------------------------------
-# Pipelines
+# Plans; each returns its run, ``run(report, out)``
 
 
-def run_rabi_chevron(cfg, out: Path) -> _Report:
-    report = _Report(cfg["seed"])
+def plan_rabi_chevron(cfg, qubit: QubitParams):
     proto = cfg["protocol"]
-    qubit = QubitParams(**cfg["qubit"])
-    with report.stage("chevron"):
-        det = grid_values(proto["detuning_hz"])
-        dur = grid_values(proto["duration_s"])
-        p = qubitsim.rabi_chevron(qubit, det, dur)
-        _write(report, out, {
-            "chevron.csv": Csv(CHEVRON_HEADER, (np.repeat(det, dur.size),
-                                                np.tile(dur, det.size), p.ravel())),
-            "plot_chevron.json": {
-                "title": "Rabi chevron",
-                "x": _axis("pulse duration", "s", dur),
-                "y": _axis("drive detuning", "Hz", det),
-                "z": {"label": "P_up", "unit": "1", "values_2d": p},
-            },
-        })
-    imax = np.unravel_index(int(np.argmax(p)), p.shape)
-    report.summary = {
-        "resonance_hz": qubit.resonance_hz,
-        "pi_time_s": qubit.pi_time_s,
-        "max_p_up": float(p[imax]),
-        "max_at_detuning_hz": float(det[imax[0]]),
-        "max_at_duration_s": float(dur[imax[1]]),
-    }
-    return report
+    det = grid_values(proto["detuning_hz"])
+    dur = grid_values(proto["duration_s"])
+
+    def run(report: _Report, out: Path) -> None:
+        with report.stage("chevron"):
+            p = qubitsim.rabi_chevron(qubit, det, dur)
+            _write(report, out, {
+                "chevron.csv": Csv(CHEVRON_HEADER, (np.repeat(det, dur.size),
+                                                    np.tile(dur, det.size),
+                                                    p.ravel())),
+                "plot_chevron.json": {
+                    "title": "Rabi chevron",
+                    "x": _axis("pulse duration", "s", dur),
+                    "y": _axis("drive detuning", "Hz", det),
+                    "z": {"label": "P_up", "unit": "1", "values_2d": p},
+                },
+            })
+        imax = np.unravel_index(int(np.argmax(p)), p.shape)
+        report.summary = {
+            "resonance_hz": qubit.resonance_hz,
+            "pi_time_s": qubit.pi_time_s,
+            "max_p_up": float(p[imax]),
+            "max_at_detuning_hz": float(det[imax[0]]),
+            "max_at_duration_s": float(dur[imax[1]]),
+        }
+    return run
 
 
-def _run_decay_kind(cfg, out: Path, n_pulses: int) -> _Report:
-    report = _Report(cfg["seed"])
+def plan_decay(cfg, readout: ReadoutModel):
+    """``ramsey`` (no pulse) and ``hahn`` (one)."""
     proto = cfg["protocol"]
-    model = _model(cfg)
-    readout = ReadoutModel(**cfg["readout"])
-    with report.stage("decay_scan") as seed:
-        times = grid_values(proto["times_s"])
-        curve = qubitsim.decay_vs_time(
-            model, n_pulses, times, proto["n_traj"], seed,
-            duration_factor=proto["duration_factor"],
-            samples_per_interval=proto["samples_per_interval"])
-        p_up = readout.apply(0.5 * (1.0 + curve.w))
-        _write(report, out, {
-            "decay.csv": Csv(DECAY_HEADER,
-                             (curve.times, curve.w, curve.std_err, p_up)),
-            "plot_decay.json": _plot(
-                f"{curve.label} decay", _axis("total evolution time", "s", times),
-                _axis("coherence W", "1", curve.w), y_err=curve.std_err),
-        })
-    with report.stage("fit"):
-        fit_dict = _decay_fit(report, "fit", proto["fit"], curve)
-        _write(report, out, {"fit.json": fit_dict})
-    report.summary = {"n_pulses": n_pulses, "fit": fit_dict}
-    return report
+    n_pulses = 0 if cfg["kind"] == "ramsey" else 1
+    times = grid_values(proto["times_s"])
+    if proto["fit"] == "stretched" and (n_distinct := distinct(times).size) < 3:
+        raise ConfigError(f"protocol.times_s: the stretched fit needs at "
+                          f"least 3 distinct points, got {n_distinct}")
+    model = _spectrum(cfg)
+    _check_density(model, "protocol.times_s",
+                   [(n_pulses, float(times.max())), (n_pulses, float(times.min()))],
+                   proto["duration_factor"], proto["samples_per_interval"])
+
+    def run(report: _Report, out: Path) -> None:
+        with report.stage("decay_scan") as seed:
+            curve = qubitsim.decay_vs_time(
+                model, n_pulses, times, proto["n_traj"], seed,
+                duration_factor=proto["duration_factor"],
+                samples_per_interval=proto["samples_per_interval"])
+            p_up = readout.apply(0.5 * (1.0 + curve.w))
+            _write(report, out, {
+                "decay.csv": Csv(DECAY_HEADER,
+                                 (curve.times, curve.w, curve.std_err, p_up)),
+                "plot_decay.json": _plot(
+                    f"{curve.label} decay",
+                    _axis("total evolution time", "s", times),
+                    _axis("coherence W", "1", curve.w), y_err=curve.std_err),
+            })
+        with report.stage("fit"):
+            fit_dict = _decay_fit(report, "fit", proto["fit"], curve)
+            _write(report, out, {"fit.json": fit_dict})
+        report.summary = {"n_pulses": n_pulses, "fit": fit_dict}
+    return run
 
 
-def run_ramsey(cfg, out: Path) -> _Report:
-    return _run_decay_kind(cfg, out, n_pulses=0)
-
-
-def run_hahn(cfg, out: Path) -> _Report:
-    return _run_decay_kind(cfg, out, n_pulses=1)
-
-
-def run_cpmg_t2_vs_n(cfg, out: Path) -> _Report:
-    report = _Report(cfg["seed"])
+def plan_cpmg_t2_vs_n(cfg):
     proto = cfg["protocol"]
-    model = _model(cfg)
+    model = _spectrum(cfg)
+    if not proto["t_factor_min"] < proto["t_factor_max"]:
+        raise ConfigError(f"protocol.t_factor_min: must be < t_factor_max, "
+                          f"got {proto['t_factor_min']!r} and "
+                          f"{proto['t_factor_max']!r}")
+    # each time grid is centred on a CpmgChi table's T2: its integral must
+    # converge at f -> 0, and its bracket hold a crossing found without overflow
+    for i, term in enumerate(cfg["spectrum"].get("powerlaws", ())):
+        if term["amplitude"] > 0 and term["exponent"] >= 3:
+            raise ConfigError(
+                f"spectrum.powerlaws.{i}.exponent: {term['exponent']!r} with "
+                f"amplitude > 0 diverges at f -> 0; cpmg_t2_vs_n needs < 3")
     counts = proto["pulse_counts"]
-    with report.stage("t2_scans") as seed:
-        # one map over every pulse count's points; curve i has seed
-        # derive_child_seed(seed, i), as its own decay_vs_time call would
-        specs = []
-        for n, curve_seed in zip(counts, derive_child_seeds(seed, len(counts))):
-            t2_est = qubitsim.cpmg_t2(model, n)
-            times = np.geomspace(proto["t_factor_min"] * t2_est,
-                                 proto["t_factor_max"] * t2_est,
-                                 proto["n_times"])
-            specs.append((n, times, curve_seed, f"cpmg-{n}"))
-        curves = qubitsim.submit_decay_curves(
-            model, specs, proto["n_traj"],
-            duration_factor=proto["duration_factor"],
-            samples_per_interval=proto["samples_per_interval"])()
-        _write(report, out, {"decay_curves.csv": Csv(
-            "n_pulses," + DECAY_HEADER.replace(",p_up", ""),
-            (np.repeat(counts, [c.times.size for c in curves]),
-             np.concatenate([c.times for c in curves]),
-             np.concatenate([c.w for c in curves]),
-             np.concatenate([c.std_err for c in curves])))})
-    with report.stage("fits"):
-        used, t2s, t2errs, exps, exp_errs = [], [], [], [], []
-        for n, curve in zip(counts, curves):
-            fit = _decay_fit(report, f"fit_n{n}", proto["fit"], curve)
-            if fit is not None:
-                used.append(n)
-                t2s.append(fit["t2_s"])
-                t2errs.append(fit["t2_err_s"])
-                exps.append(fit.get("exponent", math.nan))
-                exp_errs.append(fit.get("exponent_err", math.nan))
-        _write(report, out, {"t2_vs_n.csv": Csv(
-            T2N_HEADER, (used, t2s, t2errs, exps, exp_errs))})
-    with report.stage("scaling_fit"):
-        scaling = None
-        if len(t2s) >= 2:
-            scaling_fit = report.try_fit("scaling_fit", lambda:
-                                         analysis.t2_scaling_exponent(used, t2s, t2errs))
-            if scaling_fit is not None:
-                scaling = {"beta": scaling_fit.slope,
-                           "beta_err": scaling_fit.slope_err,
-                           "prefactor_s": scaling_fit.prefactor}
-        files = {"scaling.json": scaling}
-        if used:
-            files["plot_t2_vs_n.json"] = _plot(
-                "T2 vs pulse number", _axis("pulse count N", "1", used),
-                _axis("T2", "s", t2s), y_err=t2errs, extra={"scaling": scaling})
-        _write(report, out, files)
-    report.summary = {"scaling": scaling, "n_fitted": len(t2s)}
-    return report
+    chis = []
+    for n in counts:
+        try:
+            with np.errstate(over="raise"):
+                chi = qubitsim.cpmg_chi(model, n)
+                chi.bracket
+        except (ValueError, FloatingPointError) as exc:
+            raise ConfigError(f"protocol.pulse_counts: N = {n}: {exc}, so "
+                              f"there is no T2 to centre the times on") from None
+        chis.append(chi)
+    # a bracket ends at or above its T2, so these times are the longest
+    _check_density(model, "protocol.t_factor_max", [
+        (n, proto["t_factor_max"] * chi.bracket[1]) for n, chi in zip(counts, chis)],
+        proto["duration_factor"], proto["samples_per_interval"])
+
+    def run(report: _Report, out: Path) -> None:
+        with report.stage("t2_scans") as seed:
+            # one map over every pulse count's points; curve i has seed
+            # derive_child_seed(seed, i), as its own decay_vs_time call would
+            specs = []
+            for n, chi, curve_seed in zip(counts, chis,
+                                          derive_child_seeds(seed, len(counts))):
+                t2_est = chi.t2()
+                times = np.geomspace(proto["t_factor_min"] * t2_est,
+                                     proto["t_factor_max"] * t2_est,
+                                     proto["n_times"])
+                specs.append((n, times, curve_seed, f"cpmg-{n}"))
+            curves = qubitsim.submit_decay_curves(
+                model, specs, proto["n_traj"],
+                duration_factor=proto["duration_factor"],
+                samples_per_interval=proto["samples_per_interval"])()
+            _write(report, out, {"decay_curves.csv": Csv(
+                "n_pulses," + DECAY_HEADER.replace(",p_up", ""),
+                (np.repeat(counts, [c.times.size for c in curves]),
+                 np.concatenate([c.times for c in curves]),
+                 np.concatenate([c.w for c in curves]),
+                 np.concatenate([c.std_err for c in curves])))})
+        with report.stage("fits"):
+            used, t2s, t2errs, exps, exp_errs = [], [], [], [], []
+            for n, curve in zip(counts, curves):
+                fit = _decay_fit(report, f"fit_n{n}", proto["fit"], curve)
+                if fit is not None:
+                    used.append(n)
+                    t2s.append(fit["t2_s"])
+                    t2errs.append(fit["t2_err_s"])
+                    exps.append(fit.get("exponent", math.nan))
+                    exp_errs.append(fit.get("exponent_err", math.nan))
+            _write(report, out, {"t2_vs_n.csv": Csv(
+                T2N_HEADER, (used, t2s, t2errs, exps, exp_errs))})
+        with report.stage("scaling_fit"):
+            scaling = None
+            if len(t2s) >= 2:
+                scaling_fit = report.try_fit("scaling_fit", lambda: (
+                    analysis.t2_scaling_exponent(used, t2s, t2errs)))
+                if scaling_fit is not None:
+                    scaling = {"beta": scaling_fit.slope,
+                               "beta_err": scaling_fit.slope_err,
+                               "prefactor_s": scaling_fit.prefactor}
+            files = {"scaling.json": scaling}
+            if used:
+                files["plot_t2_vs_n.json"] = _plot(
+                    "T2 vs pulse number", _axis("pulse count N", "1", used),
+                    _axis("T2", "s", t2s), y_err=t2errs,
+                    extra={"scaling": scaling})
+            _write(report, out, files)
+        report.summary = {"scaling": scaling, "n_fitted": len(t2s)}
+    return run
 
 
-def run_noise_spectroscopy(cfg, out: Path) -> _Report:
-    report = _Report(cfg["seed"])
+def plan_noise_spectroscopy(cfg):
     proto = cfg["protocol"]
-    model = _model(cfg)
-    with report.stage("spectroscopy") as seed:
-        f_grid = grid_values(proto["f_grid_hz"])
-        est = analysis.spectroscopy_scan(
-            model, f_grid, proto["pulse_counts"],
-            proto["n_traj"], seed, t2_hahn=proto["t2_hahn_s"],
-            duration_factor=proto["duration_factor"],
-            samples_per_interval=proto["samples_per_interval"])
-        _write(report, out, {
-            "psd_reconstructed.csv": _psd_csv(est),
-            "points.json": list(est.points_detail),
-            "plot_psd.json": _plot(
-                "reconstructed noise PSD", _axis("frequency", "Hz", est.f),
-                _axis("S", "rad^2/s", est.s), y_err=(est.ci_high - est.ci_low) / 2,
-                extra={"warnings": list(est.warnings)}),
-        })
-    report.summary = {"n_points": est.n_points, "warnings": list(est.warnings),
-                      "f_range_hz": [float(est.f[0]), float(est.f[-1])]}
-    return report
+    model = _spectrum(cfg)
+    f_grid = grid_values(proto["f_grid_hz"])
+    n = max(proto["pulse_counts"])  # the longest sequence, at the longest wait
+    _check_density(model, "protocol.f_grid_hz", [(n, n / (2 * float(f_grid.min())))],
+                   proto["duration_factor"], proto["samples_per_interval"])
+
+    def run(report: _Report, out: Path) -> None:
+        with report.stage("spectroscopy") as seed:
+            est = analysis.spectroscopy_scan(
+                model, f_grid, proto["pulse_counts"],
+                proto["n_traj"], seed, t2_hahn=proto["t2_hahn_s"],
+                duration_factor=proto["duration_factor"],
+                samples_per_interval=proto["samples_per_interval"])
+            _write(report, out, {
+                "psd_reconstructed.csv": _psd_csv(est),
+                "points.json": list(est.points_detail),
+                "plot_psd.json": _plot(
+                    "reconstructed noise PSD", _axis("frequency", "Hz", est.f),
+                    _axis("S", "rad^2/s", est.s),
+                    y_err=(est.ci_high - est.ci_low) / 2,
+                    extra={"warnings": list(est.warnings)}),
+            })
+        report.summary = {"n_points": est.n_points,
+                          "warnings": list(est.warnings),
+                          "f_range_hz": [float(est.f[0]), float(est.f[-1])]}
+    return run
 
 
-def _rb_common(cfg, out: Path, interleaved_gate: int | None) -> _Report:
-    report = _Report(cfg["seed"])
+def plan_rb(cfg, readout: ReadoutModel):
+    """``rbm``, and ``interleaved_rbm`` with its gate."""
     proto = cfg["protocol"]
-    readout = ReadoutModel(**cfg["readout"])
+    gate = gate_index(proto["gate"]) if cfg["kind"] == "interleaved_rbm" else None
     d = benchmarking.depolarizing_from_clifford_fidelity(proto["clifford_fidelity"])
     depths = proto["depths"]
-    summaries = {}
-    with report.stage("reference") as seed:
-        ref = benchmarking.rb_reference(depths, proto["n_sequences"], d, seed,
-                                        readout=readout, shots=proto["shots"])
-        _write(report, out, {"rb_reference.csv": _rb_csv(ref)})
-    with report.stage("reference_fit"):
-        fit = report.try_fit("reference_fit", lambda: benchmarking.fit_rb(ref))
-        if fit is not None:
-            summaries["reference"] = {
-                "p": fit.p, "p_err": fit.p_err,
-                "clifford_fidelity": fit.clifford_fidelity,
-                "clifford_fidelity_err": fit.clifford_fidelity_err,
-                "primitive_fidelity": fit.primitive_fidelity,
-                "true_clifford_fidelity": proto["clifford_fidelity"],
-                "depolarizing_per_primitive": d,
-            }
-        _write(report, out, {"plot_rb.json": _plot(
-            "randomized benchmarking",
-            _axis("sequence length M", "Cliffords", ref.depths),
-            _axis("mean survival", "1", ref.mean_survival), y_err=ref.std_err)})
-    if interleaved_gate is not None:
-        with report.stage("interleaved") as seed:
-            inter = benchmarking.rb_interleaved(
-                interleaved_gate, depths, proto["n_sequences"], d, seed,
-                readout=readout, shots=proto["shots"])
-            _write(report, out, {"rb_interleaved.csv": _rb_csv(inter)})
-        with report.stage("interleaved_fit"):
-            ifit = report.try_fit("interleaved_fit",
-                                  lambda: benchmarking.fit_rb(inter))
-            if ifit is not None and fit is not None:
-                summaries["interleaved"] = {
-                    "gate_index": interleaved_gate,
-                    "gate": "+".join(
-                        benchmarking.CLIFFORD_DECOMPOSITIONS[interleaved_gate]),
-                    "p": ifit.p, "p_err": ifit.p_err,
-                    "gate_fidelity": benchmarking.interleaved_gate_fidelity(
-                        fit.p, ifit.p),
+
+    def run(report: _Report, out: Path) -> None:
+        summaries = {}
+        with report.stage("reference") as seed:
+            ref = benchmarking.rb_reference(depths, proto["n_sequences"], d, seed,
+                                            readout=readout, shots=proto["shots"])
+            _write(report, out, {"rb_reference.csv": _rb_csv(ref)})
+        with report.stage("reference_fit"):
+            fit = report.try_fit("reference_fit", lambda: benchmarking.fit_rb(ref))
+            if fit is not None:
+                summaries["reference"] = {
+                    "p": fit.p, "p_err": fit.p_err,
+                    "clifford_fidelity": fit.clifford_fidelity,
+                    "clifford_fidelity_err": fit.clifford_fidelity_err,
+                    "primitive_fidelity": fit.primitive_fidelity,
+                    "true_clifford_fidelity": proto["clifford_fidelity"],
+                    "depolarizing_per_primitive": d,
                 }
-    _write(report, out, {"rb_fit.json": summaries})
-    report.summary = summaries
-    return report
+            _write(report, out, {"plot_rb.json": _plot(
+                "randomized benchmarking",
+                _axis("sequence length M", "Cliffords", ref.depths),
+                _axis("mean survival", "1", ref.mean_survival), y_err=ref.std_err)})
+        if gate is not None:
+            with report.stage("interleaved") as seed:
+                inter = benchmarking.rb_interleaved(
+                    gate, depths, proto["n_sequences"], d, seed,
+                    readout=readout, shots=proto["shots"])
+                _write(report, out, {"rb_interleaved.csv": _rb_csv(inter)})
+            with report.stage("interleaved_fit"):
+                ifit = report.try_fit("interleaved_fit",
+                                      lambda: benchmarking.fit_rb(inter))
+                if ifit is not None and fit is not None:
+                    summaries["interleaved"] = {
+                        "gate_index": gate,
+                        "gate": "+".join(benchmarking.CLIFFORD_DECOMPOSITIONS[gate]),
+                        "p": ifit.p, "p_err": ifit.p_err,
+                        "gate_fidelity": benchmarking.interleaved_gate_fidelity(
+                            fit.p, ifit.p),
+                    }
+        _write(report, out, {"rb_fit.json": summaries})
+        report.summary = summaries
+    return run
 
 
-def run_rbm(cfg, out: Path) -> _Report:
-    return _rb_common(cfg, out, None)
-
-
-def run_interleaved_rbm(cfg, out: Path) -> _Report:
-    return _rb_common(cfg, out, gate_index(cfg["protocol"]["gate"]))
-
-
-def run_stark_map(cfg, out: Path) -> _Report:
-    report = _Report(cfg["seed"])
+def plan_stark_map(cfg, stark: StarkMap):
     proto = cfg["protocol"]
-    true_map = StarkMap(**cfg["stark"])
-    with report.stage("map_measurement") as seed:
-        v1 = grid_values(proto["v_g1_v"])
-        v2 = grid_values(proto["v_g2_v"])
-        g1, g2 = np.meshgrid(v1, v2, indexing="ij")
-        f = np.array([starktone.esr_frequency(true_map, {"G1": a, "G2": b})
-                      for a, b in zip(g1.ravel(), g2.ravel())])
-        from .._rng import derive_rng
-        f = f + proto["jitter_hz"] * derive_rng(seed).normal(size=f.size)
-        _write(report, out, {"stark_grid.csv": Csv(
-            STARK_GRID_HEADER, (g1.ravel(), g2.ravel(), f))})
-    with report.stage("plane_fit"):
-        fitted = starktone.fit_stark_map(
-            {"G1": g1.ravel(), "G2": g2.ravel()}, f,
-            reference_voltages=true_map.reference_voltages)
-        result = {
-            "f0_ref_hz": fitted.f0_ref_hz,
-            "coefficients_hz_per_v": fitted.coefficients_hz_per_v,
-            "residual_rms_hz": fitted.residual_rms_hz,
-            "true_coefficients_hz_per_v": true_map.coefficients_hz_per_v,
-        }
-        _write(report, out, {
-            "stark_fit.json": result,
-            "plot_stark_map.json": {
-                "title": "ESR frequency vs gate voltages",
-                "x": _axis("V_G1", "V", v1), "y": _axis("V_G2", "V", v2),
-                "z": {"label": "f", "unit": "Hz", "values_2d": f.reshape(g1.shape)},
-            },
-        })
-    report.summary = result
-    return report
+    if (gates := sorted(stark.coefficients_hz_per_v)) != ["G1", "G2"]:
+        raise ConfigError(f"stark.coefficients_hz_per_v: stark_map needs "
+                          f"exactly gates G1 and G2, got {gates}")
+    v1, v2 = (grid_values(proto[key]) for key in ("v_g1_v", "v_g2_v"))
+    if v1.size * v2.size > MAX_GRID_POINTS:
+        raise ConfigError(f"protocol.v_g2_v: the voltage mesh of {v1.size} x "
+                          f"{v2.size} points exceeds {MAX_GRID_POINTS}")
+    g1, g2 = (g.ravel() for g in np.meshgrid(v1, v2, indexing="ij"))
+    f_map = starktone.esr_frequency(stark, {"G1": g1, "G2": g2})
+    # the plane fit squares its residuals
+    if (peak := np.abs(f_map).max()) >= MAX_SQUARED:
+        raise ConfigError(f"stark: |f| over the protocol's voltage grid reaches "
+                          f"{float(peak)!r} Hz; must be < {MAX_SQUARED}")
+    refs = stark.reference_voltages
+    try:
+        starktone.plane_design({"G1": g1, "G2": g2}, refs)
+    except np.linalg.LinAlgError as exc:
+        # each grid has spread, so a gate's offsets from its reference
+        # dwarf the other columns: name the larger of its grid and reference
+        gate, v = max(("G1", v1), ("G2", v2), key=lambda gv: np.abs(
+            gv[1] - refs.get(gv[0], 0.0)).max())
+        field = (f"stark.reference_voltages.{gate}"
+                 if abs(refs.get(gate, 0.0)) > np.abs(v).max()
+                 else f"protocol.v_g{gate[1]}_v")
+        raise ConfigError(f"{field}: {exc}") from None
+
+    def run(report: _Report, out: Path) -> None:
+        with report.stage("map_measurement") as seed:
+            from .._rng import derive_rng
+            f = f_map + proto["jitter_hz"] * derive_rng(seed).normal(size=f_map.size)
+            _write(report, out, {"stark_grid.csv": Csv(
+                STARK_GRID_HEADER, (g1, g2, f))})
+        with report.stage("plane_fit"):
+            fitted = starktone.fit_stark_map({"G1": g1, "G2": g2}, f,
+                                             reference_voltages=refs)
+            result = {
+                "f0_ref_hz": fitted.f0_ref_hz,
+                "coefficients_hz_per_v": fitted.coefficients_hz_per_v,
+                "residual_rms_hz": fitted.residual_rms_hz,
+                "true_coefficients_hz_per_v": stark.coefficients_hz_per_v,
+            }
+            _write(report, out, {
+                "stark_fit.json": result,
+                "plot_stark_map.json": {
+                    "title": "ESR frequency vs gate voltages",
+                    "x": _axis("V_G1", "V", v1), "y": _axis("V_G2", "V", v2),
+                    "z": {"label": "f", "unit": "Hz",
+                          "values_2d": f.reshape(v1.size, v2.size)},
+                },
+            })
+        report.summary = result
+    return run
 
 
-def run_tone_scan(cfg, out: Path) -> _Report:
-    report = _Report(cfg["seed"])
+def plan_tone_scan(cfg, readout: ReadoutModel, stark: StarkMap):
     proto = cfg["protocol"]
-    model = _model(cfg)
-    stark = StarkMap(**cfg["stark"])
-    readout = ReadoutModel(**cfg["readout"])
+    _gate_coefficient(stark, proto, "gate")
+    total = proto["total_time_s"]
+    taus = [1.0 / (2.0 * f) for f in proto["f_columns_hz"]]
+    for i, tau in enumerate(taus):  # round(ratio) is the column's pulse count
+        if round(ratio := total / tau) > MAX_PULSES:
+            raise ConfigError(
+                f"protocol.f_columns_hz.{i}: {proto['f_columns_hz'][i]!r} Hz "
+                f"needs {ratio:.6g} pulses in total_time_s; at most "
+                f"{MAX_PULSES}")
+    keep, dropped = starktone.scan_columns(taus, total)
+    # detection finds the tone by the 5% rule, against another kept column
+    f_kept = [1.0 / (2 * tau) for tau, _ in keep]
+    if len(f_kept) < 2:
+        raise ConfigError(f"protocol.f_columns_hz: {len(f_kept)} of the columns "
+                          f"fit half a wait into total_time_s; need at least 2")
+    try:
+        starktone.tone_column(f_kept, proto["f_tone_hz"])
+    except ValueError:
+        raise ConfigError(
+            f"protocol.f_tone_hz: {proto['f_tone_hz']!r} Hz is not within 5% of "
+            f"any scanned column (kept: "
+            f"{', '.join(f'{f:.6g}' for f in f_kept)} Hz)") from None
+    model = _spectrum(cfg)
+    # a column's trace spans its sequence once (duration factor 1)
+    _check_density(model, "protocol.total_time_s", [(n, n * tau) for tau, n in keep],
+                   1.0, proto["samples_per_interval"])
     tone = starktone.ToneConfig(gate=proto["gate"], f_tone=proto["f_tone_hz"],
                                 amplitude_pp=0.0, phase=proto["phase"])
-    with report.stage("scan") as seed:
-        taus = [1.0 / (2.0 * f) for f in proto["f_columns_hz"]]
-        result = starktone.tone_scan(
-            model, tone, stark, taus, proto["total_time_s"],
-            proto["amplitudes_vpp"], proto["shots"], seed, readout=readout,
-            samples_per_interval=proto["samples_per_interval"])
-        _write(report, out, {"tone_scan.csv": _tone_scan_csv(result)})
-    with report.stage("detection"):
-        detection = starktone.detect_tone_threshold(result, tone.f_tone)
-        _write(report, out, {
-            "tone_detection.json": detection,
-            "plot_tone_scan.json": {
-                "title": "tone-injection response map",
-                "x": _axis("filter frequency", "Hz", result.f_hz),
-                "y": _axis("tone amplitude", "Vpp", result.amplitudes_vpp),
-                "z": {"label": "P_up", "unit": "1", "values_2d": result.p_up},
-            },
-        })
-    report.summary = {"threshold_vpp": detection["threshold_vpp"],
-                      "tone_column_hz": detection["tone_column_hz"],
-                      "dropped_taus": list(result.dropped)}
-    return report
+
+    def run(report: _Report, out: Path) -> None:
+        with report.stage("scan") as seed:
+            result = starktone.tone_scan(
+                model, tone, stark, (keep, dropped),
+                proto["amplitudes_vpp"], proto["shots"], seed, readout=readout,
+                samples_per_interval=proto["samples_per_interval"])
+            _write(report, out, {"tone_scan.csv": _tone_scan_csv(result)})
+        with report.stage("detection"):
+            detection = starktone.detect_tone_threshold(result, tone.f_tone)
+            _write(report, out, {
+                "tone_detection.json": detection,
+                "plot_tone_scan.json": {
+                    "title": "tone-injection response map",
+                    "x": _axis("filter frequency", "Hz", result.f_hz),
+                    "y": _axis("tone amplitude", "Vpp", result.amplitudes_vpp),
+                    "z": {"label": "P_up", "unit": "1", "values_2d": result.p_up},
+                },
+            })
+        report.summary = {"threshold_vpp": detection["threshold_vpp"],
+                          "tone_column_hz": detection["tone_column_hz"],
+                          "dropped_taus": list(result.dropped)}
+    return run
 
 
-def run_voltage_psd(cfg, out: Path) -> _Report:
-    report = _Report(cfg["seed"])
+def plan_voltage_psd(cfg, stark: StarkMap):
     proto = cfg["protocol"]
-    vmodel = _model(cfg)
-    stark = StarkMap(**cfg["stark"])
-    coeff = stark.coefficient(proto["stark_gate"])
-    spec_cfg = proto["spectroscopy"]
-    if spec_cfg:
-        # the scan reads the model, not the trace: submit it first, with
-        # the seed of its stage (the third), so the pool runs it while the
-        # main process builds the trace and its Welch estimate
+    coeff = _gate_coefficient(stark, proto, "stark_gate")
+    # trace and Welch sizes as spectra.synthesize and psd_welch take them
+    rate = float(proto["sample_rate_hz"])
+    n = int(round(rate * proto["duration_s"]))
+    if not 64 <= n <= MAX_TRACE_SAMPLES:
+        raise ConfigError(f"protocol.duration_s: duration_s*sample_rate_hz = "
+                          f"{n} samples; " + ("need at least 64" if n < 64 else
+                                              f"at most {MAX_TRACE_SAMPLES}"))
+    nperseg = min(int(round(proto["nperseg_s"] * rate)), n)
+    if nperseg < 2:
+        raise ConfigError(f"protocol.nperseg_s: nperseg_s*sample_rate_hz = "
+                          f"{nperseg} samples; need at least 2")
+    lo, hi = proto["band_hz"]
+    if not lo < hi:
+        raise ConfigError(f"protocol.band_hz: need lo < hi, got [{lo}, {hi}]")
+    df = 1.0 / (nperseg * (1 / rate))  # rfftfreq's bin spacing, bit for bit
+    f_max = (nperseg // 2) * df
+    if lo < df or hi > f_max:
+        raise ConfigError(f"protocol.band_hz: [{lo}, {hi}] Hz is outside the "
+                          f"Welch range [{df:.6g}, {f_max:.6g}] Hz "
+                          f"(nperseg = {nperseg} samples)")
+    vmodel = _spectrum(cfg)
+    if spec_cfg := proto["spectroscopy"]:
+        floor = proto["qubit_floor_rad2_s"]
         dmodel = spectra.voltage_to_detuning_model(vmodel, coeff)
-        if proto["qubit_floor_rad2_s"]:
-            dmodel = SpectrumModel(
-                powerlaws=dmodel.powerlaws,
-                white_floor=dmodel.white_floor + proto["qubit_floor_rad2_s"],
-                lines=dmodel.lines)
-        scan = analysis.submit_spectroscopy_scan(
-            dmodel, grid_values(spec_cfg["f_grid_hz"]),
-            spec_cfg["pulse_counts"], spec_cfg["n_traj"], report.seed(2),
-            samples_per_interval=spec_cfg["samples_per_interval"])
-    with report.stage("trace") as seed:
-        trace = spectra.synthesize(vmodel, proto["sample_rate_hz"],
-                                   proto["duration_s"], seed, unit="V")
-        if proto["export_trace"]:
-            _write(report, out, {"voltage_trace.csv": _trace_csv(trace)})
-    with report.stage("welch"):
-        nperseg = int(round(proto["nperseg_s"] * trace.sample_rate))
-        est_v = spectra.psd_welch(trace, nperseg=nperseg)
-        n_segments = spectra.welch_segments(trace.n_samples, nperseg)
-        lo, hi = proto["band_hz"]
-        rms = spectra.integrate_rms(est_v, lo, hi)
-        # the bounds are S times the summary's welch_ci_factors, so the
-        # files hold S alone; only psd_voltage.csv keeps every Welch bin,
-        # the detuning PSD and the plot hold the log-binned rows
-        f_b, s_b, n_bins = spectra.log_bin(est_v.f, est_v.s)
-        _write(report, out, {
-            "psd_voltage.csv": Csv(VOLT_PSD_HEADER, (est_v.f, est_v.s)),
-            "psd_detuning.csv": Csv(DETUNING_PSD_HEADER, (
-                f_b, s_b * spectra.detuning_gain(coeff), n_bins)),
-            "plot_voltage_psd.json": _plot(
-                "gate voltage PSD", _axis("frequency", "Hz", f_b),
-                _axis("S_V", "V^2/Hz", s_b)),
-        })
-    summary = {"band_hz": [float(lo), float(hi)], "band_rms_v": rms,
-               "stark_gate": proto["stark_gate"],
-               "stark_coefficient_hz_per_v": coeff,
-               "welch_segments": n_segments,
-               "welch_ci_factors": list(spectra.welch_ci_factors(n_segments)),
-               "welch_warnings": list(est_v.warnings)}
-    if spec_cfg:
-        with report.stage("spectroscopy"):
-            est_rec = scan()
-            _write(report, out, {"psd_reconstructed.csv": _psd_csv(est_rec)})
-            summary["spectroscopy_f_range_hz"] = [float(est_rec.f[0]),
-                                                  float(est_rec.f[-1])]
-    _write(report, out, {"voltage_summary.json": summary})
-    report.summary = summary
+        dmodel = replace(dmodel, white_floor=dmodel.white_floor + floor)
+        f_grid = grid_values(spec_cfg["f_grid_hz"])
+        n_max = max(spec_cfg["pulse_counts"])
+        _check_density(dmodel, "protocol.spectroscopy.f_grid_hz",
+                       [(n_max, n_max / (2 * float(f_grid.min())))],
+                       qubitsim.DURATION_FACTOR, spec_cfg["samples_per_interval"])
+
+    def run(report: _Report, out: Path) -> None:
+        if spec_cfg:
+            # the scan reads the model, not the trace: submit it first, with
+            # the seed of its stage (the third), so the pool runs it while
+            # the main process builds the trace and its Welch estimate
+            scan = analysis.submit_spectroscopy_scan(
+                dmodel, f_grid, spec_cfg["pulse_counts"], spec_cfg["n_traj"],
+                report.seed(2),
+                samples_per_interval=spec_cfg["samples_per_interval"])
+        with report.stage("trace") as seed:
+            trace = spectra.synthesize(vmodel, rate, proto["duration_s"], seed,
+                                       unit="V")
+            if proto["export_trace"]:
+                _write(report, out, {"voltage_trace.csv": _trace_csv(trace)})
+        with report.stage("welch"):
+            est_v = spectra.psd_welch(trace, nperseg=nperseg)
+            n_segments = spectra.welch_segments(n, nperseg)
+            rms = spectra.integrate_rms(est_v, lo, hi)
+            # the bounds are S times the summary's welch_ci_factors, so the
+            # files hold S alone; only psd_voltage.csv keeps every Welch
+            # bin, the detuning PSD and the plot hold the log-binned rows
+            f_b, s_b, n_bins = spectra.log_bin(est_v.f, est_v.s)
+            _write(report, out, {
+                "psd_voltage.csv": Csv(VOLT_PSD_HEADER, (est_v.f, est_v.s)),
+                "psd_detuning.csv": Csv(DETUNING_PSD_HEADER, (
+                    f_b, s_b * spectra.detuning_gain(coeff), n_bins)),
+                "plot_voltage_psd.json": _plot(
+                    "gate voltage PSD", _axis("frequency", "Hz", f_b),
+                    _axis("S_V", "V^2/Hz", s_b)),
+            })
+        summary = {"band_hz": [float(lo), float(hi)], "band_rms_v": rms,
+                   "stark_gate": proto["stark_gate"],
+                   "stark_coefficient_hz_per_v": coeff,
+                   "welch_segments": n_segments,
+                   "welch_ci_factors": list(spectra.welch_ci_factors(n_segments)),
+                   "welch_warnings": list(est_v.warnings)}
+        if spec_cfg:
+            with report.stage("spectroscopy"):
+                est_rec = scan()
+                _write(report, out, {"psd_reconstructed.csv": _psd_csv(est_rec)})
+                summary["spectroscopy_f_range_hz"] = [float(est_rec.f[0]),
+                                                      float(est_rec.f[-1])]
+        _write(report, out, {"voltage_summary.json": summary})
+        report.summary = summary
+    return run
+
+
+PLANS = {"rabi_chevron": plan_rabi_chevron, "ramsey": plan_decay,
+         "hahn": plan_decay, "cpmg_t2_vs_n": plan_cpmg_t2_vs_n,
+         "noise_spectroscopy": plan_noise_spectroscopy, "rbm": plan_rb,
+         "interleaved_rbm": plan_rb, "stark_map": plan_stark_map,
+         "tone_scan": plan_tone_scan, "voltage_psd": plan_voltage_psd}
+
+
+def plan(cfg: dict):
+    """The run of a normalized config, ``run(report, out)``: the models
+    every kind checks, then the kind's plan, given the config and the
+    models its parameters name.  :class:`ConfigError` names a bad field."""
+    models = {}
+    for section, build in (("qubit", QubitParams), ("readout", ReadoutModel),
+                           ("stark", StarkMap)):
+        try:
+            models[section] = build(**cfg[section])
+        except ValueError as exc:
+            raise ConfigError(f"{section}: {exc}") from None
+    plan_kind = PLANS[cfg["kind"]]
+    return plan_kind(cfg, **{name: models[name] for name in
+                             list(inspect.signature(plan_kind).parameters)[1:]})
+
+
+def _plan_then_run(cfg, out: Path) -> _Report:
+    report = _Report(cfg["seed"])
+    plan(cfg)(report, out)
     return report
 
 
-PIPELINES = {
-    "rabi_chevron": run_rabi_chevron,
-    "ramsey": run_ramsey,
-    "hahn": run_hahn,
-    "cpmg_t2_vs_n": run_cpmg_t2_vs_n,
-    "noise_spectroscopy": run_noise_spectroscopy,
-    "rbm": run_rbm,
-    "interleaved_rbm": run_interleaved_rbm,
-    "stark_map": run_stark_map,
-    "tone_scan": run_tone_scan,
-    "voltage_psd": run_voltage_psd,
-}
+# runner.execute's entry point; one per kind, so each can be wrapped alone
+PIPELINES = dict.fromkeys(PLANS, _plan_then_run)

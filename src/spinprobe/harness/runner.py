@@ -7,6 +7,8 @@ and returns 1 on any checksum mismatch.  A run writes every file under
 ``output_dir`` and finishes with ``manifest.json``, renamed into place
 only once it is complete; the manifest's inventory lists the sha256 of
 every file the run wrote, so reruns can be compared byte for byte.
+Validation plans the run but keeps only the config, so :func:`execute`
+plans again (well under a millisecond: the CPMG tables stay cached).
 
 The first run of a process freezes the heap (``gc.freeze``) just before
 its pool opens: the ~24,000 container objects that imports and

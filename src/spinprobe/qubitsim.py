@@ -78,6 +78,7 @@ __all__ = [
     "resonance_frequency_hz",
     "rabi_p_up",
     "rabi_chevron",
+    "mc_grid",
     "PhaseFunctional",
     "coherence_mc",
     "chi_ff",
@@ -211,6 +212,23 @@ class DecayCurve:
             raise ValueError("decay curve arrays must be congruent")
 
 
+def mc_grid(n_pulses: int, total_time: float, duration_factor: float,
+            samples_per_interval: int) -> tuple[float, int]:
+    """``(sample rate, samples)`` of the Monte Carlo trace of ``n_pulses``
+    over ``total_time``: ``samples_per_interval`` samples per inter-pulse
+    interval over ``duration_factor`` times the sequence, at least 64."""
+    if duration_factor < 1.0:
+        raise ValueError("duration_factor must be >= 1 so the trace covers the schedule")
+    rate = samples_per_interval * max(n_pulses, 1) / total_time
+    # +1 keeps the readout boundary on the sampled part of the record even
+    # when duration_factor is exactly 1
+    n = int(round(duration_factor * total_time * rate)) + 1
+    if n < 64:
+        rate *= 64.0 / n
+        n = 64
+    return rate, n
+
+
 class PhaseFunctional:
     """Toggled phase of one schedule as a linear functional of a sampled trace.
 
@@ -248,24 +266,6 @@ class PhaseFunctional:
         self.sample_rate = float(sample_rate)
         self.n = int(n)
         self.weights = (0.5 / sample_rate) * (tail[:-1] + tail[1:])
-
-    @classmethod
-    def on_mc_grid(cls, schedule: PulseSchedule, duration_factor: float,
-                   samples_per_interval: int) -> "PhaseFunctional":
-        """Functional on the Monte Carlo grid: ``samples_per_interval``
-        samples per inter-pulse interval over ``duration_factor`` times the
-        schedule, and at least 64 samples."""
-        if duration_factor < 1.0:
-            raise ValueError("duration_factor must be >= 1 so the trace covers the schedule")
-        intervals = max(schedule.n_pulses, 1)
-        rate = samples_per_interval * intervals / schedule.total_time
-        # +1 keeps the readout boundary on the sampled part of the record even
-        # when duration_factor is exactly 1
-        n = int(round(duration_factor * schedule.total_time * rate)) + 1
-        if n < 64:
-            rate *= 64.0 / n
-            n = 64
-        return cls(schedule, rate, n)
 
     def normal_weights(self, model: SpectrumModel) -> np.ndarray:
         """Weights h such that ``h @ rng.standard_normal(n - 1)`` (the
@@ -316,8 +316,8 @@ def coherence_mc(model: SpectrumModel, schedule: PulseSchedule,
     """
     if n_traj < 2:
         raise ValueError("need at least 2 trajectories for a standard error")
-    phase = PhaseFunctional.on_mc_grid(schedule, duration_factor,
-                                       samples_per_interval)
+    phase = PhaseFunctional(schedule, *mc_grid(
+        schedule.n_pulses, schedule.total_time, duration_factor, samples_per_interval))
     h = phase.normal_weights(model)
     normals = np.empty(phase.n - 1)
     # each trajectory's normals, in PhaseFunctional's draw order

@@ -21,7 +21,7 @@ import numpy as np
 from . import _parallel
 from ._rng import derive_child_seeds, derive_rng_rows
 from .qubitsim import (HARDWARE_READOUT, PSD_CHI_CALIBRATION,
-                       PhaseFunctional, ReadoutModel)
+                       PhaseFunctional, ReadoutModel, mc_grid)
 from .sequences import filter_function, make_cpmg, response
 from .spectra import SpectrumModel
 
@@ -215,7 +215,8 @@ def _tone_column(args) -> list[tuple[float, float]]:
     (model, n_pulses, tau, amps_pp, coeff, f_tone, fixed_phase, shots,
      cell_seeds, samples_per_interval, vis, floor) = args
     schedule = make_cpmg(n_pulses, n_pulses * tau)
-    phase = PhaseFunctional.on_mc_grid(schedule, 1.0, samples_per_interval)
+    phase = PhaseFunctional(schedule, *mc_grid(
+        n_pulses, schedule.total_time, 1.0, samples_per_interval))
     h = phase.normal_weights(model)
     # the tone enters through the exact segment Fourier integral; only its
     # modulus matters once the phase is randomized
@@ -269,21 +270,21 @@ def tone_column(f_hz, f_tone: float) -> int:
 
 
 def tone_scan(model: SpectrumModel, tone: ToneConfig, stark: StarkMap,
-              tau_grid, total_time: float, amplitudes_vpp, shots: int,
+              columns, amplitudes_vpp, shots: int,
               seed: int, *, readout: ReadoutModel = HARDWARE_READOUT,
               samples_per_interval: int = TONE_SAMPLES_PER_INTERVAL
               ) -> ToneScanResult:
     """2D P_up map over (filter frequency, tone amplitude).
 
-    Every cell runs a CPMG sequence with ``N = max(1, round(total_time /
-    tau))`` pulses under the background model plus the tone; the actual
-    window N*tau is recorded per column since N must be an integer.  Cells
+    ``columns`` is :func:`scan_columns`' ``(keep, dropped)``.  Every cell of
+    a kept column runs its CPMG sequence under the background model plus
+    the tone; the actual window N*tau is recorded per column.  Cells
     draw independent trajectories from seeds derived per (column, row),
     so worker count never changes the numbers; each column is one job.
     """
     coeff = stark.coefficient(tone.gate)
     amps = np.asarray(amplitudes_vpp, dtype=float)
-    keep, dropped = scan_columns(tau_grid, total_time)
+    keep, dropped = columns
     info = [{"tau_wait": tau, "n_pulses": n_pulses, "f_hz": 1.0 / (2 * tau),
              "actual_total_time": n_pulses * tau} for tau, n_pulses in keep]
     jobs = [(model, n_pulses, tau, amps.tolist(), coeff, tone.f_tone,

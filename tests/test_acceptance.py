@@ -296,8 +296,9 @@ def tone_scan_result():
                            floor=cfg["readout"]["floor"])
     return starktone.tone_scan(
         SpectrumModel.from_dict(cfg["spectrum"]), tone, stark,
-        [1.0 / (2.0 * f) for f in proto["f_columns_hz"]],
-        proto["total_time_s"], proto["amplitudes_vpp"], proto["shots"],
+        starktone.scan_columns([1.0 / (2.0 * f) for f in proto["f_columns_hz"]],
+                               proto["total_time_s"]),
+        proto["amplitudes_vpp"], proto["shots"],
         cfg["seed"], readout=readout,
         samples_per_interval=proto["samples_per_interval"])
 

@@ -35,8 +35,9 @@ from spinprobe.harness import pipelines
 from spinprobe.harness import runner as runner_module
 from spinprobe.harness.cli import main
 from spinprobe.harness.config import (KINDS, MAX_TRACE_SAMPLES, MAX_WORKERS,
-                                      gate_index, grid_values, load_config,
+                                      grid_values, load_config,
                                       validate_config)
+from spinprobe.harness.pipelines import gate_index
 from spinprobe.harness.runner import LOCK_NAME, MANIFEST_NAME, MANIFEST_TMP_NAME
 from spinprobe.qubitsim import QubitParams
 
@@ -99,6 +100,11 @@ OVERLAPPED_VOLTAGE = {**BLOCKED_VOLTAGE, "protocol": {
     **BLOCKED_VOLTAGE["protocol"], "qubit_floor_rad2_s": 350.0,
     "spectroscopy": {"f_grid_hz": [2e3, 3e3, 4e3], "pulse_counts": [2, 4],
                      "n_traj": 8}}}
+
+# a power law steep enough that its density overflows at a long
+# trace's lowest bin
+STEEP_SPECTRUM = {"powerlaws": [{"amplitude": 3e13, "exponent": 2.5}],
+                  "white_floor": 350.0}
 
 TINY_IRB = {
     "kind": "interleaved_rbm",
@@ -703,10 +709,10 @@ class TestRunner:
             cfg = validate_config(cfg)
             assert built == [1, 4, 64]
             (tmp_path / "out").mkdir()
-            pipelines.run_cpmg_t2_vs_n(cfg, tmp_path / "out")
+            pipelines.PIPELINES["cpmg_t2_vs_n"](cfg, tmp_path / "out")
             assert built == [1, 4, 64]  # the pipeline reuses validation's
             qubitsim.cpmg_chi.cache_clear()
-            pipelines.run_cpmg_t2_vs_n(cfg, tmp_path / "out")
+            pipelines.PIPELINES["cpmg_t2_vs_n"](cfg, tmp_path / "out")
             assert built == [1, 4, 64] * 2
         finally:
             qubitsim.cpmg_chi.cache_clear()
@@ -1286,6 +1292,49 @@ class TestCli:
             "f0_ref_hz": 38.7765e9, "coefficients_hz_per_v": {"G1": -3e7, "G2": -2e7},
             "reference_voltages": {"G1": 1.0e100, "G2": 0.0}}},
          "stark.reference_voltages.G1"),
+        # a voltage mesh of 10^12 points, which validation ran out of
+        # memory building
+        ({**TINY_STARK, "protocol": {
+            "v_g1_v": {"start": -0.01, "stop": 0.01, "num": 10 ** 6},
+            "v_g2_v": {"start": -0.01, "stop": 0.01, "num": 10 ** 6}}},
+         "protocol.v_g2_v"),
+        # traces so long that a power law's omega^alpha underflows to 0 at
+        # their lowest bin: an infinite density, then NaN decays
+        ({**TINY_CPMG, "spectrum": STEEP_SPECTRUM,
+          "protocol": {**TINY_CPMG["protocol"], "t_factor_max": 1.0e135}},
+         "protocol.t_factor_max"),
+        ({**TINY_RAMSEY, "spectrum": STEEP_SPECTRUM, "protocol": {
+            **TINY_RAMSEY["protocol"], "times_s": [1e138, 1e139, 1e140]}},
+         "protocol.times_s"),
+        ({**TINY_RAMSEY, "kind": "hahn", "spectrum": STEEP_SPECTRUM, "protocol": {
+            **TINY_RAMSEY["protocol"], "times_s": [1e138, 1e139, 1e140]}},
+         "protocol.times_s"),
+        ({**TINY_SPECTROSCOPY, "spectrum": STEEP_SPECTRUM, "protocol": {
+            **TINY_SPECTROSCOPY["protocol"], "f_grid_hz": [1e-130, 1e-129]}},
+         "protocol.f_grid_hz"),
+        ({**TINY_TONE, "spectrum": STEEP_SPECTRUM, "protocol": {
+            "total_time_s": 1e142, "f_columns_hz": [1e-140, 2e-140, 4e-140],
+            "f_tone_hz": 2e-140, "shots": 4}},
+         "protocol.total_time_s"),
+        ({**OVERLAPPED_VOLTAGE, "spectrum": {
+            "powerlaws": [{"amplitude": 1e-12, "exponent": 2.5}]},
+          "protocol": {**OVERLAPPED_VOLTAGE["protocol"], "spectroscopy": {
+              **OVERLAPPED_VOLTAGE["protocol"]["spectroscopy"],
+              "f_grid_hz": [1e-130, 1e-129]}}},
+         "protocol.spectroscopy.f_grid_hz"),
+        # a wait 1/(2f) past the float range, which made an infinite sequence
+        ({**TINY_SPECTROSCOPY, "protocol": {
+            **TINY_SPECTROSCOPY["protocol"], "f_grid_hz": [1e-320, 4e3]}},
+         "protocol.f_grid_hz"),
+        # a wait whose sample rate overflows, which crashed building its
+        # trace; and a samples_per_interval past float range, which
+        # validation could not size a trace with
+        ({**TINY_RAMSEY, "protocol": {
+            **TINY_RAMSEY["protocol"], "times_s": [1e-310, 1e-3, 2e-3]}},
+         "protocol.times_s"),
+        ({**TINY_RAMSEY, "protocol": {
+            **TINY_RAMSEY["protocol"], "samples_per_interval": 10 ** 309}},
+         "protocol.samples_per_interval"),
     ])
     def test_run_bad_config_exits_2_before_running(self, tmp_path, capsys,
                                                    cfg, field):
@@ -1297,15 +1346,18 @@ class TestCli:
         assert "Traceback" not in printed.out + printed.err
         assert not out.exists()
 
-    def test_fit_failure_manifest_is_strict_json(self, tmp_path, capsys):
-        # times past 1e131 s overflow the spectrum's lowest bins, and the
-        # failed fits' diagnostics held NaN
-        cfg = yaml.safe_load((CONFIG_DIR / "cpmg_t2_vs_n.yaml").read_text())
-        cfg["protocol"].update(t_factor_max=1.0e135, n_traj=20)
+    def test_fit_failure_manifest_is_strict_json(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # a failed fit whose diagnostics hold NaN and inf, as fits of
+        # NaN decays did
+        def boom(*a, **k):
+            raise FitError("synthetic failure", {"w_range": [math.nan, math.inf]})
+
+        monkeypatch.setattr(spinprobe.analysis, "fit_stretched", boom)
         out = tmp_path / "out"
-        p = _write_yaml(tmp_path, dict(cfg, output_dir=str(out)))
-        with pytest.warns(RuntimeWarning):  # the overflow itself
-            assert main(["run", str(p), "--workers", "1"]) == 3
+        p = _write_yaml(tmp_path, {**TINY_CPMG, "output_dir": str(out), "protocol": {
+            **TINY_CPMG["protocol"], "fit": "stretched"}})
+        assert main(["run", str(p), "--workers", "1"]) == 3
         printed = capsys.readouterr()
         assert "Traceback" not in printed.out + printed.err
         manifest = json.loads((out / MANIFEST_NAME).read_text(),

@@ -22,6 +22,7 @@ from spinprobe.qubitsim import (
     coherence_mc,
     decay_vs_time,
     fixed_wait_spec,
+    mc_grid,
     submit_decay_curves,
     rabi_chevron,
     rabi_p_up,
@@ -401,7 +402,7 @@ class TestPhaseFunctional:
     def test_mc_grid_lengths(self, n_pulses, total_time, spi, n):
         sch = (make_ramsey(total_time) if n_pulses == 0
                else make_cpmg(n_pulses, total_time))
-        phase = PhaseFunctional.on_mc_grid(sch, 2.0, spi)
+        phase = PhaseFunctional(sch, *mc_grid(n_pulses, total_time, 2.0, spi))
         assert phase.n == n
         rate = phase.sample_rate
         phi = trace_normals(n, derive_rng(4)) @ phase.normal_weights(COMPOSITE)
@@ -411,7 +412,7 @@ class TestPhaseFunctional:
 
     def test_rejects_short_duration_factor(self):
         with pytest.raises(ValueError):
-            PhaseFunctional.on_mc_grid(make_cpmg(2, 1e-3), 0.5, 16)
+            mc_grid(2, 1e-3, 0.5, 16)
 
 
 class TestCoherenceMc:

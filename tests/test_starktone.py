@@ -22,6 +22,7 @@ from spinprobe.starktone import (
     esr_frequency,
     fit_stark_map,
     harmonic_weights,
+    scan_columns,
     tone_amplitude,
     tone_scan,
 )
@@ -131,9 +132,9 @@ class TestToneScan:
     def test_pulse_counts_follow_fixed_window(self):
         # 300 us window: wait times quantize to N = round(T/tau), >= 1
         tone = ToneConfig(gate="G2", f_tone=2e4, amplitude_pp=0.0)
-        res = tone_scan(WHITE, tone, default_stark_map(),
-                        [25e-6, 50e-6, 75.075e-6, 125e-6, 700e-6],
-                        300e-6, [0.0], 50, 0)
+        res = tone_scan(WHITE, tone, default_stark_map(), scan_columns(
+                            [25e-6, 50e-6, 75.075e-6, 125e-6, 700e-6], 300e-6),
+                        [0.0], 50, 0)
         assert [c["n_pulses"] for c in res.cell_info] == [12, 6, 4, 2]
         np.testing.assert_allclose(res.f_hz[[0, 1, 3]], [2e4, 1e4, 4e3])
         assert res.dropped == (700e-6,)
@@ -149,14 +150,15 @@ class TestToneScan:
         tone = ToneConfig(gate="G2", f_tone=2e4, amplitude_pp=a_pp, phase=None)
         # the scan calibrates the noise; the unscaled model gives raw physics
         res = tone_scan(WHITE.scaled(1 / PSD_CHI_CALIBRATION), tone,
-                        default_stark_map(), [tau], total, [a_pp], 3000, 5,
+                        default_stark_map(), scan_columns([tau], total),
+                        [a_pp], 3000, 5,
                         samples_per_interval=64)
         assert abs(res.p_up[0, 0] - p_exp) < 4 * res.std_err[0, 0]
 
     def test_deterministic_per_seed(self):
         tone = ToneConfig(gate="G2", f_tone=2e4, amplitude_pp=1e-4)
-        args = (WHITE, tone, default_stark_map(), [25e-6, 125e-6], 300e-6,
-                [0.0, 1e-4], 60, 11)
+        args = (WHITE, tone, default_stark_map(),
+                scan_columns([25e-6, 125e-6], 300e-6), [0.0, 1e-4], 60, 11)
         a = tone_scan(*args)
         b = tone_scan(*args)
         np.testing.assert_array_equal(a.p_up, b.p_up)
@@ -169,7 +171,8 @@ class TestToneScan:
         tone = ToneConfig(gate="G2", f_tone=2e4, amplitude_pp=0.0)
         stark = default_stark_map()
         taus, amps = [25e-6, 50e-6, 125e-6], [0.0, 1e-4, 2e-4]
-        res = tone_scan(WHITE, tone, stark, taus, 300e-6, amps, 20, 3)
+        res = tone_scan(WHITE, tone, stark, scan_columns(taus, 300e-6),
+                        amps, 20, 3)
         assert len(calls) == len(taus)
         # cell (row, col) is its column's job run for that row alone
         for col, info in enumerate(res.cell_info):
