@@ -9,7 +9,7 @@ import numpy as np
 
 from spinprobe.qubitsim import ReadoutModel
 from spinprobe.spectra import PowerLawTerm, SpectralLine, SpectrumModel
-from spinprobe.starktone import (StarkMap, ToneConfig, detect_tone_threshold,
+from spinprobe.starktone import (StarkMap, detect_tone_threshold,
                                  esr_frequency, fit_stark_map,
                                  harmonic_weights, scan_columns,
                                  tone_amplitude, tone_scan)
@@ -41,11 +41,11 @@ for row in harmonic_weights(4, 20e3, k_max=6):
 MODEL = SpectrumModel(
     powerlaws=(PowerLawTerm(3e13, 2.5), PowerLawTerm(3e7, 1.0)),
     white_floor=350.0, lines=(SpectralLine(3600.0, 1.5e6, 150.0),))
-scan_tone = ToneConfig(gate="G2", f_tone=20e3, amplitude_pp=0.0, phase=None)
 columns = [10e3 / 3, 4e3, 5e3, 20e3 / 3, 8e3, 10e3, 40e3 / 3, 16e3, 20e3,
            80e3 / 3, 33e3, 40e3]
 ladder = [4.0e-5, 8.0e-5, 1.6e-4, 3.2e-4, 6.4e-4]
-result = tone_scan(MODEL, scan_tone, STARK,
+# a free-running 20 kHz tone on G2: a fresh phase every shot
+result = tone_scan(MODEL, STARK.coefficient("G2"), 20e3, None,
                    scan_columns([1 / (2 * f) for f in columns], 300e-6),
                    ladder, 160, seed=2009,
                    readout=ReadoutModel(0.55, 0.225))

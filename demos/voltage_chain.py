@@ -17,7 +17,7 @@ RATE = 120e3
 VOLTAGE = SpectrumModel(powerlaws=(), white_floor=8.43e-18,
                         lines=(SpectralLine(3600.0, 1.2e-12, 150.0),))
 
-trace = synthesize(VOLTAGE, RATE, 45.0, seed=606, unit="V")
+trace = synthesize(VOLTAGE, RATE, 45.0, seed=606)
 est = psd_welch(trace, nperseg=int(5.0 * RATE))
 rms = integrate_rms(est, 0.2, 5e4)
 print(f"monitor rms over 0.2 Hz - 50 kHz: {rms * 1e6:.3f} uV")

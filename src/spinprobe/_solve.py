@@ -32,6 +32,7 @@ import numpy as np
 
 EPS = float(np.finfo(float).eps)
 _RTOL = 4 * EPS
+_MAXITER = 100  # brentq's iteration cap, scipy's default
 
 
 def distinct(values) -> np.ndarray:
@@ -52,13 +53,12 @@ def _value(f, x: float) -> float:
 
 
 def brentq(f, a: float, b: float, *, xtol: float = 2e-12, rtol: float = _RTOL,
-           maxiter: int = 100, fa: float | None = None,
-           fb: float | None = None) -> float:
+           fa: float | None = None, fb: float | None = None) -> float:
     """A root of ``f`` in [a, b], where f(a) and f(b) differ in sign.
 
     ``fa`` and ``fb`` stand in for f(a) and f(b).  Raises ``ValueError``
     on ends of one sign or a NaN value, and ``RuntimeError`` when
-    ``maxiter`` iterations do not converge.
+    ``_MAXITER`` iterations do not converge.
     """
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
@@ -74,7 +74,7 @@ def brentq(f, a: float, b: float, *, xtol: float = 2e-12, rtol: float = _RTOL,
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(_MAXITER):
         if (fpre != 0 and fcur != 0
                 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
             xblk, fblk = xpre, fpre
@@ -106,7 +106,7 @@ def brentq(f, a: float, b: float, *, xtol: float = 2e-12, rtol: float = _RTOL,
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = _value(f, xcur)
-    raise RuntimeError(f"failed to converge after {maxiter} iterations, "
+    raise RuntimeError(f"failed to converge after {_MAXITER} iterations, "
                        f"value is {xcur}")
 
 

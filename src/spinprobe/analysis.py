@@ -120,7 +120,6 @@ class PowerLawFit:
     slope: float
     slope_err: float
     intercept: float
-    intercept_err: float
 
     @property
     def prefactor(self) -> float:
@@ -217,9 +216,9 @@ def fit_power_law(x, y, y_err=None) -> PowerLawFit:
         resid = ly - a @ beta
         dof = max(lx.size - 2, 1)
         cov = cov * float(resid @ resid) / dof
-    errs = np.sqrt(np.diag(cov))
-    return PowerLawFit(slope=float(beta[1]), slope_err=float(errs[1]),
-                       intercept=float(beta[0]), intercept_err=float(errs[0]))
+    return PowerLawFit(slope=float(beta[1]),
+                       slope_err=float(np.sqrt(cov[1, 1])),
+                       intercept=float(beta[0]))
 
 
 def band_slope(estimate: PsdEstimate, f_lo: float, f_hi: float) -> PowerLawFit:
@@ -278,21 +277,21 @@ class SpectroscopyPoint:
 
 
 def spectroscopy_point(curve: DecayCurve, tau_wait: float, *,
-                       t2_hahn: float | None = None,
-                       approach_fraction: float = 0.25) -> SpectroscopyPoint:
+                       t2_hahn: float | None = None) -> SpectroscopyPoint:
     """Fixed-wait decay time from a pulse-count scan.
 
     The curve must come from a constant inter-pulse wait, so coherence
     versus total time is a plain exponential; its decay time is the
     frequency-resolved T2 at ``1/(2*tau_wait)``.  A point whose wait is no
-    longer small against the single-echo decay time can't separate the
-    filter passband from the overall envelope, so it gets flagged.  So
+    longer small against the single-echo decay time (above a quarter of
+    ``t2_hahn``) can't separate the filter passband from the overall
+    envelope, so it gets flagged.  So
     does a fit whose T2 ended on a bound of its search range or has zero
     error: its S and interval say nothing about the noise.
     """
     fit = fit_exponential(curve.times, curve.w, curve.std_err)
     flags = []
-    if t2_hahn is not None and tau_wait > approach_fraction * t2_hahn:
+    if t2_hahn is not None and tau_wait > 0.25 * t2_hahn:
         flags.append("out_of_range:tau_wait_approaches_hahn_t2")
     if fit.on_bound or fit.t2_err == 0:
         flags.append(FIT_ON_BOUND)
@@ -328,8 +327,8 @@ def reconstruct_psd(points: list[SpectroscopyPoint]) -> PsdEstimate:
                     "t2s_err": p.t2s_err, "pulse_counts": p.pulse_counts,
                     "flags": p.flags} for p in pts)
     return PsdEstimate(f=f, s=s, ci_low=np.maximum(s - half, 0.0),
-                       ci_high=s + half, estimator_tag="cpmg_reconstruction",
-                       warnings=tuple(warnings), points_detail=detail)
+                       ci_high=s + half, warnings=tuple(warnings),
+                       points_detail=detail)
 
 
 def spectroscopy_scan(model: SpectrumModel, f_grid_hz, pulse_counts,

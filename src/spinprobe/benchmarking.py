@@ -257,12 +257,11 @@ def rb_interleaved(gate_index: int, depths, n_sequences: int, d: float,
 
 @dataclass(frozen=True)
 class RbFit:
-    """a * p^M + b decay parameters and the fidelities they imply."""
+    """p and a of the a * p^M + b decay, and the fidelities they imply."""
 
     p: float
     p_err: float
     amplitude: float
-    offset: float
     clifford_fidelity: float
     clifford_fidelity_err: float
     primitive_fidelity: float
@@ -281,11 +280,11 @@ def fit_rb(curve: RbCurve) -> RbFit:
     except (RuntimeError, ValueError) as exc:
         raise FitError(f"RB fit failed: {exc}",
                        {"depths": m.tolist(), "survival": y.tolist()}) from exc
-    a, p, b = popt
+    a, p, _ = popt
     perr = _check_cov(popt, pcov, {"model": "rb"})
     f_c = (1.0 + p) / 2.0
     return RbFit(p=float(p), p_err=float(perr[1]), amplitude=float(a),
-                 offset=float(b), clifford_fidelity=f_c,
+                 clifford_fidelity=f_c,
                  clifford_fidelity_err=float(perr[1] / 2.0),
                  primitive_fidelity=primitive_fidelity_from_clifford(f_c))
 

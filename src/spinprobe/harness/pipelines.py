@@ -167,18 +167,28 @@ def _spectrum(cfg) -> SpectrumModel:
 
 
 def _check_density(model: SpectrumModel, field: str, sequences,
-                   duration_factor: float, samples_per_interval: int) -> None:
+                   duration_factor: float, samples_per_interval: int,
+                   length_field: str) -> None:
     """Each ``(n_pulses, total_time)`` of ``sequences`` (a run's longest
-    and shortest) has a finite Monte Carlo trace (:func:`qubitsim.mc_grid`),
-    and the model is finite at the lowest rfft bin of the longest, where a
-    power law's omega^alpha underflows to 0 on a long enough trace."""
+    and shortest) has a finite Monte Carlo trace (:func:`qubitsim.mc_grid`)
+    of at most ``MAX_TRACE_SAMPLES`` samples (``length_field`` names the
+    error), and :func:`_check_lowest_bin` holds for the longest."""
     try:
         grids = [qubitsim.mc_grid(n_pulses, t, duration_factor, samples_per_interval)
                  for n_pulses, t in sequences]
     except (ArithmeticError, ValueError):  # an inf or NaN duration or rate
         raise ConfigError(f"{field}: a sequence's duration or Monte Carlo "
                           f"sample rate is not finite") from None
-    df = min(rate / n for rate, n in grids)
+    if (n_max := max(n for _, n in grids)) > MAX_TRACE_SAMPLES:
+        raise ConfigError(f"{length_field}: the longest Monte Carlo trace has "
+                          f"{n_max} samples; at most {MAX_TRACE_SAMPLES}")
+    _check_lowest_bin(model, field, min(rate / n for rate, n in grids))
+
+
+def _check_lowest_bin(model: SpectrumModel, field: str, df: float) -> None:
+    """The model is finite at ``df``, the lowest rfft bin of a run's
+    longest trace, where a power law's omega^alpha underflows to 0 on a
+    long enough trace."""
     with np.errstate(all="ignore"):
         density = spectra._bin_density(model, df, 1, 2)[0]
     if not math.isfinite(density):
@@ -215,6 +225,9 @@ def plan_rabi_chevron(cfg, qubit: QubitParams):
     proto = cfg["protocol"]
     det = grid_values(proto["detuning_hz"])
     dur = grid_values(proto["duration_s"])
+    if det.size * dur.size > MAX_GRID_POINTS:
+        raise ConfigError(f"protocol.duration_s: the chevron of {det.size} x "
+                          f"{dur.size} points exceeds {MAX_GRID_POINTS}")
 
     def run(report: _Report, out: Path) -> None:
         with report.stage("chevron"):
@@ -252,7 +265,8 @@ def plan_decay(cfg, readout: ReadoutModel):
     model = _spectrum(cfg)
     _check_density(model, "protocol.times_s",
                    [(n_pulses, float(times.max())), (n_pulses, float(times.min()))],
-                   proto["duration_factor"], proto["samples_per_interval"])
+                   proto["duration_factor"], proto["samples_per_interval"],
+                   "protocol.duration_factor")
 
     def run(report: _Report, out: Path) -> None:
         with report.stage("decay_scan") as seed:
@@ -304,7 +318,8 @@ def plan_cpmg_t2_vs_n(cfg):
     # a bracket ends at or above its T2, so these times are the longest
     _check_density(model, "protocol.t_factor_max", [
         (n, proto["t_factor_max"] * chi.bracket[1]) for n, chi in zip(counts, chis)],
-        proto["duration_factor"], proto["samples_per_interval"])
+        proto["duration_factor"], proto["samples_per_interval"],
+        "protocol.duration_factor")
 
     def run(report: _Report, out: Path) -> None:
         with report.stage("t2_scans") as seed:
@@ -366,7 +381,8 @@ def plan_noise_spectroscopy(cfg):
     f_grid = grid_values(proto["f_grid_hz"])
     n = max(proto["pulse_counts"])  # the longest sequence, at the longest wait
     _check_density(model, "protocol.f_grid_hz", [(n, n / (2 * float(f_grid.min())))],
-                   proto["duration_factor"], proto["samples_per_interval"])
+                   proto["duration_factor"], proto["samples_per_interval"],
+                   "protocol.duration_factor")
 
     def run(report: _Report, out: Path) -> None:
         with report.stage("spectroscopy") as seed:
@@ -498,7 +514,7 @@ def plan_stark_map(cfg, stark: StarkMap):
 
 def plan_tone_scan(cfg, readout: ReadoutModel, stark: StarkMap):
     proto = cfg["protocol"]
-    _gate_coefficient(stark, proto, "gate")
+    coeff = _gate_coefficient(stark, proto, "gate")
     total = proto["total_time_s"]
     taus = [1.0 / (2.0 * f) for f in proto["f_columns_hz"]]
     for i, tau in enumerate(taus):  # round(ratio) is the column's pulse count
@@ -523,19 +539,17 @@ def plan_tone_scan(cfg, readout: ReadoutModel, stark: StarkMap):
     model = _spectrum(cfg)
     # a column's trace spans its sequence once (duration factor 1)
     _check_density(model, "protocol.total_time_s", [(n, n * tau) for tau, n in keep],
-                   1.0, proto["samples_per_interval"])
-    tone = starktone.ToneConfig(gate=proto["gate"], f_tone=proto["f_tone_hz"],
-                                amplitude_pp=0.0, phase=proto["phase"])
+                   1.0, proto["samples_per_interval"], "protocol.samples_per_interval")
 
     def run(report: _Report, out: Path) -> None:
         with report.stage("scan") as seed:
             result = starktone.tone_scan(
-                model, tone, stark, (keep, dropped),
+                model, coeff, proto["f_tone_hz"], proto["phase"], (keep, dropped),
                 proto["amplitudes_vpp"], proto["shots"], seed, readout=readout,
                 samples_per_interval=proto["samples_per_interval"])
             _write(report, out, {"tone_scan.csv": _tone_scan_csv(result)})
         with report.stage("detection"):
-            detection = starktone.detect_tone_threshold(result, tone.f_tone)
+            detection = starktone.detect_tone_threshold(result, proto["f_tone_hz"])
             _write(report, out, {
                 "tone_detection.json": detection,
                 "plot_tone_scan.json": {
@@ -575,6 +589,7 @@ def plan_voltage_psd(cfg, stark: StarkMap):
                           f"Welch range [{df:.6g}, {f_max:.6g}] Hz "
                           f"(nperseg = {nperseg} samples)")
     vmodel = _spectrum(cfg)
+    _check_lowest_bin(vmodel, "protocol.duration_s", rate / n)
     if spec_cfg := proto["spectroscopy"]:
         floor = proto["qubit_floor_rad2_s"]
         dmodel = spectra.voltage_to_detuning_model(vmodel, coeff)
@@ -583,7 +598,8 @@ def plan_voltage_psd(cfg, stark: StarkMap):
         n_max = max(spec_cfg["pulse_counts"])
         _check_density(dmodel, "protocol.spectroscopy.f_grid_hz",
                        [(n_max, n_max / (2 * float(f_grid.min())))],
-                       qubitsim.DURATION_FACTOR, spec_cfg["samples_per_interval"])
+                       qubitsim.DURATION_FACTOR, spec_cfg["samples_per_interval"],
+                       "protocol.spectroscopy.samples_per_interval")
 
     def run(report: _Report, out: Path) -> None:
         if spec_cfg:
@@ -595,8 +611,7 @@ def plan_voltage_psd(cfg, stark: StarkMap):
                 report.seed(2),
                 samples_per_interval=spec_cfg["samples_per_interval"])
         with report.stage("trace") as seed:
-            trace = spectra.synthesize(vmodel, rate, proto["duration_s"], seed,
-                                       unit="V")
+            trace = spectra.synthesize(vmodel, rate, proto["duration_s"], seed)
             if proto["export_trace"]:
                 _write(report, out, {"voltage_trace.csv": _trace_csv(trace)})
         with report.stage("welch"):

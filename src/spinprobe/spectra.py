@@ -43,9 +43,6 @@ __all__ = [
     "voltage_to_detuning_model",
 ]
 
-_TRACE_UNITS = ("rad/s", "V")
-
-
 @dataclass(frozen=True)
 class PowerLawTerm:
     """One ``amplitude / (2*pi*f)**exponent`` component."""
@@ -126,10 +123,6 @@ class NoiseTrace:
 
     samples: np.ndarray
     sample_rate: float
-    duration: float
-    seed: int | None
-    provenance: str
-    unit: str = "rad/s"
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
@@ -138,14 +131,6 @@ class NoiseTrace:
         if not np.all(np.isfinite(samples)):
             raise ValueError("trace samples must be finite")
         object.__setattr__(self, "samples", samples)
-        if self.unit not in _TRACE_UNITS:
-            raise ValueError(f"unknown trace unit {self.unit!r}; "
-                             f"expected one of {sorted(_TRACE_UNITS)}")
-        n = samples.size
-        if abs(self.duration * self.sample_rate - n) > 0.5:
-            raise ValueError(
-                f"inconsistent trace: {n} samples vs sample_rate*duration = "
-                f"{self.duration * self.sample_rate:.1f}")
 
     @property
     def n_samples(self) -> int:
@@ -167,7 +152,6 @@ class PsdEstimate:
     s: np.ndarray
     ci_low: np.ndarray
     ci_high: np.ndarray
-    estimator_tag: str
     warnings: tuple[str, ...] = ()
     points_detail: tuple = field(default_factory=tuple, compare=False)
 
@@ -184,8 +168,6 @@ class PsdEstimate:
             raise ValueError("spectral density must be >= 0")
         if np.any(lo > s) or np.any(hi < s):
             raise ValueError("confidence bounds must bracket the estimate")
-        if self.estimator_tag not in ("cpmg_reconstruction", "welch_periodogram"):
-            raise ValueError(f"unknown estimator tag {self.estimator_tag!r}")
         for name, arr in (("f", f), ("s", s), ("ci_low", lo), ("ci_high", hi)):
             object.__setattr__(self, name, arr)
 
@@ -336,7 +318,7 @@ def draw_trace_samples(model: SpectrumModel, sample_rate: float, n: int,
 
 
 def synthesize(model: SpectrumModel, sample_rate: float, duration: float,
-               seed: int, *, unit: str = "rad/s") -> NoiseTrace:
+               seed: int) -> NoiseTrace:
     """Generate a Gaussian trace whose one-sided PSD follows the model.
 
     Deterministic per seed; see :func:`draw_trace_samples` for the
@@ -348,9 +330,7 @@ def synthesize(model: SpectrumModel, sample_rate: float, duration: float,
         raise ValueError(
             f"duration*sample_rate = {n} samples; need at least 64 for synthesis")
     samples = draw_trace_samples(model, sample_rate, n, derive_rng(seed))
-    return NoiseTrace(samples=samples, sample_rate=float(sample_rate),
-                      duration=n / sample_rate, seed=int(seed),
-                      provenance=f"synthesized seed={int(seed)}", unit=unit)
+    return NoiseTrace(samples=samples, sample_rate=float(sample_rate))
 
 
 # (P^-1(n, 0.025), P^-1(n, 0.975)) for n = 1..100 Welch segments, P the
@@ -433,11 +413,11 @@ def welch_ci_factors(n_segments: int) -> tuple[float, float]:
     return dof / (2 * q_hi), dof / (2 * q_lo)
 
 
-def psd_welch(trace: NoiseTrace, *, nperseg: int | None = None) -> PsdEstimate:
+def psd_welch(trace: NoiseTrace, *, nperseg: int) -> PsdEstimate:
     """Welch estimate of the one-sided PSD of a trace.
 
     Periodic Hann window, 50% overlap, mean removed from each segment,
-    segment length ~ n/8 (power of two) unless given.  Density scaling, so
+    ``nperseg`` samples per segment (at most the trace).  Density scaling, so
     the integral of the estimate over frequency matches the sample variance.
     Fewer than two segments is allowed but flagged.  The arithmetic follows
     ``scipy.signal.welch(..., window="hann", detrend="constant",
@@ -445,8 +425,6 @@ def psd_welch(trace: NoiseTrace, *, nperseg: int | None = None) -> PsdEstimate:
     """
     x = trace.samples
     n = x.size
-    if nperseg is None:
-        nperseg = 2 ** int(math.log2(max(n // 8, 64)))
     nperseg = int(min(nperseg, n))
     if nperseg < 2:
         raise ValueError(f"nperseg must be >= 2, got {nperseg}")
@@ -469,7 +447,7 @@ def psd_welch(trace: NoiseTrace, *, nperseg: int | None = None) -> PsdEstimate:
     lo_fac, hi_fac = welch_ci_factors(n_segments)
     f, s = f[1:], s[1:]  # drop the detrended DC bin
     return PsdEstimate(f=f, s=s, ci_low=s * lo_fac, ci_high=s * hi_fac,
-                       estimator_tag="welch_periodogram", warnings=warnings)
+                       warnings=warnings)
 
 
 def integrate_rms(estimate: PsdEstimate, f_lo: float, f_hi: float) -> float:

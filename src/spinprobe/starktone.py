@@ -28,7 +28,6 @@ from .spectra import SpectrumModel
 __all__ = [
     "TONE_SAMPLES_PER_INTERVAL",
     "StarkMap",
-    "ToneConfig",
     "ToneScanResult",
     "default_stark_map",
     "esr_frequency",
@@ -123,31 +122,11 @@ def fit_stark_map(voltages: dict[str, np.ndarray], f_hz,
                     reference_voltages=refs, residual_rms_hz=rms)
 
 
-@dataclass(frozen=True)
-class ToneConfig:
-    """Sinusoidal voltage tone on one gate.
-
-    ``phase=None`` means a fresh uniform phase every shot, matching an
-    experiment whose tone generator free-runs against the pulse sequence.
-    """
-
-    gate: str
-    f_tone: float
-    amplitude_pp: float
-    phase: float | None = None
-
-    def __post_init__(self):
-        if self.f_tone <= 0:
-            raise ValueError(f"f_tone must be > 0, got {self.f_tone}")
-        if self.amplitude_pp < 0:
-            raise ValueError(f"amplitude_pp must be >= 0, got {self.amplitude_pp}")
-
-
-def tone_amplitude(coefficient_hz_per_v: float, amplitude_pp: float) -> float:
-    """Peak detuning in rad/s of a tone of ``amplitude_pp`` volts peak to
+def tone_amplitude(coefficient_hz_per_v: float, amplitude_vpp: float) -> float:
+    """Peak detuning in rad/s of a tone of ``amplitude_vpp`` volts peak to
     peak on a gate of that Stark coefficient: the tone adds
     ``delta_omega(t) = 2 pi |df/dV| (A_pp/2) sin(2 pi f t + phase)``."""
-    return 2 * math.pi * abs(coefficient_hz_per_v) * (amplitude_pp / 2.0)
+    return 2 * math.pi * abs(coefficient_hz_per_v) * (amplitude_vpp / 2.0)
 
 
 def harmonic_weights(n_pulses: int, f_tone: float, k_max: int = 7) -> list[dict]:
@@ -181,10 +160,8 @@ def harmonic_weights(n_pulses: int, f_tone: float, k_max: int = 7) -> list[dict]
 class ToneScanResult:
     """P_up over (filter frequency, tone amplitude) cells.
 
-    ``p_up`` has shape (n_amplitudes, n_frequencies).  ``cell_info`` holds
-    one dict per frequency column: pulse count, nominal and actual total
-    time.  ``dropped`` lists wait times excluded because not even one
-    pulse fits.
+    ``p_up`` has shape (n_amplitudes, n_frequencies).  ``dropped`` lists
+    wait times excluded because not even half a pulse interval fits.
     """
 
     f_hz: np.ndarray
@@ -192,7 +169,6 @@ class ToneScanResult:
     p_up: np.ndarray
     std_err: np.ndarray
     shots: int
-    cell_info: tuple[dict, ...] = ()
     dropped: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -269,26 +245,28 @@ def tone_column(f_hz, f_tone: float) -> int:
     raise ValueError(f"no scan column near {f_tone} Hz")
 
 
-def tone_scan(model: SpectrumModel, tone: ToneConfig, stark: StarkMap,
-              columns, amplitudes_vpp, shots: int,
+def tone_scan(model: SpectrumModel, coefficient_hz_per_v: float, f_tone: float,
+              phase: float | None, columns, amplitudes_vpp, shots: int,
               seed: int, *, readout: ReadoutModel = HARDWARE_READOUT,
               samples_per_interval: int = TONE_SAMPLES_PER_INTERVAL
               ) -> ToneScanResult:
     """2D P_up map over (filter frequency, tone amplitude).
 
-    ``columns`` is :func:`scan_columns`' ``(keep, dropped)``.  Every cell of
-    a kept column runs its CPMG sequence under the background model plus
-    the tone; the actual window N*tau is recorded per column.  Cells
-    draw independent trajectories from seeds derived per (column, row),
-    so worker count never changes the numbers; each column is one job.
+    The tone is a sinusoid of ``f_tone`` Hz on a gate of Stark coefficient
+    ``coefficient_hz_per_v``; ``phase=None`` means a fresh uniform phase
+    every shot, matching an experiment whose tone generator free-runs
+    against the pulse sequence.  ``columns`` is :func:`scan_columns`'
+    ``(keep, dropped)``.  Every cell of a kept column runs its CPMG
+    sequence under the background model plus the tone.  Cells draw
+    independent trajectories from seeds derived per (column, row), so
+    worker count never changes the numbers; each column is one job.
     """
-    coeff = stark.coefficient(tone.gate)
+    if f_tone <= 0:
+        raise ValueError(f"f_tone must be > 0, got {f_tone}")
     amps = np.asarray(amplitudes_vpp, dtype=float)
     keep, dropped = columns
-    info = [{"tau_wait": tau, "n_pulses": n_pulses, "f_hz": 1.0 / (2 * tau),
-             "actual_total_time": n_pulses * tau} for tau, n_pulses in keep]
-    jobs = [(model, n_pulses, tau, amps.tolist(), coeff, tone.f_tone,
-             tone.phase, shots,
+    jobs = [(model, n_pulses, tau, amps.tolist(), coefficient_hz_per_v, f_tone,
+             phase, shots,
              derive_child_seeds(seed, amps.size, col),
              samples_per_interval, readout.visibility, readout.floor)
             for col, (tau, n_pulses) in enumerate(keep)]
@@ -298,15 +276,14 @@ def tone_scan(model: SpectrumModel, tone: ToneConfig, stark: StarkMap,
     p, se = cells.transpose(2, 1, 0)
     return ToneScanResult(f_hz=np.array([1.0 / (2 * t) for t, _ in keep]),
                           amplitudes_vpp=amps, p_up=p, std_err=se, shots=shots,
-                          cell_info=tuple(info), dropped=tuple(dropped))
+                          dropped=tuple(dropped))
 
 
-def detect_tone_threshold(result: ToneScanResult, f_tone: float,
-                          n_sigma: float = 3.0) -> dict:
+def detect_tone_threshold(result: ToneScanResult, f_tone: float) -> dict:
     """Smallest amplitude at which the tone column separates from the rest.
 
     Detection at one amplitude row: the tone-column P_up sits below the
-    median of the other columns by at least ``n_sigma`` pooled standard
+    median of the other columns by more than 3 pooled standard
     errors (median standard error scaled by the usual 1.2533/sqrt(K)
     efficiency factor).  Raises ``ValueError`` for a scan with one column,
     which leaves nothing to compare the tone column with.
@@ -327,7 +304,7 @@ def detect_tone_threshold(result: ToneScanResult, f_tone: float,
         deficit = med - float(result.p_up[i, col])
         rows.append({"amplitude_vpp": float(amp), "deficit": deficit,
                      "pooled_se": pooled,
-                     "detected": bool(deficit > n_sigma * pooled)})
+                     "detected": bool(deficit > 3.0 * pooled)})
     detected = [r["amplitude_vpp"] for r in rows if r["detected"]]
     return {"threshold_vpp": min(detected) if detected else None,
             "tone_column_hz": float(result.f_hz[col]), "rows": rows}

@@ -290,12 +290,11 @@ def tone_scan_result():
         f0_ref_hz=stark_cfg["f0_ref_hz"],
         coefficients_hz_per_v=dict(stark_cfg["coefficients_hz_per_v"]),
         reference_voltages=dict(stark_cfg.get("reference_voltages", {})))
-    tone = starktone.ToneConfig(gate=proto["gate"], f_tone=proto["f_tone_hz"],
-                                amplitude_pp=0.0, phase=proto["phase"])
     readout = ReadoutModel(visibility=cfg["readout"]["visibility"],
                            floor=cfg["readout"]["floor"])
     return starktone.tone_scan(
-        SpectrumModel.from_dict(cfg["spectrum"]), tone, stark,
+        SpectrumModel.from_dict(cfg["spectrum"]), stark.coefficient(proto["gate"]),
+        proto["f_tone_hz"], proto["phase"],
         starktone.scan_columns([1.0 / (2.0 * f) for f in proto["f_columns_hz"]],
                                proto["total_time_s"]),
         proto["amplitudes_vpp"], proto["shots"],
@@ -361,7 +360,7 @@ def test_criterion08_chevron_apex_on_resonance():
 def voltage_environment():
     model = SpectrumModel(powerlaws=(), white_floor=8.43e-18,
                           lines=(SpectralLine(3600.0, 1.2e-12, 150.0),))
-    trace = synthesize(model, 120e3, 45.0, 606, unit="V")
+    trace = synthesize(model, 120e3, 45.0, 606)
     estimate = psd_welch(trace, nperseg=int(5.0 * 120e3))
     return model, estimate
 

@@ -173,7 +173,6 @@ class TestRbSimulation:
                              std_err=np.zeros_like(m), n_sequences=1))
         assert fit.p == pytest.approx(0.9964, rel=1e-9)
         assert fit.amplitude == pytest.approx(0.275, rel=1e-6)
-        assert fit.offset == pytest.approx(0.5, abs=1e-8)
 
     def test_readout_and_shots_affect_curve_not_p(self):
         ro = ReadoutModel(visibility=0.55, floor=0.225)

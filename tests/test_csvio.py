@@ -75,7 +75,7 @@ class TestExportersKeepTheirBytes:
     the reference formatter."""
 
     def test_trace(self, tmp_path):
-        tr = synthesize(SpectrumModel(white_floor=1e-12), 10e3, 0.05, 3, unit="V")
+        tr = synthesize(SpectrumModel(white_floor=1e-12), 10e3, 0.05, 3)
         p = tmp_path / "trace.csv"
         write_files({p: _trace_csv(tr)})
         assert p.read_text() == _reference_rows("time_s,volts", zip(tr.times, tr.samples))

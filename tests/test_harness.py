@@ -427,7 +427,7 @@ class TestValidateConfig:
                  "duration_s": duration_s}
         rate = proto["sample_rate_hz"]
         trace = spectra.synthesize(spectra.SpectrumModel(white_floor=1e-12),
-                                   rate, duration_s, 0, unit="V")
+                                   rate, duration_s, 0)
         est = spectra.psd_welch(trace,
                                 nperseg=int(round(nperseg_s * rate)))
         lo, hi = float(est.f[0]), float(est.f[-1])
@@ -869,7 +869,7 @@ class TestRunner:
         trace = spectra.synthesize(
             spectra.SpectrumModel.from_dict(cfg["spectrum"]),
             proto["sample_rate_hz"], proto["duration_s"],
-            derive_child_seed(cfg["seed"], 0), unit="V")
+            derive_child_seed(cfg["seed"], 0))
         est_v = spectra.psd_welch(trace, nperseg=int(round(
             proto["nperseg_s"] * proto["sample_rate_hz"])))
         assert summary["welch_segments"] == 19
@@ -987,7 +987,7 @@ class TestCsvLayout:
         trace = spectra.synthesize(
             spectra.SpectrumModel.from_dict(cfg["spectrum"]),
             proto["sample_rate_hz"], proto["duration_s"],
-            _stage_seed(manifest, "trace"), unit="V")
+            _stage_seed(manifest, "trace"))
         header, rows = _csv_cells(out / "voltage_trace.csv")
         assert header == "time_s,volts"
         t, v = np.array(rows, dtype=float).T
@@ -1335,6 +1335,23 @@ class TestCli:
         ({**TINY_RAMSEY, "protocol": {
             **TINY_RAMSEY["protocol"], "samples_per_interval": 10 ** 309}},
          "protocol.samples_per_interval"),
+        # sizes that passed validation, then ran out of memory: a chevron of 10^12
+        # cells, and a Monte Carlo trace of 1.6e13 samples
+        ({**TINY_CHEVRON, "protocol": {
+            "detuning_hz": {"start": -4e5, "stop": 4e5, "num": 10 ** 6},
+            "duration_s": {"start": 1e-7, "stop": 3e-6, "num": 10 ** 6}}},
+         "protocol.duration_s"),
+        ({**TINY_RAMSEY, "protocol": {
+            **TINY_RAMSEY["protocol"], "duration_factor": 1.0e12}},
+         "protocol.duration_factor"),
+        # a voltage trace so long that the power law's omega^alpha
+        # underflows to 0 at its lowest bin, which left non-finite samples
+        ({**TINY_VOLTAGE, "spectrum": {
+            "powerlaws": [{"amplitude": 1e-12, "exponent": 2.5}],
+            "white_floor": 8.43e-18},
+          "protocol": {"sample_rate_hz": 1e-140, "duration_s": 1e142,
+                       "nperseg_s": 1e141, "band_hz": [1e-141, 4e-141]}},
+         "protocol.duration_s"),
     ])
     def test_run_bad_config_exits_2_before_running(self, tmp_path, capsys,
                                                    cfg, field):

@@ -15,7 +15,6 @@ from spinprobe.sequences import make_cpmg, response
 from spinprobe.spectra import SpectrumModel
 from spinprobe.starktone import (
     StarkMap,
-    ToneConfig,
     ToneScanResult,
     default_stark_map,
     detect_tone_threshold,
@@ -28,6 +27,7 @@ from spinprobe.starktone import (
 )
 
 WHITE = SpectrumModel(powerlaws=(), white_floor=350.0, lines=())
+G2 = default_stark_map().coefficient("G2")
 
 
 class TestStarkMap:
@@ -103,10 +103,10 @@ class TestToneConversion:
         assert tone_amplitude(22.88e6, 160e-6) == amplitude
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ToneConfig(gate="G2", f_tone=0.0, amplitude_pp=1e-4)
-        with pytest.raises(ValueError):
-            ToneConfig(gate="G2", f_tone=1e4, amplitude_pp=-1e-4)
+        for f_tone in (0.0, -1e4):
+            with pytest.raises(ValueError, match="f_tone"):
+                tone_scan(WHITE, G2, f_tone, None,
+                          scan_columns([25e-6], 300e-6), [0.0], 10, 0)
 
 
 class TestHarmonicWeights:
@@ -131,11 +131,9 @@ class TestHarmonicWeights:
 class TestToneScan:
     def test_pulse_counts_follow_fixed_window(self):
         # 300 us window: wait times quantize to N = round(T/tau), >= 1
-        tone = ToneConfig(gate="G2", f_tone=2e4, amplitude_pp=0.0)
-        res = tone_scan(WHITE, tone, default_stark_map(), scan_columns(
-                            [25e-6, 50e-6, 75.075e-6, 125e-6, 700e-6], 300e-6),
-                        [0.0], 50, 0)
-        assert [c["n_pulses"] for c in res.cell_info] == [12, 6, 4, 2]
+        columns = scan_columns([25e-6, 50e-6, 75.075e-6, 125e-6, 700e-6], 300e-6)
+        assert [n_pulses for _, n_pulses in columns[0]] == [12, 6, 4, 2]
+        res = tone_scan(WHITE, G2, 2e4, None, columns, [0.0], 50, 0)
         np.testing.assert_allclose(res.f_hz[[0, 1, 3]], [2e4, 1e4, 4e3])
         assert res.dropped == (700e-6,)
 
@@ -147,17 +145,15 @@ class TestToneScan:
         a_pp = 0.8 / (2 * math.pi * 22.88e6 * 0.5 * y_mag)
         w_noise = coherence_ff(WHITE, sch, calibration=1.0)
         p_exp = ReadoutModel(0.55, 0.225).apply(0.5 * (1 + w_noise * j0(0.8)))
-        tone = ToneConfig(gate="G2", f_tone=2e4, amplitude_pp=a_pp, phase=None)
         # the scan calibrates the noise; the unscaled model gives raw physics
-        res = tone_scan(WHITE.scaled(1 / PSD_CHI_CALIBRATION), tone,
-                        default_stark_map(), scan_columns([tau], total),
+        res = tone_scan(WHITE.scaled(1 / PSD_CHI_CALIBRATION), G2, 2e4, None,
+                        scan_columns([tau], total),
                         [a_pp], 3000, 5,
                         samples_per_interval=64)
         assert abs(res.p_up[0, 0] - p_exp) < 4 * res.std_err[0, 0]
 
     def test_deterministic_per_seed(self):
-        tone = ToneConfig(gate="G2", f_tone=2e4, amplitude_pp=1e-4)
-        args = (WHITE, tone, default_stark_map(),
+        args = (WHITE, G2, 2e4, None,
                 scan_columns([25e-6, 125e-6], 300e-6), [0.0, 1e-4], 60, 11)
         a = tone_scan(*args)
         b = tone_scan(*args)
@@ -168,18 +164,15 @@ class TestToneScan:
         real = starktone.response
         monkeypatch.setattr(starktone, "response",
                             lambda *a: calls.append(a) or real(*a))
-        tone = ToneConfig(gate="G2", f_tone=2e4, amplitude_pp=0.0)
-        stark = default_stark_map()
         taus, amps = [25e-6, 50e-6, 125e-6], [0.0, 1e-4, 2e-4]
-        res = tone_scan(WHITE, tone, stark, scan_columns(taus, 300e-6),
-                        amps, 20, 3)
+        columns = scan_columns(taus, 300e-6)
+        res = tone_scan(WHITE, G2, 2e4, None, columns, amps, 20, 3)
         assert len(calls) == len(taus)
         # cell (row, col) is its column's job run for that row alone
-        for col, info in enumerate(res.cell_info):
+        for col, (tau, n_pulses) in enumerate(columns[0]):
             for row, amp in enumerate(amps):
                 (cell,) = starktone._tone_column((
-                    WHITE, info["n_pulses"], info["tau_wait"], [amp],
-                    stark.coefficient("G2"), 2e4, None, 20,
+                    WHITE, n_pulses, tau, [amp], G2, 2e4, None, 20,
                     [derive_child_seed(3, col, row)],
                     starktone.TONE_SAMPLES_PER_INTERVAL, 0.55, 0.225))
                 assert cell == (res.p_up[row, col], res.std_err[row, col])
