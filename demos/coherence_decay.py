@@ -2,7 +2,7 @@
 
 coherence_mc draws noise traces and averages cos(phase); chi_ff
 integrates S(f)|Y(2 pi f)|^2.  They must agree for every spectrum and
-schedule, which is the toolkit's core self-check.
+pulse count, which is the toolkit's core self-check.
 """
 
 import math

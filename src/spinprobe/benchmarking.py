@@ -257,11 +257,10 @@ def rb_interleaved(gate_index: int, depths, n_sequences: int, d: float,
 
 @dataclass(frozen=True)
 class RbFit:
-    """p and a of the a * p^M + b decay, and the fidelities they imply."""
+    """p of the a * p^M + b decay, and the fidelities it implies."""
 
     p: float
     p_err: float
-    amplitude: float
     clifford_fidelity: float
     clifford_fidelity_err: float
     primitive_fidelity: float
@@ -280,11 +279,10 @@ def fit_rb(curve: RbCurve) -> RbFit:
     except (RuntimeError, ValueError) as exc:
         raise FitError(f"RB fit failed: {exc}",
                        {"depths": m.tolist(), "survival": y.tolist()}) from exc
-    a, p, _ = popt
+    p = popt[1]
     perr = _check_cov(popt, pcov, {"model": "rb"})
     f_c = (1.0 + p) / 2.0
-    return RbFit(p=float(p), p_err=float(perr[1]), amplitude=float(a),
-                 clifford_fidelity=f_c,
+    return RbFit(p=float(p), p_err=float(perr[1]), clifford_fidelity=f_c,
                  clifford_fidelity_err=float(perr[1] / 2.0),
                  primitive_fidelity=primitive_fidelity_from_clifford(f_c))
 

@@ -4,21 +4,19 @@ Two interchangeable coherence engines live here:
 
 * :func:`coherence_mc` averages cos(phi) over Gaussian noise trajectories
   drawn from a spectrum model.
-* :func:`chi_ff` / :func:`coherence_ff` evaluate the same decay through the
-  filter-function quadrature ``chi = cal * 0.5 * int S(f) |Y(2 pi f)|^2 df``.
+* :class:`CpmgChi`, the filter-function engine, gives the same decay as
+  ``chi = cal * 0.5 * int S(f) |Y(2 pi f)|^2 df`` from one filter table
+  in x = f*T per (model, N), kept for the process by :func:`cpmg_chi`.
+  :func:`chi_ff` and :func:`coherence_ff` query it for one CPMG or
+  Ramsey schedule.
 
 For Gaussian noise the two agree exactly in expectation, which the test
 suite leans on heavily.
 
 :func:`cpmg_t2` gives the analytic 1/e time of a CPMG-N decay, where the
-``cpmg_t2_vs_n`` pipeline centres its time grids.  It uses
-:class:`CpmgChi`, chi_ff of ``make_cpmg(N, T)`` as a function of T built
-from one table in x = f*T per (model, N), and kept for the process by
-:func:`cpmg_chi`.  The white floor and power laws become
-``sum_k c_k T^(alpha_k + 1)``; only lines are integrated per T.  The
-search solves that smooth part for T_s first and looks for chi = 1 in
-[1e-7 s, min(T_s, 10 s)], never far above T2.  :func:`chi_ff` stays the
-general engine and the reference the tests hold :class:`CpmgChi` to.
+``cpmg_t2_vs_n`` pipeline centres its time grids.  The search solves the
+smooth part of :class:`CpmgChi` for T_s first and looks for chi = 1 in
+[1e-7 s, min(T_s, 10 s)], never far above T2.
 
 Every toggled phase goes through one :class:`PhaseFunctional`, built per
 (schedule, sample rate, trace length).  It holds the weights ``a`` that
@@ -61,8 +59,8 @@ import numpy as np
 from . import _parallel, spectra
 from ._rng import derive_child_seeds, derive_rngs
 from ._solve import brentq, distinct
-from .sequences import (PulseSchedule, cpmg_filter_function, filter_function,
-                        make_cpmg, make_ramsey)
+from .sequences import (PulseSchedule, cpmg_filter_function, make_cpmg,
+                        make_ramsey, ramsey_filter_function)
 from .spectra import SpectrumModel
 
 __all__ = [
@@ -333,43 +331,21 @@ def coherence_mc(model: SpectrumModel, schedule: PulseSchedule,
 # ---------------------------------------------------------------------------
 # Filter-function engine
 
+# total times (s) within which cpmg_t2 looks for chi = 1
+T2_SEARCH_S = (1e-7, 10.0)
 
-def _integration_grid(schedule: PulseSchedule, model: SpectrumModel,
-                      f_min: float | None, f_max: float | None) -> np.ndarray:
-    t_total = schedule.total_time
-    f1 = max(schedule.n_pulses, 1) / (2.0 * t_total)
-    f_lo = f_min if f_min is not None else f1 * 1e-9
-    f_hi = f_max if f_max is not None else 80.0 * f1
-    for line in model.lines:
-        if line.width_hz is not None and f_max is None:
-            f_hi = max(f_hi, line.center_hz + 12.0 * line.width_hz)
-    if not 0 < f_lo < f_hi:
-        raise ValueError(f"bad integration band [{f_lo}, {f_hi}]")
-    panels = []
-    knee = f1 / 4.0
-    if f_lo < knee:
-        panels.append(np.geomspace(f_lo, knee, 400))
-        lin_start = knee
-    else:
-        lin_start = f_lo
-    panels.append(np.arange(lin_start, f_hi, 1.0 / (16.0 * t_total)))
-    panels.append([f_hi])
-    panels += _line_windows([l for l in model.lines if l.width_hz is not None],
-                            f_lo, f_hi)
-    grid = distinct(np.concatenate([np.asarray(p, dtype=float) for p in panels]))
-    return grid[(grid >= f_lo) & (grid <= f_hi)]
+# the table's steps in x = f*T, and how far below a Lorentzian line's span
+# its lattice reaches when the table ends further down
+_STEP = 1.0 / 16.0
+_LINE_REACH = 4096.0
 
 
-def _line_windows(lorentzians, f_lo: float, f_hi: float) -> list[np.ndarray]:
-    """257 points across +-8 widths of each Lorentzian line, clipped to
-    [f_lo, f_hi]: the resolution the quadrature gives a line."""
-    windows = []
-    for line in lorentzians:
-        wlo = max(line.center_hz - 8.0 * line.width_hz, f_lo)
-        whi = min(line.center_hz + 8.0 * line.width_hz, f_hi)
-        if wlo < whi:
-            windows.append(np.linspace(wlo, whi, 257))
-    return windows
+def _closed_form(n_pulses: int, total_time: float, f_hz):
+    """``|Y|^2`` of ``make_cpmg(n_pulses, total_time)``, or of
+    ``make_ramsey(total_time)`` for no pulses."""
+    if n_pulses == 0:
+        return ramsey_filter_function(total_time, f_hz)
+    return cpmg_filter_function(n_pulses, total_time, f_hz)
 
 
 def _tail_beyond(model: SpectrumModel, n_pulses: int, f_hi: float) -> float:
@@ -388,103 +364,47 @@ def _tail_beyond(model: SpectrumModel, n_pulses: int, f_hi: float) -> float:
     return tail
 
 
-def _filter(schedule: PulseSchedule, f_hz):
-    """``|Y|^2`` of ``schedule``: the CPMG closed form when the pulses sit
-    exactly where :func:`make_cpmg` puts them, the segment sum otherwise."""
-    n = schedule.n_pulses
-    if n and schedule.pulse_times == make_cpmg(n, schedule.total_time).pulse_times:
-        return cpmg_filter_function(n, schedule.total_time, f_hz)
-    return filter_function(schedule, f_hz)
-
-
-def chi_ff(model: SpectrumModel, schedule: PulseSchedule, *,
-           calibration: float = PSD_CHI_CALIBRATION,
-           f_min: float | None = None,
-           f_max: float | None = None) -> float:
-    """Analytic decay exponent ``cal * 0.5 * int S(f)|Y(2 pi f)|^2 df``.
-
-    Without an explicit ``f_min`` the integral starts far below the filter
-    passband, which requires it to converge there: exponents >= 3 always
-    diverge, and a pulse-free schedule diverges for exponents >= 1.  Give
-    a low cutoff (the inverse measurement duration, typically) for those.
-    Without an explicit ``f_max`` a closed-form estimate of the high-side
-    tail is added; with one, the integral is sharply band-limited, which is
-    how a sampled Monte Carlo trace behaves at its Nyquist edge.
-
-    CPMG schedules (Hahn included) are filtered with the closed form
-    :func:`~spinprobe.sequences.cpmg_filter_function`, any other schedule
-    with the per-segment sum :func:`~spinprobe.sequences.filter_function`.
-    """
-    if f_min is None:
-        worst = model.max_exponent
-        if worst >= 3.0 and any(t.amplitude > 0 and t.exponent >= 3.0
-                                for t in model.powerlaws):
-            raise ValueError(
-                "power-law exponent >= 3 diverges at f -> 0; pass f_min > 0")
-        if schedule.n_pulses == 0 and any(t.amplitude > 0 and t.exponent >= 1.0
-                                          for t in model.powerlaws):
-            raise ValueError(
-                "free induction under exponent >= 1 noise diverges at f -> 0; "
-                "pass f_min > 0")
-    grid = _integration_grid(schedule, model, f_min, f_max)
-    s = spectra._smooth_psd(model, grid)
-    for line in model.lines:
-        if line.width_hz is not None:
-            s = s + spectra._lorentzian(grid, line, line.width_hz)
-    integral = float(np.trapezoid(s * _filter(schedule, grid), grid))
-    if f_max is None:
-        integral += _tail_beyond(model, schedule.n_pulses, float(grid[-1]))
-    for line in model.lines:
-        if line.width_hz is None:  # resolution-limited: treat as delta
-            integral += line.power * _filter(schedule, line.center_hz)
-    return calibration * 0.5 * integral
-
-
-def coherence_ff(model: SpectrumModel, schedule: PulseSchedule, *,
-                 calibration: float = PSD_CHI_CALIBRATION,
-                 f_min: float | None = None,
-                 f_max: float | None = None) -> float:
-    """exp(-chi) for Gaussian noise; companion of :func:`coherence_mc`."""
-    return math.exp(-chi_ff(model, schedule, calibration=calibration,
-                            f_min=f_min, f_max=f_max))
-
-
-# ---------------------------------------------------------------------------
-# CPMG decay exponent versus total time
-
-# total times (s) within which cpmg_t2 looks for chi = 1
-T2_SEARCH_S = (1e-7, 10.0)
+def _cut(n_pulses: int, x: np.ndarray, g: np.ndarray, lo: float, hi: float):
+    """A piece ``(x, g)`` cut to [lo, hi], the ends inside it inserted."""
+    ends = np.array([e for e in (lo, hi) if x.size and x[0] < e < x[-1]])
+    keep = (x >= lo) & (x <= hi)
+    x = np.concatenate((x[keep], ends))
+    order = np.argsort(x, kind="stable")
+    return x[order], np.concatenate((g[keep], _closed_form(n_pulses, 1.0, ends)))[order]
 
 
 class CpmgChi:
-    """``chi_ff(model, make_cpmg(n_pulses, T))`` as a function of T alone.
+    """The filter-function engine: chi of ``make_cpmg(n_pulses, T)``, or of
+    ``make_ramsey(T)`` for no pulses, as a function of T.
 
-    The CPMG filter depends on f and T only through x = f*T:
-    ``|Y|^2(f; T) = T^2 g(f*T)`` with g the filter at T = 1 s.  The
-    default grid of :func:`chi_ff` is fixed in x (400 geometric points up
-    to x = N/8, steps of 1/16 up to 40N, then the end point), so g is
-    evaluated on it once.  The white floor and each power law, the tail
-    beyond the grid included, then reduce to ``c_k T^(alpha_k + 1)``
-    (:meth:`smooth`), equal to chi_ff's to rounding.  A resolution-limited
-    line is the closed form at its centre.  Lorentzian lines are
-    integrated per T at chi_ff's resolution: the table mapped to f = x/T,
-    each line's 257-point window merged in, and the 1/16 lattice
-    continued up to the highest ``center + 12*width`` when that lies
-    beyond the table.  With Lorentzian lines present chi_ff also
-    integrates the smooth part over the line windows and up to that
-    point, which this leaves to the table and the tail; the two differ
-    by up to about 1e-3 of chi.
+    The closed-form filter depends on f and T only through x = f*T:
+    ``|Y|^2(f; T) = T^2 g(f*T)``, g being the filter at T = 1 s (sinc^2 x
+    for Ramsey).  So g is tabulated once in x, with m = max(N, 1): 400
+    geometric points from 5e-10 m up to m/8, steps of 1/16 up to 40m, then
+    the end point; beyond it the filter's average is integrated in closed
+    form.  ``chi(T)`` is :meth:`smooth` plus :meth:`lines`;
+    ``chi(T, f_lo, f_hi)`` integrates over that band instead, its ends
+    inserted into the table at x = f*T (so f_lo * T >= 5e-10 m), and the
+    tail added only when f_hi is open (None).  Without f_lo the integral
+    must converge at f -> 0: a power-law exponent >= 3, or >= 1 for
+    Ramsey, raises ``ValueError``.
     """
 
     def __init__(self, model: SpectrumModel, n_pulses: int):
-        if any(t.amplitude > 0 and t.exponent >= 3.0 for t in model.powerlaws):
-            raise ValueError("power-law exponent >= 3 diverges at f -> 0")
         n = self.n_pulses = int(n_pulses)
-        x_end = 40.0 * n
+        m = max(n, 1)
+        x_end = 40.0 * m
         self.x = distinct(np.concatenate((
-            np.geomspace(5e-10 * n, n / 8.0, 400),
-            np.arange(n / 8.0, x_end, 1.0 / 16.0), [x_end])))
-        self.g = cpmg_filter_function(n, 1.0, self.x)
+            np.geomspace(5e-10 * m, m / 8.0, 400),
+            np.arange(m / 8.0, x_end, _STEP), [x_end])))
+        self.g = _closed_form(n, 1.0, self.x)
+        limit = 1.0 if n == 0 else 3.0
+        self._diverges = (
+            f"power-law exponent >= {limit:g} diverges at f -> 0 with {n} "
+            f"pulses; pass f_min > 0"
+            if any(t.amplitude > 0 and t.exponent >= limit for t in model.powerlaws)
+            else None)
+        self._model = model
         parts = [(SpectrumModel(powerlaws=(t,)), t.exponent + 1.0)
                  for t in model.powerlaws if t.amplitude > 0]
         if model.white_floor:
@@ -501,39 +421,86 @@ class CpmgChi:
         self._lorentz = tuple(l for l in lines if l.width_hz is not None)
         self._ends: dict[float, float] = {}
 
+    def __call__(self, t: float, f_lo: float | None = None,
+                 f_hi: float | None = None) -> float:
+        if f_lo is None and f_hi is None:
+            return self.smooth(t) + self.lines(t)
+        return self._band(t, f_lo, f_hi)
+
     def smooth(self, t: float) -> float:
-        """chi of the white floor and the power laws: strictly increasing
-        in T (when the model has any)."""
+        """chi of the white floor and the power laws, ``sum_k c_k
+        T^(alpha_k + 1)``: strictly increasing in T (when there are any)."""
+        if self._diverges:
+            raise ValueError(self._diverges)
         return sum(c * t**p for c, p in self._smooth)
 
-    def lines(self, t: float) -> float:
-        """chi of the spectral lines at total time ``t``."""
+    def lines(self, t: float, pieces=None) -> float:
+        """chi of the spectral lines at total time ``t``, the Lorentzian
+        ones integrated on ``pieces`` (:meth:`_pieces` by default)."""
         n = self.n_pulses
-        integral = sum(l.power * cpmg_filter_function(n, t, l.center_hz)
+        integral = sum(l.power * _closed_form(n, t, l.center_hz)
                        for l in self._deltas)
         if self._lorentz:
-            x, g = self.x, self.g
-            f_hi = max(x[-1] / t, *(l.center_hz + 12.0 * l.width_hz
-                                    for l in self._lorentz))
-            if f_hi * t > x[-1]:
-                ext = np.append(np.arange(x[-1] + 1.0 / 16.0, f_hi * t,
-                                          1.0 / 16.0), f_hi * t)
-                x = np.concatenate((x, ext))
-                g = np.concatenate((g, cpmg_filter_function(n, 1.0, ext)))
-            windows = _line_windows(self._lorentz, x[0] / t, f_hi)
-            if windows:
-                wx = np.sort(np.concatenate(windows)) * t
-                at = np.searchsorted(x, wx)
-                x = np.insert(x, at, wx)
-                g = np.insert(g, at, cpmg_filter_function(n, 1.0, wx))
-            f = x / t
-            s = sum(spectra._lorentzian(f, l, l.width_hz) for l in self._lorentz)
-            # int S(f) T^2 g(f T) df = T int S(x/T) g(x) dx
-            integral += t * float(np.trapezoid(s * g, x))
+            for x, g in self._pieces(t) if pieces is None else pieces:
+                # int S(f) T^2 g(f T) df = T int S(x/T) g(x) dx
+                s = sum(spectra._lorentzian(x / t, l, l.width_hz)
+                        for l in self._lorentz)
+                integral += t * float(np.trapezoid(s * g, x))
         return 0.5 * PSD_CHI_CALIBRATION * integral
 
-    def __call__(self, t: float) -> float:
-        return self.smooth(t) + self.lines(t)
+    def _pieces(self, t: float, reach: float = 0.0) -> list:
+        """``(x, g)`` pieces that resolve the Lorentzian lines at ``t``: the
+        table, continued in steps of 1/16 up to ``reach`` and over each
+        line's span (centre +- 12 widths, reaching :data:`_LINE_REACH`
+        further down) that starts before it ends, then each span beyond it
+        on its own, so a line costs points in proportion to its width * T.
+        Each line's 257-point window across +- 8 widths is merged in."""
+        n = self.n_pulses
+        pieces = [(self.x, self.g)]
+        for lo, hi in sorted([(self.x[-1], reach)] + [
+                ((l.center_hz - 12.0 * l.width_hz) * t - _LINE_REACH,
+                 (l.center_hz + 12.0 * l.width_hz) * t) for l in self._lorentz]):
+            x, g = pieces[-1]
+            if hi > x[-1]:
+                joined = lo <= x[-1]
+                ext = np.append(np.arange(x[-1] + _STEP if joined else lo, hi, _STEP), hi)
+                ext = (ext, _closed_form(n, 1.0, ext))
+                if joined:
+                    pieces[-1] = (np.concatenate((x, ext[0])), np.concatenate((g, ext[1])))
+                else:
+                    pieces.append(ext)
+        f0 = self.x[0] / t
+        windows = [np.linspace(lo, hi, 257) for lo, hi in (
+            (max(l.center_hz - 8.0 * l.width_hz, f0), l.center_hz + 8.0 * l.width_hz)
+            for l in self._lorentz) if lo < hi]
+        if windows:
+            wx = np.sort(np.concatenate(windows)) * t
+            tops = [x[-1] for x, _ in pieces[:-1]]
+            for i, w in enumerate(np.split(wx, np.searchsorted(wx, tops, side="right"))):
+                x, g = pieces[i]
+                at = np.searchsorted(x, w)
+                pieces[i] = (np.insert(x, at, w), np.insert(g, at, _closed_form(n, 1.0, w)))
+        return pieces
+
+    def _band(self, t: float, f_lo: float | None, f_hi: float | None) -> float:
+        n, x0, x_end = self.n_pulses, self.x[0], self.x[-1]
+        if f_lo is None and self._diverges:
+            raise ValueError(self._diverges)
+        lo = x0 if f_lo is None else f_lo * t
+        hi = math.inf if f_hi is None else f_hi * t
+        if not x0 <= lo < hi:
+            raise ValueError(f"bad integration band [{f_lo}, {f_hi}]: it must "
+                             f"start at or above the table, {x0 / t:g} Hz")
+        pieces = [_cut(n, x, g, lo, hi)
+                  for x, g in self._pieces(t, 0.0 if f_hi is None else hi)]
+        # with f_hi open, the smooth part beyond the table is the tail's
+        top = max(lo, x_end) if f_hi is None else hi
+        x, g = _cut(n, *pieces[0], lo, top)
+        smooth = t * float(np.trapezoid(
+            spectra._smooth_psd(self._model, x / t) * g, x))
+        if f_hi is None:
+            smooth += _tail_beyond(self._model, n, top / t)
+        return 0.5 * PSD_CHI_CALIBRATION * smooth + self.lines(t, pieces)
 
     def _chi_once(self, t: float) -> float:
         """chi at ``t``, evaluated once: the search meets its ends up to
@@ -592,6 +559,35 @@ def cpmg_t2(model: SpectrumModel, n_pulses: int) -> float:
     """Total time T at which ``chi_ff(model, make_cpmg(n_pulses, T))``
     crosses 1: the analytic 1/e time (see :meth:`CpmgChi.t2`)."""
     return cpmg_chi(model, n_pulses).t2()
+
+
+def chi_ff(model: SpectrumModel, schedule: PulseSchedule, *,
+           calibration: float = PSD_CHI_CALIBRATION,
+           f_min: float | None = None,
+           f_max: float | None = None) -> float:
+    """Decay exponent ``cal * 0.5 * int S(f)|Y(2 pi f)|^2 df`` of a CPMG or
+    Ramsey schedule over [f_min, f_max]: ``cpmg_chi(model, N)(T, f_min,
+    f_max)``.  Without ``f_max`` the filter's high tail is added; with
+    one, the integral is sharply band-limited, as a sampled Monte Carlo
+    trace is at its Nyquist edge.  Without ``f_min`` the integral must
+    converge at f -> 0 (see :class:`CpmgChi`).  Raises ``ValueError`` for
+    a schedule that neither :func:`make_cpmg` nor :func:`make_ramsey`
+    would build.
+    """
+    n, t = schedule.n_pulses, schedule.total_time
+    if n and schedule.pulse_times != make_cpmg(n, t).pulse_times:
+        raise ValueError(f"chi_ff takes CPMG and Ramsey schedules only: the "
+                         f"{n} pulses must sit where make_cpmg puts them")
+    return calibration / PSD_CHI_CALIBRATION * cpmg_chi(model, n)(t, f_min, f_max)
+
+
+def coherence_ff(model: SpectrumModel, schedule: PulseSchedule, *,
+                 calibration: float = PSD_CHI_CALIBRATION,
+                 f_min: float | None = None,
+                 f_max: float | None = None) -> float:
+    """exp(-chi) for Gaussian noise; companion of :func:`coherence_mc`."""
+    return math.exp(-chi_ff(model, schedule, calibration=calibration,
+                            f_min=f_min, f_max=f_max))
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,11 @@ of s^2 and ``phase variance = int_0^inf S(f) |Y(2*pi*f)|**2 df`` for a
 one-sided PSD S (up to the package-wide calibration applied by the
 coherence engines, see :mod:`spinprobe.qubitsim`).
 
-Two paths evaluate it.  :func:`filter_function` sums the exact Fourier
-integral of every constant-sign segment, so it serves any schedule at
-O(N) cost per frequency; it is the generic path and the reference the
-tests hold everything else to.  :func:`cpmg_filter_function` is the closed
-form for equally spaced pulses (:func:`make_cpmg`), O(1) per frequency,
-which :func:`spinprobe.qubitsim.chi_ff` uses whenever a schedule is CPMG.
+:func:`filter_function` sums the exact Fourier integral of every
+constant-sign segment, for any schedule at O(N) cost per frequency.  The
+closed forms :func:`cpmg_filter_function` and
+:func:`ramsey_filter_function`, O(1) per frequency, serve the
+filter-function engine of :mod:`spinprobe.qubitsim` and the tone scan.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ __all__ = [
     "make_cpmg",
     "filter_function",
     "cpmg_filter_function",
+    "ramsey_filter_function",
     "response",
 ]
 
@@ -110,9 +110,7 @@ def response(schedule: PulseSchedule, f_hz) -> np.ndarray:
     mids = 0.5 * (edges[:-1] + edges[1:])
     widths = np.diff(edges)
     signs = schedule.segment_signs
-    # (nseg, nf) complex outer products: O(N) work and memory per frequency,
-    # about 0.9 GB of temporaries for CPMG-64 on the 864k-point chi_ff grid
-    # at T = 10 s; cpmg_filter_function avoids them for CPMG schedules
+    # (nseg, nf) complex outer products: O(N) work and memory per frequency
     phase = np.exp(2j * np.pi * np.outer(mids, f))
     kernel = widths[:, None] * np.sinc(np.outer(widths, f))
     y = np.sum(signs[:, None] * phase * kernel, axis=0)
@@ -153,4 +151,11 @@ def cpmg_filter_function(n_pulses: int, total_time: float, f_hz) -> np.ndarray:
         ratio = np.where(den == 0.0, float(n_pulses),
                          np.sin(n_pulses * np.pi * r) / den)
     mag2 = (tau * np.sinc(0.5 * u) * np.sin(0.5 * np.pi * u) * ratio) ** 2
+    return mag2 if np.ndim(f_hz) else float(mag2)
+
+
+def ramsey_filter_function(total_time: float, f_hz) -> np.ndarray:
+    """Closed-form ``|Y(2*pi*f)|**2`` of ``make_ramsey(total_time)``:
+    ``(T sinc(f T))**2`` (numpy sinc convention)."""
+    mag2 = (total_time * np.sinc(np.asarray(f_hz, dtype=float) * total_time)) ** 2
     return mag2 if np.ndim(f_hz) else float(mag2)

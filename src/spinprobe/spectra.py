@@ -94,10 +94,6 @@ class SpectrumModel:
         if self.white_floor < 0:
             raise ValueError(f"white floor must be >= 0, got {self.white_floor}")
 
-    @property
-    def max_exponent(self) -> float:
-        return max((t.exponent for t in self.powerlaws), default=0.0)
-
     def scaled(self, gain: float) -> "SpectrumModel":
         """Model with every spectral density multiplied by ``gain``."""
         return SpectrumModel(

@@ -22,7 +22,7 @@ from . import _parallel
 from ._rng import derive_child_seeds, derive_rng_rows
 from .qubitsim import (HARDWARE_READOUT, PSD_CHI_CALIBRATION,
                        PhaseFunctional, ReadoutModel, mc_grid)
-from .sequences import filter_function, make_cpmg, response
+from .sequences import cpmg_filter_function, make_cpmg
 from .spectra import SpectrumModel
 
 __all__ = [
@@ -144,8 +144,7 @@ def harmonic_weights(n_pulses: int, f_tone: float, k_max: int = 7) -> list[dict]
     out = []
     for k in range(1, k_max + 1):
         tau = k / (2.0 * f_tone)
-        sched = make_cpmg(n_pulses, n_pulses * tau)
-        w = filter_function(sched, f_tone)
+        w = cpmg_filter_function(n_pulses, n_pulses * tau, f_tone)
         if ref is None:
             ref = w
         out.append({"k": k, "weight": float(w / ref)})
@@ -194,9 +193,8 @@ def _tone_column(args) -> list[tuple[float, float]]:
     phase = PhaseFunctional(schedule, *mc_grid(
         n_pulses, schedule.total_time, 1.0, samples_per_interval))
     h = phase.normal_weights(model)
-    # the tone enters through the exact segment Fourier integral; only its
-    # modulus matters once the phase is randomized
-    y_mag = abs(response(schedule, f_tone))
+    # only the modulus of the tone's response matters once its phase is random
+    y_mag = math.sqrt(cpmg_filter_function(n_pulses, schedule.total_time, f_tone))
     scale = math.sqrt(PSD_CHI_CALIBRATION)
     # each shot's n - 1 normals in synthesis' draw order: the real parts
     # of rfft bins 1..(n-1)//2, their imaginary parts, then an even n's

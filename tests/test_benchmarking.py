@@ -172,7 +172,6 @@ class TestRbSimulation:
         fit = fit_rb(RbCurve(depths=m, mean_survival=y,
                              std_err=np.zeros_like(m), n_sequences=1))
         assert fit.p == pytest.approx(0.9964, rel=1e-9)
-        assert fit.amplitude == pytest.approx(0.275, rel=1e-6)
 
     def test_readout_and_shots_affect_curve_not_p(self):
         ro = ReadoutModel(visibility=0.55, floor=0.225)

@@ -1142,6 +1142,15 @@ class TestCli:
         assert main(["validate", str(p)]) == 2
         assert "protocol.duration_s" in capsys.readouterr().out
 
+    def test_validate_line_far_above_the_filter_table(self, tmp_path, capsys):
+        # a Lorentzian at 4.6e18 Hz: its lattice covers the line's own
+        # span, not the frequencies from the table up to it (53.6 TiB)
+        cfg = yaml.safe_load((CONFIG_DIR / "cpmg_t2_vs_n.yaml").read_text())
+        cfg["spectrum"]["lines"] = [
+            {"center_hz": 4.6e18, "power": 1.5e6, "width_hz": 150.0}]
+        assert main(["validate", str(_write_yaml(tmp_path, cfg))]) in (0, 2)
+        assert "Traceback" not in capsys.readouterr().out
+
     def test_list_experiments(self, capsys):
         assert main(["list-experiments"]) == 0
         out = capsys.readouterr().out

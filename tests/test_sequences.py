@@ -12,6 +12,7 @@ from spinprobe.sequences import (
     make_cpmg,
     make_hahn,
     make_ramsey,
+    ramsey_filter_function,
     response,
 )
 
@@ -199,6 +200,26 @@ class TestCpmgClosedForm:
         f = x * n / (2.0 * t)
         assert abs(cpmg_filter_function(n, t, f)
                    - filter_function(make_cpmg(n, t), f)) <= _closed_form_atol(t)
+
+
+class TestRamseyClosedForm:
+    @pytest.mark.parametrize("t", [1e-6, 3.7e-4, 1e-3, 0.37, 10.0])
+    def test_matches_segment_sum(self, t):
+        # the sinc nulls k/T exactly and 1e-9 off, and towards f = 0
+        nulls = np.arange(1, 41) / t
+        f = np.concatenate([
+            [0.0], np.geomspace(1e-12 / t, 0.1 / t, 50),
+            nulls, nulls * (1 + 1e-9), nulls * (1 - 1e-9),
+            np.linspace(0.0, 40.0 / t, 4001)])
+        np.testing.assert_allclose(ramsey_filter_function(t, f),
+                                   filter_function(make_ramsey(t), f),
+                                   rtol=0, atol=1e-13 * t**2)
+
+    def test_scalar_and_array_forms(self):
+        v = ramsey_filter_function(T, 1e3)
+        assert isinstance(v, float)
+        assert ramsey_filter_function(T, np.array([1e3, 2e3]))[0] == v
+        assert ramsey_filter_function(T, 0.0) == T**2
 
 
 class TestParseval:

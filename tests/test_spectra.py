@@ -60,13 +60,6 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             SpectralLine(10.0, -1.0, 1.0)
 
-    def test_max_exponent(self):
-        model = SpectrumModel(powerlaws=(PowerLawTerm(1.0, 0.8),
-                                         PowerLawTerm(1.0, 2.5)),
-                              white_floor=0.0, lines=())
-        assert model.max_exponent == 2.5
-        assert WHITE.max_exponent == 0.0
-
     def test_scaled(self):
         model = ONE_OVER_F.scaled(2.5)
         f = np.array([100.0, 5e3])

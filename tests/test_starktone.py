@@ -161,8 +161,8 @@ class TestToneScan:
 
     def test_one_response_per_column_and_cells_at_their_seeds(self, monkeypatch):
         calls = []
-        real = starktone.response
-        monkeypatch.setattr(starktone, "response",
+        real = starktone.cpmg_filter_function
+        monkeypatch.setattr(starktone, "cpmg_filter_function",
                             lambda *a: calls.append(a) or real(*a))
         taus, amps = [25e-6, 50e-6, 125e-6], [0.0, 1e-4, 2e-4]
         columns = scan_columns(taus, 300e-6)
