@@ -9,12 +9,9 @@ object ``json.dump`` takes, in which an ``ndarray`` stands for its
 * **CSV cells.**  Integer columns go through ``str`` and every other
   column through ``repr`` of Python floats, so ``float(text)`` gives back
   each value bit for bit (``nan``, ``inf`` and ``-0.0`` included).
-* **Row blocks.**  A CSV's rows are formatted in blocks of
-  :data:`BLOCK_ROWS`.  A CSV of more than one block maps its blocks
-  through :func:`spinprobe._parallel.submit`, across the run's workers; a
-  single block is formatted inline.  The main process joins the pieces in
-  order and writes each file in one call, so the bytes depend on neither
-  the block size nor the worker count.
+* **Rows.**  A CSV's rows are formatted in one pass, in the main
+  process, and every file of a call is formatted before the first is
+  written.
 * **JSON.**  A JSON file is ``json.dumps(obj, indent=2, sort_keys=True)``
   followed by ``"\\n"`` (``NaN``, ``Infinity`` and ``-Infinity`` for
   non-finite floats).  Any other object ``json`` cannot write, a NumPy
@@ -29,11 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _parallel
-
-__all__ = ["BLOCK_ROWS", "Csv", "write_files"]
-
-BLOCK_ROWS = 1 << 14
+__all__ = ["Csv", "write_files"]
 
 
 @dataclass(frozen=True)
@@ -46,22 +39,10 @@ class Csv:
 
 
 def _format_block(columns: list[np.ndarray]) -> str:
-    """Rows of one block of a CSV's columns, each ending in a newline."""
+    """The rows of a CSV's columns, each ending in a newline."""
     cells = [map(str, c.tolist()) if c.dtype.kind in "iu"
              else map(repr, np.asarray(c, dtype=float).tolist()) for c in columns]
-    return "\n".join(map(",".join, zip(*cells))) + "\n"
-
-
-def _submit_csv(content: Csv):
-    """Start formatting ``content``'s row blocks; the handle gives its text."""
-    columns = [np.asarray(col) for col in content.columns]
-    if len({c.shape for c in columns}) > 1 or any(c.ndim != 1 for c in columns):
-        raise ValueError("CSV columns must be 1-D and of equal length")
-    n_rows = columns[0].size if columns else 0
-    blocks = _parallel.submit(_format_block, (
-        [c[start:start + BLOCK_ROWS] for c in columns]
-        for start in range(0, n_rows, BLOCK_ROWS)))
-    return lambda: [content.header + "\n", *blocks()]
+    return "\n".join([*map(",".join, zip(*cells)), ""])
 
 
 def _ndarray_as_list(obj):
@@ -70,17 +51,21 @@ def _ndarray_as_list(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+def _text(content) -> list[str]:
+    """The pieces of a file's text, in order."""
+    if not isinstance(content, Csv):
+        return [json.dumps(content, indent=2, sort_keys=True,
+                           default=_ndarray_as_list) + "\n"]
+    columns = [np.asarray(col) for col in content.columns]
+    if len({c.shape for c in columns}) > 1 or any(c.ndim != 1 for c in columns):
+        raise ValueError("CSV columns must be 1-D and of equal length")
+    return [content.header + "\n", _format_block(columns)]
+
+
 def write_files(files: dict) -> None:
     """Write each ``path: content`` of ``files``; content is a :class:`Csv`
     or a JSON object (see the module docstring)."""
-    # every CSV's blocks are submitted before any JSON is formatted, so
-    # the workers format rows while the main process dumps the JSON
-    csv_texts = {path: _submit_csv(content) for path, content in files.items()
-                 if isinstance(content, Csv)}
-    json_texts = {path: json.dumps(content, indent=2, sort_keys=True,
-                                   default=_ndarray_as_list) + "\n"
-                  for path, content in files.items() if path not in csv_texts}
-    for path in files:
+    texts = {path: _text(content) for path, content in files.items()}
+    for path, text in texts.items():
         with Path(path).open("w") as fh:
-            fh.writelines(csv_texts[path]() if path in csv_texts
-                          else json_texts[path])
+            fh.writelines(text)

@@ -47,7 +47,7 @@ RB_HEADER = "M,mean_survival,std_err,n_sequences"
 STARK_GRID_HEADER = "v_g1,v_g2,f_hz"
 TONE_SCAN_HEADER = "f_hz,amplitude_vpp,p_up,std_err"
 TRACE_HEADER = "time_s,volts"
-VOLT_PSD_HEADER = "f_hz,S_v2_per_hz"
+VOLT_PSD_HEADER = "f_hz,S_v2_per_hz,n_bins"
 DETUNING_PSD_HEADER = "f_hz,S_rad2_per_s,n_bins"
 
 
@@ -619,11 +619,10 @@ def plan_voltage_psd(cfg, stark: StarkMap):
             n_segments = spectra.welch_segments(n, nperseg)
             rms = spectra.integrate_rms(est_v, lo, hi)
             # the bounds are S times the summary's welch_ci_factors, so the
-            # files hold S alone; only psd_voltage.csv keeps every Welch
-            # bin, the detuning PSD and the plot hold the log-binned rows
+            # files hold S alone, on the log-binned rows
             f_b, s_b, n_bins = spectra.log_bin(est_v.f, est_v.s)
             _write(report, out, {
-                "psd_voltage.csv": Csv(VOLT_PSD_HEADER, (est_v.f, est_v.s)),
+                "psd_voltage.csv": Csv(VOLT_PSD_HEADER, (f_b, s_b, n_bins)),
                 "psd_detuning.csv": Csv(DETUNING_PSD_HEADER, (
                     f_b, s_b * spectra.detuning_gain(coeff), n_bins)),
                 "plot_voltage_psd.json": _plot(

@@ -385,9 +385,10 @@ class CpmgChi:
     form.  ``chi(T)`` is :meth:`smooth` plus :meth:`lines`;
     ``chi(T, f_lo, f_hi)`` integrates over that band instead, its ends
     inserted into the table at x = f*T (so f_lo * T >= 5e-10 m), and the
-    tail added only when f_hi is open (None).  Without f_lo the integral
-    must converge at f -> 0: a power-law exponent >= 3, or >= 1 for
-    Ramsey, raises ``ValueError``.
+    tail added only when f_hi is open (None); a resolution-limited line
+    counts only when its centre lies in the band.  Without f_lo the
+    integral must converge at f -> 0: a power-law exponent >= 3, or >= 1
+    for Ramsey, raises ``ValueError``.
     """
 
     def __init__(self, model: SpectrumModel, n_pulses: int):
@@ -434,12 +435,13 @@ class CpmgChi:
             raise ValueError(self._diverges)
         return sum(c * t**p for c, p in self._smooth)
 
-    def lines(self, t: float, pieces=None) -> float:
-        """chi of the spectral lines at total time ``t``, the Lorentzian
-        ones integrated on ``pieces`` (:meth:`_pieces` by default)."""
+    def lines(self, t: float, pieces=None, f_lo=0.0, f_hi=math.inf) -> float:
+        """chi of the spectral lines at total time ``t``: the Lorentzian
+        ones integrated on ``pieces`` (:meth:`_pieces` by default), the
+        resolution-limited ones whose centre lies in [f_lo, f_hi]."""
         n = self.n_pulses
         integral = sum(l.power * _closed_form(n, t, l.center_hz)
-                       for l in self._deltas)
+                       for l in self._deltas if f_lo <= l.center_hz <= f_hi)
         if self._lorentz:
             for x, g in self._pieces(t) if pieces is None else pieces:
                 # int S(f) T^2 g(f T) df = T int S(x/T) g(x) dx
@@ -500,7 +502,8 @@ class CpmgChi:
             spectra._smooth_psd(self._model, x / t) * g, x))
         if f_hi is None:
             smooth += _tail_beyond(self._model, n, top / t)
-        return 0.5 * PSD_CHI_CALIBRATION * smooth + self.lines(t, pieces)
+        return 0.5 * PSD_CHI_CALIBRATION * smooth + self.lines(
+            t, pieces, f_lo or 0.0, math.inf if f_hi is None else f_hi)
 
     def _chi_once(self, t: float) -> float:
         """chi at ``t``, evaluated once: the search meets its ends up to

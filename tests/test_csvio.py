@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinprobe import _csvio, _parallel
-from spinprobe._csvio import BLOCK_ROWS, Csv, write_files
+from spinprobe import _parallel
+from spinprobe._csvio import Csv, write_files
 from spinprobe.benchmarking import RbCurve
 from spinprobe.harness.pipelines import (
     RB_HEADER, TONE_SCAN_HEADER, _rb_csv, _tone_scan_csv, _trace_csv)
@@ -155,10 +155,11 @@ def _wide_columns(n: int):
 
 
 class TestRowBlocks:
-    """Blocked output against the per-row reference, across block edges."""
+    """Written files against the per-row and ``json.dump`` references,
+    from no rows to many, inside a run pool of one and of two workers."""
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("n", [0, 1, 16383, 16384, 16385])
     def test_csv_and_json_match_references(self, tmp_path, workers, n):
         i, x, y = _wide_columns(n)
         plot = {"title": "t", "x": {"values": x}, "i": i, "y": [x, y]}
@@ -171,18 +172,6 @@ class TestRowBlocks:
         plain = {"title": "t", "x": {"values": x.tolist()}, "i": i.tolist(),
                  "y": [x.tolist(), y.tolist()]}
         assert (tmp_path / "p.json").read_text() == _json_reference(plain)
-
-    def test_bytes_do_not_depend_on_the_block_size(self, tmp_path, monkeypatch):
-        i, x, y = _wide_columns(1000)
-        files = {"a.csv": Csv("i,x,y", (i, x, y)), "p.json": {"v": [x, y[:10]]}}
-        texts = []
-        for block in (1, 7, 999, 1000, 4096):
-            monkeypatch.setattr(_csvio, "BLOCK_ROWS", block)
-            d = tmp_path / str(block)
-            d.mkdir()
-            write_files({d / name: content for name, content in files.items()})
-            texts.append([(d / name).read_text() for name in files])
-        assert all(t == texts[0] for t in texts)
 
 
 ROUND_TRIP_FLOATS = st.floats(allow_nan=True, allow_infinity=True,

@@ -89,15 +89,15 @@ TINY_VOLTAGE = {
                  "band_hz": [20.0, 4e3]},
 }
 
-# more Welch bins (20000) than one output row block
-BLOCKED_VOLTAGE = {**TINY_VOLTAGE, "protocol": {
+# 20000 Welch bins, log-binned into a few hundred rows
+LONG_VOLTAGE = {**TINY_VOLTAGE, "protocol": {
     "sample_rate_hz": 1e4, "duration_s": 8.0, "nperseg_s": 4.0,
     "band_hz": [1.0, 4e3]}}
 
-# BLOCKED_VOLTAGE with a spectroscopy block, which voltage_psd submits
+# LONG_VOLTAGE with a spectroscopy block, which voltage_psd submits
 # to the run's pool before it builds the trace
-OVERLAPPED_VOLTAGE = {**BLOCKED_VOLTAGE, "protocol": {
-    **BLOCKED_VOLTAGE["protocol"], "qubit_floor_rad2_s": 350.0,
+OVERLAPPED_VOLTAGE = {**LONG_VOLTAGE, "protocol": {
+    **LONG_VOLTAGE["protocol"], "qubit_floor_rad2_s": 350.0,
     "spectroscopy": {"f_grid_hz": [2e3, 3e3, 4e3], "pulse_counts": [2, 4],
                      "n_traj": 8}}}
 
@@ -658,8 +658,7 @@ class TestRunner:
         cfg = validate_config({**TINY_CPMG, "protocol": {
             **TINY_CPMG["protocol"], "pulse_counts": [1, 2, 4]}})
         m = execute(cfg, tmp_path / "out", workers=1)
-        assert [(fn, n) for fn, n in maps if fn is not _csvio._format_block] == \
-            [(qubitsim._decay_point, 3 * 3)]
+        assert maps == [(qubitsim._decay_point, 3 * 3)]
         # curve i is decay_vs_time at derive_child_seed(t2_scans seed, i)
         seed = m["stages"][0]["seed"]
         cols = _read_table(tmp_path / "out" / "decay_curves.csv")
@@ -831,33 +830,32 @@ class TestRunner:
         m2 = execute(cfg, tmp_path / "b", workers=2)
         assert m1["inventory"] == m2["inventory"]
 
-    def test_blocked_voltage_psd_identical_at_1_and_2_workers(self, tmp_path):
-        cfg = validate_config(BLOCKED_VOLTAGE)
+    def test_long_voltage_psd_identical_at_1_and_2_workers(self, tmp_path):
+        cfg = validate_config(LONG_VOLTAGE)
         m1 = execute(cfg, tmp_path / "a", workers=1)
         m2 = execute(cfg, tmp_path / "b", workers=2)
         assert m1["inventory"] == m2["inventory"]
-        n_bins = len((tmp_path / "a" / "psd_voltage.csv").read_text().splitlines()) - 1
-        assert n_bins > _csvio.BLOCK_ROWS
 
     def test_welch_stage_formats_each_row_once(self, tmp_path, monkeypatch):
-        """psd_voltage.csv keeps every Welch bin, formatted in row blocks;
-        psd_detuning.csv holds the log-binned rows, one block."""
-        blocks = []
+        """Each Welch CSV is formatted in one call, on the log-binned rows,
+        which hold every Welch bin once."""
+        calls = []
         real = _csvio._format_block
         monkeypatch.setattr(_csvio, "_format_block",
-                            lambda cols: blocks.append(cols[0].size) or real(cols))
-        execute(validate_config(BLOCKED_VOLTAGE), tmp_path / "out", workers=1)
-        n_welch = len((tmp_path / "out" / "psd_voltage.csv").read_text().splitlines()) - 1
-        n_rows = len((tmp_path / "out" / "psd_detuning.csv").read_text().splitlines()) - 1
-        assert n_rows < n_welch / 10
-        assert blocks == [min(_csvio.BLOCK_ROWS, n_welch - start) for start
-                          in range(0, n_welch, _csvio.BLOCK_ROWS)] + [n_rows]
+                            lambda cols: calls.append(cols[0].size) or real(cols))
+        execute(validate_config(LONG_VOLTAGE), tmp_path / "out", workers=1)
+        n_rows = [len((tmp_path / "out" / name).read_text().splitlines()) - 1
+                  for name in ("psd_voltage.csv", "psd_detuning.csv")]
+        assert calls == n_rows
+        n_bins = _read_table(tmp_path / "out" / "psd_voltage.csv")[2]
+        assert n_bins.sum() == 20000
+        assert n_rows[0] < n_bins.sum() / 10
 
     def test_welch_files_hold_f_and_s(self, tmp_path):
         execute(validate_config(TINY_VOLTAGE), tmp_path / "out", workers=1)
         heads = {name: (tmp_path / "out" / name).read_text().split("\n", 1)[0]
                  for name in ("psd_voltage.csv", "psd_detuning.csv")}
-        assert heads == {"psd_voltage.csv": "f_hz,S_v2_per_hz",
+        assert heads == {"psd_voltage.csv": "f_hz,S_v2_per_hz,n_bins",
                          "psd_detuning.csv": "f_hz,S_rad2_per_s,n_bins"}
 
     def test_welch_bounds_are_s_times_the_summary_factors(self, tmp_path):
@@ -865,45 +863,57 @@ class TestRunner:
         out = tmp_path / "out"
         summary = execute(cfg, out, workers=1)["summary"]
         assert json.loads((out / "voltage_summary.json").read_text()) == summary
-        proto = cfg["protocol"]
-        trace = spectra.synthesize(
-            spectra.SpectrumModel.from_dict(cfg["spectrum"]),
-            proto["sample_rate_hz"], proto["duration_s"],
-            derive_child_seed(cfg["seed"], 0))
-        est_v = spectra.psd_welch(trace, nperseg=int(round(
-            proto["nperseg_s"] * proto["sample_rate_hz"])))
+        est_v = _welch_estimate(cfg)
         assert summary["welch_segments"] == 19
         low, high = summary["welch_ci_factors"]
         # psd_welch's bounds are S*c bit for bit
-        f, s = _read_table(out / "psd_voltage.csv")
-        assert np.array_equal(f, est_v.f)
-        assert np.array_equal(s, est_v.s)
-        assert np.array_equal(s * low, est_v.ci_low)
-        assert np.array_equal(s * high, est_v.ci_high)
+        assert np.array_equal(est_v.s * low, est_v.ci_low)
+        assert np.array_equal(est_v.s * high, est_v.ci_high)
+        # the file holds the log-binned estimate bit for bit
+        f, s, n_bins = _read_table(out / "psd_voltage.csv")
+        f_b, s_b, n_b = spectra.log_bin(est_v.f, est_v.s)
+        assert np.array_equal(f, f_b) and np.array_equal(s, s_b)
+        assert np.array_equal(n_bins, n_b)
 
     def test_detuning_psd_is_the_log_binned_welch_estimate(self, tmp_path):
         cfg = validate_config(TINY_VOLTAGE)
         out = tmp_path / "out"
         summary = execute(cfg, out, workers=1)["summary"]
-        f_v, s_v = _read_table(out / "psd_voltage.csv")
+        f_v, s_v, n_v = _read_table(out / "psd_voltage.csv")
         f_b, s_dw, n_bins = _read_table(out / "psd_detuning.csv")
+        # every row is the voltage PSD's row times the gain, bit for bit
+        gain = spectra.detuning_gain(summary["stark_coefficient_hz_per_v"])
+        assert np.array_equal(f_b, f_v) and np.array_equal(n_bins, n_v)
+        assert np.array_equal(s_dw, s_v * gain)
         # every Welch bin lands in exactly one row, in order
+        est_v = _welch_estimate(cfg)
         assert np.array_equal(n_bins, n_bins.astype(int))
-        assert n_bins.min() >= 1 and n_bins.sum() == f_v.size
+        assert n_bins.min() >= 1 and n_bins.sum() == est_v.f.size
         assert np.all(np.diff(f_b) > 0)
         assert (n_bins == 1).any() and (n_bins > 1).any()
         ends = np.cumsum(n_bins.astype(int))
         starts = ends - n_bins.astype(int)
-        assert np.all((f_v[starts] <= f_b) & (f_b <= f_v[ends - 1]))
-        # a one-bin row is the Welch bin times the gain, bit for bit
-        gain = spectra.detuning_gain(summary["stark_coefficient_hz_per_v"])
+        assert np.all((est_v.f[starts] <= f_b) & (f_b <= est_v.f[ends - 1]))
+        # a one-bin row is the Welch bin, bit for bit
         one = n_bins == 1
-        assert np.array_equal(f_b[one], f_v[starts[one]])
-        assert np.array_equal(s_dw[one], s_v[starts[one]] * gain)
+        assert np.array_equal(f_v[one], est_v.f[starts[one]])
+        assert np.array_equal(s_v[one], est_v.s[starts[one]])
         # the plot draws the binned f and S_V
         plot = json.loads((out / "plot_voltage_psd.json").read_text())
         assert np.array_equal(plot["x"]["values"], f_b)
         assert np.array_equal(np.array(plot["y"]["values"]) * gain, s_dw)
+
+
+def _welch_estimate(cfg) -> spectra.PsdEstimate:
+    """The Welch estimate of a voltage_psd run's trace, rebuilt from the
+    trace stage's seed."""
+    proto = cfg["protocol"]
+    trace = spectra.synthesize(
+        spectra.SpectrumModel.from_dict(cfg["spectrum"]),
+        proto["sample_rate_hz"], proto["duration_s"],
+        derive_child_seed(cfg["seed"], 0))
+    return spectra.psd_welch(trace, nperseg=int(round(
+        proto["nperseg_s"] * proto["sample_rate_hz"])))
 
 
 def _csv_cells(path) -> tuple[str, list[list[str]]]:
@@ -1028,8 +1038,6 @@ class TestRunPool:
         assert not multiprocessing.active_children()
         assert m1["inventory"] == m2["inventory"]
         assert "psd_reconstructed.csv" in m1["inventory"]
-        n_bins = len((tmp_path / "a" / "psd_voltage.csv").read_text().splitlines()) - 1
-        assert n_bins > _csvio.BLOCK_ROWS
         stages = [[(s["name"], s["seed"]) for s in m["stages"]] for m in (m1, m2)]
         names = ["trace", "welch", "spectroscopy"]
         assert stages[0] == stages[1] == [

@@ -53,9 +53,9 @@ def chi_quadrature(model, n_pulses, t, *, f_min=None, f_max=None):
     to the highest Lorentzian centre + 12 widths), and 257 points across
     +- 8 widths of each Lorentzian line.  Without f_max the tail beyond
     the grid is added at the filter's averaged envelope ``(4N + 2) /
-    (4 pi^2 f^2)``; resolution-limited lines add their closed-form weight
-    at their centres.  CPMG is filtered in closed form, Ramsey by the
-    segment sum.
+    (4 pi^2 f^2)``; resolution-limited lines centred in [f_min, f_max]
+    add their closed-form weight at their centres.  CPMG is filtered in
+    closed form, Ramsey by the segment sum.
     """
     f1 = max(n_pulses, 1) / (2.0 * t)
     f_lo = f_min if f_min is not None else f1 * 1e-9
@@ -90,8 +90,10 @@ def chi_quadrature(model, n_pulses, t, *, f_min=None, f_max=None):
         for term in model.powerlaws:
             s_at = term.amplitude / (2.0 * math.pi * f[-1]) ** term.exponent
             integral += s_at * env / (f[-1] * (1.0 + term.exponent))
-    integral += sum(l.power * filt(l.center_hz)
-                    for l in model.lines if l.width_hz is None)
+    integral += sum(l.power * filt(l.center_hz) for l in model.lines
+                    if l.width_hz is None
+                    and (f_min is None or f_min <= l.center_hz)
+                    and (f_max is None or l.center_hz <= f_max))
     return PSD_CHI_CALIBRATION * 0.5 * integral
 
 
@@ -327,6 +329,22 @@ class TestCpmgChi:
                               white_floor=350.0, lines=COMPOSITE.lines)
         assert chi_ff(model, sch, **band) == pytest.approx(
             chi_quadrature(model, n, t, **band), rel=2e-4)
+
+    # a resolution-limited line counts only when its centre is in the
+    # band, as a Monte Carlo trace holds a line only inside its bins
+    @pytest.mark.parametrize("band, inside", [
+        ((100.0, 2000.0), False), ((4000.0, None), False), ((None, 3000.0), False),
+        ((100.0, 5000.0), True), ((3600.0, 3600.5), True), ((None, 3600.0), True)])
+    def test_band_counts_a_delta_line_only_inside(self, band, inside):
+        t = 4 / (2 * 3600.0)
+        sch = make_cpmg(4, t)
+        kw = {"f_min": band[0], "f_max": band[1]}
+        free = chi_ff(WHITE, sch, **kw)
+        line = 0.5 * PSD_CHI_CALIBRATION * (1.5e6 * cpmg_filter_function(4, t, 3600.0))
+        want = free + line if inside else free
+        assert chi_ff(TestChiSchedules.MODEL, sch, **kw) == want
+        assert chi_quadrature(TestChiSchedules.MODEL, 4, t, **kw) == \
+            pytest.approx(want, rel=1e-3)
 
     def test_band_below_the_table_rejected(self):
         # f_min * T under the table's first point, 2e-9 at N = 4
