@@ -7,14 +7,14 @@ exact closed form, no sampling.
 
 import numpy as np
 
-from spinprobe.sequences import (filter_function, make_cpmg, make_hahn,
-                                 make_ramsey)
+from spinprobe.sequences import filter_function, make_cpmg, make_ramsey
 
 TOTAL = 1e-3
 
-# free evolution integrates everything down to DC; one echo kills DC
+# free evolution integrates everything down to DC; one echo (CPMG-1, the
+# Hahn echo) kills DC
 ramsey = make_ramsey(TOTAL)
-hahn = make_hahn(TOTAL)
+hahn = make_cpmg(1, TOTAL)
 print("dc weight  ramsey", filter_function(ramsey, 0.0),
       " hahn", filter_function(hahn, 0.0))
 

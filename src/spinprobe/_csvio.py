@@ -9,9 +9,10 @@ object ``json.dump`` takes, in which an ``ndarray`` stands for its
 * **CSV cells.**  Integer columns go through ``str`` and every other
   column through ``repr`` of Python floats, so ``float(text)`` gives back
   each value bit for bit (``nan``, ``inf`` and ``-0.0`` included).
-* **Rows.**  A CSV's rows are formatted in one pass, in the main
-  process, and every file of a call is formatted before the first is
-  written.
+* **Rows.**  Every file of a call is checked, its CSV columns and its
+  JSON text, before the first is written; then a CSV's rows are
+  formatted and written :data:`SLICE_ROWS` at a time, in the main
+  process, so its text never all lives in memory at once.
 * **JSON.**  A JSON file is ``json.dumps(obj, indent=2, sort_keys=True)``
   followed by ``"\\n"`` (``NaN``, ``Infinity`` and ``-Infinity`` for
   non-finite floats).  Any other object ``json`` cannot write, a NumPy
@@ -20,6 +21,7 @@ object ``json.dump`` takes, in which an ``ndarray`` stands for its
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,10 +40,13 @@ class Csv:
     columns: tuple
 
 
+# rows of a CSV formatted and written at a time
+SLICE_ROWS = 1 << 16
+
+
 def _format_block(columns: list[np.ndarray]) -> str:
     """The rows of a CSV's columns, each ending in a newline."""
-    cells = [map(str, c.tolist()) if c.dtype.kind in "iu"
-             else map(repr, np.asarray(c, dtype=float).tolist()) for c in columns]
+    cells = [map(str if c.dtype.kind in "iu" else repr, c.tolist()) for c in columns]
     return "\n".join([*map(",".join, zip(*cells)), ""])
 
 
@@ -51,15 +56,20 @@ def _ndarray_as_list(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _text(content) -> list[str]:
-    """The pieces of a file's text, in order."""
+def _text(content):
+    """The pieces of a file's text, in order: a JSON file's whole text, or
+    a CSV's header then its rows, :data:`SLICE_ROWS` at a time, each slice
+    formatted only when it is written.  The columns are checked here."""
     if not isinstance(content, Csv):
         return [json.dumps(content, indent=2, sort_keys=True,
                            default=_ndarray_as_list) + "\n"]
     columns = [np.asarray(col) for col in content.columns]
     if len({c.shape for c in columns}) > 1 or any(c.ndim != 1 for c in columns):
         raise ValueError("CSV columns must be 1-D and of equal length")
-    return [content.header + "\n", _format_block(columns)]
+    columns = [c if c.dtype.kind in "iu" else np.asarray(c, dtype=float) for c in columns]
+    rows = range(0, columns[0].size if columns else 0, SLICE_ROWS)
+    return itertools.chain([content.header + "\n"], (
+        _format_block([c[a:a + SLICE_ROWS] for c in columns]) for a in rows))
 
 
 def write_files(files: dict) -> None:

@@ -219,6 +219,12 @@ MAX_PULSES = 1024
 # the shipped voltage_psd 5.4M, about 1.1 GB of synthesis peak
 MAX_TRACE_SAMPLES = 2 ** 25
 
+# most points the T2 search of a cpmg_t2_vs_n pulse count integrates its
+# Lorentzian lines on (qubitsim.CpmgChi.points at its t_max): a run just
+# inside it peaks at 357 MB against the shipped run's 45 MB, about 75 B a
+# point (numpy 2.4, x86-64)
+MAX_CHI_POINTS = 2 ** 22
+
 # most worker processes in a run: a pool forks all of its workers at its
 # first map, so a mistyped count would fork that many processes at once;
 # 64 is far above any core count a run here gains from

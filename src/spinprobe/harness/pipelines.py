@@ -36,8 +36,8 @@ from .._solve import distinct
 from ..qubitsim import QubitParams, ReadoutModel
 from ..spectra import SpectrumModel
 from ..starktone import StarkMap
-from .config import (MAX_GRID_POINTS, MAX_PULSES, MAX_SQUARED,
-                     MAX_TRACE_SAMPLES, ConfigError, grid_values)
+from .config import (MAX_CHI_POINTS, MAX_GRID_POINTS, MAX_PULSES,
+                     MAX_SQUARED, MAX_TRACE_SAMPLES, ConfigError, grid_values)
 
 DECAY_HEADER = "time_s,coherence_w,std_err,p_up"
 CHEVRON_HEADER = "detuning_hz,duration_s,p_up"
@@ -279,7 +279,7 @@ def plan_decay(cfg, readout: ReadoutModel):
                 "decay.csv": Csv(DECAY_HEADER,
                                  (curve.times, curve.w, curve.std_err, p_up)),
                 "plot_decay.json": _plot(
-                    f"{curve.label} decay",
+                    f"{cfg['kind']} decay",
                     _axis("total evolution time", "s", times),
                     _axis("coherence W", "1", curve.w), y_err=curve.std_err),
             })
@@ -310,10 +310,22 @@ def plan_cpmg_t2_vs_n(cfg):
         try:
             with np.errstate(over="raise"):
                 chi = qubitsim.cpmg_chi(model, n)
-                chi.bracket
+                # the T2 search integrates the lines at times up to t_max,
+                # laying the most points there; bounded before any is laid
+                points = chi.points(chi.t_max)
+                if points <= MAX_CHI_POINTS:
+                    chi.bracket
         except (ValueError, FloatingPointError) as exc:
             raise ConfigError(f"protocol.pulse_counts: N = {n}: {exc}, so "
                               f"there is no T2 to centre the times on") from None
+        if points > MAX_CHI_POINTS:
+            # a line's lattice grows with its width * T
+            i = max((i for i, l in enumerate(model.lines) if l.width_hz is not None),
+                    key=lambda i: model.lines[i].width_hz)
+            raise ConfigError(
+                f"spectrum.lines.{i}.width_hz: at N = {n} the T2 search "
+                f"integrates the lines on {points:.0f} points at T = "
+                f"{chi.t_max:.3g} s; at most {MAX_CHI_POINTS}")
         chis.append(chi)
     # a bracket ends at or above its T2, so these times are the longest
     _check_density(model, "protocol.t_factor_max", [
@@ -332,7 +344,7 @@ def plan_cpmg_t2_vs_n(cfg):
                 times = np.geomspace(proto["t_factor_min"] * t2_est,
                                      proto["t_factor_max"] * t2_est,
                                      proto["n_times"])
-                specs.append((n, times, curve_seed, f"cpmg-{n}"))
+                specs.append((n, times, curve_seed))
             curves = qubitsim.submit_decay_curves(
                 model, specs, proto["n_traj"],
                 duration_factor=proto["duration_factor"],

@@ -6,17 +6,20 @@ Two interchangeable coherence engines live here:
   drawn from a spectrum model.
 * :class:`CpmgChi`, the filter-function engine, gives the same decay as
   ``chi = cal * 0.5 * int S(f) |Y(2 pi f)|^2 df`` from one filter table
-  in x = f*T per (model, N), kept for the process by :func:`cpmg_chi`.
-  :func:`chi_ff` and :func:`coherence_ff` query it for one CPMG or
-  Ramsey schedule.
+  in x = f*T per (model, N), kept for the process by :func:`cpmg_chi`;
+  every filter value comes from :func:`sequences.filter_function`.
+  :func:`chi_ff` and :func:`coherence_ff` query it for one schedule.
 
-For Gaussian noise the two agree exactly in expectation, which the test
-suite leans on heavily.
+Both engines take a :class:`~spinprobe.sequences.PulseSchedule`, the pair
+(N, T): CPMG-N, or Ramsey for N = 0.  For Gaussian noise the two agree
+exactly in expectation, which the test suite leans on heavily.
 
 :func:`cpmg_t2` gives the analytic 1/e time of a CPMG-N decay, where the
 ``cpmg_t2_vs_n`` pipeline centres its time grids.  The search solves the
 smooth part of :class:`CpmgChi` for T_s first and looks for chi = 1 in
-[1e-7 s, min(T_s, 10 s)], never far above T2.
+[1e-7 s, min(T_s, 10 s)], never far above T2; that upper end,
+:attr:`CpmgChi.t_max`, is known before any line is integrated, so a plan
+can bound the points :meth:`CpmgChi.points` says the search will lay.
 
 Every toggled phase goes through one :class:`PhaseFunctional`, built per
 (schedule, sample rate, trace length).  It holds the weights ``a`` that
@@ -59,8 +62,7 @@ import numpy as np
 from . import _parallel, spectra
 from ._rng import derive_child_seeds, derive_rngs
 from ._solve import brentq, distinct
-from .sequences import (PulseSchedule, cpmg_filter_function, make_cpmg,
-                        make_ramsey, ramsey_filter_function)
+from .sequences import PulseSchedule, filter_function
 from .spectra import SpectrumModel
 
 __all__ = [
@@ -198,7 +200,6 @@ class DecayCurve:
     std_err: np.ndarray
     n_pulses: np.ndarray
     n_traj: int
-    label: str = ""
 
     def __post_init__(self):
         for name in ("times", "w", "std_err"):
@@ -282,8 +283,7 @@ class PhaseFunctional:
         parts = [r[1:k + 1].real, r[1:k + 1].imag]
         if n % 2 == 0:
             parts.append([0.5 * r[-1].real])
-        s_bins = spectra.rfft_bin_density(model, self.sample_rate, n)
-        return (spectra.normal_amplitudes(s_bins, self.sample_rate, n)
+        return (spectra.normal_amplitudes(model, self.sample_rate, n)
                 * np.concatenate(parts))
 
 
@@ -340,14 +340,6 @@ _STEP = 1.0 / 16.0
 _LINE_REACH = 4096.0
 
 
-def _closed_form(n_pulses: int, total_time: float, f_hz):
-    """``|Y|^2`` of ``make_cpmg(n_pulses, total_time)``, or of
-    ``make_ramsey(total_time)`` for no pulses."""
-    if n_pulses == 0:
-        return ramsey_filter_function(total_time, f_hz)
-    return cpmg_filter_function(n_pulses, total_time, f_hz)
-
-
 def _tail_beyond(model: SpectrumModel, n_pulses: int, f_hi: float) -> float:
     """``int_{f_hi}^{inf} S(f) <|Y|^2>(f) df`` using the averaged envelope.
 
@@ -364,18 +356,19 @@ def _tail_beyond(model: SpectrumModel, n_pulses: int, f_hi: float) -> float:
     return tail
 
 
-def _cut(n_pulses: int, x: np.ndarray, g: np.ndarray, lo: float, hi: float):
-    """A piece ``(x, g)`` cut to [lo, hi], the ends inside it inserted."""
+def _cut(unit: PulseSchedule, x: np.ndarray, g: np.ndarray, lo: float, hi: float):
+    """A piece ``(x, g)`` of the filter of ``unit`` (T = 1 s) cut to
+    [lo, hi], the ends inside it inserted."""
     ends = np.array([e for e in (lo, hi) if x.size and x[0] < e < x[-1]])
     keep = (x >= lo) & (x <= hi)
     x = np.concatenate((x[keep], ends))
     order = np.argsort(x, kind="stable")
-    return x[order], np.concatenate((g[keep], _closed_form(n_pulses, 1.0, ends)))[order]
+    return x[order], np.concatenate((g[keep], filter_function(unit, ends)))[order]
 
 
 class CpmgChi:
-    """The filter-function engine: chi of ``make_cpmg(n_pulses, T)``, or of
-    ``make_ramsey(T)`` for no pulses, as a function of T.
+    """The filter-function engine: chi of ``PulseSchedule(n_pulses, T)``
+    as a function of T.
 
     The closed-form filter depends on f and T only through x = f*T:
     ``|Y|^2(f; T) = T^2 g(f*T)``, g being the filter at T = 1 s (sinc^2 x
@@ -393,12 +386,13 @@ class CpmgChi:
 
     def __init__(self, model: SpectrumModel, n_pulses: int):
         n = self.n_pulses = int(n_pulses)
+        self._unit = PulseSchedule(n, 1.0)
         m = max(n, 1)
         x_end = 40.0 * m
         self.x = distinct(np.concatenate((
             np.geomspace(5e-10 * m, m / 8.0, 400),
             np.arange(m / 8.0, x_end, _STEP), [x_end])))
-        self.g = _closed_form(n, 1.0, self.x)
+        self.g = filter_function(self._unit, self.x)
         limit = 1.0 if n == 0 else 3.0
         self._diverges = (
             f"power-law exponent >= {limit:g} diverges at f -> 0 with {n} "
@@ -439,8 +433,8 @@ class CpmgChi:
         """chi of the spectral lines at total time ``t``: the Lorentzian
         ones integrated on ``pieces`` (:meth:`_pieces` by default), the
         resolution-limited ones whose centre lies in [f_lo, f_hi]."""
-        n = self.n_pulses
-        integral = sum(l.power * _closed_form(n, t, l.center_hz)
+        schedule = PulseSchedule(self.n_pulses, t)
+        integral = sum(l.power * filter_function(schedule, l.center_hz)
                        for l in self._deltas if f_lo <= l.center_hz <= f_hi)
         if self._lorentz:
             for x, g in self._pieces(t) if pieces is None else pieces:
@@ -457,16 +451,13 @@ class CpmgChi:
         further down) that starts before it ends, then each span beyond it
         on its own, so a line costs points in proportion to its width * T.
         Each line's 257-point window across +- 8 widths is merged in."""
-        n = self.n_pulses
         pieces = [(self.x, self.g)]
-        for lo, hi in sorted([(self.x[-1], reach)] + [
-                ((l.center_hz - 12.0 * l.width_hz) * t - _LINE_REACH,
-                 (l.center_hz + 12.0 * l.width_hz) * t) for l in self._lorentz]):
+        for lo, hi in self._spans(t, reach):
             x, g = pieces[-1]
             if hi > x[-1]:
                 joined = lo <= x[-1]
                 ext = np.append(np.arange(x[-1] + _STEP if joined else lo, hi, _STEP), hi)
-                ext = (ext, _closed_form(n, 1.0, ext))
+                ext = (ext, filter_function(self._unit, ext))
                 if joined:
                     pieces[-1] = (np.concatenate((x, ext[0])), np.concatenate((g, ext[1])))
                 else:
@@ -481,8 +472,27 @@ class CpmgChi:
             for i, w in enumerate(np.split(wx, np.searchsorted(wx, tops, side="right"))):
                 x, g = pieces[i]
                 at = np.searchsorted(x, w)
-                pieces[i] = (np.insert(x, at, w), np.insert(g, at, _closed_form(n, 1.0, w)))
+                pieces[i] = (np.insert(x, at, w), np.insert(g, at, filter_function(self._unit, w)))
         return pieces
+
+    def _spans(self, t: float, reach: float = 0.0) -> list:
+        """The ``(lo, hi)`` spans in x, sorted, that :meth:`_pieces` lays
+        its 1/16 lattice over where they pass the pieces before them."""
+        return sorted([(self.x[-1], reach)] + [
+            ((l.center_hz - 12.0 * l.width_hz) * t - _LINE_REACH,
+             (l.center_hz + 12.0 * l.width_hz) * t) for l in self._lorentz])
+
+    def points(self, t: float) -> float:
+        """At most how many ``(x, g)`` points :meth:`_pieces` lays at
+        ``t``, reckoned from :meth:`_spans` without building any: the
+        table, 16 per unit x (and two) of each span beyond where the
+        pieces before it end, and each line's 257-point window."""
+        end, points = self.x[-1], self.x.size + 257.0 * len(self._lorentz)
+        for lo, hi in self._spans(t):
+            if hi > end:
+                points += (hi - max(lo, end)) / _STEP + 2.0
+                end = hi
+        return points
 
     def _band(self, t: float, f_lo: float | None, f_hi: float | None) -> float:
         n, x0, x_end = self.n_pulses, self.x[0], self.x[-1]
@@ -493,11 +503,11 @@ class CpmgChi:
         if not x0 <= lo < hi:
             raise ValueError(f"bad integration band [{f_lo}, {f_hi}]: it must "
                              f"start at or above the table, {x0 / t:g} Hz")
-        pieces = [_cut(n, x, g, lo, hi)
+        pieces = [_cut(self._unit, x, g, lo, hi)
                   for x, g in self._pieces(t, 0.0 if f_hi is None else hi)]
         # with f_hi open, the smooth part beyond the table is the tail's
         top = max(lo, x_end) if f_hi is None else hi
-        x, g = _cut(n, *pieces[0], lo, top)
+        x, g = _cut(self._unit, *pieces[0], lo, top)
         smooth = t * float(np.trapezoid(
             spectra._smooth_psd(self._model, x / t) * g, x))
         if f_hi is None:
@@ -513,21 +523,29 @@ class CpmgChi:
         return self._ends[t]
 
     @functools.cached_property
-    def bracket(self) -> tuple[float, float]:
-        """``(lo, hi)`` with chi(lo) < 1 <= chi(hi): ``hi`` is where the
-        smooth part alone reaches 1 (lines only add to chi), or the end of
-        :data:`T2_SEARCH_S` if it never does there.  Raises
-        ``ValueError`` when chi does not cross 1 inside
-        :data:`T2_SEARCH_S`.  The ends of :data:`T2_SEARCH_S` are checked
-        where the search in log T meets them, at ``exp(log(T))``, which
-        can be an ulp away (10 s becomes 10.000000000000002 s)."""
+    def t_max(self) -> float:
+        """The longest total time the T2 search evaluates chi at, found
+        without integrating a line: where the smooth part alone crosses 1
+        inside :data:`T2_SEARCH_S` (lines only add to chi), else the end
+        of :data:`T2_SEARCH_S`."""
         lo, hi = T2_SEARCH_S
+        if self.smooth(lo) < 1.0 < self.smooth(hi):
+            return math.exp(brentq(lambda lt: self.smooth(math.exp(lt)) - 1.0,
+                                   math.log(lo), math.log(hi)))
+        return hi
+
+    @functools.cached_property
+    def bracket(self) -> tuple[float, float]:
+        """``(lo, hi)`` with chi(lo) < 1 <= chi(hi), ``hi`` being
+        :attr:`t_max`.  Raises ``ValueError`` when chi does not cross 1
+        inside :data:`T2_SEARCH_S`.  The ends of :data:`T2_SEARCH_S` are
+        checked where the search in log T meets them, at ``exp(log(T))``,
+        which can be an ulp away (10 s becomes 10.000000000000002 s)."""
+        lo = T2_SEARCH_S[0]
         if self._chi_once(_log_round_trip(lo)) >= 1.0:
             raise ValueError(f"chi >= 1 already at T = {lo:g} s")
-        if self.smooth(hi) > 1.0:
-            hi = math.exp(brentq(lambda lt: self.smooth(math.exp(lt)) - 1.0,
-                                 math.log(lo), math.log(hi)))
-        elif self._chi_once(_log_round_trip(hi)) < 1.0:
+        hi = self.t_max
+        if hi == T2_SEARCH_S[1] and self._chi_once(_log_round_trip(hi)) < 1.0:
             raise ValueError(f"chi stays below 1 up to T = {hi:g} s")
         return lo, hi
 
@@ -559,7 +577,7 @@ def cpmg_chi(model: SpectrumModel, n_pulses: int) -> CpmgChi:
 
 
 def cpmg_t2(model: SpectrumModel, n_pulses: int) -> float:
-    """Total time T at which ``chi_ff(model, make_cpmg(n_pulses, T))``
+    """Total time T at which ``chi_ff(model, PulseSchedule(n_pulses, T))``
     crosses 1: the analytic 1/e time (see :meth:`CpmgChi.t2`)."""
     return cpmg_chi(model, n_pulses).t2()
 
@@ -568,20 +586,15 @@ def chi_ff(model: SpectrumModel, schedule: PulseSchedule, *,
            calibration: float = PSD_CHI_CALIBRATION,
            f_min: float | None = None,
            f_max: float | None = None) -> float:
-    """Decay exponent ``cal * 0.5 * int S(f)|Y(2 pi f)|^2 df`` of a CPMG or
-    Ramsey schedule over [f_min, f_max]: ``cpmg_chi(model, N)(T, f_min,
-    f_max)``.  Without ``f_max`` the filter's high tail is added; with
-    one, the integral is sharply band-limited, as a sampled Monte Carlo
-    trace is at its Nyquist edge.  Without ``f_min`` the integral must
-    converge at f -> 0 (see :class:`CpmgChi`).  Raises ``ValueError`` for
-    a schedule that neither :func:`make_cpmg` nor :func:`make_ramsey`
-    would build.
+    """Decay exponent ``cal * 0.5 * int S(f)|Y(2 pi f)|^2 df`` of a
+    schedule over [f_min, f_max]: ``cpmg_chi(model, N)(T, f_min, f_max)``.
+    Without ``f_max`` the filter's high tail is added; with one, the
+    integral is sharply band-limited, as a sampled Monte Carlo trace is at
+    its Nyquist edge.  Without ``f_min`` the integral must converge at
+    f -> 0 (see :class:`CpmgChi`).
     """
-    n, t = schedule.n_pulses, schedule.total_time
-    if n and schedule.pulse_times != make_cpmg(n, t).pulse_times:
-        raise ValueError(f"chi_ff takes CPMG and Ramsey schedules only: the "
-                         f"{n} pulses must sit where make_cpmg puts them")
-    return calibration / PSD_CHI_CALIBRATION * cpmg_chi(model, n)(t, f_min, f_max)
+    return calibration / PSD_CHI_CALIBRATION * cpmg_chi(
+        model, schedule.n_pulses)(schedule.total_time, f_min, f_max)
 
 
 def coherence_ff(model: SpectrumModel, schedule: PulseSchedule, *,
@@ -597,16 +610,10 @@ def coherence_ff(model: SpectrumModel, schedule: PulseSchedule, *,
 # Scans
 
 
-def _schedule_for(n_pulses: int, total_time: float) -> PulseSchedule:
-    if n_pulses == 0:
-        return make_ramsey(total_time)
-    return make_cpmg(n_pulses, total_time)
-
-
 def _decay_point(args) -> CoherencePoint:
     (model, n_pulses, t_total, n_traj, point_seed, duration_factor,
      samples_per_interval) = args
-    return coherence_mc(model, _schedule_for(n_pulses, t_total), n_traj,
+    return coherence_mc(model, PulseSchedule(n_pulses, t_total), n_traj,
                         point_seed, duration_factor=duration_factor,
                         samples_per_interval=samples_per_interval)
 
@@ -614,22 +621,22 @@ def _decay_point(args) -> CoherencePoint:
 def submit_decay_curves(model: SpectrumModel, specs, n_traj: int, *,
                         duration_factor: float,
                         samples_per_interval: int):
-    """Monte Carlo decay curves, one per ``(pulse_counts, times, seed,
-    label)`` spec, with every point of every curve submitted to the run's
-    process pool in one :func:`_parallel.submit`.  Returns a handle whose
-    call gives the curves.
+    """Monte Carlo decay curves, one per ``(pulse_counts, times, seed)``
+    spec, with every point of every curve submitted to the run's process
+    pool in one :func:`_parallel.submit`.  Returns a handle whose call
+    gives the curves.
 
     ``pulse_counts`` is one count or one per time.  Point i of a curve is
-    :func:`coherence_mc` on its schedule (Ramsey for 0 pulses, else CPMG)
+    :func:`coherence_mc` on ``PulseSchedule(pulse_counts[i], times[i])``
     at seed ``derive_child_seed(seed, i)``, so a curve does not depend on
     the other curves submitted with it.
     """
     grids, jobs = [], []
-    for pulse_counts, times, seed, label in specs:
+    for pulse_counts, times, seed in specs:
         times = np.asarray(times, dtype=float)
         pulse_counts = np.broadcast_to(np.asarray(pulse_counts, dtype=int),
                                        times.shape)
-        grids.append((pulse_counts, times, label))
+        grids.append((pulse_counts, times))
         jobs.extend((model, int(n), float(t), n_traj, point_seed,
                      duration_factor, samples_per_interval)
                     for n, t, point_seed in zip(
@@ -639,12 +646,12 @@ def submit_decay_curves(model: SpectrumModel, specs, n_traj: int, *,
     def curves() -> list[DecayCurve]:
         points = iter(pending())
         out = []
-        for pulse_counts, times, label in grids:
+        for pulse_counts, times in grids:
             curve_points = [next(points) for _ in times]
             out.append(DecayCurve(
                 times=times, w=np.array([p.w for p in curve_points]),
                 std_err=np.array([p.std_err for p in curve_points]),
-                n_pulses=pulse_counts, n_traj=n_traj, label=label))
+                n_pulses=pulse_counts, n_traj=n_traj))
         return out
     return curves
 
@@ -655,18 +662,14 @@ def fixed_wait_spec(tau_wait: float, pulse_counts, seed: int):
     counts = np.asarray(pulse_counts, dtype=int)
     if np.any(counts < 1):
         raise ValueError("pulse counts must be >= 1 when tau_wait is fixed")
-    tau = float(tau_wait)
-    return counts, counts * tau, seed, f"tau_w={tau:.3e}s"
+    return counts, counts * float(tau_wait), seed
 
 
 def decay_vs_time(model: SpectrumModel, n_pulses: int, times, n_traj: int,
                   seed: int, *, duration_factor: float = DURATION_FACTOR,
-                  samples_per_interval: int = SAMPLES_PER_INTERVAL,
-                  label: str = "") -> DecayCurve:
+                  samples_per_interval: int = SAMPLES_PER_INTERVAL) -> DecayCurve:
     """Coherence decay at fixed pulse count over a grid of total times."""
-    if not label:
-        label = {0: "ramsey", 1: "hahn"}.get(n_pulses, f"cpmg-{n_pulses}")
     return submit_decay_curves(
-        model, [(n_pulses, times, seed, label)], n_traj,
+        model, [(n_pulses, times, seed)], n_traj,
         duration_factor=duration_factor,
         samples_per_interval=samples_per_interval)()[0]

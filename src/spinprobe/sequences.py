@@ -1,10 +1,12 @@
 """Dynamical-decoupling pulse schedules and their dephasing filter functions.
 
-A schedule is the free-evolution skeleton of a phase experiment: the qubit
-is prepared on the equator at t = 0, pi pulses flip the toggling sign at the
-listed times, and the accumulated phase is read out at ``total_time``.  Pulses
-are treated as instantaneous here; finite-duration effects belong to the
-time-domain simulator.
+A schedule is a CPMG-N train, or free induction (Ramsey) for N = 0: the
+qubit is prepared on the equator at t = 0, N instantaneous pi pulses flip
+the toggling sign at ``(2j - 1) * T / (2N)``, and the accumulated phase is
+read out at ``total_time`` T.  So a schedule is the pair ``(n_pulses,
+total_time)``, and its pulse times, segment edges and toggling signs
+follow from it.  Finite-duration pulse effects belong to the time-domain
+simulator.
 
 The filter function is ``|Y(2*pi*f)|**2`` with ``Y(omega) = int y(t)
 exp(i*omega*t) dt`` and y the +-1 toggling function, so the filter has units
@@ -12,11 +14,10 @@ of s^2 and ``phase variance = int_0^inf S(f) |Y(2*pi*f)|**2 df`` for a
 one-sided PSD S (up to the package-wide calibration applied by the
 coherence engines, see :mod:`spinprobe.qubitsim`).
 
-:func:`filter_function` sums the exact Fourier integral of every
-constant-sign segment, for any schedule at O(N) cost per frequency.  The
-closed forms :func:`cpmg_filter_function` and
-:func:`ramsey_filter_function`, O(1) per frequency, serve the
-filter-function engine of :mod:`spinprobe.qubitsim` and the tone scan.
+:func:`filter_function` evaluates it for a schedule through the closed
+forms :func:`cpmg_filter_function` and :func:`ramsey_filter_function`,
+O(1) per frequency; it serves the filter-function engine of
+:mod:`spinprobe.qubitsim`, and the tone scan calls the CPMG form directly.
 """
 
 from __future__ import annotations
@@ -28,38 +29,34 @@ import numpy as np
 __all__ = [
     "PulseSchedule",
     "make_ramsey",
-    "make_hahn",
     "make_cpmg",
     "filter_function",
     "cpmg_filter_function",
     "ramsey_filter_function",
-    "response",
 ]
 
 
 @dataclass(frozen=True)
 class PulseSchedule:
-    """Instantaneous pi-pulse times inside a free-evolution window."""
+    """``n_pulses`` equally spaced pi pulses over ``total_time`` (CPMG-N),
+    or free induction for ``n_pulses = 0``."""
 
+    n_pulses: int
     total_time: float
-    pulse_times: tuple[float, ...] = ()
-    label: str = ""
 
     def __post_init__(self):
         if not (self.total_time > 0 and np.isfinite(self.total_time)):
             raise ValueError(f"total_time must be finite and > 0, got {self.total_time}")
-        times = tuple(float(t) for t in self.pulse_times)
-        object.__setattr__(self, "pulse_times", times)
-        arr = np.asarray(times)
-        if arr.size:
-            if np.any(arr <= 0) or np.any(arr >= self.total_time):
-                raise ValueError("pulse times must lie strictly inside (0, total_time)")
-            if np.any(np.diff(arr) <= 0):
-                raise ValueError("pulse times must be strictly increasing")
+        if self.n_pulses < 0:
+            raise ValueError(f"n_pulses must be >= 0, got {self.n_pulses}")
 
     @property
-    def n_pulses(self) -> int:
-        return len(self.pulse_times)
+    def pulse_times(self) -> tuple[float, ...]:
+        """Pulse j (1-based) at ``(2j - 1) * total_time / (2 * n_pulses)``:
+        the end segments are half an inter-pulse spacing long, so the
+        passband of the filter centres near ``n_pulses / (2 * total_time)``."""
+        j = np.arange(1, self.n_pulses + 1)
+        return tuple(((2 * j - 1) * self.total_time / (2.0 * self.n_pulses)).tolist())
 
     @property
     def boundaries(self) -> np.ndarray:
@@ -74,54 +71,24 @@ class PulseSchedule:
 
 def make_ramsey(total_time: float) -> PulseSchedule:
     """Free induction: no refocusing pulses."""
-    return PulseSchedule(total_time=total_time, label="ramsey")
-
-
-def make_hahn(total_time: float) -> PulseSchedule:
-    """Single echo, pulse at the midpoint."""
-    return PulseSchedule(total_time=total_time,
-                         pulse_times=(total_time / 2.0,), label="hahn")
+    return PulseSchedule(0, total_time)
 
 
 def make_cpmg(n_pulses: int, total_time: float) -> PulseSchedule:
-    """Equally weighted multipulse echo.
-
-    Pulse j (1-based) sits at ``(2j - 1) * total_time / (2 * n_pulses)``;
-    the end segments are half an inter-pulse spacing long, so the passband
-    of the filter centres near ``n_pulses / (2 * total_time)``.
-    """
+    """Equally weighted multipulse echo of ``n_pulses >= 1`` pulses (a
+    Hahn echo for one)."""
     if n_pulses < 1:
         raise ValueError(f"n_pulses must be >= 1, got {n_pulses}")
-    j = np.arange(1, n_pulses + 1)
-    times = tuple((2 * j - 1) * total_time / (2.0 * n_pulses))
-    return PulseSchedule(total_time=total_time, pulse_times=times,
-                         label=f"cpmg-{n_pulses}")
-
-
-def response(schedule: PulseSchedule, f_hz) -> np.ndarray:
-    """Complex transfer function Y(2*pi*f) of the toggling sequence.
-
-    Each constant-sign segment contributes its exact Fourier integral,
-    ``dt * exp(i*2*pi*f*mid) * sinc(f*dt)`` (numpy sinc convention), which
-    stays finite at f = 0 where Y(0) is the signed area of y(t).
-    """
-    f = np.atleast_1d(np.asarray(f_hz, dtype=float))
-    edges = schedule.boundaries
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    widths = np.diff(edges)
-    signs = schedule.segment_signs
-    # (nseg, nf) complex outer products: O(N) work and memory per frequency
-    phase = np.exp(2j * np.pi * np.outer(mids, f))
-    kernel = widths[:, None] * np.sinc(np.outer(widths, f))
-    y = np.sum(signs[:, None] * phase * kernel, axis=0)
-    return y if np.ndim(f_hz) else complex(y[0])
+    return PulseSchedule(n_pulses, total_time)
 
 
 def filter_function(schedule: PulseSchedule, f_hz) -> np.ndarray:
-    """``|Y(2*pi*f)|**2`` in s^2 at ordinary frequencies ``f_hz``."""
-    y = response(schedule, np.atleast_1d(np.asarray(f_hz, dtype=float)))
-    mag2 = np.abs(y) ** 2
-    return mag2 if np.ndim(f_hz) else float(mag2[0])
+    """``|Y(2*pi*f)|**2`` in s^2 at ordinary frequencies ``f_hz``:
+    :func:`ramsey_filter_function` for no pulses, else
+    :func:`cpmg_filter_function`."""
+    if schedule.n_pulses == 0:
+        return ramsey_filter_function(schedule.total_time, f_hz)
+    return cpmg_filter_function(schedule.n_pulses, schedule.total_time, f_hz)
 
 
 def cpmg_filter_function(n_pulses: int, total_time: float, f_hz) -> np.ndarray:
@@ -137,8 +104,8 @@ def cpmg_filter_function(n_pulses: int, total_time: float, f_hz) -> np.ndarray:
     cells of alternating sign.  The reduced argument r puts the removable
     0/0 of the array factor exactly at r = 0, the passband centres
     ``(2k+1) * N / (2T)``, where the ratio takes its limit N (quadrature
-    grids land on those points).  Agrees with :func:`filter_function` on
-    the same schedule to rounding.
+    grids land on those points).  Agrees with the sum of every
+    constant-sign segment's exact Fourier integral to rounding.
     """
     if n_pulses < 1:
         raise ValueError(f"n_pulses must be >= 1, got {n_pulses}")

@@ -29,7 +29,6 @@ __all__ = [
     "NoiseTrace",
     "PsdEstimate",
     "eval_psd",
-    "rfft_bin_density",
     "normal_amplitudes",
     "draw_trace_samples",
     "synthesize",
@@ -230,38 +229,28 @@ def _bin_density(model: SpectrumModel, df: float, a: int, b: int) -> np.ndarray:
     return s
 
 
-def rfft_bin_density(model: SpectrumModel, sample_rate: float, n: int) -> np.ndarray:
-    """Model PSD on the rfft bin grid of an n-sample trace: smooth
-    components sampled at the bin centres, lines integrated over each bin.
-
-    The whole-range call of the per-block helper that synthesis uses (see
-    :func:`draw_trace_samples`).  Bin 0 is zero: content below 1/duration
-    is truncated and traces come out zero-mean.
-    """
-    s = np.zeros(n // 2 + 1)
-    s[1:] = _bin_density(model, sample_rate / n, 1, s.size)
-    return s
-
-
 def _amplitudes(s: np.ndarray, df: float, n: int) -> np.ndarray:
     """rfft coefficient per unit normal of bins with densities ``s``,
     scaled so each contributes ``S(f_k) * df`` to the sample variance."""
     return (n / 2.0) * np.sqrt(s * df)
 
 
-def normal_amplitudes(s_bins: np.ndarray, sample_rate: float, n: int) -> np.ndarray:
-    """rfft coefficient per unit normal of an n-sample trace, in the draw
-    order of :func:`draw_trace_samples`.
+def normal_amplitudes(model: SpectrumModel, sample_rate: float, n: int) -> np.ndarray:
+    """rfft coefficient per unit normal of an n-sample trace of the model,
+    in the draw order of :func:`draw_trace_samples`, from the same
+    :func:`_bin_density` and :func:`_amplitudes` calls it makes.
 
     Scaled so each positive bin contributes ``S(f_k) * df`` to the sample
     variance; the real Nyquist bin of an even-n trace carries twice the
-    per-component amplitude.
+    per-component amplitude.  Bin 0 is left out: content below
+    1/duration is truncated and traces come out zero-mean.
     """
     df = sample_rate / n
-    amp = _amplitudes(s_bins[1:(n - 1) // 2 + 1], df, n)
+    amp = _amplitudes(_bin_density(model, df, 1, (n - 1) // 2 + 1), df, n)
     parts = [amp, amp]
     if n % 2 == 0:
-        parts.append(2 * _amplitudes(s_bins[-1:], df, n))
+        s = _bin_density(model, df, n // 2, n // 2 + 1)
+        parts.append(2 * _amplitudes(s, df, n))
     return np.concatenate(parts)
 
 
@@ -275,8 +264,8 @@ def draw_trace_samples(model: SpectrumModel, sample_rate: float, n: int,
 
     Each positive rfft bin receives an independent complex Gaussian
     amplitude: the trace's n - 1 standard normals times
-    :func:`normal_amplitudes` of :func:`rfft_bin_density`.  The trace
-    variance approximates ``int S df`` over (0, Nyquist].
+    :func:`normal_amplitudes`.  The trace variance approximates
+    ``int S df`` over (0, Nyquist].
 
     The draw order: with ``K = (n - 1) // 2``, the real parts of rfft bins
     1..K, then their imaginary parts, then (even n only) the real Nyquist

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinprobe import _parallel
-from spinprobe._csvio import Csv, write_files
+from spinprobe import _csvio, _parallel
+from spinprobe._csvio import SLICE_ROWS, Csv, write_files
 from spinprobe.benchmarking import RbCurve
 from spinprobe.harness.pipelines import (
     RB_HEADER, TONE_SCAN_HEADER, _rb_csv, _tone_scan_csv, _trace_csv)
@@ -68,6 +68,15 @@ class TestWriteColumns:
             write_files({tmp_path / "t.csv": Csv("a,b", ([1.0, 2.0], [1.0]))})
         with pytest.raises(ValueError, match="1-D"):
             write_files({tmp_path / "t.csv": Csv("a", (np.zeros((2, 2)),))})
+
+    @pytest.mark.parametrize("bad", [Csv("a,b", ([1.0, 2.0], [1.0])),
+                                     Csv("a", (["x", "y"],)), {"x": object()}])
+    def test_nothing_written_when_a_file_is_bad(self, tmp_path, bad):
+        # every file is checked before the first is written
+        with pytest.raises((TypeError, ValueError)):
+            write_files({tmp_path / "good.csv": Csv("a", ([1.0],)),
+                         tmp_path / "bad": bad})
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExportersKeepTheirBytes:
@@ -156,7 +165,9 @@ def _wide_columns(n: int):
 
 class TestRowBlocks:
     """Written files against the per-row and ``json.dump`` references,
-    from no rows to many, inside a run pool of one and of two workers."""
+    from no rows to many, inside a run pool of one and of two workers,
+    and on both sides of the slices of ``SLICE_ROWS`` rows a CSV is
+    written in."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("n", [0, 1, 16383, 16384, 16385])
@@ -172,6 +183,18 @@ class TestRowBlocks:
         plain = {"title": "t", "x": {"values": x.tolist()}, "i": i.tolist(),
                  "y": [x.tolist(), y.tolist()]}
         assert (tmp_path / "p.json").read_text() == _json_reference(plain)
+
+    @pytest.mark.parametrize("slice_rows, n", [
+        (7, 6), (7, 7), (7, 8), (7, 14), (7, 22),
+        (SLICE_ROWS, SLICE_ROWS - 1), (SLICE_ROWS, SLICE_ROWS + 1)])
+    def test_csv_written_across_slices(self, tmp_path, monkeypatch,
+                                       slice_rows, n):
+        monkeypatch.setattr(_csvio, "SLICE_ROWS", slice_rows)
+        i, x, y = _wide_columns(n)
+        write_files({tmp_path / "a.csv": Csv("i,x,y", (i, x, y)),
+                     tmp_path / "b.csv": Csv("y", (y.tolist(),))})
+        assert (tmp_path / "a.csv").read_text() == _reference_rows("i,x,y", zip(i, x, y))
+        assert (tmp_path / "b.csv").read_text() == _reference_rows("y", zip(y))
 
 
 ROUND_TRIP_FLOATS = st.floats(allow_nan=True, allow_infinity=True,

@@ -34,7 +34,8 @@ from spinprobe.harness import ConfigError, RunError, execute, rerun, run
 from spinprobe.harness import pipelines
 from spinprobe.harness import runner as runner_module
 from spinprobe.harness.cli import main
-from spinprobe.harness.config import (KINDS, MAX_TRACE_SAMPLES, MAX_WORKERS,
+from spinprobe.harness.config import (KINDS, MAX_CHI_POINTS,
+                                      MAX_TRACE_SAMPLES, MAX_WORKERS,
                                       grid_values, load_config,
                                       validate_config)
 from spinprobe.harness.pipelines import gate_index
@@ -1158,6 +1159,39 @@ class TestCli:
             {"center_hz": 4.6e18, "power": 1.5e6, "width_hz": 150.0}]
         assert main(["validate", str(_write_yaml(tmp_path, cfg))]) in (0, 2)
         assert "Traceback" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_line_far_wider_than_one_over_t2_exits_2(self, tmp_path, capsys,
+                                                     command):
+        # a 1e12 Hz-wide line: N = 1's search would integrate it on 6.4e10
+        # lattice points at T = 0.33 ms (478 GiB)
+        out = tmp_path / "out"
+        cfg = yaml.safe_load((CONFIG_DIR / "cpmg_t2_vs_n.yaml").read_text())
+        cfg["spectrum"]["lines"][0]["width_hz"] = 1.0e12
+        cfg["output_dir"] = str(out)
+        assert main([command, str(_write_yaml(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().out.startswith(
+            "error: spectrum.lines.0.width_hz: at N = 1 the T2 search")
+        assert not out.exists()
+
+    def test_line_width_bounded_at_the_point_budget(self):
+        # the shipped N = 64 search lays its most points at t_max; a width
+        # just inside the budget validates, one just past it does not
+        cfg = yaml.safe_load((CONFIG_DIR / "cpmg_t2_vs_n.yaml").read_text())
+        model = spectra.SpectrumModel.from_dict(cfg["spectrum"])
+        chi = qubitsim.cpmg_chi(model, 64)
+        assert chi.points(chi.t_max) == 41489
+        line = cfg["spectrum"]["lines"][0]
+        for width, ok in [(6.88e6, True), (6.89e6, False)]:
+            line["width_hz"] = width
+            if ok:
+                validate_config(cfg)
+                continue
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"spectrum.lines.0.width_hz: at N = 64 the T2 search "
+                    f"integrates the lines on ")) as info:
+                validate_config(cfg)
+            assert str(info.value).endswith(f"at most {MAX_CHI_POINTS}")
 
     def test_list_experiments(self, capsys):
         assert main(["list-experiments"]) == 0

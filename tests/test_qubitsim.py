@@ -31,8 +31,7 @@ from spinprobe.qubitsim import (
 from spinprobe import qubitsim, spectra
 from spinprobe._rng import derive_child_seed, derive_rng
 from spinprobe.sequences import (PulseSchedule, cpmg_filter_function,
-                                 filter_function, make_cpmg, make_hahn,
-                                 make_ramsey)
+                                 filter_function, make_cpmg, make_ramsey)
 from spinprobe.spectra import PowerLawTerm, SpectralLine, SpectrumModel
 from test_spectra import trace_normals
 
@@ -41,6 +40,9 @@ COMPOSITE = SpectrumModel(
     powerlaws=(PowerLawTerm(3e13, 2.5), PowerLawTerm(3e7, 1.0)),
     white_floor=350.0,
     lines=(SpectralLine(3600.0, 1.5e6, 150.0),))
+# a white floor and a resolution-limited line
+WHITE_DELTA = SpectrumModel(powerlaws=(), white_floor=350.0,
+                            lines=(SpectralLine(3600.0, 1.5e6, None),))
 
 
 def chi_quadrature(model, n_pulses, t, *, f_min=None, f_max=None):
@@ -75,22 +77,18 @@ def chi_quadrature(model, n_pulses, t, *, f_min=None, f_max=None):
     f = np.unique(np.concatenate([np.asarray(p, dtype=float) for p in panels]))
     f = f[(f >= f_lo) & (f <= f_hi)]
 
-    def filt(freq):
-        if n_pulses:
-            return cpmg_filter_function(n_pulses, t, freq)
-        return filter_function(make_ramsey(t), freq)
-
     s = spectra._smooth_psd(model, f)
     for l in lorentz:
         s = s + spectra._lorentzian(f, l, l.width_hz)
-    integral = float(np.trapezoid(s * filt(f), f))
+    schedule = PulseSchedule(n_pulses, t)
+    integral = float(np.trapezoid(s * filter_function(schedule, f), f))
     if f_max is None:
         env = (4.0 * n_pulses + 2.0) / (4.0 * math.pi**2)
         integral += model.white_floor * env / f[-1]
         for term in model.powerlaws:
             s_at = term.amplitude / (2.0 * math.pi * f[-1]) ** term.exponent
             integral += s_at * env / (f[-1] * (1.0 + term.exponent))
-    integral += sum(l.power * filt(l.center_hz) for l in model.lines
+    integral += sum(l.power * filter_function(schedule, l.center_hz) for l in model.lines
                     if l.width_hz is None
                     and (f_min is None or f_min <= l.center_hz)
                     and (f_max is None or l.center_hz <= f_max))
@@ -204,7 +202,7 @@ class TestChiAnalytic:
             chi_ff(pink, make_ramsey(1e-3))
         assert np.isfinite(chi_ff(pink, make_ramsey(1e-3), f_min=10.0))
         # echoes kill the infrared weight, no cutoff needed
-        assert np.isfinite(chi_ff(pink, make_hahn(1e-3)))
+        assert np.isfinite(chi_ff(pink, make_cpmg(1, 1e-3)))
 
     def _one_over_e(self, calibration):
         def excess(logt):
@@ -219,22 +217,6 @@ class TestChiAnalytic:
         assert t_raw == pytest.approx(5.4569e-3, rel=1e-3)
         # raw convention lands within 30% of the nominal 6.7 ms target
         assert abs(t_raw - 6.7e-3) / 6.7e-3 < 0.30
-
-
-class TestChiSchedules:
-    MODEL = SpectrumModel(powerlaws=(), white_floor=350.0,
-                          lines=(SpectralLine(3600.0, 1.5e6, None),))
-
-    @pytest.mark.parametrize("n", [1, 16, 64])
-    def test_rebuilt_cpmg_accepted_and_moved_pulse_rejected(self, n):
-        sch = make_cpmg(n, 3.7e-4)
-        rebuilt = PulseSchedule(total_time=sch.total_time,
-                                pulse_times=sch.pulse_times, label="rebuilt")
-        assert chi_ff(self.MODEL, rebuilt) == chi_ff(self.MODEL, sch)
-        moved = (sch.pulse_times[0] * (1 + 1e-12),) + sch.pulse_times[1:]
-        with pytest.raises(ValueError, match="make_cpmg"):
-            chi_ff(self.MODEL, PulseSchedule(total_time=sch.total_time,
-                                             pulse_times=moved))
 
 
 def _log_uniform(lo, hi):
@@ -314,7 +296,7 @@ class TestCpmgChi:
             t = min(t, 1e-3)
         rate, samples = mc_grid(n, t, DURATION_FACTOR, SAMPLES_PER_INTERVAL)
         band = {"f_min": 0.5 * rate / samples, "f_max": 0.5 * rate}
-        sch = make_cpmg(n, t) if n else make_ramsey(t)
+        sch = PulseSchedule(n, t)
         assert chi_ff(COMPOSITE, sch, **band) == pytest.approx(
             chi_quadrature(COMPOSITE, n, t, **band), rel=1e-4 if n else 4e-3)
 
@@ -324,7 +306,7 @@ class TestCpmgChi:
     @pytest.mark.parametrize("n", [0, 1, 8])
     def test_band_ends_open_or_closed(self, n, band):
         t = 1e-3
-        sch = make_cpmg(n, t) if n else make_ramsey(t)
+        sch = PulseSchedule(n, t)
         model = SpectrumModel(powerlaws=(PowerLawTerm(3e7, 0.8),),
                               white_floor=350.0, lines=COMPOSITE.lines)
         assert chi_ff(model, sch, **band) == pytest.approx(
@@ -342,8 +324,8 @@ class TestCpmgChi:
         free = chi_ff(WHITE, sch, **kw)
         line = 0.5 * PSD_CHI_CALIBRATION * (1.5e6 * cpmg_filter_function(4, t, 3600.0))
         want = free + line if inside else free
-        assert chi_ff(TestChiSchedules.MODEL, sch, **kw) == want
-        assert chi_quadrature(TestChiSchedules.MODEL, 4, t, **kw) == \
+        assert chi_ff(WHITE_DELTA, sch, **kw) == want
+        assert chi_quadrature(WHITE_DELTA, 4, t, **kw) == \
             pytest.approx(want, rel=1e-3)
 
     def test_band_below_the_table_rejected(self):
@@ -373,6 +355,18 @@ class TestCpmgChi:
         points = sum(x.size for x, _ in chi._pieces(1e-7))
         assert points < chi.x.size + 16 * qubitsim._LINE_REACH + 1000
         assert chi(1e-7) == pytest.approx(chi.smooth(1e-7), rel=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_cpmg_cases(st.none() | _log_uniform(1e-3, 1e3),
+                            pulses=st.integers(0, 64)))
+    @example(case=(COMPOSITE, 64, 0.56))
+    def test_points_bound_the_pieces(self, case):
+        # points() reckons each span's lattice without building it: at
+        # most two points over per span (the table's and each line's)
+        model, n, t = case
+        chi = qubitsim.CpmgChi(model, n)
+        laid = sum(x.size for x, _ in chi._pieces(t))
+        assert laid <= chi.points(t) <= laid + 2 * (len(model.lines) + 1)
 
     def test_steep_exponent_rejected(self):
         # exponent >= 3 (>= 1 for Ramsey) diverges without f_min
@@ -471,7 +465,7 @@ class TestAccumulatePhase:
         assert self._phase(make_ramsey(1e-3)) == pytest.approx(0.25, rel=1e-9)
 
     def test_echo_cancels_static_detuning(self):
-        assert self._phase(make_hahn(1e-3)) == pytest.approx(0.0, abs=1e-12)
+        assert self._phase(make_cpmg(1, 1e-3)) == pytest.approx(0.0, abs=1e-12)
         assert self._phase(make_cpmg(6, 1e-3)) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -502,8 +496,7 @@ class TestPhaseFunctional:
                                        composite, seed):
         # any n at least as long as the schedule: odd and even, so the
         # unpaired Nyquist bin of even n is covered
-        sch = (make_ramsey(total_time) if n_pulses == 0
-               else make_cpmg(n_pulses, total_time))
+        sch = PulseSchedule(n_pulses, total_time)
         rate = samples_per_interval * max(n_pulses, 1) / total_time
         n = int(math.ceil(total_time * rate)) + 1 + extra
         model = COMPOSITE if composite else WHITE
@@ -521,8 +514,7 @@ class TestPhaseFunctional:
         (5, 2e-3, 16, 161),
     ])
     def test_mc_grid_lengths(self, n_pulses, total_time, spi, n):
-        sch = (make_ramsey(total_time) if n_pulses == 0
-               else make_cpmg(n_pulses, total_time))
+        sch = PulseSchedule(n_pulses, total_time)
         phase = PhaseFunctional(sch, *mc_grid(n_pulses, total_time, 2.0, spi))
         assert phase.n == n
         rate = phase.sample_rate
@@ -594,8 +586,6 @@ class TestDecayScans:
         assert curve.w.shape == times.shape
         assert curve.std_err.shape == times.shape
         np.testing.assert_array_equal(curve.n_pulses, 4)
-        assert curve.label == "cpmg-4"
-        assert decay_vs_time(WHITE, 0, times[:2], 64, 2).label == "ramsey"
 
     def test_decay_is_monotone_on_average(self):
         times = np.array([2e-4, 4e-3])
@@ -630,7 +620,7 @@ class TestDecayScans:
         curve = decay_vs_time(COMPOSITE, n_pulses, times, 24, 7,
                               duration_factor=3.0, samples_per_interval=8)
         for i, t in enumerate(times):
-            sch = make_ramsey(t) if n_pulses == 0 else make_cpmg(n_pulses, t)
+            sch = PulseSchedule(n_pulses, t)
             p = coherence_mc(COMPOSITE, sch, 24, derive_child_seed(7, i),
                              duration_factor=3.0, samples_per_interval=8)
             assert (curve.w[i], curve.std_err[i]) == (p.w, p.std_err)
@@ -639,7 +629,6 @@ class TestDecayScans:
         tau, counts = 1e-4, [1, 2, 4, 8]
         curve = self._fixed_wait(COMPOSITE, tau, counts, 24, 9,
                                  duration_factor=3.0, samples_per_interval=8)
-        assert curve.label == "tau_w=1.000e-04s"
         for i, n in enumerate(counts):
             assert curve.times[i] == n * tau
             p = coherence_mc(COMPOSITE, make_cpmg(n, n * tau), 24,

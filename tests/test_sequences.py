@@ -1,4 +1,8 @@
-"""Pulse schedules and filter functions against closed-form anchors."""
+"""Pulse schedules and filter functions against closed-form anchors, and
+the closed forms against the sum of every segment's Fourier integral."""
+
+import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -10,13 +14,32 @@ from spinprobe.sequences import (
     cpmg_filter_function,
     filter_function,
     make_cpmg,
-    make_hahn,
     make_ramsey,
     ramsey_filter_function,
-    response,
 )
 
 T = 1e-3
+
+
+def _segment_sum(schedule, f_hz):
+    """Test oracle: the complex transfer function Y(2*pi*f) of the toggling
+    sequence, each constant-sign segment contributing its exact Fourier
+    integral ``dt * exp(i*2*pi*f*mid) * sinc(f*dt)`` (numpy sinc
+    convention), finite at f = 0 where Y(0) is the signed area of y(t)."""
+    f = np.atleast_1d(np.asarray(f_hz, dtype=float))
+    edges = schedule.boundaries
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    widths = np.diff(edges)
+    phase = np.exp(2j * np.pi * np.outer(mids, f))
+    kernel = widths[:, None] * np.sinc(np.outer(widths, f))
+    y = np.sum(schedule.segment_signs[:, None] * phase * kernel, axis=0)
+    return y if np.ndim(f_hz) else complex(y[0])
+
+
+def _segment_filter(schedule, f_hz):
+    """``|Y|**2`` of :func:`_segment_sum`."""
+    mag2 = np.abs(_segment_sum(schedule, np.atleast_1d(f_hz))) ** 2
+    return mag2 if np.ndim(f_hz) else float(mag2[0])
 
 
 class TestConstruction:
@@ -33,10 +56,24 @@ class TestConstruction:
         assert sch.n_pulses == 0
 
     def test_hahn_pulse_at_midpoint(self):
-        assert make_hahn(T).pulse_times == (T / 2.0,)
+        # a Hahn echo is CPMG-1
+        assert make_cpmg(1, T).pulse_times == (T / 2.0,)
 
-    def test_cpmg_one_equals_hahn(self):
-        assert make_cpmg(1, T).pulse_times == make_hahn(T).pulse_times
+    def test_schedule_is_its_pulse_count_and_time(self):
+        assert make_cpmg(4, T) == PulseSchedule(4, T)
+        assert make_ramsey(T) == PulseSchedule(0, T)
+        assert [f.name for f in dataclasses.fields(PulseSchedule)] == [
+            "n_pulses", "total_time"]
+
+    @pytest.mark.parametrize("t", [1e-6, 3.7e-4, 1e-3, 0.37, 10.0])
+    def test_pulse_times_are_the_cpmg_expression_bit_for_bit(self, t):
+        for n in range(1, 65):
+            j = np.arange(1, n + 1)
+            times = tuple(float(v) for v in (2 * j - 1) * t / (2.0 * n))
+            sch = PulseSchedule(n, t)
+            assert sch.pulse_times == times
+            assert all(type(v) is float for v in sch.pulse_times)
+            assert sch.boundaries.tobytes() == np.array((0.0, *times, t)).tobytes()
 
     def test_segment_signs_alternate(self):
         np.testing.assert_array_equal(make_cpmg(3, T).segment_signs,
@@ -48,23 +85,13 @@ class TestConstruction:
 
     def test_rejects_nonpositive_duration(self):
         with pytest.raises(ValueError):
-            PulseSchedule(total_time=0.0)
+            PulseSchedule(0, 0.0)
         with pytest.raises(ValueError):
-            PulseSchedule(total_time=-1e-3)
+            PulseSchedule(2, -1e-3)
 
-    def test_rejects_pulses_outside_window(self):
-        with pytest.raises(ValueError):
-            PulseSchedule(total_time=T, pulse_times=(0.0,))
-        with pytest.raises(ValueError):
-            PulseSchedule(total_time=T, pulse_times=(T,))
-        with pytest.raises(ValueError):
-            PulseSchedule(total_time=T, pulse_times=(1.5 * T,))
-
-    def test_rejects_unsorted_pulses(self):
-        with pytest.raises(ValueError):
-            PulseSchedule(total_time=T, pulse_times=(0.6 * T, 0.3 * T))
-        with pytest.raises(ValueError):
-            PulseSchedule(total_time=T, pulse_times=(0.3 * T, 0.3 * T))
+    def test_rejects_negative_pulse_count(self):
+        with pytest.raises(ValueError, match="n_pulses"):
+            PulseSchedule(-1, T)
 
     def test_cpmg_rejects_zero_pulses(self):
         with pytest.raises(ValueError):
@@ -84,34 +111,39 @@ class TestToggling:
 
 
 class TestResponse:
+    """The segment-sum oracle on its analytic anchors, and
+    :func:`filter_function` as the closed form of its schedule."""
+
     def test_dc_value_is_signed_area(self):
-        assert response(make_ramsey(T), 0.0) == pytest.approx(T)
-        assert response(make_hahn(T), 0.0) == pytest.approx(0.0, abs=1e-18)
-        assert response(make_cpmg(4, T), 0.0) == pytest.approx(0.0, abs=1e-18)
-        # asymmetric single pulse: +T/4 then -3T/4
-        lop = PulseSchedule(total_time=T, pulse_times=(T / 4,))
-        assert response(lop, 0.0) == pytest.approx(-T / 2)
+        assert _segment_sum(make_ramsey(T), 0.0) == pytest.approx(T)
+        assert _segment_sum(make_cpmg(1, T), 0.0) == pytest.approx(0.0, abs=1e-18)
+        assert _segment_sum(make_cpmg(4, T), 0.0) == pytest.approx(0.0, abs=1e-18)
+        # asymmetric single pulse, which no schedule plays: +T/4 then -3T/4
+        lop = types.SimpleNamespace(boundaries=np.array([0.0, T / 4, T]),
+                                    segment_signs=np.array([1.0, -1.0]))
+        assert _segment_sum(lop, 0.0) == pytest.approx(-T / 2)
 
     def test_scalar_and_array_forms(self):
         sch = make_cpmg(2, T)
-        y = response(sch, 1e3)
+        y = _segment_sum(sch, 1e3)
         assert isinstance(y, complex)
-        arr = response(sch, np.array([1e3, 2e3]))
+        arr = _segment_sum(sch, np.array([1e3, 2e3]))
         assert arr.shape == (2,)
         assert arr[0] == pytest.approx(y)
         assert isinstance(filter_function(sch, 1e3), float)
+        assert isinstance(filter_function(make_ramsey(T), 1e3), float)
 
-    def test_filter_is_squared_magnitude(self):
-        sch = make_cpmg(8, T)
+    @pytest.mark.parametrize("n", [0, 1, 8])
+    def test_filter_function_is_the_closed_form_of_its_schedule(self, n):
         f = np.geomspace(50.0, 2e5, 300)
-        np.testing.assert_allclose(filter_function(sch, f),
-                                   np.abs(response(sch, f)) ** 2,
-                                   rtol=1e-12)
+        want = (ramsey_filter_function(T, f) if n == 0
+                else cpmg_filter_function(n, T, f))
+        assert filter_function(PulseSchedule(n, T), f).tobytes() == want.tobytes()
 
     def test_ramsey_sinc_form(self):
         # |Y| = T sinc(f T) for free induction
         f = np.array([100.0, 850.0, 3.3e3])
-        np.testing.assert_allclose(np.abs(response(make_ramsey(T), f)),
+        np.testing.assert_allclose(np.abs(_segment_sum(make_ramsey(T), f)),
                                    np.abs(T * np.sinc(f * T)), rtol=1e-12)
 
 
@@ -120,7 +152,7 @@ class TestPassband:
     def test_peak_response_magnitude(self, n):
         # |Y| = 2T/pi at the passband centre f1 = N / (2T)
         f1 = n / (2.0 * T)
-        assert abs(response(make_cpmg(n, T), f1)) == pytest.approx(
+        assert abs(_segment_sum(make_cpmg(n, T), f1)) == pytest.approx(
             2.0 * T / np.pi, rel=1e-12)
 
     @pytest.mark.parametrize("n,ratio", [
@@ -173,7 +205,7 @@ class TestCpmgClosedForm:
             centres, centres * (1 + 1e-9), centres * (1 - 1e-9),
             np.linspace(0.0, 40.0 * n / t, 4001)])
         np.testing.assert_allclose(cpmg_filter_function(n, t, f),
-                                   filter_function(make_cpmg(n, t), f),
+                                   _segment_filter(make_cpmg(n, t), f),
                                    rtol=0, atol=_closed_form_atol(t))
 
     def test_scalar_and_array_forms(self):
@@ -182,7 +214,7 @@ class TestCpmgClosedForm:
         arr = cpmg_filter_function(2, T, np.array([1e3, 2e3]))
         assert arr.shape == (2,)
         assert arr[0] == v
-        assert v == pytest.approx(filter_function(make_cpmg(2, T), 1e3),
+        assert v == pytest.approx(_segment_filter(make_cpmg(2, T), 1e3),
                                   rel=1e-12)
         # f1 = N/(2T) lands exactly on the 0/0 point; the limit is (2T/pi)^2
         assert cpmg_filter_function(2, T, 1.0 / T) == pytest.approx(
@@ -199,7 +231,7 @@ class TestCpmgClosedForm:
         # x is the frequency in units of the passband centre N/(2T)
         f = x * n / (2.0 * t)
         assert abs(cpmg_filter_function(n, t, f)
-                   - filter_function(make_cpmg(n, t), f)) <= _closed_form_atol(t)
+                   - _segment_filter(make_cpmg(n, t), f)) <= _closed_form_atol(t)
 
 
 class TestRamseyClosedForm:
@@ -212,7 +244,7 @@ class TestRamseyClosedForm:
             nulls, nulls * (1 + 1e-9), nulls * (1 - 1e-9),
             np.linspace(0.0, 40.0 / t, 4001)])
         np.testing.assert_allclose(ramsey_filter_function(t, f),
-                                   filter_function(make_ramsey(t), f),
+                                   _segment_filter(make_ramsey(t), f),
                                    rtol=0, atol=1e-13 * t**2)
 
     def test_scalar_and_array_forms(self):

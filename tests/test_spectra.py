@@ -19,8 +19,8 @@ from spinprobe.spectra import (
     draw_trace_samples,
     eval_psd,
     integrate_rms,
+    normal_amplitudes,
     psd_welch,
-    rfft_bin_density,
     synthesize,
     detuning_gain,
     log_bin,
@@ -144,17 +144,18 @@ class TestTraceValidation:
 
 class TestRfftBinDensity:
     def test_dc_bin_zero(self):
-        s = rfft_bin_density(WHITE, 1e4, 1024)
-        assert s[0] == 0.0
-        assert s[1:] == pytest.approx(np.full(512, 350.0))
+        # the bins of a trace start at 1: the DC bin draws no normal
+        s = spectra._bin_density(WHITE, 1e4 / 1024, 1, 513)
+        assert s == pytest.approx(np.full(512, 350.0))
+        assert normal_amplitudes(WHITE, 1e4, 1024).size == 1023
 
     def test_subbin_line_power_conserved(self):
         # width far below bin spacing: a single bin carries ~all the power
         n, rate = 4096, 40e3
         df = rate / n
-        s = rfft_bin_density(LINE_ONLY, rate, n)
+        s = spectra._bin_density(LINE_ONLY, df, 1, n // 2 + 1)
         assert np.sum(s) * df == pytest.approx(1.5e6, rel=0.02)
-        assert np.argmax(s) == round(3600.0 / df)
+        assert 1 + np.argmax(s) == round(3600.0 / df)
 
 
 def _one_shot_density(model, rate, n):
@@ -176,16 +177,22 @@ def _one_shot_density(model, rate, n):
     return s
 
 
-def _one_shot_samples(model, rate, n, rng):
-    """The trace built from whole-length arrays: every normal times its
-    amplitude, then ``re + 1j * im`` per bin, the Nyquist bin, irfft."""
+def _one_shot_amplitudes(model, rate, n):
+    """Every normal's amplitude, in draw order, from whole-length arrays."""
     s = _one_shot_density(model, rate, n)
     df = rate / n
     k = (n - 1) // 2
     amp = (n / 2.0) * np.sqrt(s[1:k + 1] * df)
     parts = [amp, amp] + ([[n * math.sqrt(s[-1] * df)]] if n % 2 == 0 else [])
-    z = trace_normals(n, rng) * np.concatenate(parts)
-    coeff = np.zeros(s.size, dtype=complex)
+    return np.concatenate(parts)
+
+
+def _one_shot_samples(model, rate, n, rng):
+    """The trace built from whole-length arrays: every normal times its
+    amplitude, then ``re + 1j * im`` per bin, the Nyquist bin, irfft."""
+    k = (n - 1) // 2
+    z = trace_normals(n, rng) * _one_shot_amplitudes(model, rate, n)
+    coeff = np.zeros(n // 2 + 1, dtype=complex)
     coeff[1:k + 1] = z[:k] + 1j * z[k:2 * k]
     if n % 2 == 0:
         coeff[-1] = z[-1]
@@ -218,8 +225,14 @@ class TestBlockSynthesis:
         got = draw_trace_samples(model, rate, n, derive_rng(8))
         assert got.tobytes() == ref.tobytes()
         assert synthesize(model, rate, n / rate, 8).samples.tobytes() == ref.tobytes()
-        assert (rfft_bin_density(model, rate, n).tobytes()
-                == _one_shot_density(model, rate, n).tobytes())
+        # _bin_density over blocks of the bins 1..n/2 (one block for None)
+        edges = [*range(1, n // 2 + 1, block or n), n // 2 + 1]
+        blocks = [spectra._bin_density(model, rate / n, a, b)
+                  for a, b in zip(edges, edges[1:])]
+        assert (np.concatenate(blocks).tobytes()
+                == _one_shot_density(model, rate, n)[1:].tobytes())
+        assert (normal_amplitudes(model, rate, n).tobytes()
+                == _one_shot_amplitudes(model, rate, n).tobytes())
 
     @pytest.mark.parametrize("n", [2 * 65536 + 3, 2 * 65536 + 6])
     def test_several_default_blocks(self, n):

@@ -11,7 +11,7 @@ from spinprobe._csvio import write_files
 from spinprobe._rng import derive_child_seed
 from spinprobe.harness.pipelines import TONE_SCAN_HEADER, _tone_scan_csv
 from spinprobe.qubitsim import PSD_CHI_CALIBRATION, ReadoutModel, coherence_ff
-from spinprobe.sequences import make_cpmg, response
+from spinprobe.sequences import filter_function, make_cpmg
 from spinprobe.spectra import SpectrumModel
 from spinprobe.starktone import (
     StarkMap,
@@ -141,7 +141,7 @@ class TestToneScan:
         # random-phase tone multiplies the coherence by J0(a |Y(f_tone)|)
         tau, total = 25e-6, 300e-6
         sch = make_cpmg(12, total)
-        y_mag = abs(response(sch, 2e4))
+        y_mag = math.sqrt(filter_function(sch, 2e4))
         a_pp = 0.8 / (2 * math.pi * 22.88e6 * 0.5 * y_mag)
         w_noise = coherence_ff(WHITE, sch, calibration=1.0)
         p_exp = ReadoutModel(0.55, 0.225).apply(0.5 * (1 + w_noise * j0(0.8)))
