@@ -8,14 +8,14 @@ NEP 19; O'Neill 2014, *PCG*), a fixed, documented hash that
 A stage, point or cell seed is the first uint64 the hash gives
 (:func:`derive_child_seed`, or :func:`derive_child_seeds` for a whole
 list in one vectorised pass).  A stream is a PCG64 generator seeded with
-four uint64 state words of the hash: :func:`derive_rngs` and
-:func:`derive_rng_rows` hash every stream of a batch in one vectorised
-pass and hand each stream's words to ``PCG64`` through the
-``ISeedSequence`` interface, which is how ``PCG64(SeedSequence)`` seeds
-itself.  numpy only runs PCG64 from those words, so a run that draws
-nothing never imports ``numpy.random``.  :func:`derive_rng` builds one
-stream the NumPy way, with a ``SeedSequence``; it is the reference every
-batched path equals bit for bit.
+four uint64 state words of the hash: :func:`derive_rngs` hashes every
+stream of a batch in one vectorised pass and hands each stream's words
+to ``PCG64`` through the ``ISeedSequence`` interface, which is how
+``PCG64(SeedSequence)`` seeds itself.  numpy only runs PCG64 from those
+words, so a run that draws nothing never imports ``numpy.random``.
+:func:`derive_rng` builds one stream the NumPy way, with a
+``SeedSequence``; it is the reference every batched path equals bit for
+bit.
 """
 
 from __future__ import annotations
@@ -56,9 +56,9 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def _entropy(base_words: list, path) -> list:
+def _entropy(base_words: list[int], path) -> list:
     """SeedSequence's entropy words for ``entropy=base, spawn_key=path``,
-    with the base given as its two uint32 words (ints or arrays).
+    with the base given as its two uint32 words.
 
     SeedSequence zero-pads the base to the pool size when a spawn key
     follows, and a missing pool word hashes as 0, so padding the two
@@ -146,17 +146,6 @@ def derive_child_seeds(base_seed: int, count: int, *prefix: int) -> list[int]:
     return (lo.astype(np.uint64) | hi.astype(np.uint64) << np.uint64(32)).tolist()
 
 
-def _streams(base_words: list, count: int, prefix):
-    """Generators for the names ``(base, *prefix, i)``, i = 0 .. count-1,
-    every base and index hashed in one pass; see :func:`derive_rng_rows`."""
-    words = _state_words(_entropy(base_words, (*prefix, _indices(count))), 8)
-    # generate_state(4, np.uint64): the 8 words paired little-endian
-    state = np.stack(words, axis=-1, dtype="<u4").reshape(-1, 8)
-    generator, pcg64, state_words = _pcg64_types()
-    return map(generator, map(pcg64, map(
-        state_words, state.view("<u8").astype(np.uint64, copy=False))))
-
-
 def derive_rngs(base_seed: int, count: int, *prefix: int):
     """Iterate, for i = 0 .. count-1, over generators seeded as
     ``derive_rng(base_seed, *prefix, i)``.
@@ -166,17 +155,13 @@ def derive_rngs(base_seed: int, count: int, *prefix: int):
     :class:`numpy.random.Generator` is a new object that may be kept.
     Requires ``count <= 2**32``, so each index is one entropy word.
     """
-    return _streams(_base_words(base_seed), count, prefix)
-
-
-def derive_rng_rows(base_seeds, count: int, *prefix: int):
-    """:func:`derive_rngs` for several bases in one pass: the generators
-    of ``derive_rng(base, *prefix, i)``, base by base and, within a base,
-    for i = 0 .. count-1."""
-    bases = np.array([int(b) & _MASK64 for b in base_seeds],
-                     dtype=np.uint64)[:, None]
-    return _streams([(bases & np.uint64(_MASK32)).astype(np.uint32),
-                     (bases >> np.uint64(32)).astype(np.uint32)], count, prefix)
+    path = (*prefix, _indices(count))
+    words = _state_words(_entropy(_base_words(base_seed), path), 8)
+    # generate_state(4, np.uint64): the 8 words paired little-endian
+    state = np.stack(words, axis=-1, dtype="<u4")
+    generator, pcg64, state_words = _pcg64_types()
+    return map(generator, map(pcg64, map(
+        state_words, state.view("<u8").astype(np.uint64, copy=False))))
 
 
 @functools.cache

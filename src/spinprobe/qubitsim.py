@@ -26,15 +26,16 @@ Every toggled phase goes through one :class:`PhaseFunctional`, built per
 turn a sampled trace into its phase, ``phi = a @ x`` (trapezoid rule,
 linear interpolation at the segment edges, toggling signs), and from
 ``rfft(a)`` the weights that give the same phase straight from the
-Gaussian Fourier coefficients a synthesized trace is made of.  The Monte
-Carlo engine and the tone scan of :mod:`spinprobe.starktone` never form
-a trace: a trajectory costs its normal draws and one dot product, on the
-same random stream :func:`spectra.draw_trace_samples` draws in blocks
-when it synthesizes the trace from the model.  Every Monte Carlo decay
-scan goes through :func:`submit_decay_curves`, which submits all its
-points, across every wait of a spectroscopy scan, to the run's one
-process pool (:mod:`spinprobe._parallel`) in one map and returns before
-they finish.
+Gaussian Fourier coefficients a synthesized trace is made of.  On them
+:func:`phase_draw` builds the one trajectory draw that the Monte Carlo
+engine and the tone scan of :mod:`spinprobe.starktone` both call.
+Neither forms a trace: a trajectory costs its normal draws and one dot
+product, on the same random stream :func:`spectra.draw_trace_samples`
+draws in blocks when it synthesizes the trace from the model.  Every
+Monte Carlo decay scan goes through :func:`submit_decay_curves`, which
+submits all its points, across every wait of a spectroscopy scan, to the
+run's one process pool (:mod:`spinprobe._parallel`) in one map and
+returns before they finish.
 
 Calibration convention
 ----------------------
@@ -80,6 +81,7 @@ __all__ = [
     "rabi_chevron",
     "mc_grid",
     "PhaseFunctional",
+    "phase_draw",
     "coherence_mc",
     "chi_ff",
     "coherence_ff",
@@ -287,6 +289,32 @@ class PhaseFunctional:
                 * np.concatenate(parts))
 
 
+def phase_draw(model: SpectrumModel, schedule: PulseSchedule,
+               duration_factor: float, samples_per_interval: int,
+               calibration: float = PSD_CHI_CALIBRATION):
+    """One trajectory's toggled phase as a function of its random stream.
+
+    ``draw(rng)`` puts the n - 1 normals of the :func:`mc_grid` trace of
+    ``schedule``, in :class:`PhaseFunctional`'s draw order, into one
+    reused buffer, and returns ``sqrt(calibration)`` times their dot
+    product with :meth:`PhaseFunctional.normal_weights`, kept as
+    ``draw.weights``: the calibrated phase of the trace
+    ``spectra.draw_trace_samples(model, ...)`` would synthesize from the
+    same stream.  The caller may go on drawing from ``rng`` after it.
+    """
+    phase = PhaseFunctional(schedule, *mc_grid(
+        schedule.n_pulses, schedule.total_time, duration_factor, samples_per_interval))
+    h = phase.normal_weights(model)
+    normals = np.empty(phase.n - 1)
+    scale = math.sqrt(calibration)
+
+    def draw(rng) -> float:
+        return scale * float(rng.standard_normal(out=normals).dot(h))
+
+    draw.weights = h
+    return draw
+
+
 def coherence_mc(model: SpectrumModel, schedule: PulseSchedule,
                  n_traj: int, seed: int, *,
                  calibration: float = PSD_CHI_CALIBRATION,
@@ -294,15 +322,10 @@ def coherence_mc(model: SpectrumModel, schedule: PulseSchedule,
                  samples_per_interval: int = SAMPLES_PER_INTERVAL) -> CoherencePoint:
     """Monte Carlo decay estimate W = <cos phi> over noise realizations.
 
-    Trajectory i draws its Gaussian Fourier coefficients from
+    Trajectory i is :func:`phase_draw` on the stream
     ``derive_rng(seed, i)``, so results are bit-identical however the work
     is distributed; :func:`derive_rngs` hashes all of those stream names
-    in one vectorised pass.  The n - 1 normals of every trajectory, in
-    :class:`PhaseFunctional`'s draw order, land in one reused buffer, and
-    its phase is the dot product of them with
-    :meth:`PhaseFunctional.normal_weights`, equal to integrating the
-    trace ``spectra.draw_trace_samples(model, ...)`` would synthesize
-    from the same stream.  The trace band is [1/(duration_factor*T),
+    in one vectorised pass.  The trace band is [1/(duration_factor*T),
     samples_per_interval*N/(2T)]; spectral weight outside it is not seen
     by this estimator.
 
@@ -314,15 +337,10 @@ def coherence_mc(model: SpectrumModel, schedule: PulseSchedule,
     """
     if n_traj < 2:
         raise ValueError("need at least 2 trajectories for a standard error")
-    phase = PhaseFunctional(schedule, *mc_grid(
-        schedule.n_pulses, schedule.total_time, duration_factor, samples_per_interval))
-    h = phase.normal_weights(model)
-    normals = np.empty(phase.n - 1)
-    # each trajectory's normals, in PhaseFunctional's draw order
-    phases = np.fromiter((rng.standard_normal(out=normals).dot(h)
-                          for rng in derive_rngs(seed, n_traj)),
-                         dtype=float, count=n_traj)
-    cos_phi = np.cos(math.sqrt(calibration) * phases)
+    draw = phase_draw(model, schedule, duration_factor, samples_per_interval,
+                      calibration)
+    cos_phi = np.cos(np.fromiter(map(draw, derive_rngs(seed, n_traj)),
+                                 dtype=float, count=n_traj))
     w = float(cos_phi.sum()) / n_traj
     var = max(float((cos_phi**2).sum()) - n_traj * w * w, 0.0) / (n_traj - 1)
     return CoherencePoint(w=w, std_err=math.sqrt(var / n_traj), n_traj=n_traj)

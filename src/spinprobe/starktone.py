@@ -7,21 +7,21 @@ that modulation into extra dephasing.  Scanning wait time against tone
 amplitude produces the characteristic response map: a strong dip at the
 tone frequency, weaker dips at odd submultiples (where the tone rides an
 odd filter harmonic), and nothing at even submultiples where the filter
-has exact nulls.
+has exact nulls.  Each shot draws its background noise phase with
+:func:`spinprobe.qubitsim.phase_draw`, the Monte Carlo decay engine's
+trajectory draw, from a stream of :func:`spinprobe._rng.derive_rngs`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _parallel
-from ._rng import derive_child_seeds, derive_rng_rows
-from .qubitsim import (HARDWARE_READOUT, PSD_CHI_CALIBRATION,
-                       PhaseFunctional, ReadoutModel, mc_grid)
+from ._rng import derive_child_seeds, derive_rngs
+from .qubitsim import HARDWARE_READOUT, ReadoutModel, phase_draw
 from .sequences import cpmg_filter_function, make_cpmg
 from .spectra import SpectrumModel
 
@@ -184,33 +184,26 @@ class ToneScanResult:
 def _tone_column(args) -> list[tuple[float, float]]:
     """``(p_hat, std_err)`` of every amplitude row of one scan column.
 
-    The column's noise weights and tone response are built once; shot j
-    of row i draws from ``derive_rng(cell_seeds[i], j)``, and every shot
-    stream of the column is hashed in one pass."""
+    The column's noise draw (:func:`qubitsim.phase_draw` on a trace as
+    long as the sequence) and tone response are built once; shot j of
+    row i draws from ``derive_rng(cell_seeds[i], j)``, the noise phase
+    first."""
     (model, n_pulses, tau, amps_pp, coeff, f_tone, fixed_phase, shots,
      cell_seeds, samples_per_interval, vis, floor) = args
     schedule = make_cpmg(n_pulses, n_pulses * tau)
-    phase = PhaseFunctional(schedule, *mc_grid(
-        n_pulses, schedule.total_time, 1.0, samples_per_interval))
-    h = phase.normal_weights(model)
+    draw = phase_draw(model, schedule, 1.0, samples_per_interval)
     # only the modulus of the tone's response matters once its phase is random
     y_mag = math.sqrt(cpmg_filter_function(n_pulses, schedule.total_time, f_tone))
-    scale = math.sqrt(PSD_CHI_CALIBRATION)
-    # each shot's n - 1 normals in synthesis' draw order: the real parts
-    # of rfft bins 1..(n-1)//2, their imaginary parts, then an even n's
-    # Nyquist bin
-    normals = np.empty(phase.n - 1)
-    streams = derive_rng_rows(cell_seeds, shots)
     cells = []
-    for amp_pp in amps_pp:
+    for amp_pp, cell_seed in zip(amps_pp, cell_seeds):
         a = tone_amplitude(coeff, amp_pp) * y_mag
         hits = 0
         # per shot, only Python floats: theta is rng.uniform(0, 2 pi)'s
         # draw, and p is ReadoutModel(vis, floor).apply's value
-        for rng in itertools.islice(streams, shots):
-            phi_noise = float(rng.standard_normal(out=normals).dot(h))
+        for rng in derive_rngs(cell_seed, shots):
+            phi_noise = draw(rng)
             theta = 2 * math.pi * rng.random() if fixed_phase is None else fixed_phase
-            phi = scale * phi_noise + a * math.sin(theta)
+            phi = phi_noise + a * math.sin(theta)
             p = floor + vis * (0.5 * (1.0 + math.cos(phi)))
             hits += rng.binomial(1, min(max(p, 0.0), 1.0))
         p_hat = hits / shots

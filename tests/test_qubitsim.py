@@ -1,6 +1,8 @@
 """Qubit response, coherence engines, and the analytic/Monte-Carlo bridge."""
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from spinprobe.qubitsim import (
     decay_vs_time,
     fixed_wait_spec,
     mc_grid,
+    phase_draw,
     submit_decay_curves,
     rabi_chevron,
     rabi_p_up,
@@ -30,6 +33,7 @@ from spinprobe.qubitsim import (
 )
 from spinprobe import qubitsim, spectra
 from spinprobe._rng import derive_child_seed, derive_rng
+from spinprobe.harness import execute, load_config
 from spinprobe.sequences import (PulseSchedule, cpmg_filter_function,
                                  filter_function, make_cpmg, make_ramsey)
 from spinprobe.spectra import PowerLawTerm, SpectralLine, SpectrumModel
@@ -526,6 +530,55 @@ class TestPhaseFunctional:
     def test_rejects_short_duration_factor(self):
         with pytest.raises(ValueError):
             mc_grid(2, 1e-3, 0.5, 16)
+
+
+class TestPhaseDraw:
+    @pytest.mark.parametrize("n_pulses,duration_factor,calibration",
+                             [(0, 2.0, PSD_CHI_CALIBRATION), (3, 1.0, 1.0)])
+    def test_is_the_calibrated_phase_of_the_trace_normals(
+            self, n_pulses, duration_factor, calibration):
+        sch = PulseSchedule(n_pulses, 4e-4)
+        draw = phase_draw(COMPOSITE, sch, duration_factor, 8, calibration)
+        phase = PhaseFunctional(sch, *mc_grid(n_pulses, 4e-4, duration_factor, 8))
+        np.testing.assert_array_equal(draw.weights,
+                                      phase.normal_weights(COMPOSITE))
+        rng, oracle = derive_rng(5), derive_rng(5)
+        want = math.sqrt(calibration) * float(
+            trace_normals(phase.n, oracle) @ draw.weights)
+        assert draw(rng) == want
+        # the stream goes on after the trajectory's normals
+        assert rng.random() == oracle.random()
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("kind, csv_name", [
+    ("ramsey", "decay.csv"), ("hahn", "decay.csv"),
+    ("cpmg_t2_vs_n", "decay_curves.csv")])
+def test_shipped_decays_sample_the_grid_decay(tmp_path, kind, csv_name):
+    """Every decay point of a shipped Monte Carlo config, at its shipped
+    seed, lies within its sampling error of the decay its own trace grid
+    implies, ``exp(-cal * |h|^2 / 2)`` with ``h`` the draw's weights: the
+    sampling z rms stays near 1 and no |z| is extreme."""
+    cfg = load_config(CONFIG_DIR / f"{kind}.yaml")
+    execute(cfg, tmp_path, workers=1)
+    model = SpectrumModel.from_dict(cfg["spectrum"])
+    proto = cfg["protocol"]
+    with open(tmp_path / csv_name, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    z = []
+    for row in rows:
+        n_pulses = int(row.get("n_pulses", 0 if kind == "ramsey" else 1))
+        h = phase_draw(model, PulseSchedule(n_pulses, float(row["time_s"])),
+                       proto["duration_factor"],
+                       proto["samples_per_interval"]).weights
+        w_grid = math.exp(-PSD_CHI_CALIBRATION * float(h @ h) / 2)
+        z.append((float(row["coherence_w"]) - w_grid) / float(row["std_err"]))
+    z = np.array(z)
+    assert z.size >= 12
+    assert math.sqrt(float(np.mean(z**2))) <= 2.0
+    assert float(np.max(np.abs(z))) <= 5.0
 
 
 class TestCoherenceMc:

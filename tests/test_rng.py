@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from spinprobe import benchmarking, qubitsim, starktone
 from spinprobe._rng import (derive_child_seed, derive_child_seeds, derive_rng,
-                            derive_rng_rows, derive_rngs)
+                            derive_rngs)
 from spinprobe.qubitsim import ReadoutModel, coherence_mc
 from spinprobe.sequences import make_cpmg
 from spinprobe.spectra import PowerLawTerm, SpectrumModel
@@ -74,18 +74,6 @@ def test_child_seeds_equal_the_per_item_child_seed(seed, prefix, count):
     assert all(type(s) is int for s in got)
 
 
-@settings(max_examples=100, deadline=None)
-@given(seeds=st.lists(SEEDS, max_size=4), prefix=st.lists(PREFIX_VALUES, max_size=2),
-       count=st.integers(0, 5))
-def test_rng_rows_equal_derive_rng_per_base_and_index(seeds, prefix, count):
-    got = [rng.normal(size=3) for rng in derive_rng_rows(seeds, count, *prefix)]
-    want = [derive_rng(b, *prefix, i).normal(size=3)
-            for b in seeds for i in range(count)]
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        np.testing.assert_array_equal(a, b, strict=True)
-
-
 def test_late_indices_of_a_long_batch():
     rngs = derive_rngs(2**64 - 1, 5000, 3)
     for i, rng in enumerate(rngs):
@@ -116,13 +104,9 @@ def test_empty_and_bad_arguments():
 
 def test_batched_seeds_take_the_counts_derive_rngs_takes():
     assert derive_child_seeds(1, 0) == []
-    assert list(derive_rng_rows([1, 2], 0)) == []
-    assert list(derive_rng_rows([], 3)) == []
     for bad in (-1, 2**32 + 1):
         with pytest.raises(ValueError):
             derive_child_seeds(1, bad)
-        with pytest.raises(ValueError):
-            derive_rng_rows([1], bad)
     with pytest.raises(ValueError):
         derive_child_seeds(1, 3, -2)
     with pytest.raises(ValueError):
@@ -137,8 +121,9 @@ def _rb():
 
 
 def _tone():
-    args = (MODEL, 4, 50e-6, [2e-4, 4e-4], -2.3e7, 1e4, None, 40, [17, 18],
-            8, 0.55, 0.225)
+    # full 64-bit cell seeds, as tone_scan derives them
+    args = (MODEL, 4, 50e-6, [2e-4, 4e-4], -2.3e7, 1e4, None, 40,
+            derive_child_seeds(17, 2, 3), 8, 0.55, 0.225)
     return starktone._tone_column(args)
 
 
@@ -152,13 +137,9 @@ def _per_item_rngs(seed, count, *prefix):
     return (derive_rng(seed, *prefix, i) for i in range(count))
 
 
-def _per_item_rng_rows(seeds, count, *prefix):
-    return (rng for seed in seeds for rng in _per_item_rngs(seed, count, *prefix))
-
-
 # the batched seeder each module's hot loop calls, and its per-item oracle
 PER_ITEM = {qubitsim: ("derive_rngs", _per_item_rngs),
-            starktone: ("derive_rng_rows", _per_item_rng_rows),
+            starktone: ("derive_rngs", _per_item_rngs),
             benchmarking: ("derive_rngs", _per_item_rngs)}
 
 
