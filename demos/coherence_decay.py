@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from spinprobe.qubitsim import chi_ff, coherence_ff, coherence_mc, decay_vs_time
+from spinprobe.qubitsim import chi_ff, coherence_mc, decay_vs_time
 from spinprobe.sequences import make_cpmg
 from spinprobe.spectra import PowerLawTerm, SpectrumModel
 
@@ -19,7 +19,7 @@ PINK = SpectrumModel(powerlaws=(PowerLawTerm(3e7, 1.0),),
 
 # -- white noise, one schedule, both engines ------------------------------
 sched = make_cpmg(8, 2e-3)
-w_ff = coherence_ff(WHITE, sched)
+w_ff = math.exp(-chi_ff(WHITE, sched))
 point = coherence_mc(WHITE, sched, 2000, seed=3, samples_per_interval=64)
 print(f"white CPMG-8, T = 2 ms:")
 print(f"  analytic  W = {w_ff:.4f}")

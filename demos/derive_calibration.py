@@ -21,13 +21,15 @@ from spinprobe.spectra import SpectrumModel
 S0 = 350.0
 WHITE = SpectrumModel(powerlaws=(), white_floor=S0, lines=())
 
-# 1. raw convention: measure the white 1/e time at calibration = 1, one
+# 1. raw convention: measure the white 1/e time on the model scaled by
+#    1/PSD_CHI_CALIBRATION, which undoes the engines' constant, one
 #    fixed-wait point per pulse count
 tau = 1.0 / (2 * 5000.0)
 counts = [2, 4, 8, 16, 32, 64]
 times = [n * tau for n in counts]
-points = [coherence_mc(WHITE, make_cpmg(n, t), 3000, derive_child_seed(42, i),
-                       calibration=1.0, samples_per_interval=64)
+raw = WHITE.scaled(1 / PSD_CHI_CALIBRATION)
+points = [coherence_mc(raw, make_cpmg(n, t), 3000, derive_child_seed(42, i),
+                       samples_per_interval=64)
           for i, (n, t) in enumerate(zip(counts, times))]
 fit = fit_exponential(times, [p.w for p in points], [p.std_err for p in points])
 print(f"raw 1/e time {fit.t2 * 1e3:.3f} ms vs 4/S0 = {4 / S0 * 1e3:.3f} ms")

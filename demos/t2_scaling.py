@@ -10,7 +10,7 @@ import numpy as np
 from spinprobe.analysis import (expected_scaling_exponent,
                                 expected_stretching_exponent, fit_stretched,
                                 t2_scaling_exponent)
-from spinprobe.qubitsim import cpmg_t2, decay_vs_time
+from spinprobe.qubitsim import cpmg_chi, decay_vs_time
 from spinprobe.spectra import PowerLawTerm, SpectrumModel
 
 COUNTS = [1, 2, 4, 8, 16, 32, 64]
@@ -21,7 +21,7 @@ for amplitude, alpha in ((3e7, 1.0), (3e13, 2.5)):
     t2s, errs, stretches = [], [], []
     for i, n in enumerate(COUNTS):
         # center the time grid on the analytic 1/e time
-        t_pred = cpmg_t2(model, n)
+        t_pred = cpmg_chi(model, n).t2()
         times = np.geomspace(0.3 * t_pred, 2.5 * t_pred, 8)
         curve = decay_vs_time(model, n, times, 300, seed=1000 + i,
                               samples_per_interval=32)

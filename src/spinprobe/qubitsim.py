@@ -8,18 +8,19 @@ Two interchangeable coherence engines live here:
   ``chi = cal * 0.5 * int S(f) |Y(2 pi f)|^2 df`` from one filter table
   in x = f*T per (model, N), kept for the process by :func:`cpmg_chi`;
   every filter value comes from :func:`sequences.filter_function`.
-  :func:`chi_ff` and :func:`coherence_ff` query it for one schedule.
+  :func:`chi_ff` queries it for one schedule, and the decay is
+  ``exp(-chi)``.
 
 Both engines take a :class:`~spinprobe.sequences.PulseSchedule`, the pair
 (N, T): CPMG-N, or Ramsey for N = 0.  For Gaussian noise the two agree
 exactly in expectation, which the test suite leans on heavily.
 
-:func:`cpmg_t2` gives the analytic 1/e time of a CPMG-N decay, where the
-``cpmg_t2_vs_n`` pipeline centres its time grids.  The search solves the
-smooth part of :class:`CpmgChi` for T_s first and looks for chi = 1 in
-[1e-7 s, min(T_s, 10 s)], never far above T2; that upper end,
-:attr:`CpmgChi.t_max`, is known before any line is integrated, so a plan
-can bound the points :meth:`CpmgChi.points` says the search will lay.
+``cpmg_chi(model, N).t2()`` gives the analytic 1/e time of a CPMG-N
+decay, where the ``cpmg_t2_vs_n`` pipeline centres its time grids.  The
+search solves the smooth part of :class:`CpmgChi` for T_s first and looks
+for chi = 1 in [1e-7 s, min(T_s, 10 s)], never far above T2; that upper
+end, :attr:`CpmgChi.t_max`, is known before any line is integrated, so a
+plan can bound the points :meth:`CpmgChi.points` says the search will lay.
 
 Every toggled phase goes through one :class:`PhaseFunctional`, built per
 (schedule, sample rate, trace length).  It holds the weights ``a`` that
@@ -39,17 +40,15 @@ returns before they finish.
 
 Calibration convention
 ----------------------
-With the raw physical normalization (``calibration=1``) white noise of
-density S0 gives chi = S0*T/4 and hence T2 = 4/S0.  The package instead
-adopts the spectroscopy convention in which a decay time maps to a spectral
-density through ``S = pi^2 / (4*T2)``; closing that loop requires scaling
-chi by ``PSD_CHI_CALIBRATION = 16/pi^2``.  The constant is applied in the
-coherence engines only; :mod:`spinprobe.spectra` stays strictly physical
-(trace variance equals the PSD integral).  The point engines
-(:func:`coherence_mc`, :func:`chi_ff`, :func:`coherence_ff`) take
-``calibration=1.0`` to recover the uncalibrated physics; the scans
-(:func:`submit_decay_curves` and what is built on it) always use the
-constant, and a raw scan runs on ``model.scaled(1 / PSD_CHI_CALIBRATION)``.
+Under the raw physical normalization white noise of density S0 gives
+chi = S0*T/4 and hence T2 = 4/S0.  The package instead adopts the
+spectroscopy convention in which a decay time maps to a spectral density
+through ``S = pi^2 / (4*T2)``; closing that loop requires scaling chi by
+``PSD_CHI_CALIBRATION = 16/pi^2``.  Both coherence engines apply the
+constant everywhere, and only they do: :mod:`spinprobe.spectra` stays
+strictly physical (trace variance equals the PSD integral).  Raw physics
+is the calibrated engine on ``model.scaled(1 / PSD_CHI_CALIBRATION)``,
+since chi is linear in the spectrum.
 """
 
 from __future__ import annotations
@@ -84,10 +83,8 @@ __all__ = [
     "phase_draw",
     "coherence_mc",
     "chi_ff",
-    "coherence_ff",
     "CpmgChi",
     "cpmg_chi",
-    "cpmg_t2",
     "decay_vs_time",
     "fixed_wait_spec",
     "submit_decay_curves",
@@ -201,7 +198,6 @@ class DecayCurve:
     w: np.ndarray
     std_err: np.ndarray
     n_pulses: np.ndarray
-    n_traj: int
 
     def __post_init__(self):
         for name in ("times", "w", "std_err"):
@@ -290,14 +286,13 @@ class PhaseFunctional:
 
 
 def phase_draw(model: SpectrumModel, schedule: PulseSchedule,
-               duration_factor: float, samples_per_interval: int,
-               calibration: float = PSD_CHI_CALIBRATION):
+               duration_factor: float, samples_per_interval: int):
     """One trajectory's toggled phase as a function of its random stream.
 
     ``draw(rng)`` puts the n - 1 normals of the :func:`mc_grid` trace of
     ``schedule``, in :class:`PhaseFunctional`'s draw order, into one
-    reused buffer, and returns ``sqrt(calibration)`` times their dot
-    product with :meth:`PhaseFunctional.normal_weights`, kept as
+    reused buffer, and returns ``sqrt(PSD_CHI_CALIBRATION)`` times their
+    dot product with :meth:`PhaseFunctional.normal_weights`, kept as
     ``draw.weights``: the calibrated phase of the trace
     ``spectra.draw_trace_samples(model, ...)`` would synthesize from the
     same stream.  The caller may go on drawing from ``rng`` after it.
@@ -306,7 +301,7 @@ def phase_draw(model: SpectrumModel, schedule: PulseSchedule,
         schedule.n_pulses, schedule.total_time, duration_factor, samples_per_interval))
     h = phase.normal_weights(model)
     normals = np.empty(phase.n - 1)
-    scale = math.sqrt(calibration)
+    scale = math.sqrt(PSD_CHI_CALIBRATION)
 
     def draw(rng) -> float:
         return scale * float(rng.standard_normal(out=normals).dot(h))
@@ -317,7 +312,6 @@ def phase_draw(model: SpectrumModel, schedule: PulseSchedule,
 
 def coherence_mc(model: SpectrumModel, schedule: PulseSchedule,
                  n_traj: int, seed: int, *,
-                 calibration: float = PSD_CHI_CALIBRATION,
                  duration_factor: float = DURATION_FACTOR,
                  samples_per_interval: int = SAMPLES_PER_INTERVAL) -> CoherencePoint:
     """Monte Carlo decay estimate W = <cos phi> over noise realizations.
@@ -328,17 +322,10 @@ def coherence_mc(model: SpectrumModel, schedule: PulseSchedule,
     in one vectorised pass.  The trace band is [1/(duration_factor*T),
     samples_per_interval*N/(2T)]; spectral weight outside it is not seen
     by this estimator.
-
-    Parameters
-    ----------
-    calibration : float
-        Scale applied to the phase variance; the default closes the
-        S = pi^2/(4*T2) loop.  Phases are multiplied by sqrt(calibration).
     """
     if n_traj < 2:
         raise ValueError("need at least 2 trajectories for a standard error")
-    draw = phase_draw(model, schedule, duration_factor, samples_per_interval,
-                      calibration)
+    draw = phase_draw(model, schedule, duration_factor, samples_per_interval)
     cos_phi = np.cos(np.fromiter(map(draw, derive_rngs(seed, n_traj)),
                                  dtype=float, count=n_traj))
     w = float(cos_phi.sum()) / n_traj
@@ -349,7 +336,7 @@ def coherence_mc(model: SpectrumModel, schedule: PulseSchedule,
 # ---------------------------------------------------------------------------
 # Filter-function engine
 
-# total times (s) within which cpmg_t2 looks for chi = 1
+# total times (s) within which CpmgChi.t2 looks for chi = 1
 T2_SEARCH_S = (1e-7, 10.0)
 
 # the table's steps in x = f*T, and how far below a Lorentzian line's span
@@ -432,7 +419,6 @@ class CpmgChi:
         lines = [l for l in model.lines if l.power > 0]
         self._deltas = tuple(l for l in lines if l.width_hz is None)
         self._lorentz = tuple(l for l in lines if l.width_hz is not None)
-        self._ends: dict[float, float] = {}
 
     def __call__(self, t: float, f_lo: float | None = None,
                  f_hi: float | None = None) -> float:
@@ -533,13 +519,6 @@ class CpmgChi:
         return 0.5 * PSD_CHI_CALIBRATION * smooth + self.lines(
             t, pieces, f_lo or 0.0, math.inf if f_hi is None else f_hi)
 
-    def _chi_once(self, t: float) -> float:
-        """chi at ``t``, evaluated once: the search meets its ends up to
-        three times."""
-        if t not in self._ends:
-            self._ends[t] = self(t)
-        return self._ends[t]
-
     @functools.cached_property
     def t_max(self) -> float:
         """The longest total time the T2 search evaluates chi at, found
@@ -560,28 +539,24 @@ class CpmgChi:
         checked where the search in log T meets them, at ``exp(log(T))``,
         which can be an ulp away (10 s becomes 10.000000000000002 s)."""
         lo = T2_SEARCH_S[0]
-        if self._chi_once(_log_round_trip(lo)) >= 1.0:
+        if self(_log_round_trip(lo)) >= 1.0:
             raise ValueError(f"chi >= 1 already at T = {lo:g} s")
         hi = self.t_max
-        if hi == T2_SEARCH_S[1] and self._chi_once(_log_round_trip(hi)) < 1.0:
+        if hi == T2_SEARCH_S[1] and self(_log_round_trip(hi)) < 1.0:
             raise ValueError(f"chi stays below 1 up to T = {hi:g} s")
         return lo, hi
 
     def t2(self) -> float:
         """Total time at which chi crosses 1, searched inside
         :attr:`bracket`: the smooth root itself when the lines add nothing
-        there, else brentq at ``xtol`` 1e-3 in log T, starting from the
-        chi values at the ends that :attr:`bracket` already has.  Chi can
-        cross 1 more than once when lines dominate; brentq returns one
-        crossing in the bracket, and the bracket never reaches past the
-        smooth root."""
+        there, else brentq at ``xtol`` 1e-3 in log T.  Chi can cross 1
+        more than once when lines dominate; brentq returns one crossing in
+        the bracket, and the bracket never reaches past the smooth root."""
         lo, hi = self.bracket
-        if hi < T2_SEARCH_S[1] and self._chi_once(hi) <= 1.0:
+        if hi < T2_SEARCH_S[1] and self(hi) <= 1.0:
             return hi
-        chi_lo, chi_hi = (self._chi_once(_log_round_trip(t)) for t in (lo, hi))
         return math.exp(brentq(lambda lt: self(math.exp(lt)) - 1.0,
-                               math.log(lo), math.log(hi), xtol=1e-3,
-                               fa=chi_lo - 1.0, fb=chi_hi - 1.0))
+                               math.log(lo), math.log(hi), xtol=1e-3))
 
 
 def _log_round_trip(t: float) -> float:
@@ -594,14 +569,7 @@ def cpmg_chi(model: SpectrumModel, n_pulses: int) -> CpmgChi:
     return CpmgChi(model, n_pulses)
 
 
-def cpmg_t2(model: SpectrumModel, n_pulses: int) -> float:
-    """Total time T at which ``chi_ff(model, PulseSchedule(n_pulses, T))``
-    crosses 1: the analytic 1/e time (see :meth:`CpmgChi.t2`)."""
-    return cpmg_chi(model, n_pulses).t2()
-
-
 def chi_ff(model: SpectrumModel, schedule: PulseSchedule, *,
-           calibration: float = PSD_CHI_CALIBRATION,
            f_min: float | None = None,
            f_max: float | None = None) -> float:
     """Decay exponent ``cal * 0.5 * int S(f)|Y(2 pi f)|^2 df`` of a
@@ -611,17 +579,7 @@ def chi_ff(model: SpectrumModel, schedule: PulseSchedule, *,
     its Nyquist edge.  Without ``f_min`` the integral must converge at
     f -> 0 (see :class:`CpmgChi`).
     """
-    return calibration / PSD_CHI_CALIBRATION * cpmg_chi(
-        model, schedule.n_pulses)(schedule.total_time, f_min, f_max)
-
-
-def coherence_ff(model: SpectrumModel, schedule: PulseSchedule, *,
-                 calibration: float = PSD_CHI_CALIBRATION,
-                 f_min: float | None = None,
-                 f_max: float | None = None) -> float:
-    """exp(-chi) for Gaussian noise; companion of :func:`coherence_mc`."""
-    return math.exp(-chi_ff(model, schedule, calibration=calibration,
-                            f_min=f_min, f_max=f_max))
+    return cpmg_chi(model, schedule.n_pulses)(schedule.total_time, f_min, f_max)
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +627,7 @@ def submit_decay_curves(model: SpectrumModel, specs, n_traj: int, *,
             out.append(DecayCurve(
                 times=times, w=np.array([p.w for p in curve_points]),
                 std_err=np.array([p.std_err for p in curve_points]),
-                n_pulses=pulse_counts, n_traj=n_traj))
+                n_pulses=pulse_counts))
         return out
     return curves
 

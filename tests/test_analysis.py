@@ -121,7 +121,7 @@ class TestSpectroscopyEstimator:
         w = np.exp(-np.array([chi_ff(model, make_cpmg(int(n), n * tau))
                               for n in counts]))
         return DecayCurve(times=times, w=w, std_err=np.full(counts.size, 1e-4),
-                          n_pulses=counts, n_traj=0), tau
+                          n_pulses=counts), tau
 
     def test_white_closure(self):
         # S = pi^2 / (4 T2s) inverts exactly on the flat spectrum
@@ -152,8 +152,7 @@ class TestSpectroscopyEstimator:
         counts = np.array([2, 4, 8])
         tau = 1e-5
         curve = DecayCurve(times=counts * tau, w=np.array(w),
-                           std_err=np.full(3, 0.05), n_pulses=counts,
-                           n_traj=20)
+                           std_err=np.full(3, 0.05), n_pulses=counts)
         assert fit_exponential(curve.times, curve.w, curve.std_err).on_bound
         pt = spectroscopy_point(curve, tau)
         assert pt.flags == (FIT_ON_BOUND,)

@@ -18,9 +18,7 @@ from spinprobe.qubitsim import (
     QubitParams,
     ReadoutModel,
     chi_ff,
-    coherence_ff,
     cpmg_chi,
-    cpmg_t2,
     coherence_mc,
     decay_vs_time,
     fixed_wait_spec,
@@ -34,6 +32,7 @@ from spinprobe.qubitsim import (
 from spinprobe import qubitsim, spectra
 from spinprobe._rng import derive_child_seed, derive_rng
 from spinprobe.harness import execute, load_config
+from spinprobe.harness.config import MAX_CHI_POINTS
 from spinprobe.sequences import (PulseSchedule, cpmg_filter_function,
                                  filter_function, make_cpmg, make_ramsey)
 from spinprobe.spectra import PowerLawTerm, SpectralLine, SpectrumModel
@@ -47,6 +46,11 @@ COMPOSITE = SpectrumModel(
 # a white floor and a resolution-limited line
 WHITE_DELTA = SpectrumModel(powerlaws=(), white_floor=350.0,
                             lines=(SpectralLine(3600.0, 1.5e6, None),))
+
+
+def raw(model):
+    """The model on which the calibrated engines give raw physics."""
+    return model.scaled(1 / PSD_CHI_CALIBRATION)
 
 
 def chi_quadrature(model, n_pulses, t, *, f_min=None, f_max=None):
@@ -168,9 +172,9 @@ class TestChiAnalytic:
             (4 / np.pi**2) * 350.0 * t, rel=1e-3)
 
     def test_white_closed_form_raw(self):
-        # calibration 1 is the bare phase-variance convention chi = S0 T / 4
+        # raw physics is the bare phase-variance convention chi = S0 T / 4
         t = 1e-3
-        assert chi_ff(WHITE, make_cpmg(4, t), calibration=1.0) == pytest.approx(
+        assert chi_ff(raw(WHITE), make_cpmg(4, t)) == pytest.approx(
             350.0 * t / 4.0, rel=1e-3)
 
     def test_white_ramsey_same_total(self):
@@ -208,16 +212,16 @@ class TestChiAnalytic:
         # echoes kill the infrared weight, no cutoff needed
         assert np.isfinite(chi_ff(pink, make_cpmg(1, 1e-3)))
 
-    def _one_over_e(self, calibration):
+    def _one_over_e(self, model):
         def excess(logt):
             sch = make_cpmg(122, math.exp(logt))
-            return chi_ff(COMPOSITE, sch, calibration=calibration) - 1.0
+            return chi_ff(model, sch) - 1.0
         return math.exp(brentq(excess, math.log(1e-4), math.log(5e-2), xtol=1e-10))
 
     def test_composite_deep_echo_coherence_time(self):
         # frozen regression anchors for the headline composite environment
-        assert self._one_over_e(PSD_CHI_CALIBRATION) == pytest.approx(3.9622e-3, rel=1e-3)
-        t_raw = self._one_over_e(1.0)
+        assert self._one_over_e(COMPOSITE) == pytest.approx(3.9622e-3, rel=1e-3)
+        t_raw = self._one_over_e(raw(COMPOSITE))
         assert t_raw == pytest.approx(5.4569e-3, rel=1e-3)
         # raw convention lands within 30% of the nominal 6.7 ms target
         assert abs(t_raw - 6.7e-3) / 6.7e-3 < 0.30
@@ -399,8 +403,9 @@ class TestCpmgT2:
     @pytest.mark.parametrize("n", [1, 7, 64])
     def test_line_free_root_is_the_smooth_root(self, n):
         model = SpectrumModel(powerlaws=(PowerLawTerm(3e7, 1.0),), white_floor=350.0)
-        t2 = cpmg_t2(model, n)
-        assert cpmg_chi(model, n).bracket[1] == t2
+        chi = cpmg_chi(model, n)
+        t2 = chi.t2()
+        assert chi.bracket[1] == t2
         assert chi_ff(model, make_cpmg(n, t2)) == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("n", [1, 8, 64])
@@ -408,7 +413,7 @@ class TestCpmgT2:
         chi = cpmg_chi(COMPOSITE, n)
         lo, hi = chi.bracket
         assert chi.smooth(hi) == pytest.approx(1.0, rel=1e-12)
-        t2 = cpmg_t2(COMPOSITE, n)
+        t2 = chi.t2()
         assert lo < t2 < hi
         assert chi(t2 * math.exp(-2e-3)) < 1.0 < chi(t2 * math.exp(2e-3))
 
@@ -420,33 +425,32 @@ class TestCpmgT2:
         chi = cpmg_chi(model, 8)
         t_smooth = chi.bracket[1]
         assert t_smooth == pytest.approx(math.pi**2 / (4 * 10.0), rel=1e-3)
-        t2 = cpmg_t2(model, 8)
+        t2 = chi.t2()
         assert t2 < 0.5 * t_smooth
         below, above = chi(t2 * math.exp(-2e-3)), chi(t2 * math.exp(2e-3))
         assert min(below, above) < 1.0 < max(below, above)
 
     def test_line_only_model_searches_up_to_ten_seconds(self):
         model = SpectrumModel(lines=(SpectralLine(1.0, 1e3, 2.0),))
-        assert cpmg_chi(model, 2).bracket == qubitsim.T2_SEARCH_S
-        t2 = cpmg_t2(model, 2)
+        chi = cpmg_chi(model, 2)
+        assert chi.bracket == qubitsim.T2_SEARCH_S
+        t2 = chi.t2()
         assert chi_ff(model, make_cpmg(2, t2)) == pytest.approx(1.0, abs=1e-2)
 
-    def test_search_end_evaluated_once(self, monkeypatch):
-        # the line alone stays below chi = 1 in its smooth part, so the
-        # search runs to 10 s, where the line's lattice is longest
-        at_end = []
-        lines = qubitsim.CpmgChi.lines
-
-        def counted(chi, t):
-            at_end.append(t == pytest.approx(10.0, rel=1e-12))
-            return lines(chi, t)
-
-        monkeypatch.setattr(qubitsim.CpmgChi, "lines", counted)
-        model = SpectrumModel(lines=(SpectralLine(3600.0, 1.5e6, 150.0),))
-        chi = qubitsim.CpmgChi(model, 8)
-        assert chi.bracket == qubitsim.T2_SEARCH_S
-        chi.t2()
-        assert sum(at_end) == 1
+    # the plan checks the bracket before a run; the run's search must
+    # then find a root inside it
+    @settings(max_examples=60, deadline=None)
+    @given(case=_cpmg_cases(st.none() | _log_uniform(1e-3, 1e3)))
+    @example(case=(COMPOSITE, 64, 0.56))
+    def test_t2_inside_every_bracket(self, case):
+        model, n, _ = case
+        chi = qubitsim.CpmgChi(model, n)
+        assume(chi.points(chi.t_max) <= MAX_CHI_POINTS)
+        try:
+            lo, hi = chi.bracket
+        except ValueError:
+            assume(False)
+        assert lo <= chi.t2() <= hi
 
     @pytest.mark.parametrize("model, message", [
         (SpectrumModel(white_floor=1e-6), "stays below 1 up to T = 10 s"),
@@ -454,7 +458,7 @@ class TestCpmgT2:
     ])
     def test_no_crossing_raises(self, model, message):
         with pytest.raises(ValueError, match=message):
-            cpmg_t2(model, 4)
+            cpmg_chi(model, 4).t2()
 
 
 class TestAccumulatePhase:
@@ -533,21 +537,31 @@ class TestPhaseFunctional:
 
 
 class TestPhaseDraw:
-    @pytest.mark.parametrize("n_pulses,duration_factor,calibration",
-                             [(0, 2.0, PSD_CHI_CALIBRATION), (3, 1.0, 1.0)])
+    @pytest.mark.parametrize("n_pulses,duration_factor", [(0, 2.0), (3, 1.0)])
     def test_is_the_calibrated_phase_of_the_trace_normals(
-            self, n_pulses, duration_factor, calibration):
+            self, n_pulses, duration_factor):
         sch = PulseSchedule(n_pulses, 4e-4)
-        draw = phase_draw(COMPOSITE, sch, duration_factor, 8, calibration)
+        draw = phase_draw(COMPOSITE, sch, duration_factor, 8)
         phase = PhaseFunctional(sch, *mc_grid(n_pulses, 4e-4, duration_factor, 8))
         np.testing.assert_array_equal(draw.weights,
                                       phase.normal_weights(COMPOSITE))
         rng, oracle = derive_rng(5), derive_rng(5)
-        want = math.sqrt(calibration) * float(
+        want = math.sqrt(PSD_CHI_CALIBRATION) * float(
             trace_normals(phase.n, oracle) @ draw.weights)
         assert draw(rng) == want
         # the stream goes on after the trajectory's normals
         assert rng.random() == oracle.random()
+
+    @pytest.mark.parametrize("gain", [1 / PSD_CHI_CALIBRATION, 3.7e-4, 250.0])
+    @pytest.mark.parametrize("n_pulses", [0, 3])
+    def test_scaled_model_scales_the_weights(self, n_pulses, gain):
+        # the raw route rests on this: a model scaled by g draws phases
+        # sqrt(g) times as large from the same stream
+        sch = PulseSchedule(n_pulses, 4e-4)
+        weights = phase_draw(COMPOSITE, sch, 2.0, 8).weights
+        np.testing.assert_allclose(
+            phase_draw(COMPOSITE.scaled(gain), sch, 2.0, 8).weights,
+            math.sqrt(gain) * weights, rtol=1e-12, atol=0.0)
 
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -613,7 +627,7 @@ class TestCoherenceMc:
     def test_white_matches_analytic(self):
         sch = make_cpmg(2, self.T_HALF)
         p = coherence_mc(WHITE, sch, 800, 3, samples_per_interval=64)
-        assert abs(p.w - coherence_ff(WHITE, sch)) < 4 * p.std_err
+        assert abs(p.w - math.exp(-chi_ff(WHITE, sch))) < 4 * p.std_err
 
     def test_white_schedule_independent(self):
         # Parseval again, now through the sampled engine
@@ -626,8 +640,8 @@ class TestCoherenceMc:
     def test_composite_echo_matches_analytic(self):
         # band truncation biases chi low by a few percent at this sampling
         sch = make_cpmg(8, 1.5e-3)
-        w_ff = coherence_ff(COMPOSITE, sch)
         chi = chi_ff(COMPOSITE, sch)
+        w_ff = math.exp(-chi)
         p = coherence_mc(COMPOSITE, sch, 800, 11, samples_per_interval=64)
         assert abs(p.w - w_ff) < 4 * p.std_err + 0.035 * chi * w_ff
 

@@ -10,7 +10,7 @@ from spinprobe import starktone
 from spinprobe._csvio import write_files
 from spinprobe._rng import derive_child_seed
 from spinprobe.harness.pipelines import TONE_SCAN_HEADER, _tone_scan_csv
-from spinprobe.qubitsim import PSD_CHI_CALIBRATION, ReadoutModel, coherence_ff
+from spinprobe.qubitsim import PSD_CHI_CALIBRATION, ReadoutModel, chi_ff
 from spinprobe.sequences import filter_function, make_cpmg
 from spinprobe.spectra import SpectrumModel
 from spinprobe.starktone import (
@@ -143,10 +143,11 @@ class TestToneScan:
         sch = make_cpmg(12, total)
         y_mag = math.sqrt(filter_function(sch, 2e4))
         a_pp = 0.8 / (2 * math.pi * 22.88e6 * 0.5 * y_mag)
-        w_noise = coherence_ff(WHITE, sch, calibration=1.0)
+        # the engines calibrate the noise; the scaled model gives raw physics
+        raw = WHITE.scaled(1 / PSD_CHI_CALIBRATION)
+        w_noise = math.exp(-chi_ff(raw, sch))
         p_exp = ReadoutModel(0.55, 0.225).apply(0.5 * (1 + w_noise * j0(0.8)))
-        # the scan calibrates the noise; the unscaled model gives raw physics
-        res = tone_scan(WHITE.scaled(1 / PSD_CHI_CALIBRATION), G2, 2e4, None,
+        res = tone_scan(raw, G2, 2e4, None,
                         scan_columns([tau], total),
                         [a_pp], 3000, 5,
                         samples_per_interval=64)
