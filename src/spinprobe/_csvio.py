@@ -3,8 +3,7 @@ included, and the only place the package formats JSON.
 
 A stage hands :func:`write_files` all of its files at once.  A CSV is a
 :class:`Csv`: a header and equal-length 1-D columns.  A JSON file is any
-object ``json.dump`` takes, in which an ``ndarray`` stands for its
-``tolist()``.
+object of plain JSON values that ``json.dump`` takes.
 
 * **CSV cells.**  Integer columns go through ``str`` and every other
   column through ``repr`` of Python floats, so ``float(text)`` gives back
@@ -16,7 +15,7 @@ object ``json.dump`` takes, in which an ``ndarray`` stands for its
 * **JSON.**  A JSON file is ``json.dumps(obj, indent=2, sort_keys=True)``
   followed by ``"\\n"`` (``NaN``, ``Infinity`` and ``-Infinity`` for
   non-finite floats).  Any other object ``json`` cannot write, a NumPy
-  integer scalar included, raises ``TypeError``.
+  array or integer scalar included, raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -50,19 +49,12 @@ def _format_block(columns: list[np.ndarray]) -> str:
     return "\n".join([*map(",".join, zip(*cells)), ""])
 
 
-def _ndarray_as_list(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 def _text(content):
     """The pieces of a file's text, in order: a JSON file's whole text, or
     a CSV's header then its rows, :data:`SLICE_ROWS` at a time, each slice
     formatted only when it is written.  The columns are checked here."""
     if not isinstance(content, Csv):
-        return [json.dumps(content, indent=2, sort_keys=True,
-                           default=_ndarray_as_list) + "\n"]
+        return [json.dumps(content, indent=2, sort_keys=True) + "\n"]
     columns = [np.asarray(col) for col in content.columns]
     if len({c.shape for c in columns}) > 1 or any(c.ndim != 1 for c in columns):
         raise ValueError("CSV columns must be 1-D and of equal length")

@@ -142,21 +142,18 @@ def _trace_csv(trace: spectra.NoiseTrace) -> Csv:
     return Csv(TRACE_HEADER, (trace.times, trace.samples))
 
 
-def _floats(values) -> np.ndarray:
-    return np.asarray(values, dtype=float).ravel()
-
-
-def _axis(label: str, unit: str, values) -> dict:
-    return {"label": label, "unit": unit, "values": _floats(values)}
-
-
-def _plot(title: str, x: dict, y: dict, y_err=None,
-          extra: dict | None = None) -> dict:
-    obj = {"title": title, "x": x, "y": y}
+def _plot(title: str, csv: str, x: tuple, y: tuple, z: tuple | None = None,
+          y_err=None) -> dict:
+    """A plot file, naming the columns it draws of ``csv``, a CSV its
+    stage writes: ``x``, ``y`` and a 2-D plot's ``z`` are ``(column,
+    label, unit)``, and ``y_err`` names one column or ``{"low": column,
+    "high": column}``.  A 2-D plot's CSV has one row per (x, y) cell."""
+    obj = {"title": title, "csv": csv}
+    for key, axis in (("x", x), ("y", y), ("z", z)):
+        if axis is not None:
+            obj[key] = dict(zip(("column", "label", "unit"), axis))
     if y_err is not None:
-        obj["y_err"] = _floats(y_err)
-    if extra:
-        obj.update(extra)
+        obj["y_err"] = y_err
     return obj
 
 
@@ -236,12 +233,11 @@ def plan_rabi_chevron(cfg, qubit: QubitParams):
                 "chevron.csv": Csv(CHEVRON_HEADER, (np.repeat(det, dur.size),
                                                     np.tile(dur, det.size),
                                                     p.ravel())),
-                "plot_chevron.json": {
-                    "title": "Rabi chevron",
-                    "x": _axis("pulse duration", "s", dur),
-                    "y": _axis("drive detuning", "Hz", det),
-                    "z": {"label": "P_up", "unit": "1", "values_2d": p},
-                },
+                "plot_chevron.json": _plot(
+                    "Rabi chevron", "chevron.csv",
+                    ("duration_s", "pulse duration", "s"),
+                    ("detuning_hz", "drive detuning", "Hz"),
+                    z=("p_up", "P_up", "1")),
             })
         imax = np.unravel_index(int(np.argmax(p)), p.shape)
         report.summary = {
@@ -279,9 +275,9 @@ def plan_decay(cfg, readout: ReadoutModel):
                 "decay.csv": Csv(DECAY_HEADER,
                                  (curve.times, curve.w, curve.std_err, p_up)),
                 "plot_decay.json": _plot(
-                    f"{cfg['kind']} decay",
-                    _axis("total evolution time", "s", times),
-                    _axis("coherence W", "1", curve.w), y_err=curve.std_err),
+                    f"{cfg['kind']} decay", "decay.csv",
+                    ("time_s", "total evolution time", "s"),
+                    ("coherence_w", "coherence W", "1"), y_err="std_err"),
             })
         with report.stage("fit"):
             fit_dict = _decay_fit(report, "fit", proto["fit"], curve)
@@ -365,8 +361,14 @@ def plan_cpmg_t2_vs_n(cfg):
                     t2errs.append(fit["t2_err_s"])
                     exps.append(fit.get("exponent", math.nan))
                     exp_errs.append(fit.get("exponent_err", math.nan))
-            _write(report, out, {"t2_vs_n.csv": Csv(
-                T2N_HEADER, (used, t2s, t2errs, exps, exp_errs))})
+            files = {"t2_vs_n.csv": Csv(T2N_HEADER,
+                                        (used, t2s, t2errs, exps, exp_errs))}
+            if used:
+                files["plot_t2_vs_n.json"] = _plot(
+                    "T2 vs pulse number", "t2_vs_n.csv",
+                    ("n_pulses", "pulse count N", "1"), ("t2_s", "T2", "s"),
+                    y_err="t2_err_s")
+            _write(report, out, files)
         with report.stage("scaling_fit"):
             scaling = None
             if len(t2s) >= 2:
@@ -376,13 +378,7 @@ def plan_cpmg_t2_vs_n(cfg):
                     scaling = {"beta": scaling_fit.slope,
                                "beta_err": scaling_fit.slope_err,
                                "prefactor_s": scaling_fit.prefactor}
-            files = {"scaling.json": scaling}
-            if used:
-                files["plot_t2_vs_n.json"] = _plot(
-                    "T2 vs pulse number", _axis("pulse count N", "1", used),
-                    _axis("T2", "s", t2s), y_err=t2errs,
-                    extra={"scaling": scaling})
-            _write(report, out, files)
+            _write(report, out, {"scaling.json": scaling})
         report.summary = {"scaling": scaling, "n_fitted": len(t2s)}
     return run
 
@@ -407,10 +403,9 @@ def plan_noise_spectroscopy(cfg):
                 "psd_reconstructed.csv": _psd_csv(est),
                 "points.json": list(est.points_detail),
                 "plot_psd.json": _plot(
-                    "reconstructed noise PSD", _axis("frequency", "Hz", est.f),
-                    _axis("S", "rad^2/s", est.s),
-                    y_err=(est.ci_high - est.ci_low) / 2,
-                    extra={"warnings": list(est.warnings)}),
+                    "reconstructed noise PSD", "psd_reconstructed.csv",
+                    ("f_hz", "frequency", "Hz"), ("S_rad2_per_s", "S", "rad^2/s"),
+                    y_err={"low": "ci_low", "high": "ci_high"}),
             })
         report.summary = {"n_points": est.n_points,
                           "warnings": list(est.warnings),
@@ -430,7 +425,13 @@ def plan_rb(cfg, readout: ReadoutModel):
         with report.stage("reference") as seed:
             ref = benchmarking.rb_reference(depths, proto["n_sequences"], d, seed,
                                             readout=readout, shots=proto["shots"])
-            _write(report, out, {"rb_reference.csv": _rb_csv(ref)})
+            _write(report, out, {
+                "rb_reference.csv": _rb_csv(ref),
+                "plot_rb.json": _plot(
+                    "randomized benchmarking", "rb_reference.csv",
+                    ("M", "sequence length M", "Cliffords"),
+                    ("mean_survival", "mean survival", "1"), y_err="std_err"),
+            })
         with report.stage("reference_fit"):
             fit = report.try_fit("reference_fit", lambda: benchmarking.fit_rb(ref))
             if fit is not None:
@@ -442,10 +443,6 @@ def plan_rb(cfg, readout: ReadoutModel):
                     "true_clifford_fidelity": proto["clifford_fidelity"],
                     "depolarizing_per_primitive": d,
                 }
-            _write(report, out, {"plot_rb.json": _plot(
-                "randomized benchmarking",
-                _axis("sequence length M", "Cliffords", ref.depths),
-                _axis("mean survival", "1", ref.mean_survival), y_err=ref.std_err)})
         if gate is not None:
             with report.stage("interleaved") as seed:
                 inter = benchmarking.rb_interleaved(
@@ -500,8 +497,13 @@ def plan_stark_map(cfg, stark: StarkMap):
         with report.stage("map_measurement") as seed:
             from .._rng import derive_rng
             f = f_map + proto["jitter_hz"] * derive_rng(seed).normal(size=f_map.size)
-            _write(report, out, {"stark_grid.csv": Csv(
-                STARK_GRID_HEADER, (g1, g2, f))})
+            _write(report, out, {
+                "stark_grid.csv": Csv(STARK_GRID_HEADER, (g1, g2, f)),
+                "plot_stark_map.json": _plot(
+                    "ESR frequency vs gate voltages", "stark_grid.csv",
+                    ("v_g1", "V_G1", "V"), ("v_g2", "V_G2", "V"),
+                    z=("f_hz", "f", "Hz")),
+            })
         with report.stage("plane_fit"):
             fitted = starktone.fit_stark_map({"G1": g1, "G2": g2}, f,
                                              reference_voltages=refs)
@@ -511,15 +513,7 @@ def plan_stark_map(cfg, stark: StarkMap):
                 "residual_rms_hz": fitted.residual_rms_hz,
                 "true_coefficients_hz_per_v": stark.coefficients_hz_per_v,
             }
-            _write(report, out, {
-                "stark_fit.json": result,
-                "plot_stark_map.json": {
-                    "title": "ESR frequency vs gate voltages",
-                    "x": _axis("V_G1", "V", v1), "y": _axis("V_G2", "V", v2),
-                    "z": {"label": "f", "unit": "Hz",
-                          "values_2d": f.reshape(v1.size, v2.size)},
-                },
-            })
+            _write(report, out, {"stark_fit.json": result})
         report.summary = result
     return run
 
@@ -559,18 +553,17 @@ def plan_tone_scan(cfg, readout: ReadoutModel, stark: StarkMap):
                 model, coeff, proto["f_tone_hz"], proto["phase"], (keep, dropped),
                 proto["amplitudes_vpp"], proto["shots"], seed, readout=readout,
                 samples_per_interval=proto["samples_per_interval"])
-            _write(report, out, {"tone_scan.csv": _tone_scan_csv(result)})
+            _write(report, out, {
+                "tone_scan.csv": _tone_scan_csv(result),
+                "plot_tone_scan.json": _plot(
+                    "tone-injection response map", "tone_scan.csv",
+                    ("f_hz", "filter frequency", "Hz"),
+                    ("amplitude_vpp", "tone amplitude", "Vpp"),
+                    z=("p_up", "P_up", "1")),
+            })
         with report.stage("detection"):
             detection = starktone.detect_tone_threshold(result, proto["f_tone_hz"])
-            _write(report, out, {
-                "tone_detection.json": detection,
-                "plot_tone_scan.json": {
-                    "title": "tone-injection response map",
-                    "x": _axis("filter frequency", "Hz", result.f_hz),
-                    "y": _axis("tone amplitude", "Vpp", result.amplitudes_vpp),
-                    "z": {"label": "P_up", "unit": "1", "values_2d": result.p_up},
-                },
-            })
+            _write(report, out, {"tone_detection.json": detection})
         report.summary = {"threshold_vpp": detection["threshold_vpp"],
                           "tone_column_hz": detection["tone_column_hz"],
                           "dropped_taus": list(result.dropped)}
@@ -638,8 +631,8 @@ def plan_voltage_psd(cfg, stark: StarkMap):
                 "psd_detuning.csv": Csv(DETUNING_PSD_HEADER, (
                     f_b, s_b * spectra.detuning_gain(coeff), n_bins)),
                 "plot_voltage_psd.json": _plot(
-                    "gate voltage PSD", _axis("frequency", "Hz", f_b),
-                    _axis("S_V", "V^2/Hz", s_b)),
+                    "gate voltage PSD", "psd_voltage.csv",
+                    ("f_hz", "frequency", "Hz"), ("S_v2_per_hz", "S_V", "V^2/Hz")),
             })
         summary = {"band_hz": [float(lo), float(hi)], "band_rms_v": rms,
                    "stark_gate": proto["stark_gate"],

@@ -70,7 +70,8 @@ class TestWriteColumns:
             write_files({tmp_path / "t.csv": Csv("a", (np.zeros((2, 2)),))})
 
     @pytest.mark.parametrize("bad", [Csv("a,b", ([1.0, 2.0], [1.0])),
-                                     Csv("a", (["x", "y"],)), {"x": object()}])
+                                     Csv("a", (["x", "y"],)), {"x": object()},
+                                     {"x": {"values": np.arange(3.0)}}])
     def test_nothing_written_when_a_file_is_bad(self, tmp_path, bad):
         # every file is checked before the first is written
         with pytest.raises((TypeError, ValueError)):
@@ -139,16 +140,16 @@ class TestJson:
         write_json(p, obj)
         assert p.read_text() == _json_reference(obj)
 
-    def test_arrays_write_as_their_lists(self, tmp_path):
-        obj = {"f": np.array(SPECIALS), "i": np.arange(-3, 4),
-               "z": np.array([[1.0, np.nan], [-0.0, 2.5]]),
-               "e": np.array([]), "u8": np.arange(3, dtype=np.uint8),
-               "f32": np.array([0.1, np.inf], dtype=np.float32),
-               "nested": [{"v": np.array([1e-300, -np.inf])}]}
-        p = tmp_path / "o.json"
-        write_json(p, obj)
-        plain = json.loads(json.dumps(obj, default=lambda a: a.tolist()))
-        assert p.read_text() == _json_reference(plain)
+    def test_arrays_rejected(self, tmp_path):
+        # a JSON file holds plain JSON values: an array is not a list
+        for array in (np.array(SPECIALS), np.arange(-3, 4),
+                      np.array([[1.0, np.nan], [-0.0, 2.5]]), np.array([]),
+                      np.arange(3, dtype=np.uint8),
+                      np.array([0.1, np.inf], dtype=np.float32)):
+            for obj in ({"a": array}, [{"v": array}]):
+                with pytest.raises(TypeError, match="ndarray"):
+                    write_json(tmp_path / "o.json", obj)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("bad", [{"a": np.int64(3)}, {(1, 2): 0}, [object()]])
     def test_unsupported_objects_rejected(self, tmp_path, bad):
@@ -173,16 +174,15 @@ class TestRowBlocks:
     @pytest.mark.parametrize("n", [0, 1, 16383, 16384, 16385])
     def test_csv_and_json_match_references(self, tmp_path, workers, n):
         i, x, y = _wide_columns(n)
-        plot = {"title": "t", "x": {"values": x}, "i": i, "y": [x, y]}
+        plot = {"title": "t", "x": {"values": x.tolist()}, "i": i.tolist(),
+                "y": [x.tolist(), y.tolist()]}
         with _parallel.run_pool(workers):
             write_files({tmp_path / "a.csv": Csv("i,x,y", (i, x, y)),
                          tmp_path / "b.csv": Csv("x", (x,)),
                          tmp_path / "p.json": plot})
         assert (tmp_path / "a.csv").read_text() == _reference_rows("i,x,y", zip(i, x, y))
         assert (tmp_path / "b.csv").read_text() == _reference_rows("x", zip(x))
-        plain = {"title": "t", "x": {"values": x.tolist()}, "i": i.tolist(),
-                 "y": [x.tolist(), y.tolist()]}
-        assert (tmp_path / "p.json").read_text() == _json_reference(plain)
+        assert (tmp_path / "p.json").read_text() == _json_reference(plot)
 
     @pytest.mark.parametrize("slice_rows, n", [
         (7, 6), (7, 7), (7, 8), (7, 14), (7, 22),

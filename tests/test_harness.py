@@ -27,7 +27,7 @@ import spinprobe
 import spinprobe.analysis
 from spinprobe import (_csvio, _parallel, benchmarking, qubitsim, spectra,
                        starktone)
-from spinprobe._rng import derive_child_seed
+from spinprobe._rng import derive_child_seed, derive_rng
 from spinprobe.analysis import FitError
 from spinprobe.benchmarking import CLIFFORD_DECOMPOSITIONS
 from spinprobe.harness import ConfigError, RunError, execute, rerun, run
@@ -899,10 +899,10 @@ class TestRunner:
         one = n_bins == 1
         assert np.array_equal(f_v[one], est_v.f[starts[one]])
         assert np.array_equal(s_v[one], est_v.s[starts[one]])
-        # the plot draws the binned f and S_V
-        plot = json.loads((out / "plot_voltage_psd.json").read_text())
-        assert np.array_equal(plot["x"]["values"], f_b)
-        assert np.array_equal(np.array(plot["y"]["values"]) * gain, s_dw)
+        # the files hold the log-binned estimate the Welch stage computes
+        f_ref, s_ref, n_ref = spectra.log_bin(est_v.f, est_v.s)
+        assert np.array_equal(f_b, f_ref) and np.array_equal(n_bins, n_ref)
+        assert np.array_equal(s_dw, s_ref * gain)
 
 
 def _welch_estimate(cfg) -> spectra.PsdEstimate:
@@ -937,24 +937,41 @@ def _stage_seed(manifest, name: str) -> int:
                 if stage["name"] == name)
 
 
+def _tone_scan_result(manifest) -> starktone.ToneScanResult:
+    """The tone scan a ``tone_scan`` run's scan stage computes."""
+    cfg = manifest["config"]
+    proto = cfg["protocol"]
+    return starktone.tone_scan(
+        spectra.SpectrumModel.from_dict(cfg["spectrum"]),
+        starktone.StarkMap(**cfg["stark"]).coefficient(proto["gate"]),
+        proto["f_tone_hz"], proto["phase"],
+        starktone.scan_columns([1.0 / (2.0 * f) for f in proto["f_columns_hz"]],
+                               proto["total_time_s"]),
+        proto["amplitudes_vpp"], proto["shots"], _stage_seed(manifest, "scan"),
+        readout=qubitsim.ReadoutModel(**cfg["readout"]),
+        samples_per_interval=proto["samples_per_interval"])
+
+
 class TestCsvLayout:
     """Each CSV a pipeline writes: its header, its row layout, and values
-    equal to the same run's plot or to the library call it stores."""
+    equal to the library call it stores."""
 
     def test_rb_curves(self, tmp_path):
         out, manifest = _run_tiny(tmp_path, TINY_IRB)
         proto = manifest["config"]["protocol"]
-        plot = json.loads((out / "plot_rb.json").read_text())
-        inter = benchmarking.rb_interleaved(
-            gate_index(proto["gate"]), proto["depths"], proto["n_sequences"],
-            benchmarking.depolarizing_from_clifford_fidelity(
-                proto["clifford_fidelity"]),
-            _stage_seed(manifest, "interleaved"),
-            readout=qubitsim.ReadoutModel(**manifest["config"]["readout"]),
+        d = benchmarking.depolarizing_from_clifford_fidelity(
+            proto["clifford_fidelity"])
+        readout = qubitsim.ReadoutModel(**manifest["config"]["readout"])
+        ref = benchmarking.rb_reference(
+            proto["depths"], proto["n_sequences"], d,
+            _stage_seed(manifest, "reference"), readout=readout,
             shots=proto["shots"])
-        for name, want in (("rb_reference.csv", (plot["x"]["values"],
-                                                  plot["y"]["values"],
-                                                  plot["y_err"])),
+        inter = benchmarking.rb_interleaved(
+            gate_index(proto["gate"]), proto["depths"], proto["n_sequences"], d,
+            _stage_seed(manifest, "interleaved"), readout=readout,
+            shots=proto["shots"])
+        for name, want in (("rb_reference.csv", (ref.depths, ref.mean_survival,
+                                                  ref.std_err)),
                            ("rb_interleaved.csv", (inter.depths,
                                                    inter.mean_survival,
                                                    inter.std_err))):
@@ -968,28 +985,34 @@ class TestCsvLayout:
                 assert [float(v) for v in text] == list(values)
 
     def test_tone_scan(self, tmp_path):
-        out, _ = _run_tiny(tmp_path, TINY_TONE)
-        plot = json.loads((out / "plot_tone_scan.json").read_text())
-        f, amps = plot["x"]["values"], plot["y"]["values"]
-        p_up = np.array(plot["z"]["values_2d"])
+        out, manifest = _run_tiny(tmp_path, TINY_TONE)
+        result = _tone_scan_result(manifest)
+        f, amps = result.f_hz, result.amplitudes_vpp
         header, rows = _csv_cells(out / "tone_scan.csv")
         assert header == "f_hz,amplitude_vpp,p_up,std_err"
         cols = np.array(rows, dtype=float).T
         # one row per cell, amplitude-major
         assert np.array_equal(cols[0], np.tile(f, len(amps)))
         assert np.array_equal(cols[1], np.repeat(amps, len(f)))
-        assert np.array_equal(cols[2], p_up.ravel())
+        assert np.array_equal(cols[2], result.p_up.ravel())
+        assert np.array_equal(cols[3], result.std_err.ravel())
         assert np.all(cols[3] > 0)
 
     def test_psd_reconstructed(self, tmp_path):
-        out, _ = _run_tiny(tmp_path, TINY_SPECTROSCOPY)
-        plot = json.loads((out / "plot_psd.json").read_text())
+        out, manifest = _run_tiny(tmp_path, TINY_SPECTROSCOPY)
+        cfg = manifest["config"]
+        proto = cfg["protocol"]
+        est = spinprobe.analysis.spectroscopy_scan(
+            spectra.SpectrumModel.from_dict(cfg["spectrum"]),
+            grid_values(proto["f_grid_hz"]), proto["pulse_counts"],
+            proto["n_traj"], _stage_seed(manifest, "spectroscopy"),
+            t2_hahn=proto["t2_hahn_s"], duration_factor=proto["duration_factor"],
+            samples_per_interval=proto["samples_per_interval"])
         header, rows = _csv_cells(out / "psd_reconstructed.csv")
         assert header == "f_hz,S_rad2_per_s,ci_low,ci_high"
-        f, s, lo, hi = np.array(rows, dtype=float).T
-        assert np.array_equal(f, plot["x"]["values"])
-        assert np.array_equal(s, plot["y"]["values"])
-        assert np.array_equal((hi - lo) / 2, plot["y_err"])
+        for text, values in zip(np.array(rows, dtype=float).T,
+                                (est.f, est.s, est.ci_low, est.ci_high)):
+            assert np.array_equal(text, values)
 
     def test_voltage_trace_and_its_spectroscopy(self, tmp_path):
         out, manifest = _run_tiny(tmp_path, TINY_BY_KIND["voltage_psd"])
@@ -1008,6 +1031,70 @@ class TestCsvLayout:
         assert header == "f_hz,S_rad2_per_s,ci_low,ci_high"
         f = [float(row[0]) for row in rows]
         assert [f[0], f[-1]] == manifest["summary"]["spectroscopy_f_range_hz"]
+
+
+def _pivot(out: Path, plot: dict) -> np.ndarray:
+    """A 2-D plot's z as a matrix indexed [y][x], each axis in the order
+    its values first appear in the CSV; every (x, y) cell is on one row."""
+    header, rows = _csv_cells(out / plot["csv"])
+    names = header.split(",")
+    x, y, z = (np.array([float(row[names.index(plot[key]["column"])]) for row in rows])
+               for key in "xyz")
+    xs, ys = list(dict.fromkeys(x.tolist())), list(dict.fromkeys(y.tolist()))
+    assert len(set(zip(x.tolist(), y.tolist()))) == x.size == len(xs) * len(ys)
+    grid = np.full((len(ys), len(xs)), np.nan)
+    grid[[ys.index(v) for v in y.tolist()], [xs.index(v) for v in x.tolist()]] = z
+    return grid
+
+
+class TestPlots:
+    """A plot file names columns of a CSV its run writes."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_plot_names_columns_of_a_written_csv(self, tmp_path, kind):
+        out, manifest = _run_tiny(tmp_path, TINY_BY_KIND[kind])
+        plots = [name for name in manifest["inventory"] if name.startswith("plot_")]
+        assert plots
+        for name in plots:
+            plot = json.loads((out / name).read_text())
+            assert plot["csv"] in manifest["inventory"]
+            header = _csv_cells(out / plot["csv"])[0].split(",")
+            y_err = plot.get("y_err", {})
+            columns = [plot[key]["column"] for key in ("x", "y", "z") if key in plot]
+            columns += [y_err] if isinstance(y_err, str) else list(y_err.values())
+            assert set(columns) <= set(header), name
+            if "z" in plot:
+                _pivot(out, plot)  # asserts one CSV row per (x, y) cell
+
+    def test_2d_plots_pivot_to_y_by_x(self, tmp_path):
+        """Each 2-D plot's pivot is [y][x]: the chevron's and the tone
+        scan's library matrices, and the Stark map's frequencies on the
+        [v_g1][v_g2] mesh, transposed."""
+        def pivot(cfg, name):
+            out, manifest = _run_tiny(tmp_path / cfg["kind"], cfg)
+            return _pivot(out, json.loads((out / name).read_text())), manifest
+
+        grid, manifest = pivot(TINY_CHEVRON, "plot_chevron.json")
+        cfg = manifest["config"]
+        assert np.array_equal(grid, qubitsim.rabi_chevron(
+            QubitParams(**cfg["qubit"]),
+            *(grid_values(cfg["protocol"][key])
+              for key in ("detuning_hz", "duration_s"))))
+        grid, manifest = pivot(TINY_TONE, "plot_tone_scan.json")
+        assert np.array_equal(grid, _tone_scan_result(manifest).p_up)
+        # a 5 x 3 voltage mesh, so the transpose has another shape
+        grid, manifest = pivot({**TINY_STARK, "protocol": {
+            "v_g2_v": {"start": -0.016, "stop": 0.016, "num": 3}}},
+            "plot_stark_map.json")
+        cfg = manifest["config"]
+        v1, v2 = (grid_values(cfg["protocol"][key]) for key in ("v_g1_v", "v_g2_v"))
+        g1, g2 = (g.ravel() for g in np.meshgrid(v1, v2, indexing="ij"))
+        f = (starktone.esr_frequency(starktone.StarkMap(**cfg["stark"]),
+                                     {"G1": g1, "G2": g2})
+             + cfg["protocol"]["jitter_hz"] * derive_rng(
+                 _stage_seed(manifest, "map_measurement")).normal(size=g1.size))
+        assert grid.shape == (v2.size, v1.size)
+        assert np.array_equal(grid, f.reshape(v1.size, v2.size).T)
 
 
 def _pid(_job) -> int:
