@@ -181,7 +181,10 @@ def _smooth_psd(model: SpectrumModel, f: np.ndarray) -> np.ndarray:
     s = np.full_like(f, float(model.white_floor))
     omega = 2.0 * math.pi * f
     for term in model.powerlaws:
-        s += term.amplitude / omega**term.exponent
+        # omega**alpha overflows to inf at huge f, where the term's limit is 0
+        with np.errstate(over="ignore"):
+            denom = omega**term.exponent
+        s += term.amplitude / denom
     return s
 
 
