@@ -216,7 +216,11 @@ def _spaced(spacing, start, stop, num, **kwargs) -> Field:
 MAX_PULSES = 1024
 
 # most samples in a trace (so also in one Monte Carlo interval): six times
-# the shipped voltage_psd 5.4M, about 1.1 GB of synthesis peak
+# the shipped voltage_psd 5.4M.  Computed, not measured at this length:
+# synthesis rises about 2.5 times the 268 MB of samples for an even length
+# (two half-length inverse FFTs), about 0.7 GB, and 4.0 times for an odd
+# one (numpy's irfft), about 1.1 GB; the ratios were measured at 4.1-4.2M
+# samples of lengths with small prime factors (numpy 2.4, x86-64)
 MAX_TRACE_SAMPLES = 2 ** 25
 
 # most points the T2 search of a cpmg_t2_vs_n pulse count integrates its

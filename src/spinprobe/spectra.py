@@ -258,7 +258,91 @@ def normal_amplitudes(model: SpectrumModel, sample_rate: float, n: int) -> np.nd
 
 
 # rfft bins per block of the coefficient construction in draw_trace_samples
+# and of _half_spectra
 _BLOCK_BINS = 1 << 16
+
+
+def _half_spectra(coeff: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rfft coefficients E and O of the even and odd samples of the
+    n = 2h-sample inverse of ``coeff`` (Sorensen et al., IEEE Trans. ASSP
+    35, 849 (1987)), for k = 0..h//2:
+    E[k] = (C[k] + conj C[h - k]) / 2 and
+    O[k] = (C[k] - conj C[h - k]) / 2 * exp(2 pi i k / n).
+    Built in blocks of ``_BLOCK_BINS`` bins; the halving is exact."""
+    even = np.empty(h // 2 + 1, dtype=complex)
+    odd = np.empty_like(even)
+    twiddle = np.empty(min(_BLOCK_BINS, even.size), dtype=complex)
+    for a in range(0, even.size, _BLOCK_BINS):
+        b = min(a + _BLOCK_BINS, even.size)
+        e, o, w = even[a:b], odd[a:b], twiddle[:b - a]
+        np.conjugate(coeff[h - b + 1:h - a + 1][::-1], out=e)  # conj C[h - k]
+        np.subtract(coeff[a:b], e, out=o)
+        e += coeff[a:b]
+        e *= 0.5
+        o *= 0.5
+        np.multiply(np.arange(a, b), 1j * np.pi / h, out=w)
+        o *= np.exp(w, out=w)
+    return even, odd
+
+
+def _irfft(coeff: np.ndarray, n: int) -> np.ndarray:
+    """``np.fft.irfft(coeff, n)`` of n // 2 + 1 rfft coefficients, in
+    less memory for even n.
+
+    Odd n is ``np.fft.irfft`` itself.  Even n = 2h takes the two length-h
+    inverses of :func:`_half_spectra` one after the other: ``coeff`` is
+    dropped before the first and each half spectrum after its own, and
+    only then is the n-sample output allocated.  That frees the
+    coefficients only when the caller holds no other reference to them,
+    as :func:`draw_trace_samples` passes them.  The samples agree with
+    numpy's to rounding (within 1e-14 of their largest magnitude), and
+    the imaginary parts of the DC and Nyquist bins are ignored, as numpy
+    ignores them.
+    """
+    if n % 2:
+        return np.fft.irfft(coeff, n)
+    h = n // 2
+    even, odd = _half_spectra(coeff, h)
+    del coeff
+    x_even = np.fft.irfft(even, h)
+    del even
+    x_odd = np.fft.irfft(odd, h)
+    del odd
+    x = np.empty(n)
+    x[0::2] = x_even
+    x[1::2] = x_odd
+    return x
+
+
+def _coefficients(model: SpectrumModel, sample_rate: float, n: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """The n // 2 + 1 rfft coefficients of :func:`draw_trace_samples`.
+
+    They are filled in blocks of ``_BLOCK_BINS`` bins, in its draw order:
+    a first pass parks each block's amplitudes in the imaginary parts and
+    writes normals times amplitudes into the real parts, a second pass
+    forms ``re + 1j * im`` from the imaginary-part normals, as the
+    whole-length construction did, then comes the even-n Nyquist bin.
+    The coefficients equal those of the whole-length construction bit
+    for bit, and only block-sized arrays live beside them.
+    """
+    df = sample_rate / n
+    k = (n - 1) // 2
+    coeff = np.zeros(n // 2 + 1, dtype=complex)
+    blocks = [(a, min(a + _BLOCK_BINS, k + 1)) for a in range(1, k + 1, _BLOCK_BINS)]
+    normals = np.empty(min(_BLOCK_BINS, k))
+    for a, b in blocks:
+        amp = coeff.imag[a:b]
+        amp[...] = _amplitudes(_bin_density(model, df, a, b), df, n)
+        np.multiply(rng.standard_normal(out=normals[:b - a]), amp,
+                    out=coeff.real[a:b])
+    for a, b in blocks:
+        z = rng.standard_normal(out=normals[:b - a]) * coeff.imag[a:b]
+        coeff[a:b] = coeff.real[a:b] + 1j * z
+    if n % 2 == 0:  # real Nyquist bin
+        s = _bin_density(model, df, n // 2, n // 2 + 1)
+        coeff[-1:] = rng.standard_normal(1) * (2 * _amplitudes(s, df, n))
+    return coeff
 
 
 def draw_trace_samples(model: SpectrumModel, sample_rate: float, n: int,
@@ -277,32 +361,14 @@ def draw_trace_samples(model: SpectrumModel, sample_rate: float, n: int,
     is synthesized here or only its phase is computed
     (:meth:`spinprobe.qubitsim.PhaseFunctional.normal_weights`).
 
-    The coefficients are filled in blocks of ``_BLOCK_BINS`` bins, in that
-    draw order: a first pass parks each block's amplitudes in the
-    imaginary parts and writes normals times amplitudes into the real
-    parts, a second pass forms ``re + 1j * im`` from the imaginary-part
-    normals, as the whole-length construction did, then come the even-n
-    Nyquist bin and ``irfft``.  Only block-sized arrays
-    live beside the coefficients and the ``irfft`` workspace, and the
-    samples equal those of the whole-length construction bit for bit.
+    :func:`_coefficients` builds the coefficients in blocks, and the only
+    reference to them goes to :func:`_irfft`.  For even n the peak is then
+    the two half spectra plus one half-length transform's output and
+    workspace: about 2.5 times the sample bytes above the process, against
+    4.1 for the coefficients plus numpy's whole-length ``irfft``, which
+    odd n still takes (numpy 2.4, x86-64).
     """
-    df = sample_rate / n
-    k = (n - 1) // 2
-    coeff = np.zeros(n // 2 + 1, dtype=complex)
-    blocks = [(a, min(a + _BLOCK_BINS, k + 1)) for a in range(1, k + 1, _BLOCK_BINS)]
-    normals = np.empty(min(_BLOCK_BINS, k))
-    for a, b in blocks:
-        amp = coeff.imag[a:b]
-        amp[...] = _amplitudes(_bin_density(model, df, a, b), df, n)
-        np.multiply(rng.standard_normal(out=normals[:b - a]), amp,
-                    out=coeff.real[a:b])
-    for a, b in blocks:
-        z = rng.standard_normal(out=normals[:b - a]) * coeff.imag[a:b]
-        coeff[a:b] = coeff.real[a:b] + 1j * z
-    if n % 2 == 0:  # real Nyquist bin
-        s = _bin_density(model, df, n // 2, n // 2 + 1)
-        coeff[-1:] = rng.standard_normal(1) * (2 * _amplitudes(s, df, n))
-    return np.fft.irfft(coeff, n)
+    return _irfft(_coefficients(model, sample_rate, n, rng), n)
 
 
 def synthesize(model: SpectrumModel, sample_rate: float, duration: float,
@@ -310,8 +376,9 @@ def synthesize(model: SpectrumModel, sample_rate: float, duration: float,
     """Generate a Gaussian trace whose one-sided PSD follows the model.
 
     Deterministic per seed; see :func:`draw_trace_samples` for the
-    construction.  Its memory is one complex coefficient array plus what
-    ``irfft`` needs.
+    construction and its memory: for even lengths the two half spectra
+    (together one complex coefficient array) plus one half-length
+    ``irfft``, for odd lengths the coefficients plus a whole-length one.
     """
     n = int(round(sample_rate * duration))
     if n < 64:

@@ -3,6 +3,7 @@
 import ast
 import concurrent.futures
 import copy
+import dataclasses
 import functools
 import importlib
 import json
@@ -1114,6 +1115,33 @@ class TestRunPool:
         names = ["trace", "welch", "spectroscopy"]
         assert stages[0] == stages[1] == [
             (name, derive_child_seed(cfg["seed"], i)) for i, name in enumerate(names)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_voltage_psd_scan_runs_at_the_spectroscopy_stage_seed(
+            self, tmp_path, workers):
+        """voltage_psd submits its scan before the trace stage opens, so it
+        names its seed by the spectroscopy stage's index: the CSV is the
+        library scan of the Stark-converted model plus the qubit floor at
+        that stage's seed, bit for bit."""
+        out = tmp_path / "out"
+        manifest = execute(validate_config(OVERLAPPED_VOLTAGE), out, workers=workers)
+        cfg = manifest["config"]
+        proto = cfg["protocol"]
+        spec = proto["spectroscopy"]
+        model = spectra.voltage_to_detuning_model(
+            spectra.SpectrumModel.from_dict(cfg["spectrum"]),
+            starktone.StarkMap(**cfg["stark"]).coefficients_hz_per_v[proto["stark_gate"]])
+        model = dataclasses.replace(
+            model, white_floor=model.white_floor + proto["qubit_floor_rad2_s"])
+        est = spinprobe.analysis.spectroscopy_scan(
+            model, grid_values(spec["f_grid_hz"]), spec["pulse_counts"],
+            spec["n_traj"], _stage_seed(manifest, "spectroscopy"),
+            samples_per_interval=spec["samples_per_interval"])
+        header, rows = _csv_cells(out / "psd_reconstructed.csv")
+        assert header == "f_hz,S_rad2_per_s,ci_low,ci_high"
+        for text, values in zip(np.array(rows, dtype=float).T,
+                                (est.f, est.s, est.ci_low, est.ci_high)):
+            assert np.array_equal(text, values)
 
     def test_failed_run_cancels_queued_jobs_and_leaves_no_process(
             self, tmp_path, monkeypatch):

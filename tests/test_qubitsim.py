@@ -616,9 +616,10 @@ class TestCoherenceMc:
         coherence_mc(COMPOSITE, make_cpmg(4, 1e-3), 50, 1)
         coherence_mc(COMPOSITE, make_ramsey(1e-4), 50, 1)
         assert calls == []
-        # the spy sees the synthesis path, which does use the inverse FFT
+        # the spy sees the synthesis path, which does use the inverse FFT:
+        # an even length makes two half-length transforms
         spectra.draw_trace_samples(WHITE, 1e3, 64, derive_rng(0))
-        assert len(calls) == 1
+        assert [args[1] for args in calls] == [32, 32]
 
     def test_needs_two_trajectories(self):
         with pytest.raises(ValueError):

@@ -189,14 +189,16 @@ def _one_shot_amplitudes(model, rate, n):
 
 def _one_shot_samples(model, rate, n, rng):
     """The trace built from whole-length arrays: every normal times its
-    amplitude, then ``re + 1j * im`` per bin, the Nyquist bin, irfft."""
+    amplitude, then ``re + 1j * im`` per bin and the Nyquist bin, passed
+    through the library's inverse, so block-built coefficients must equal
+    these bit for bit."""
     k = (n - 1) // 2
     z = trace_normals(n, rng) * _one_shot_amplitudes(model, rate, n)
     coeff = np.zeros(n // 2 + 1, dtype=complex)
     coeff[1:k + 1] = z[:k] + 1j * z[k:2 * k]
     if n % 2 == 0:
         coeff[-1] = z[-1]
-    return np.fft.irfft(coeff, n)
+    return spectra._irfft(coeff, n)
 
 
 BLOCK_MODELS = {
@@ -243,9 +245,11 @@ class TestBlockSynthesis:
         assert draw_trace_samples(model, 1.2e5, n, derive_rng(2)).tobytes() == ref.tobytes()
 
     def test_traced_peak_memory(self):
-        """Only the coefficients and irfft's work outlive a block: the
-        traced peak stays within 2.5 times the samples (whole-length
-        arrays took 3.6 times)."""
+        """Only whole-length coefficients, half spectra and half traces
+        outlive a block: the traced peak stays within 2.5 times the
+        samples (whole-length arrays took 3.6 times).  tracemalloc does
+        not see pocketfft's workspace; tests/test_installed.py bounds the
+        real RSS."""
         model = SpectrumModel(white_floor=8e-18,
                               lines=(SpectralLine(3600.0, 1e-9, 150.0),
                                      SpectralLine(50.0, 1e-10, None)))
@@ -257,6 +261,38 @@ class TestBlockSynthesis:
             tracemalloc.stop()
         assert trace.n_samples == 10 ** 6
         assert peak <= 2.5 * trace.samples.nbytes
+
+
+class TestInverse:
+    """The library's inverse against ``np.fft.irfft``."""
+
+    @staticmethod
+    def _hermitian(n, seed):
+        """Random rfft coefficients of an n-sample trace, with nonzero
+        imaginary parts at DC and (even n) Nyquist, which numpy ignores."""
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
+
+    # even n with h = n / 2 even and odd, then odd n
+    @pytest.mark.parametrize("n", [64, 1000, 2 ** 20, 131078])
+    def test_even_length_within_rounding(self, n):
+        coeff = self._hermitian(n, n)
+        assert coeff[0].imag != 0 and coeff[-1].imag != 0
+        ref = np.fft.irfft(coeff, n)
+        got = spectra._irfft(coeff.copy(), n)
+        assert got.shape == ref.shape == (n,)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [65, 1001])
+    def test_odd_length_is_numpy_bit_for_bit(self, n):
+        coeff = self._hermitian(n, n)
+        assert spectra._irfft(coeff.copy(), n).tobytes() == np.fft.irfft(coeff, n).tobytes()
+
+    def test_block_size_does_not_change_the_samples(self, monkeypatch):
+        coeff = self._hermitian(1000, 3)
+        ref = spectra._irfft(coeff.copy(), 1000)
+        monkeypatch.setattr(spectra, "_BLOCK_BINS", 7)
+        assert spectra._irfft(coeff.copy(), 1000).tobytes() == ref.tobytes()
 
 
 class TestWelch:
