@@ -220,7 +220,8 @@ MAX_PULSES = 1024
 # synthesis rises about 2.5 times the 268 MB of samples for an even length
 # (two half-length inverse FFTs), about 0.7 GB, and 4.0 times for an odd
 # one (numpy's irfft), about 1.1 GB; the ratios were measured at 4.1-4.2M
-# samples of lengths with small prime factors (numpy 2.4, x86-64)
+# samples of lengths with small prime factors (numpy 2.4, CPython 3.11,
+# x86-64)
 MAX_TRACE_SAMPLES = 2 ** 25
 
 # most points the T2 search of a cpmg_t2_vs_n pulse count integrates its

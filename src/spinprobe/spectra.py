@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -285,20 +286,22 @@ def _half_spectra(coeff: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
     return even, odd
 
 
-def _irfft(coeff: np.ndarray, n: int) -> np.ndarray:
-    """``np.fft.irfft(coeff, n)`` of n // 2 + 1 rfft coefficients, in
-    less memory for even n.
+def _irfft(coefficients: Callable[[], np.ndarray], n: int) -> np.ndarray:
+    """``np.fft.irfft(coefficients(), n)`` of the n // 2 + 1 rfft
+    coefficients that ``coefficients`` returns, in less memory for even n.
 
     Odd n is ``np.fft.irfft`` itself.  Even n = 2h takes the two length-h
-    inverses of :func:`_half_spectra` one after the other: ``coeff`` is
-    dropped before the first and each half spectrum after its own, and
-    only then is the n-sample output allocated.  That frees the
-    coefficients only when the caller holds no other reference to them,
-    as :func:`draw_trace_samples` passes them.  The samples agree with
-    numpy's to rounding (within 1e-14 of their largest magnitude), and
-    the imaginary parts of the DC and Nyquist bins are ignored, as numpy
+    inverses of :func:`_half_spectra` one after the other: the
+    coefficients are dropped before the first and each half spectrum
+    after its own, and only then is the n-sample output allocated.  This
+    frame takes the coefficients from the call, so when ``coefficients``
+    keeps no reference to them, as in :func:`draw_trace_samples`, they are
+    freed there on every Python version.  The samples agree with numpy's
+    to rounding (within 1e-14 of their largest magnitude), and the
+    imaginary parts of the DC and Nyquist bins are ignored, as numpy
     ignores them.
     """
+    coeff = coefficients()
     if n % 2:
         return np.fft.irfft(coeff, n)
     h = n // 2
@@ -361,14 +364,14 @@ def draw_trace_samples(model: SpectrumModel, sample_rate: float, n: int,
     is synthesized here or only its phase is computed
     (:meth:`spinprobe.qubitsim.PhaseFunctional.normal_weights`).
 
-    :func:`_coefficients` builds the coefficients in blocks, and the only
-    reference to them goes to :func:`_irfft`.  For even n the peak is then
-    the two half spectra plus one half-length transform's output and
-    workspace: about 2.5 times the sample bytes above the process, against
-    4.1 for the coefficients plus numpy's whole-length ``irfft``, which
-    odd n still takes (numpy 2.4, x86-64).
+    :func:`_coefficients` builds the coefficients in blocks inside
+    :func:`_irfft`, which holds the only reference to them.  For even n
+    the peak is then the two half spectra plus one half-length transform's
+    output and workspace: about 2.5 times the sample bytes above the
+    process, against 4.1 for the coefficients plus numpy's whole-length
+    ``irfft``, which odd n still takes (numpy 2.4, CPython 3.11, x86-64).
     """
-    return _irfft(_coefficients(model, sample_rate, n, rng), n)
+    return _irfft(lambda: _coefficients(model, sample_rate, n, rng), n)
 
 
 def synthesize(model: SpectrumModel, sample_rate: float, duration: float,

@@ -1105,6 +1105,10 @@ def _marked_decay_point(args):
 
 class TestRunPool:
     def test_overlapped_voltage_psd_identical_at_1_and_2_workers(self, tmp_path):
+        """Also: voltage_psd submits its scan before the trace stage opens,
+        so it names its seed by the spectroscopy stage's index; the CSV is
+        the library scan of the Stark-converted model plus the qubit floor
+        at that stage's seed, bit for bit."""
         cfg = validate_config(OVERLAPPED_VOLTAGE)
         m1 = execute(cfg, tmp_path / "a", workers=1)
         m2 = execute(cfg, tmp_path / "b", workers=2)
@@ -1115,17 +1119,7 @@ class TestRunPool:
         names = ["trace", "welch", "spectroscopy"]
         assert stages[0] == stages[1] == [
             (name, derive_child_seed(cfg["seed"], i)) for i, name in enumerate(names)]
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_voltage_psd_scan_runs_at_the_spectroscopy_stage_seed(
-            self, tmp_path, workers):
-        """voltage_psd submits its scan before the trace stage opens, so it
-        names its seed by the spectroscopy stage's index: the CSV is the
-        library scan of the Stark-converted model plus the qubit floor at
-        that stage's seed, bit for bit."""
-        out = tmp_path / "out"
-        manifest = execute(validate_config(OVERLAPPED_VOLTAGE), out, workers=workers)
-        cfg = manifest["config"]
+        cfg = m1["config"]
         proto = cfg["protocol"]
         spec = proto["spectroscopy"]
         model = spectra.voltage_to_detuning_model(
@@ -1135,9 +1129,9 @@ class TestRunPool:
             model, white_floor=model.white_floor + proto["qubit_floor_rad2_s"])
         est = spinprobe.analysis.spectroscopy_scan(
             model, grid_values(spec["f_grid_hz"]), spec["pulse_counts"],
-            spec["n_traj"], _stage_seed(manifest, "spectroscopy"),
+            spec["n_traj"], _stage_seed(m1, "spectroscopy"),
             samples_per_interval=spec["samples_per_interval"])
-        header, rows = _csv_cells(out / "psd_reconstructed.csv")
+        header, rows = _csv_cells(tmp_path / "a" / "psd_reconstructed.csv")
         assert header == "f_hz,S_rad2_per_s,ci_low,ci_high"
         for text, values in zip(np.array(rows, dtype=float).T,
                                 (est.f, est.s, est.ci_low, est.ci_high)):
