@@ -217,11 +217,15 @@ MAX_PULSES = 1024
 
 # most samples in a trace (so also in one Monte Carlo interval): six times
 # the shipped voltage_psd 5.4M.  Computed, not measured at this length:
-# synthesis rises about 2.5 times the 268 MB of samples for an even length
-# (two half-length inverse FFTs), about 0.7 GB, and 4.0 times for an odd
-# one (numpy's irfft), about 1.1 GB; the ratios were measured at 4.1-4.2M
-# samples of lengths with small prime factors (numpy 2.4, CPython 3.11,
-# x86-64)
+# synthesis rises about 2.0 times the 268 MB of samples when 4 divides the
+# length (four quarter-length inverse FFTs), about 0.55 GB, 2.5 times for
+# other even lengths (two half-length ones), about 0.67 GB, and 4.0 times
+# for odd ones (numpy's irfft), about 1.1 GB.  Those ratios were measured
+# at 4.1-4.3M samples of lengths with small prime factors; a length with a
+# large prime factor sends pocketfft to Bluestein's algorithm, which rose
+# 6.0 times at 4,000,012 = 4 * 1,000,003, 10.5 at 4,000,002 = 2 * 3 *
+# 666,667 and 20.0 at 4,194,305 = 5 * 397 * 2113, so up to about 5.4 GB
+# here (numpy 2.4, CPython 3.11, x86-64)
 MAX_TRACE_SAMPLES = 2 ** 25
 
 # most points the T2 search of a cpmg_t2_vs_n pulse count integrates its

@@ -290,16 +290,21 @@ def _irfft(coefficients: Callable[[], np.ndarray], n: int) -> np.ndarray:
     """``np.fft.irfft(coefficients(), n)`` of the n // 2 + 1 rfft
     coefficients that ``coefficients`` returns, in less memory for even n.
 
-    Odd n is ``np.fft.irfft`` itself.  Even n = 2h takes the two length-h
-    inverses of :func:`_half_spectra` one after the other: the
-    coefficients are dropped before the first and each half spectrum
-    after its own, and only then is the n-sample output allocated.  This
-    frame takes the coefficients from the call, so when ``coefficients``
-    keeps no reference to them, as in :func:`draw_trace_samples`, they are
-    freed there on every Python version.  The samples agree with numpy's
-    to rounding (within 1e-14 of their largest magnitude), and the
-    imaginary parts of the DC and Nyquist bins are ignored, as numpy
-    ignores them.
+    Odd n is ``np.fft.irfft`` itself.  Even n = 2h splits the coefficients
+    into the half spectra E and O of :func:`_half_spectra` and drops them.
+    For odd h the two length-h inverses follow one after the other, each
+    half spectrum dropped after its own, and only then is the n-sample
+    output allocated.  For even h = 2q each half spectrum is split once
+    more and dropped, E before O: the four length-q inverses write the
+    samples x[4m], x[4m + 2], x[4m + 1] and x[4m + 3] into contiguous
+    quarters of one n-sample buffer, allocated once E is split and before
+    O is, and one strided copy interleaves them into the output.  This
+    frame takes the coefficients from the call and holds every later
+    array itself, so when ``coefficients`` keeps no reference to them, as
+    in :func:`draw_trace_samples`, each ``del`` frees its array on every
+    Python version.  The samples agree with numpy's to rounding (within
+    1e-14 of their largest magnitude), and the imaginary parts of the DC
+    and Nyquist bins are ignored, as numpy ignores them.
     """
     coeff = coefficients()
     if n % 2:
@@ -307,13 +312,33 @@ def _irfft(coefficients: Callable[[], np.ndarray], n: int) -> np.ndarray:
     h = n // 2
     even, odd = _half_spectra(coeff, h)
     del coeff
-    x_even = np.fft.irfft(even, h)
+    if h % 2:
+        x_even = np.fft.irfft(even, h)
+        del even
+        x_odd = np.fft.irfft(odd, h)
+        del odd
+        x = np.empty(n)
+        x[0::2] = x_even
+        x[1::2] = x_odd
+        return x
+    q = h // 2
+    even_even, even_odd = _half_spectra(even, q)
     del even
-    x_odd = np.fft.irfft(odd, h)
+    blocks = np.empty(n)
+    np.fft.irfft(even_even, q, out=blocks[:q])
+    del even_even
+    np.fft.irfft(even_odd, q, out=blocks[q:2 * q])
+    del even_odd
+    odd_even, odd_odd = _half_spectra(odd, q)
     del odd
+    np.fft.irfft(odd_even, q, out=blocks[2 * q:3 * q])
+    del odd_even
+    np.fft.irfft(odd_odd, q, out=blocks[3 * q:])
+    del odd_odd
     x = np.empty(n)
-    x[0::2] = x_even
-    x[1::2] = x_odd
+    # x[4m + 2b + a] is quarter 2a + b's sample m; no transposed view is
+    # reshaped, which would copy it
+    x.reshape(q, 2, 2)[...] = blocks.reshape(2, 2, q).transpose(2, 1, 0)
     return x
 
 
@@ -365,11 +390,13 @@ def draw_trace_samples(model: SpectrumModel, sample_rate: float, n: int,
     (:meth:`spinprobe.qubitsim.PhaseFunctional.normal_weights`).
 
     :func:`_coefficients` builds the coefficients in blocks inside
-    :func:`_irfft`, which holds the only reference to them.  For even n
-    the peak is then the two half spectra plus one half-length transform's
-    output and workspace: about 2.5 times the sample bytes above the
-    process, against 4.1 for the coefficients plus numpy's whole-length
-    ``irfft``, which odd n still takes (numpy 2.4, CPython 3.11, x86-64).
+    :func:`_irfft`, which holds the only reference to them.  The peak
+    above the process is then about 2.0 times the sample bytes when 4
+    divides n (the quarter traces' buffer beside the odd half spectrum
+    and two quarter spectra, or beside the output), 2.5 for other even n
+    (the two half spectra plus one half-length transform's output and
+    workspace) and 4.0 for odd n, which takes numpy's whole-length
+    ``irfft`` (numpy 2.4, CPython 3.11, x86-64).
     """
     return _irfft(lambda: _coefficients(model, sample_rate, n, rng), n)
 
@@ -379,9 +406,10 @@ def synthesize(model: SpectrumModel, sample_rate: float, duration: float,
     """Generate a Gaussian trace whose one-sided PSD follows the model.
 
     Deterministic per seed; see :func:`draw_trace_samples` for the
-    construction and its memory: for even lengths the two half spectra
-    (together one complex coefficient array) plus one half-length
-    ``irfft``, for odd lengths the coefficients plus a whole-length one.
+    construction and its memory: about twice the samples when 4 divides
+    the length (four quarter-length ``irfft``s), 2.5 times for other even
+    lengths (two half-length ones) and 4 times for odd lengths (the
+    coefficients plus a whole-length one).
     """
     n = int(round(sample_rate * duration))
     if n < 64:
@@ -471,6 +499,48 @@ def welch_ci_factors(n_segments: int) -> tuple[float, float]:
     return dof / (2 * q_hi), dof / (2 * q_lo)
 
 
+def _pairwise_row_sum(row: Callable[[int], np.ndarray], lo: int,
+                      n: int) -> np.ndarray:
+    """``row(lo) + ... + row(lo + n - 1)`` added in the order of numpy's
+    pairwise sum over a contiguous axis, so it equals ``np.sum(rows,
+    axis=-1)`` of the rows stacked as the columns of a matrix bit for
+    bit.  Below 8 rows that order is a running sum from 0.0; up to 128 it
+    is eight partial sums r_j = row j + row j + 8 + ... of the rows below
+    the last multiple of 8, combined as ((r0 + r1) + (r2 + r3)) + ((r4 +
+    r5) + (r6 + r7)), then the remaining rows in order; above 128 the rows
+    split at n // 2 rounded down to a multiple of 8.  Each row is asked
+    for once, and ``row`` may return a buffer it reuses.  The partial sums
+    are formed depth first, so at most 4 are held at once, plus one sum
+    per level of the split above 128 rows."""
+    if n < 8:
+        total = 0.0 + row(lo)
+        for k in range(lo + 1, lo + n):
+            total += row(k)
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        total = _pairwise_row_sum(row, lo, half)
+        total += _pairwise_row_sum(row, lo + half, n - half)
+        return total
+    tail = n - n % 8
+
+    def tree(j: int, width: int) -> np.ndarray:
+        """The combined partial sums r_j .. r_{j + width - 1}."""
+        if width > 1:
+            total = tree(j, width // 2)
+            total += tree(j + width // 2, width // 2)
+            return total
+        total = row(lo + j).copy()
+        for i in range(j + 8, tail, 8):
+            total += row(lo + i)
+        return total
+
+    total = tree(0, 8)
+    for k in range(lo + tail, lo + n):
+        total += row(k)
+    return total
+
+
 def psd_welch(trace: NoiseTrace, *, nperseg: int) -> PsdEstimate:
     """Welch estimate of the one-sided PSD of a trace.
 
@@ -480,6 +550,11 @@ def psd_welch(trace: NoiseTrace, *, nperseg: int) -> PsdEstimate:
     Fewer than two segments is allowed but flagged.  The arithmetic follows
     ``scipy.signal.welch(..., window="hann", detrend="constant",
     scaling="density")`` step for step and reproduces it bit for bit.
+    Each segment's power is formed in one reused buffer and summed by
+    :func:`_pairwise_row_sum`, in the order in which the mean of a
+    bins-by-segments power matrix adds each bin's segments, so at most 4
+    partial sums stand in for that matrix (one more per split of more
+    than 128 segments).
     """
     x = trace.samples
     n = x.size
@@ -491,13 +566,22 @@ def psd_welch(trace: NoiseTrace, *, nperseg: int) -> PsdEstimate:
     win = (0.5 + 0.5 * np.cos(np.linspace(-math.pi, math.pi, nperseg + 1)))[:-1]
     # cumsum: scipy's left-to-right order, which np.sum's pairwise one is not
     win = win * (1 / np.sqrt(np.cumsum(win**2)[-1] / (1 / trace.sample_rate)))
-    power = np.empty((nperseg // 2 + 1, n_segments))
-    for k in range(n_segments):
-        seg = x[k * hop:k * hop + nperseg]
-        spec = np.fft.rfft((seg - np.mean(seg)) * win)
-        power[:, k] = spec.real**2 + spec.imag**2
-    power[1:-1 if nperseg % 2 == 0 else None] *= 2  # one-sided: fold negative f
-    s = power.mean(axis=-1)
+    seg = np.empty(nperseg)
+    spec = np.empty(nperseg // 2 + 1, dtype=complex)
+    power = np.empty(nperseg // 2 + 1)
+    fold = slice(1, -1 if nperseg % 2 == 0 else None)  # one-sided: fold negative f
+
+    def segment_power(k: int) -> np.ndarray:
+        x_k = x[k * hop:k * hop + nperseg]
+        np.subtract(x_k, np.mean(x_k), out=seg)
+        np.multiply(seg, win, out=seg)
+        np.fft.rfft(seg, out=spec)
+        np.square(spec.real, out=power)
+        np.add(power, np.square(spec.imag, out=spec.imag), out=power)
+        power[fold] *= 2
+        return power
+
+    s = _pairwise_row_sum(segment_power, 0, n_segments) / n_segments
     f = np.fft.rfftfreq(nperseg, 1 / trace.sample_rate)
     warnings = ()
     if n_segments < 2:

@@ -617,9 +617,9 @@ class TestCoherenceMc:
         coherence_mc(COMPOSITE, make_ramsey(1e-4), 50, 1)
         assert calls == []
         # the spy sees the synthesis path, which does use the inverse FFT:
-        # an even length makes two half-length transforms
+        # a length divisible by 4 makes four quarter-length transforms
         spectra.draw_trace_samples(WHITE, 1e3, 64, derive_rng(0))
-        assert [args[1] for args in calls] == [32, 32]
+        assert [args[1] for args in calls] == [16, 16, 16, 16]
 
     def test_needs_two_trajectories(self):
         with pytest.raises(ValueError):

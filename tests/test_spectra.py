@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import signal, stats
 
 from spinprobe import spectra
@@ -245,11 +247,12 @@ class TestBlockSynthesis:
         assert draw_trace_samples(model, 1.2e5, n, derive_rng(2)).tobytes() == ref.tobytes()
 
     def test_traced_peak_memory(self):
-        """Only whole-length coefficients, half spectra and half traces
-        outlive a block: the traced peak stays within 2.5 times the
-        samples (whole-length arrays took 3.6 times).  tracemalloc does
-        not see pocketfft's workspace; tests/test_installed.py bounds the
-        real RSS."""
+        """Only whole-length coefficients, half and quarter spectra, the
+        quarter traces' buffer and the output outlive a block: the traced
+        peak stays within 2.5 times the samples (whole-length arrays took
+        3.6 times; allocating the quarter traces' buffer before the first
+        split takes 3.3).  tracemalloc does not see pocketfft's workspace;
+        tests/test_installed.py bounds the real RSS."""
         model = SpectrumModel(white_floor=8e-18,
                               lines=(SpectralLine(3600.0, 1e-9, 150.0),
                                      SpectralLine(50.0, 1e-10, None)))
@@ -273,8 +276,9 @@ class TestInverse:
         rng = np.random.default_rng(seed)
         return rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
 
-    # even n with h = n / 2 even and odd, then odd n
-    @pytest.mark.parametrize("n", [64, 1000, 2 ** 20, 131078])
+    # n % 4 == 0 with an even quarter n / 4 (64, 1000, 2^20) and an odd
+    # one (1004), then n % 4 == 2 (131078); odd n below
+    @pytest.mark.parametrize("n", [64, 1000, 1004, 2 ** 20, 131078])
     def test_even_length_within_rounding(self, n):
         coeff = self._hermitian(n, n)
         assert coeff[0].imag != 0 and coeff[-1].imag != 0
@@ -331,6 +335,13 @@ class TestWelch:
         (10e3, 0.8, 512),
         (1e3, 0.1, 100),
         (1e3, 0.1, 4000),
+        # 2, 7, 8, 16 and 17 segments: the branches of the pairwise segment
+        # sum below 129 segments (..._beyond_the_quantile_table: above)
+        (1e4, 0.03, 200),
+        (1e4, 0.0857, 201),
+        (1e4, 0.09, 200),
+        (1e4, 0.17, 200),
+        (1e4, 0.18, 200),
     ])
     def test_bit_equal_to_scipy_welch(self, rate, duration, nperseg):
         tr = synthesize(LINE_ONLY.scaled(1e-3), rate, duration, 17)
@@ -352,6 +363,55 @@ class TestWelch:
         assert np.array_equal(est.ci_low, s[1:] * factors[0])
         assert np.array_equal(est.ci_high, s[1:] * factors[1])
         assert bool(est.warnings) == (n_seg < 2)
+
+    # 128, 129 and 299 segments: one block of the pairwise segment sum, and
+    # splits of more than 128 segments into blocks
+    @pytest.mark.parametrize("duration", [1.29, 1.3, 3.0])
+    def test_bit_equal_to_scipy_welch_beyond_the_quantile_table(self, duration):
+        """The estimate stays scipy's bit for bit; the confidence factors
+        of more than 100 segments come from gamma_quantile, to 1e-14."""
+        tr = synthesize(LINE_ONLY.scaled(1e-3), 1e4, duration, 17)
+        tr = dataclasses.replace(tr, samples=tr.samples + 20.0)
+        est = psd_welch(tr, nperseg=200)
+        f, s = signal.welch(tr.samples, fs=tr.sample_rate, window="hann",
+                            nperseg=200, noverlap=100, detrend="constant",
+                            scaling="density")
+        assert np.array_equal(est.f, f[1:])
+        assert np.array_equal(est.s, s[1:])
+        dof = 2 * spectra.welch_segments(tr.n_samples, 200)
+        assert dof // 2 == round(duration * 100) - 1 > 100
+        factors = (dof / stats.chi2.ppf(0.975, dof), dof / stats.chi2.ppf(0.025, dof))
+        np.testing.assert_allclose(est.ci_low, s[1:] * factors[0], rtol=1e-13)
+        np.testing.assert_allclose(est.ci_high, s[1:] * factors[1], rtol=1e-13)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n_rows=st.integers(1, 300), n_bins=st.integers(1, 40),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n_rows=7, n_bins=5, seed=0)
+    @example(n_rows=8, n_bins=5, seed=0)
+    @example(n_rows=128, n_bins=5, seed=0)
+    @example(n_rows=129, n_bins=5, seed=0)
+    @example(n_rows=300, n_bins=5, seed=0)
+    def test_segment_sum_is_numpy_mean_bit_for_bit(self, n_rows, n_bins, seed):
+        """The streamed row sum over a reused buffer, which asks for each
+        row once, divided by the row count, is the mean of the bins-by-rows
+        matrix, whose contiguous reduce adds each bin's rows in numpy's
+        pairwise order."""
+        rng = np.random.default_rng(seed)
+        # magnitudes over 12 decades, so that a different order rounds
+        # differently
+        rows = rng.standard_normal((n_rows, n_bins)) * 10.0 ** rng.uniform(
+            -6, 6, (n_rows, n_bins))
+        buffer, asked = np.empty(n_bins), []
+
+        def row(k):
+            asked.append(k)
+            buffer[...] = rows[k]
+            return buffer
+
+        got = spectra._pairwise_row_sum(row, 0, n_rows) / n_rows
+        assert got.tobytes() == np.stack(list(rows), axis=-1).mean(axis=-1).tobytes()
+        assert sorted(asked) == list(range(n_rows))
 
     def test_too_short_segment_rejected(self):
         with pytest.raises(ValueError, match="nperseg"):
