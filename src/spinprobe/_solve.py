@@ -33,6 +33,7 @@ import numpy as np
 EPS = float(np.finfo(float).eps)
 _RTOL = 4 * EPS
 _MAXITER = 100  # brentq's iteration cap, scipy's default
+_NEWTON_MAXITER = 500  # _newton's iteration cap
 
 
 def distinct(values) -> np.ndarray:
@@ -277,7 +278,7 @@ def fit_exp_decay(t, y, sigma, start, bounds):
     return np.array([t2]), _covariance(jac, (y - m) * w, sigma is None)
 
 
-def _newton(residual, x0, lo, hi, max_iter: int = 500):
+def _newton(residual, x0, lo, hi):
     """Damped Newton (Levenberg-Marquardt with the full Hessian) on half
     the sum of squares, inside the box [lo, hi].  ``residual(x)`` returns
     the residuals r, J = dr/dx and sum_i r_i d2r_i/dx2, so the Hessian is
@@ -291,7 +292,7 @@ def _newton(residual, x0, lo, hi, max_iter: int = 500):
     x = x0
     r, jac, curv = residual(x)
     cost, lam = float(r @ r), 1e-3
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAXITER):
         g = jac.T @ r
         free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
         jf = jac[:, free]
@@ -317,7 +318,7 @@ def _newton(residual, x0, lo, hi, max_iter: int = 500):
         lam = max(lam / 10.0, 1e-12)
         if np.all(moved <= 1e-13 * (1.0 + np.abs(x))) or fell <= 1e-13 * cost:
             return x
-    raise RuntimeError(f"no convergence in {max_iter} iterations")
+    raise RuntimeError(f"no convergence in {_NEWTON_MAXITER} iterations")
 
 
 def fit_stretched_decay(t, y, sigma, start, bounds):

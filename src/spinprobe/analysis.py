@@ -41,6 +41,9 @@ __all__ = [
 # two-sided 95% quantile of the standard normal
 _Z95 = 1.959964
 
+# the range fit_stretched searches the stretching exponent n in
+_EXPONENT_BOUNDS = (0.3, 5.0)
+
 
 class FitError(RuntimeError):
     """A fit failed to converge or produced a degenerate covariance.
@@ -166,8 +169,7 @@ def fit_exponential(times, w, std_err=None) -> ExponentialFit:
                           on_bound=not lo * (1 + 1e-9) < t2 < hi * (1 - 1e-9))
 
 
-def fit_stretched(times, w, std_err=None, *,
-                  exponent_bounds: tuple[float, float] = (0.3, 5.0)) -> StretchedFit:
+def fit_stretched(times, w, std_err=None) -> StretchedFit:
     """Two-parameter stretched exponential W = exp(-(t/T2)^n)."""
     t = np.asarray(times, dtype=float)
     y = np.asarray(w, dtype=float)
@@ -176,7 +178,7 @@ def fit_stretched(times, w, std_err=None, *,
     sigma = _sigma_or_none(std_err)
 
     guess = _t2_guess(t, y)
-    lo, hi = exponent_bounds
+    lo, hi = _EXPONENT_BOUNDS
     try:
         popt, pcov = _solve.fit_stretched_decay(
             t, y, sigma, [guess, 1.0], ([guess * 1e-4, lo], [guess * 1e4, hi]))

@@ -360,7 +360,8 @@ _STARK = default_stark_map()
 
 TOP: dict[str, Field] = {
     "kind": Field("string", enum=KINDS),
-    "seed": Field("integer", ge=0),
+    # streams are seeded from 64 bits, so a larger seed would alias one below
+    "seed": Field("integer", ge=0, le=2**64 - 1),
     "output_dir": Field("string", length=(1, None)),
     "workers": Field("integer null", None, ge=1, le=MAX_WORKERS),
     "qubit": Field("object", {}, fields={

@@ -22,17 +22,17 @@ for chi = 1 in [1e-7 s, min(T_s, 10 s)], never far above T2; that upper
 end, :attr:`CpmgChi.t_max`, is known before any line is integrated, so a
 plan can bound the points :meth:`CpmgChi.points` says the search will lay.
 
-Every toggled phase goes through one :class:`PhaseFunctional`, built per
-(schedule, sample rate, trace length).  It holds the weights ``a`` that
-turn a sampled trace into its phase, ``phi = a @ x`` (trapezoid rule,
-linear interpolation at the segment edges, toggling signs), and from
-``rfft(a)`` the weights that give the same phase straight from the
-Gaussian Fourier coefficients a synthesized trace is made of.  On them
-:func:`phase_draw` builds the one trajectory draw that the Monte Carlo
-engine and the tone scan of :mod:`spinprobe.starktone` both call.
-Neither forms a trace: a trajectory costs its normal draws and one dot
-product, on the same random stream :func:`spectra.draw_trace_samples`
-draws in blocks when it synthesizes the trace from the model.  Every
+Every toggled phase is ``phi = a @ x`` on a sampled trace x, with the
+weights ``a`` of :func:`toggled_weights` (trapezoid rule, linear
+interpolation at the segment edges, toggling signs), and
+:func:`spectra.normal_weights` turns ``a`` into the weights that give the
+same phase straight from the Gaussian normals a synthesized trace is made
+of.  On them :func:`phase_draw` builds the one trajectory draw that the
+Monte Carlo engine and the tone scan of :mod:`spinprobe.starktone` both
+call.  Neither forms a trace: a trajectory costs its normal draws and
+one dot product, on the same random stream
+:func:`spectra.draw_trace_samples` draws in blocks when it synthesizes
+the trace from the model.  Every
 Monte Carlo decay scan goes through :func:`submit_decay_curves`, which
 submits all its points, across every wait of a spectroscopy scan, to the
 run's one process pool (:mod:`spinprobe._parallel`) in one map and
@@ -79,7 +79,7 @@ __all__ = [
     "rabi_p_up",
     "rabi_chevron",
     "mc_grid",
-    "PhaseFunctional",
+    "toggled_weights",
     "phase_draw",
     "coherence_mc",
     "chi_ff",
@@ -226,63 +226,34 @@ def mc_grid(n_pulses: int, total_time: float, duration_factor: float,
     return rate, n
 
 
-class PhaseFunctional:
-    """Toggled phase of one schedule as a linear functional of a sampled trace.
+def toggled_weights(schedule: PulseSchedule, sample_rate: float,
+                    n: int) -> np.ndarray:
+    """Weights a such that the toggled phase of ``schedule`` on an
+    n-sample trace x at ``sample_rate`` is ``a @ x``.
 
-    On an n-sample record at ``sample_rate`` the phase is ``weights @
-    samples``.  The weights hold the trapezoid rule for the running
-    integral C(t) (piecewise linear between samples, so linear
-    interpolation at the segment edges is exact for the discretized
-    process) and the toggling sign of every segment.  A synthesized trace
-    is the irfft of independent Gaussian coefficients, so its phase is
-    also a dot product of the trace's n - 1 standard normals, in draw
-    order, with :meth:`normal_weights`, so Monte Carlo never forms the
-    trace.  The draw order: with ``K = (n - 1) // 2``, the real parts of
-    rfft bins 1..K, then their imaginary parts, then (even n only) the
-    real Nyquist bin.
+    They hold the trapezoid rule for the running integral C(t) (piecewise
+    linear between samples, so linear interpolation at the segment edges
+    is exact for the discretized process) and the toggling sign of every
+    segment.
     """
-
-    def __init__(self, schedule: PulseSchedule, sample_rate: float, n: int):
-        edges = schedule.boundaries
-        pos = edges * sample_rate
-        idx = np.clip(pos.astype(int), 0, n - 2)
-        frac = pos - idx
-        signs = schedule.segment_signs
-        # phi = sum_j s_j * (C(e_{j+1}) - C(e_j)) regrouped per edge, then
-        # spread over the two samples of C each edge interpolates between
-        w_edge = np.zeros(edges.size)
-        w_edge[1:] += signs
-        w_edge[:-1] -= signs
-        w_c = (np.bincount(idx, w_edge * (1.0 - frac), minlength=n)
-               + np.bincount(idx + 1, w_edge * frac, minlength=n))
-        # C[m] = dt * (x[0]/2 + x[1] + ... + x[m-1] + x[m]/2) for m >= 1 and
-        # C[0] = 0: x[j] gets dt/2 times (the C-weight summed over m >= j,
-        # zero for j = 0) plus (the C-weight summed over m >= j + 1)
-        tail = np.zeros(n + 1)
-        tail[1:n] = np.cumsum(w_c[:0:-1])[::-1]
-        self.sample_rate = float(sample_rate)
-        self.n = int(n)
-        self.weights = (0.5 / sample_rate) * (tail[:-1] + tail[1:])
-
-    def normal_weights(self, model: SpectrumModel) -> np.ndarray:
-        """Weights h such that ``h @ rng.standard_normal(n - 1)`` (the
-        trace's normals, in the draw order of the class docstring) is the
-        phase on the trace ``spectra.draw_trace_samples(model,
-        self.sample_rate, n, rng)`` makes from the same stream.
-
-        irfft sums ``c_k e^{+2 pi i jk/n} / n`` with each interior bin
-        paired with its conjugate, so the phase is ``(2/n) Re(c_k conj(R_k))``
-        summed over bins, ``R = rfft(weights)``; the real Nyquist bin of an
-        even n is unpaired and enters as ``c R / n``.
-        """
-        n = self.n
-        r = np.fft.rfft(self.weights) * (2.0 / n)
-        k = (n - 1) // 2
-        parts = [r[1:k + 1].real, r[1:k + 1].imag]
-        if n % 2 == 0:
-            parts.append([0.5 * r[-1].real])
-        return (spectra.normal_amplitudes(model, self.sample_rate, n)
-                * np.concatenate(parts))
+    edges = schedule.boundaries
+    pos = edges * sample_rate
+    idx = np.clip(pos.astype(int), 0, n - 2)
+    frac = pos - idx
+    signs = schedule.segment_signs
+    # phi = sum_j s_j * (C(e_{j+1}) - C(e_j)) regrouped per edge, then
+    # spread over the two samples of C each edge interpolates between
+    w_edge = np.zeros(edges.size)
+    w_edge[1:] += signs
+    w_edge[:-1] -= signs
+    w_c = (np.bincount(idx, w_edge * (1.0 - frac), minlength=n)
+           + np.bincount(idx + 1, w_edge * frac, minlength=n))
+    # C[m] = dt * (x[0]/2 + x[1] + ... + x[m-1] + x[m]/2) for m >= 1 and
+    # C[0] = 0: x[j] gets dt/2 times (the C-weight summed over m >= j,
+    # zero for j = 0) plus (the C-weight summed over m >= j + 1)
+    tail = np.zeros(n + 1)
+    tail[1:n] = np.cumsum(w_c[:0:-1])[::-1]
+    return (0.5 / sample_rate) * (tail[:-1] + tail[1:])
 
 
 def phase_draw(model: SpectrumModel, schedule: PulseSchedule,
@@ -290,17 +261,18 @@ def phase_draw(model: SpectrumModel, schedule: PulseSchedule,
     """One trajectory's toggled phase as a function of its random stream.
 
     ``draw(rng)`` puts the n - 1 normals of the :func:`mc_grid` trace of
-    ``schedule``, in :class:`PhaseFunctional`'s draw order, into one
-    reused buffer, and returns ``sqrt(PSD_CHI_CALIBRATION)`` times their
-    dot product with :meth:`PhaseFunctional.normal_weights`, kept as
+    ``schedule`` into one reused buffer, in the draw order of
+    :func:`spectra.draw_trace_samples`, and returns
+    ``sqrt(PSD_CHI_CALIBRATION)`` times their dot product with
+    :func:`spectra.normal_weights` of :func:`toggled_weights`, kept as
     ``draw.weights``: the calibrated phase of the trace
     ``spectra.draw_trace_samples(model, ...)`` would synthesize from the
     same stream.  The caller may go on drawing from ``rng`` after it.
     """
-    phase = PhaseFunctional(schedule, *mc_grid(
-        schedule.n_pulses, schedule.total_time, duration_factor, samples_per_interval))
-    h = phase.normal_weights(model)
-    normals = np.empty(phase.n - 1)
+    rate, n = mc_grid(schedule.n_pulses, schedule.total_time, duration_factor,
+                      samples_per_interval)
+    h = spectra.normal_weights(model, rate, toggled_weights(schedule, rate, n))
+    normals = np.empty(n - 1)
     scale = math.sqrt(PSD_CHI_CALIBRATION)
 
     def draw(rng) -> float:

@@ -30,7 +30,7 @@ __all__ = [
     "NoiseTrace",
     "PsdEstimate",
     "eval_psd",
-    "normal_amplitudes",
+    "normal_weights",
     "draw_trace_samples",
     "synthesize",
     "welch_segments",
@@ -233,29 +233,37 @@ def _bin_density(model: SpectrumModel, df: float, a: int, b: int) -> np.ndarray:
     return s
 
 
-def _amplitudes(s: np.ndarray, df: float, n: int) -> np.ndarray:
-    """rfft coefficient per unit normal of bins with densities ``s``,
-    scaled so each contributes ``S(f_k) * df`` to the sample variance."""
-    return (n / 2.0) * np.sqrt(s * df)
-
-
-def normal_amplitudes(model: SpectrumModel, sample_rate: float, n: int) -> np.ndarray:
-    """rfft coefficient per unit normal of an n-sample trace of the model,
-    in the draw order of :func:`draw_trace_samples`, from the same
-    :func:`_bin_density` and :func:`_amplitudes` calls it makes.
-
-    Scaled so each positive bin contributes ``S(f_k) * df`` to the sample
-    variance; the real Nyquist bin of an even-n trace carries twice the
-    per-component amplitude.  Bin 0 is left out: content below
-    1/duration is truncated and traces come out zero-mean.
-    """
+def _amplitudes(model: SpectrumModel, sample_rate: float, n: int,
+                a: int, b: int) -> np.ndarray:
+    """rfft coefficient per unit normal of bins a..b-1 (a >= 1) of an
+    n-sample trace of the model, so each contributes ``S(f_k) * df`` to
+    the sample variance; the real Nyquist bin of an even n, which irfft
+    pairs with no conjugate, takes twice the amplitude."""
     df = sample_rate / n
-    amp = _amplitudes(_bin_density(model, df, 1, (n - 1) // 2 + 1), df, n)
-    parts = [amp, amp]
-    if n % 2 == 0:
-        s = _bin_density(model, df, n // 2, n // 2 + 1)
-        parts.append(2 * _amplitudes(s, df, n))
-    return np.concatenate(parts)
+    amp = (n / 2.0) * np.sqrt(_bin_density(model, df, a, b) * df)
+    if n % 2 == 0 and b == n // 2 + 1:
+        amp[-1] *= 2
+    return amp
+
+
+def normal_weights(model: SpectrumModel, sample_rate: float,
+                   weights: np.ndarray) -> np.ndarray:
+    """Weights h with ``h @ normals == weights @ x`` for the trace x of
+    ``n = weights.size`` samples that :func:`draw_trace_samples` makes at
+    ``sample_rate`` from ``normals``, its n - 1 standard normals in draw
+    order: a linear functional of a trace without forming the trace.
+
+    irfft sums ``c_k e^{+2 pi i jk/n} / n`` with each interior bin paired
+    with its conjugate, so the functional is ``(2/n) Re(c_k conj(R_k))``
+    summed over bins, ``R = rfft(weights)``; the real Nyquist bin of an
+    even n is unpaired and enters as ``c R / n``.
+    """
+    n = weights.size
+    k = (n - 1) // 2
+    r = np.fft.rfft(weights) * (2.0 / n)
+    amp = _amplitudes(model, sample_rate, n, 1, n // 2 + 1)
+    return (np.concatenate((r.real[1:k + 1], r.imag[1:k + 1], 0.5 * r.real[k + 1:]))
+            * np.concatenate((amp[:k], amp)))
 
 
 # rfft bins per block of the coefficient construction in draw_trace_samples
@@ -354,22 +362,21 @@ def _coefficients(model: SpectrumModel, sample_rate: float, n: int,
     The coefficients equal those of the whole-length construction bit
     for bit, and only block-sized arrays live beside them.
     """
-    df = sample_rate / n
     k = (n - 1) // 2
     coeff = np.zeros(n // 2 + 1, dtype=complex)
     blocks = [(a, min(a + _BLOCK_BINS, k + 1)) for a in range(1, k + 1, _BLOCK_BINS)]
     normals = np.empty(min(_BLOCK_BINS, k))
     for a, b in blocks:
         amp = coeff.imag[a:b]
-        amp[...] = _amplitudes(_bin_density(model, df, a, b), df, n)
+        amp[...] = _amplitudes(model, sample_rate, n, a, b)
         np.multiply(rng.standard_normal(out=normals[:b - a]), amp,
                     out=coeff.real[a:b])
     for a, b in blocks:
         z = rng.standard_normal(out=normals[:b - a]) * coeff.imag[a:b]
         coeff[a:b] = coeff.real[a:b] + 1j * z
     if n % 2 == 0:  # real Nyquist bin
-        s = _bin_density(model, df, n // 2, n // 2 + 1)
-        coeff[-1:] = rng.standard_normal(1) * (2 * _amplitudes(s, df, n))
+        coeff[-1:] = rng.standard_normal(1) * _amplitudes(
+            model, sample_rate, n, n // 2, n // 2 + 1)
     return coeff
 
 
@@ -378,16 +385,15 @@ def draw_trace_samples(model: SpectrumModel, sample_rate: float, n: int,
     """One Gaussian realization of an n-sample trace of the model.
 
     Each positive rfft bin receives an independent complex Gaussian
-    amplitude: the trace's n - 1 standard normals times
-    :func:`normal_amplitudes`.  The trace variance approximates
-    ``int S df`` over (0, Nyquist].
+    amplitude: the trace's n - 1 standard normals times the amplitudes of
+    :func:`_amplitudes`.  The trace variance approximates ``int S df``
+    over (0, Nyquist].
 
     The draw order: with ``K = (n - 1) // 2``, the real parts of rfft bins
     1..K, then their imaginary parts, then (even n only) the real Nyquist
-    bin.  Every consumer of a trace's randomness draws them in this order,
-    so a trajectory seeded once yields the same numbers whether its trace
-    is synthesized here or only its phase is computed
-    (:meth:`spinprobe.qubitsim.PhaseFunctional.normal_weights`).
+    bin.  :func:`normal_weights` packs its weights in the same order, so a
+    trajectory seeded once yields the same numbers whether its trace is
+    synthesized here or only a linear functional of it is computed.
 
     :func:`_coefficients` builds the coefficients in blocks inside
     :func:`_irfft`, which holds the only reference to them.  The peak

@@ -54,10 +54,10 @@ class TestCurveFits:
         assert fit.t2 == pytest.approx(8e-4, rel=1e-5)
         assert fit.exponent == pytest.approx(1.3, rel=1e-5)
 
-    def test_stretched_respects_bounds(self):
+    def test_stretched_respects_bounds(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_EXPONENT_BOUNDS", (0.5, 1.0))
         t = np.geomspace(1e-5, 5e-3, 12)
-        fit = fit_stretched(t, np.exp(-((t / 8e-4) ** 1.3)),
-                            exponent_bounds=(0.5, 1.0))
+        fit = fit_stretched(t, np.exp(-((t / 8e-4) ** 1.3)))
         assert fit.exponent <= 1.0 + 1e-9
 
     def test_too_few_points_raises_with_diagnostics(self):

@@ -1237,6 +1237,16 @@ class TestCli:
         assert main(["validate", str(p)]) == 2
         assert "error" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("seed, code", [(2**64 - 1, 0), (2**64, 2)])
+    def test_validate_bounds_the_seed_to_64_bits(self, tmp_path, capsys,
+                                                 seed, code):
+        # streams are seeded from 64 bits, so 2**64 + s would run seed s
+        # while the manifest recorded 2**64 + s
+        p = _write_yaml(tmp_path, {**TINY_STARK, "seed": seed})
+        assert main(["validate", str(p)]) == code
+        out = capsys.readouterr().out
+        assert ("seed: must be <= 18446744073709551615" in out) == (code == 2)
+
     def test_validate_rejects_an_overlong_trace(self, tmp_path, capsys):
         # 4.5e6 s at 120 kHz: 5.4e11 samples, terabytes of synthesis
         p = _write_yaml(tmp_path, {**TINY_VOLTAGE, "protocol": {

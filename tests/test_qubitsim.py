@@ -14,7 +14,6 @@ from spinprobe.qubitsim import (
     DURATION_FACTOR,
     PSD_CHI_CALIBRATION,
     SAMPLES_PER_INTERVAL,
-    PhaseFunctional,
     QubitParams,
     ReadoutModel,
     chi_ff,
@@ -25,6 +24,7 @@ from spinprobe.qubitsim import (
     mc_grid,
     phase_draw,
     submit_decay_curves,
+    toggled_weights,
     rabi_chevron,
     rabi_p_up,
     resonance_frequency_hz,
@@ -463,11 +463,11 @@ class TestCpmgT2:
 
 class TestAccumulatePhase:
     """The phase a schedule accumulates on a constant detuning:
-    ``PhaseFunctional(schedule, rate, n).weights @ samples``."""
+    ``toggled_weights(schedule, rate, n) @ samples``."""
 
     @staticmethod
     def _phase(schedule, value=250.0, rate=1e6, n=2000):
-        return PhaseFunctional(schedule, rate, n).weights @ np.full(n, value)
+        return toggled_weights(schedule, rate, n) @ np.full(n, value)
 
     def test_ramsey_integrates_detuning(self):
         assert self._phase(make_ramsey(1e-3)) == pytest.approx(0.25, rel=1e-9)
@@ -492,6 +492,10 @@ def _reference_phase(samples, rate, schedule):
 
 
 class TestPhaseFunctional:
+    """The toggled phase as a linear functional of the trace, through
+    :func:`toggled_weights` on the samples and through
+    :func:`spectra.normal_weights` of those weights on the normals."""
+
     @settings(max_examples=60, deadline=None)
     @given(n_pulses=st.integers(0, 64),
            total_time=st.floats(1e-6, 1e-1),
@@ -508,12 +512,13 @@ class TestPhaseFunctional:
         rate = samples_per_interval * max(n_pulses, 1) / total_time
         n = int(math.ceil(total_time * rate)) + 1 + extra
         model = COMPOSITE if composite else WHITE
-        phase = PhaseFunctional(sch, rate, n)
-        phi = trace_normals(n, derive_rng(seed)) @ phase.normal_weights(model)
+        weights = toggled_weights(sch, rate, n)
+        phi = (trace_normals(n, derive_rng(seed))
+               @ spectra.normal_weights(model, rate, weights))
         trace = spectra.draw_trace_samples(model, rate, n, derive_rng(seed))
         ref, scale = _reference_phase(trace, rate, sch)
         assert abs(phi - ref) <= 1e-12 * scale
-        assert abs(phase.weights @ trace - ref) <= 1e-12 * scale
+        assert abs(weights @ trace - ref) <= 1e-12 * scale
 
     @pytest.mark.parametrize("n_pulses,total_time,spi,n", [
         (0, 1e-4, 16, 64),      # padded to 64 samples: even n
@@ -523,10 +528,12 @@ class TestPhaseFunctional:
     ])
     def test_mc_grid_lengths(self, n_pulses, total_time, spi, n):
         sch = PulseSchedule(n_pulses, total_time)
-        phase = PhaseFunctional(sch, *mc_grid(n_pulses, total_time, 2.0, spi))
-        assert phase.n == n
-        rate = phase.sample_rate
-        phi = trace_normals(n, derive_rng(4)) @ phase.normal_weights(COMPOSITE)
+        rate, n_grid = mc_grid(n_pulses, total_time, 2.0, spi)
+        assert n_grid == n
+        weights = toggled_weights(sch, rate, n)
+        assert weights.shape == (n,)
+        phi = (trace_normals(n, derive_rng(4))
+               @ spectra.normal_weights(COMPOSITE, rate, weights))
         trace = spectra.draw_trace_samples(COMPOSITE, rate, n, derive_rng(4))
         ref, scale = _reference_phase(trace, rate, sch)
         assert abs(phi - ref) <= 1e-12 * scale
@@ -542,12 +549,12 @@ class TestPhaseDraw:
             self, n_pulses, duration_factor):
         sch = PulseSchedule(n_pulses, 4e-4)
         draw = phase_draw(COMPOSITE, sch, duration_factor, 8)
-        phase = PhaseFunctional(sch, *mc_grid(n_pulses, 4e-4, duration_factor, 8))
-        np.testing.assert_array_equal(draw.weights,
-                                      phase.normal_weights(COMPOSITE))
+        rate, n = mc_grid(n_pulses, 4e-4, duration_factor, 8)
+        np.testing.assert_array_equal(draw.weights, spectra.normal_weights(
+            COMPOSITE, rate, toggled_weights(sch, rate, n)))
         rng, oracle = derive_rng(5), derive_rng(5)
         want = math.sqrt(PSD_CHI_CALIBRATION) * float(
-            trace_normals(phase.n, oracle) @ draw.weights)
+            trace_normals(n, oracle) @ draw.weights)
         assert draw(rng) == want
         # the stream goes on after the trajectory's normals
         assert rng.random() == oracle.random()

@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from spinprobe.spectra import (
     draw_trace_samples,
     eval_psd,
     integrate_rms,
-    normal_amplitudes,
+    normal_weights,
     psd_welch,
     synthesize,
     detuning_gain,
@@ -149,7 +151,7 @@ class TestRfftBinDensity:
         # the bins of a trace start at 1: the DC bin draws no normal
         s = spectra._bin_density(WHITE, 1e4 / 1024, 1, 513)
         assert s == pytest.approx(np.full(512, 350.0))
-        assert normal_amplitudes(WHITE, 1e4, 1024).size == 1023
+        assert normal_weights(WHITE, 1e4, np.ones(1024)).size == 1023
 
     def test_subbin_line_power_conserved(self):
         # width far below bin spacing: a single bin carries ~all the power
@@ -187,6 +189,17 @@ def _one_shot_amplitudes(model, rate, n):
     amp = (n / 2.0) * np.sqrt(s[1:k + 1] * df)
     parts = [amp, amp] + ([[n * math.sqrt(s[-1] * df)]] if n % 2 == 0 else [])
     return np.concatenate(parts)
+
+
+def _draw_order(weights):
+    """``rfft(weights)`` scaled by irfft's 2/n and packed in draw order:
+    real parts of bins 1..K, imaginary parts, then half the even-n
+    Nyquist bin, which irfft pairs with no conjugate."""
+    n = weights.size
+    k = (n - 1) // 2
+    r = np.fft.rfft(weights) * (2.0 / n)
+    return np.concatenate([r[1:k + 1].real, r[1:k + 1].imag]
+                          + ([0.5 * r[-1:].real] if n % 2 == 0 else []))
 
 
 def _one_shot_samples(model, rate, n, rng):
@@ -235,8 +248,17 @@ class TestBlockSynthesis:
                   for a, b in zip(edges, edges[1:])]
         assert (np.concatenate(blocks).tobytes()
                 == _one_shot_density(model, rate, n)[1:].tobytes())
-        assert (normal_amplitudes(model, rate, n).tobytes()
-                == _one_shot_amplitudes(model, rate, n).tobytes())
+        # the amplitudes, per bin over the same blocks and in draw order
+        # inside normal_weights, are the one-shot ones bit for bit
+        amp = _one_shot_amplitudes(model, rate, n)
+        k = (n - 1) // 2
+        amp_blocks = [spectra._amplitudes(model, rate, n, a, b)
+                      for a, b in zip(edges, edges[1:])]
+        assert (np.concatenate(amp_blocks).tobytes()
+                == np.concatenate((amp[:k], amp[2 * k:])).tobytes())
+        weights = np.random.default_rng(n).standard_normal(n)
+        assert (normal_weights(model, rate, weights).tobytes()
+                == (amp * _draw_order(weights)).tobytes())
 
     @pytest.mark.parametrize("n", [2 * 65536 + 3, 2 * 65536 + 6])
     def test_several_default_blocks(self, n):
@@ -291,6 +313,46 @@ class TestInverse:
     def test_odd_length_is_numpy_bit_for_bit(self, n):
         coeff = self._hermitian(n, n)
         assert spectra._irfft(coeff.copy, n).tobytes() == np.fft.irfft(coeff, n).tobytes()
+
+
+def _numpy_fft_uses(source: str) -> list[int]:
+    """Lines of ``source`` that reach ``numpy.fft``: an attribute ``fft``
+    of a name bound to numpy, or an import of ``numpy.fft`` or of ``fft``
+    from numpy."""
+    tree = ast.parse(source)
+    numpy_names = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names
+                   if alias.name == "numpy"}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            hit = (node.attr == "fft" and isinstance(node.value, ast.Name)
+                   and node.value.id in numpy_names)
+        elif isinstance(node, ast.Import):
+            hit = any(a.name.startswith("numpy.fft") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            hit = module.startswith("numpy.fft") or (
+                module == "numpy" and any(a.name == "fft" for a in node.names))
+        else:
+            hit = False
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_spectra_calls_numpy_fft():
+    """The trace's Fourier conventions have one owner: no module of the
+    package but ``spectra`` reaches ``numpy.fft``."""
+    package = Path(spectra.__file__).parent
+    uses = {str(path.relative_to(package)): _numpy_fft_uses(path.read_text())
+            for path in sorted(package.rglob("*.py"))}
+    assert uses["spectra.py"]
+    assert {name: lines for name, lines in uses.items()
+            if lines and name != "spectra.py"} == {}
+    assert _numpy_fft_uses(
+        "import numpy as xp\nfrom numpy import fft\nimport numpy.fft\n"
+        "xp.fft.rfft(w)\n") == [2, 3, 4]
 
 
 class TestWelch:
