@@ -16,7 +16,7 @@ import numpy as np
 from . import _solve
 from ._rng import derive_child_seeds
 from .qubitsim import (DURATION_FACTOR, SAMPLES_PER_INTERVAL, DecayCurve,
-                       fixed_wait_spec, submit_decay_curves)
+                       DecayTable, decay_table, submit_decay_table)
 from .spectra import PsdEstimate, SpectrumModel
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "expected_stretching_exponent",
     "spectroscopy_point",
     "reconstruct_psd",
+    "spectroscopy_table",
     "spectroscopy_scan",
     "submit_spectroscopy_scan",
 ]
@@ -333,6 +334,22 @@ def reconstruct_psd(points: list[SpectroscopyPoint]) -> PsdEstimate:
                        points_detail=detail)
 
 
+def spectroscopy_table(f_grid_hz, pulse_counts, *,
+                       duration_factor: float = DURATION_FACTOR,
+                       samples_per_interval: int = SAMPLES_PER_INTERVAL
+                       ) -> DecayTable:
+    """The decay table of a spectroscopy scan: curve i plays each of
+    ``pulse_counts`` at the fixed wait ``1/(2 f_i)``."""
+    f_grid = np.asarray(f_grid_hz, dtype=float)
+    if np.any(f_grid <= 0):
+        raise ValueError("spectroscopy frequencies must be > 0")
+    counts = np.asarray(pulse_counts, dtype=int)
+    if np.any(counts < 1):
+        raise ValueError("pulse counts must be >= 1 when tau_wait is fixed")
+    return decay_table([(counts, counts * tau) for tau in 1.0 / (2.0 * f_grid)],
+                       duration_factor, samples_per_interval)
+
+
 def spectroscopy_scan(model: SpectrumModel, f_grid_hz, pulse_counts,
                       n_traj: int, seed: int, *,
                       t2_hahn: float | None = None,
@@ -344,32 +361,26 @@ def spectroscopy_scan(model: SpectrumModel, f_grid_hz, pulse_counts,
     Frequency i gets a fixed wait ``1/(2f)`` and a pulse-count scan at
     seed ``derive_child_seed(seed, i)``, whose point j runs at
     ``derive_child_seed`` of that and j, so the result is independent of
-    evaluation order.  All points of all frequencies run in one map over
-    the process pool.
+    evaluation order.  All points of all frequencies, the rows of
+    :func:`spectroscopy_table`, run in one map over the process pool.
     """
-    return submit_spectroscopy_scan(
-        model, f_grid_hz, pulse_counts, n_traj, seed, t2_hahn=t2_hahn,
-        duration_factor=duration_factor,
-        samples_per_interval=samples_per_interval)()
+    table = spectroscopy_table(f_grid_hz, pulse_counts,
+                               duration_factor=duration_factor,
+                               samples_per_interval=samples_per_interval)
+    return submit_spectroscopy_scan(model, f_grid_hz, table, n_traj, seed,
+                                    t2_hahn=t2_hahn)()
 
 
-def submit_spectroscopy_scan(model: SpectrumModel, f_grid_hz, pulse_counts,
-                             n_traj: int, seed: int, *,
-                             t2_hahn: float | None = None,
-                             duration_factor: float = DURATION_FACTOR,
-                             samples_per_interval: int = SAMPLES_PER_INTERVAL):
-    """:func:`spectroscopy_scan` with its decay points submitted to the
-    run's process pool and not yet collected.  Returns a handle whose
-    call waits for them, fits them and gives the :class:`PsdEstimate`."""
-    f_grid = np.asarray(f_grid_hz, dtype=float)
-    if np.any(f_grid <= 0):
-        raise ValueError("spectroscopy frequencies must be > 0")
-    taus = 1.0 / (2.0 * f_grid)
-    pending = submit_decay_curves(
-        model, [fixed_wait_spec(tau, pulse_counts, wait_seed)
-                for tau, wait_seed in zip(taus, derive_child_seeds(seed, taus.size))],
-        n_traj, duration_factor=duration_factor,
-        samples_per_interval=samples_per_interval)
+def submit_spectroscopy_scan(model: SpectrumModel, f_grid_hz,
+                             table: DecayTable, n_traj: int, seed: int, *,
+                             t2_hahn: float | None = None):
+    """:func:`spectroscopy_scan` of the :func:`spectroscopy_table`
+    ``table`` of ``f_grid_hz``, its rows submitted to the run's process
+    pool and not yet collected.  Returns a handle whose call waits for
+    them, fits them and gives the :class:`PsdEstimate`."""
+    taus = 1.0 / (2.0 * np.asarray(f_grid_hz, dtype=float))
+    pending = submit_decay_table(model, table, n_traj,
+                                 derive_child_seeds(seed, taus.size))
     return lambda: reconstruct_psd([
         spectroscopy_point(curve, tau, t2_hahn=t2_hahn)
         for curve, tau in zip(pending(), taus)])

@@ -220,13 +220,20 @@ MAX_PULSES = 1024
 # synthesis rises about 2.0 times the 268 MB of samples when 4 divides the
 # length (four quarter-length inverse FFTs), about 0.55 GB, 2.5 times for
 # other even lengths (two half-length ones), about 0.67 GB, and 4.0 times
-# for odd ones (numpy's irfft), about 1.1 GB.  Those ratios were measured
-# at 4.1-4.3M samples of lengths with small prime factors; a length with a
-# large prime factor sends pocketfft to Bluestein's algorithm, which rose
-# 6.0 times at 4,000,012 = 4 * 1,000,003, 10.5 at 4,000,002 = 2 * 3 *
-# 666,667 and 20.0 at 4,194,305 = 5 * 397 * 2113, so up to about 5.4 GB
-# here (numpy 2.4, CPython 3.11, x86-64)
+# for odd ones (numpy's irfft), about 1.1 GB.  A largest prime factor of
+# 97 keeps those ratios: 2.04, 2.54 and 4.01 at 4,195,056, 4,195,638 and
+# 4,194,765, each with the factor 97.  MAX_FFT_PRIME refuses the lengths
+# on which pocketfft runs Bluestein's algorithm, which rose 20.0 times at
+# 4,194,305 = 5 * 397 * 2113 (numpy 2.4, CPython 3.11, x86-64)
 MAX_TRACE_SAMPLES = 2 ** 25
+
+# largest prime factor a voltage_psd trace length or Welch segment length
+# may have: pocketfft runs Bluestein's algorithm on a length with a large
+# one.  One rfft near 600,000 samples took 15 ms at 600,000, 29-31 ms at
+# largest prime factors 97 and 101, 68-108 ms at 401-499 and 82-196 ms
+# from 601 up; psd_welch on 1.2M samples took 0.034 s at nperseg 120,000
+# and 0.29 s at the prime 119,993 (numpy 2.4, x86-64)
+MAX_FFT_PRIME = 100
 
 # most points the T2 search of a cpmg_t2_vs_n pulse count integrates its
 # Lorentzian lines on (qubitsim.CpmgChi.points at its t_max): a run just

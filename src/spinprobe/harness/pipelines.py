@@ -11,6 +11,13 @@ of the T2 search checks only the bracket, whose tables
 master seed by fixed stage indices, so outputs never depend on timing or
 worker count.
 
+A Monte Carlo scan's plan lays out and checks its decay points as one
+:class:`qubitsim.DecayTable`, kept as ``run.table``, whose rows its run
+submits (``noise_spectroscopy``'s through
+:func:`analysis.spectroscopy_scan`, from the same values);
+``cpmg_t2_vs_n``'s run lays its table out (:func:`t2_table`) once T2 is
+found.
+
 A run's maps, its own or the library's, go through
 :func:`spinprobe._parallel.submit` to its one process pool.  It may
 submit a stage's work early (``voltage_psd`` submits its spectroscopy
@@ -36,8 +43,9 @@ from .._solve import distinct
 from ..qubitsim import QubitParams, ReadoutModel
 from ..spectra import SpectrumModel
 from ..starktone import StarkMap
-from .config import (MAX_CHI_POINTS, MAX_GRID_POINTS, MAX_PULSES,
-                     MAX_SQUARED, MAX_TRACE_SAMPLES, ConfigError, grid_values)
+from .config import (MAX_CHI_POINTS, MAX_FFT_PRIME, MAX_GRID_POINTS,
+                     MAX_PULSES, MAX_SQUARED, MAX_TRACE_SAMPLES, ConfigError,
+                     grid_values)
 
 DECAY_HEADER = "time_s,coherence_w,std_err,p_up"
 CHEVRON_HEADER = "detuning_hz,duration_s,p_up"
@@ -163,23 +171,24 @@ def _spectrum(cfg) -> SpectrumModel:
     return SpectrumModel.from_dict(cfg["spectrum"])
 
 
-def _check_density(model: SpectrumModel, field: str, sequences,
-                   duration_factor: float, samples_per_interval: int,
-                   length_field: str) -> None:
-    """Each ``(n_pulses, total_time)`` of ``sequences`` (a run's longest
-    and shortest) has a finite Monte Carlo trace (:func:`qubitsim.mc_grid`)
-    of at most ``MAX_TRACE_SAMPLES`` samples (``length_field`` names the
-    error), and :func:`_check_lowest_bin` holds for the longest."""
+def _checked_table(model: SpectrumModel, field: str, length_field: str,
+                   build, *args, **kwargs) -> qubitsim.DecayTable:
+    """``build(*args, **kwargs)``, a :class:`qubitsim.DecayTable`, with
+    every row checked: its grid is finite (``field`` names the error), its
+    trace has at most ``MAX_TRACE_SAMPLES`` samples (``length_field`` names
+    the error), and :func:`_check_lowest_bin` holds at its lowest bin."""
     try:
-        grids = [qubitsim.mc_grid(n_pulses, t, duration_factor, samples_per_interval)
-                 for n_pulses, t in sequences]
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            table = build(*args, **kwargs)
     except (ArithmeticError, ValueError):  # an inf or NaN duration or rate
         raise ConfigError(f"{field}: a sequence's duration or Monte Carlo "
                           f"sample rate is not finite") from None
-    if (n_max := max(n for _, n in grids)) > MAX_TRACE_SAMPLES:
+    if (n_max := max(row.n for row in table.rows)) > MAX_TRACE_SAMPLES:
         raise ConfigError(f"{length_field}: the longest Monte Carlo trace has "
                           f"{n_max} samples; at most {MAX_TRACE_SAMPLES}")
-    _check_lowest_bin(model, field, min(rate / n for rate, n in grids))
+    _check_lowest_bin(model, field, min(row.sample_rate / row.n
+                                        for row in table.rows))
+    return table
 
 
 def _check_lowest_bin(model: SpectrumModel, field: str, df: float) -> None:
@@ -192,6 +201,28 @@ def _check_lowest_bin(model: SpectrumModel, field: str, df: float) -> None:
         raise ConfigError(f"{field}: the noise density is not finite at "
                           f"{df:.6g} Hz, the lowest frequency bin of the "
                           f"longest trace")
+
+
+def _fft_friendly(n: int) -> bool:
+    """``n`` has no prime factor above ``MAX_FFT_PRIME``."""
+    for p in range(2, MAX_FFT_PRIME + 1):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def _check_fft_length(field: str, name: str, n: int) -> None:
+    """``n``, the length ``name`` of an FFT a run takes, has no prime
+    factor above ``MAX_FFT_PRIME``; else the error names ``field`` and the
+    nearest lengths that have none."""
+    if not _fft_friendly(n):
+        below = next(m for m in range(n - 1, 0, -1) if _fft_friendly(m))
+        # a power of 2 lies in (n, 2n]
+        above = next(m for m in range(n + 1, 2 * n + 1) if _fft_friendly(m))
+        raise ConfigError(f"{field}: {name} = {n} samples has a prime factor "
+                          f"above {MAX_FFT_PRIME}, which makes its FFT several "
+                          f"times slower; the nearest accepted lengths are "
+                          f"{below} and {above}")
 
 
 def _gate_coefficient(stark: StarkMap, proto: dict, key: str) -> float:
@@ -259,17 +290,14 @@ def plan_decay(cfg, readout: ReadoutModel):
         raise ConfigError(f"protocol.times_s: the stretched fit needs at "
                           f"least 3 distinct points, got {n_distinct}")
     model = _spectrum(cfg)
-    _check_density(model, "protocol.times_s",
-                   [(n_pulses, float(times.max())), (n_pulses, float(times.min()))],
-                   proto["duration_factor"], proto["samples_per_interval"],
-                   "protocol.duration_factor")
+    table = _checked_table(model, "protocol.times_s", "protocol.duration_factor",
+                           qubitsim.decay_table, [(n_pulses, times)],
+                           proto["duration_factor"], proto["samples_per_interval"])
 
     def run(report: _Report, out: Path) -> None:
         with report.stage("decay_scan") as seed:
-            curve = qubitsim.decay_vs_time(
-                model, n_pulses, times, proto["n_traj"], seed,
-                duration_factor=proto["duration_factor"],
-                samples_per_interval=proto["samples_per_interval"])
+            (curve,) = qubitsim.submit_decay_table(model, table, proto["n_traj"],
+                                                   [seed])()
             p_up = readout.apply(0.5 * (1.0 + curve.w))
             _write(report, out, {
                 "decay.csv": Csv(DECAY_HEADER,
@@ -283,7 +311,22 @@ def plan_decay(cfg, readout: ReadoutModel):
             fit_dict = _decay_fit(report, "fit", proto["fit"], curve)
             _write(report, out, {"fit.json": fit_dict})
         report.summary = {"n_pulses": n_pulses, "fit": fit_dict}
+    run.table = table
     return run
+
+
+def t2_table(model: SpectrumModel, proto: dict) -> qubitsim.DecayTable:
+    """The decay table of a ``cpmg_t2_vs_n`` run, laid out once each
+    pulse count's T2 is found: ``n_times`` times geometric from
+    ``t_factor_min`` to ``t_factor_max`` times it."""
+    curves = []
+    for n in proto["pulse_counts"]:
+        t2_est = qubitsim.cpmg_chi(model, n).t2()
+        curves.append((n, np.geomspace(proto["t_factor_min"] * t2_est,
+                                       proto["t_factor_max"] * t2_est,
+                                       proto["n_times"])))
+    return qubitsim.decay_table(curves, proto["duration_factor"],
+                                proto["samples_per_interval"])
 
 
 def plan_cpmg_t2_vs_n(cfg):
@@ -323,28 +366,20 @@ def plan_cpmg_t2_vs_n(cfg):
                 f"integrates the lines on {points:.0f} points at T = "
                 f"{chi.t_max:.3g} s; at most {MAX_CHI_POINTS}")
         chis.append(chi)
-    # a bracket ends at or above its T2, so these times are the longest
-    _check_density(model, "protocol.t_factor_max", [
-        (n, proto["t_factor_max"] * chi.bracket[1]) for n, chi in zip(counts, chis)],
-        proto["duration_factor"], proto["samples_per_interval"],
-        "protocol.duration_factor")
+    # each count's longest possible row: a bracket ends at or above its T2
+    _checked_table(model, "protocol.t_factor_max", "protocol.duration_factor",
+                   qubitsim.decay_table,
+                   [(n, [proto["t_factor_max"] * chi.bracket[1]])
+                    for n, chi in zip(counts, chis)],
+                   proto["duration_factor"], proto["samples_per_interval"])
 
     def run(report: _Report, out: Path) -> None:
         with report.stage("t2_scans") as seed:
             # one map over every pulse count's points; curve i has seed
             # derive_child_seed(seed, i), as its own decay_vs_time call would
-            specs = []
-            for n, chi, curve_seed in zip(counts, chis,
-                                          derive_child_seeds(seed, len(counts))):
-                t2_est = chi.t2()
-                times = np.geomspace(proto["t_factor_min"] * t2_est,
-                                     proto["t_factor_max"] * t2_est,
-                                     proto["n_times"])
-                specs.append((n, times, curve_seed))
-            curves = qubitsim.submit_decay_curves(
-                model, specs, proto["n_traj"],
-                duration_factor=proto["duration_factor"],
-                samples_per_interval=proto["samples_per_interval"])()
+            curves = qubitsim.submit_decay_table(
+                model, t2_table(model, proto), proto["n_traj"],
+                derive_child_seeds(seed, len(counts)))()
             _write(report, out, {"decay_curves.csv": Csv(
                 "n_pulses," + DECAY_HEADER.replace(",p_up", ""),
                 (np.repeat(counts, [c.times.size for c in curves]),
@@ -387,10 +422,11 @@ def plan_noise_spectroscopy(cfg):
     proto = cfg["protocol"]
     model = _spectrum(cfg)
     f_grid = grid_values(proto["f_grid_hz"])
-    n = max(proto["pulse_counts"])  # the longest sequence, at the longest wait
-    _check_density(model, "protocol.f_grid_hz", [(n, n / (2 * float(f_grid.min())))],
-                   proto["duration_factor"], proto["samples_per_interval"],
-                   "protocol.duration_factor")
+    table = _checked_table(model, "protocol.f_grid_hz", "protocol.duration_factor",
+                           analysis.spectroscopy_table, f_grid,
+                           proto["pulse_counts"],
+                           duration_factor=proto["duration_factor"],
+                           samples_per_interval=proto["samples_per_interval"])
 
     def run(report: _Report, out: Path) -> None:
         with report.stage("spectroscopy") as seed:
@@ -410,6 +446,8 @@ def plan_noise_spectroscopy(cfg):
         report.summary = {"n_points": est.n_points,
                           "warnings": list(est.warnings),
                           "f_range_hz": [float(est.f[0]), float(est.f[-1])]}
+    # the run's spectroscopy_scan lays out this table from the same values
+    run.table = table
     return run
 
 
@@ -544,8 +582,9 @@ def plan_tone_scan(cfg, readout: ReadoutModel, stark: StarkMap):
             f"{', '.join(f'{f:.6g}' for f in f_kept)} Hz)") from None
     model = _spectrum(cfg)
     # a column's trace spans its sequence once (duration factor 1)
-    _check_density(model, "protocol.total_time_s", [(n, n * tau) for tau, n in keep],
-                   1.0, proto["samples_per_interval"], "protocol.samples_per_interval")
+    _checked_table(model, "protocol.total_time_s", "protocol.samples_per_interval",
+                   qubitsim.decay_table, [(n, [n * tau]) for tau, n in keep],
+                   1.0, proto["samples_per_interval"])
 
     def run(report: _Report, out: Path) -> None:
         with report.stage("scan") as seed:
@@ -580,10 +619,12 @@ def plan_voltage_psd(cfg, stark: StarkMap):
         raise ConfigError(f"protocol.duration_s: duration_s*sample_rate_hz = "
                           f"{n} samples; " + ("need at least 64" if n < 64 else
                                               f"at most {MAX_TRACE_SAMPLES}"))
+    _check_fft_length("protocol.duration_s", "duration_s*sample_rate_hz", n)
     nperseg = min(int(round(proto["nperseg_s"] * rate)), n)
     if nperseg < 2:
         raise ConfigError(f"protocol.nperseg_s: nperseg_s*sample_rate_hz = "
                           f"{nperseg} samples; need at least 2")
+    _check_fft_length("protocol.nperseg_s", "nperseg_s*sample_rate_hz", nperseg)
     lo, hi = proto["band_hz"]
     if not lo < hi:
         raise ConfigError(f"protocol.band_hz: need lo < hi, got [{lo}, {hi}]")
@@ -600,11 +641,11 @@ def plan_voltage_psd(cfg, stark: StarkMap):
         dmodel = spectra.voltage_to_detuning_model(vmodel, coeff)
         dmodel = replace(dmodel, white_floor=dmodel.white_floor + floor)
         f_grid = grid_values(spec_cfg["f_grid_hz"])
-        n_max = max(spec_cfg["pulse_counts"])
-        _check_density(dmodel, "protocol.spectroscopy.f_grid_hz",
-                       [(n_max, n_max / (2 * float(f_grid.min())))],
-                       qubitsim.DURATION_FACTOR, spec_cfg["samples_per_interval"],
-                       "protocol.spectroscopy.samples_per_interval")
+        table = _checked_table(
+            dmodel, "protocol.spectroscopy.f_grid_hz",
+            "protocol.spectroscopy.samples_per_interval",
+            analysis.spectroscopy_table, f_grid, spec_cfg["pulse_counts"],
+            samples_per_interval=spec_cfg["samples_per_interval"])
 
     def run(report: _Report, out: Path) -> None:
         if spec_cfg:
@@ -612,9 +653,7 @@ def plan_voltage_psd(cfg, stark: StarkMap):
             # the seed of its stage (the third), so the pool runs it while
             # the main process builds the trace and its Welch estimate
             scan = analysis.submit_spectroscopy_scan(
-                dmodel, f_grid, spec_cfg["pulse_counts"], spec_cfg["n_traj"],
-                report.seed(2),
-                samples_per_interval=spec_cfg["samples_per_interval"])
+                dmodel, f_grid, table, spec_cfg["n_traj"], report.seed(2))
         with report.stage("trace") as seed:
             trace = spectra.synthesize(vmodel, rate, proto["duration_s"], seed)
             if proto["export_trace"]:
@@ -648,6 +687,7 @@ def plan_voltage_psd(cfg, stark: StarkMap):
                                                       float(est_rec.f[-1])]
         _write(report, out, {"voltage_summary.json": summary})
         report.summary = summary
+    run.table = table if spec_cfg else None
     return run
 
 

@@ -32,11 +32,13 @@ Monte Carlo engine and the tone scan of :mod:`spinprobe.starktone` both
 call.  Neither forms a trace: a trajectory costs its normal draws and
 one dot product, on the same random stream
 :func:`spectra.draw_trace_samples` draws in blocks when it synthesizes
-the trace from the model.  Every
-Monte Carlo decay scan goes through :func:`submit_decay_curves`, which
-submits all its points, across every wait of a spectroscopy scan, to the
-run's one process pool (:mod:`spinprobe._parallel`) in one map and
-returns before they finish.
+the trace from the model.
+
+A Monte Carlo decay scan is one :class:`DecayTable`, a row per point
+with its curve, index, N, T and :func:`mc_grid` grid (no chi: a consumer
+derives it from the grid).  :func:`submit_decay_table` submits exactly
+its rows to the run's one process pool (:mod:`spinprobe._parallel`) in
+one map and returns before they finish.
 
 Calibration convention
 ----------------------
@@ -54,8 +56,10 @@ since chi is linear in the spectrum.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,6 +79,8 @@ __all__ = [
     "HARDWARE_READOUT",
     "CoherencePoint",
     "DecayCurve",
+    "DecayPoint",
+    "DecayTable",
     "resonance_frequency_hz",
     "rabi_p_up",
     "rabi_chevron",
@@ -85,9 +91,9 @@ __all__ = [
     "chi_ff",
     "CpmgChi",
     "cpmg_chi",
+    "decay_table",
+    "submit_decay_table",
     "decay_vs_time",
-    "fixed_wait_spec",
-    "submit_decay_curves",
 ]
 
 # Closes the round trip between simulated decay times and the S = pi^2/(4*T2)
@@ -558,66 +564,87 @@ def chi_ff(model: SpectrumModel, schedule: PulseSchedule, *,
 # Scans
 
 
+class DecayPoint(NamedTuple):
+    """Point ``index`` of curve ``curve`` of a :class:`DecayTable`:
+    ``n_pulses`` over ``total_time``, on the trace grid ``(sample_rate,
+    n)`` of :func:`mc_grid`."""
+
+    curve: int
+    index: int
+    n_pulses: int
+    total_time: float
+    sample_rate: float
+    n: int
+
+
+@dataclass(frozen=True)
+class DecayTable:
+    """Every Monte Carlo decay point of a scan, curve by curve, on the
+    trace grids of ``duration_factor`` and ``samples_per_interval``."""
+
+    rows: tuple[DecayPoint, ...]
+    duration_factor: float
+    samples_per_interval: int
+
+
+def decay_table(curves, duration_factor: float,
+                samples_per_interval: int) -> DecayTable:
+    """The :class:`DecayTable` of ``curves``, each ``(pulse_counts,
+    times)`` with one count or one per time.  A time or rate that is not
+    finite raises what :func:`mc_grid` raises."""
+    rows = []
+    for c, (pulse_counts, times) in enumerate(curves):
+        times = np.asarray(times, dtype=float)
+        counts = np.broadcast_to(np.asarray(pulse_counts, dtype=int), times.shape)
+        rows += [DecayPoint(c, i, int(n), float(t), *mc_grid(
+                     int(n), float(t), duration_factor, samples_per_interval))
+                 for i, (n, t) in enumerate(zip(counts, times))]
+    return DecayTable(tuple(rows), duration_factor, samples_per_interval)
+
+
 def _decay_point(args) -> CoherencePoint:
-    (model, n_pulses, t_total, n_traj, point_seed, duration_factor,
-     samples_per_interval) = args
-    return coherence_mc(model, PulseSchedule(n_pulses, t_total), n_traj,
-                        point_seed, duration_factor=duration_factor,
+    model, row, n_traj, point_seed, duration_factor, samples_per_interval = args
+    return coherence_mc(model, PulseSchedule(row.n_pulses, row.total_time),
+                        n_traj, point_seed, duration_factor=duration_factor,
                         samples_per_interval=samples_per_interval)
 
 
-def submit_decay_curves(model: SpectrumModel, specs, n_traj: int, *,
-                        duration_factor: float,
-                        samples_per_interval: int):
-    """Monte Carlo decay curves, one per ``(pulse_counts, times, seed)``
-    spec, with every point of every curve submitted to the run's process
-    pool in one :func:`_parallel.submit`.  Returns a handle whose call
-    gives the curves.
+def submit_decay_table(model: SpectrumModel, table: DecayTable, n_traj: int,
+                       curve_seeds):
+    """Submit every row of ``table``, in order, to the run's process pool
+    in one :func:`_parallel.submit`.  Returns a handle whose call gives
+    the :class:`DecayCurve` of each curve.
 
-    ``pulse_counts`` is one count or one per time.  Point i of a curve is
-    :func:`coherence_mc` on ``PulseSchedule(pulse_counts[i], times[i])``
-    at seed ``derive_child_seed(seed, i)``, so a curve does not depend on
-    the other curves submitted with it.
+    Row i of curve c is :func:`coherence_mc` at seed
+    ``derive_child_seed(curve_seeds[c], i)``, so a curve does not depend
+    on the other curves submitted with it.
     """
-    grids, jobs = [], []
-    for pulse_counts, times, seed in specs:
-        times = np.asarray(times, dtype=float)
-        pulse_counts = np.broadcast_to(np.asarray(pulse_counts, dtype=int),
-                                       times.shape)
-        grids.append((pulse_counts, times))
-        jobs.extend((model, int(n), float(t), n_traj, point_seed,
-                     duration_factor, samples_per_interval)
-                    for n, t, point_seed in zip(
-                        pulse_counts, times, derive_child_seeds(seed, times.size)))
-    pending = _parallel.submit(_decay_point, jobs)
+    curves = [list(rows) for _, rows in
+              itertools.groupby(table.rows, key=lambda row: row.curve)]
+    pending = _parallel.submit(_decay_point, [
+        (model, row, n_traj, point_seed, table.duration_factor,
+         table.samples_per_interval)
+        for rows, seed in zip(curves, curve_seeds)
+        for row, point_seed in zip(rows, derive_child_seeds(seed, len(rows)))])
 
-    def curves() -> list[DecayCurve]:
+    def collect() -> list[DecayCurve]:
         points = iter(pending())
         out = []
-        for pulse_counts, times in grids:
-            curve_points = [next(points) for _ in times]
+        for rows in curves:
+            curve_points = [next(points) for _ in rows]
             out.append(DecayCurve(
-                times=times, w=np.array([p.w for p in curve_points]),
-                std_err=np.array([p.std_err for p in curve_points]),
-                n_pulses=pulse_counts))
+                times=[row.total_time for row in rows],
+                w=[p.w for p in curve_points],
+                std_err=[p.std_err for p in curve_points],
+                n_pulses=[row.n_pulses for row in rows]))
         return out
-    return curves
-
-
-def fixed_wait_spec(tau_wait: float, pulse_counts, seed: int):
-    """The :func:`submit_decay_curves` spec of a fixed-wait scan: point i
-    plays ``pulse_counts[i]`` pulses over ``pulse_counts[i] * tau_wait``."""
-    counts = np.asarray(pulse_counts, dtype=int)
-    if np.any(counts < 1):
-        raise ValueError("pulse counts must be >= 1 when tau_wait is fixed")
-    return counts, counts * float(tau_wait), seed
+    return collect
 
 
 def decay_vs_time(model: SpectrumModel, n_pulses: int, times, n_traj: int,
                   seed: int, *, duration_factor: float = DURATION_FACTOR,
                   samples_per_interval: int = SAMPLES_PER_INTERVAL) -> DecayCurve:
     """Coherence decay at fixed pulse count over a grid of total times."""
-    return submit_decay_curves(
-        model, [(n_pulses, times, seed)], n_traj,
-        duration_factor=duration_factor,
-        samples_per_interval=samples_per_interval)()[0]
+    table = decay_table([(n_pulses, times)], duration_factor,
+                        samples_per_interval)
+    return submit_decay_table(model, table, n_traj, [seed])()[0]

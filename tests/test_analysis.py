@@ -18,13 +18,13 @@ from spinprobe.analysis import (
     reconstruct_psd,
     spectroscopy_point,
     spectroscopy_scan,
+    spectroscopy_table,
     t2_scaling_exponent,
 )
 from spinprobe import _parallel, analysis
 from spinprobe._rng import derive_child_seed
 from spinprobe.qubitsim import (DURATION_FACTOR, SAMPLES_PER_INTERVAL, DecayCurve,
-                                chi_ff, coherence_mc, fixed_wait_spec,
-                                submit_decay_curves)
+                                chi_ff, coherence_mc, submit_decay_table)
 from spinprobe.sequences import make_cpmg
 from spinprobe.spectra import PowerLawTerm, SpectrumModel, eval_psd
 
@@ -232,10 +232,10 @@ class TestSpectroscopyScan:
         points = []
         for i, f in enumerate(grid):
             tau = 1.0 / (2.0 * f)
-            curve = submit_decay_curves(
-                PINK, [fixed_wait_spec(tau, counts, derive_child_seed(23, i))], 48,
-                duration_factor=DURATION_FACTOR,
-                samples_per_interval=SAMPLES_PER_INTERVAL)()[0]
+            table = spectroscopy_table([f], counts, duration_factor=DURATION_FACTOR,
+                                       samples_per_interval=SAMPLES_PER_INTERVAL)
+            curve = submit_decay_table(PINK, table, 48,
+                                       [derive_child_seed(23, i)])()[0]
             points.append(spectroscopy_point(curve, tau))
         ref = reconstruct_psd(points)
         for name in ("f", "s", "ci_low", "ci_high"):
@@ -249,7 +249,7 @@ class TestSpectroscopyScan:
         # frequency i, count j: coherence_mc on make_cpmg(N_j, N_j * tau_i)
         # at derive_child_seed(derive_child_seed(seed, i), j)
         curves = []
-        submit = analysis.submit_decay_curves
+        submit = analysis.submit_decay_table
 
         def recording(*args, **kwargs):
             pending = submit(*args, **kwargs)
@@ -259,7 +259,7 @@ class TestSpectroscopyScan:
                 return curves
             return collect
 
-        monkeypatch.setattr(analysis, "submit_decay_curves", recording)
+        monkeypatch.setattr(analysis, "submit_decay_table", recording)
         grid, counts = [2e3, 3e4], [2, 4, 8]
         spectroscopy_scan(PINK, grid, counts, 24, 31, duration_factor=3.0,
                           samples_per_interval=8)

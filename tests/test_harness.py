@@ -1098,9 +1098,39 @@ _MARK_DIR = "SPINPROBE_TEST_MARK_DIR"
 
 def _marked_decay_point(args):
     """A decay point that leaves a file named after its seed, slowly."""
-    (Path(os.environ[_MARK_DIR]) / str(args[4])).touch()
+    (Path(os.environ[_MARK_DIR]) / str(args[3])).touch()
     time.sleep(0.1)
     return _DECAY_POINT(args)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", ["ramsey", "hahn", "cpmg_t2_vs_n",
+                                  "noise_spectroscopy", "voltage_psd"])
+def test_run_submits_exactly_the_table_rows(tmp_path, monkeypatch, kind,
+                                            workers):
+    """A shipped Monte Carlo run submits the rows of its decay table, in
+    order and on the table's grid, in one map: the plan's table, or for
+    ``cpmg_t2_vs_n`` the one its run lays out once the T2s are found."""
+    submitted = []
+    real = _parallel.submit
+
+    def recording(fn, jobs):
+        jobs = list(jobs)
+        if fn is qubitsim._decay_point:
+            submitted.append([(row, df, spi) for _, row, _, _, df, spi in jobs])
+        return real(fn, jobs)
+
+    monkeypatch.setattr(_parallel, "submit", recording)
+    cfg = load_config(CONFIG_DIR / f"{kind}.yaml")
+    execute(cfg, tmp_path / "out", workers=workers)
+    if kind == "cpmg_t2_vs_n":
+        table = pipelines.t2_table(spectra.SpectrumModel.from_dict(cfg["spectrum"]),
+                                   cfg["protocol"])
+    else:
+        table = pipelines.plan(cfg).table
+    assert len(table.rows) >= 12
+    assert submitted == [[(row, table.duration_factor, table.samples_per_interval)
+                          for row in table.rows]]
 
 
 class TestRunPool:
@@ -1253,6 +1283,34 @@ class TestCli:
             "sample_rate_hz": 120e3, "duration_s": 4.5e6}})
         assert main(["validate", str(p)]) == 2
         assert "protocol.duration_s" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("change, message", [
+        # 1009 is prime; 1010 = 2 * 5 * 101 and 1011 = 3 * 337 are refused
+        # too, 1008 = 2^4 * 3^2 * 7 and 1012 = 2^2 * 11 * 23 are not
+        ({"nperseg_s": 0.1009},
+         "protocol.nperseg_s: nperseg_s*sample_rate_hz = 1009 samples has a "
+         "prime factor above 100, which makes its FFT several times slower; "
+         "the nearest accepted lengths are 1008 and 1012"),
+        # 2^25 - 1 = 7 * 31 * 151 * 1021 and 2^25 - 32 = 2^5 * 3 * 5^2 * 11
+        # * 31 * 41: a Bluestein trace at the length bound
+        ({"duration_s": (2 ** 25 - 1) / 1e4},
+         "protocol.duration_s: duration_s*sample_rate_hz = 33554431 samples "
+         "has a prime factor above 100, which makes its FFT several times "
+         "slower; the nearest accepted lengths are 33554400 and 33554432"),
+    ])
+    def test_fft_length_with_a_large_prime_factor_exits_2(
+            self, tmp_path, capsys, monkeypatch, change, message):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("the plan let a trace be drawn")
+
+        monkeypatch.setattr(spectra, "synthesize", no_draw)
+        out = tmp_path / "out"
+        p = _write_yaml(tmp_path, {**TINY_VOLTAGE, "output_dir": str(out),
+                                   "protocol": {**TINY_VOLTAGE["protocol"],
+                                                **change}})
+        assert main(["run", str(p)]) == 2
+        assert capsys.readouterr().out == f"error: {message}\n"
+        assert not out.exists()
 
     def test_validate_line_far_above_the_filter_table(self, tmp_path, capsys):
         # a Lorentzian at 4.6e18 Hz: its lattice covers the line's own

@@ -157,10 +157,12 @@ def test_ci_runs_these_checks_on_the_installed_package():
     """The workflow cannot run offline, so its wiring is checked here: the
     tests job runs ROADMAP's tier-1 command, and the installed job runs
     the console script on a shipped config and pytest on test files that
-    exist, with no config or script written inline."""
+    exist, with no config or script written inline.  Each job has a
+    timeout, so a hung process pool cannot hold a runner for hours."""
     text = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
     assert "<<" not in text
     jobs = yaml.safe_load(text)["jobs"]
+    assert all(0 < job.get("timeout-minutes", 0) <= 60 for job in jobs.values())
     tier1 = re.search(r"\*\*Tier-1 verify:\*\* `(.+)`",
                       (ROOT / "ROADMAP.md").read_text()).group(1)
     assert [s["run"] for s in jobs["tests"]["steps"]

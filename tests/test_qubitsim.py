@@ -20,18 +20,18 @@ from spinprobe.qubitsim import (
     cpmg_chi,
     coherence_mc,
     decay_vs_time,
-    fixed_wait_spec,
     mc_grid,
     phase_draw,
-    submit_decay_curves,
+    submit_decay_table,
     toggled_weights,
     rabi_chevron,
     rabi_p_up,
     resonance_frequency_hz,
 )
 from spinprobe import qubitsim, spectra
+from spinprobe.analysis import spectroscopy_table
 from spinprobe._rng import derive_child_seed, derive_rng
-from spinprobe.harness import execute, load_config
+from spinprobe.harness import execute, load_config, pipelines
 from spinprobe.harness.config import MAX_CHI_POINTS
 from spinprobe.sequences import (PulseSchedule, cpmg_filter_function,
                                  filter_function, make_cpmg, make_ramsey)
@@ -580,20 +580,25 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 def test_shipped_decays_sample_the_grid_decay(tmp_path, kind, csv_name):
     """Every decay point of a shipped Monte Carlo config, at its shipped
     seed, lies within its sampling error of the decay its own trace grid
-    implies, ``exp(-cal * |h|^2 / 2)`` with ``h`` the draw's weights: the
-    sampling z rms stays near 1 and no |z| is extreme."""
+    implies, ``exp(-cal * |h|^2 / 2)`` with ``h`` the draw's weights on
+    the grid of its row of the decay table (the plan's, or the one a
+    ``cpmg_t2_vs_n`` run lays out): the sampling z rms stays near 1 and
+    no |z| is extreme."""
     cfg = load_config(CONFIG_DIR / f"{kind}.yaml")
     execute(cfg, tmp_path, workers=1)
     model = SpectrumModel.from_dict(cfg["spectrum"])
-    proto = cfg["protocol"]
+    table = (pipelines.t2_table(model, cfg["protocol"]) if kind == "cpmg_t2_vs_n"
+             else pipelines.plan(cfg).table)
     with open(tmp_path / csv_name, newline="") as fh:
         rows = list(csv.DictReader(fh))
+    assert len(rows) == len(table.rows)
     z = []
-    for row in rows:
-        n_pulses = int(row.get("n_pulses", 0 if kind == "ramsey" else 1))
-        h = phase_draw(model, PulseSchedule(n_pulses, float(row["time_s"])),
-                       proto["duration_factor"],
-                       proto["samples_per_interval"]).weights
+    for row, point in zip(rows, table.rows):
+        assert float(row["time_s"]) == point.total_time
+        assert int(row.get("n_pulses", point.n_pulses)) == point.n_pulses
+        schedule = PulseSchedule(point.n_pulses, point.total_time)
+        h = spectra.normal_weights(model, point.sample_rate, toggled_weights(
+            schedule, point.sample_rate, point.n))
         w_grid = math.exp(-PSD_CHI_CALIBRATION * float(h @ h) / 2)
         z.append((float(row["coherence_w"]) - w_grid) / float(row["std_err"]))
     z = np.array(z)
@@ -672,10 +677,10 @@ class TestDecayScans:
                     duration_factor=DURATION_FACTOR,
                     samples_per_interval=SAMPLES_PER_INTERVAL):
         """The fixed-wait curve spectroscopy builds for one frequency."""
-        return submit_decay_curves(
-            model, [fixed_wait_spec(tau, counts, seed)], n_traj,
-            duration_factor=duration_factor,
-            samples_per_interval=samples_per_interval)()[0]
+        table = spectroscopy_table([0.5 / tau], counts,
+                                   duration_factor=duration_factor,
+                                   samples_per_interval=samples_per_interval)
+        return submit_decay_table(model, table, n_traj, [seed])()[0]
 
     def test_fixed_wait_scan_times(self):
         counts = [1, 2, 4, 8]
@@ -686,7 +691,7 @@ class TestDecayScans:
 
     def test_fixed_wait_rejects_pulse_free_points(self):
         with pytest.raises(ValueError):
-            fixed_wait_spec(1e-4, [0, 2], 0)
+            spectroscopy_table([5e3], [0, 2])
 
     @pytest.mark.parametrize("n_pulses", [0, 1, 4])
     def test_decay_vs_time_points_are_coherence_mc(self, n_pulses):
