@@ -1,7 +1,7 @@
 """Two routes to the same decay: analytic filter integral vs Monte Carlo.
 
-coherence_mc draws noise traces and averages cos(phase); chi_ff
-integrates S(f)|Y(2 pi f)|^2.  They must agree for every spectrum and
+coherence_mc draws noise phases on the trace grid of a decay point
+(mc_point) and averages cos(phase); chi_ff integrates S(f)|Y(2 pi f)|^2.  They must agree for every spectrum and
 pulse count, which is the toolkit's core self-check.
 """
 
@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from spinprobe.qubitsim import chi_ff, coherence_mc, decay_vs_time
+from spinprobe.qubitsim import chi_ff, coherence_mc, decay_vs_time, mc_point
 from spinprobe.sequences import make_cpmg
 from spinprobe.spectra import PowerLawTerm, SpectrumModel
 
@@ -20,7 +20,8 @@ PINK = SpectrumModel(powerlaws=(PowerLawTerm(3e7, 1.0),),
 # -- white noise, one schedule, both engines ------------------------------
 sched = make_cpmg(8, 2e-3)
 w_ff = math.exp(-chi_ff(WHITE, sched))
-point = coherence_mc(WHITE, sched, 2000, seed=3, samples_per_interval=64)
+point = coherence_mc(WHITE, mc_point(8, 2e-3, samples_per_interval=64), 2000,
+                     seed=3)
 print(f"white CPMG-8, T = 2 ms:")
 print(f"  analytic  W = {w_ff:.4f}")
 print(f"  monte carlo W = {point.w:.4f} +- {point.std_err:.4f}")

@@ -14,8 +14,7 @@ import numpy as np
 
 from spinprobe import derive_child_seed
 from spinprobe.analysis import fit_exponential, spectroscopy_scan
-from spinprobe.qubitsim import PSD_CHI_CALIBRATION, coherence_mc
-from spinprobe.sequences import make_cpmg
+from spinprobe.qubitsim import PSD_CHI_CALIBRATION, coherence_mc, mc_point
 from spinprobe.spectra import SpectrumModel
 
 S0 = 350.0
@@ -28,8 +27,8 @@ tau = 1.0 / (2 * 5000.0)
 counts = [2, 4, 8, 16, 32, 64]
 times = [n * tau for n in counts]
 raw = WHITE.scaled(1 / PSD_CHI_CALIBRATION)
-points = [coherence_mc(raw, make_cpmg(n, t), 3000, derive_child_seed(42, i),
-                       samples_per_interval=64)
+points = [coherence_mc(raw, mc_point(n, t, samples_per_interval=64), 3000,
+                       derive_child_seed(42, i))
           for i, (n, t) in enumerate(zip(counts, times))]
 fit = fit_exponential(times, [p.w for p in points], [p.std_err for p in points])
 print(f"raw 1/e time {fit.t2 * 1e3:.3f} ms vs 4/S0 = {4 / S0 * 1e3:.3f} ms")

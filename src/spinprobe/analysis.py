@@ -16,7 +16,7 @@ import numpy as np
 from . import _solve
 from ._rng import derive_child_seeds
 from .qubitsim import (DURATION_FACTOR, SAMPLES_PER_INTERVAL, DecayCurve,
-                       DecayTable, decay_table, submit_decay_table)
+                       decay_table, submit_decay_table)
 from .spectra import PsdEstimate, SpectrumModel
 
 __all__ = [
@@ -336,10 +336,9 @@ def reconstruct_psd(points: list[SpectroscopyPoint]) -> PsdEstimate:
 
 def spectroscopy_table(f_grid_hz, pulse_counts, *,
                        duration_factor: float = DURATION_FACTOR,
-                       samples_per_interval: int = SAMPLES_PER_INTERVAL
-                       ) -> DecayTable:
-    """The decay table of a spectroscopy scan: curve i plays each of
-    ``pulse_counts`` at the fixed wait ``1/(2 f_i)``."""
+                       samples_per_interval: int = SAMPLES_PER_INTERVAL):
+    """The :func:`qubitsim.decay_table` of a spectroscopy scan: curve i
+    plays each of ``pulse_counts`` at the fixed wait ``1/(2 f_i)``."""
     f_grid = np.asarray(f_grid_hz, dtype=float)
     if np.any(f_grid <= 0):
         raise ValueError("spectroscopy frequencies must be > 0")
@@ -361,7 +360,7 @@ def spectroscopy_scan(model: SpectrumModel, f_grid_hz, pulse_counts,
     Frequency i gets a fixed wait ``1/(2f)`` and a pulse-count scan at
     seed ``derive_child_seed(seed, i)``, whose point j runs at
     ``derive_child_seed`` of that and j, so the result is independent of
-    evaluation order.  All points of all frequencies, the rows of
+    evaluation order.  All points of all frequencies, the points of
     :func:`spectroscopy_table`, run in one map over the process pool.
     """
     table = spectroscopy_table(f_grid_hz, pulse_counts,
@@ -372,10 +371,10 @@ def spectroscopy_scan(model: SpectrumModel, f_grid_hz, pulse_counts,
 
 
 def submit_spectroscopy_scan(model: SpectrumModel, f_grid_hz,
-                             table: DecayTable, n_traj: int, seed: int, *,
+                             table, n_traj: int, seed: int, *,
                              t2_hahn: float | None = None):
     """:func:`spectroscopy_scan` of the :func:`spectroscopy_table`
-    ``table`` of ``f_grid_hz``, its rows submitted to the run's process
+    ``table`` of ``f_grid_hz``, its points submitted to the run's process
     pool and not yet collected.  Returns a handle whose call waits for
     them, fits them and gives the :class:`PsdEstimate`."""
     taus = 1.0 / (2.0 * np.asarray(f_grid_hz, dtype=float))

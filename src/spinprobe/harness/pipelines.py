@@ -11,12 +11,12 @@ of the T2 search checks only the bracket, whose tables
 master seed by fixed stage indices, so outputs never depend on timing or
 worker count.
 
-A Monte Carlo scan's plan lays out and checks its decay points as one
-:class:`qubitsim.DecayTable`, kept as ``run.table``, whose rows its run
-submits (``noise_spectroscopy``'s through
-:func:`analysis.spectroscopy_scan`, from the same values);
-``cpmg_t2_vs_n``'s run lays its table out (:func:`t2_table`) once T2 is
-found.
+A Monte Carlo scan's plan lays out and checks its decay points (a
+table: a tuple of curves, each a tuple of :class:`qubitsim.DecayPoint`),
+kept as ``run.table``, which its run submits (``noise_spectroscopy``'s
+through :func:`analysis.spectroscopy_scan`, from the same values) or
+plays as the tone scan's columns; ``cpmg_t2_vs_n``'s run lays its table
+out (:func:`t2_table`) once T2 is found.
 
 A run's maps, its own or the library's, go through
 :func:`spinprobe._parallel.submit` to its one process pool.  It may
@@ -171,24 +171,29 @@ def _spectrum(cfg) -> SpectrumModel:
     return SpectrumModel.from_dict(cfg["spectrum"])
 
 
-def _checked_table(model: SpectrumModel, field: str, length_field: str,
-                   build, *args, **kwargs) -> qubitsim.DecayTable:
-    """``build(*args, **kwargs)``, a :class:`qubitsim.DecayTable`, with
-    every row checked: its grid is finite (``field`` names the error), its
-    trace has at most ``MAX_TRACE_SAMPLES`` samples (``length_field`` names
-    the error), and :func:`_check_lowest_bin` holds at its lowest bin."""
+@contextmanager
+def _finite_grids(field: str):
+    """Decay points laid out inside it have a finite duration and sample
+    rate; else a :class:`ConfigError` names ``field``."""
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            table = build(*args, **kwargs)
+            yield
     except (ArithmeticError, ValueError):  # an inf or NaN duration or rate
         raise ConfigError(f"{field}: a sequence's duration or Monte Carlo "
                           f"sample rate is not finite") from None
-    if (n_max := max(row.n for row in table.rows)) > MAX_TRACE_SAMPLES:
+
+
+def _check_table(model: SpectrumModel, field: str, length_field: str,
+                 table) -> None:
+    """Every point of the decay ``table`` has a trace of at most
+    ``MAX_TRACE_SAMPLES`` samples (``length_field`` names the error), and
+    :func:`_check_lowest_bin` holds at its lowest bin."""
+    points = [point for curve in table for point in curve]
+    if (n_max := max(point.n for point in points)) > MAX_TRACE_SAMPLES:
         raise ConfigError(f"{length_field}: the longest Monte Carlo trace has "
                           f"{n_max} samples; at most {MAX_TRACE_SAMPLES}")
-    _check_lowest_bin(model, field, min(row.sample_rate / row.n
-                                        for row in table.rows))
-    return table
+    _check_lowest_bin(model, field, min(point.sample_rate / point.n
+                                        for point in points))
 
 
 def _check_lowest_bin(model: SpectrumModel, field: str, df: float) -> None:
@@ -290,9 +295,10 @@ def plan_decay(cfg, readout: ReadoutModel):
         raise ConfigError(f"protocol.times_s: the stretched fit needs at "
                           f"least 3 distinct points, got {n_distinct}")
     model = _spectrum(cfg)
-    table = _checked_table(model, "protocol.times_s", "protocol.duration_factor",
-                           qubitsim.decay_table, [(n_pulses, times)],
-                           proto["duration_factor"], proto["samples_per_interval"])
+    with _finite_grids("protocol.times_s"):
+        table = qubitsim.decay_table([(n_pulses, times)], proto["duration_factor"],
+                                     proto["samples_per_interval"])
+    _check_table(model, "protocol.times_s", "protocol.duration_factor", table)
 
     def run(report: _Report, out: Path) -> None:
         with report.stage("decay_scan") as seed:
@@ -315,7 +321,7 @@ def plan_decay(cfg, readout: ReadoutModel):
     return run
 
 
-def t2_table(model: SpectrumModel, proto: dict) -> qubitsim.DecayTable:
+def t2_table(model: SpectrumModel, proto: dict):
     """The decay table of a ``cpmg_t2_vs_n`` run, laid out once each
     pulse count's T2 is found: ``n_times`` times geometric from
     ``t_factor_min`` to ``t_factor_max`` times it."""
@@ -366,12 +372,12 @@ def plan_cpmg_t2_vs_n(cfg):
                 f"integrates the lines on {points:.0f} points at T = "
                 f"{chi.t_max:.3g} s; at most {MAX_CHI_POINTS}")
         chis.append(chi)
-    # each count's longest possible row: a bracket ends at or above its T2
-    _checked_table(model, "protocol.t_factor_max", "protocol.duration_factor",
-                   qubitsim.decay_table,
-                   [(n, [proto["t_factor_max"] * chi.bracket[1]])
-                    for n, chi in zip(counts, chis)],
-                   proto["duration_factor"], proto["samples_per_interval"])
+    # each count's longest possible point: a bracket ends at or above its T2
+    with _finite_grids("protocol.t_factor_max"):
+        longest = qubitsim.decay_table(
+            [(n, [proto["t_factor_max"] * chi.bracket[1]]) for n, chi in zip(counts, chis)],
+            proto["duration_factor"], proto["samples_per_interval"])
+    _check_table(model, "protocol.t_factor_max", "protocol.duration_factor", longest)
 
     def run(report: _Report, out: Path) -> None:
         with report.stage("t2_scans") as seed:
@@ -422,11 +428,11 @@ def plan_noise_spectroscopy(cfg):
     proto = cfg["protocol"]
     model = _spectrum(cfg)
     f_grid = grid_values(proto["f_grid_hz"])
-    table = _checked_table(model, "protocol.f_grid_hz", "protocol.duration_factor",
-                           analysis.spectroscopy_table, f_grid,
-                           proto["pulse_counts"],
-                           duration_factor=proto["duration_factor"],
-                           samples_per_interval=proto["samples_per_interval"])
+    with _finite_grids("protocol.f_grid_hz"):
+        table = analysis.spectroscopy_table(
+            f_grid, proto["pulse_counts"], duration_factor=proto["duration_factor"],
+            samples_per_interval=proto["samples_per_interval"])
+    _check_table(model, "protocol.f_grid_hz", "protocol.duration_factor", table)
 
     def run(report: _Report, out: Path) -> None:
         with report.stage("spectroscopy") as seed:
@@ -567,7 +573,8 @@ def plan_tone_scan(cfg, readout: ReadoutModel, stark: StarkMap):
                 f"protocol.f_columns_hz.{i}: {proto['f_columns_hz'][i]!r} Hz "
                 f"needs {ratio:.6g} pulses in total_time_s; at most "
                 f"{MAX_PULSES}")
-    keep, dropped = starktone.scan_columns(taus, total)
+    with _finite_grids("protocol.total_time_s"):
+        keep, dropped = starktone.scan_columns(taus, total, proto["samples_per_interval"])
     # detection finds the tone by the 5% rule, against another kept column
     f_kept = [1.0 / (2 * tau) for tau, _ in keep]
     if len(f_kept) < 2:
@@ -581,17 +588,14 @@ def plan_tone_scan(cfg, readout: ReadoutModel, stark: StarkMap):
             f"any scanned column (kept: "
             f"{', '.join(f'{f:.6g}' for f in f_kept)} Hz)") from None
     model = _spectrum(cfg)
-    # a column's trace spans its sequence once (duration factor 1)
-    _checked_table(model, "protocol.total_time_s", "protocol.samples_per_interval",
-                   qubitsim.decay_table, [(n, [n * tau]) for tau, n in keep],
-                   1.0, proto["samples_per_interval"])
+    table = tuple((point,) for _, point in keep)
+    _check_table(model, "protocol.total_time_s", "protocol.samples_per_interval", table)
 
     def run(report: _Report, out: Path) -> None:
         with report.stage("scan") as seed:
             result = starktone.tone_scan(
                 model, coeff, proto["f_tone_hz"], proto["phase"], (keep, dropped),
-                proto["amplitudes_vpp"], proto["shots"], seed, readout=readout,
-                samples_per_interval=proto["samples_per_interval"])
+                proto["amplitudes_vpp"], proto["shots"], seed, readout=readout)
             _write(report, out, {
                 "tone_scan.csv": _tone_scan_csv(result),
                 "plot_tone_scan.json": _plot(
@@ -606,6 +610,7 @@ def plan_tone_scan(cfg, readout: ReadoutModel, stark: StarkMap):
         report.summary = {"threshold_vpp": detection["threshold_vpp"],
                           "tone_column_hz": detection["tone_column_hz"],
                           "dropped_taus": list(result.dropped)}
+    run.table = table
     return run
 
 
@@ -641,11 +646,12 @@ def plan_voltage_psd(cfg, stark: StarkMap):
         dmodel = spectra.voltage_to_detuning_model(vmodel, coeff)
         dmodel = replace(dmodel, white_floor=dmodel.white_floor + floor)
         f_grid = grid_values(spec_cfg["f_grid_hz"])
-        table = _checked_table(
-            dmodel, "protocol.spectroscopy.f_grid_hz",
-            "protocol.spectroscopy.samples_per_interval",
-            analysis.spectroscopy_table, f_grid, spec_cfg["pulse_counts"],
-            samples_per_interval=spec_cfg["samples_per_interval"])
+        with _finite_grids("protocol.spectroscopy.f_grid_hz"):
+            table = analysis.spectroscopy_table(
+                f_grid, spec_cfg["pulse_counts"],
+                samples_per_interval=spec_cfg["samples_per_interval"])
+        _check_table(dmodel, "protocol.spectroscopy.f_grid_hz",
+                     "protocol.spectroscopy.samples_per_interval", table)
 
     def run(report: _Report, out: Path) -> None:
         if spec_cfg:

@@ -11,9 +11,11 @@ Two interchangeable coherence engines live here:
   :func:`chi_ff` queries it for one schedule, and the decay is
   ``exp(-chi)``.
 
-Both engines take a :class:`~spinprobe.sequences.PulseSchedule`, the pair
-(N, T): CPMG-N, or Ramsey for N = 0.  For Gaussian noise the two agree
-exactly in expectation, which the test suite leans on heavily.
+Both engines play the pair (N, T): CPMG-N, or Ramsey for N = 0.
+:func:`chi_ff` takes it as a :class:`~spinprobe.sequences.PulseSchedule`,
+:func:`coherence_mc` as a :class:`DecayPoint`, which adds the trace grid
+it samples.  For Gaussian noise the two agree exactly in expectation,
+which the test suite leans on heavily.
 
 ``cpmg_chi(model, N).t2()`` gives the analytic 1/e time of a CPMG-N
 decay, where the ``cpmg_t2_vs_n`` pipeline centres its time grids.  The
@@ -34,11 +36,13 @@ one dot product, on the same random stream
 :func:`spectra.draw_trace_samples` draws in blocks when it synthesizes
 the trace from the model.
 
-A Monte Carlo decay scan is one :class:`DecayTable`, a row per point
-with its curve, index, N, T and :func:`mc_grid` grid (no chi: a consumer
-derives it from the grid).  :func:`submit_decay_table` submits exactly
-its rows to the run's one process pool (:mod:`spinprobe._parallel`) in
-one map and returns before they finish.
+A Monte Carlo point is a :class:`DecayPoint`: N, T and the trace grid
+(sample rate, n) it runs on, worked out by :func:`mc_point` when
+:func:`decay_table` lays out a scan (no chi: a consumer derives it from
+the grid).  The table is a tuple of curves, each a tuple of points;
+:func:`submit_decay_table` submits exactly its points to the run's one
+process pool (:mod:`spinprobe._parallel`) in one map and returns before
+they finish.
 
 Calibration convention
 ----------------------
@@ -56,7 +60,6 @@ since chi is linear in the spectrum.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -80,11 +83,10 @@ __all__ = [
     "CoherencePoint",
     "DecayCurve",
     "DecayPoint",
-    "DecayTable",
     "resonance_frequency_hz",
     "rabi_p_up",
     "rabi_chevron",
-    "mc_grid",
+    "mc_point",
     "toggled_weights",
     "phase_draw",
     "coherence_mc",
@@ -215,11 +217,22 @@ class DecayCurve:
             raise ValueError("decay curve arrays must be congruent")
 
 
-def mc_grid(n_pulses: int, total_time: float, duration_factor: float,
-            samples_per_interval: int) -> tuple[float, int]:
-    """``(sample rate, samples)`` of the Monte Carlo trace of ``n_pulses``
-    over ``total_time``: ``samples_per_interval`` samples per inter-pulse
-    interval over ``duration_factor`` times the sequence, at least 64."""
+class DecayPoint(NamedTuple):
+    """A Monte Carlo decay point: ``n_pulses`` over ``total_time``, on an
+    ``n``-sample trace at ``sample_rate`` (see :func:`mc_point`)."""
+
+    n_pulses: int
+    total_time: float
+    sample_rate: float
+    n: int
+
+
+def mc_point(n_pulses: int, total_time: float,
+             duration_factor: float = DURATION_FACTOR,
+             samples_per_interval: int = SAMPLES_PER_INTERVAL) -> DecayPoint:
+    """The :class:`DecayPoint` of ``n_pulses`` over ``total_time``: its
+    trace holds ``samples_per_interval`` samples per inter-pulse interval
+    over ``duration_factor`` times the sequence, at least 64."""
     if duration_factor < 1.0:
         raise ValueError("duration_factor must be >= 1 so the trace covers the schedule")
     rate = samples_per_interval * max(n_pulses, 1) / total_time
@@ -229,7 +242,7 @@ def mc_grid(n_pulses: int, total_time: float, duration_factor: float,
     if n < 64:
         rate *= 64.0 / n
         n = 64
-    return rate, n
+    return DecayPoint(n_pulses, total_time, rate, n)
 
 
 def toggled_weights(schedule: PulseSchedule, sample_rate: float,
@@ -262,21 +275,20 @@ def toggled_weights(schedule: PulseSchedule, sample_rate: float,
     return (0.5 / sample_rate) * (tail[:-1] + tail[1:])
 
 
-def phase_draw(model: SpectrumModel, schedule: PulseSchedule,
-               duration_factor: float, samples_per_interval: int):
-    """One trajectory's toggled phase as a function of its random stream.
+def phase_draw(model: SpectrumModel, point: DecayPoint):
+    """One trajectory's toggled phase at ``point`` as a function of its
+    random stream.
 
-    ``draw(rng)`` puts the n - 1 normals of the :func:`mc_grid` trace of
-    ``schedule`` into one reused buffer, in the draw order of
-    :func:`spectra.draw_trace_samples`, and returns
-    ``sqrt(PSD_CHI_CALIBRATION)`` times their dot product with
+    ``draw(rng)`` puts the n - 1 normals of the point's trace into one
+    reused buffer, in the draw order of :func:`spectra.draw_trace_samples`,
+    and returns ``sqrt(PSD_CHI_CALIBRATION)`` times their dot product with
     :func:`spectra.normal_weights` of :func:`toggled_weights`, kept as
     ``draw.weights``: the calibrated phase of the trace
     ``spectra.draw_trace_samples(model, ...)`` would synthesize from the
     same stream.  The caller may go on drawing from ``rng`` after it.
     """
-    rate, n = mc_grid(schedule.n_pulses, schedule.total_time, duration_factor,
-                      samples_per_interval)
+    rate, n = point.sample_rate, point.n
+    schedule = PulseSchedule(point.n_pulses, point.total_time)
     h = spectra.normal_weights(model, rate, toggled_weights(schedule, rate, n))
     normals = np.empty(n - 1)
     scale = math.sqrt(PSD_CHI_CALIBRATION)
@@ -288,22 +300,21 @@ def phase_draw(model: SpectrumModel, schedule: PulseSchedule,
     return draw
 
 
-def coherence_mc(model: SpectrumModel, schedule: PulseSchedule,
-                 n_traj: int, seed: int, *,
-                 duration_factor: float = DURATION_FACTOR,
-                 samples_per_interval: int = SAMPLES_PER_INTERVAL) -> CoherencePoint:
-    """Monte Carlo decay estimate W = <cos phi> over noise realizations.
+def coherence_mc(model: SpectrumModel, point: DecayPoint, n_traj: int,
+                 seed: int) -> CoherencePoint:
+    """Monte Carlo decay estimate W = <cos phi> at ``point`` over noise
+    realizations.
 
     Trajectory i is :func:`phase_draw` on the stream
     ``derive_rng(seed, i)``, so results are bit-identical however the work
     is distributed; :func:`derive_rngs` hashes all of those stream names
-    in one vectorised pass.  The trace band is [1/(duration_factor*T),
-    samples_per_interval*N/(2T)]; spectral weight outside it is not seen
-    by this estimator.
+    in one vectorised pass.  The trace band is [rate/n, rate/2] of the
+    point's grid; spectral weight outside it is not seen by this
+    estimator.
     """
     if n_traj < 2:
         raise ValueError("need at least 2 trajectories for a standard error")
-    draw = phase_draw(model, schedule, duration_factor, samples_per_interval)
+    draw = phase_draw(model, point)
     cos_phi = np.cos(np.fromiter(map(draw, derive_rngs(seed, n_traj)),
                                  dtype=float, count=n_traj))
     w = float(cos_phi.sum()) / n_traj
@@ -564,79 +575,51 @@ def chi_ff(model: SpectrumModel, schedule: PulseSchedule, *,
 # Scans
 
 
-class DecayPoint(NamedTuple):
-    """Point ``index`` of curve ``curve`` of a :class:`DecayTable`:
-    ``n_pulses`` over ``total_time``, on the trace grid ``(sample_rate,
-    n)`` of :func:`mc_grid`."""
-
-    curve: int
-    index: int
-    n_pulses: int
-    total_time: float
-    sample_rate: float
-    n: int
-
-
-@dataclass(frozen=True)
-class DecayTable:
-    """Every Monte Carlo decay point of a scan, curve by curve, on the
-    trace grids of ``duration_factor`` and ``samples_per_interval``."""
-
-    rows: tuple[DecayPoint, ...]
-    duration_factor: float
-    samples_per_interval: int
-
-
 def decay_table(curves, duration_factor: float,
-                samples_per_interval: int) -> DecayTable:
-    """The :class:`DecayTable` of ``curves``, each ``(pulse_counts,
-    times)`` with one count or one per time.  A time or rate that is not
-    finite raises what :func:`mc_grid` raises."""
-    rows = []
-    for c, (pulse_counts, times) in enumerate(curves):
+                samples_per_interval: int) -> tuple[tuple[DecayPoint, ...], ...]:
+    """The decay table of ``curves``, each ``(pulse_counts, times)`` with
+    one count or one per time: a tuple of curves, each a tuple of the
+    :func:`mc_point` of its points.  A time or rate that is not finite
+    raises what :func:`mc_point` raises."""
+    table = []
+    for pulse_counts, times in curves:
         times = np.asarray(times, dtype=float)
         counts = np.broadcast_to(np.asarray(pulse_counts, dtype=int), times.shape)
-        rows += [DecayPoint(c, i, int(n), float(t), *mc_grid(
-                     int(n), float(t), duration_factor, samples_per_interval))
-                 for i, (n, t) in enumerate(zip(counts, times))]
-    return DecayTable(tuple(rows), duration_factor, samples_per_interval)
+        table.append(tuple(mc_point(int(n), float(t), duration_factor, samples_per_interval)
+                           for n, t in zip(counts, times)))
+    return tuple(table)
 
 
 def _decay_point(args) -> CoherencePoint:
-    model, row, n_traj, point_seed, duration_factor, samples_per_interval = args
-    return coherence_mc(model, PulseSchedule(row.n_pulses, row.total_time),
-                        n_traj, point_seed, duration_factor=duration_factor,
-                        samples_per_interval=samples_per_interval)
+    # coherence_mc is looked up on the module per call, so a rebound one
+    # runs every point
+    return coherence_mc(*args)
 
 
-def submit_decay_table(model: SpectrumModel, table: DecayTable, n_traj: int,
-                       curve_seeds):
-    """Submit every row of ``table``, in order, to the run's process pool
-    in one :func:`_parallel.submit`.  Returns a handle whose call gives
-    the :class:`DecayCurve` of each curve.
+def submit_decay_table(model: SpectrumModel, table, n_traj: int, curve_seeds):
+    """Submit every point of the decay ``table``, in order, to the run's
+    process pool in one :func:`_parallel.submit`.  Returns a handle whose
+    call gives the :class:`DecayCurve` of each curve.
 
-    Row i of curve c is :func:`coherence_mc` at seed
+    Point i of curve c is :func:`coherence_mc` at seed
     ``derive_child_seed(curve_seeds[c], i)``, so a curve does not depend
     on the other curves submitted with it.
     """
-    curves = [list(rows) for _, rows in
-              itertools.groupby(table.rows, key=lambda row: row.curve)]
     pending = _parallel.submit(_decay_point, [
-        (model, row, n_traj, point_seed, table.duration_factor,
-         table.samples_per_interval)
-        for rows, seed in zip(curves, curve_seeds)
-        for row, point_seed in zip(rows, derive_child_seeds(seed, len(rows)))])
+        (model, point, n_traj, point_seed)
+        for curve, seed in zip(table, curve_seeds)
+        for point, point_seed in zip(curve, derive_child_seeds(seed, len(curve)))])
 
     def collect() -> list[DecayCurve]:
-        points = iter(pending())
+        results = iter(pending())
         out = []
-        for rows in curves:
-            curve_points = [next(points) for _ in rows]
+        for curve in table:
+            decays = [next(results) for _ in curve]
             out.append(DecayCurve(
-                times=[row.total_time for row in rows],
-                w=[p.w for p in curve_points],
-                std_err=[p.std_err for p in curve_points],
-                n_pulses=[row.n_pulses for row in rows]))
+                times=[point.total_time for point in curve],
+                w=[p.w for p in decays],
+                std_err=[p.std_err for p in decays],
+                n_pulses=[point.n_pulses for point in curve]))
         return out
     return collect
 
@@ -645,6 +628,5 @@ def decay_vs_time(model: SpectrumModel, n_pulses: int, times, n_traj: int,
                   seed: int, *, duration_factor: float = DURATION_FACTOR,
                   samples_per_interval: int = SAMPLES_PER_INTERVAL) -> DecayCurve:
     """Coherence decay at fixed pulse count over a grid of total times."""
-    table = decay_table([(n_pulses, times)], duration_factor,
-                        samples_per_interval)
+    table = decay_table([(n_pulses, times)], duration_factor, samples_per_interval)
     return submit_decay_table(model, table, n_traj, [seed])()[0]

@@ -7,7 +7,8 @@ that modulation into extra dephasing.  Scanning wait time against tone
 amplitude produces the characteristic response map: a strong dip at the
 tone frequency, weaker dips at odd submultiples (where the tone rides an
 odd filter harmonic), and nothing at even submultiples where the filter
-has exact nulls.  Each shot draws its background noise phase with
+has exact nulls.  A kept column is one decay point, laid out once by
+:func:`scan_columns`; each shot draws its background noise phase there with
 :func:`spinprobe.qubitsim.phase_draw`, the Monte Carlo decay engine's
 trajectory draw, from a stream of :func:`spinprobe._rng.derive_rngs`.
 """
@@ -21,8 +22,8 @@ import numpy as np
 
 from . import _parallel
 from ._rng import derive_child_seeds, derive_rngs
-from .qubitsim import HARDWARE_READOUT, ReadoutModel, phase_draw
-from .sequences import cpmg_filter_function, make_cpmg
+from .qubitsim import HARDWARE_READOUT, ReadoutModel, decay_table, phase_draw
+from .sequences import cpmg_filter_function
 from .spectra import SpectrumModel
 
 __all__ = [
@@ -184,16 +185,15 @@ class ToneScanResult:
 def _tone_column(args) -> list[tuple[float, float]]:
     """``(p_hat, std_err)`` of every amplitude row of one scan column.
 
-    The column's noise draw (:func:`qubitsim.phase_draw` on a trace as
-    long as the sequence) and tone response are built once; shot j of
-    row i draws from ``derive_rng(cell_seeds[i], j)``, the noise phase
-    first."""
-    (model, n_pulses, tau, amps_pp, coeff, f_tone, fixed_phase, shots,
-     cell_seeds, samples_per_interval, vis, floor) = args
-    schedule = make_cpmg(n_pulses, n_pulses * tau)
-    draw = phase_draw(model, schedule, 1.0, samples_per_interval)
+    The column's noise draw (:func:`qubitsim.phase_draw` at its point)
+    and tone response are built once; shot j of row i draws from
+    ``derive_rng(cell_seeds[i], j)``, the noise phase first."""
+    (model, point, amps_pp, coeff, f_tone, fixed_phase, shots, cell_seeds,
+     vis, floor) = args
+    draw = phase_draw(model, point)
     # only the modulus of the tone's response matters once its phase is random
-    y_mag = math.sqrt(cpmg_filter_function(n_pulses, schedule.total_time, f_tone))
+    y_mag = math.sqrt(cpmg_filter_function(point.n_pulses, point.total_time,
+                                           f_tone))
     cells = []
     for amp_pp, cell_seed in zip(amps_pp, cell_seeds):
         a = tone_amplitude(coeff, amp_pp) * y_mag
@@ -212,17 +212,21 @@ def _tone_column(args) -> list[tuple[float, float]]:
     return cells
 
 
-def scan_columns(tau_grid, total_time: float):
-    """The waits :func:`tone_scan` keeps, as ``(tau, n_pulses)`` pairs, and
-    the ones it drops because not even half a pulse interval fits.  The
-    passband of a kept column is ``1 / (2 * tau)``."""
-    keep, dropped = [], []
+def scan_columns(tau_grid, total_time: float,
+                 samples_per_interval: int = TONE_SAMPLES_PER_INTERVAL):
+    """The waits :func:`tone_scan` keeps, as ``(tau, point)`` pairs, and
+    the ones it drops because not even half a pulse interval fits.  A
+    point plays N = round(total_time / tau) >= 1 pulses over N * tau on a
+    trace as long as the sequence (:func:`qubitsim.decay_table` at
+    duration factor 1); its passband is ``1 / (2 * tau)``."""
+    kept, dropped = [], []
     for tau in np.asarray(tau_grid, dtype=float).tolist():
         if total_time / tau < 0.5:
             dropped.append(tau)
         else:
-            keep.append((tau, max(1, int(round(total_time / tau)))))
-    return keep, dropped
+            kept.append((tau, max(1, int(round(total_time / tau)))))
+    table = decay_table([(n, [n * tau]) for tau, n in kept], 1.0, samples_per_interval)
+    return [(tau, point) for (tau, _), (point,) in zip(kept, table)], dropped
 
 
 def tone_column(f_hz, f_tone: float) -> int:
@@ -238,8 +242,7 @@ def tone_column(f_hz, f_tone: float) -> int:
 
 def tone_scan(model: SpectrumModel, coefficient_hz_per_v: float, f_tone: float,
               phase: float | None, columns, amplitudes_vpp, shots: int,
-              seed: int, *, readout: ReadoutModel = HARDWARE_READOUT,
-              samples_per_interval: int = TONE_SAMPLES_PER_INTERVAL
+              seed: int, *, readout: ReadoutModel = HARDWARE_READOUT
               ) -> ToneScanResult:
     """2D P_up map over (filter frequency, tone amplitude).
 
@@ -256,11 +259,10 @@ def tone_scan(model: SpectrumModel, coefficient_hz_per_v: float, f_tone: float,
         raise ValueError(f"f_tone must be > 0, got {f_tone}")
     amps = np.asarray(amplitudes_vpp, dtype=float)
     keep, dropped = columns
-    jobs = [(model, n_pulses, tau, amps.tolist(), coefficient_hz_per_v, f_tone,
-             phase, shots,
-             derive_child_seeds(seed, amps.size, col),
-             samples_per_interval, readout.visibility, readout.floor)
-            for col, (tau, n_pulses) in enumerate(keep)]
+    jobs = [(model, point, amps.tolist(), coefficient_hz_per_v, f_tone,
+             phase, shots, derive_child_seeds(seed, amps.size, col),
+             readout.visibility, readout.floor)
+            for col, (_, point) in enumerate(keep)]
     columns = _parallel.submit(_tone_column, jobs)()
     # (n_amplitudes, n_columns); an empty scan keeps that shape
     cells = np.array(columns, dtype=float).reshape(len(keep), amps.size, 2)

@@ -28,8 +28,8 @@ from spinprobe.analysis import (fit_power_law, fit_stretched,
 from spinprobe.harness.config import load_config, validate_config
 from spinprobe.harness.runner import execute
 from spinprobe.qubitsim import (QubitParams, ReadoutModel, chi_ff,
-                                coherence_mc, decay_vs_time, rabi_chevron,
-                                resonance_frequency_hz)
+                                coherence_mc, decay_vs_time, mc_point,
+                                rabi_chevron, resonance_frequency_hz)
 from spinprobe.sequences import filter_function, make_cpmg
 from spinprobe.spectra import (PowerLawTerm, SpectralLine, SpectrumModel,
                                eval_psd, integrate_rms, psd_welch, synthesize,
@@ -193,8 +193,9 @@ def _battery_case(name: str, n_pulses: int):
 def test_criterion04_mc_matches_filter_function(name, n_pulses, idx):
     model, schedule, chi_kwargs, mc_kwargs = _battery_case(name, n_pulses)
     chi = chi_ff(model, schedule, **chi_kwargs)
-    point = coherence_mc(model, schedule, 4000, derive_child_seed(20260823, idx),
-                         samples_per_interval=128, **mc_kwargs)
+    point = coherence_mc(model, mc_point(schedule.n_pulses, schedule.total_time,
+                                         samples_per_interval=128, **mc_kwargs),
+                         4000, derive_child_seed(20260823, idx))
     chi_mc = -math.log(point.w)
     tolerance = max(0.02 * chi, 3.0 * point.std_err / point.w)
     assert abs(chi_mc - chi) <= tolerance
@@ -296,10 +297,9 @@ def tone_scan_result():
         SpectrumModel.from_dict(cfg["spectrum"]), stark.coefficient(proto["gate"]),
         proto["f_tone_hz"], proto["phase"],
         starktone.scan_columns([1.0 / (2.0 * f) for f in proto["f_columns_hz"]],
-                               proto["total_time_s"]),
+                               proto["total_time_s"], proto["samples_per_interval"]),
         proto["amplitudes_vpp"], proto["shots"],
-        cfg["seed"], readout=readout,
-        samples_per_interval=proto["samples_per_interval"])
+        cfg["seed"], readout=readout)
 
 
 def _column_drop(result, f_column):

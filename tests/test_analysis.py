@@ -24,7 +24,8 @@ from spinprobe.analysis import (
 from spinprobe import _parallel, analysis
 from spinprobe._rng import derive_child_seed
 from spinprobe.qubitsim import (DURATION_FACTOR, SAMPLES_PER_INTERVAL, DecayCurve,
-                                chi_ff, coherence_mc, submit_decay_table)
+                                chi_ff, coherence_mc, mc_point,
+                                submit_decay_table)
 from spinprobe.sequences import make_cpmg
 from spinprobe.spectra import PowerLawTerm, SpectrumModel, eval_psd
 
@@ -246,7 +247,7 @@ class TestSpectroscopyScan:
             spectroscopy_scan(WHITE, [0.0, 1e3], [2, 4], 50, 0)
 
     def test_points_are_coherence_mc(self, monkeypatch):
-        # frequency i, count j: coherence_mc on make_cpmg(N_j, N_j * tau_i)
+        # frequency i, count j: coherence_mc at mc_point(N_j, N_j * tau_i)
         # at derive_child_seed(derive_child_seed(seed, i), j)
         curves = []
         submit = analysis.submit_decay_table
@@ -269,9 +270,8 @@ class TestSpectroscopyScan:
             np.testing.assert_array_equal(curve.n_pulses, counts)
             for j, n in enumerate(counts):
                 assert curve.times[j] == n * tau
-                p = coherence_mc(PINK, make_cpmg(n, n * tau), 24,
-                                 derive_child_seed(derive_child_seed(31, i), j),
-                                 duration_factor=3.0, samples_per_interval=8)
+                p = coherence_mc(PINK, mc_point(n, n * tau, 3.0, 8), 24,
+                                 derive_child_seed(derive_child_seed(31, i), j))
                 assert (curve.w[j], curve.std_err[j]) == (p.w, p.std_err)
 
 

@@ -934,10 +934,9 @@ def _tone_scan_result(manifest) -> starktone.ToneScanResult:
         starktone.StarkMap(**cfg["stark"]).coefficient(proto["gate"]),
         proto["f_tone_hz"], proto["phase"],
         starktone.scan_columns([1.0 / (2.0 * f) for f in proto["f_columns_hz"]],
-                               proto["total_time_s"]),
+                               proto["total_time_s"], proto["samples_per_interval"]),
         proto["amplitudes_vpp"], proto["shots"], _stage_seed(manifest, "scan"),
-        readout=qubitsim.ReadoutModel(**cfg["readout"]),
-        samples_per_interval=proto["samples_per_interval"])
+        readout=qubitsim.ReadoutModel(**cfg["readout"]))
 
 
 class TestCsvLayout:
@@ -1105,19 +1104,21 @@ def _marked_decay_point(args):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("kind", ["ramsey", "hahn", "cpmg_t2_vs_n",
-                                  "noise_spectroscopy", "voltage_psd"])
+                                  "noise_spectroscopy", "voltage_psd",
+                                  "tone_scan"])
 def test_run_submits_exactly_the_table_rows(tmp_path, monkeypatch, kind,
                                             workers):
-    """A shipped Monte Carlo run submits the rows of its decay table, in
-    order and on the table's grid, in one map: the plan's table, or for
-    ``cpmg_t2_vs_n`` the one its run lays out once the T2s are found."""
+    """A shipped Monte Carlo run submits the points of its decay table, in
+    order, in one map: the plan's table, or for ``cpmg_t2_vs_n`` the one
+    its run lays out once the T2s are found.  The tone scan's columns are
+    the points its plan checked."""
     submitted = []
     real = _parallel.submit
 
     def recording(fn, jobs):
         jobs = list(jobs)
-        if fn is qubitsim._decay_point:
-            submitted.append([(row, df, spi) for _, row, _, _, df, spi in jobs])
+        if fn in (qubitsim._decay_point, starktone._tone_column):
+            submitted.append([job[1] for job in jobs])
         return real(fn, jobs)
 
     monkeypatch.setattr(_parallel, "submit", recording)
@@ -1128,9 +1129,9 @@ def test_run_submits_exactly_the_table_rows(tmp_path, monkeypatch, kind,
                                    cfg["protocol"])
     else:
         table = pipelines.plan(cfg).table
-    assert len(table.rows) >= 12
-    assert submitted == [[(row, table.duration_factor, table.samples_per_interval)
-                          for row in table.rows]]
+    points = [point for curve in table for point in curve]
+    assert len(points) >= 12
+    assert submitted == [points]
 
 
 class TestRunPool:

@@ -1,5 +1,6 @@
 """Qubit response, coherence engines, and the analytic/Monte-Carlo bridge."""
 
+import ast
 import csv
 import math
 from pathlib import Path
@@ -20,7 +21,7 @@ from spinprobe.qubitsim import (
     cpmg_chi,
     coherence_mc,
     decay_vs_time,
-    mc_grid,
+    mc_point,
     phase_draw,
     submit_decay_table,
     toggled_weights,
@@ -302,7 +303,7 @@ class TestCpmgChi:
     def test_band_matches_quadrature(self, n, t):
         if n == 0:
             t = min(t, 1e-3)
-        rate, samples = mc_grid(n, t, DURATION_FACTOR, SAMPLES_PER_INTERVAL)
+        *_, rate, samples = mc_point(n, t, DURATION_FACTOR, SAMPLES_PER_INTERVAL)
         band = {"f_min": 0.5 * rate / samples, "f_max": 0.5 * rate}
         sch = PulseSchedule(n, t)
         assert chi_ff(COMPOSITE, sch, **band) == pytest.approx(
@@ -528,7 +529,7 @@ class TestPhaseFunctional:
     ])
     def test_mc_grid_lengths(self, n_pulses, total_time, spi, n):
         sch = PulseSchedule(n_pulses, total_time)
-        rate, n_grid = mc_grid(n_pulses, total_time, 2.0, spi)
+        *_, rate, n_grid = mc_point(n_pulses, total_time, 2.0, spi)
         assert n_grid == n
         weights = toggled_weights(sch, rate, n)
         assert weights.shape == (n,)
@@ -540,7 +541,7 @@ class TestPhaseFunctional:
 
     def test_rejects_short_duration_factor(self):
         with pytest.raises(ValueError):
-            mc_grid(2, 1e-3, 0.5, 16)
+            mc_point(2, 1e-3, 0.5, 16)
 
 
 class TestPhaseDraw:
@@ -548,8 +549,9 @@ class TestPhaseDraw:
     def test_is_the_calibrated_phase_of_the_trace_normals(
             self, n_pulses, duration_factor):
         sch = PulseSchedule(n_pulses, 4e-4)
-        draw = phase_draw(COMPOSITE, sch, duration_factor, 8)
-        rate, n = mc_grid(n_pulses, 4e-4, duration_factor, 8)
+        point = mc_point(n_pulses, 4e-4, duration_factor, 8)
+        draw = phase_draw(COMPOSITE, point)
+        rate, n = point.sample_rate, point.n
         np.testing.assert_array_equal(draw.weights, spectra.normal_weights(
             COMPOSITE, rate, toggled_weights(sch, rate, n)))
         rng, oracle = derive_rng(5), derive_rng(5)
@@ -564,11 +566,60 @@ class TestPhaseDraw:
     def test_scaled_model_scales_the_weights(self, n_pulses, gain):
         # the raw route rests on this: a model scaled by g draws phases
         # sqrt(g) times as large from the same stream
-        sch = PulseSchedule(n_pulses, 4e-4)
-        weights = phase_draw(COMPOSITE, sch, 2.0, 8).weights
+        point = mc_point(n_pulses, 4e-4, 2.0, 8)
+        weights = phase_draw(COMPOSITE, point).weights
         np.testing.assert_allclose(
-            phase_draw(COMPOSITE.scaled(gain), sch, 2.0, 8).weights,
+            phase_draw(COMPOSITE.scaled(gain), point).weights,
             math.sqrt(gain) * weights, rtol=1e-12, atol=0.0)
+
+
+def _scoped_names(source: str, names: set) -> list[tuple[str | None, str]]:
+    """``(function, name)`` of each use of one of ``names`` in ``source``:
+    a name or attribute read, a parameter, an assignment target, or an
+    import; ``function`` is the innermost enclosing one, None at module
+    level."""
+    uses = []
+
+    def visit(node, scope):
+        for name in ([node.id] if isinstance(node, ast.Name) else
+                     [node.attr] if isinstance(node, ast.Attribute) else
+                     [node.arg] if isinstance(node, ast.arg) else
+                     [a.name for a in node.names]
+                     if isinstance(node, (ast.Import, ast.ImportFrom)) else []):
+            if name in names:
+                uses.append((scope, name))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+    visit(ast.parse(source), None)
+    return uses
+
+
+def test_only_decay_table_works_out_a_trace_grid():
+    """The Monte Carlo trace grid is worked out in one place: no code of
+    the package but ``qubitsim.decay_table`` reaches ``mc_point``, and no
+    function that runs a point takes or unpacks a grid setting, so each
+    runs on the grid of its decay point."""
+    package = Path(qubitsim.__file__).parent
+    uses = {(str(path.relative_to(package)), scope, name)
+            for path in sorted(package.rglob("*.py"))
+            for scope, name in _scoped_names(path.read_text(), {"mc_point"})}
+    assert uses == {("qubitsim.py", "decay_table", "mc_point")}
+    grid = {"duration_factor", "samples_per_interval"}
+    runners = {"qubitsim.py": {"phase_draw", "coherence_mc", "_decay_point"},
+               "starktone.py": {"_tone_column"}}
+    for name, functions in runners.items():
+        scopes = {scope for scope, _ in
+                  _scoped_names((package / name).read_text(), grid)}
+        assert scopes.isdisjoint(functions), name
+    assert _scoped_names(
+        "from q import mc_point as g\nimport q\n"
+        "def f(x, duration_factor=2):\n    return q.mc_point(x)\n"
+        "def h(args):\n    samples_per_interval, y = args\n",
+        {"mc_point", "duration_factor", "samples_per_interval"}) == [
+            (None, "mc_point"), ("f", "duration_factor"), ("f", "mc_point"),
+            ("h", "samples_per_interval")]
 
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -580,25 +631,24 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 def test_shipped_decays_sample_the_grid_decay(tmp_path, kind, csv_name):
     """Every decay point of a shipped Monte Carlo config, at its shipped
     seed, lies within its sampling error of the decay its own trace grid
-    implies, ``exp(-cal * |h|^2 / 2)`` with ``h`` the draw's weights on
-    the grid of its row of the decay table (the plan's, or the one a
-    ``cpmg_t2_vs_n`` run lays out): the sampling z rms stays near 1 and
+    implies, ``exp(-cal * |h|^2 / 2)`` with ``h`` the weights of the draw
+    the run made at its point of the decay table (the plan's, or the one
+    a ``cpmg_t2_vs_n`` run lays out): the sampling z rms stays near 1 and
     no |z| is extreme."""
     cfg = load_config(CONFIG_DIR / f"{kind}.yaml")
     execute(cfg, tmp_path, workers=1)
     model = SpectrumModel.from_dict(cfg["spectrum"])
     table = (pipelines.t2_table(model, cfg["protocol"]) if kind == "cpmg_t2_vs_n"
              else pipelines.plan(cfg).table)
+    points = [point for curve in table for point in curve]
     with open(tmp_path / csv_name, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == len(table.rows)
+    assert len(rows) == len(points)
     z = []
-    for row, point in zip(rows, table.rows):
+    for row, point in zip(rows, points):
         assert float(row["time_s"]) == point.total_time
         assert int(row.get("n_pulses", point.n_pulses)) == point.n_pulses
-        schedule = PulseSchedule(point.n_pulses, point.total_time)
-        h = spectra.normal_weights(model, point.sample_rate, toggled_weights(
-            schedule, point.sample_rate, point.n))
+        h = phase_draw(model, point).weights
         w_grid = math.exp(-PSD_CHI_CALIBRATION * float(h @ h) / 2)
         z.append((float(row["coherence_w"]) - w_grid) / float(row["std_err"]))
     z = np.array(z)
@@ -612,8 +662,8 @@ class TestCoherenceMc:
     T_HALF = 0.5 / ((4 / np.pi**2) * 350.0)
 
     def test_batching_is_bit_identical(self):
-        a = coherence_mc(WHITE, make_cpmg(2, 1e-3), 300, 7)
-        b = coherence_mc(WHITE, make_cpmg(2, 1e-3), 300, 7)
+        a = coherence_mc(WHITE, mc_point(2, 1e-3), 300, 7)
+        b = coherence_mc(WHITE, mc_point(2, 1e-3), 300, 7)
         assert a.w == b.w and a.std_err == b.std_err
 
     def test_no_inverse_fft(self, monkeypatch):
@@ -625,8 +675,8 @@ class TestCoherenceMc:
             return irfft(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, "irfft", spy)
-        coherence_mc(COMPOSITE, make_cpmg(4, 1e-3), 50, 1)
-        coherence_mc(COMPOSITE, make_ramsey(1e-4), 50, 1)
+        coherence_mc(COMPOSITE, mc_point(4, 1e-3), 50, 1)
+        coherence_mc(COMPOSITE, mc_point(0, 1e-4), 50, 1)
         assert calls == []
         # the spy sees the synthesis path, which does use the inverse FFT:
         # a length divisible by 4 makes four quarter-length transforms
@@ -635,19 +685,20 @@ class TestCoherenceMc:
 
     def test_needs_two_trajectories(self):
         with pytest.raises(ValueError):
-            coherence_mc(WHITE, make_cpmg(2, 1e-3), 1, 0)
+            coherence_mc(WHITE, mc_point(2, 1e-3), 1, 0)
 
     def test_white_matches_analytic(self):
         sch = make_cpmg(2, self.T_HALF)
-        p = coherence_mc(WHITE, sch, 800, 3, samples_per_interval=64)
+        p = coherence_mc(WHITE, mc_point(2, self.T_HALF, samples_per_interval=64),
+                         800, 3)
         assert abs(p.w - math.exp(-chi_ff(WHITE, sch))) < 4 * p.std_err
 
     def test_white_schedule_independent(self):
         # Parseval again, now through the sampled engine
-        a = coherence_mc(WHITE, make_cpmg(1, self.T_HALF), 800, 3,
-                         samples_per_interval=64)
-        b = coherence_mc(WHITE, make_cpmg(16, self.T_HALF), 800, 103,
-                         samples_per_interval=64)
+        a = coherence_mc(WHITE, mc_point(1, self.T_HALF, samples_per_interval=64),
+                         800, 3)
+        b = coherence_mc(WHITE, mc_point(16, self.T_HALF, samples_per_interval=64),
+                         800, 103)
         assert abs(a.w - b.w) < 3 * math.hypot(a.std_err, b.std_err)
 
     def test_composite_echo_matches_analytic(self):
@@ -655,7 +706,8 @@ class TestCoherenceMc:
         sch = make_cpmg(8, 1.5e-3)
         chi = chi_ff(COMPOSITE, sch)
         w_ff = math.exp(-chi)
-        p = coherence_mc(COMPOSITE, sch, 800, 11, samples_per_interval=64)
+        p = coherence_mc(COMPOSITE, mc_point(8, 1.5e-3, samples_per_interval=64),
+                         800, 11)
         assert abs(p.w - w_ff) < 4 * p.std_err + 0.035 * chi * w_ff
 
 
@@ -700,9 +752,8 @@ class TestDecayScans:
         curve = decay_vs_time(COMPOSITE, n_pulses, times, 24, 7,
                               duration_factor=3.0, samples_per_interval=8)
         for i, t in enumerate(times):
-            sch = PulseSchedule(n_pulses, t)
-            p = coherence_mc(COMPOSITE, sch, 24, derive_child_seed(7, i),
-                             duration_factor=3.0, samples_per_interval=8)
+            p = coherence_mc(COMPOSITE, mc_point(n_pulses, t, 3.0, 8), 24,
+                             derive_child_seed(7, i))
             assert (curve.w[i], curve.std_err[i]) == (p.w, p.std_err)
 
     def test_fixed_wait_points_are_coherence_mc(self):
@@ -711,7 +762,6 @@ class TestDecayScans:
                                  duration_factor=3.0, samples_per_interval=8)
         for i, n in enumerate(counts):
             assert curve.times[i] == n * tau
-            p = coherence_mc(COMPOSITE, make_cpmg(n, n * tau), 24,
-                             derive_child_seed(9, i), duration_factor=3.0,
-                             samples_per_interval=8)
+            p = coherence_mc(COMPOSITE, mc_point(n, n * tau, 3.0, 8), 24,
+                             derive_child_seed(9, i))
             assert (curve.w[i], curve.std_err[i]) == (p.w, p.std_err)

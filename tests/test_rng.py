@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from spinprobe import benchmarking, qubitsim, starktone
 from spinprobe._rng import (derive_child_seed, derive_child_seeds, derive_rng,
                             derive_rngs)
-from spinprobe.qubitsim import ReadoutModel, coherence_mc
-from spinprobe.sequences import make_cpmg
+from spinprobe.qubitsim import ReadoutModel, coherence_mc, mc_point
 from spinprobe.spectra import PowerLawTerm, SpectrumModel
 
 MODEL = SpectrumModel(powerlaws=(PowerLawTerm(2e5, 1.0),), white_floor=350.0)
@@ -122,14 +121,13 @@ def _rb():
 
 def _tone():
     # full 64-bit cell seeds, as tone_scan derives them
-    args = (MODEL, 4, 50e-6, [2e-4, 4e-4], -2.3e7, 1e4, None, 40,
-            derive_child_seeds(17, 2, 3), 8, 0.55, 0.225)
+    args = (MODEL, mc_point(4, 4 * 50e-6, 1.0, 8), [2e-4, 4e-4], -2.3e7, 1e4,
+            None, 40, derive_child_seeds(17, 2, 3), 0.55, 0.225)
     return starktone._tone_column(args)
 
 
 def _mc():
-    point = coherence_mc(MODEL, make_cpmg(4, 2e-4), 30, 9,
-                         samples_per_interval=8)
+    point = coherence_mc(MODEL, mc_point(4, 2e-4, samples_per_interval=8), 30, 9)
     return point.w, point.std_err
 
 

@@ -132,7 +132,7 @@ class TestToneScan:
     def test_pulse_counts_follow_fixed_window(self):
         # 300 us window: wait times quantize to N = round(T/tau), >= 1
         columns = scan_columns([25e-6, 50e-6, 75.075e-6, 125e-6, 700e-6], 300e-6)
-        assert [n_pulses for _, n_pulses in columns[0]] == [12, 6, 4, 2]
+        assert [point.n_pulses for _, point in columns[0]] == [12, 6, 4, 2]
         res = tone_scan(WHITE, G2, 2e4, None, columns, [0.0], 50, 0)
         np.testing.assert_allclose(res.f_hz[[0, 1, 3]], [2e4, 1e4, 4e3])
         assert res.dropped == (700e-6,)
@@ -148,9 +148,8 @@ class TestToneScan:
         w_noise = math.exp(-chi_ff(raw, sch))
         p_exp = ReadoutModel(0.55, 0.225).apply(0.5 * (1 + w_noise * j0(0.8)))
         res = tone_scan(raw, G2, 2e4, None,
-                        scan_columns([tau], total),
-                        [a_pp], 3000, 5,
-                        samples_per_interval=64)
+                        scan_columns([tau], total, samples_per_interval=64),
+                        [a_pp], 3000, 5)
         assert abs(res.p_up[0, 0] - p_exp) < 4 * res.std_err[0, 0]
 
     def test_deterministic_per_seed(self):
@@ -170,12 +169,11 @@ class TestToneScan:
         res = tone_scan(WHITE, G2, 2e4, None, columns, amps, 20, 3)
         assert len(calls) == len(taus)
         # cell (row, col) is its column's job run for that row alone
-        for col, (tau, n_pulses) in enumerate(columns[0]):
+        for col, (_, point) in enumerate(columns[0]):
             for row, amp in enumerate(amps):
                 (cell,) = starktone._tone_column((
-                    WHITE, n_pulses, tau, [amp], G2, 2e4, None, 20,
-                    [derive_child_seed(3, col, row)],
-                    starktone.TONE_SAMPLES_PER_INTERVAL, 0.55, 0.225))
+                    WHITE, point, [amp], G2, 2e4, None, 20,
+                    [derive_child_seed(3, col, row)], 0.55, 0.225))
                 assert cell == (res.p_up[row, col], res.std_err[row, col])
 
     def test_shape_validation(self):
