@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from spinprobe import derive_child_seed
-from spinprobe.analysis import fit_exponential, spectroscopy_scan
+from spinprobe.analysis import (fit_exponential, spectroscopy_scan,
+                                spectroscopy_table)
 from spinprobe.qubitsim import PSD_CHI_CALIBRATION, coherence_mc, mc_point
 from spinprobe.spectra import SpectrumModel
 
@@ -43,7 +44,8 @@ print(f"\nPSD_CHI_CALIBRATION = {PSD_CHI_CALIBRATION!r}")
 print(f"16/pi^2             = {16 / math.pi ** 2!r}")
 
 # 4. with the constant in place the white round trip closes
-scan = spectroscopy_scan(WHITE, np.geomspace(2e3, 3e4, 5), counts, 800,
-                         seed=43, samples_per_interval=32)
+f_grid = np.geomspace(2e3, 3e4, 5)
+scan = spectroscopy_scan(WHITE, f_grid, spectroscopy_table(f_grid, counts), 800,
+                         seed=43)
 for f, s in zip(scan.f, scan.s):
     print(f"  {f:8.0f} Hz: S = {s:6.1f}  (deviation {s / S0 - 1:+.1%})")

@@ -7,7 +7,8 @@ band by band against the generating model.
 
 import numpy as np
 
-from spinprobe.analysis import band_slope, fit_power_law, spectroscopy_scan
+from spinprobe.analysis import (band_slope, fit_power_law, spectroscopy_scan,
+                                spectroscopy_table)
 from spinprobe.spectra import PowerLawTerm, SpectralLine, SpectrumModel, eval_psd
 
 MODEL = SpectrumModel(
@@ -17,8 +18,9 @@ MODEL = SpectrumModel(
 
 # ratio-1.2 grid with the spur center as an exact grid point
 f_grid = 3600.0 * 1.2 ** np.arange(-5, 20)
-scan = spectroscopy_scan(MODEL, f_grid, [2, 4, 8, 16, 32], 500, seed=515,
-                         samples_per_interval=32)
+scan = spectroscopy_scan(MODEL, f_grid,
+                         spectroscopy_table(f_grid, [2, 4, 8, 16, 32]), 500,
+                         seed=515)
 
 print("reconstructed spectrum (sim vs generating model):")
 for f, s, lo, hi in zip(scan.f, scan.s, scan.ci_low, scan.ci_high):

@@ -21,7 +21,7 @@ for amplitude, alpha in ((3e7, 1.0), (3e13, 2.5)):
     t2s, errs, stretches = [], [], []
     for i, n in enumerate(COUNTS):
         # center the time grid on the analytic 1/e time
-        t_pred = cpmg_chi(model, n).t2()
+        t_pred = cpmg_chi(model, n).t2
         times = np.geomspace(0.3 * t_pred, 2.5 * t_pred, 8)
         curve = decay_vs_time(model, n, times, 300, seed=1000 + i,
                               samples_per_interval=32)

@@ -8,7 +8,7 @@ CPMG scan on the resulting qubit model finds the same spur.
 
 import numpy as np
 
-from spinprobe.analysis import spectroscopy_scan
+from spinprobe.analysis import spectroscopy_scan, spectroscopy_table
 from spinprobe.spectra import (SpectralLine, SpectrumModel, integrate_rms,
                                psd_welch, synthesize,
                                voltage_to_detuning_model)
@@ -34,9 +34,10 @@ qubit_model = SpectrumModel(powerlaws=converted.powerlaws,
                             lines=converted.lines)
 print(f"converted spur power {converted.lines[0].power:.4g} (rad/s)^2")
 
-scan = spectroscopy_scan(qubit_model, np.geomspace(1800.0, 7200.0, 7),
-                         [2, 4, 8, 16, 32], 1500, seed=77,
-                         samples_per_interval=32)
+f_grid = np.geomspace(1800.0, 7200.0, 7)
+scan = spectroscopy_scan(qubit_model, f_grid,
+                         spectroscopy_table(f_grid, [2, 4, 8, 16, 32]), 1500,
+                         seed=77)
 print("\nqubit-side reconstruction:")
 for f, s in zip(scan.f, scan.s):
     mark = "  <- spur" if abs(f - 3600.0) < 1 else ""

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import _solve
 from ._rng import derive_child_seeds
-from .qubitsim import (DURATION_FACTOR, SAMPLES_PER_INTERVAL, DecayCurve,
-                       decay_table, submit_decay_table)
+from .qubitsim import (DURATION_FACTOR, DecayCurve, decay_table,
+                       submit_decay_table)
 from .spectra import PsdEstimate, SpectrumModel
 
 __all__ = [
@@ -25,6 +25,7 @@ __all__ = [
     "StretchedFit",
     "PowerLawFit",
     "SpectroscopyPoint",
+    "SPECTROSCOPY_SAMPLES_PER_INTERVAL",
     "fit_exponential",
     "fit_stretched",
     "fit_power_law",
@@ -255,6 +256,9 @@ def expected_stretching_exponent(alpha: float) -> float:
 
 FIT_ON_BOUND = "fit_on_bound"
 
+# samples per inter-pulse interval of a spectroscopy scan's Monte Carlo traces
+SPECTROSCOPY_SAMPLES_PER_INTERVAL = 32
+
 
 @dataclass(frozen=True)
 class SpectroscopyPoint:
@@ -336,7 +340,7 @@ def reconstruct_psd(points: list[SpectroscopyPoint]) -> PsdEstimate:
 
 def spectroscopy_table(f_grid_hz, pulse_counts, *,
                        duration_factor: float = DURATION_FACTOR,
-                       samples_per_interval: int = SAMPLES_PER_INTERVAL):
+                       samples_per_interval: int = SPECTROSCOPY_SAMPLES_PER_INTERVAL):
     """The :func:`qubitsim.decay_table` of a spectroscopy scan: curve i
     plays each of ``pulse_counts`` at the fixed wait ``1/(2 f_i)``."""
     f_grid = np.asarray(f_grid_hz, dtype=float)
@@ -349,23 +353,18 @@ def spectroscopy_table(f_grid_hz, pulse_counts, *,
                        duration_factor, samples_per_interval)
 
 
-def spectroscopy_scan(model: SpectrumModel, f_grid_hz, pulse_counts,
-                      n_traj: int, seed: int, *,
-                      t2_hahn: float | None = None,
-                      duration_factor: float = DURATION_FACTOR,
-                      samples_per_interval: int = SAMPLES_PER_INTERVAL) -> PsdEstimate:
-    """Full simulated CPMG spectroscopy: decay scans at each target
-    frequency, exponential fits, and PSD assembly.
+def spectroscopy_scan(model: SpectrumModel, f_grid_hz, table, n_traj: int,
+                      seed: int, *, t2_hahn: float | None = None) -> PsdEstimate:
+    """Full simulated CPMG spectroscopy on the :func:`spectroscopy_table`
+    ``table`` of ``f_grid_hz``: decay scans at each target frequency,
+    exponential fits, and PSD assembly.
 
     Frequency i gets a fixed wait ``1/(2f)`` and a pulse-count scan at
     seed ``derive_child_seed(seed, i)``, whose point j runs at
     ``derive_child_seed`` of that and j, so the result is independent of
-    evaluation order.  All points of all frequencies, the points of
-    :func:`spectroscopy_table`, run in one map over the process pool.
+    evaluation order.  All points of all frequencies run in one map over
+    the process pool.
     """
-    table = spectroscopy_table(f_grid_hz, pulse_counts,
-                               duration_factor=duration_factor,
-                               samples_per_interval=samples_per_interval)
     return submit_spectroscopy_scan(model, f_grid_hz, table, n_traj, seed,
                                     t2_hahn=t2_hahn)()
 
@@ -373,11 +372,13 @@ def spectroscopy_scan(model: SpectrumModel, f_grid_hz, pulse_counts,
 def submit_spectroscopy_scan(model: SpectrumModel, f_grid_hz,
                              table, n_traj: int, seed: int, *,
                              t2_hahn: float | None = None):
-    """:func:`spectroscopy_scan` of the :func:`spectroscopy_table`
-    ``table`` of ``f_grid_hz``, its points submitted to the run's process
+    """:func:`spectroscopy_scan`, its points submitted to the run's process
     pool and not yet collected.  Returns a handle whose call waits for
     them, fits them and gives the :class:`PsdEstimate`."""
     taus = 1.0 / (2.0 * np.asarray(f_grid_hz, dtype=float))
+    if taus.size != len(table):
+        raise ValueError(f"{taus.size} frequencies but {len(table)} curves "
+                         f"in the table")
     pending = submit_decay_table(model, table, n_traj,
                                  derive_child_seeds(seed, taus.size))
     return lambda: reconstruct_psd([

@@ -34,6 +34,7 @@ import numpy as np
 import yaml
 
 from .._solve import distinct
+from ..analysis import SPECTROSCOPY_SAMPLES_PER_INTERVAL
 from ..benchmarking import MAX_DEPOLARIZING, clifford_fidelity_from_depolarizing
 from ..qubitsim import (DURATION_FACTOR, HARDWARE_READOUT,
                         SAMPLES_PER_INTERVAL, QubitParams)
@@ -320,7 +321,7 @@ PROTOCOLS: dict[str, dict[str, Field]] = {
                              unique=True),
         "pulse_counts": _pulse_counts([2, 4, 8, 16, 32]),
         "t2_hahn_s": Field("number null", None, gt=0),
-        **_monte_carlo(500, 32),
+        **_monte_carlo(500, SPECTROSCOPY_SAMPLES_PER_INTERVAL),
     },
     "rbm": _RB,
     "interleaved_rbm": {**_RB, "gate": Field("string integer", "X90")},
@@ -355,7 +356,8 @@ PROTOCOLS: dict[str, dict[str, Field]] = {
         "spectroscopy": Field("object null", None, fields={
             "f_grid_hz": _grid(positive=True, unique=True),
             "pulse_counts": _pulse_counts(),
-            **_monte_carlo(REQUIRED, 32, duration_factor=None),
+            **_monte_carlo(REQUIRED, SPECTROSCOPY_SAMPLES_PER_INTERVAL,
+                            duration_factor=None),
         }),
         "export_trace": Field("boolean", False),
     },

@@ -3,20 +3,19 @@
 A kind's plan turns the normalized config into everything its run reads
 (typed models, grids, derived sizes), checking each value beside its
 derivation (:class:`ConfigError` names the field); validation is the
-field walk then :func:`plan`.  A plan draws nothing, opens no pool and
-of the T2 search checks only the bracket, whose tables
-:func:`qubitsim.cpmg_chi` keeps for the run.  The run it returns fills a
-``_Report``: ``files``, ``stages`` (name, derived seed, wall-clock),
-``fit_failures`` and a manifest ``summary``.  Seeds derive from the
-master seed by fixed stage indices, so outputs never depend on timing or
-worker count.
+field walk then :func:`plan`.  A plan draws nothing and opens no pool;
+``cpmg_t2_vs_n``'s finds each T2, which :func:`qubitsim.cpmg_chi` keeps
+with its table, so planning again searches nothing.  The run it returns
+fills a ``_Report``: ``files``, ``stages`` (name, derived seed,
+wall-clock), ``fit_failures`` and a manifest ``summary``.  Seeds derive
+from the master seed by fixed stage indices, so outputs never depend on
+timing or worker count.
 
-A Monte Carlo scan's plan lays out and checks its decay points (a
-table: a tuple of curves, each a tuple of :class:`qubitsim.DecayPoint`),
-kept as ``run.table``, which its run submits (``noise_spectroscopy``'s
-through :func:`analysis.spectroscopy_scan`, from the same values) or
-plays as the tone scan's columns; ``cpmg_t2_vs_n``'s run lays its table
-out (:func:`t2_table`) once T2 is found.
+A Monte Carlo scan's plan lays out and checks every decay point its run
+plays (a table: a tuple of curves, each a tuple of
+:class:`qubitsim.DecayPoint`), kept as ``run.table``, which the run
+submits as it is or plays as the tone scan's columns; no run lays out a
+point.
 
 A run's maps, its own or the library's, go through
 :func:`spinprobe._parallel.submit` to its one process pool.  It may
@@ -321,20 +320,6 @@ def plan_decay(cfg, readout: ReadoutModel):
     return run
 
 
-def t2_table(model: SpectrumModel, proto: dict):
-    """The decay table of a ``cpmg_t2_vs_n`` run, laid out once each
-    pulse count's T2 is found: ``n_times`` times geometric from
-    ``t_factor_min`` to ``t_factor_max`` times it."""
-    curves = []
-    for n in proto["pulse_counts"]:
-        t2_est = qubitsim.cpmg_chi(model, n).t2()
-        curves.append((n, np.geomspace(proto["t_factor_min"] * t2_est,
-                                       proto["t_factor_max"] * t2_est,
-                                       proto["n_times"])))
-    return qubitsim.decay_table(curves, proto["duration_factor"],
-                                proto["samples_per_interval"])
-
-
 def plan_cpmg_t2_vs_n(cfg):
     proto = cfg["protocol"]
     model = _spectrum(cfg)
@@ -350,7 +335,7 @@ def plan_cpmg_t2_vs_n(cfg):
                 f"spectrum.powerlaws.{i}.exponent: {term['exponent']!r} with "
                 f"amplitude > 0 diverges at f -> 0; cpmg_t2_vs_n needs < 3")
     counts = proto["pulse_counts"]
-    chis = []
+    t2s = []
     for n in counts:
         try:
             with np.errstate(over="raise"):
@@ -359,7 +344,7 @@ def plan_cpmg_t2_vs_n(cfg):
                 # laying the most points there; bounded before any is laid
                 points = chi.points(chi.t_max)
                 if points <= MAX_CHI_POINTS:
-                    chi.bracket
+                    t2s.append(chi.t2)
         except (ValueError, FloatingPointError) as exc:
             raise ConfigError(f"protocol.pulse_counts: N = {n}: {exc}, so "
                               f"there is no T2 to centre the times on") from None
@@ -371,20 +356,23 @@ def plan_cpmg_t2_vs_n(cfg):
                 f"spectrum.lines.{i}.width_hz: at N = {n} the T2 search "
                 f"integrates the lines on {points:.0f} points at T = "
                 f"{chi.t_max:.3g} s; at most {MAX_CHI_POINTS}")
-        chis.append(chi)
-    # each count's longest possible point: a bracket ends at or above its T2
-    with _finite_grids("protocol.t_factor_max"):
-        longest = qubitsim.decay_table(
-            [(n, [proto["t_factor_max"] * chi.bracket[1]]) for n, chi in zip(counts, chis)],
+    # n_times times geometric from t_factor_min to t_factor_max times T2;
+    # T2 <= 10 s and t_factor_max < MAX_SQUARED, so only a grid's shortest
+    # point can have a duration or sample rate that is not finite
+    with _finite_grids("protocol.t_factor_min"):
+        table = qubitsim.decay_table([
+            (n, np.geomspace(proto["t_factor_min"] * t2,
+                             proto["t_factor_max"] * t2, proto["n_times"]))
+            for n, t2 in zip(counts, t2s)],
             proto["duration_factor"], proto["samples_per_interval"])
-    _check_table(model, "protocol.t_factor_max", "protocol.duration_factor", longest)
+    _check_table(model, "protocol.t_factor_max", "protocol.duration_factor", table)
 
     def run(report: _Report, out: Path) -> None:
         with report.stage("t2_scans") as seed:
             # one map over every pulse count's points; curve i has seed
             # derive_child_seed(seed, i), as its own decay_vs_time call would
             curves = qubitsim.submit_decay_table(
-                model, t2_table(model, proto), proto["n_traj"],
+                model, table, proto["n_traj"],
                 derive_child_seeds(seed, len(counts)))()
             _write(report, out, {"decay_curves.csv": Csv(
                 "n_pulses," + DECAY_HEADER.replace(",p_up", ""),
@@ -421,6 +409,7 @@ def plan_cpmg_t2_vs_n(cfg):
                                "prefactor_s": scaling_fit.prefactor}
             _write(report, out, {"scaling.json": scaling})
         report.summary = {"scaling": scaling, "n_fitted": len(t2s)}
+    run.table = table
     return run
 
 
@@ -436,11 +425,8 @@ def plan_noise_spectroscopy(cfg):
 
     def run(report: _Report, out: Path) -> None:
         with report.stage("spectroscopy") as seed:
-            est = analysis.spectroscopy_scan(
-                model, f_grid, proto["pulse_counts"],
-                proto["n_traj"], seed, t2_hahn=proto["t2_hahn_s"],
-                duration_factor=proto["duration_factor"],
-                samples_per_interval=proto["samples_per_interval"])
+            est = analysis.spectroscopy_scan(model, f_grid, table, proto["n_traj"],
+                                             seed, t2_hahn=proto["t2_hahn_s"])
             _write(report, out, {
                 "psd_reconstructed.csv": _psd_csv(est),
                 "points.json": list(est.points_detail),
@@ -452,7 +438,6 @@ def plan_noise_spectroscopy(cfg):
         report.summary = {"n_points": est.n_points,
                           "warnings": list(est.warnings),
                           "f_range_hz": [float(est.f[0]), float(est.f[-1])]}
-    # the run's spectroscopy_scan lays out this table from the same values
     run.table = table
     return run
 

@@ -17,12 +17,13 @@ Both engines play the pair (N, T): CPMG-N, or Ramsey for N = 0.
 it samples.  For Gaussian noise the two agree exactly in expectation,
 which the test suite leans on heavily.
 
-``cpmg_chi(model, N).t2()`` gives the analytic 1/e time of a CPMG-N
-decay, where the ``cpmg_t2_vs_n`` pipeline centres its time grids.  The
-search solves the smooth part of :class:`CpmgChi` for T_s first and looks
-for chi = 1 in [1e-7 s, min(T_s, 10 s)], never far above T2; that upper
-end, :attr:`CpmgChi.t_max`, is known before any line is integrated, so a
-plan can bound the points :meth:`CpmgChi.points` says the search will lay.
+``cpmg_chi(model, N).t2``, found once per table, is the analytic 1/e
+time of a CPMG-N decay, where the ``cpmg_t2_vs_n`` plan centres its time
+grids.  The search solves the smooth part of :class:`CpmgChi` for T_s
+first and looks for chi = 1 in [1e-7 s, min(T_s, 10 s)], never far above
+T2; that upper end, :attr:`CpmgChi.t_max`, is known before any line is
+integrated, so a plan can bound the points :meth:`CpmgChi.points` says
+the search will lay.
 
 Every toggled phase is ``phi = a @ x`` on a sampled trace x, with the
 weights ``a`` of :func:`toggled_weights` (trapezoid rule, linear
@@ -535,8 +536,9 @@ class CpmgChi:
             raise ValueError(f"chi stays below 1 up to T = {hi:g} s")
         return lo, hi
 
+    @functools.cached_property
     def t2(self) -> float:
-        """Total time at which chi crosses 1, searched inside
+        """Total time at which chi crosses 1, searched once inside
         :attr:`bracket`: the smooth root itself when the lines add nothing
         there, else brentq at ``xtol`` 1e-3 in log T.  Chi can cross 1
         more than once when lines dominate; brentq returns one crossing in
@@ -605,6 +607,9 @@ def submit_decay_table(model: SpectrumModel, table, n_traj: int, curve_seeds):
     ``derive_child_seed(curve_seeds[c], i)``, so a curve does not depend
     on the other curves submitted with it.
     """
+    if len(table) != len(curve_seeds):
+        raise ValueError(f"{len(table)} curves in the table but "
+                         f"{len(curve_seeds)} curve seeds")
     pending = _parallel.submit(_decay_point, [
         (model, point, n_traj, point_seed)
         for curve, seed in zip(table, curve_seeds)

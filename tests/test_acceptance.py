@@ -24,7 +24,8 @@ from scipy.optimize import brentq
 from spinprobe import benchmarking, starktone
 from spinprobe._rng import derive_child_seed
 from spinprobe.analysis import (fit_power_law, fit_stretched,
-                                spectroscopy_scan, t2_scaling_exponent)
+                                spectroscopy_scan, spectroscopy_table,
+                                t2_scaling_exponent)
 from spinprobe.harness.config import load_config, validate_config
 from spinprobe.harness.runner import execute
 from spinprobe.qubitsim import (QubitParams, ReadoutModel, chi_ff,
@@ -60,8 +61,8 @@ def _point_errs(estimate):
 
 def test_criterion01_white_floor_recovered_within_20_percent():
     f_grid = np.geomspace(1300.0, 50000.0, 10)
-    scan = spectroscopy_scan(WHITE, f_grid, SCAN_COUNTS, 500, 101,
-                             samples_per_interval=32)
+    scan = spectroscopy_scan(WHITE, f_grid,
+                             spectroscopy_table(f_grid, SCAN_COUNTS), 500, 101)
     deviation = scan.s / 350.0 - 1.0
     assert float(np.max(np.abs(deviation))) < 0.20
 
@@ -74,8 +75,8 @@ def test_criterion01_white_floor_recovered_within_20_percent():
 def composite_scan():
     # 3600 * 1.2^k hits the line center exactly at k = 0
     f_grid = 3600.0 * 1.2 ** np.arange(-5, 20)
-    return spectroscopy_scan(COMPOSITE, f_grid, SCAN_COUNTS, 500, 515,
-                             samples_per_interval=32)
+    return spectroscopy_scan(COMPOSITE, f_grid,
+                             spectroscopy_table(f_grid, SCAN_COUNTS), 500, 515)
 
 
 def _band_fit(scan, lo, hi, exclude_line=False):
@@ -389,8 +390,8 @@ def test_criterion09_line_survives_conversion_to_qubit_spectrum(
                                 white_floor=converted.white_floor + 350.0,
                                 lines=converted.lines)
     f_grid = np.geomspace(1800.0, 7200.0, 7)
-    scan = spectroscopy_scan(qubit_model, f_grid, SCAN_COUNTS, 4000, 77,
-                             samples_per_interval=32)
+    scan = spectroscopy_scan(qubit_model, f_grid,
+                             spectroscopy_table(f_grid, SCAN_COUNTS), 4000, 77)
     errs = _point_errs(scan)
     i_line = int(np.argmin(np.abs(scan.f - 3600.0)))
     assert scan.f[i_line] == 3600.0

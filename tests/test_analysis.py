@@ -23,9 +23,8 @@ from spinprobe.analysis import (
 )
 from spinprobe import _parallel, analysis
 from spinprobe._rng import derive_child_seed
-from spinprobe.qubitsim import (DURATION_FACTOR, SAMPLES_PER_INTERVAL, DecayCurve,
-                                chi_ff, coherence_mc, mc_point,
-                                submit_decay_table)
+from spinprobe.qubitsim import (SAMPLES_PER_INTERVAL, DecayCurve, chi_ff,
+                                coherence_mc, mc_point, submit_decay_table)
 from spinprobe.sequences import make_cpmg
 from spinprobe.spectra import PowerLawTerm, SpectrumModel, eval_psd
 
@@ -211,10 +210,12 @@ class TestSpectroscopyEstimator:
 class TestSpectroscopyScan:
     def test_white_recovery_and_determinism(self):
         grid = [2e3, 8e3, 3e4]
-        est = spectroscopy_scan(WHITE, grid, [2, 4, 8], 200, 17)
+        table = spectroscopy_table(grid, [2, 4, 8],
+                                   samples_per_interval=SAMPLES_PER_INTERVAL)
+        est = spectroscopy_scan(WHITE, grid, table, 200, 17)
         np.testing.assert_allclose(est.f, grid)
         np.testing.assert_allclose(est.s, 350.0, rtol=0.25)
-        est2 = spectroscopy_scan(WHITE, grid, [2, 4, 8], 200, 17)
+        est2 = spectroscopy_scan(WHITE, grid, table, 200, 17)
         np.testing.assert_array_equal(est.s, est2.s)
 
     def test_one_pool_matches_per_frequency_loop(self, monkeypatch):
@@ -228,13 +229,13 @@ class TestSpectroscopyScan:
 
         monkeypatch.setattr(_parallel, "submit", counting)
         grid, counts = [2e3, 8e3, 3e4], [2, 4, 8]
-        est = spectroscopy_scan(PINK, grid, counts, 48, 23)
+        est = spectroscopy_scan(PINK, grid, spectroscopy_table(grid, counts),
+                                48, 23)
         assert pool_sizes == [len(grid) * len(counts)]
         points = []
         for i, f in enumerate(grid):
             tau = 1.0 / (2.0 * f)
-            table = spectroscopy_table([f], counts, duration_factor=DURATION_FACTOR,
-                                       samples_per_interval=SAMPLES_PER_INTERVAL)
+            table = spectroscopy_table([f], counts)
             curve = submit_decay_table(PINK, table, 48,
                                        [derive_child_seed(23, i)])()[0]
             points.append(spectroscopy_point(curve, tau))
@@ -244,7 +245,14 @@ class TestSpectroscopyScan:
 
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):
-            spectroscopy_scan(WHITE, [0.0, 1e3], [2, 4], 50, 0)
+            spectroscopy_table([0.0, 1e3], [2, 4])
+
+    def test_rejects_a_grid_other_than_the_tables(self):
+        # a frequency without a curve, which was dropped without an error
+        grid = [2e3, 8e3, 3e4]
+        with pytest.raises(ValueError, match="3 frequencies but 2 curves"):
+            spectroscopy_scan(WHITE, grid, spectroscopy_table(grid[:2], [2, 4]),
+                              8, 0)
 
     def test_points_are_coherence_mc(self, monkeypatch):
         # frequency i, count j: coherence_mc at mc_point(N_j, N_j * tau_i)
@@ -262,8 +270,8 @@ class TestSpectroscopyScan:
 
         monkeypatch.setattr(analysis, "submit_decay_table", recording)
         grid, counts = [2e3, 3e4], [2, 4, 8]
-        spectroscopy_scan(PINK, grid, counts, 24, 31, duration_factor=3.0,
-                          samples_per_interval=8)
+        spectroscopy_scan(PINK, grid, spectroscopy_table(
+            grid, counts, duration_factor=3.0, samples_per_interval=8), 24, 31)
         assert len(curves) == len(grid)
         for i, (f, curve) in enumerate(zip(grid, curves)):
             tau = 1.0 / (2.0 * f)

@@ -487,6 +487,13 @@ class TestValidateConfig:
             **TINY_VOLTAGE["protocol"], "spectroscopy": {
                 "f_grid_hz": [2e3], "pulse_counts": [2, 4], "n_traj": 8}}})
         assert cfg["protocol"]["spectroscopy"]["samples_per_interval"] == 32
+        # one default for every spectroscopy grid: both configs' and the
+        # library table's
+        proto = validate_config(TINY_SPECTROSCOPY)["protocol"]
+        assert proto["samples_per_interval"] == 32
+        assert spinprobe.analysis.spectroscopy_table([2e3], [2]) == (
+            spinprobe.analysis.spectroscopy_table([2e3], [2],
+                                                  samples_per_interval=32))
 
 
 SHIPPED = [yaml.safe_load(p.read_text()) for p in sorted(CONFIG_DIR.glob("*.yaml"))]
@@ -989,12 +996,15 @@ class TestCsvLayout:
         out, manifest = _run_tiny(tmp_path, TINY_SPECTROSCOPY)
         cfg = manifest["config"]
         proto = cfg["protocol"]
+        f_grid = grid_values(proto["f_grid_hz"])
         est = spinprobe.analysis.spectroscopy_scan(
-            spectra.SpectrumModel.from_dict(cfg["spectrum"]),
-            grid_values(proto["f_grid_hz"]), proto["pulse_counts"],
+            spectra.SpectrumModel.from_dict(cfg["spectrum"]), f_grid,
+            spinprobe.analysis.spectroscopy_table(
+                f_grid, proto["pulse_counts"],
+                duration_factor=proto["duration_factor"],
+                samples_per_interval=proto["samples_per_interval"]),
             proto["n_traj"], _stage_seed(manifest, "spectroscopy"),
-            t2_hahn=proto["t2_hahn_s"], duration_factor=proto["duration_factor"],
-            samples_per_interval=proto["samples_per_interval"])
+            t2_hahn=proto["t2_hahn_s"])
         header, rows = _csv_cells(out / "psd_reconstructed.csv")
         assert header == "f_hz,S_rad2_per_s,ci_low,ci_high"
         for text, values in zip(np.array(rows, dtype=float).T,
@@ -1108,10 +1118,9 @@ def _marked_decay_point(args):
                                   "tone_scan"])
 def test_run_submits_exactly_the_table_rows(tmp_path, monkeypatch, kind,
                                             workers):
-    """A shipped Monte Carlo run submits the points of its decay table, in
-    order, in one map: the plan's table, or for ``cpmg_t2_vs_n`` the one
-    its run lays out once the T2s are found.  The tone scan's columns are
-    the points its plan checked."""
+    """A shipped Monte Carlo run submits the points of its plan's decay
+    table, in order, in one map.  The tone scan's columns are the points
+    its plan checked."""
     submitted = []
     real = _parallel.submit
 
@@ -1124,12 +1133,7 @@ def test_run_submits_exactly_the_table_rows(tmp_path, monkeypatch, kind,
     monkeypatch.setattr(_parallel, "submit", recording)
     cfg = load_config(CONFIG_DIR / f"{kind}.yaml")
     execute(cfg, tmp_path / "out", workers=workers)
-    if kind == "cpmg_t2_vs_n":
-        table = pipelines.t2_table(spectra.SpectrumModel.from_dict(cfg["spectrum"]),
-                                   cfg["protocol"])
-    else:
-        table = pipelines.plan(cfg).table
-    points = [point for curve in table for point in curve]
+    points = [point for curve in pipelines.plan(cfg).table for point in curve]
     assert len(points) >= 12
     assert submitted == [points]
 
@@ -1158,10 +1162,12 @@ class TestRunPool:
             starktone.StarkMap(**cfg["stark"]).coefficients_hz_per_v[proto["stark_gate"]])
         model = dataclasses.replace(
             model, white_floor=model.white_floor + proto["qubit_floor_rad2_s"])
+        f_grid = grid_values(spec["f_grid_hz"])
         est = spinprobe.analysis.spectroscopy_scan(
-            model, grid_values(spec["f_grid_hz"]), spec["pulse_counts"],
-            spec["n_traj"], _stage_seed(m1, "spectroscopy"),
-            samples_per_interval=spec["samples_per_interval"])
+            model, f_grid, spinprobe.analysis.spectroscopy_table(
+                f_grid, spec["pulse_counts"],
+                samples_per_interval=spec["samples_per_interval"]),
+            spec["n_traj"], _stage_seed(m1, "spectroscopy"))
         header, rows = _csv_cells(tmp_path / "a" / "psd_reconstructed.csv")
         assert header == "f_hz,S_rad2_per_s,ci_low,ci_high"
         for text, values in zip(np.array(rows, dtype=float).T,
@@ -1337,6 +1343,20 @@ class TestCli:
         assert main([command, str(_write_yaml(tmp_path, cfg))]) == 2
         assert capsys.readouterr().out.startswith(
             "error: spectrum.lines.0.width_hz: at N = 1 the T2 search")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_shortest_time_past_float_range_exits_2(self, tmp_path, capsys,
+                                                    command):
+        # t_factor_min * T2 is a subnormal time whose sample rate
+        # overflows: the run laid its table out and died on it
+        out = tmp_path / "out"
+        cfg = {**TINY_CPMG, "output_dir": str(out),
+               "protocol": {**TINY_CPMG["protocol"], "t_factor_min": 1.0e-320}}
+        assert main([command, str(_write_yaml(tmp_path, cfg))]) == 2
+        printed = capsys.readouterr()
+        assert printed.out.startswith("error: protocol.t_factor_min: ")
+        assert "Traceback" not in printed.out + printed.err
         assert not out.exists()
 
     def test_line_width_bounded_at_the_point_budget(self):

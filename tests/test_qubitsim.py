@@ -405,7 +405,7 @@ class TestCpmgT2:
     def test_line_free_root_is_the_smooth_root(self, n):
         model = SpectrumModel(powerlaws=(PowerLawTerm(3e7, 1.0),), white_floor=350.0)
         chi = cpmg_chi(model, n)
-        t2 = chi.t2()
+        t2 = chi.t2
         assert chi.bracket[1] == t2
         assert chi_ff(model, make_cpmg(n, t2)) == pytest.approx(1.0, rel=1e-12)
 
@@ -414,7 +414,7 @@ class TestCpmgT2:
         chi = cpmg_chi(COMPOSITE, n)
         lo, hi = chi.bracket
         assert chi.smooth(hi) == pytest.approx(1.0, rel=1e-12)
-        t2 = chi.t2()
+        t2 = chi.t2
         assert lo < t2 < hi
         assert chi(t2 * math.exp(-2e-3)) < 1.0 < chi(t2 * math.exp(2e-3))
 
@@ -426,7 +426,7 @@ class TestCpmgT2:
         chi = cpmg_chi(model, 8)
         t_smooth = chi.bracket[1]
         assert t_smooth == pytest.approx(math.pi**2 / (4 * 10.0), rel=1e-3)
-        t2 = chi.t2()
+        t2 = chi.t2
         assert t2 < 0.5 * t_smooth
         below, above = chi(t2 * math.exp(-2e-3)), chi(t2 * math.exp(2e-3))
         assert min(below, above) < 1.0 < max(below, above)
@@ -435,10 +435,10 @@ class TestCpmgT2:
         model = SpectrumModel(lines=(SpectralLine(1.0, 1e3, 2.0),))
         chi = cpmg_chi(model, 2)
         assert chi.bracket == qubitsim.T2_SEARCH_S
-        t2 = chi.t2()
+        t2 = chi.t2
         assert chi_ff(model, make_cpmg(2, t2)) == pytest.approx(1.0, abs=1e-2)
 
-    # the plan checks the bracket before a run; the run's search must
+    # the plan checks the bracket before it searches; the search must
     # then find a root inside it
     @settings(max_examples=60, deadline=None)
     @given(case=_cpmg_cases(st.none() | _log_uniform(1e-3, 1e3)))
@@ -451,7 +451,7 @@ class TestCpmgT2:
             lo, hi = chi.bracket
         except ValueError:
             assume(False)
-        assert lo <= chi.t2() <= hi
+        assert lo <= chi.t2 <= hi
 
     @pytest.mark.parametrize("model, message", [
         (SpectrumModel(white_floor=1e-6), "stays below 1 up to T = 10 s"),
@@ -459,7 +459,7 @@ class TestCpmgT2:
     ])
     def test_no_crossing_raises(self, model, message):
         with pytest.raises(ValueError, match=message):
-            cpmg_chi(model, 4).t2()
+            cpmg_chi(model, 4).t2
 
 
 class TestAccumulatePhase:
@@ -622,6 +622,21 @@ def test_only_decay_table_works_out_a_trace_grid():
             ("h", "samples_per_interval")]
 
 
+def test_no_run_lays_out_a_decay_point():
+    """A plan lays out every decay point its run plays: no nested ``run``
+    of a pipeline uses a layout (``decay_table``, ``spectroscopy_table``
+    or ``scan_columns``), and no code of ``analysis`` but the layout
+    itself uses ``spectroscopy_table``, so a scan plays the table it is
+    given."""
+    package = Path(qubitsim.__file__).parent
+    uses = _scoped_names((package / "harness" / "pipelines.py").read_text(),
+                         {"decay_table", "spectroscopy_table", "scan_columns"})
+    assert uses and [use for use in uses if use[0] == "run"] == []
+    assert {scope for scope, _ in _scoped_names(
+        (package / "analysis.py").read_text(),
+        {"spectroscopy_table"})} <= {"spectroscopy_table"}
+
+
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
@@ -632,14 +647,12 @@ def test_shipped_decays_sample_the_grid_decay(tmp_path, kind, csv_name):
     """Every decay point of a shipped Monte Carlo config, at its shipped
     seed, lies within its sampling error of the decay its own trace grid
     implies, ``exp(-cal * |h|^2 / 2)`` with ``h`` the weights of the draw
-    the run made at its point of the decay table (the plan's, or the one
-    a ``cpmg_t2_vs_n`` run lays out): the sampling z rms stays near 1 and
-    no |z| is extreme."""
+    the run made at its point of its plan's decay table: the sampling z
+    rms stays near 1 and no |z| is extreme."""
     cfg = load_config(CONFIG_DIR / f"{kind}.yaml")
     execute(cfg, tmp_path, workers=1)
     model = SpectrumModel.from_dict(cfg["spectrum"])
-    table = (pipelines.t2_table(model, cfg["protocol"]) if kind == "cpmg_t2_vs_n"
-             else pipelines.plan(cfg).table)
+    table = pipelines.plan(cfg).table
     points = [point for curve in table for point in curve]
     with open(tmp_path / csv_name, newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -740,6 +753,12 @@ class TestDecayScans:
         curve = self._fixed_wait(WHITE, tau, counts, 64, 3)
         np.testing.assert_allclose(curve.times, np.asarray(counts) * tau)
         np.testing.assert_array_equal(curve.n_pulses, counts)
+
+    def test_a_seed_per_curve(self):
+        # a curve without a seed, which collect() met as a bare StopIteration
+        table = spectroscopy_table([5e3, 1e4], [2, 4])
+        with pytest.raises(ValueError, match="2 curves in the table but 1 "):
+            submit_decay_table(WHITE, table, 8, [3])
 
     def test_fixed_wait_rejects_pulse_free_points(self):
         with pytest.raises(ValueError):

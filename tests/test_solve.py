@@ -106,7 +106,7 @@ class TestBrentq:
         def run():
             for model in models:
                 for n in (1, 8, 64):
-                    qubitsim.CpmgChi(model, n).t2()
+                    qubitsim.CpmgChi(model, n).t2
 
         pairs = self._replayed(monkeypatch, qubitsim, run)
         assert len(pairs) > len(models) * 3
