@@ -30,12 +30,14 @@ weights ``a`` of :func:`toggled_weights` (trapezoid rule, linear
 interpolation at the segment edges, toggling signs), and
 :func:`spectra.normal_weights` turns ``a`` into the weights that give the
 same phase straight from the Gaussian normals a synthesized trace is made
-of.  On them :func:`phase_draw` builds the one trajectory draw that the
-Monte Carlo engine and the tone scan of :mod:`spinprobe.starktone` both
-call.  Neither forms a trace: a trajectory costs its normal draws and
-one dot product, on the same random stream
-:func:`spectra.draw_trace_samples` draws in blocks when it synthesizes
-the trace from the model.
+of.  On them :func:`phase_draw` builds the one draw that the Monte Carlo
+engine and the tone scan of :mod:`spinprobe.starktone` both call.  It
+plays two trajectories per random stream: the in-phase one on the trace
+:func:`spectra.draw_trace_samples` synthesizes from that stream, and the
+quadrature one on the same normals with every interior rfft bin rotated
+by -90 degrees (the trace's Hilbert transform), whose real Nyquist bin,
+for an even n, takes one more normal.  Neither forms a trace: a pair
+costs its normal draws and two dot products.
 
 A Monte Carlo point is a :class:`DecayPoint`: N, T and the trace grid
 (sample rate, n) it runs on, worked out by :func:`mc_point` when
@@ -61,6 +63,7 @@ since chi is linear in the spectrum.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -277,27 +280,51 @@ def toggled_weights(schedule: PulseSchedule, sample_rate: float,
 
 
 def phase_draw(model: SpectrumModel, point: DecayPoint):
-    """One trajectory's toggled phase at ``point`` as a function of its
+    """Two trajectories' toggled phases at ``point`` as a function of one
     random stream.
 
-    ``draw(rng)`` puts the n - 1 normals of the point's trace into one
-    reused buffer, in the draw order of :func:`spectra.draw_trace_samples`,
-    and returns ``sqrt(PSD_CHI_CALIBRATION)`` times their dot product with
-    :func:`spectra.normal_weights` of :func:`toggled_weights`, kept as
-    ``draw.weights``: the calibrated phase of the trace
-    ``spectra.draw_trace_samples(model, ...)`` would synthesize from the
-    same stream.  The caller may go on drawing from ``rng`` after it.
+    ``draw(rng)`` puts the point's normals into one reused buffer: the
+    n - 1 of its trace, in the draw order of
+    :func:`spectra.draw_trace_samples`, then one more for an even n.  It
+    returns the pair ``(phi_1, phi_2)``, ``sqrt(PSD_CHI_CALIBRATION)``
+    times the normals' dot products with the two rows of ``draw.weights``:
+
+    * row 0 is h, :func:`spectra.normal_weights` of
+      :func:`toggled_weights`, and 0 on the extra normal, so phi_1 is the
+      calibrated phase of the trace ``spectra.draw_trace_samples(model,
+      ...)`` would synthesize from the same stream;
+    * row 1 is (-h_im, h_re) on the real and imaginary parts of the
+      interior bins, and h's Nyquist weight on the extra normal, so phi_2
+      is the phase of the quadrature trace: every interior bin times -i,
+      the real Nyquist bin drawn afresh.
+
+    The rows are orthogonal and of equal norm, so phi_1 and phi_2 are
+    independent draws from N(0, PSD_CHI_CALIBRATION * |h|^2).  The caller
+    may go on drawing from ``rng`` after the pair.
     """
     rate, n = point.sample_rate, point.n
     schedule = PulseSchedule(point.n_pulses, point.total_time)
     h = spectra.normal_weights(model, rate, toggled_weights(schedule, rate, n))
-    normals = np.empty(n - 1)
+    k = (n - 1) // 2
+    normals = np.empty(n - n % 2)
+    weights = np.zeros((2, normals.size))
+    weights[0, :n - 1] = h
+    weights[1, :k] = -h[k:2 * k]
+    weights[1, k:2 * k] = h[:k]
+    if n % 2 == 0:
+        weights[1, -1] = h[-1]
+    in_phase, quadrature = weights[0, :n - 1], weights[1]
+    trace_normals = normals[:n - 1]
     scale = math.sqrt(PSD_CHI_CALIBRATION)
 
-    def draw(rng) -> float:
-        return scale * float(rng.standard_normal(out=normals).dot(h))
+    # two ddots, not one gemv over both rows, whose sums round differently:
+    # phi_1 stays bit-equal to the trace functional h @ normals
+    def draw(rng) -> tuple[float, float]:
+        rng.standard_normal(out=normals)
+        return (scale * float(trace_normals.dot(in_phase)),
+                scale * float(normals.dot(quadrature)))
 
-    draw.weights = h
+    draw.weights = weights
     return draw
 
 
@@ -306,17 +333,19 @@ def coherence_mc(model: SpectrumModel, point: DecayPoint, n_traj: int,
     """Monte Carlo decay estimate W = <cos phi> at ``point`` over noise
     realizations.
 
-    Trajectory i is :func:`phase_draw` on the stream
-    ``derive_rng(seed, i)``, so results are bit-identical however the work
-    is distributed; :func:`derive_rngs` hashes all of those stream names
-    in one vectorised pass.  The trace band is [rate/n, rate/2] of the
-    point's grid; spectral weight outside it is not seen by this
-    estimator.
+    Trajectories 2j and 2j + 1 are the pair :func:`phase_draw` draws on
+    the stream ``derive_rng(seed, j)``, for j < ceil(n_traj / 2); an odd
+    ``n_traj`` drops the last pair's second.  Results are bit-identical
+    however the work is distributed; :func:`derive_rngs` hashes all of
+    those stream names in one vectorised pass.  The trace band is
+    [rate/n, rate/2] of the point's grid; spectral weight outside it is
+    not seen by this estimator.
     """
     if n_traj < 2:
         raise ValueError("need at least 2 trajectories for a standard error")
     draw = phase_draw(model, point)
-    cos_phi = np.cos(np.fromiter(map(draw, derive_rngs(seed, n_traj)),
+    pairs = map(draw, derive_rngs(seed, (n_traj + 1) // 2))
+    cos_phi = np.cos(np.fromiter(itertools.chain.from_iterable(pairs),
                                  dtype=float, count=n_traj))
     w = float(cos_phi.sum()) / n_traj
     var = max(float((cos_phi**2).sum()) - n_traj * w * w, 0.0) / (n_traj - 1)

@@ -392,8 +392,11 @@ def draw_trace_samples(model: SpectrumModel, sample_rate: float, n: int,
     The draw order: with ``K = (n - 1) // 2``, the real parts of rfft bins
     1..K, then their imaginary parts, then (even n only) the real Nyquist
     bin.  :func:`normal_weights` packs its weights in the same order, so a
-    trajectory seeded once yields the same numbers whether its trace is
-    synthesized here or only a linear functional of it is computed.
+    stream yields the same numbers whether its trace is synthesized here
+    or only a linear functional of it is computed.  That is the in-phase
+    trajectory of :func:`spinprobe.qubitsim.phase_draw`'s pair; for an
+    even n its quadrature trajectory draws one more normal from the
+    stream after these n - 1.
 
     :func:`_coefficients` builds the coefficients in blocks inside
     :func:`_irfft`, which holds the only reference to them.  The peak

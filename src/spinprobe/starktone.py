@@ -8,9 +8,10 @@ amplitude produces the characteristic response map: a strong dip at the
 tone frequency, weaker dips at odd submultiples (where the tone rides an
 odd filter harmonic), and nothing at even submultiples where the filter
 has exact nulls.  A kept column is one decay point, laid out once by
-:func:`scan_columns`; each shot draws its background noise phase there with
-:func:`spinprobe.qubitsim.phase_draw`, the Monte Carlo decay engine's
-trajectory draw, from a stream of :func:`spinprobe._rng.derive_rngs`.
+:func:`scan_columns`.  Its shots come in pairs, one pair per stream of
+:func:`spinprobe._rng.derive_rngs`: each pair takes its two background
+noise phases from :func:`spinprobe.qubitsim.phase_draw`, the Monte Carlo
+decay engine's draw, then its tone phases and readout uniforms.
 """
 
 from __future__ import annotations
@@ -186,8 +187,13 @@ def _tone_column(args) -> list[tuple[float, float]]:
     """``(p_hat, std_err)`` of every amplitude row of one scan column.
 
     The column's noise draw (:func:`qubitsim.phase_draw` at its point)
-    and tone response are built once; shot j of row i draws from
-    ``derive_rng(cell_seeds[i], j)``, the noise phase first."""
+    and tone response are built once.  Shots 2j and 2j + 1 of row i play
+    on the stream ``derive_rng(cell_seeds[i], j)``: the pair's two noise
+    phases, then one ``rng.random(4)`` holding each shot's tone phase (as
+    a fraction of a turn) and then its readout uniform, or
+    ``rng.random(2)``, the two readout uniforms, at a fixed tone phase.
+    A shot is a hit when its uniform falls below its P_up; an odd
+    ``shots`` drops the last pair's second shot."""
     (model, point, amps_pp, coeff, f_tone, fixed_phase, shots, cell_seeds,
      vis, floor) = args
     draw = phase_draw(model, point)
@@ -197,16 +203,20 @@ def _tone_column(args) -> list[tuple[float, float]]:
     cells = []
     for amp_pp, cell_seed in zip(amps_pp, cell_seeds):
         a = tone_amplitude(coeff, amp_pp) * y_mag
-        hits = 0
-        # per shot, only Python floats: theta is rng.uniform(0, 2 pi)'s
-        # draw, and p is ReadoutModel(vis, floor).apply's value
-        for rng in derive_rngs(cell_seed, shots):
-            phi_noise = draw(rng)
-            theta = 2 * math.pi * rng.random() if fixed_phase is None else fixed_phase
-            phi = phi_noise + a * math.sin(theta)
-            p = floor + vis * (0.5 * (1.0 + math.cos(phi)))
-            hits += rng.binomial(1, min(max(p, 0.0), 1.0))
-        p_hat = hits / shots
+        hits = []
+        # per shot, only Python floats: p is ReadoutModel(vis, floor).apply's
+        # value, inside [0, 1]
+        for rng in derive_rngs(cell_seed, (shots + 1) // 2):
+            noise = draw(rng)
+            if fixed_phase is None:
+                u = rng.random(4).tolist()
+                thetas, reads = (2 * math.pi * u[0], 2 * math.pi * u[2]), u[1::2]
+            else:
+                thetas, reads = (fixed_phase, fixed_phase), rng.random(2).tolist()
+            for phi, theta, read in zip(noise, thetas, reads):
+                p = floor + vis * (0.5 * (1.0 + math.cos(phi + a * math.sin(theta))))
+                hits.append(read < p)
+        p_hat = sum(hits[:shots]) / shots
         se = math.sqrt(max(p_hat * (1 - p_hat), 0.25 / shots) / shots)
         cells.append((p_hat, se))
     return cells

@@ -809,21 +809,20 @@ class TestRunner:
         assert not (tmp_path / "out").exists()
 
     def test_spectroscopy_fit_on_t2_bound_is_flagged(self, tmp_path):
-        # at 50 kHz the qubit has dephased before the first point, so the
-        # fit ends on its lower T2 bound with zero error
+        # the qubit does not dephase at all: every W is exactly 1 whatever
+        # the draw, so each fit ends on its upper T2 bound
         cfg_path = _write_yaml(tmp_path, {
             "kind": "noise_spectroscopy", "seed": 1, "output_dir": "unused",
-            "spectrum": {"white_floor": 1.0e12},
+            "spectrum": {"white_floor": 1.0e-20},
             "protocol": {"f_grid_hz": {"start": 1300, "stop": 50000, "num": 3,
                                        "spacing": "log"},
                          "pulse_counts": [2, 4], "n_traj": 20}})
         out = tmp_path / "out"
         assert run(cfg_path, workers=1, output_dir=out) == 0
         points = json.loads((out / "points.json").read_text())
-        assert [p["flags"] for p in points] == [[], [], ["fit_on_bound"]]
-        assert points[-1]["t2s_err"] == 0.0
+        assert [p["flags"] for p in points] == [["fit_on_bound"]] * 3
         summary = json.loads((out / MANIFEST_NAME).read_text())["summary"]
-        assert summary["warnings"] == ["1 of 3 points flagged fit on bound "
+        assert summary["warnings"] == ["3 of 3 points flagged fit on bound "
                                        "(T2 at a search limit or with zero error)"]
 
     def test_worker_count_does_not_change_results(self, tmp_path):

@@ -37,7 +37,7 @@ from spinprobe.harness.config import MAX_CHI_POINTS
 from spinprobe.sequences import (PulseSchedule, cpmg_filter_function,
                                  filter_function, make_cpmg, make_ramsey)
 from spinprobe.spectra import PowerLawTerm, SpectralLine, SpectrumModel
-from test_spectra import trace_normals
+from test_spectra import _one_shot_amplitudes, trace_normals
 
 WHITE = SpectrumModel(powerlaws=(), white_floor=350.0, lines=())
 COMPOSITE = SpectrumModel(
@@ -544,21 +544,42 @@ class TestPhaseFunctional:
             mc_point(2, 1e-3, 0.5, 16)
 
 
+def _quadrature_trace(model, rate, n, rng):
+    """The quadrature trace of the normals ``rng`` starts with, built with
+    ``numpy.fft``: the trace's n - 1 normals times their amplitudes, each
+    interior rfft bin times -i, then for an even n the real Nyquist bin on
+    the next normal."""
+    k = (n - 1) // 2
+    amp = _one_shot_amplitudes(model, rate, n)
+    z = trace_normals(n, rng) * amp
+    coeff = np.zeros(n // 2 + 1, dtype=complex)
+    coeff[1:k + 1] = -1j * (z[:k] + 1j * z[k:2 * k])
+    if n % 2 == 0:
+        coeff[-1] = rng.standard_normal() * amp[-1]
+    return np.fft.irfft(coeff, n)
+
+
 class TestPhaseDraw:
-    @pytest.mark.parametrize("n_pulses,duration_factor", [(0, 2.0), (3, 1.0)])
-    def test_is_the_calibrated_phase_of_the_trace_normals(
-            self, n_pulses, duration_factor):
-        sch = PulseSchedule(n_pulses, 4e-4)
-        point = mc_point(n_pulses, 4e-4, duration_factor, 8)
+    # n = 64, 64 and 129: the even lengths draw the quadrature Nyquist normal
+    @pytest.mark.parametrize("point", [
+        mc_point(0, 4e-4, 2.0, 8), mc_point(3, 4e-4, 1.0, 8), mc_point(4, 1e-3)],
+        ids=["0-2.0", "3-1.0", "4-2.0"])
+    def test_is_the_calibrated_phase_of_the_trace_normals(self, point):
+        sch = PulseSchedule(point.n_pulses, point.total_time)
         draw = phase_draw(COMPOSITE, point)
         rate, n = point.sample_rate, point.n
-        np.testing.assert_array_equal(draw.weights, spectra.normal_weights(
-            COMPOSITE, rate, toggled_weights(sch, rate, n)))
+        h = spectra.normal_weights(COMPOSITE, rate, toggled_weights(sch, rate, n))
+        np.testing.assert_array_equal(draw.weights[0, :n - 1], h)
         rng, oracle = derive_rng(5), derive_rng(5)
-        want = math.sqrt(PSD_CHI_CALIBRATION) * float(
-            trace_normals(n, oracle) @ draw.weights)
-        assert draw(rng) == want
-        # the stream goes on after the trajectory's normals
+        phi_1, phi_2 = draw(rng)
+        cal = math.sqrt(PSD_CHI_CALIBRATION)
+        # in phase: the calibrated phase of the trace, bit for bit
+        assert phi_1 == cal * float(trace_normals(n, derive_rng(5)) @ h)
+        # quadrature: the toggled phase of the trace's Hilbert transform
+        ref, scale = _reference_phase(_quadrature_trace(COMPOSITE, rate, n, oracle),
+                                      rate, sch)
+        assert abs(phi_2 / cal - ref) <= 1e-12 * scale
+        # the stream goes on after the pair's normals
         assert rng.random() == oracle.random()
 
     @pytest.mark.parametrize("gain", [1 / PSD_CHI_CALIBRATION, 3.7e-4, 250.0])
@@ -571,6 +592,47 @@ class TestPhaseDraw:
         np.testing.assert_allclose(
             phase_draw(COMPOSITE.scaled(gain), point).weights,
             math.sqrt(gain) * weights, rtol=1e-12, atol=0.0)
+
+
+class TestPhasePairs:
+    """Each stream plays two trajectories whose phases are independent
+    draws of the one Gaussian phase."""
+
+    POINTS = dict(n_pulses=st.integers(0, 64), total_time=st.floats(1e-5, 1e-2),
+                  duration_factor=st.floats(1.0, 3.0),
+                  samples_per_interval=st.integers(2, 32),
+                  model=st.sampled_from([WHITE, COMPOSITE, WHITE_DELTA]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(**POINTS)
+    @example(0, 4e-4, 2.0, 8, COMPOSITE)   # n = 64
+    @example(4, 1e-3, 2.0, 16, COMPOSITE)  # n = 129
+    def test_rows_are_orthogonal_with_equal_norm(
+            self, n_pulses, total_time, duration_factor, samples_per_interval,
+            model):
+        point = mc_point(n_pulses, total_time, duration_factor, samples_per_interval)
+        rows = phase_draw(model, point).weights
+        assert rows.shape == (2, point.n - point.n % 2)
+        norm2 = float(rows[0] @ rows[0])
+        assert abs(float(rows[1] @ rows[1]) - norm2) <= 1e-12 * norm2
+        assert abs(float(rows[0] @ rows[1])) <= 1e-12 * norm2
+
+    @settings(max_examples=25, deadline=None)
+    @given(**POINTS, half=st.integers(1, 12), seed=st.integers(0, 2**32))
+    def test_odd_trajectory_count_is_a_loop_over_pairs(
+            self, n_pulses, total_time, duration_factor, samples_per_interval,
+            model, half, seed):
+        point = mc_point(n_pulses, total_time, duration_factor, samples_per_interval)
+        n_traj = 2 * half + 1
+        draw = phase_draw(model, point)
+        phases = [phi for j in range(half + 1) for phi in draw(derive_rng(seed, j))]
+        assert len(phases) == n_traj + 1
+        cos_phi = np.cos(np.array(phases[:n_traj]))
+        p = coherence_mc(model, point, n_traj, seed)
+        assert p.n_traj == n_traj
+        w = float(cos_phi.sum()) / n_traj
+        var = max(float((cos_phi**2).sum()) - n_traj * w * w, 0.0) / (n_traj - 1)
+        assert (p.w, p.std_err) == (w, math.sqrt(var / n_traj))
 
 
 def _scoped_names(source: str, names: set) -> list[tuple[str | None, str]]:
@@ -661,7 +723,7 @@ def test_shipped_decays_sample_the_grid_decay(tmp_path, kind, csv_name):
     for row, point in zip(rows, points):
         assert float(row["time_s"]) == point.total_time
         assert int(row.get("n_pulses", point.n_pulses)) == point.n_pulses
-        h = phase_draw(model, point).weights
+        h = phase_draw(model, point).weights[0]
         w_grid = math.exp(-PSD_CHI_CALIBRATION * float(h @ h) / 2)
         z.append((float(row["coherence_w"]) - w_grid) / float(row["std_err"]))
     z = np.array(z)

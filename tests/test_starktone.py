@@ -8,9 +8,9 @@ from scipy.special import j0
 
 from spinprobe import starktone
 from spinprobe._csvio import write_files
-from spinprobe._rng import derive_child_seed
+from spinprobe._rng import derive_child_seed, derive_rng
 from spinprobe.harness.pipelines import TONE_SCAN_HEADER, _tone_scan_csv
-from spinprobe.qubitsim import PSD_CHI_CALIBRATION, ReadoutModel, chi_ff
+from spinprobe.qubitsim import PSD_CHI_CALIBRATION, ReadoutModel, chi_ff, phase_draw
 from spinprobe.sequences import filter_function, make_cpmg
 from spinprobe.spectra import SpectrumModel
 from spinprobe.starktone import (
@@ -175,6 +175,30 @@ class TestToneScan:
                     WHITE, point, [amp], G2, 2e4, None, 20,
                     [derive_child_seed(3, col, row)], 0.55, 0.225))
                 assert cell == (res.p_up[row, col], res.std_err[row, col])
+
+    @pytest.mark.parametrize("phase", [None, 0.3])
+    def test_shots_play_in_pairs_per_stream(self, phase):
+        # shots 2j and 2j + 1 share stream j: the noise pair, then each
+        # shot's tone phase and readout uniform (the uniforms alone at a
+        # fixed phase); 7 shots drop the fourth pair's second
+        ((_, point),), _ = scan_columns([25e-6], 300e-6)
+        draw = phase_draw(WHITE, point)
+        a = tone_amplitude(G2, 1e-4) * math.sqrt(filter_function(
+            make_cpmg(point.n_pulses, point.total_time), 2e4))
+        hits = []
+        for j in range(4):
+            rng = derive_rng(9, j)
+            noise = draw(rng)
+            if phase is None:
+                u = rng.random(4)
+                draws = [(2 * math.pi * u[0], u[1]), (2 * math.pi * u[2], u[3])]
+            else:
+                draws = [(phase, read) for read in rng.random(2)]
+            hits += [read < 0.225 + 0.55 * 0.5 * (1 + math.cos(phi + a * math.sin(theta)))
+                     for phi, (theta, read) in zip(noise, draws)]
+        (cell,) = starktone._tone_column((
+            WHITE, point, [1e-4], G2, 2e4, phase, 7, [9], 0.55, 0.225))
+        assert cell[0] == sum(hits[:7]) / 7
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
