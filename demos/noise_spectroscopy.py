@@ -7,7 +7,7 @@ band by band against the generating model.
 
 import numpy as np
 
-from spinprobe.analysis import (band_slope, fit_power_law, spectroscopy_scan,
+from spinprobe.analysis import (fit_power_law, spectroscopy_scan,
                                 spectroscopy_table)
 from spinprobe.spectra import PowerLawTerm, SpectralLine, SpectrumModel, eval_psd
 
@@ -30,7 +30,10 @@ for f, s, lo, hi in zip(scan.f, scan.s, scan.ci_low, scan.ci_high):
 
 for lo, hi, label in ((1300.0, 2100.0, "steep"), (2100.0, 20000.0, "1/f"),
                       (21000.0, 116000.0, "floor")):
-    slope = band_slope(scan, lo, hi)
+    band = (scan.f >= lo) & (scan.f <= hi)
+    slope = fit_power_law(scan.f[band], scan.s[band],
+                          (scan.ci_high[band] - scan.ci_low[band])
+                          / (2 * 1.959964))
     print(f"band {label:6s} [{lo:6.0f}, {hi:6.0f}]: slope {slope.slope:+.3f} "
           f"+- {slope.slope_err:.3f}")
 

@@ -8,10 +8,10 @@ a passband scan sees it only where the filter has odd-harmonic weight.
 import numpy as np
 
 from spinprobe.qubitsim import ReadoutModel
+from spinprobe.sequences import cpmg_filter_function
 from spinprobe.spectra import PowerLawTerm, SpectralLine, SpectrumModel
 from spinprobe.starktone import (StarkMap, detect_tone_threshold,
-                                 esr_frequency, fit_stark_map,
-                                 harmonic_weights, scan_columns,
+                                 esr_frequency, fit_stark_map, scan_columns,
                                  tone_amplitude, tone_scan)
 
 STARK = StarkMap(f0_ref_hz=38.7765e9,
@@ -32,10 +32,13 @@ for g in ("G1", "G2"):
 amplitude = tone_amplitude(STARK.coefficient("G2"), 160e-6)
 print(f"\n160 uVpp on G2 -> {amplitude:.1f} rad/s peak detuning")
 
-# odd submultiples of the tone keep full weight, even ones are nulls
+# odd submultiples of the tone keep full weight, even ones are nulls:
+# position k waits k/(2 f_tone), so the tone rides the filter's k-th harmonic
 print("\nfilter weight at tone frequency, scan position k:")
-for row in harmonic_weights(4, 20e3, k_max=6):
-    print(f"  k = {row['k']}: {row['weight']:.3g}")
+weights = [cpmg_filter_function(4, 4 * (k / (2 * 20e3)), 20e3)
+           for k in range(1, 7)]
+for k, w in enumerate(weights, 1):
+    print(f"  k = {k}: {w / weights[0]:.3g}")
 
 # -- the scan itself -------------------------------------------------------
 MODEL = SpectrumModel(

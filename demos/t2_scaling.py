@@ -7,9 +7,7 @@ read off from simulated scans and compared with the closed forms.
 
 import numpy as np
 
-from spinprobe.analysis import (expected_scaling_exponent,
-                                expected_stretching_exponent, fit_stretched,
-                                t2_scaling_exponent)
+from spinprobe.analysis import fit_stretched, t2_scaling_exponent
 from spinprobe.qubitsim import cpmg_chi, decay_vs_time
 from spinprobe.spectra import PowerLawTerm, SpectrumModel
 
@@ -33,6 +31,6 @@ for amplitude, alpha in ((3e7, 1.0), (3e13, 2.5)):
     print(f"alpha = {alpha}:")
     print(f"  T2(N=1) {t2s[0] * 1e3:.3f} ms ... T2(N=64) {t2s[-1] * 1e3:.3f} ms")
     print(f"  scaling beta {beta.slope:+.3f} +- {beta.slope_err:.3f}"
-          f"   closed form {expected_scaling_exponent(alpha):+.3f}")
+          f"   closed form {alpha / (alpha + 1):+.3f}")
     print(f"  stretching exponent {np.mean(stretches[2:]):.2f}"
-          f"   closed form {expected_stretching_exponent(alpha):.2f}")
+          f"   closed form {1 + alpha:.2f}")

@@ -29,10 +29,7 @@ __all__ = [
     "fit_exponential",
     "fit_stretched",
     "fit_power_law",
-    "band_slope",
     "t2_scaling_exponent",
-    "expected_scaling_exponent",
-    "expected_stretching_exponent",
     "spectroscopy_point",
     "reconstruct_psd",
     "spectroscopy_table",
@@ -225,30 +222,9 @@ def fit_power_law(x, y, y_err=None) -> PowerLawFit:
                        intercept=float(beta[0]))
 
 
-def band_slope(estimate: PsdEstimate, f_lo: float, f_hi: float) -> PowerLawFit:
-    """Log-log slope of a PSD estimate restricted to [f_lo, f_hi]."""
-    sel = (estimate.f >= f_lo) & (estimate.f <= f_hi)
-    if np.count_nonzero(sel) < 2:
-        raise FitError("fewer than 2 estimate points in band",
-                       {"band": [f_lo, f_hi],
-                        "f_range": [float(estimate.f[0]), float(estimate.f[-1])]})
-    err = (estimate.ci_high[sel] - estimate.ci_low[sel]) / (2 * _Z95)
-    return fit_power_law(estimate.f[sel], estimate.s[sel], err)
-
-
 def t2_scaling_exponent(pulse_counts, t2_values, t2_errs=None) -> PowerLawFit:
     """Exponent beta of T2 proportional to N^beta across pulse counts."""
     return fit_power_law(pulse_counts, t2_values, t2_errs)
-
-
-def expected_scaling_exponent(alpha: float) -> float:
-    """T2 grows as N^(alpha/(alpha+1)) under a 1/f^alpha spectrum."""
-    return alpha / (alpha + 1.0)
-
-
-def expected_stretching_exponent(alpha: float) -> float:
-    """Decay follows exp(-(t/T2)^(1+alpha)) under a 1/f^alpha spectrum."""
-    return 1.0 + alpha
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,15 @@ MAX_FFT_PRIME = 100
 # point (numpy 2.4, x86-64)
 MAX_CHI_POINTS = 2 ** 22
 
+# most Cliffords one RB curve simulates: n_sequences times the sum of the
+# depths, twice that for the interleaved curve.  A Clifford costs about
+# 0.09 us and a sequence 14 us more (its stream and its shots), so a
+# curve at this bound took 0.09 s with long sequences (depths 1, 2 and
+# 524,285, 2 sequences) and 7.2 s with the shortest (depths 1, 2 and 3,
+# 174,762 sequences), peaking at 44 and 58 MB; the shipped bringup's
+# 90,600 Cliffords took 0.043 s (numpy 2.4, x86-64)
+MAX_RB_CLIFFORDS = 2 ** 20
+
 # most worker processes in a run: a pool forks all of its workers at its
 # first map, so a mistyped count would fork that many processes at once;
 # 64 is far above any core count a run here gains from
@@ -310,7 +319,7 @@ PROTOCOLS: dict[str, dict[str, Field]] = {
     "hahn": _decay(5e-6, 2e-3),
     "cpmg_t2_vs_n": {
         "pulse_counts": _pulse_counts([1, 2, 4, 8, 16, 32, 64]),
-        "n_times": Field("integer", 8, ge=3),
+        "n_times": Field("integer", 8, ge=3, le=MAX_GRID_POINTS),
         "t_factor_min": Field("number", 0.3, gt=0),
         "t_factor_max": Field("number", 2.2, gt=0),
         "fit": _FIT,

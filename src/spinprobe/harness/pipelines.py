@@ -43,8 +43,8 @@ from ..qubitsim import QubitParams, ReadoutModel
 from ..spectra import SpectrumModel
 from ..starktone import StarkMap
 from .config import (MAX_CHI_POINTS, MAX_FFT_PRIME, MAX_GRID_POINTS,
-                     MAX_PULSES, MAX_SQUARED, MAX_TRACE_SAMPLES, ConfigError,
-                     grid_values)
+                     MAX_PULSES, MAX_RB_CLIFFORDS, MAX_SQUARED,
+                     MAX_TRACE_SAMPLES, ConfigError, grid_values)
 
 DECAY_HEADER = "time_s,coherence_w,std_err,p_up"
 CHEVRON_HEADER = "detuning_hz,duration_s,p_up"
@@ -448,6 +448,13 @@ def plan_rb(cfg, readout: ReadoutModel):
     gate = gate_index(proto["gate"]) if cfg["kind"] == "interleaved_rbm" else None
     d = benchmarking.depolarizing_from_clifford_fidelity(proto["clifford_fidelity"])
     depths = proto["depths"]
+    # the longest curve's Cliffords: an interleaved sequence plays the gate
+    # after each of its Cliffords
+    cliffords = proto["n_sequences"] * sum(depths) * (1 if gate is None else 2)
+    if cliffords > MAX_RB_CLIFFORDS:
+        raise ConfigError(f"protocol.depths: a curve of {proto['n_sequences']} "
+                          f"sequences at these depths simulates {cliffords} "
+                          f"Cliffords; at most {MAX_RB_CLIFFORDS}")
 
     def run(report: _Report, out: Path) -> None:
         summaries = {}

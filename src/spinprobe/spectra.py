@@ -136,9 +136,6 @@ class NoiseTrace:
     def times(self) -> np.ndarray:
         return np.arange(self.n_samples) / self.sample_rate
 
-    def variance(self) -> float:
-        return float(np.var(self.samples))
-
 
 @dataclass(frozen=True)
 class PsdEstimate:

@@ -36,7 +36,6 @@ __all__ = [
     "plane_design",
     "fit_stark_map",
     "tone_amplitude",
-    "harmonic_weights",
     "scan_columns",
     "tone_column",
     "tone_scan",
@@ -129,28 +128,6 @@ def tone_amplitude(coefficient_hz_per_v: float, amplitude_vpp: float) -> float:
     peak on a gate of that Stark coefficient: the tone adds
     ``delta_omega(t) = 2 pi |df/dV| (A_pp/2) sin(2 pi f t + phase)``."""
     return 2 * math.pi * abs(coefficient_hz_per_v) * (amplitude_vpp / 2.0)
-
-
-def harmonic_weights(n_pulses: int, f_tone: float, k_max: int = 7) -> list[dict]:
-    """Filter weight seen by a tone from scan positions at its submultiples.
-
-    Position k puts the filter fundamental at ``f_tone / k`` (wait time
-    ``k / (2 f_tone)``), so the tone rides the k-th harmonic of the
-    filter.  Weights are ``|Y(2 pi f_tone)|^2`` normalized to the k = 1
-    (fundamental) position; even k collapse to the filter's even-harmonic
-    nulls.
-    """
-    if n_pulses < 1 or f_tone <= 0 or k_max < 1:
-        raise ValueError("n_pulses, f_tone and k_max must be positive")
-    ref = None
-    out = []
-    for k in range(1, k_max + 1):
-        tau = k / (2.0 * f_tone)
-        w = cpmg_filter_function(n_pulses, n_pulses * tau, f_tone)
-        if ref is None:
-            ref = w
-        out.append({"k": k, "weight": float(w / ref)})
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,6 @@ from spinprobe.analysis import (
     FIT_ON_BOUND,
     FitError,
     SpectroscopyPoint,
-    band_slope,
-    expected_scaling_exponent,
-    expected_stretching_exponent,
     fit_exponential,
     fit_power_law,
     fit_stretched,
@@ -106,12 +103,6 @@ class TestPowerLaw:
         assert fit.slope == pytest.approx(0.5, abs=1e-9)
         assert fit.prefactor == pytest.approx(2e-3, rel=1e-9)
 
-    def test_expected_exponents(self):
-        assert expected_scaling_exponent(1.0) == pytest.approx(0.5)
-        assert expected_scaling_exponent(2.5) == pytest.approx(2.5 / 3.5)
-        assert expected_stretching_exponent(1.0) == pytest.approx(2.0)
-        assert expected_stretching_exponent(0.0) == pytest.approx(1.0)
-
 
 class TestSpectroscopyEstimator:
     def _analytic_curve(self, model, f0, counts):
@@ -193,18 +184,6 @@ class TestSpectroscopyEstimator:
     def test_reconstruct_empty_rejected(self):
         with pytest.raises(ValueError):
             reconstruct_psd([])
-
-    def test_band_slope_on_synthetic_estimate(self):
-        f = np.geomspace(1e3, 1e5, 12)
-        s = 4e6 * (f / 1e3) ** -1.0
-        pts = [SpectroscopyPoint(tau_wait=1 / (2 * ff),
-                                 t2s=math.pi**2 / (4 * ss),
-                                 t2s_err=1e-9, pulse_counts=(2,), flags=())
-               for ff, ss in zip(f, s)]
-        fit = band_slope(reconstruct_psd(pts), 1e3, 1e5)
-        assert fit.slope == pytest.approx(-1.0, abs=1e-6)
-        with pytest.raises(FitError):
-            band_slope(reconstruct_psd(pts), 2e5, 3e5)
 
 
 class TestSpectroscopyScan:

@@ -1,8 +1,9 @@
 """Every demo runs to completion with warnings as errors.
 
-The demos are the only callers of some library functions (``band_slope``,
-``expected_*_exponent``, ``harmonic_weights``), so
-running them keeps those paths exercised.
+The demos are the package's worked examples, so a change that breaks one
+breaks what a reader copies.  No library name lives for the demos alone:
+``test_harness.py::test_every_public_name_is_reached`` does not count
+them as callers.
 """
 
 import subprocess

@@ -1283,6 +1283,32 @@ class TestCli:
         out = capsys.readouterr().out
         assert ("seed: must be <= 18446744073709551615" in out) == (code == 2)
 
+    def test_validate_bounds_n_times_as_a_grid(self, tmp_path, capsys):
+        # np.geomspace refused 2**62 points, which was reported as a
+        # non-finite duration under protocol.t_factor_min
+        p = _write_yaml(tmp_path, {**TINY_CPMG, "protocol": {
+            **TINY_CPMG["protocol"], "n_times": 2 ** 62}})
+        assert main(["validate", str(p)]) == 2
+        assert "protocol.n_times: must be <= 1000000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind, depths, n_sequences, code", [
+        # validated, then died in rng.integers with a traceback and exit 1
+        ("rbm", [1, 2, 2 ** 62], 2, 2),
+        # depths summing to 2**18: 4 sequences make 2**20 Cliffords, and an
+        # interleaved sequence twice its depth
+        ("rbm", [1, 2, 4, 2 ** 18 - 7], 4, 0),
+        ("rbm", [1, 2, 4, 2 ** 18 - 7], 5, 2),
+        ("interleaved_rbm", [1, 2, 4, 2 ** 18 - 7], 2, 0),
+        ("interleaved_rbm", [1, 2, 4, 2 ** 18 - 7], 3, 2)])
+    def test_validate_bounds_the_rb_cliffords(self, tmp_path, capsys, kind,
+                                              depths, n_sequences, code):
+        p = _write_yaml(tmp_path, {**TINY_IRB, "kind": kind, "protocol": {
+            **TINY_IRB["protocol"], "depths": depths,
+            "n_sequences": n_sequences}})
+        assert main(["validate", str(p)]) == code
+        out = capsys.readouterr().out
+        assert ("protocol.depths: a curve of" in out) == (code == 2)
+
     def test_validate_rejects_an_overlong_trace(self, tmp_path, capsys):
         # 4.5e6 s at 120 kHz: 5.4e11 samples, terabytes of synthesis
         p = _write_yaml(tmp_path, {**TINY_VOLTAGE, "protocol": {
@@ -1700,31 +1726,66 @@ def test_every_name_in_all_exists(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
-def _names_used() -> set[str]:
-    """Every name the package's modules (its ``__init__`` aside) and the
-    demos use: ``Name`` ids, ``Attribute`` attrs and imported names."""
-    package = Path(spinprobe.__file__).resolve().parent
-    demos = Path(__file__).resolve().parents[1] / "demos"
-    paths = [p for p in package.rglob("*.py") if p != package / "__init__.py"]
+def _references(source: str) -> set[str]:
+    """The names ``source`` refers to in code: ``Name`` ids, ``Attribute``
+    attrs and the last part of each imported name.  Strings and
+    docstrings do not count."""
     used = set()
-    for path in paths + sorted(demos.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                used.update(alias.name for alias in node.names)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rpartition(".")[2])
     return used
 
 
+def _public_api(source: str) -> list[str]:
+    """The names a module's ``__all__`` lists, and ``Class.method`` for
+    every public method of a class it lists."""
+    tree = ast.parse(source)
+    exported = next((ast.literal_eval(node.value) for node in tree.body
+                     if isinstance(node, ast.Assign)
+                     and [getattr(t, "id", None) for t in node.targets]
+                     == ["__all__"]), [])
+    methods = [f"{node.name}.{item.name}" for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name in exported
+               for item in node.body
+               if isinstance(item, ast.FunctionDef)
+               and not item.name.startswith("_")]
+    return [*exported, *methods]
+
+
 def test_every_public_name_is_reached():
-    """A public name that neither the package nor a demo uses is reached
-    only by tests: delete it, or move it into the tests."""
-    used = _names_used()
-    unused = [f"{name}.{n}" for name in MODULES_WITH_ALL
-              for n in importlib.import_module(name).__all__ if n not in used]
-    assert unused == []
+    """Every name a module of the package lists in ``__all__``, and every
+    public method of a class it lists, is referenced in code by a module
+    of the package (a re-export in an ``__init__`` is no caller), by the
+    acceptance suite or by the benchmark.  A name that only the demos or
+    the unit tests use serves no config, CLI command or acceptance check:
+    delete it, or move it into its caller."""
+    package = Path(spinprobe.__file__).resolve().parent
+    root = Path(__file__).resolve().parents[1]
+    callers = [p for p in package.rglob("*.py") if p.name != "__init__.py"]
+    callers += [root / "tests" / "test_acceptance.py",
+                *(root / "perfbench").rglob("*.py")]
+    used = set().union(*(_references(p.read_text()) for p in callers))
+    api = {}
+    for path in sorted(package.rglob("*.py")):
+        module = ".".join(path.relative_to(package.parent).with_suffix("").parts)
+        for name in _public_api(path.read_text()):
+            api[f"{module.removesuffix('.__init__')}.{name}"] = name
+    assert api["spinprobe.spectra.NoiseTrace.times"] == "NoiseTrace.times"
+    unused = [qualified for qualified, name in api.items()
+              if name.rpartition(".")[2] not in used]
+    assert not unused, "no caller beyond the demos and unit tests: " + \
+        ", ".join(unused)
+
+
+def test_a_reference_is_code_not_text():
+    assert _references(
+        '"""f"""\nimport a.b as c\nfrom m import g\nx.h(k)\ns = "t"\n'
+    ) == {"b", "g", "x", "h", "k", "s"}
 
 
 def test_cli_import_loads_no_scipy_or_jsonschema():

@@ -187,6 +187,21 @@ class TestPassband:
             else:
                 assert r < 1e-24
 
+    @pytest.mark.parametrize("n", [2, 4, 12])
+    def test_tone_at_submultiple_positions(self, n):
+        # position k centres the filter on f_tone/k (wait k/(2 f_tone)), so
+        # the tone rides its k-th harmonic; the longer window exactly
+        # cancels the 1/k^2 harmonic suppression: odd k weigh as k = 1
+        # does, even k fall on the even-harmonic nulls
+        f_tone = 2e4
+        weights = [cpmg_filter_function(n, n * (k / (2 * f_tone)), f_tone)
+                   for k in range(1, 6)]
+        for k, w in enumerate(weights, 1):
+            if k % 2:
+                assert w / weights[0] == pytest.approx(1.0, rel=1e-9)
+            else:
+                assert w / weights[0] < 1e-20
+
 
 def _closed_form_atol(t):
     # 1e-13 of the passband peak |Y(N/2T)|^2 = (2T/pi)^2

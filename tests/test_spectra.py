@@ -106,14 +106,14 @@ class TestSynthesis:
     def test_white_variance_matches_band_integral(self):
         # Var = integral of S over the represented band (DC bin excluded)
         rate, dur = 50e3, 0.4
-        var = np.mean([synthesize(WHITE, rate, dur, seed).variance()
+        var = np.mean([np.var(synthesize(WHITE, rate, dur, seed).samples)
                        for seed in range(5)])
         expected = 350.0 * (rate / 2 - 1.0 / dur)
         assert var == pytest.approx(expected, rel=0.03)
 
     def test_line_power_round_trip(self):
         # narrow line: all power lands in the trace regardless of resolution
-        var = np.mean([synthesize(LINE_ONLY, 40e3, 0.05, seed).variance()
+        var = np.mean([np.var(synthesize(LINE_ONLY, 40e3, 0.05, seed).samples)
                        for seed in range(8)])
         assert var == pytest.approx(1.5e6, rel=0.1)
 

@@ -20,7 +20,6 @@ from spinprobe.starktone import (
     detect_tone_threshold,
     esr_frequency,
     fit_stark_map,
-    harmonic_weights,
     scan_columns,
     tone_amplitude,
     tone_scan,
@@ -107,25 +106,6 @@ class TestToneConversion:
             with pytest.raises(ValueError, match="f_tone"):
                 tone_scan(WHITE, G2, f_tone, None,
                           scan_columns([25e-6], 300e-6), [0.0], 10, 0)
-
-
-class TestHarmonicWeights:
-    @pytest.mark.parametrize("n", [2, 4, 12])
-    def test_submultiple_positions_weigh_equally(self, n):
-        # longer windows exactly cancel the 1/k^2 harmonic suppression
-        hw = harmonic_weights(n, 2e4, k_max=5)
-        assert [d["k"] for d in hw] == [1, 2, 3, 4, 5]
-        for d in hw:
-            if d["k"] % 2:
-                assert d["weight"] == pytest.approx(1.0, rel=1e-9)
-            else:
-                assert d["weight"] < 1e-20
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            harmonic_weights(0, 2e4)
-        with pytest.raises(ValueError):
-            harmonic_weights(4, -1.0)
 
 
 class TestToneScan:
