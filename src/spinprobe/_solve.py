@@ -3,8 +3,9 @@ the regularized incomplete gamma at integer shape, and the three bounded
 least-squares fits of the decay and RB models.
 
 * :func:`brentq` is scipy's ``brentq.c`` line for line, with its defaults,
-  so it returns the same root bit for bit.  It takes the end values when
-  the caller has them already.
+  so it returns the same root bit for bit; where C divides by zero it
+  bisects, as C's infinite step does.  It takes the end values when the
+  caller has them already.
 * :func:`gamma_quantile` solves ``P(a, x) = q`` for an integer ``a``, where
   P is one minus a Poisson sum.  Each Poisson term comes from Loader's
   saddle-point form, the sum runs over the smaller tail, and Newton's
@@ -93,8 +94,10 @@ def brentq(f, a: float, b: float, *, xtol: float = 2e-12, rtol: float = _RTOL,
             else:  # extrapolate
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
+                den = dblk * dpre * (fblk - fpre)
+                # where C divides by zero, its inf or NaN step bisects
+                stry = (-fcur * (fblk * dblk - fpre * dpre) / den
+                        if den else math.inf)
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 spre, scur = scur, stry  # good short step
             else:
@@ -224,7 +227,10 @@ def _covariance(jac: np.ndarray, resid: np.ndarray, scaled: bool) -> np.ndarray:
         raise ValueError("Jacobian at the optimum is not finite")
     _, s, vt = np.linalg.svd(jac, full_matrices=False)
     keep = s > EPS * max(m, n) * s[0]
-    pcov = (vt[keep].T / s[keep] ** 2) @ vt[keep]
+    # a kept singular value whose square underflows makes the covariance
+    # infinite, which the fits' caller reports as degenerate
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        pcov = (vt[keep].T / s[keep] ** 2) @ vt[keep]
     if not scaled:
         return pcov
     if m <= n:

@@ -69,11 +69,23 @@ def _sigma_or_none(std_err) -> np.ndarray | None:
     return np.maximum(err, positive.min() * 1e-3)
 
 
-def _check_cov(popt, pcov, context: dict):
+def bounded_fit(solver, x, y, std_err, start, bounds, name: str,
+                diagnostics: dict):
+    """``(popt, perr, sigma)`` of the :mod:`spinprobe._solve` fit ``solver``
+    weighted by ``std_err``: the front end of this module's fits and of
+    :func:`spinprobe.benchmarking.fit_rb`, so not in ``__all__``.  A
+    solver error becomes a :class:`FitError` "<name> fit failed" carrying
+    ``diagnostics``, and a degenerate covariance one naming the model."""
+    sigma = _sigma_or_none(std_err)
+    try:
+        popt, pcov = solver(x, y, sigma, start, bounds)
+    except (RuntimeError, ValueError) as exc:
+        raise FitError(f"{name} fit failed: {exc}", diagnostics) from exc
     if pcov is None or not np.all(np.isfinite(pcov)) or np.any(np.diag(pcov) < 0):
         raise FitError("fit covariance is degenerate",
-                       {**context, "popt": list(map(float, np.atleast_1d(popt)))})
-    return np.sqrt(np.diag(pcov))
+                       {"model": name.lower(),
+                        "popt": list(map(float, np.atleast_1d(popt)))})
+    return popt, np.sqrt(np.diag(pcov)), sigma
 
 
 def _t2_guess(times: np.ndarray, w: np.ndarray) -> float:
@@ -132,12 +144,17 @@ class PowerLawFit:
 
 
 def _reduced_chi2(resid: np.ndarray, sigma: np.ndarray | None, n_params: int) -> float:
+    # the fits take at least n_params + 1 points, so dof >= 1
     dof = resid.size - n_params
-    if dof <= 0:
-        return math.nan
     if sigma is None:
         return float(np.sum(resid**2) / dof)
     return float(np.sum((resid / sigma) ** 2) / dof)
+
+
+def _decay_diagnostics(guess: float, t: np.ndarray, y: np.ndarray) -> dict:
+    """What a failed decay fit reports: its T2 guess and the data's span."""
+    return {"guess": guess, "t_range": [float(t[0]), float(t[-1])],
+            "w_range": [float(y.min()), float(y.max())]}
 
 
 def fit_exponential(times, w, std_err=None) -> ExponentialFit:
@@ -151,18 +168,11 @@ def fit_exponential(times, w, std_err=None) -> ExponentialFit:
     y = np.asarray(w, dtype=float)
     if t.size < 2:
         raise FitError("need at least 2 points", {"n_points": int(t.size)})
-    sigma = _sigma_or_none(std_err)
-
     guess = _t2_guess(t, y)
     lo, hi = guess * 1e-4, guess * 1e4
-    try:
-        popt, pcov = _solve.fit_exp_decay(t, y, sigma, [guess], ([lo], [hi]))
-    except (RuntimeError, ValueError) as exc:
-        raise FitError(f"exponential fit failed: {exc}",
-                       {"guess": guess, "t_range": [float(t[0]), float(t[-1])],
-                        "w_range": [float(y.min()), float(y.max())]}) from exc
-    (t2,) = popt
-    (t2_err,) = _check_cov(popt, pcov, {"model": "exponential"})
+    (t2,), (t2_err,), sigma = bounded_fit(
+        _solve.fit_exp_decay, t, y, std_err, [guess], ([lo], [hi]),
+        "exponential", _decay_diagnostics(guess, t, y))
     return ExponentialFit(t2=float(t2), t2_err=float(t2_err),
                           chi2_reduced=_reduced_chi2(y - np.exp(-t / t2), sigma, 1),
                           on_bound=not lo * (1 + 1e-9) < t2 < hi * (1 - 1e-9))
@@ -174,19 +184,12 @@ def fit_stretched(times, w, std_err=None) -> StretchedFit:
     y = np.asarray(w, dtype=float)
     if t.size < 3:
         raise FitError("need at least 3 points", {"n_points": int(t.size)})
-    sigma = _sigma_or_none(std_err)
-
     guess = _t2_guess(t, y)
     lo, hi = _EXPONENT_BOUNDS
-    try:
-        popt, pcov = _solve.fit_stretched_decay(
-            t, y, sigma, [guess, 1.0], ([guess * 1e-4, lo], [guess * 1e4, hi]))
-    except (RuntimeError, ValueError) as exc:
-        raise FitError(f"stretched fit failed: {exc}",
-                       {"guess": guess, "t_range": [float(t[0]), float(t[-1])],
-                        "w_range": [float(y.min()), float(y.max())]}) from exc
-    t2, n = popt
-    t2_err, n_err = _check_cov(popt, pcov, {"model": "stretched"})
+    (t2, n), (t2_err, n_err), sigma = bounded_fit(
+        _solve.fit_stretched_decay, t, y, std_err, [guess, 1.0],
+        ([guess * 1e-4, lo], [guess * 1e4, hi]), "stretched",
+        _decay_diagnostics(guess, t, y))
     return StretchedFit(t2=float(t2), t2_err=float(t2_err),
                         exponent=float(n), exponent_err=float(n_err),
                         chi2_reduced=_reduced_chi2(

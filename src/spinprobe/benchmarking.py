@@ -24,7 +24,7 @@ import numpy as np
 
 from ._rng import derive_rngs
 from ._solve import brentq, fit_rb_decay
-from .analysis import FitError, _check_cov, _sigma_or_none
+from .analysis import bounded_fit
 from .qubitsim import ReadoutModel
 
 __all__ = [
@@ -270,17 +270,13 @@ def fit_rb(curve: RbCurve) -> RbFit:
     """Fit the exponential RB decay; p is invariant under affine readout."""
     m = curve.depths.astype(float)
     y = curve.mean_survival
-    sig = _sigma_or_none(curve.std_err)
     b0 = float(min(max(y[-1], -0.4), 0.9))
     a0 = float(min(max(y[0] - b0, 1e-3), 1.4))
-    try:
-        popt, pcov = fit_rb_decay(m, y, sig, [a0, 0.995, b0],
-                                  ([0.0, 0.5, -0.5], [1.5, 1.0, 1.0]))
-    except (RuntimeError, ValueError) as exc:
-        raise FitError(f"RB fit failed: {exc}",
-                       {"depths": m.tolist(), "survival": y.tolist()}) from exc
+    popt, perr, _ = bounded_fit(
+        fit_rb_decay, m, y, curve.std_err, [a0, 0.995, b0],
+        ([0.0, 0.5, -0.5], [1.5, 1.0, 1.0]), "RB",
+        {"depths": m.tolist(), "survival": y.tolist()})
     p = popt[1]
-    perr = _check_cov(popt, pcov, {"model": "rb"})
     f_c = (1.0 + p) / 2.0
     return RbFit(p=float(p), p_err=float(perr[1]), clifford_fidelity=f_c,
                  clifford_fidelity_err=float(perr[1] / 2.0),

@@ -16,7 +16,8 @@ never an integer), NaN and +-inf, and values out of bounds, and fills in
 every default; each error names the field's dotted path.  One magnitude
 rule covers every number: a value of a ``number`` field has magnitude
 below :data:`MAX_SQUARED`, so a pipeline may square it or multiply two
-such values without overflow.  Integer fields keep their own bounds.
+such values without overflow.  Integer fields keep their own bounds,
+an upper one included unless the kind's plan bounds the field.
 
 What a run derives from several fields is checked where it is derived,
 by the kind's plan in :mod:`.pipelines`, which follows the walk.
@@ -251,6 +252,21 @@ MAX_CHI_POINTS = 2 ** 22
 # 90,600 Cliffords took 0.043 s (numpy 2.4, x86-64)
 MAX_RB_CLIFFORDS = 2 ** 20
 
+# most trajectories of one Monte Carlo point (n_traj).  A trajectory took
+# 4.5 us at n = 64 and 21 us at n = 2,049, and a point held 46-47 B per
+# trajectory (its phases, their cosines and its streams' states): a point
+# at this bound took 4.7 s at n = 64 and peaked 46 MB above the process.
+# The shipped runs play at most 3,000 (numpy 2.4, CPython 3.11, x86-64)
+MAX_TRAJ = 2 ** 20
+
+# most shots of a tone-scan cell or an RB sequence.  A tone shot took
+# 10.5 us and its cell held 46 B per shot (its hit list and its streams'
+# states): a cell at this bound took 11 s at n = 385 and peaked 46 MB
+# above the process.  An RB sequence draws all its shots as one binomial,
+# 24-26 us a sequence at 1 shot and at 2**62 alike.  The shipped runs
+# play at most 160 (numpy 2.4, CPython 3.11, x86-64)
+MAX_SHOTS = 2 ** 20
+
 # most worker processes in a run: a pool forks all of its workers at its
 # first map, so a mistyped count would fork that many processes at once;
 # 64 is far above any core count a run here gains from
@@ -273,7 +289,7 @@ def _monte_carlo(n_traj, samples_per_interval=SAMPLES_PER_INTERVAL,
     """Trajectory fields of the Monte Carlo kinds.  The library needs two
     trajectories for a standard error and a trace at least as long as the
     sequence; ``duration_factor=None`` leaves that field out."""
-    fields = {"n_traj": Field("integer", n_traj, ge=2),
+    fields = {"n_traj": Field("integer", n_traj, ge=2, le=MAX_TRAJ),
               "samples_per_interval": Field("integer", samples_per_interval, ge=1,
                                             le=MAX_TRACE_SAMPLES)}
     if duration_factor is not None:
@@ -301,7 +317,7 @@ _RB = {
     "depths": Field("array", [1, 2, 4, 8, 16, 32, 64, 128, 200, 300],
                     items=_POSINT, rule=_depths_spread),
     "n_sequences": Field("integer", 30, ge=2),  # two for a standard error
-    "shots": Field("integer", 100, ge=1),
+    "shots": Field("integer", 100, ge=1, le=MAX_SHOTS),
     # the error model's depolarizing d stops at MAX_DEPOLARIZING
     "clifford_fidelity": Field(
         "number", 0.9983, lt=1,
@@ -349,7 +365,7 @@ PROTOCOLS: dict[str, dict[str, Field]] = {
                                         40e3 / 3, 16e3, 20e3, 80e3 / 3, 33e3, 40e3],
                               items=Field("number", gt=0), length=(2, None)),
         "total_time_s": Field("number", 300e-6, gt=0),
-        "shots": Field("integer", 160, ge=1),
+        "shots": Field("integer", 160, ge=1, le=MAX_SHOTS),
         "phase": Field("number null", None),
         "samples_per_interval": Field("integer", TONE_SAMPLES_PER_INTERVAL,
                                       ge=1, le=MAX_TRACE_SAMPLES),

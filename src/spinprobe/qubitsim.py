@@ -27,17 +27,15 @@ the search will lay.
 
 Every toggled phase is ``phi = a @ x`` on a sampled trace x, with the
 weights ``a`` of :func:`toggled_weights` (trapezoid rule, linear
-interpolation at the segment edges, toggling signs), and
-:func:`spectra.normal_weights` turns ``a`` into the weights that give the
-same phase straight from the Gaussian normals a synthesized trace is made
-of.  On them :func:`phase_draw` builds the one draw that the Monte Carlo
-engine and the tone scan of :mod:`spinprobe.starktone` both call.  It
-plays two trajectories per random stream: the in-phase one on the trace
+interpolation at the segment edges, toggling signs).
+:func:`spectra.normal_weights` turns ``a`` into two rows of weights on the
+Gaussian normals of a random stream: the phase of the trace
 :func:`spectra.draw_trace_samples` synthesizes from that stream, and the
-quadrature one on the same normals with every interior rfft bin rotated
-by -90 degrees (the trace's Hilbert transform), whose real Nyquist bin,
-for an even n, takes one more normal.  Neither forms a trace: a pair
-costs its normal draws and two dot products.
+phase of its quadrature trace; the layout of both rows is :mod:`spectra`'s.
+On them :func:`phase_draw` builds the one draw that the Monte Carlo
+engine and the tone scan of :mod:`spinprobe.starktone` both call, two
+trajectories per stream.  Neither forms a trace: a pair costs its normal
+draws and two dot products.
 
 A Monte Carlo point is a :class:`DecayPoint`: N, T and the trace grid
 (sample rate, n) it runs on, worked out by :func:`mc_point` when
@@ -283,36 +281,19 @@ def phase_draw(model: SpectrumModel, point: DecayPoint):
     """Two trajectories' toggled phases at ``point`` as a function of one
     random stream.
 
-    ``draw(rng)`` puts the point's normals into one reused buffer: the
-    n - 1 of its trace, in the draw order of
-    :func:`spectra.draw_trace_samples`, then one more for an even n.  It
-    returns the pair ``(phi_1, phi_2)``, ``sqrt(PSD_CHI_CALIBRATION)``
-    times the normals' dot products with the two rows of ``draw.weights``:
-
-    * row 0 is h, :func:`spectra.normal_weights` of
-      :func:`toggled_weights`, and 0 on the extra normal, so phi_1 is the
-      calibrated phase of the trace ``spectra.draw_trace_samples(model,
-      ...)`` would synthesize from the same stream;
-    * row 1 is (-h_im, h_re) on the real and imaginary parts of the
-      interior bins, and h's Nyquist weight on the extra normal, so phi_2
-      is the phase of the quadrature trace: every interior bin times -i,
-      the real Nyquist bin drawn afresh.
-
-    The rows are orthogonal and of equal norm, so phi_1 and phi_2 are
-    independent draws from N(0, PSD_CHI_CALIBRATION * |h|^2).  The caller
-    may go on drawing from ``rng`` after the pair.
+    ``draw.weights`` is :func:`spectra.normal_weights` of
+    :func:`toggled_weights`.  ``draw(rng)`` puts a row's worth of normals
+    into one reused buffer and returns ``(phi_1, phi_2)``,
+    ``sqrt(PSD_CHI_CALIBRATION)`` times their dot products with the two
+    rows: the calibrated phases of the trace ``spectra.draw_trace_samples``
+    would synthesize from the stream and of its quadrature trace, which
+    are independent draws from N(0, PSD_CHI_CALIBRATION * |h|^2), h being
+    row 0.  The caller may go on drawing from ``rng`` after the pair.
     """
     rate, n = point.sample_rate, point.n
     schedule = PulseSchedule(point.n_pulses, point.total_time)
-    h = spectra.normal_weights(model, rate, toggled_weights(schedule, rate, n))
-    k = (n - 1) // 2
-    normals = np.empty(n - n % 2)
-    weights = np.zeros((2, normals.size))
-    weights[0, :n - 1] = h
-    weights[1, :k] = -h[k:2 * k]
-    weights[1, k:2 * k] = h[:k]
-    if n % 2 == 0:
-        weights[1, -1] = h[-1]
+    weights = spectra.normal_weights(model, rate, toggled_weights(schedule, rate, n))
+    normals = np.empty(weights.shape[1])
     in_phase, quadrature = weights[0, :n - 1], weights[1]
     trace_normals = normals[:n - 1]
     scale = math.sqrt(PSD_CHI_CALIBRATION)

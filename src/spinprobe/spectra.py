@@ -10,6 +10,9 @@ Conventions used throughout the package:
 * Synthesized traces are zero-mean, stationary and Gaussian by construction
   (independent complex-Gaussian Fourier bins).  Power-law content below one
   frequency bin (1/duration) is truncated: the DC bin is always zero.
+* An n-sample trace is drawn from n - 1 standard normals, and
+  :func:`normal_weights` gives the weights on them of a functional of the
+  trace and of its quadrature trace: a stream's rfft layout lives here.
 """
 
 from __future__ import annotations
@@ -245,22 +248,33 @@ def _amplitudes(model: SpectrumModel, sample_rate: float, n: int,
 
 def normal_weights(model: SpectrumModel, sample_rate: float,
                    weights: np.ndarray) -> np.ndarray:
-    """Weights h with ``h @ normals == weights @ x`` for the trace x of
-    ``n = weights.size`` samples that :func:`draw_trace_samples` makes at
-    ``sample_rate`` from ``normals``, its n - 1 standard normals in draw
-    order: a linear functional of a trace without forming the trace.
+    """The two rows of weights on a stream's normals that give the linear
+    functional ``weights @ x`` of the trace x of ``n = weights.size``
+    samples :func:`draw_trace_samples` makes from the stream at
+    ``sample_rate``, and of its quadrature trace, without forming either.
 
+    A row has the trace's n - 1 normals in draw order, then one more for
+    an even n.  Row 0 is h, with ``h @ normals[:n - 1] == weights @ x``:
     irfft sums ``c_k e^{+2 pi i jk/n} / n`` with each interior bin paired
     with its conjugate, so the functional is ``(2/n) Re(c_k conj(R_k))``
-    summed over bins, ``R = rfft(weights)``; the real Nyquist bin of an
-    even n is unpaired and enters as ``c R / n``.
+    summed over bins, ``R = rfft(weights)``, and the unpaired real Nyquist
+    bin of an even n enters as ``c R / n``.  Row 1 is the quadrature
+    trace's, the Hilbert transform's: every interior bin times -i, so a
+    bin's weights (h_re, h_im) become (-h_im, h_re), and the Nyquist bin
+    drawn afresh on the extra normal.  The rows are orthogonal and of
+    equal norm.
     """
     n = weights.size
     k = (n - 1) // 2
     r = np.fft.rfft(weights) * (2.0 / n)
     amp = _amplitudes(model, sample_rate, n, 1, n // 2 + 1)
-    return (np.concatenate((r.real[1:k + 1], r.imag[1:k + 1], 0.5 * r.real[k + 1:]))
-            * np.concatenate((amp[:k], amp)))
+    rows = np.zeros((2, n - n % 2))
+    h = rows[0, :n - 1]
+    np.multiply(np.concatenate((r.real[1:k + 1], r.imag[1:k + 1], 0.5 * r.real[k + 1:])),
+                np.concatenate((amp[:k], amp)), out=h)
+    rows[1, :2 * k] = np.concatenate((-h[k:2 * k], h[:k]))
+    rows[1, n - 1:] = h[2 * k:]
+    return rows
 
 
 # rfft bins per block of the coefficient construction in draw_trace_samples
@@ -388,12 +402,9 @@ def draw_trace_samples(model: SpectrumModel, sample_rate: float, n: int,
 
     The draw order: with ``K = (n - 1) // 2``, the real parts of rfft bins
     1..K, then their imaginary parts, then (even n only) the real Nyquist
-    bin.  :func:`normal_weights` packs its weights in the same order, so a
-    stream yields the same numbers whether its trace is synthesized here
-    or only a linear functional of it is computed.  That is the in-phase
-    trajectory of :func:`spinprobe.qubitsim.phase_draw`'s pair; for an
-    even n its quadrature trajectory draws one more normal from the
-    stream after these n - 1.
+    bin.  :func:`normal_weights` lays out its weights in the same order,
+    so a stream yields the same numbers whether its trace is synthesized
+    here or only a linear functional of it is computed.
 
     :func:`_coefficients` builds the coefficients in blocks inside
     :func:`_irfft`, which holds the only reference to them.  The peak

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinprobe.analysis import (
     FIT_ON_BOUND,
@@ -70,6 +72,26 @@ class TestCurveFits:
     def test_std_err_without_a_positive_entry_raises_fit_error(self, fit, std_err):
         with pytest.raises(FitError, match="no positive entry"):
             fit([1, 2, 3], [0.9, 0.7, 0.5], std_err)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), stretched=st.booleans())
+    def test_fewest_points_leave_a_degree_of_freedom(self, data, stretched):
+        # each fit refuses fewer points than its parameters plus one, so
+        # its reduced chi-squared always divides by at least one degree of
+        # freedom; errors from 1e-12 up cover every sigma, pinned or not,
+        # that a Monte Carlo curve can give
+        fit, size = (fit_stretched, 3) if stretched else (fit_exponential, 2)
+        t = sorted(data.draw(st.lists(st.floats(1e-6, 1e-2), min_size=size,
+                                      max_size=size, unique=True)))
+        w = data.draw(st.lists(st.floats(0, 1, exclude_min=True, exclude_max=True),
+                               min_size=size, max_size=size))
+        err = data.draw(st.lists(st.floats(1e-12, 1.0), min_size=size,
+                                 max_size=size))
+        try:
+            result = fit(t, w, err)
+        except FitError:
+            return
+        assert math.isfinite(result.chi2_reduced)
 
     def test_evaluate_round_trip(self):
         t = np.geomspace(1e-5, 5e-3, 12)

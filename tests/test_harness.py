@@ -35,8 +35,9 @@ from spinprobe.harness import ConfigError, RunError, execute, rerun, run
 from spinprobe.harness import pipelines
 from spinprobe.harness import runner as runner_module
 from spinprobe.harness.cli import main
-from spinprobe.harness.config import (KINDS, MAX_CHI_POINTS,
-                                      MAX_TRACE_SAMPLES, MAX_WORKERS,
+from spinprobe.harness.config import (KINDS, MAX_CHI_POINTS, MAX_SHOTS,
+                                      MAX_TRACE_SAMPLES, MAX_TRAJ,
+                                      MAX_WORKERS, PROTOCOLS, TOP,
                                       grid_values, load_config,
                                       validate_config)
 from spinprobe.harness.pipelines import gate_index
@@ -1309,6 +1310,23 @@ class TestCli:
         out = capsys.readouterr().out
         assert ("protocol.depths: a curve of" in out) == (code == 2)
 
+    @pytest.mark.parametrize("cfg, field, bound", [
+        # each validated, then died in the run with a traceback and exit 1:
+        # _rng._indices refused 2**39 streams, and Generator.binomial
+        # overflowed on 2**70 shots
+        ({**TINY_RAMSEY, "kind": "hahn", "protocol": {
+            **TINY_RAMSEY["protocol"], "n_traj": 2 ** 40}},
+         "protocol.n_traj", MAX_TRAJ),
+        ({**TINY_TONE, "protocol": {"shots": 2 ** 40}},
+         "protocol.shots", MAX_SHOTS),
+        ({**TINY_IRB, "kind": "rbm", "protocol": {
+            **TINY_IRB["protocol"], "shots": 2 ** 70}},
+         "protocol.shots", MAX_SHOTS)], ids=["hahn", "tone_scan", "rbm"])
+    def test_validate_bounds_the_counts(self, tmp_path, capsys, cfg, field,
+                                        bound):
+        assert main(["validate", str(_write_yaml(tmp_path, cfg))]) == 2
+        assert f"{field}: must be <= {bound}" in capsys.readouterr().out
+
     def test_validate_rejects_an_overlong_trace(self, tmp_path, capsys):
         # 4.5e6 s at 120 kHz: 5.4e11 samples, terabytes of synthesis
         p = _write_yaml(tmp_path, {**TINY_VOLTAGE, "protocol": {
@@ -1710,6 +1728,35 @@ class TestCli:
         assert main(["run", str(p), "--workers", "1"]) == 0
         assert main(["rerun", str(tmp_path / "out" / MANIFEST_NAME),
                      "--workers", "1"]) == 0
+
+
+def _unbounded_integers(spec, path: str):
+    """The dotted paths, at and below ``spec``, of the integer fields
+    with no upper bound; ``items`` and ``values`` name an array's items
+    and a map's values."""
+    if "integer" in spec.types.split() and spec.le is None and spec.lt is None:
+        yield path
+    for name in ("items", "values"):
+        if getattr(spec, name) is not None:
+            yield from _unbounded_integers(getattr(spec, name), f"{path}.{name}")
+    for key, field in (spec.fields or {}).items():
+        yield from _unbounded_integers(field, f"{path}.{key}")
+
+
+def test_every_integer_field_has_an_upper_bound():
+    """An unbounded count validates and then fails in the run, with a
+    traceback and the exit code of a rerun mismatch.  A plan bounds the
+    named exceptions: RB's depths and sequences by MAX_RB_CLIFFORDS, and
+    the interleaved gate by gate_index."""
+    planned = {f"{kind}.{name}" for kind in ("rbm", "interleaved_rbm")
+               for name in ("n_sequences", "depths.items")}
+    planned.add("interleaved_rbm.gate")
+    found = [path for kind, fields in [("", TOP), *PROTOCOLS.items()]
+             for key, spec in fields.items()
+             for path in _unbounded_integers(spec, f"{kind}.{key}".lstrip("."))]
+    assert planned <= set(found)
+    unbounded = sorted(set(found) - planned)
+    assert not unbounded, "no upper bound: " + ", ".join(unbounded)
 
 
 MODULES_WITH_ALL = [

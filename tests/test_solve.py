@@ -112,6 +112,25 @@ class TestBrentq:
         assert len(pairs) > len(models) * 3
         assert all(ours == theirs for ours, theirs in pairs)
 
+    def test_zero_extrapolation_denominator_bisects_as_scipy(self, monkeypatch):
+        # the exponential fit of this rising curve extrapolates on secant
+        # slopes whose product underflows to 0: brentq.c's division gives
+        # inf and bisects, where a Python float division raised
+        brentq, calls = _solve.brentq, []
+
+        def spy(f, a, b, **kwargs):
+            calls.append((f, a, b, kwargs["xtol"]))
+            return brentq(f, a, b, **kwargs)
+
+        monkeypatch.setattr(_solve, "brentq", spy)
+        fit = analysis.fit_exponential([0.00390625, 0.0078125],
+                                       [1.1243075397933676e-67, 0.5], [1.0, 1.0])
+        monkeypatch.undo()
+        assert fit.chi2_reduced == 0.25
+        assert len(calls) == 1
+        assert all(brentq(f, a, b, xtol=xtol) == optimize.brentq(f, a, b, xtol=xtol)
+                   for f, a, b, xtol in calls)
+
     def test_rb_inversion_roots_equal_scipy(self, monkeypatch):
         def run():
             for f in (0.6, 0.9, 0.99, 0.9983, 0.99999):
@@ -402,6 +421,13 @@ class TestFitErrorsWhereCurveFitRaises:
                        sigma, p0, bounds)
         with pytest.raises(FitError):
             benchmarking.fit_rb(curve)
+
+    def test_decay_whose_jacobian_squares_to_zero(self):
+        # a singular value below 1e-162 squares to 0: the covariance is
+        # infinite, and no division-by-zero warning escapes
+        with pytest.raises(FitError, match="degenerate"):
+            analysis.fit_exponential([0.00390625, 0.0078125], [5e-324, 0.5],
+                                     [1.0, 1.0])
 
     def test_rb_without_spare_points(self):
         # three points, three parameters and no errors: curve_fit's
