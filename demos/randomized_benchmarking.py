@@ -8,7 +8,8 @@ recovers the fidelity it implies, through a hardware-like readout.
 
 import numpy as np
 
-from spinprobe.benchmarking import (clifford_fidelity_from_depolarizing,
+from spinprobe.benchmarking import (CLIFFORD_DECOMPOSITIONS,
+                                    clifford_fidelity_from_depolarizing,
                                     depolarizing_from_clifford_fidelity,
                                     fit_rb, interleaved_gate_fidelity,
                                     mean_primitives_per_clifford,
@@ -38,5 +39,6 @@ print(f"fit: p {fit.p:.5f}, F_c {fit.clifford_fidelity:.5f} "
 inter = rb_interleaved(5, DEPTHS, 30, d, seed=8, readout=READOUT, shots=100)
 fit_i = fit_rb(inter)
 f_gate = interleaved_gate_fidelity(fit.p, fit_i.p)
-print(f"\ninterleaved ({inter.label}): p {fit_i.p:.5f}, "
+word = "+".join(CLIFFORD_DECOMPOSITIONS[5])
+print(f"\ninterleaved ({word}): p {fit_i.p:.5f}, "
       f"gate fidelity {f_gate:.5f}")

@@ -66,7 +66,25 @@ def _sigma_or_none(std_err) -> np.ndarray | None:
         raise FitError("std_err has no positive entry to weight the fit by",
                        {"n_points": int(err.size)})
     # zero-error points would get infinite weight; pin them near the best
-    return np.maximum(err, positive.min() * 1e-3)
+    sigma = np.maximum(err, positive.min() * 1e-3)
+    # every fit weighs by 1/sigma**2, which must not overflow; a NaN error
+    # is left to the solver, which rejects it
+    smallest = float(np.nanmin(sigma))
+    if not (smallest**2 > 0 and math.isfinite(1.0 / smallest**2)):
+        raise FitError(f"std_err's smallest sigma {smallest:g} gives a "
+                       f"weight 1/sigma**2 that is not finite",
+                       {"sigma_min": smallest})
+    return sigma
+
+
+def _std_errors(popt, pcov, name: str) -> np.ndarray:
+    """``sqrt(diag(pcov))``; a covariance that is not finite or has a
+    negative variance is a :class:`FitError` naming the model."""
+    if not np.all(np.isfinite(pcov)) or np.any(np.diag(pcov) < 0):
+        raise FitError("fit covariance is degenerate",
+                       {"model": name.lower(),
+                        "popt": list(map(float, np.atleast_1d(popt)))})
+    return np.sqrt(np.diag(pcov))
 
 
 def bounded_fit(solver, x, y, std_err, start, bounds, name: str,
@@ -81,11 +99,7 @@ def bounded_fit(solver, x, y, std_err, start, bounds, name: str,
         popt, pcov = solver(x, y, sigma, start, bounds)
     except (RuntimeError, ValueError) as exc:
         raise FitError(f"{name} fit failed: {exc}", diagnostics) from exc
-    if pcov is None or not np.all(np.isfinite(pcov)) or np.any(np.diag(pcov) < 0):
-        raise FitError("fit covariance is degenerate",
-                       {"model": name.lower(),
-                        "popt": list(map(float, np.atleast_1d(popt)))})
-    return popt, np.sqrt(np.diag(pcov)), sigma
+    return popt, _std_errors(popt, pcov, name), sigma
 
 
 def _t2_guess(times: np.ndarray, w: np.ndarray) -> float:
@@ -197,7 +211,10 @@ def fit_stretched(times, w, std_err=None) -> StretchedFit:
 
 
 def fit_power_law(x, y, y_err=None) -> PowerLawFit:
-    """Weighted straight-line fit in log-log space."""
+    """Straight-line fit in log-log space by its normal equations, with
+    ``y_err / y`` as the errors of log y, pinned as every fit pins its sigma.
+    Without errors the covariance is scaled by the residual variance,
+    which takes a third point."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.any(x <= 0) or np.any(y <= 0):
@@ -205,23 +222,22 @@ def fit_power_law(x, y, y_err=None) -> PowerLawFit:
                        {"x_min": float(x.min()), "y_min": float(y.min())})
     if x.size < 2:
         raise FitError("need at least 2 points", {"n_points": int(x.size)})
+    if x.min() == x.max():
+        raise FitError("power-law fit needs two distinct x",
+                       {"x": float(x[0]), "n_points": int(x.size)})
     lx, ly = np.log(x), np.log(y)
-    if y_err is not None:
-        sig = np.asarray(y_err, dtype=float) / y  # d(log y)
-        sig = np.maximum(sig, max(sig[sig > 0].min() if np.any(sig > 0) else 1.0, 1e-12) * 1e-3)
-    else:
-        sig = np.ones_like(ly)
-    wgt = 1.0 / sig**2
+    rel_err = None if y_err is None else np.asarray(y_err, dtype=float) / y
+    sig = _sigma_or_none(rel_err)
+    wgt = np.ones_like(ly) if sig is None else 1.0 / sig**2
     a = np.vstack([np.ones_like(lx), lx]).T
     cov = np.linalg.inv(a.T @ (a * wgt[:, None]))
     beta = cov @ (a.T @ (ly * wgt))
-    if y_err is None:
-        # scale covariance by residual variance (unweighted regression)
+    if sig is None:
         resid = ly - a @ beta
-        dof = max(lx.size - 2, 1)
-        cov = cov * float(resid @ resid) / dof
-    return PowerLawFit(slope=float(beta[1]),
-                       slope_err=float(np.sqrt(cov[1, 1])),
+        dof = lx.size - 2
+        cov = cov * float(resid @ resid) / dof if dof else np.full((2, 2), np.inf)
+    _, slope_err = _std_errors(beta, cov, "power-law")
+    return PowerLawFit(slope=float(beta[1]), slope_err=float(slope_err),
                        intercept=float(beta[0]))
 
 
@@ -234,6 +250,13 @@ def t2_scaling_exponent(pulse_counts, t2_values, t2_errs=None) -> PowerLawFit:
 # CPMG noise spectroscopy
 
 FIT_ON_BOUND = "fit_on_bound"
+DECAY_UNRESOLVED = "decay_unresolved"
+
+# the warning line of each flag but "out of range"
+_FLAG_WARNINGS = {
+    FIT_ON_BOUND: "fit on bound (T2 at a search limit or with zero error)",
+    DECAY_UNRESOLVED: "decay unresolved (every W within 2 sigma of 0 or of 1)",
+}
 
 # samples per inter-pulse interval of a spectroscopy scan's Monte Carlo traces
 SPECTROSCOPY_SAMPLES_PER_INTERVAL = 32
@@ -271,9 +294,11 @@ def spectroscopy_point(curve: DecayCurve, tau_wait: float, *,
     frequency-resolved T2 at ``1/(2*tau_wait)``.  A point whose wait is no
     longer small against the single-echo decay time (above a quarter of
     ``t2_hahn``) can't separate the filter passband from the overall
-    envelope, so it gets flagged.  So
-    does a fit whose T2 ended on a bound of its search range or has zero
-    error: its S and interval say nothing about the noise.
+    envelope, so it gets flagged.  So does a fit whose T2 ended on a
+    bound of its search range or has zero error, and, whatever its fit
+    reads, a curve whose every W lies within 2 sigma_W of 0 (dephased) or
+    every W within 2 sigma_W of 1 (not decayed): its S and interval say
+    nothing about the noise.
     """
     fit = fit_exponential(curve.times, curve.w, curve.std_err)
     flags = []
@@ -281,6 +306,9 @@ def spectroscopy_point(curve: DecayCurve, tau_wait: float, *,
         flags.append("out_of_range:tau_wait_approaches_hahn_t2")
     if fit.on_bound or fit.t2_err == 0:
         flags.append(FIT_ON_BOUND)
+    band = 2.0 * curve.std_err
+    if np.all(np.abs(curve.w) <= band) or np.all(np.abs(curve.w - 1.0) <= band):
+        flags.append(DECAY_UNRESOLVED)
     return SpectroscopyPoint(tau_wait=float(tau_wait), t2s=fit.t2,
                              t2s_err=fit.t2_err,
                              pulse_counts=tuple(int(n) for n in curve.n_pulses),
@@ -302,13 +330,12 @@ def reconstruct_psd(points: list[SpectroscopyPoint]) -> PsdEstimate:
     s = np.array([p.s_value for p in pts])
     half = _Z95 * np.array([p.s_err for p in pts])
     warnings = []
-    n_out = sum(1 for p in pts if set(p.flags) - {FIT_ON_BOUND})
+    n_out = sum(1 for p in pts if set(p.flags) - _FLAG_WARNINGS.keys())
     if n_out:
         warnings.append(f"{n_out} of {len(pts)} points flagged out of range")
-    n_bound = sum(1 for p in pts if FIT_ON_BOUND in p.flags)
-    if n_bound:
-        warnings.append(f"{n_bound} of {len(pts)} points flagged fit on bound "
-                        f"(T2 at a search limit or with zero error)")
+    for flag, what in _FLAG_WARNINGS.items():
+        if n := sum(1 for p in pts if flag in p.flags):
+            warnings.append(f"{n} of {len(pts)} points flagged {what}")
     detail = tuple({"f_hz": p.f_hz, "tau_wait": p.tau_wait, "t2s": p.t2s,
                     "t2s_err": p.t2s_err, "pulse_counts": p.pulse_counts,
                     "flags": p.flags} for p in pts)

@@ -193,7 +193,6 @@ class RbCurve:
     mean_survival: np.ndarray
     std_err: np.ndarray
     n_sequences: int
-    label: str = "reference"
 
     def __post_init__(self):
         object.__setattr__(self, "depths", np.asarray(self.depths, dtype=int))
@@ -205,7 +204,7 @@ class RbCurve:
 
 def _simulate_rb(depths, n_sequences: int, d: float, seed: int,
                  readout: ReadoutModel, shots: int | None,
-                 interleaved: int | None, label: str) -> RbCurve:
+                 interleaved: int | None) -> RbCurve:
     # Python lists and ints: indexing numpy arrays per Clifford would make
     # every step numpy scalar math
     counts = primitive_counts().tolist()
@@ -225,15 +224,15 @@ def _simulate_rb(depths, n_sequences: int, d: float, seed: int,
                     net = comp[net][interleaved]
                     total += counts[interleaved]
             total += counts[inv[net]]
-            p_ideal = rb_survival_probability(total, d)
-            p_obs = readout.floor + readout.visibility * p_ideal  # readout.apply
+            # readout keeps p_obs inside [0, 1]
+            p_obs = readout.apply(rb_survival_probability(total, d))
             if shots is not None:
-                p_obs = rng.binomial(shots, min(max(p_obs, 0.0), 1.0)) / shots
+                p_obs = rng.binomial(shots, p_obs) / shots
             vals[k] = p_obs
         means.append(vals.mean())
         errs.append(vals.std(ddof=1) / math.sqrt(n_sequences))
     return RbCurve(depths=np.asarray(depths), mean_survival=np.array(means),
-                   std_err=np.array(errs), n_sequences=n_sequences, label=label)
+                   std_err=np.array(errs), n_sequences=n_sequences)
 
 
 def rb_reference(depths, n_sequences: int, d: float, seed: int, *,
@@ -241,7 +240,7 @@ def rb_reference(depths, n_sequences: int, d: float, seed: int, *,
                  shots: int | None = None) -> RbCurve:
     """Standard RB: random Cliffords plus an exact recovery, depolarized."""
     return _simulate_rb(depths, n_sequences, d, seed, readout, shots,
-                        interleaved=None, label="reference")
+                        interleaved=None)
 
 
 def rb_interleaved(gate_index: int, depths, n_sequences: int, d: float,
@@ -251,8 +250,7 @@ def rb_interleaved(gate_index: int, depths, n_sequences: int, d: float,
     if not 0 <= gate_index < 24:
         raise ValueError(f"gate_index must be in [0, 24), got {gate_index}")
     return _simulate_rb(depths, n_sequences, d, seed, readout, shots,
-                        interleaved=gate_index,
-                        label=f"interleaved:{'+'.join(CLIFFORD_DECOMPOSITIONS[gate_index])}")
+                        interleaved=gate_index)
 
 
 @dataclass(frozen=True)

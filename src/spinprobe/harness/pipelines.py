@@ -231,11 +231,10 @@ def _check_fft_length(field: str, name: str, n: int) -> None:
 
 def _gate_coefficient(stark: StarkMap, proto: dict, key: str) -> float:
     """The Stark coefficient of the gate ``protocol.<key>`` names."""
-    gates = stark.coefficients_hz_per_v
-    if proto[key] not in gates:
-        raise ConfigError(f"protocol.{key}: {proto[key]!r} is not in "
-                          f"stark.coefficients_hz_per_v (has {sorted(gates)})")
-    return gates[proto[key]]
+    try:
+        return stark.coefficient(proto[key])
+    except KeyError as exc:
+        raise ConfigError(f"protocol.{key}: {exc.args[0]}") from None
 
 
 def gate_index(spec) -> int:

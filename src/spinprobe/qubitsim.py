@@ -148,8 +148,9 @@ def resonance_frequency_hz(g_factor: float, field_t: float) -> float:
 class ReadoutModel:
     """Affine map from ideal spin-up probability to observed probability.
 
-    ``p_obs = floor + visibility * p_ideal``.  The default is an ideal
-    readout; hardware-like configurations shrink the contrast.
+    ``p_obs = floor + visibility * p_ideal``, for a float or an array; RB
+    and the tone scan apply it per shot.  The default is an ideal readout;
+    hardware-like configurations shrink the contrast.
     """
 
     visibility: float = 1.0
@@ -162,7 +163,7 @@ class ReadoutModel:
             raise ValueError("readout range must stay inside [0, 1]")
 
     def apply(self, p_ideal):
-        return self.floor + self.visibility * np.asarray(p_ideal, dtype=float)
+        return self.floor + self.visibility * p_ideal
 
 
 # The hardware-like readout the configs and the tone scan default to

@@ -67,7 +67,7 @@ class StarkMap:
         try:
             return self.coefficients_hz_per_v[gate]
         except KeyError:
-            raise KeyError(f"gate {gate!r} not in Stark map "
+            raise KeyError(f"{gate!r} is not a gate of the Stark map "
                            f"(has {sorted(self.coefficients_hz_per_v)})") from None
 
 
@@ -172,7 +172,7 @@ def _tone_column(args) -> list[tuple[float, float]]:
     A shot is a hit when its uniform falls below its P_up; an odd
     ``shots`` drops the last pair's second shot."""
     (model, point, amps_pp, coeff, f_tone, fixed_phase, shots, cell_seeds,
-     vis, floor) = args
+     readout) = args
     draw = phase_draw(model, point)
     # only the modulus of the tone's response matters once its phase is random
     y_mag = math.sqrt(cpmg_filter_function(point.n_pulses, point.total_time,
@@ -181,8 +181,7 @@ def _tone_column(args) -> list[tuple[float, float]]:
     for amp_pp, cell_seed in zip(amps_pp, cell_seeds):
         a = tone_amplitude(coeff, amp_pp) * y_mag
         hits = []
-        # per shot, only Python floats: p is ReadoutModel(vis, floor).apply's
-        # value, inside [0, 1]
+        # per shot, only Python floats; readout keeps p inside [0, 1]
         for rng in derive_rngs(cell_seed, (shots + 1) // 2):
             noise = draw(rng)
             if fixed_phase is None:
@@ -191,7 +190,7 @@ def _tone_column(args) -> list[tuple[float, float]]:
             else:
                 thetas, reads = (fixed_phase, fixed_phase), rng.random(2).tolist()
             for phi, theta, read in zip(noise, thetas, reads):
-                p = floor + vis * (0.5 * (1.0 + math.cos(phi + a * math.sin(theta))))
+                p = readout.apply(0.5 * (1.0 + math.cos(phi + a * math.sin(theta))))
                 hits.append(read < p)
         p_hat = sum(hits[:shots]) / shots
         se = math.sqrt(max(p_hat * (1 - p_hat), 0.25 / shots) / shots)
@@ -247,8 +246,7 @@ def tone_scan(model: SpectrumModel, coefficient_hz_per_v: float, f_tone: float,
     amps = np.asarray(amplitudes_vpp, dtype=float)
     keep, dropped = columns
     jobs = [(model, point, amps.tolist(), coefficient_hz_per_v, f_tone,
-             phase, shots, derive_child_seeds(seed, amps.size, col),
-             readout.visibility, readout.floor)
+             phase, shots, derive_child_seeds(seed, amps.size, col), readout)
             for col, (_, point) in enumerate(keep)]
     columns = _parallel.submit(_tone_column, jobs)()
     # (n_amplitudes, n_columns); an empty scan keeps that shape

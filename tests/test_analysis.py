@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinprobe.analysis import (
+    DECAY_UNRESOLVED,
     FIT_ON_BOUND,
     FitError,
     SpectroscopyPoint,
@@ -22,6 +23,7 @@ from spinprobe.analysis import (
 )
 from spinprobe import _parallel, analysis
 from spinprobe._rng import derive_child_seed
+from spinprobe.benchmarking import RbCurve, fit_rb
 from spinprobe.qubitsim import (SAMPLES_PER_INTERVAL, DecayCurve, chi_ff,
                                 coherence_mc, mc_point, submit_decay_table)
 from spinprobe.sequences import make_cpmg
@@ -73,6 +75,20 @@ class TestCurveFits:
         with pytest.raises(FitError, match="no positive entry"):
             fit([1, 2, 3], [0.9, 0.7, 0.5], std_err)
 
+    @pytest.mark.parametrize("fit", [
+        fit_exponential, fit_stretched, fit_power_law,
+        lambda t, y, err: fit_rb(RbCurve(depths=[1, 2, 3], mean_survival=y,
+                                         std_err=err, n_sequences=2))],
+        ids=["exponential", "stretched", "power_law", "rb"])
+    def test_weight_that_overflows_raises_before_the_solver(self, fit):
+        # the zero errors pin at 1e-163 (2e-163 for the power law, whose
+        # sigma is y_err / y), whose weight 1/sigma**2 is inf; the solver
+        # never runs, so no overflow warning (an error in this suite)
+        # escapes
+        with pytest.raises(FitError, match=r"smallest sigma \de-163 ") as exc:
+            fit([1e-3, 2e-3, 3e-3], [0.9, 0.5, 0.2], [0.0, 1e-160, 0.0])
+        assert exc.value.diagnostics["sigma_min"] < 1e-154
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), stretched=st.booleans())
     def test_fewest_points_leave_a_degree_of_freedom(self, data, stretched):
@@ -119,6 +135,39 @@ class TestPowerLaw:
         with pytest.raises(FitError):
             fit_power_law([3.0], [1.0])
 
+    def test_all_zero_errors_fit_unweighted(self):
+        x = np.array([1.0, 2.0, 4.0, 8.0])
+        y = 3e-4 * x**0.5 * np.array([1.0, 1.02, 0.98, 1.01])
+        assert fit_power_law(x, y, np.zeros(4)) == fit_power_law(x, y)
+
+    def test_relative_errors_weight_like_the_decay_fits(self):
+        # y_err / y is pinned at 1e-3 of its smallest positive entry, as
+        # every decay fit pins its std_err
+        x = np.array([1.0, 2.0, 4.0, 8.0])
+        y = 3e-4 * x**0.5 * np.array([1.0, 1.02, 0.98, 1.01])
+        zero = fit_power_law(x, y, np.array([0.0, 0.01, 0.02, 0.01]) * y)
+        pinned = fit_power_law(x, y, np.array([1e-5, 0.01, 0.02, 0.01]) * y)
+        np.testing.assert_allclose(
+            [zero.slope, zero.slope_err, zero.intercept],
+            [pinned.slope, pinned.slope_err, pinned.intercept], rtol=1e-12)
+
+    def test_two_points_without_errors_have_no_slope_error(self):
+        # the residual variance needs a third point
+        with pytest.raises(FitError, match="degenerate"):
+            fit_power_law([1.0, 2.0], [1.0, 3.0])
+        with pytest.raises(FitError, match="degenerate"):
+            fit_power_law([1.0, 2.0], [1.0, 3.0], [0.0, 0.0])
+        fit = fit_power_law([1.0, 2.0], [1.0, 3.0], [0.1, 0.3])
+        assert fit.slope == pytest.approx(math.log2(3.0), rel=1e-12)
+        assert fit.slope_err == pytest.approx(
+            math.sqrt(2.0) * 0.1 / math.log(2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("y_err", [None, [0.1, 0.1, 0.1]],
+                             ids=["unweighted", "weighted"])
+    def test_one_distinct_x_is_rejected(self, y_err):
+        with pytest.raises(FitError, match="two distinct x"):
+            fit_power_law([2.0, 2.0, 2.0], [1.0, 2.0, 3.0], y_err)
+
     def test_scaling_exponent_wrapper(self):
         n = np.array([1, 2, 4, 8, 16, 32])
         fit = t2_scaling_exponent(n, 2e-3 * n**0.5)
@@ -161,18 +210,39 @@ class TestSpectroscopyEstimator:
                              ids=["decayed", "flat"])
     def test_fit_on_bound_flag(self, w):
         # decayed before the first point, T2 runs to its lower bound; never
-        # decaying, to its upper one
+        # decaying, to its upper one.  Every W is also within 2 sigma of 0
+        # or of 1, so the decay is unresolved too
         counts = np.array([2, 4, 8])
         tau = 1e-5
         curve = DecayCurve(times=counts * tau, w=np.array(w),
                            std_err=np.full(3, 0.05), n_pulses=counts)
         assert fit_exponential(curve.times, curve.w, curve.std_err).on_bound
         pt = spectroscopy_point(curve, tau)
-        assert pt.flags == (FIT_ON_BOUND,)
+        assert pt.flags == (FIT_ON_BOUND, DECAY_UNRESOLVED)
         est = reconstruct_psd([pt])
-        assert est.warnings == ("1 of 1 points flagged fit on bound "
-                                "(T2 at a search limit or with zero error)",)
-        assert est.points_detail[0]["flags"] == (FIT_ON_BOUND,)
+        assert est.warnings == (
+            "1 of 1 points flagged fit on bound "
+            "(T2 at a search limit or with zero error)",
+            "1 of 1 points flagged decay unresolved "
+            "(every W within 2 sigma of 0 or of 1)")
+        assert est.points_detail[0]["flags"] == (FIT_ON_BOUND, DECAY_UNRESOLVED)
+
+    @pytest.mark.parametrize("w, flagged", [
+        ([0.09, -0.1, 0.05], True), ([0.11, 0.0, 0.0], False),
+        ([0.95, 0.91, 1.08], True), ([0.95, 0.89, 1.0], False),
+        ([0.5, 0.05, 0.95], False)],
+        ids=["dephased", "one_above_noise", "undecayed", "one_decayed", "mixed"])
+    def test_decay_unresolved_flag(self, w, flagged):
+        # every W within 2 sigma of 0, or every W within 2 sigma of 1,
+        # whatever the fit reads
+        counts = np.array([2, 4, 8])
+        curve = DecayCurve(times=counts * 1e-5, w=np.array(w),
+                           std_err=np.full(3, 0.05), n_pulses=counts)
+        pt = spectroscopy_point(curve, 1e-5)
+        assert (DECAY_UNRESOLVED in pt.flags) == flagged
+        assert reconstruct_psd([pt]).warnings.count(
+            "1 of 1 points flagged decay unresolved "
+            "(every W within 2 sigma of 0 or of 1)") == flagged
 
     def test_zero_error_fit_is_flagged(self, monkeypatch):
         curve, tau = self._analytic_curve(WHITE, 5e3, [2, 4, 8])

@@ -151,7 +151,6 @@ class TestRbSimulation:
         a = rb_reference(self.DEPTHS, 10, self.D, 9)
         b = rb_reference(self.DEPTHS, 10, self.D, 9)
         np.testing.assert_array_equal(a.mean_survival, b.mean_survival)
-        assert a.label == "reference"
         assert a.n_sequences == 10
 
     def test_zero_error_means_unit_survival(self):
@@ -185,7 +184,6 @@ class TestRbSimulation:
     def test_interleaved_decays_faster(self):
         ref = rb_reference(self.DEPTHS, 20, self.D, 5)
         inter = rb_interleaved(1, self.DEPTHS, 20, self.D, 5)
-        assert inter.label != ref.label
         p_ref = fit_rb(ref).p
         p_int = fit_rb(inter).p
         assert p_int < p_ref

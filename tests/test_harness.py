@@ -809,22 +809,41 @@ class TestRunner:
             execute(cfg, tmp_path / "out", workers=0)
         assert not (tmp_path / "out").exists()
 
-    def test_spectroscopy_fit_on_t2_bound_is_flagged(self, tmp_path):
-        # the qubit does not dephase at all: every W is exactly 1 whatever
-        # the draw, so each fit ends on its upper T2 bound
+    def _three_point_scan(self, tmp_path, white_floor):
+        """Points and summary of a 3-point ``noise_spectroscopy`` run on a
+        white floor, N = 2 and 4, 20 trajectories, seed 1."""
         cfg_path = _write_yaml(tmp_path, {
             "kind": "noise_spectroscopy", "seed": 1, "output_dir": "unused",
-            "spectrum": {"white_floor": 1.0e-20},
+            "spectrum": {"white_floor": white_floor},
             "protocol": {"f_grid_hz": {"start": 1300, "stop": 50000, "num": 3,
                                        "spacing": "log"},
                          "pulse_counts": [2, 4], "n_traj": 20}})
         out = tmp_path / "out"
         assert run(cfg_path, workers=1, output_dir=out) == 0
-        points = json.loads((out / "points.json").read_text())
-        assert [p["flags"] for p in points] == [["fit_on_bound"]] * 3
-        summary = json.loads((out / MANIFEST_NAME).read_text())["summary"]
-        assert summary["warnings"] == ["3 of 3 points flagged fit on bound "
-                                       "(T2 at a search limit or with zero error)"]
+        return (json.loads((out / "points.json").read_text()),
+                json.loads((out / MANIFEST_NAME).read_text())["summary"])
+
+    def test_spectroscopy_fit_on_t2_bound_is_flagged(self, tmp_path):
+        # the qubit does not dephase at all: every W is exactly 1 whatever
+        # the draw, so each fit ends on its upper T2 bound, and no decay
+        # is resolved
+        points, summary = self._three_point_scan(tmp_path, 1.0e-20)
+        assert [p["flags"] for p in points] == [
+            ["fit_on_bound", "decay_unresolved"]] * 3
+        assert summary["warnings"] == [
+            "3 of 3 points flagged fit on bound "
+            "(T2 at a search limit or with zero error)",
+            "3 of 3 points flagged decay unresolved "
+            "(every W within 2 sigma of 0 or of 1)"]
+
+    def test_dephased_spectroscopy_points_are_flagged(self, tmp_path):
+        # the qubit dephases before the first pulse count: every W is
+        # noise about 0, whatever T2 its fit lands on
+        points, summary = self._three_point_scan(tmp_path, 1.0e12)
+        assert all("decay_unresolved" in p["flags"] for p in points)
+        assert ("3 of 3 points flagged decay unresolved "
+                "(every W within 2 sigma of 0 or of 1)") in summary["warnings"]
+        assert not any("out of range" in w for w in summary["warnings"])
 
     def test_worker_count_does_not_change_results(self, tmp_path):
         cfg = validate_config(dict(TINY_RAMSEY))
@@ -1788,20 +1807,42 @@ def _references(source: str) -> set[str]:
     return used
 
 
-def _public_api(source: str) -> list[str]:
-    """The names a module's ``__all__`` lists, and ``Class.method`` for
-    every public method of a class it lists."""
-    tree = ast.parse(source)
+def _exported_classes(tree: ast.Module) -> tuple[list[str], list[ast.ClassDef]]:
+    """A module's ``__all__`` and the classes it lists."""
     exported = next((ast.literal_eval(node.value) for node in tree.body
                      if isinstance(node, ast.Assign)
                      and [getattr(t, "id", None) for t in node.targets]
                      == ["__all__"]), [])
-    methods = [f"{node.name}.{item.name}" for node in tree.body
-               if isinstance(node, ast.ClassDef) and node.name in exported
+    return exported, [node for node in tree.body
+                      if isinstance(node, ast.ClassDef) and node.name in exported]
+
+
+def _public_api(source: str) -> list[str]:
+    """The names a module's ``__all__`` lists, and ``Class.method`` for
+    every public method of a class it lists."""
+    exported, classes = _exported_classes(ast.parse(source))
+    methods = [f"{node.name}.{item.name}" for node in classes
                for item in node.body
                if isinstance(item, ast.FunctionDef)
                and not item.name.startswith("_")]
     return [*exported, *methods]
+
+
+def _dataclass_fields(source: str) -> list[str]:
+    """``Class.field`` for every field of a dataclass ``__all__`` lists."""
+    _, classes = _exported_classes(ast.parse(source))
+    return [f"{node.name}.{item.target.id}" for node in classes
+            if any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign)
+            and isinstance(item.target, ast.Name)]
+
+
+def _attribute_reads(source: str) -> set[str]:
+    """The attributes ``source`` reads: ``Attribute`` attrs in load
+    context, so an assignment or a keyword argument does not count."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
 def test_every_public_name_is_reached():
@@ -1810,23 +1851,42 @@ def test_every_public_name_is_reached():
     of the package (a re-export in an ``__init__`` is no caller), by the
     acceptance suite or by the benchmark.  A name that only the demos or
     the unit tests use serves no config, CLI command or acceptance check:
-    delete it, or move it into its caller."""
+    delete it, or move it into its caller.  A field of a listed dataclass
+    must be read as an attribute there: a field only ever set is
+    write-only state."""
     package = Path(spinprobe.__file__).resolve().parent
     root = Path(__file__).resolve().parents[1]
-    callers = [p for p in package.rglob("*.py") if p.name != "__init__.py"]
-    callers += [root / "tests" / "test_acceptance.py",
-                *(root / "perfbench").rglob("*.py")]
-    used = set().union(*(_references(p.read_text()) for p in callers))
-    api = {}
+    callers = [p.read_text() for p in package.rglob("*.py")
+               if p.name != "__init__.py"]
+    callers += [(root / "tests" / "test_acceptance.py").read_text(),
+                *(p.read_text() for p in (root / "perfbench").rglob("*.py"))]
+    used = set().union(*map(_references, callers))
+    read = set().union(*map(_attribute_reads, callers))
+    api, fields = {}, {}
     for path in sorted(package.rglob("*.py")):
         module = ".".join(path.relative_to(package.parent).with_suffix("").parts)
-        for name in _public_api(path.read_text()):
-            api[f"{module.removesuffix('.__init__')}.{name}"] = name
+        module = module.removesuffix(".__init__")
+        source = path.read_text()
+        api.update((f"{module}.{name}", name) for name in _public_api(source))
+        fields.update((f"{module}.{name}", name)
+                      for name in _dataclass_fields(source))
     assert api["spinprobe.spectra.NoiseTrace.times"] == "NoiseTrace.times"
+    assert fields["spinprobe.benchmarking.RbCurve.depths"] == "RbCurve.depths"
     unused = [qualified for qualified, name in api.items()
               if name.rpartition(".")[2] not in used]
+    unused += [qualified for qualified, name in fields.items()
+               if name.rpartition(".")[2] not in read]
     assert not unused, "no caller beyond the demos and unit tests: " + \
         ", ".join(unused)
+
+
+def test_a_field_is_reached_by_a_read():
+    source = ("from dataclasses import dataclass\n__all__ = ['C', 'D']\n"
+              "@dataclass(frozen=True)\nclass C:\n    a: int\n    b: int = 0\n"
+              "    def m(self):\n        return self.a\n"
+              "class D:\n    c: int\n")
+    assert _dataclass_fields(source) == ["C.a", "C.b"]
+    assert _attribute_reads(source + "x.b = 1\nC(b=2)\n") == {"a"}
 
 
 def test_a_reference_is_code_not_text():

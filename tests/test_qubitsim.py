@@ -163,6 +163,44 @@ class TestReadout:
         with pytest.raises(ValueError):
             ReadoutModel(visibility=1.0, floor=-0.1)
 
+    def test_float_in_float_out(self):
+        # RB and the tone scan apply it per shot, to Python floats
+        assert type(ReadoutModel(0.55, 0.225).apply(0.5)) is float
+
+
+def _readout_reads(source: str) -> list[str]:
+    """Each ``.visibility`` or ``.floor`` that ``source`` reads, in source
+    order, but a module's (``np.floor``, ``math.floor``)."""
+    tree = ast.parse(source)
+    modules = {(a.asname or a.name).partition(".")[0] for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for a in node.names}
+    reads = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+             and node.attr in ("visibility", "floor")
+             and not (isinstance(node.value, ast.Name) and node.value.id in modules)]
+    return [ast.unparse(node) for node in
+            sorted(reads, key=lambda node: (node.lineno, node.col_offset))]
+
+
+def test_only_qubitsim_evaluates_the_readout_map():
+    """The readout map has one owner: no module of the package but
+    ``qubitsim`` reads a readout's ``visibility`` or ``floor``, so RB, the
+    tone scan and the decay pipelines all go through
+    ``ReadoutModel.apply``.  The one exception is ``config``'s field
+    defaults, which read ``HARDWARE_READOUT``'s values."""
+    package = Path(qubitsim.__file__).parent
+    reads = {str(path.relative_to(package)): _readout_reads(path.read_text())
+             for path in sorted(package.rglob("*.py"))}
+    assert reads["qubitsim.py"]
+    assert {name: found for name, found in reads.items()
+            if found and name != "qubitsim.py"} == {
+        "harness/config.py": ["HARDWARE_READOUT.visibility",
+                              "HARDWARE_READOUT.floor"]}
+    assert _readout_reads(
+        "import numpy as xp\nimport math\nxp.floor(a) + math.floor(b)\n"
+        "ro.floor = 0\nq = r.floor + r.visibility * p\n") == [
+            "r.floor", "r.visibility"]
+
 
 class TestChiAnalytic:
     @pytest.mark.parametrize("n", [1, 16])

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from spinprobe import benchmarking, qubitsim, starktone
 from spinprobe._rng import (derive_child_seed, derive_child_seeds, derive_rng,
                             derive_rngs)
-from spinprobe.qubitsim import ReadoutModel, coherence_mc, mc_point
+from spinprobe.qubitsim import (HARDWARE_READOUT, ReadoutModel, coherence_mc,
+                               mc_point)
 from spinprobe.spectra import PowerLawTerm, SpectrumModel
 
 MODEL = SpectrumModel(powerlaws=(PowerLawTerm(2e5, 1.0),), white_floor=350.0)
@@ -115,14 +116,14 @@ def test_batched_seeds_take_the_counts_derive_rngs_takes():
 # each returns plain floats, whose repr is exact
 def _rb():
     curve = benchmarking._simulate_rb([1, 4, 9], 6, 0.01, 5, ReadoutModel(),
-                                      40, 3, "interleaved")
+                                      40, 3)
     return curve.mean_survival.tolist() + curve.std_err.tolist()
 
 
 def _tone():
     # full 64-bit cell seeds, as tone_scan derives them
     args = (MODEL, mc_point(4, 4 * 50e-6, 1.0, 8), [2e-4, 4e-4], -2.3e7, 1e4,
-            None, 40, derive_child_seeds(17, 2, 3), 0.55, 0.225)
+            None, 40, derive_child_seeds(17, 2, 3), HARDWARE_READOUT)
     return starktone._tone_column(args)
 
 

@@ -10,7 +10,8 @@ from spinprobe import starktone
 from spinprobe._csvio import write_files
 from spinprobe._rng import derive_child_seed, derive_rng
 from spinprobe.harness.pipelines import TONE_SCAN_HEADER, _tone_scan_csv
-from spinprobe.qubitsim import PSD_CHI_CALIBRATION, ReadoutModel, chi_ff, phase_draw
+from spinprobe.qubitsim import (HARDWARE_READOUT, PSD_CHI_CALIBRATION,
+                               ReadoutModel, chi_ff, phase_draw)
 from spinprobe.sequences import filter_function, make_cpmg
 from spinprobe.spectra import SpectrumModel
 from spinprobe.starktone import (
@@ -153,7 +154,7 @@ class TestToneScan:
             for row, amp in enumerate(amps):
                 (cell,) = starktone._tone_column((
                     WHITE, point, [amp], G2, 2e4, None, 20,
-                    [derive_child_seed(3, col, row)], 0.55, 0.225))
+                    [derive_child_seed(3, col, row)], HARDWARE_READOUT))
                 assert cell == (res.p_up[row, col], res.std_err[row, col])
 
     @pytest.mark.parametrize("phase", [None, 0.3])
@@ -177,7 +178,7 @@ class TestToneScan:
             hits += [read < 0.225 + 0.55 * 0.5 * (1 + math.cos(phi + a * math.sin(theta)))
                      for phi, (theta, read) in zip(noise, draws)]
         (cell,) = starktone._tone_column((
-            WHITE, point, [1e-4], G2, 2e4, phase, 7, [9], 0.55, 0.225))
+            WHITE, point, [1e-4], G2, 2e4, phase, 7, [9], HARDWARE_READOUT))
         assert cell[0] == sum(hits[:7]) / 7
 
     def test_shape_validation(self):
