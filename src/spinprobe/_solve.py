@@ -228,9 +228,14 @@ def _covariance(jac: np.ndarray, resid: np.ndarray, scaled: bool) -> np.ndarray:
     _, s, vt = np.linalg.svd(jac, full_matrices=False)
     keep = s > EPS * max(m, n) * s[0]
     # a kept singular value whose square underflows makes the covariance
-    # infinite, which the fits' caller reports as degenerate
+    # infinite, which the fits' caller reports as degenerate; one whose
+    # square overflows would make its direction's variance 0, so the
+    # covariance is infinite then too
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        pcov = (vt[keep].T / s[keep] ** 2) @ vt[keep]
+        square = s[keep] ** 2
+        pcov = (vt[keep].T / square) @ vt[keep]
+    if np.isinf(square).any():
+        return np.full((n, n), np.inf)
     if not scaled:
         return pcov
     if m <= n:

@@ -9,13 +9,13 @@ fixed-wait decay times to a spectral density via ``S = pi^2/(4*T2)`` at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _solve
 from ._rng import derive_child_seeds
-from .qubitsim import (DURATION_FACTOR, DecayCurve, decay_table,
+from .qubitsim import (DURATION_FACTOR, DecayCurve, decay_table, draw_work,
                        submit_decay_table)
 from .spectra import PsdEstimate, SpectrumModel
 
@@ -346,7 +346,8 @@ def reconstruct_psd(points: list[SpectroscopyPoint]) -> PsdEstimate:
 
 def spectroscopy_table(f_grid_hz, pulse_counts, *,
                        duration_factor: float = DURATION_FACTOR,
-                       samples_per_interval: int = SPECTROSCOPY_SAMPLES_PER_INTERVAL):
+                       samples_per_interval: int = SPECTROSCOPY_SAMPLES_PER_INTERVAL,
+                       max_dropped_share: float = 0.0):
     """The :func:`qubitsim.decay_table` of a spectroscopy scan: curve i
     plays each of ``pulse_counts`` at the fixed wait ``1/(2 f_i)``."""
     f_grid = np.asarray(f_grid_hz, dtype=float)
@@ -356,7 +357,7 @@ def spectroscopy_table(f_grid_hz, pulse_counts, *,
     if np.any(counts < 1):
         raise ValueError("pulse counts must be >= 1 when tau_wait is fixed")
     return decay_table([(counts, counts * tau) for tau in 1.0 / (2.0 * f_grid)],
-                       duration_factor, samples_per_interval)
+                       duration_factor, samples_per_interval, max_dropped_share)
 
 
 def spectroscopy_scan(model: SpectrumModel, f_grid_hz, table, n_traj: int,
@@ -380,13 +381,18 @@ def submit_spectroscopy_scan(model: SpectrumModel, f_grid_hz,
                              t2_hahn: float | None = None):
     """:func:`spectroscopy_scan`, its points submitted to the run's process
     pool and not yet collected.  Returns a handle whose call waits for
-    them, fits them and gives the :class:`PsdEstimate`."""
+    them, fits them and gives the :class:`PsdEstimate`, whose ``work`` is
+    the :func:`qubitsim.draw_work` of the scan."""
     taus = 1.0 / (2.0 * np.asarray(f_grid_hz, dtype=float))
     if taus.size != len(table):
         raise ValueError(f"{taus.size} frequencies but {len(table)} curves "
                          f"in the table")
     pending = submit_decay_table(model, table, n_traj,
                                  derive_child_seeds(seed, taus.size))
-    return lambda: reconstruct_psd([
-        spectroscopy_point(curve, tau, t2_hahn=t2_hahn)
-        for curve, tau in zip(pending(), taus)])
+
+    def collect() -> PsdEstimate:
+        curves = pending()
+        est = reconstruct_psd([spectroscopy_point(curve, tau, t2_hahn=t2_hahn)
+                               for curve, tau in zip(curves, taus)])
+        return replace(est, work=draw_work(curves))
+    return collect

@@ -37,8 +37,9 @@ engine and the tone scan of :mod:`spinprobe.starktone` both call, two
 trajectories per stream.  Neither forms a trace: a pair costs its normal
 draws and two dot products.
 
-A Monte Carlo point is a :class:`DecayPoint`: N, T and the trace grid
-(sample rate, n) it runs on, worked out by :func:`mc_point` when
+A Monte Carlo point is a :class:`DecayPoint`: N, T, the trace grid
+(sample rate, n) it runs on and the share of |h|^2 its draw may leave
+out by dropping rfft bins, worked out by :func:`mc_point` when
 :func:`decay_table` lays out a scan (no chi: a consumer derives it from
 the grid).  The table is a tuple of curves, each a tuple of points;
 :func:`submit_decay_table` submits exactly its points to the run's one
@@ -97,6 +98,7 @@ __all__ = [
     "cpmg_chi",
     "decay_table",
     "submit_decay_table",
+    "draw_work",
     "decay_vs_time",
 ]
 
@@ -194,48 +196,63 @@ def rabi_chevron(qubit: QubitParams, detunings_hz, durations_s) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoherencePoint:
-    """Decay estimate W = <cos phi> at one schedule."""
+    """Decay estimate W = <cos phi> at one schedule, and what its draw
+    reports: the normals each stream drew and the share of |h|^2 its
+    weights dropped (see :func:`phase_draw`)."""
 
     w: float
     std_err: float
     n_traj: int
+    normals: int
+    dropped_share: float
 
 
 @dataclass(frozen=True)
 class DecayCurve:
-    """Coherence versus total evolution time (n_pulses may vary per point)."""
+    """Coherence versus total evolution time (n_pulses may vary per point).
+
+    ``normals`` and ``dropped_share`` are what each point's draw reported
+    (:class:`CoherencePoint`); 0 for a curve that no draw made."""
 
     times: np.ndarray
     w: np.ndarray
     std_err: np.ndarray
     n_pulses: np.ndarray
+    normals: np.ndarray = 0
+    dropped_share: np.ndarray = 0.0
 
     def __post_init__(self):
         for name in ("times", "w", "std_err"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        object.__setattr__(self, "n_pulses",
-                           np.broadcast_to(np.asarray(self.n_pulses, dtype=int),
-                                           self.times.shape).copy())
+        for name, dtype in (("n_pulses", int), ("normals", int),
+                            ("dropped_share", float)):
+            object.__setattr__(self, name, np.broadcast_to(
+                np.asarray(getattr(self, name), dtype=dtype), self.times.shape).copy())
         if not (self.times.shape == self.w.shape == self.std_err.shape):
             raise ValueError("decay curve arrays must be congruent")
 
 
 class DecayPoint(NamedTuple):
     """A Monte Carlo decay point: ``n_pulses`` over ``total_time``, on an
-    ``n``-sample trace at ``sample_rate`` (see :func:`mc_point`)."""
+    ``n``-sample trace at ``sample_rate``, drawing the rfft bins that
+    leave out at most ``max_dropped_share`` of |h|^2 (see :func:`mc_point`)."""
 
     n_pulses: int
     total_time: float
     sample_rate: float
     n: int
+    max_dropped_share: float = 0.0
 
 
 def mc_point(n_pulses: int, total_time: float,
              duration_factor: float = DURATION_FACTOR,
-             samples_per_interval: int = SAMPLES_PER_INTERVAL) -> DecayPoint:
+             samples_per_interval: int = SAMPLES_PER_INTERVAL,
+             max_dropped_share: float = 0.0) -> DecayPoint:
     """The :class:`DecayPoint` of ``n_pulses`` over ``total_time``: its
     trace holds ``samples_per_interval`` samples per inter-pulse interval
-    over ``duration_factor`` times the sequence, at least 64."""
+    over ``duration_factor`` times the sequence, at least 64, and its draw
+    may drop rfft bins holding up to ``max_dropped_share`` of |h|^2
+    (:func:`spectra.normal_weights`; 0 draws every bin)."""
     if duration_factor < 1.0:
         raise ValueError("duration_factor must be >= 1 so the trace covers the schedule")
     rate = samples_per_interval * max(n_pulses, 1) / total_time
@@ -245,7 +262,7 @@ def mc_point(n_pulses: int, total_time: float,
     if n < 64:
         rate *= 64.0 / n
         n = 64
-    return DecayPoint(n_pulses, total_time, rate, n)
+    return DecayPoint(n_pulses, total_time, rate, n, max_dropped_share)
 
 
 def toggled_weights(schedule: PulseSchedule, sample_rate: float,
@@ -282,21 +299,27 @@ def phase_draw(model: SpectrumModel, point: DecayPoint):
     """Two trajectories' toggled phases at ``point`` as a function of one
     random stream.
 
-    ``draw.weights`` is :func:`spectra.normal_weights` of
-    :func:`toggled_weights`.  ``draw(rng)`` puts a row's worth of normals
+    ``draw.weights`` are the rows of :func:`spectra.normal_weights` of
+    :func:`toggled_weights`, on the bins the point's
+    ``max_dropped_share`` keeps, and ``draw.dropped_share`` the share of
+    |h|^2 they leave out.  ``draw(rng)`` puts a row's worth of normals
     into one reused buffer and returns ``(phi_1, phi_2)``,
     ``sqrt(PSD_CHI_CALIBRATION)`` times their dot products with the two
-    rows: the calibrated phases of the trace ``spectra.draw_trace_samples``
-    would synthesize from the stream and of its quadrature trace, which
-    are independent draws from N(0, PSD_CHI_CALIBRATION * |h|^2), h being
-    row 0.  The caller may go on drawing from ``rng`` after the pair.
+    rows: the calibrated phases of the trace that
+    ``spectra.draw_trace_samples`` would synthesize from the stream (from
+    the kept bins alone, when any are dropped) and of its quadrature
+    trace, which are independent draws from N(0, PSD_CHI_CALIBRATION *
+    |h|^2), h being row 0.  The caller may go on drawing from ``rng``
+    after the pair.
     """
     rate, n = point.sample_rate, point.n
     schedule = PulseSchedule(point.n_pulses, point.total_time)
-    weights = spectra.normal_weights(model, rate, toggled_weights(schedule, rate, n))
+    kept = spectra.normal_weights(model, rate, toggled_weights(schedule, rate, n),
+                                  point.max_dropped_share)
+    weights = kept.rows
     normals = np.empty(weights.shape[1])
-    in_phase, quadrature = weights[0, :n - 1], weights[1]
-    trace_normals = normals[:n - 1]
+    in_phase, quadrature = weights[0, :kept.trace_normals], weights[1]
+    trace_normals = normals[:kept.trace_normals]
     scale = math.sqrt(PSD_CHI_CALIBRATION)
 
     # two ddots, not one gemv over both rows, whose sums round differently:
@@ -307,6 +330,7 @@ def phase_draw(model: SpectrumModel, point: DecayPoint):
                 scale * float(normals.dot(quadrature)))
 
     draw.weights = weights
+    draw.dropped_share = kept.dropped_share
     return draw
 
 
@@ -320,8 +344,9 @@ def coherence_mc(model: SpectrumModel, point: DecayPoint, n_traj: int,
     ``n_traj`` drops the last pair's second.  Results are bit-identical
     however the work is distributed; :func:`derive_rngs` hashes all of
     those stream names in one vectorised pass.  The trace band is
-    [rate/n, rate/2] of the point's grid; spectral weight outside it is
-    not seen by this estimator.
+    [rate/n, rate/2] of the point's grid, less the bins the point's
+    ``max_dropped_share`` drops; spectral weight outside the bins it
+    draws is not seen by this estimator.
     """
     if n_traj < 2:
         raise ValueError("need at least 2 trajectories for a standard error")
@@ -331,7 +356,9 @@ def coherence_mc(model: SpectrumModel, point: DecayPoint, n_traj: int,
                                  dtype=float, count=n_traj))
     w = float(cos_phi.sum()) / n_traj
     var = max(float((cos_phi**2).sum()) - n_traj * w * w, 0.0) / (n_traj - 1)
-    return CoherencePoint(w=w, std_err=math.sqrt(var / n_traj), n_traj=n_traj)
+    return CoherencePoint(w=w, std_err=math.sqrt(var / n_traj), n_traj=n_traj,
+                          normals=draw.weights.shape[1],
+                          dropped_share=draw.dropped_share)
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +615,8 @@ def chi_ff(model: SpectrumModel, schedule: PulseSchedule, *,
 # Scans
 
 
-def decay_table(curves, duration_factor: float,
-                samples_per_interval: int) -> tuple[tuple[DecayPoint, ...], ...]:
+def decay_table(curves, duration_factor: float, samples_per_interval: int,
+                max_dropped_share: float = 0.0) -> tuple[tuple[DecayPoint, ...], ...]:
     """The decay table of ``curves``, each ``(pulse_counts, times)`` with
     one count or one per time: a tuple of curves, each a tuple of the
     :func:`mc_point` of its points.  A time or rate that is not finite
@@ -598,9 +625,19 @@ def decay_table(curves, duration_factor: float,
     for pulse_counts, times in curves:
         times = np.asarray(times, dtype=float)
         counts = np.broadcast_to(np.asarray(pulse_counts, dtype=int), times.shape)
-        table.append(tuple(mc_point(int(n), float(t), duration_factor, samples_per_interval)
+        table.append(tuple(mc_point(int(n), float(t), duration_factor,
+                                    samples_per_interval, max_dropped_share)
                            for n, t in zip(counts, times)))
     return tuple(table)
+
+
+def draw_work(curves) -> dict:
+    """What the draws of every point of ``curves`` reported, as a run's
+    manifest records it: the normals each stream drew, summed over the
+    points, and the largest share of |h|^2 a point's draw dropped."""
+    return {"normals_per_stream": int(sum(c.normals.sum() for c in curves)),
+            "max_dropped_share": max(float(c.dropped_share.max(initial=0.0))
+                                     for c in curves)}
 
 
 def _decay_point(args) -> CoherencePoint:
@@ -635,7 +672,9 @@ def submit_decay_table(model: SpectrumModel, table, n_traj: int, curve_seeds):
                 times=[point.total_time for point in curve],
                 w=[p.w for p in decays],
                 std_err=[p.std_err for p in decays],
-                n_pulses=[point.n_pulses for point in curve]))
+                n_pulses=[point.n_pulses for point in curve],
+                normals=[p.normals for p in decays],
+                dropped_share=[p.dropped_share for p in decays]))
         return out
     return collect
 

@@ -12,14 +12,15 @@ Conventions used throughout the package:
   frequency bin (1/duration) is truncated: the DC bin is always zero.
 * An n-sample trace is drawn from n - 1 standard normals, and
   :func:`normal_weights` gives the weights on them of a functional of the
-  trace and of its quadrature trace: a stream's rfft layout lives here.
+  trace and of its quadrature trace: a stream's rfft layout lives here,
+  and so does the choice of the bins a stream may skip.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,6 +34,8 @@ __all__ = [
     "NoiseTrace",
     "PsdEstimate",
     "eval_psd",
+    "MIN_KEPT_BINS",
+    "NormalWeights",
     "normal_weights",
     "draw_trace_samples",
     "synthesize",
@@ -142,7 +145,11 @@ class NoiseTrace:
 
 @dataclass(frozen=True)
 class PsdEstimate:
-    """One-sided PSD estimate with pointwise 95% confidence bounds."""
+    """One-sided PSD estimate with pointwise 95% confidence bounds.
+
+    An estimate from decay scans carries each point's fit in
+    ``points_detail`` and what its Monte Carlo draws did in ``work``
+    (``qubitsim.draw_work``); both are empty for a Welch estimate."""
 
     f: np.ndarray
     s: np.ndarray
@@ -150,6 +157,7 @@ class PsdEstimate:
     ci_high: np.ndarray
     warnings: tuple[str, ...] = ()
     points_detail: tuple = field(default_factory=tuple, compare=False)
+    work: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         f = np.asarray(self.f, dtype=float)
@@ -246,35 +254,80 @@ def _amplitudes(model: SpectrumModel, sample_rate: float, n: int,
     return amp
 
 
+# fewest rfft bins normal_weights keeps, whatever the share it may drop
+MIN_KEPT_BINS = 32
+
+
+class NormalWeights(NamedTuple):
+    """The weights :func:`normal_weights` lays on a stream's normals."""
+
+    rows: np.ndarray
+    bins: np.ndarray
+    trace_normals: int
+    dropped_share: float
+
+
 def normal_weights(model: SpectrumModel, sample_rate: float,
-                   weights: np.ndarray) -> np.ndarray:
+                   weights: np.ndarray,
+                   max_dropped_share: float = 0.0) -> NormalWeights:
     """The two rows of weights on a stream's normals that give the linear
     functional ``weights @ x`` of the trace x of ``n = weights.size``
     samples :func:`draw_trace_samples` makes from the stream at
     ``sample_rate``, and of its quadrature trace, without forming either.
 
-    A row has the trace's n - 1 normals in draw order, then one more for
-    an even n.  Row 0 is h, with ``h @ normals[:n - 1] == weights @ x``:
-    irfft sums ``c_k e^{+2 pi i jk/n} / n`` with each interior bin paired
-    with its conjugate, so the functional is ``(2/n) Re(c_k conj(R_k))``
-    summed over bins, ``R = rfft(weights)``, and the unpaired real Nyquist
-    bin of an even n enters as ``c R / n``.  Row 1 is the quadrature
-    trace's, the Hilbert transform's: every interior bin times -i, so a
-    bin's weights (h_re, h_im) become (-h_im, h_re), and the Nyquist bin
-    drawn afresh on the extra normal.  The rows are orthogonal and of
+    Row 0 is h: irfft sums ``c_k e^{+2 pi i jk/n} / n`` with each interior
+    bin paired with its conjugate, so the functional is ``(2/n) Re(c_k
+    conj(R_k))`` summed over bins, ``R = rfft(weights)``, and the unpaired
+    real Nyquist bin of an even n enters as ``c R / n``.  Row 1 is the
+    quadrature trace's, the Hilbert transform's: every interior bin times
+    -i, so a bin's weights (h_re, h_im) become (-h_im, h_re), and the
+    Nyquist bin drawn afresh on one more normal.
+
+    A bin's share is its part of |h|^2, ``h_re^2 + h_im^2``.  The bins of
+    smallest share, ties in bin order, are dropped while their summed
+    share stays below ``max_dropped_share``, but at least
+    :data:`MIN_KEPT_BINS` bins (or all of them) are kept; ``bins`` are the
+    kept rfft bins in bin order, and ``dropped_share`` is the share they
+    leave out.  At 0 every bin is kept, one of share 0 too, and h is the
+    trace's n - 1 normals in draw order.  The rows lay out the kept bins
+    alone, in the draw order of a trace with only those bins: their real
+    parts, their imaginary parts, then a kept Nyquist bin, ending row 0's
+    ``trace_normals`` normals; then, for a kept Nyquist bin, the
+    quadrature's extra normal.  Row 0 is then h on the trace synthesized
+    from the kept bins, whose spectrum is the model's there and 0
+    elsewhere.  Selection is per bin, so the rows stay orthogonal and of
     equal norm.
     """
     n = weights.size
     k = (n - 1) // 2
     r = np.fft.rfft(weights) * (2.0 / n)
     amp = _amplitudes(model, sample_rate, n, 1, n // 2 + 1)
-    rows = np.zeros((2, n - n % 2))
-    h = rows[0, :n - 1]
-    np.multiply(np.concatenate((r.real[1:k + 1], r.imag[1:k + 1], 0.5 * r.real[k + 1:])),
-                np.concatenate((amp[:k], amp)), out=h)
-    rows[1, :2 * k] = np.concatenate((-h[k:2 * k], h[:k]))
-    rows[1, n - 1:] = h[2 * k:]
-    return rows
+    h = (np.concatenate((r.real[1:k + 1], r.imag[1:k + 1], 0.5 * r.real[k + 1:]))
+         * np.concatenate((amp[:k], amp)))
+    keep, share = np.arange(n // 2), 0.0
+    # ranking runs only when a bin may go, so a run that keeps every bin
+    # never touches numpy's sort code
+    if max_dropped_share > 0 and keep.size > MIN_KEPT_BINS:
+        power = np.concatenate((h[:k] ** 2 + h[k:2 * k] ** 2, h[2 * k:] ** 2))
+        order = np.argsort(power, kind="stable")
+        dropped = np.cumsum(power[order])
+        n_drop = min(int(np.count_nonzero(dropped < max_dropped_share * dropped[-1])),
+                     keep.size - MIN_KEPT_BINS)
+        if n_drop:
+            kept = np.ones(keep.size, dtype=bool)
+            kept[order[:n_drop]] = False
+            keep, share = np.flatnonzero(kept), float(dropped[n_drop - 1] / dropped[-1])
+    nyquist = bool(n % 2 == 0 and keep[-1] == k)
+    inner = keep[:keep.size - nyquist]
+    s = inner.size
+    re, im = h[inner], h[k + inner]
+    rows = np.zeros((2, 2 * (s + nyquist)))
+    rows[0, :s], rows[0, s:2 * s] = re, im
+    np.negative(im, out=rows[1, :s])
+    rows[1, s:2 * s] = re
+    if nyquist:
+        rows[0, 2 * s] = rows[1, 2 * s + 1] = h[2 * k]
+    return NormalWeights(rows, keep + 1, 2 * s + nyquist, share)
 
 
 # rfft bins per block of the coefficient construction in draw_trace_samples

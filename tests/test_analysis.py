@@ -89,6 +89,14 @@ class TestCurveFits:
             fit([1e-3, 2e-3, 3e-3], [0.9, 0.5, 0.2], [0.0, 1e-160, 0.0])
         assert exc.value.diagnostics["sigma_min"] < 1e-154
 
+    @pytest.mark.parametrize("sigma", [1e-152, 1e-154])
+    def test_covariance_whose_square_overflows_raises(self, sigma):
+        # weights 1/sigma**2 are finite, but the Jacobian's singular value
+        # squares to inf: that direction's variance is not 0, it is below
+        # what a float holds, so the covariance is degenerate
+        with pytest.raises(FitError, match="covariance is degenerate"):
+            fit_exponential([1e-3, 2e-3, 3e-3], [0.9, 0.5, 0.2], [sigma] * 3)
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), stretched=st.booleans())
     def test_fewest_points_leave_a_degree_of_freedom(self, data, stretched):

@@ -29,7 +29,7 @@ from spinprobe.qubitsim import (
     rabi_p_up,
     resonance_frequency_hz,
 )
-from spinprobe import qubitsim, spectra
+from spinprobe import analysis, qubitsim, spectra
 from spinprobe.analysis import spectroscopy_table
 from spinprobe._rng import derive_child_seed, derive_rng
 from spinprobe.harness import execute, load_config, pipelines
@@ -341,7 +341,7 @@ class TestCpmgChi:
     def test_band_matches_quadrature(self, n, t):
         if n == 0:
             t = min(t, 1e-3)
-        *_, rate, samples = mc_point(n, t, DURATION_FACTOR, SAMPLES_PER_INTERVAL)
+        _, _, rate, samples, _ = mc_point(n, t, DURATION_FACTOR, SAMPLES_PER_INTERVAL)
         band = {"f_min": 0.5 * rate / samples, "f_max": 0.5 * rate}
         sch = PulseSchedule(n, t)
         assert chi_ff(COMPOSITE, sch, **band) == pytest.approx(
@@ -553,7 +553,7 @@ class TestPhaseFunctional:
         model = COMPOSITE if composite else WHITE
         weights = toggled_weights(sch, rate, n)
         phi = (trace_normals(n, derive_rng(seed))
-               @ spectra.normal_weights(model, rate, weights)[0, :n - 1])
+               @ spectra.normal_weights(model, rate, weights).rows[0, :n - 1])
         trace = spectra.draw_trace_samples(model, rate, n, derive_rng(seed))
         ref, scale = _reference_phase(trace, rate, sch)
         assert abs(phi - ref) <= 1e-12 * scale
@@ -567,12 +567,12 @@ class TestPhaseFunctional:
     ])
     def test_mc_grid_lengths(self, n_pulses, total_time, spi, n):
         sch = PulseSchedule(n_pulses, total_time)
-        *_, rate, n_grid = mc_point(n_pulses, total_time, 2.0, spi)
+        _, _, rate, n_grid, _ = mc_point(n_pulses, total_time, 2.0, spi)
         assert n_grid == n
         weights = toggled_weights(sch, rate, n)
         assert weights.shape == (n,)
         phi = (trace_normals(n, derive_rng(4))
-               @ spectra.normal_weights(COMPOSITE, rate, weights)[0, :n - 1])
+               @ spectra.normal_weights(COMPOSITE, rate, weights).rows[0, :n - 1])
         trace = spectra.draw_trace_samples(COMPOSITE, rate, n, derive_rng(4))
         ref, scale = _reference_phase(trace, rate, sch)
         assert abs(phi - ref) <= 1e-12 * scale
@@ -606,7 +606,7 @@ class TestPhaseDraw:
         sch = PulseSchedule(point.n_pulses, point.total_time)
         draw = phase_draw(COMPOSITE, point)
         rate, n = point.sample_rate, point.n
-        rows = spectra.normal_weights(COMPOSITE, rate, toggled_weights(sch, rate, n))
+        rows = spectra.normal_weights(COMPOSITE, rate, toggled_weights(sch, rate, n)).rows
         np.testing.assert_array_equal(draw.weights, rows)
         h = rows[0, :n - 1]
         rng, oracle = derive_rng(5), derive_rng(5)
@@ -620,6 +620,47 @@ class TestPhaseDraw:
         assert abs(phi_2 / cal - ref) <= 1e-12 * scale
         # the stream goes on after the pair's normals
         assert rng.random() == oracle.random()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_pulses=st.integers(0, 64), total_time=st.floats(1e-5, 1e-2),
+           samples_per_interval=st.integers(2, 32), extra=st.integers(0, 400),
+           share=st.sampled_from([1e-4, 1e-3, 1e-2]), composite=st.booleans(),
+           seed=st.integers(0, 2**32))
+    @example(8, 2e-3, 32, 0, 1e-3, True, 5)  # n = 513, 7% of the bins kept
+    def test_kept_bins_phase_is_the_phase_of_their_trace(
+            self, n_pulses, total_time, samples_per_interval, extra, share,
+            composite, seed):
+        """The pair drawn on the kept bins is the toggled phase of the
+        trace synthesized from the kept bins alone, and of its quadrature
+        trace: the stream's first normals are the kept bins' real parts,
+        their imaginary parts, then a kept Nyquist bin's, and one more
+        normal draws the quadrature's Nyquist bin."""
+        model = COMPOSITE if composite else WHITE
+        sch = PulseSchedule(n_pulses, total_time)
+        rate = samples_per_interval * max(n_pulses, 1) / total_time
+        n = int(math.ceil(total_time * rate)) + 1 + extra
+        point = qubitsim.DecayPoint(n_pulses, total_time, rate, n, share)
+        draw = phase_draw(model, point)
+        weights = toggled_weights(sch, rate, n)
+        kept = spectra.normal_weights(model, rate, weights, share)
+        np.testing.assert_array_equal(draw.weights, kept.rows)
+        assert draw.dropped_share == kept.dropped_share <= share
+        nyquist = n % 2 == 0 and kept.bins[-1] == n // 2
+        inner = kept.bins[:kept.bins.size - nyquist]
+        s = inner.size
+        amp = spectra._amplitudes(model, rate, n, 1, n // 2 + 1)
+        z = derive_rng(seed).standard_normal(kept.rows.shape[1])
+        trace, quadrature = (np.zeros(n // 2 + 1, dtype=complex) for _ in "iq")
+        trace[inner] = amp[inner - 1] * (z[:s] + 1j * z[s:2 * s])
+        quadrature[inner] = -1j * trace[inner]
+        if nyquist:
+            trace[-1], quadrature[-1] = amp[-1] * z[2 * s], amp[-1] * z[2 * s + 1]
+        cal = math.sqrt(PSD_CHI_CALIBRATION)
+        for phi, coeff in zip(draw(derive_rng(seed)), (trace, quadrature)):
+            samples = np.fft.irfft(coeff, n)
+            ref, scale = _reference_phase(samples, rate, sch)
+            assert abs(phi / cal - float(weights @ samples)) <= 1e-12 * scale
+            assert abs(phi / cal - ref) <= 1e-12 * scale
 
     @pytest.mark.parametrize("gain", [1 / PSD_CHI_CALIBRATION, 3.7e-4, 250.0])
     @pytest.mark.parametrize("n_pulses", [0, 3])
@@ -723,6 +764,31 @@ def test_only_decay_table_works_out_a_trace_grid():
             ("h", "samples_per_interval")]
 
 
+# the calls a bin selection ranks or accumulates shares with
+_SELECTING = {"argsort", "argpartition", "partition", "lexsort", "searchsorted",
+              "cumsum", "cumulative_sum"}
+
+
+def test_only_spectra_selects_bins():
+    """The kept bins of a draw have one owner: ``spectra.normal_weights``
+    ranks the bins' shares and cuts their running sum, and no other module
+    of the package makes either call (``qubitsim``, ``starktone`` and the
+    harness take the rows as they come).  The named exceptions are
+    ``qubitsim``'s own: the running integral of ``toggled_weights`` over
+    the samples, and the filter-function engine's sort of its table and
+    its search for line windows."""
+    package = Path(qubitsim.__file__).parent
+    uses = {(str(path.relative_to(package)), scope, name)
+            for path in sorted(package.rglob("*.py"))
+            for scope, name in _scoped_names(path.read_text(), _SELECTING)}
+    assert {("spectra.py", "normal_weights", name)
+            for name in ("argsort", "cumsum")} <= uses
+    assert {use for use in uses if use[0] != "spectra.py"} == {
+        ("qubitsim.py", "toggled_weights", "cumsum"),
+        ("qubitsim.py", "_cut", "argsort"),
+        ("qubitsim.py", "_pieces", "searchsorted")}
+
+
 def test_no_run_lays_out_a_decay_point():
     """A plan lays out every decay point its run plays: no nested ``run``
     of a pipeline uses a layout (``decay_table``, ``spectroscopy_table``
@@ -743,30 +809,52 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 @pytest.mark.parametrize("kind, csv_name", [
     ("ramsey", "decay.csv"), ("hahn", "decay.csv"),
-    ("cpmg_t2_vs_n", "decay_curves.csv")])
-def test_shipped_decays_sample_the_grid_decay(tmp_path, kind, csv_name):
+    ("cpmg_t2_vs_n", "decay_curves.csv"),
+    ("noise_spectroscopy", "psd_reconstructed.csv"),
+    ("voltage_psd", "psd_reconstructed.csv")])
+def test_shipped_decays_sample_the_grid_decay(tmp_path, monkeypatch, kind, csv_name):
     """Every decay point of a shipped Monte Carlo config, at its shipped
     seed, lies within its sampling error of the decay its own trace grid
     implies, ``exp(-cal * |h|^2 / 2)`` with ``h`` the weights of the draw
-    the run made at its point of its plan's decay table: the sampling z
-    rms stays near 1 and no |z| is extreme."""
+    the run made at its point of its plan's decay table (on the bins its
+    ``max_dropped_share`` keeps): the sampling z rms stays near 1 and no
+    |z| is extreme.  The curves are the ones the run's one submission of
+    its table returned, and the file ``csv_name`` has a row per point of
+    a decay kind, or per curve (frequency) of a spectroscopy kind."""
     cfg = load_config(CONFIG_DIR / f"{kind}.yaml")
+    submit, submitted = qubitsim.submit_decay_table, []
+
+    def spy(model, table, n_traj, curve_seeds):
+        collect = submit(model, table, n_traj, curve_seeds)
+
+        def recorded():
+            submitted.append((model, table, curves := collect()))
+            return curves
+        return recorded
+
+    monkeypatch.setattr(qubitsim, "submit_decay_table", spy)
+    monkeypatch.setattr(analysis, "submit_decay_table", spy)
     execute(cfg, tmp_path, workers=1)
-    model = SpectrumModel.from_dict(cfg["spectrum"])
-    table = pipelines.plan(cfg).table
-    points = [point for curve in table for point in curve]
+    ((model, table, curves),) = submitted
+    assert table == pipelines.plan(cfg).table
     with open(tmp_path / csv_name, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == len(points)
+    points = [point for curve in table for point in curve]
+    if csv_name == "psd_reconstructed.csv":
+        assert len(rows) == len(table)
+    else:
+        assert len(rows) == len(points)
+        for row, point in zip(rows, points):
+            assert float(row["time_s"]) == point.total_time
+            assert int(row.get("n_pulses", point.n_pulses)) == point.n_pulses
     z = []
-    for row, point in zip(rows, points):
-        assert float(row["time_s"]) == point.total_time
-        assert int(row.get("n_pulses", point.n_pulses)) == point.n_pulses
-        h = phase_draw(model, point).weights[0]
-        w_grid = math.exp(-PSD_CHI_CALIBRATION * float(h @ h) / 2)
-        z.append((float(row["coherence_w"]) - w_grid) / float(row["std_err"]))
+    for curve, curve_points in zip(curves, table):
+        for w, err, point in zip(curve.w, curve.std_err, curve_points):
+            h = phase_draw(model, point).weights[0]
+            w_grid = math.exp(-PSD_CHI_CALIBRATION * float(h @ h) / 2)
+            z.append((w - w_grid) / err)
     z = np.array(z)
-    assert z.size >= 12
+    assert z.size == len(points) >= 12
     assert math.sqrt(float(np.mean(z**2))) <= 2.0
     assert float(np.max(np.abs(z))) <= 5.0
 

@@ -220,8 +220,15 @@ def _curve_fit(kind, x, y, sigma, p0, bounds, **kwargs):
 
 
 def _cost(kind, popt, x, y, sigma):
-    r = (y - FITS[kind][0](x, *popt)) / (1.0 if sigma is None else sigma)
-    return float(r @ r)
+    """The weighted sum of squared residuals at ``popt``, evaluated in
+    numpy's extended precision (64-bit significand on x86-64).  In double
+    a model value near 1 rounds by about 1e-16, which weights 1/sigma of
+    some 4e3 turn into a relative noise of about 1e-12 on the cost of a
+    slow decay, as large as the tolerance the comparison allows."""
+    ext = np.longdouble
+    model = FITS[kind][0](np.asarray(x, ext), *np.asarray(popt, ext))
+    r = (np.asarray(y, ext) - model) / (1.0 if sigma is None else np.asarray(sigma, ext))
+    return r @ r
 
 
 def _check_against_curve_fit(kind, x, y, sigma, p0, bounds):

@@ -152,7 +152,7 @@ class TestRfftBinDensity:
         s = spectra._bin_density(WHITE, 1e4 / 1024, 1, 513)
         assert s == pytest.approx(np.full(512, 350.0))
         # an odd n draws its n - 1 trace normals only
-        assert normal_weights(WHITE, 1e4, np.ones(1023)).shape == (2, 1022)
+        assert normal_weights(WHITE, 1e4, np.ones(1023)).rows.shape == (2, 1022)
 
     def test_subbin_line_power_conserved(self):
         # width far below bin spacing: a single bin carries ~all the power
@@ -258,7 +258,7 @@ class TestBlockSynthesis:
         assert (np.concatenate(amp_blocks).tobytes()
                 == np.concatenate((amp[:k], amp[2 * k:])).tobytes())
         weights = np.random.default_rng(n).standard_normal(n)
-        assert (normal_weights(model, rate, weights)[0, :n - 1].tobytes()
+        assert (normal_weights(model, rate, weights).rows[0, :n - 1].tobytes()
                 == (amp * _draw_order(weights)).tobytes())
 
     @pytest.mark.parametrize("n", [2 * 65536 + 3, 2 * 65536 + 6])
@@ -287,6 +287,84 @@ class TestBlockSynthesis:
             tracemalloc.stop()
         assert trace.n_samples == 10 ** 6
         assert peak <= 2.5 * trace.samples.nbytes
+
+
+def _bin_power(h, n):
+    """Each rfft bin's share of |h|^2 before normalising, bins 1..n // 2:
+    h_re^2 + h_im^2, and h^2 of an even n's Nyquist normal."""
+    k = (n - 1) // 2
+    return np.concatenate((h[:k] ** 2 + h[k:2 * k] ** 2, h[2 * k:] ** 2))
+
+
+def _kept_rows(h, n, bins):
+    """The two rows laid out on the rfft ``bins`` alone, from h on every
+    bin: real parts, imaginary parts, then an even n's Nyquist normal,
+    and in row 1 the quadrature, which draws that normal afresh."""
+    k = (n - 1) // 2
+    nyquist = n % 2 == 0 and bins[-1] == n // 2
+    idx = bins[:bins.size - nyquist] - 1
+    s = idx.size
+    rows = np.zeros((2, 2 * bins.size))
+    rows[0, :2 * s] = np.concatenate((h[idx], h[k + idx]))
+    rows[1, :2 * s] = np.concatenate((-h[k + idx], h[idx]))
+    if nyquist:
+        rows[0, 2 * s] = rows[1, 2 * s + 1] = h[2 * k]
+    return rows
+
+
+class TestKeptBins:
+    """``normal_weights`` keeps the fewest bins whose dropped share of
+    |h|^2 stays within ``max_dropped_share``, and at least
+    ``MIN_KEPT_BINS`` of them."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.integers(2, 300), share=st.floats(0.0, 0.05),
+           name=st.sampled_from(sorted(BLOCK_MODELS)),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=64, share=0.0, name="line", seed=0)
+    @example(n=300, share=0.05, name="white", seed=1)
+    @example(n=301, share=0.05, name="power_laws", seed=2)
+    def test_kept_bins(self, n, share, name, seed):
+        model, rate = BLOCK_MODELS[name], 1e4
+        weights = np.random.default_rng(seed).standard_normal(n)
+        full = normal_weights(model, rate, weights)
+        h = full.rows[0, :n - 1]
+        # at 0 today's layout, bit for bit: every bin, in draw order
+        assert h.tobytes() == (_one_shot_amplitudes(model, rate, n)
+                               * _draw_order(weights)).tobytes()
+        assert full.rows.shape == (2, n - n % 2)
+        np.testing.assert_array_equal(full.bins, np.arange(1, n // 2 + 1))
+        assert (full.trace_normals, full.dropped_share) == (n - 1, 0.0)
+        assert full.rows.tobytes() == _kept_rows(h, n, full.bins).tobytes()
+        kept = normal_weights(model, rate, weights, share)
+        bins = kept.bins
+        # kept bins in bin order, at least the floor of them
+        assert np.all(np.diff(bins) > 0) and 1 <= bins[0] and bins[-1] <= n // 2
+        assert bins.size >= min(spectra.MIN_KEPT_BINS, n // 2)
+        assert kept.rows.tobytes() == _kept_rows(h, n, bins).tobytes()
+        assert kept.trace_normals == 2 * bins.size - (
+            n % 2 == 0 and bins[-1] == n // 2)
+        power = _bin_power(h, n)
+        total = float(power.sum())
+        dropped = total - float(power[bins - 1].sum())
+        assert dropped <= share * total * (1 + 1e-9) + 1e-300
+        assert kept.dropped_share == pytest.approx(dropped / total if total else 0.0,
+                                                   rel=1e-9, abs=1e-15)
+        # both rows orthogonal and of equal norm
+        r0, r1 = kept.rows
+        norm2 = float(r0 @ r0)
+        assert abs(float(r1 @ r1) - norm2) <= 1e-12 * norm2
+        assert abs(float(r0 @ r1)) <= 1e-12 * norm2
+        # the fewest: one more dropped bin, the smallest kept, would pass the
+        # share or the floor
+        if bins.size > spectra.MIN_KEPT_BINS and total:
+            assert dropped + float(power[bins - 1].min()) >= share * total * (1 - 1e-9)
+
+    def test_a_share_of_zero_is_kept_at_zero(self):
+        # zero weights: every bin has share 0, and at 0 none is dropped
+        kept = normal_weights(WHITE, 1e4, np.zeros(200))
+        np.testing.assert_array_equal(kept.bins, np.arange(1, 101))
+        assert kept.dropped_share == 0.0
 
 
 class TestInverse:
