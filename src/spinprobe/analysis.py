@@ -9,13 +9,13 @@ fixed-wait decay times to a spectral density via ``S = pi^2/(4*T2)`` at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _solve
 from ._rng import derive_child_seeds
-from .qubitsim import (DURATION_FACTOR, DecayCurve, decay_table, draw_work,
+from .qubitsim import (DURATION_FACTOR, DecayCurve, decay_table,
                        submit_decay_table)
 from .spectra import PsdEstimate, SpectrumModel
 
@@ -26,6 +26,7 @@ __all__ = [
     "PowerLawFit",
     "SpectroscopyPoint",
     "SPECTROSCOPY_SAMPLES_PER_INTERVAL",
+    "SPECTROSCOPY_DROPPED_SHARE",
     "fit_exponential",
     "fit_stretched",
     "fit_power_law",
@@ -261,6 +262,11 @@ _FLAG_WARNINGS = {
 # samples per inter-pulse interval of a spectroscopy scan's Monte Carlo traces
 SPECTROSCOPY_SAMPLES_PER_INTERVAL = 32
 
+# share of each point's |h|^2 a spectroscopy scan's draws may leave out by
+# dropping rfft bins (spectra.normal_weights): about 80% of the normals
+# go, and S moves by at most about 0.0005 dex
+SPECTROSCOPY_DROPPED_SHARE = 1e-3
+
 
 @dataclass(frozen=True)
 class SpectroscopyPoint:
@@ -346,10 +352,10 @@ def reconstruct_psd(points: list[SpectroscopyPoint]) -> PsdEstimate:
 
 def spectroscopy_table(f_grid_hz, pulse_counts, *,
                        duration_factor: float = DURATION_FACTOR,
-                       samples_per_interval: int = SPECTROSCOPY_SAMPLES_PER_INTERVAL,
-                       max_dropped_share: float = 0.0):
+                       samples_per_interval: int = SPECTROSCOPY_SAMPLES_PER_INTERVAL):
     """The :func:`qubitsim.decay_table` of a spectroscopy scan: curve i
-    plays each of ``pulse_counts`` at the fixed wait ``1/(2 f_i)``."""
+    plays each of ``pulse_counts`` at the fixed wait ``1/(2 f_i)``, its
+    draws leaving out :data:`SPECTROSCOPY_DROPPED_SHARE` of |h|^2."""
     f_grid = np.asarray(f_grid_hz, dtype=float)
     if np.any(f_grid <= 0):
         raise ValueError("spectroscopy frequencies must be > 0")
@@ -357,7 +363,8 @@ def spectroscopy_table(f_grid_hz, pulse_counts, *,
     if np.any(counts < 1):
         raise ValueError("pulse counts must be >= 1 when tau_wait is fixed")
     return decay_table([(counts, counts * tau) for tau in 1.0 / (2.0 * f_grid)],
-                       duration_factor, samples_per_interval, max_dropped_share)
+                       duration_factor, samples_per_interval,
+                       SPECTROSCOPY_DROPPED_SHARE)
 
 
 def spectroscopy_scan(model: SpectrumModel, f_grid_hz, table, n_traj: int,
@@ -381,18 +388,13 @@ def submit_spectroscopy_scan(model: SpectrumModel, f_grid_hz,
                              t2_hahn: float | None = None):
     """:func:`spectroscopy_scan`, its points submitted to the run's process
     pool and not yet collected.  Returns a handle whose call waits for
-    them, fits them and gives the :class:`PsdEstimate`, whose ``work`` is
-    the :func:`qubitsim.draw_work` of the scan."""
+    them, fits them and gives the :class:`PsdEstimate`."""
     taus = 1.0 / (2.0 * np.asarray(f_grid_hz, dtype=float))
     if taus.size != len(table):
         raise ValueError(f"{taus.size} frequencies but {len(table)} curves "
                          f"in the table")
     pending = submit_decay_table(model, table, n_traj,
                                  derive_child_seeds(seed, taus.size))
-
-    def collect() -> PsdEstimate:
-        curves = pending()
-        est = reconstruct_psd([spectroscopy_point(curve, tau, t2_hahn=t2_hahn)
-                               for curve, tau in zip(curves, taus)])
-        return replace(est, work=draw_work(curves))
-    return collect
+    return lambda: reconstruct_psd([
+        spectroscopy_point(curve, tau, t2_hahn=t2_hahn)
+        for curve, tau in zip(pending(), taus)])

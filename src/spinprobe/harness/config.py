@@ -267,13 +267,6 @@ MAX_TRAJ = 2 ** 20
 # play at most 160 (numpy 2.4, CPython 3.11, x86-64)
 MAX_SHOTS = 2 ** 20
 
-# largest share of |h|^2 a Monte Carlo draw may drop (max_dropped_share).
-# With spectra.MIN_KEPT_BINS it keeps every draw on a trace of at least
-# 32 bins holding 99% of the phase variance, far from drawing the phase
-# itself from N(0, |h|^2); the spectrometer configs drop 1e-3, a bias of
-# at most about 0.0005 dex in S
-MAX_DROPPED_SHARE = 0.01
-
 # most worker processes in a run: a pool forks all of its workers at its
 # first map, so a mistyped count would fork that many processes at once;
 # 64 is far above any core count a run here gains from
@@ -295,14 +288,10 @@ def _monte_carlo(n_traj, samples_per_interval=SAMPLES_PER_INTERVAL,
                  duration_factor=DURATION_FACTOR) -> dict:
     """Trajectory fields of the Monte Carlo kinds.  The library needs two
     trajectories for a standard error and a trace at least as long as the
-    sequence; ``duration_factor=None`` leaves that field out.  A draw keeps
-    every rfft bin unless ``max_dropped_share`` lets it drop the bins
-    holding that share of |h|^2 (``spectra.normal_weights``)."""
+    sequence; ``duration_factor=None`` leaves that field out."""
     fields = {"n_traj": Field("integer", n_traj, ge=2, le=MAX_TRAJ),
               "samples_per_interval": Field("integer", samples_per_interval, ge=1,
-                                            le=MAX_TRACE_SAMPLES),
-              "max_dropped_share": Field("number", 0.0, ge=0,
-                                         le=MAX_DROPPED_SHARE)}
+                                            le=MAX_TRACE_SAMPLES)}
     if duration_factor is not None:
         fields["duration_factor"] = Field("number", duration_factor, ge=1)
     return fields

@@ -7,11 +7,9 @@ field walk then :func:`plan`.  A plan draws nothing and opens no pool;
 ``cpmg_t2_vs_n``'s finds each T2, which :func:`qubitsim.cpmg_chi` keeps
 with its table, so planning again searches nothing.  The run it returns
 fills a ``_Report``: ``files``, ``stages`` (name, derived seed,
-wall-clock and, for a Monte Carlo decay stage, what its draws reported:
-the normals per stream summed over its points and the largest share of
-|h|^2 a draw dropped), ``fit_failures`` and a manifest ``summary``.
-Seeds derive from the master seed by fixed stage indices, so outputs
-never depend on timing or worker count.
+wall-clock), ``fit_failures`` and a manifest ``summary``.  Seeds derive
+from the master seed by fixed stage indices, so outputs never depend on
+timing or worker count.
 
 A Monte Carlo scan's plan lays out and checks every decay point its run
 plays (a table: a tuple of curves, each a tuple of
@@ -69,7 +67,6 @@ class _Report:
         self.files: list[str] = []
         self.fit_failures: list[dict] = []
         self.summary: dict = {}
-        self._open: dict = {}
 
     def seed(self, index: int) -> int:
         """The seed of the run's stage number ``index``."""
@@ -79,17 +76,12 @@ class _Report:
     def stage(self, name: str):
         seed = self.seed(len(self.stages))
         t0 = time.perf_counter()
-        self._open = info = {"name": name, "seed": seed}
+        info = {"name": name, "seed": seed}
         try:
             yield seed
         finally:
             info["seconds"] = round(time.perf_counter() - t0, 3)
             self.stages.append(info)
-
-    def record(self, work: dict) -> None:
-        """Add ``work`` (what a stage's draws reported) to the entry of
-        the stage that is open."""
-        self._open.update(work)
 
     def try_fit(self, stage_name: str, fn):
         """Run a fit, recording (not raising) a FitError.  A non-finite
@@ -303,15 +295,13 @@ def plan_decay(cfg, readout: ReadoutModel):
     model = _spectrum(cfg)
     with _finite_grids("protocol.times_s"):
         table = qubitsim.decay_table([(n_pulses, times)], proto["duration_factor"],
-                                     proto["samples_per_interval"],
-                                     proto["max_dropped_share"])
+                                     proto["samples_per_interval"])
     _check_table(model, "protocol.times_s", "protocol.duration_factor", table)
 
     def run(report: _Report, out: Path) -> None:
         with report.stage("decay_scan") as seed:
             (curve,) = qubitsim.submit_decay_table(model, table, proto["n_traj"],
                                                    [seed])()
-            report.record(qubitsim.draw_work([curve]))
             p_up = readout.apply(0.5 * (1.0 + curve.w))
             _write(report, out, {
                 "decay.csv": Csv(DECAY_HEADER,
@@ -373,8 +363,7 @@ def plan_cpmg_t2_vs_n(cfg):
             (n, np.geomspace(proto["t_factor_min"] * t2,
                              proto["t_factor_max"] * t2, proto["n_times"]))
             for n, t2 in zip(counts, t2s)],
-            proto["duration_factor"], proto["samples_per_interval"],
-            proto["max_dropped_share"])
+            proto["duration_factor"], proto["samples_per_interval"])
     _check_table(model, "protocol.t_factor_max", "protocol.duration_factor", table)
 
     def run(report: _Report, out: Path) -> None:
@@ -384,7 +373,6 @@ def plan_cpmg_t2_vs_n(cfg):
             curves = qubitsim.submit_decay_table(
                 model, table, proto["n_traj"],
                 derive_child_seeds(seed, len(counts)))()
-            report.record(qubitsim.draw_work(curves))
             _write(report, out, {"decay_curves.csv": Csv(
                 "n_pulses," + DECAY_HEADER.replace(",p_up", ""),
                 (np.repeat(counts, [c.times.size for c in curves]),
@@ -431,15 +419,13 @@ def plan_noise_spectroscopy(cfg):
     with _finite_grids("protocol.f_grid_hz"):
         table = analysis.spectroscopy_table(
             f_grid, proto["pulse_counts"], duration_factor=proto["duration_factor"],
-            samples_per_interval=proto["samples_per_interval"],
-            max_dropped_share=proto["max_dropped_share"])
+            samples_per_interval=proto["samples_per_interval"])
     _check_table(model, "protocol.f_grid_hz", "protocol.duration_factor", table)
 
     def run(report: _Report, out: Path) -> None:
         with report.stage("spectroscopy") as seed:
             est = analysis.spectroscopy_scan(model, f_grid, table, proto["n_traj"],
                                              seed, t2_hahn=proto["t2_hahn_s"])
-            report.record(est.work)
             _write(report, out, {
                 "psd_reconstructed.csv": _psd_csv(est),
                 "points.json": list(est.points_detail),
@@ -654,8 +640,7 @@ def plan_voltage_psd(cfg, stark: StarkMap):
         with _finite_grids("protocol.spectroscopy.f_grid_hz"):
             table = analysis.spectroscopy_table(
                 f_grid, spec_cfg["pulse_counts"],
-                samples_per_interval=spec_cfg["samples_per_interval"],
-                max_dropped_share=spec_cfg["max_dropped_share"])
+                samples_per_interval=spec_cfg["samples_per_interval"])
         _check_table(dmodel, "protocol.spectroscopy.f_grid_hz",
                      "protocol.spectroscopy.samples_per_interval", table)
 
@@ -694,7 +679,6 @@ def plan_voltage_psd(cfg, stark: StarkMap):
         if spec_cfg:
             with report.stage("spectroscopy"):
                 est_rec = scan()
-                report.record(est_rec.work)
                 _write(report, out, {"psd_reconstructed.csv": _psd_csv(est_rec)})
                 summary["spectroscopy_f_range_hz"] = [float(est_rec.f[0]),
                                                       float(est_rec.f[-1])]

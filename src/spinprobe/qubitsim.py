@@ -98,7 +98,6 @@ __all__ = [
     "cpmg_chi",
     "decay_table",
     "submit_decay_table",
-    "draw_work",
     "decay_vs_time",
 ]
 
@@ -196,38 +195,28 @@ def rabi_chevron(qubit: QubitParams, detunings_hz, durations_s) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoherencePoint:
-    """Decay estimate W = <cos phi> at one schedule, and what its draw
-    reports: the normals each stream drew and the share of |h|^2 its
-    weights dropped (see :func:`phase_draw`)."""
+    """Decay estimate W = <cos phi> at one schedule."""
 
     w: float
     std_err: float
     n_traj: int
-    normals: int
-    dropped_share: float
 
 
 @dataclass(frozen=True)
 class DecayCurve:
-    """Coherence versus total evolution time (n_pulses may vary per point).
-
-    ``normals`` and ``dropped_share`` are what each point's draw reported
-    (:class:`CoherencePoint`); 0 for a curve that no draw made."""
+    """Coherence versus total evolution time (n_pulses may vary per point)."""
 
     times: np.ndarray
     w: np.ndarray
     std_err: np.ndarray
     n_pulses: np.ndarray
-    normals: np.ndarray = 0
-    dropped_share: np.ndarray = 0.0
 
     def __post_init__(self):
         for name in ("times", "w", "std_err"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        for name, dtype in (("n_pulses", int), ("normals", int),
-                            ("dropped_share", float)):
-            object.__setattr__(self, name, np.broadcast_to(
-                np.asarray(getattr(self, name), dtype=dtype), self.times.shape).copy())
+        object.__setattr__(self, "n_pulses",
+                           np.broadcast_to(np.asarray(self.n_pulses, dtype=int),
+                                           self.times.shape).copy())
         if not (self.times.shape == self.w.shape == self.std_err.shape):
             raise ValueError("decay curve arrays must be congruent")
 
@@ -301,8 +290,7 @@ def phase_draw(model: SpectrumModel, point: DecayPoint):
 
     ``draw.weights`` are the rows of :func:`spectra.normal_weights` of
     :func:`toggled_weights`, on the bins the point's
-    ``max_dropped_share`` keeps, and ``draw.dropped_share`` the share of
-    |h|^2 they leave out.  ``draw(rng)`` puts a row's worth of normals
+    ``max_dropped_share`` keeps.  ``draw(rng)`` puts a row's worth of normals
     into one reused buffer and returns ``(phi_1, phi_2)``,
     ``sqrt(PSD_CHI_CALIBRATION)`` times their dot products with the two
     rows: the calibrated phases of the trace that
@@ -330,7 +318,6 @@ def phase_draw(model: SpectrumModel, point: DecayPoint):
                 scale * float(normals.dot(quadrature)))
 
     draw.weights = weights
-    draw.dropped_share = kept.dropped_share
     return draw
 
 
@@ -356,9 +343,7 @@ def coherence_mc(model: SpectrumModel, point: DecayPoint, n_traj: int,
                                  dtype=float, count=n_traj))
     w = float(cos_phi.sum()) / n_traj
     var = max(float((cos_phi**2).sum()) - n_traj * w * w, 0.0) / (n_traj - 1)
-    return CoherencePoint(w=w, std_err=math.sqrt(var / n_traj), n_traj=n_traj,
-                          normals=draw.weights.shape[1],
-                          dropped_share=draw.dropped_share)
+    return CoherencePoint(w=w, std_err=math.sqrt(var / n_traj), n_traj=n_traj)
 
 
 # ---------------------------------------------------------------------------
@@ -631,15 +616,6 @@ def decay_table(curves, duration_factor: float, samples_per_interval: int,
     return tuple(table)
 
 
-def draw_work(curves) -> dict:
-    """What the draws of every point of ``curves`` reported, as a run's
-    manifest records it: the normals each stream drew, summed over the
-    points, and the largest share of |h|^2 a point's draw dropped."""
-    return {"normals_per_stream": int(sum(c.normals.sum() for c in curves)),
-            "max_dropped_share": max(float(c.dropped_share.max(initial=0.0))
-                                     for c in curves)}
-
-
 def _decay_point(args) -> CoherencePoint:
     # coherence_mc is looked up on the module per call, so a rebound one
     # runs every point
@@ -672,9 +648,7 @@ def submit_decay_table(model: SpectrumModel, table, n_traj: int, curve_seeds):
                 times=[point.total_time for point in curve],
                 w=[p.w for p in decays],
                 std_err=[p.std_err for p in decays],
-                n_pulses=[point.n_pulses for point in curve],
-                normals=[p.normals for p in decays],
-                dropped_share=[p.dropped_share for p in decays]))
+                n_pulses=[point.n_pulses for point in curve]))
         return out
     return collect
 

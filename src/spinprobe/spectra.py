@@ -145,11 +145,7 @@ class NoiseTrace:
 
 @dataclass(frozen=True)
 class PsdEstimate:
-    """One-sided PSD estimate with pointwise 95% confidence bounds.
-
-    An estimate from decay scans carries each point's fit in
-    ``points_detail`` and what its Monte Carlo draws did in ``work``
-    (``qubitsim.draw_work``); both are empty for a Welch estimate."""
+    """One-sided PSD estimate with pointwise 95% confidence bounds."""
 
     f: np.ndarray
     s: np.ndarray
@@ -157,7 +153,6 @@ class PsdEstimate:
     ci_high: np.ndarray
     warnings: tuple[str, ...] = ()
     points_detail: tuple = field(default_factory=tuple, compare=False)
-    work: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         f = np.asarray(self.f, dtype=float)
@@ -264,7 +259,6 @@ class NormalWeights(NamedTuple):
     rows: np.ndarray
     bins: np.ndarray
     trace_normals: int
-    dropped_share: float
 
 
 def normal_weights(model: SpectrumModel, sample_rate: float,
@@ -287,8 +281,8 @@ def normal_weights(model: SpectrumModel, sample_rate: float,
     smallest share, ties in bin order, are dropped while their summed
     share stays below ``max_dropped_share``, but at least
     :data:`MIN_KEPT_BINS` bins (or all of them) are kept; ``bins`` are the
-    kept rfft bins in bin order, and ``dropped_share`` is the share they
-    leave out.  At 0 every bin is kept, one of share 0 too, and h is the
+    kept rfft bins in bin order.  At 0 every bin is kept, one of share 0
+    too, and h is the
     trace's n - 1 normals in draw order.  The rows lay out the kept bins
     alone, in the draw order of a trace with only those bins: their real
     parts, their imaginary parts, then a kept Nyquist bin, ending row 0's
@@ -304,7 +298,7 @@ def normal_weights(model: SpectrumModel, sample_rate: float,
     amp = _amplitudes(model, sample_rate, n, 1, n // 2 + 1)
     h = (np.concatenate((r.real[1:k + 1], r.imag[1:k + 1], 0.5 * r.real[k + 1:]))
          * np.concatenate((amp[:k], amp)))
-    keep, share = np.arange(n // 2), 0.0
+    keep = np.arange(n // 2)
     # ranking runs only when a bin may go, so a run that keeps every bin
     # never touches numpy's sort code
     if max_dropped_share > 0 and keep.size > MIN_KEPT_BINS:
@@ -316,7 +310,7 @@ def normal_weights(model: SpectrumModel, sample_rate: float,
         if n_drop:
             kept = np.ones(keep.size, dtype=bool)
             kept[order[:n_drop]] = False
-            keep, share = np.flatnonzero(kept), float(dropped[n_drop - 1] / dropped[-1])
+            keep = np.flatnonzero(kept)
     nyquist = bool(n % 2 == 0 and keep[-1] == k)
     inner = keep[:keep.size - nyquist]
     s = inner.size
@@ -327,7 +321,7 @@ def normal_weights(model: SpectrumModel, sample_rate: float,
     rows[1, s:2 * s] = re
     if nyquist:
         rows[0, 2 * s] = rows[1, 2 * s + 1] = h[2 * k]
-    return NormalWeights(rows, keep + 1, 2 * s + nyquist, share)
+    return NormalWeights(rows, keep + 1, 2 * s + nyquist)
 
 
 # rfft bins per block of the coefficient construction in draw_trace_samples

@@ -35,8 +35,7 @@ from spinprobe.harness import ConfigError, RunError, execute, rerun, run
 from spinprobe.harness import pipelines
 from spinprobe.harness import runner as runner_module
 from spinprobe.harness.cli import main
-from spinprobe.harness.config import (KINDS, MAX_CHI_POINTS,
-                                      MAX_DROPPED_SHARE, MAX_SHOTS,
+from spinprobe.harness.config import (KINDS, MAX_CHI_POINTS, MAX_SHOTS,
                                       MAX_TRACE_SAMPLES, MAX_TRAJ,
                                       MAX_WORKERS, PROTOCOLS, TOP,
                                       grid_values, load_config,
@@ -721,44 +720,6 @@ class TestRunner:
             qubitsim.cpmg_chi.cache_clear()
         assert chi_ff_calls == []
 
-    @pytest.mark.parametrize("kind, share, stage", [
-        ("ramsey", 0.0, "decay_scan"), ("cpmg_t2_vs_n", 0.0, "t2_scans"),
-        ("noise_spectroscopy", 1e-2, "spectroscopy"),
-        ("voltage_psd", 1e-2, "spectroscopy")])
-    def test_monte_carlo_stages_record_their_draws(self, tmp_path, kind, share,
-                                                   stage):
-        """A Monte Carlo stage's manifest entry holds the normals per
-        stream its draws reported, summed over its points, and their
-        largest dropped share; other stages hold neither, the inventory
-        does not see them, and rerun reproduces the run."""
-        cfg = copy.deepcopy(TINY_BY_KIND[kind])
-        proto = cfg["protocol"]
-        (proto.get("spectroscopy") or proto)["max_dropped_share"] = share
-        cfg_path = _write_yaml(tmp_path, cfg)
-        out = tmp_path / "out"
-        assert run(cfg_path, workers=1, output_dir=out) == 0
-        manifest = json.loads((out / MANIFEST_NAME).read_text())
-        cfg = manifest["config"]
-        model = spectra.SpectrumModel.from_dict(cfg["spectrum"])
-        if kind == "voltage_psd":
-            model = spectra.voltage_to_detuning_model(
-                model, starktone.StarkMap(**cfg["stark"]).coefficient("G2"))
-            model = dataclasses.replace(model, white_floor=(
-                model.white_floor + cfg["protocol"]["qubit_floor_rad2_s"]))
-        points = [point for curve in pipelines.plan(cfg).table for point in curve]
-        draws = [qubitsim.phase_draw(model, point) for point in points]
-        entries = [s for s in manifest["stages"] if "normals_per_stream" in s]
-        assert [(s["name"], s["normals_per_stream"], s["max_dropped_share"])
-                for s in entries] == [
-            (stage, sum(d.weights.shape[1] for d in draws),
-             max(d.dropped_share for d in draws))]
-        if share:
-            assert 0 < entries[0]["max_dropped_share"] <= share
-        else:
-            assert entries[0]["normals_per_stream"] == sum(
-                point.n - point.n % 2 for point in points)
-        assert rerun(out / MANIFEST_NAME, workers=2) == 0
-
     def test_rerun_reproduces_bit_identically(self, tmp_path):
         cfg_path = _write_yaml(tmp_path, TINY_CHEVRON)
         out = tmp_path / "out"
@@ -1384,31 +1345,6 @@ class TestCli:
                                         bound):
         assert main(["validate", str(_write_yaml(tmp_path, cfg))]) == 2
         assert f"{field}: must be <= {bound}" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("share, message", [
-        (-1e-3, "must be >= 0"), (math.nan, "must be finite"),
-        (0.0101, f"must be <= {MAX_DROPPED_SHARE}")],
-        ids=["negative", "nan", "too_large"])
-    @pytest.mark.parametrize("kind", ["hahn", "cpmg_t2_vs_n",
-                                      "noise_spectroscopy", "voltage_psd"])
-    def test_validate_bounds_the_dropped_share(self, tmp_path, capsys, kind,
-                                               share, message):
-        cfg = copy.deepcopy(TINY_BY_KIND[kind])
-        proto = cfg["protocol"]
-        field = "protocol.spectroscopy" if "spectroscopy" in proto else "protocol"
-        (proto.get("spectroscopy") or proto)["max_dropped_share"] = share
-        assert main(["validate", str(_write_yaml(tmp_path, cfg))]) == 2
-        assert (f"{field}.max_dropped_share: {message}"
-                in capsys.readouterr().out)
-
-    def test_dropped_share_defaults_to_every_bin(self):
-        """Every Monte Carlo kind has the field, default 0, so every
-        normalized config of one echoes it; the tone scan keeps every bin."""
-        for kind, cfg in TINY_BY_KIND.items():
-            proto = validate_config(copy.deepcopy(cfg))["protocol"]
-            proto = proto.get("spectroscopy") or proto
-            assert proto.get("max_dropped_share") == (
-                0.0 if "n_traj" in proto else None), kind
 
     def test_validate_rejects_an_overlong_trace(self, tmp_path, capsys):
         # 4.5e6 s at 120 kHz: 5.4e11 samples, terabytes of synthesis

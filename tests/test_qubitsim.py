@@ -644,7 +644,6 @@ class TestPhaseDraw:
         weights = toggled_weights(sch, rate, n)
         kept = spectra.normal_weights(model, rate, weights, share)
         np.testing.assert_array_equal(draw.weights, kept.rows)
-        assert draw.dropped_share == kept.dropped_share <= share
         nyquist = n % 2 == 0 and kept.bins[-1] == n // 2
         inner = kept.bins[:kept.bins.size - nyquist]
         s = inner.size
@@ -816,11 +815,12 @@ def test_shipped_decays_sample_the_grid_decay(tmp_path, monkeypatch, kind, csv_n
     """Every decay point of a shipped Monte Carlo config, at its shipped
     seed, lies within its sampling error of the decay its own trace grid
     implies, ``exp(-cal * |h|^2 / 2)`` with ``h`` the weights of the draw
-    the run made at its point of its plan's decay table (on the bins its
-    ``max_dropped_share`` keeps): the sampling z rms stays near 1 and no
-    |z| is extreme.  The curves are the ones the run's one submission of
-    its table returned, and the file ``csv_name`` has a row per point of
-    a decay kind, or per curve (frequency) of a spectroscopy kind."""
+    the run made at its point of its plan's decay table (on the bins a
+    spectroscopy scan keeps): the sampling z rms stays near 1 and no |z|
+    is extreme.  A decay kind's W and errors are the ones ``csv_name``
+    holds, a row per point; a spectroscopy kind's file has a row per
+    curve (frequency), so its W are the curves the run's one submission
+    of its table returned."""
     cfg = load_config(CONFIG_DIR / f"{kind}.yaml")
     submit, submitted = qubitsim.submit_decay_table, []
 
@@ -842,17 +842,20 @@ def test_shipped_decays_sample_the_grid_decay(tmp_path, monkeypatch, kind, csv_n
     points = [point for curve in table for point in curve]
     if csv_name == "psd_reconstructed.csv":
         assert len(rows) == len(table)
+        measured = [(w, err) for curve in curves
+                    for w, err in zip(curve.w, curve.std_err)]
     else:
         assert len(rows) == len(points)
         for row, point in zip(rows, points):
             assert float(row["time_s"]) == point.total_time
             assert int(row.get("n_pulses", point.n_pulses)) == point.n_pulses
+        measured = [(float(row["coherence_w"]), float(row["std_err"]))
+                    for row in rows]
     z = []
-    for curve, curve_points in zip(curves, table):
-        for w, err, point in zip(curve.w, curve.std_err, curve_points):
-            h = phase_draw(model, point).weights[0]
-            w_grid = math.exp(-PSD_CHI_CALIBRATION * float(h @ h) / 2)
-            z.append((w - w_grid) / err)
+    for (w, err), point in zip(measured, points):
+        h = phase_draw(model, point).weights[0]
+        w_grid = math.exp(-PSD_CHI_CALIBRATION * float(h @ h) / 2)
+        z.append((w - w_grid) / err)
     z = np.array(z)
     assert z.size == len(points) >= 12
     assert math.sqrt(float(np.mean(z**2))) <= 2.0
@@ -970,6 +973,6 @@ class TestDecayScans:
                                  duration_factor=3.0, samples_per_interval=8)
         for i, n in enumerate(counts):
             assert curve.times[i] == n * tau
-            p = coherence_mc(COMPOSITE, mc_point(n, n * tau, 3.0, 8), 24,
-                             derive_child_seed(9, i))
+            point = mc_point(n, n * tau, 3.0, 8, analysis.SPECTROSCOPY_DROPPED_SHARE)
+            p = coherence_mc(COMPOSITE, point, 24, derive_child_seed(9, i))
             assert (curve.w[i], curve.std_err[i]) == (p.w, p.std_err)

@@ -5,6 +5,7 @@ scipy is a test dependency only: these tests hold the root finder to
 ``scipy.special.gammaincinv``, and the fits to ``curve_fit``.
 """
 
+import decimal
 import math
 import warnings
 from pathlib import Path
@@ -219,16 +220,28 @@ def _curve_fit(kind, x, y, sigma, p0, bounds, **kwargs):
                                   bounds=bounds, maxfev=20000, **kwargs)
 
 
+# the models of FITS on decimals
+_DECIMAL_MODELS = {
+    "exponential": lambda t, t2: (-t / t2).exp(),
+    "stretched": lambda t, t2, n: (-((t / t2) ** n)).exp(),
+    "rb": lambda m, a, p, b: a * p ** m + b,
+}
+
+
 def _cost(kind, popt, x, y, sigma):
     """The weighted sum of squared residuals at ``popt``, evaluated in
-    numpy's extended precision (64-bit significand on x86-64).  In double
-    a model value near 1 rounds by about 1e-16, which weights 1/sigma of
+    40-digit decimal arithmetic on the floats' exact values.  In double a
+    model value near 1 rounds by about 1e-16, which weights 1/sigma of
     some 4e3 turn into a relative noise of about 1e-12 on the cost of a
-    slow decay, as large as the tolerance the comparison allows."""
-    ext = np.longdouble
-    model = FITS[kind][0](np.asarray(x, ext), *np.asarray(popt, ext))
-    r = (np.asarray(y, ext) - model) / (1.0 if sigma is None else np.asarray(sigma, ext))
-    return r @ r
+    slow decay, as large as the tolerance the comparisons allow."""
+    dec = decimal.Decimal
+    model = _DECIMAL_MODELS[kind]
+    sigma = np.ones(len(x)) if sigma is None else np.broadcast_to(sigma, len(x))
+    with decimal.localcontext(prec=40):
+        params = [dec(float(v)) for v in popt]
+        return float(sum(((dec(float(yi)) - model(dec(float(xi)), *params))
+                          / dec(float(si))) ** 2
+                         for xi, yi, si in zip(x, y, sigma)))
 
 
 def _check_against_curve_fit(kind, x, y, sigma, p0, bounds):

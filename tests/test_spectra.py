@@ -334,7 +334,7 @@ class TestKeptBins:
                                * _draw_order(weights)).tobytes()
         assert full.rows.shape == (2, n - n % 2)
         np.testing.assert_array_equal(full.bins, np.arange(1, n // 2 + 1))
-        assert (full.trace_normals, full.dropped_share) == (n - 1, 0.0)
+        assert full.trace_normals == n - 1
         assert full.rows.tobytes() == _kept_rows(h, n, full.bins).tobytes()
         kept = normal_weights(model, rate, weights, share)
         bins = kept.bins
@@ -348,8 +348,6 @@ class TestKeptBins:
         total = float(power.sum())
         dropped = total - float(power[bins - 1].sum())
         assert dropped <= share * total * (1 + 1e-9) + 1e-300
-        assert kept.dropped_share == pytest.approx(dropped / total if total else 0.0,
-                                                   rel=1e-9, abs=1e-15)
         # both rows orthogonal and of equal norm
         r0, r1 = kept.rows
         norm2 = float(r0 @ r0)
@@ -364,7 +362,6 @@ class TestKeptBins:
         # zero weights: every bin has share 0, and at 0 none is dropped
         kept = normal_weights(WHITE, 1e4, np.zeros(200))
         np.testing.assert_array_equal(kept.bins, np.arange(1, 101))
-        assert kept.dropped_share == 0.0
 
 
 class TestInverse:
