@@ -26,7 +26,6 @@ __all__ = [
     "PowerLawFit",
     "SpectroscopyPoint",
     "SPECTROSCOPY_SAMPLES_PER_INTERVAL",
-    "SPECTROSCOPY_DROPPED_SHARE",
     "fit_exponential",
     "fit_stretched",
     "fit_power_law",
@@ -262,11 +261,6 @@ _FLAG_WARNINGS = {
 # samples per inter-pulse interval of a spectroscopy scan's Monte Carlo traces
 SPECTROSCOPY_SAMPLES_PER_INTERVAL = 32
 
-# share of each point's |h|^2 a spectroscopy scan's draws may leave out by
-# dropping rfft bins (spectra.normal_weights): about 80% of the normals
-# go, and S moves by at most about 0.0005 dex
-SPECTROSCOPY_DROPPED_SHARE = 1e-3
-
 
 @dataclass(frozen=True)
 class SpectroscopyPoint:
@@ -354,8 +348,7 @@ def spectroscopy_table(f_grid_hz, pulse_counts, *,
                        duration_factor: float = DURATION_FACTOR,
                        samples_per_interval: int = SPECTROSCOPY_SAMPLES_PER_INTERVAL):
     """The :func:`qubitsim.decay_table` of a spectroscopy scan: curve i
-    plays each of ``pulse_counts`` at the fixed wait ``1/(2 f_i)``, its
-    draws leaving out :data:`SPECTROSCOPY_DROPPED_SHARE` of |h|^2."""
+    plays each of ``pulse_counts`` at the fixed wait ``1/(2 f_i)``."""
     f_grid = np.asarray(f_grid_hz, dtype=float)
     if np.any(f_grid <= 0):
         raise ValueError("spectroscopy frequencies must be > 0")
@@ -363,8 +356,7 @@ def spectroscopy_table(f_grid_hz, pulse_counts, *,
     if np.any(counts < 1):
         raise ValueError("pulse counts must be >= 1 when tau_wait is fixed")
     return decay_table([(counts, counts * tau) for tau in 1.0 / (2.0 * f_grid)],
-                       duration_factor, samples_per_interval,
-                       SPECTROSCOPY_DROPPED_SHARE)
+                       duration_factor, samples_per_interval)
 
 
 def spectroscopy_scan(model: SpectrumModel, f_grid_hz, table, n_traj: int,

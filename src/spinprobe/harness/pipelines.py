@@ -40,7 +40,7 @@ from .._csvio import Csv, write_files
 from .._rng import derive_child_seed, derive_child_seeds
 from .._solve import distinct
 from ..qubitsim import QubitParams, ReadoutModel
-from ..spectra import SpectrumModel
+from ..spectra import MIN_TRACE_SAMPLES, SpectrumModel
 from ..starktone import StarkMap
 from .config import (MAX_CHI_POINTS, MAX_FFT_PRIME, MAX_GRID_POINTS,
                      MAX_PULSES, MAX_RB_CLIFFORDS, MAX_SQUARED,
@@ -611,9 +611,10 @@ def plan_voltage_psd(cfg, stark: StarkMap):
     # trace and Welch sizes as spectra.synthesize and psd_welch take them
     rate = float(proto["sample_rate_hz"])
     n = int(round(rate * proto["duration_s"]))
-    if not 64 <= n <= MAX_TRACE_SAMPLES:
+    if not MIN_TRACE_SAMPLES <= n <= MAX_TRACE_SAMPLES:
         raise ConfigError(f"protocol.duration_s: duration_s*sample_rate_hz = "
-                          f"{n} samples; " + ("need at least 64" if n < 64 else
+                          f"{n} samples; " + (f"need at least {MIN_TRACE_SAMPLES}"
+                                              if n < MIN_TRACE_SAMPLES else
                                               f"at most {MAX_TRACE_SAMPLES}"))
     _check_fft_length("protocol.duration_s", "duration_s*sample_rate_hz", n)
     nperseg = min(int(round(proto["nperseg_s"] * rate)), n)

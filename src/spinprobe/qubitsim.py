@@ -37,11 +37,12 @@ engine and the tone scan of :mod:`spinprobe.starktone` both call, two
 trajectories per stream.  Neither forms a trace: a pair costs its normal
 draws and two dot products.
 
-A Monte Carlo point is a :class:`DecayPoint`: N, T, the trace grid
-(sample rate, n) it runs on and the share of |h|^2 its draw may leave
-out by dropping rfft bins, worked out by :func:`mc_point` when
+A Monte Carlo point is a :class:`DecayPoint`: N, T and the trace grid
+(sample rate, n) it runs on, worked out by :func:`mc_point` when
 :func:`decay_table` lays out a scan (no chi: a consumer derives it from
-the grid).  The table is a tuple of curves, each a tuple of points;
+the grid).  Every draw leaves out the rfft bins holding
+:data:`spectra.DROPPED_SHARE` of the point's |h|^2, one constant for
+every scan.  The table is a tuple of curves, each a tuple of points;
 :func:`submit_decay_table` submits exactly its points to the run's one
 process pool (:mod:`spinprobe._parallel`) in one map and returns before
 they finish.
@@ -223,35 +224,31 @@ class DecayCurve:
 
 class DecayPoint(NamedTuple):
     """A Monte Carlo decay point: ``n_pulses`` over ``total_time``, on an
-    ``n``-sample trace at ``sample_rate``, drawing the rfft bins that
-    leave out at most ``max_dropped_share`` of |h|^2 (see :func:`mc_point`)."""
+    ``n``-sample trace at ``sample_rate`` (see :func:`mc_point`)."""
 
     n_pulses: int
     total_time: float
     sample_rate: float
     n: int
-    max_dropped_share: float = 0.0
 
 
 def mc_point(n_pulses: int, total_time: float,
              duration_factor: float = DURATION_FACTOR,
-             samples_per_interval: int = SAMPLES_PER_INTERVAL,
-             max_dropped_share: float = 0.0) -> DecayPoint:
+             samples_per_interval: int = SAMPLES_PER_INTERVAL) -> DecayPoint:
     """The :class:`DecayPoint` of ``n_pulses`` over ``total_time``: its
     trace holds ``samples_per_interval`` samples per inter-pulse interval
-    over ``duration_factor`` times the sequence, at least 64, and its draw
-    may drop rfft bins holding up to ``max_dropped_share`` of |h|^2
-    (:func:`spectra.normal_weights`; 0 draws every bin)."""
+    over ``duration_factor`` times the sequence, at least
+    :data:`spectra.MIN_TRACE_SAMPLES`."""
     if duration_factor < 1.0:
         raise ValueError("duration_factor must be >= 1 so the trace covers the schedule")
     rate = samples_per_interval * max(n_pulses, 1) / total_time
     # +1 keeps the readout boundary on the sampled part of the record even
     # when duration_factor is exactly 1
     n = int(round(duration_factor * total_time * rate)) + 1
-    if n < 64:
-        rate *= 64.0 / n
-        n = 64
-    return DecayPoint(n_pulses, total_time, rate, n, max_dropped_share)
+    if n < spectra.MIN_TRACE_SAMPLES:
+        rate *= spectra.MIN_TRACE_SAMPLES / n
+        n = spectra.MIN_TRACE_SAMPLES
+    return DecayPoint(n_pulses, total_time, rate, n)
 
 
 def toggled_weights(schedule: PulseSchedule, sample_rate: float,
@@ -289,21 +286,21 @@ def phase_draw(model: SpectrumModel, point: DecayPoint):
     random stream.
 
     ``draw.weights`` are the rows of :func:`spectra.normal_weights` of
-    :func:`toggled_weights`, on the bins the point's
-    ``max_dropped_share`` keeps.  ``draw(rng)`` puts a row's worth of normals
-    into one reused buffer and returns ``(phi_1, phi_2)``,
+    :func:`toggled_weights` with :data:`spectra.DROPPED_SHARE`: every
+    point drops the rfft bins holding that share of |h|^2, but keeps at
+    least :data:`spectra.MIN_KEPT_BINS`.  ``draw(rng)`` puts a row's worth
+    of normals into one reused buffer and returns ``(phi_1, phi_2)``,
     ``sqrt(PSD_CHI_CALIBRATION)`` times their dot products with the two
     rows: the calibrated phases of the trace that
-    ``spectra.draw_trace_samples`` would synthesize from the stream (from
-    the kept bins alone, when any are dropped) and of its quadrature
-    trace, which are independent draws from N(0, PSD_CHI_CALIBRATION *
-    |h|^2), h being row 0.  The caller may go on drawing from ``rng``
-    after the pair.
+    ``spectra.draw_trace_samples`` would synthesize from the stream's
+    kept bins alone and of its quadrature trace, which are independent
+    draws from N(0, PSD_CHI_CALIBRATION * |h|^2), h being row 0.  The
+    caller may go on drawing from ``rng`` after the pair.
     """
     rate, n = point.sample_rate, point.n
     schedule = PulseSchedule(point.n_pulses, point.total_time)
     kept = spectra.normal_weights(model, rate, toggled_weights(schedule, rate, n),
-                                  point.max_dropped_share)
+                                  spectra.DROPPED_SHARE)
     weights = kept.rows
     normals = np.empty(weights.shape[1])
     in_phase, quadrature = weights[0, :kept.trace_normals], weights[1]
@@ -331,9 +328,9 @@ def coherence_mc(model: SpectrumModel, point: DecayPoint, n_traj: int,
     ``n_traj`` drops the last pair's second.  Results are bit-identical
     however the work is distributed; :func:`derive_rngs` hashes all of
     those stream names in one vectorised pass.  The trace band is
-    [rate/n, rate/2] of the point's grid, less the bins the point's
-    ``max_dropped_share`` drops; spectral weight outside the bins it
-    draws is not seen by this estimator.
+    [rate/n, rate/2] of the point's grid, less the bins
+    :func:`phase_draw` drops; spectral weight outside the bins it draws
+    is not seen by this estimator.
     """
     if n_traj < 2:
         raise ValueError("need at least 2 trajectories for a standard error")
@@ -600,8 +597,8 @@ def chi_ff(model: SpectrumModel, schedule: PulseSchedule, *,
 # Scans
 
 
-def decay_table(curves, duration_factor: float, samples_per_interval: int,
-                max_dropped_share: float = 0.0) -> tuple[tuple[DecayPoint, ...], ...]:
+def decay_table(curves, duration_factor: float,
+                samples_per_interval: int) -> tuple[tuple[DecayPoint, ...], ...]:
     """The decay table of ``curves``, each ``(pulse_counts, times)`` with
     one count or one per time: a tuple of curves, each a tuple of the
     :func:`mc_point` of its points.  A time or rate that is not finite
@@ -610,8 +607,7 @@ def decay_table(curves, duration_factor: float, samples_per_interval: int,
     for pulse_counts, times in curves:
         times = np.asarray(times, dtype=float)
         counts = np.broadcast_to(np.asarray(pulse_counts, dtype=int), times.shape)
-        table.append(tuple(mc_point(int(n), float(t), duration_factor,
-                                    samples_per_interval, max_dropped_share)
+        table.append(tuple(mc_point(int(n), float(t), duration_factor, samples_per_interval)
                            for n, t in zip(counts, times)))
     return tuple(table)
 

@@ -35,9 +35,11 @@ __all__ = [
     "PsdEstimate",
     "eval_psd",
     "MIN_KEPT_BINS",
+    "DROPPED_SHARE",
     "NormalWeights",
     "normal_weights",
     "draw_trace_samples",
+    "MIN_TRACE_SAMPLES",
     "synthesize",
     "welch_segments",
     "welch_ci_factors",
@@ -252,6 +254,11 @@ def _amplitudes(model: SpectrumModel, sample_rate: float, n: int,
 # fewest rfft bins normal_weights keeps, whatever the share it may drop
 MIN_KEPT_BINS = 32
 
+# share of |h|^2 every phase draw (qubitsim.phase_draw) leaves out by
+# dropping rfft bins: chi falls by at most 0.1% (about 0.0005 dex in S),
+# and the shipped scans draw a fifth to a third of their normals
+DROPPED_SHARE = 1e-3
+
 
 class NormalWeights(NamedTuple):
     """The weights :func:`normal_weights` lays on a stream's normals."""
@@ -299,9 +306,7 @@ def normal_weights(model: SpectrumModel, sample_rate: float,
     h = (np.concatenate((r.real[1:k + 1], r.imag[1:k + 1], 0.5 * r.real[k + 1:]))
          * np.concatenate((amp[:k], amp)))
     keep = np.arange(n // 2)
-    # ranking runs only when a bin may go, so a run that keeps every bin
-    # never touches numpy's sort code
-    if max_dropped_share > 0 and keep.size > MIN_KEPT_BINS:
+    if keep.size > MIN_KEPT_BINS:
         power = np.concatenate((h[:k] ** 2 + h[k:2 * k] ** 2, h[2 * k:] ** 2))
         order = np.argsort(power, kind="stable")
         dropped = np.cumsum(power[order])
@@ -465,6 +470,10 @@ def draw_trace_samples(model: SpectrumModel, sample_rate: float, n: int,
     return _irfft(lambda: _coefficients(model, sample_rate, n, rng), n)
 
 
+# fewest samples of a synthesized trace or a Monte Carlo trace grid
+MIN_TRACE_SAMPLES = 64
+
+
 def synthesize(model: SpectrumModel, sample_rate: float, duration: float,
                seed: int) -> NoiseTrace:
     """Generate a Gaussian trace whose one-sided PSD follows the model.
@@ -476,9 +485,9 @@ def synthesize(model: SpectrumModel, sample_rate: float, duration: float,
     coefficients plus a whole-length one).
     """
     n = int(round(sample_rate * duration))
-    if n < 64:
-        raise ValueError(
-            f"duration*sample_rate = {n} samples; need at least 64 for synthesis")
+    if n < MIN_TRACE_SAMPLES:
+        raise ValueError(f"duration*sample_rate = {n} samples; need at least "
+                         f"{MIN_TRACE_SAMPLES} for synthesis")
     samples = draw_trace_samples(model, sample_rate, n, derive_rng(seed))
     return NoiseTrace(samples=samples, sample_rate=float(sample_rate))
 

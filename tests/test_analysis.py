@@ -334,9 +334,8 @@ class TestSpectroscopyScan:
                               8, 0)
 
     def test_points_are_coherence_mc(self, monkeypatch):
-        # frequency i, count j: coherence_mc at mc_point(N_j, N_j * tau_i),
-        # dropping SPECTROSCOPY_DROPPED_SHARE, at
-        # derive_child_seed(derive_child_seed(seed, i), j)
+        # frequency i, count j: coherence_mc at mc_point(N_j, N_j * tau_i)
+        # at derive_child_seed(derive_child_seed(seed, i), j)
         curves = []
         submit = analysis.submit_decay_table
 
@@ -358,8 +357,7 @@ class TestSpectroscopyScan:
             np.testing.assert_array_equal(curve.n_pulses, counts)
             for j, n in enumerate(counts):
                 assert curve.times[j] == n * tau
-                point = mc_point(n, n * tau, 3.0, 8,
-                                 analysis.SPECTROSCOPY_DROPPED_SHARE)
+                point = mc_point(n, n * tau, 3.0, 8)
                 p = coherence_mc(PINK, point, 24,
                                  derive_child_seed(derive_child_seed(31, i), j))
                 assert (curve.w[j], curve.std_err[j]) == (p.w, p.std_err)

@@ -3,6 +3,7 @@
 import ast
 import csv
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -341,7 +342,7 @@ class TestCpmgChi:
     def test_band_matches_quadrature(self, n, t):
         if n == 0:
             t = min(t, 1e-3)
-        _, _, rate, samples, _ = mc_point(n, t, DURATION_FACTOR, SAMPLES_PER_INTERVAL)
+        _, _, rate, samples = mc_point(n, t, DURATION_FACTOR, SAMPLES_PER_INTERVAL)
         band = {"f_min": 0.5 * rate / samples, "f_max": 0.5 * rate}
         sch = PulseSchedule(n, t)
         assert chi_ff(COMPOSITE, sch, **band) == pytest.approx(
@@ -567,7 +568,7 @@ class TestPhaseFunctional:
     ])
     def test_mc_grid_lengths(self, n_pulses, total_time, spi, n):
         sch = PulseSchedule(n_pulses, total_time)
-        _, _, rate, n_grid, _ = mc_point(n_pulses, total_time, 2.0, spi)
+        _, _, rate, n_grid = mc_point(n_pulses, total_time, 2.0, spi)
         assert n_grid == n
         weights = toggled_weights(sch, rate, n)
         assert weights.shape == (n,)
@@ -597,38 +598,58 @@ def _quadrature_trace(model, rate, n, rng):
     return np.fft.irfft(coeff, n)
 
 
+# n = 64, 64 and 129: the even lengths draw the quadrature Nyquist normal
+PHASE_POINTS = pytest.mark.parametrize("point", [
+    mc_point(0, 4e-4, 2.0, 8), mc_point(3, 4e-4, 1.0, 8), mc_point(4, 1e-3)],
+    ids=["0-2.0", "3-1.0", "4-2.0"])
+
+
 class TestPhaseDraw:
-    # n = 64, 64 and 129: the even lengths draw the quadrature Nyquist normal
-    @pytest.mark.parametrize("point", [
-        mc_point(0, 4e-4, 2.0, 8), mc_point(3, 4e-4, 1.0, 8), mc_point(4, 1e-3)],
-        ids=["0-2.0", "3-1.0", "4-2.0"])
+    @PHASE_POINTS
+    def test_full_layout_is_the_phase_of_the_trace_and_its_quadrature(self, point):
+        # every bin kept: row 0 on the trace's n - 1 normals is the toggled
+        # phase of draw_trace_samples' trace, row 1 on the stream's normals
+        # that of its Hilbert transform
+        sch = PulseSchedule(point.n_pulses, point.total_time)
+        rate, n = point.sample_rate, point.n
+        weights = toggled_weights(sch, rate, n)
+        rows = spectra.normal_weights(COMPOSITE, rate, weights, 0.0).rows
+        assert rows.shape == (2, n - n % 2)
+        normals = derive_rng(5).standard_normal(rows.shape[1])
+        trace = spectra.draw_trace_samples(COMPOSITE, rate, n, derive_rng(5))
+        _, scale = _reference_phase(trace, rate, sch)
+        assert abs(float(normals[:n - 1] @ rows[0, :n - 1]) - float(weights @ trace)) \
+            <= 1e-12 * scale
+        ref, scale = _reference_phase(
+            _quadrature_trace(COMPOSITE, rate, n, derive_rng(5)), rate, sch)
+        assert abs(float(normals @ rows[1]) - ref) <= 1e-12 * scale
+
+    @PHASE_POINTS
     def test_is_the_calibrated_phase_of_the_trace_normals(self, point):
         sch = PulseSchedule(point.n_pulses, point.total_time)
         draw = phase_draw(COMPOSITE, point)
         rate, n = point.sample_rate, point.n
-        rows = spectra.normal_weights(COMPOSITE, rate, toggled_weights(sch, rate, n)).rows
-        np.testing.assert_array_equal(draw.weights, rows)
-        h = rows[0, :n - 1]
+        kept = spectra.normal_weights(COMPOSITE, rate, toggled_weights(sch, rate, n),
+                                      spectra.DROPPED_SHARE)
+        np.testing.assert_array_equal(draw.weights, kept.rows)
         rng, oracle = derive_rng(5), derive_rng(5)
-        phi_1, phi_2 = draw(rng)
+        normals = oracle.standard_normal(kept.rows.shape[1])
         cal = math.sqrt(PSD_CHI_CALIBRATION)
-        # in phase: the calibrated phase of the trace, bit for bit
-        assert phi_1 == cal * float(trace_normals(n, derive_rng(5)) @ h)
-        # quadrature: the toggled phase of the trace's Hilbert transform
-        ref, scale = _reference_phase(_quadrature_trace(COMPOSITE, rate, n, oracle),
-                                      rate, sch)
-        assert abs(phi_2 / cal - ref) <= 1e-12 * scale
-        # the stream goes on after the pair's normals
+        # in phase bit for bit on the kept bins' trace normals, and the
+        # stream goes on after the pair's normals
+        phi_1, phi_2 = draw(rng)
+        t = kept.trace_normals
+        assert phi_1 == cal * float(normals[:t] @ kept.rows[0, :t])
+        assert phi_2 == cal * float(normals @ kept.rows[1])
         assert rng.random() == oracle.random()
 
     @settings(max_examples=60, deadline=None)
     @given(n_pulses=st.integers(0, 64), total_time=st.floats(1e-5, 1e-2),
            samples_per_interval=st.integers(2, 32), extra=st.integers(0, 400),
-           share=st.sampled_from([1e-4, 1e-3, 1e-2]), composite=st.booleans(),
-           seed=st.integers(0, 2**32))
-    @example(8, 2e-3, 32, 0, 1e-3, True, 5)  # n = 513, 7% of the bins kept
+           composite=st.booleans(), seed=st.integers(0, 2**32))
+    @example(8, 2e-3, 32, 0, True, 5)  # n = 513, 7% of the bins kept
     def test_kept_bins_phase_is_the_phase_of_their_trace(
-            self, n_pulses, total_time, samples_per_interval, extra, share,
+            self, n_pulses, total_time, samples_per_interval, extra,
             composite, seed):
         """The pair drawn on the kept bins is the toggled phase of the
         trace synthesized from the kept bins alone, and of its quadrature
@@ -639,10 +660,10 @@ class TestPhaseDraw:
         sch = PulseSchedule(n_pulses, total_time)
         rate = samples_per_interval * max(n_pulses, 1) / total_time
         n = int(math.ceil(total_time * rate)) + 1 + extra
-        point = qubitsim.DecayPoint(n_pulses, total_time, rate, n, share)
+        point = qubitsim.DecayPoint(n_pulses, total_time, rate, n)
         draw = phase_draw(model, point)
         weights = toggled_weights(sch, rate, n)
-        kept = spectra.normal_weights(model, rate, weights, share)
+        kept = spectra.normal_weights(model, rate, weights, spectra.DROPPED_SHARE)
         np.testing.assert_array_equal(draw.weights, kept.rows)
         nyquist = n % 2 == 0 and kept.bins[-1] == n // 2
         inner = kept.bins[:kept.bins.size - nyquist]
@@ -690,8 +711,12 @@ class TestPhasePairs:
             self, n_pulses, total_time, duration_factor, samples_per_interval,
             model):
         point = mc_point(n_pulses, total_time, duration_factor, samples_per_interval)
+        rate, n = point.sample_rate, point.n
+        kept = spectra.normal_weights(
+            model, rate, toggled_weights(PulseSchedule(n_pulses, total_time), rate, n),
+            spectra.DROPPED_SHARE)
         rows = phase_draw(model, point).weights
-        assert rows.shape == (2, point.n - point.n % 2)
+        assert rows.shape == (2, 2 * kept.bins.size)
         norm2 = float(rows[0] @ rows[0])
         assert abs(float(rows[1] @ rows[1]) - norm2) <= 1e-12 * norm2
         assert abs(float(rows[0] @ rows[1])) <= 1e-12 * norm2
@@ -788,6 +813,24 @@ def test_only_spectra_selects_bins():
         ("qubitsim.py", "_pieces", "searchsorted")}
 
 
+def test_one_dropped_share():
+    """The share of |h|^2 a draw may leave out has one owner: the constant
+    ``spectra.DROPPED_SHARE``, defined at ``spectra``'s module level and
+    read only by ``qubitsim.phase_draw``, and only
+    ``spectra.normal_weights`` takes a share as a parameter.  No other
+    name of the package speaks of a dropped share."""
+    package = Path(qubitsim.__file__).parent
+    sources = {str(path.relative_to(package)): path.read_text()
+               for path in sorted(package.rglob("*.py"))}
+    names = {name for source in sources.values()
+             for name in re.findall(r"\w*dropped_share\w*", source, re.IGNORECASE)}
+    uses = {(module, scope, name) for module, source in sources.items()
+            for scope, name in _scoped_names(source, names)}
+    assert uses == {("spectra.py", None, "DROPPED_SHARE"),
+                    ("qubitsim.py", "phase_draw", "DROPPED_SHARE"),
+                    ("spectra.py", "normal_weights", "max_dropped_share")}
+
+
 def test_no_run_lays_out_a_decay_point():
     """A plan lays out every decay point its run plays: no nested ``run``
     of a pipeline uses a layout (``decay_table``, ``spectroscopy_table``
@@ -815,12 +858,12 @@ def test_shipped_decays_sample_the_grid_decay(tmp_path, monkeypatch, kind, csv_n
     """Every decay point of a shipped Monte Carlo config, at its shipped
     seed, lies within its sampling error of the decay its own trace grid
     implies, ``exp(-cal * |h|^2 / 2)`` with ``h`` the weights of the draw
-    the run made at its point of its plan's decay table (on the bins a
-    spectroscopy scan keeps): the sampling z rms stays near 1 and no |z|
-    is extreme.  A decay kind's W and errors are the ones ``csv_name``
-    holds, a row per point; a spectroscopy kind's file has a row per
-    curve (frequency), so its W are the curves the run's one submission
-    of its table returned."""
+    the run made at its point of its plan's decay table (on the bins the
+    draw keeps): the sampling z rms stays near 1 and no |z| is extreme.
+    A decay kind's W and errors are the ones ``csv_name`` holds, a row
+    per point; a spectroscopy kind's file has a row per curve
+    (frequency), so its W are the curves the run's one submission of its
+    table returned."""
     cfg = load_config(CONFIG_DIR / f"{kind}.yaml")
     submit, submitted = qubitsim.submit_decay_table, []
 
@@ -860,6 +903,20 @@ def test_shipped_decays_sample_the_grid_decay(tmp_path, monkeypatch, kind, csv_n
     assert z.size == len(points) >= 12
     assert math.sqrt(float(np.mean(z**2))) <= 2.0
     assert float(np.max(np.abs(z))) <= 5.0
+
+
+def test_shipped_cpmg_draws_fewer_normals_than_its_trace():
+    """Every Monte Carlo point drops the bins holding ``DROPPED_SHARE`` of
+    |h|^2, the decay kinds' too: a shipped ``cpmg_t2_vs_n`` N = 64 point,
+    n samples, draws fewer normals per stream than the n - 1 of its
+    trace."""
+    cfg = load_config(CONFIG_DIR / "cpmg_t2_vs_n.yaml")
+    model = SpectrumModel.from_dict(cfg["spectrum"])
+    points = [point for curve in pipelines.plan(cfg).table for point in curve
+              if point.n_pulses == 64]
+    assert points
+    for point in points:
+        assert phase_draw(model, point).weights.shape[1] < point.n - 1
 
 
 class TestCoherenceMc:
@@ -973,6 +1030,6 @@ class TestDecayScans:
                                  duration_factor=3.0, samples_per_interval=8)
         for i, n in enumerate(counts):
             assert curve.times[i] == n * tau
-            point = mc_point(n, n * tau, 3.0, 8, analysis.SPECTROSCOPY_DROPPED_SHARE)
+            point = mc_point(n, n * tau, 3.0, 8)
             p = coherence_mc(COMPOSITE, point, 24, derive_child_seed(9, i))
             assert (curve.w[i], curve.std_err[i]) == (p.w, p.std_err)
