@@ -11,8 +11,9 @@ list in one vectorised pass).  A stream is a PCG64 generator seeded with
 four uint64 state words of the hash: :func:`derive_rngs` hashes every
 stream of a batch in one vectorised pass and hands each stream's words
 to ``PCG64`` through the ``ISeedSequence`` interface, which is how
-``PCG64(SeedSequence)`` seeds itself.  numpy only runs PCG64 from those
-words, so a run that draws nothing never imports ``numpy.random``.
+``PCG64(SeedSequence)`` seeds itself; the tone scan (a stream per pair
+of shots) and RB (one per sequence) call it.  numpy only runs PCG64 from
+those words, so a run that draws nothing never imports ``numpy.random``.
 :func:`derive_rng` builds one stream the NumPy way, with a
 ``SeedSequence``; it is the reference every batched path equals bit for
 bit.

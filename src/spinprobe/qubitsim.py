@@ -33,9 +33,9 @@ Gaussian normals of a random stream: the phase of the trace
 :func:`spectra.draw_trace_samples` synthesizes from that stream, and the
 phase of its quadrature trace; the layout of both rows is :mod:`spectra`'s.
 On them :func:`phase_draw` builds the one draw that the Monte Carlo
-engine and the tone scan of :mod:`spinprobe.starktone` both call, two
-trajectories per stream.  Neither forms a trace: a pair costs its normal
-draws and two dot products.
+engine and the tone scan of :mod:`spinprobe.starktone` share, two
+trajectories per stream or per row of a point's block of normals.
+Neither forms a trace: a pair costs its normal draws and two dot products.
 
 A Monte Carlo point is a :class:`DecayPoint`: N, T and the trace grid
 (sample rate, n) it runs on, worked out by :func:`mc_point` when
@@ -63,7 +63,6 @@ since chi is linear in the spectrum.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -71,7 +70,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _parallel, spectra
-from ._rng import derive_child_seeds, derive_rngs
+from ._rng import derive_child_seeds, derive_rng
 from ._solve import brentq, distinct
 from .sequences import PulseSchedule, filter_function
 from .spectra import SpectrumModel
@@ -318,26 +317,40 @@ def phase_draw(model: SpectrumModel, point: DecayPoint):
     return draw
 
 
+# rows coherence_mc draws and multiplies at a time: a multiple of the rows a
+# gemv kernel sums together (4 in OpenBLAS 0.3.31), so chunks round as one product
+_BLOCK_PAIRS = 64
+
+
 def coherence_mc(model: SpectrumModel, point: DecayPoint, n_traj: int,
                  seed: int) -> CoherencePoint:
     """Monte Carlo decay estimate W = <cos phi> at ``point`` over noise
     realizations.
 
-    Trajectories 2j and 2j + 1 are the pair :func:`phase_draw` draws on
-    the stream ``derive_rng(seed, j)``, for j < ceil(n_traj / 2); an odd
-    ``n_traj`` drops the last pair's second.  Results are bit-identical
-    however the work is distributed; :func:`derive_rngs` hashes all of
-    those stream names in one vectorised pass.  The trace band is
-    [rate/n, rate/2] of the point's grid, less the bins
+    Trajectories 2j and 2j + 1 are ``sqrt(PSD_CHI_CALIBRATION)`` times
+    row j of a (ceil(n_traj / 2) x m) block of ``derive_rng(seed)``'s
+    normals times each row of :func:`phase_draw`'s (2 x m) weights; an odd
+    ``n_traj`` drops the last pair's second.  Drawing the block
+    :data:`_BLOCK_PAIRS` rows at a time changes no byte.  The trace band
+    is [rate/n, rate/2] of the point's grid, less the bins
     :func:`phase_draw` drops; spectral weight outside the bins it draws
     is not seen by this estimator.
     """
     if n_traj < 2:
         raise ValueError("need at least 2 trajectories for a standard error")
-    draw = phase_draw(model, point)
-    pairs = map(draw, derive_rngs(seed, (n_traj + 1) // 2))
-    cos_phi = np.cos(np.fromiter(itertools.chain.from_iterable(pairs),
-                                 dtype=float, count=n_traj))
+    weights = phase_draw(model, point).weights
+    pairs = (n_traj + 1) // 2
+    rng = derive_rng(seed)
+    block = np.empty((min(pairs, _BLOCK_PAIRS + 1), weights.shape[1]))
+    phases = np.empty((pairs, 2))
+    # a lone last row joins the chunk before it: numpy hands a one-row
+    # product to dot, which sums in another order than gemv
+    stops = [*range(_BLOCK_PAIRS, pairs - 1, _BLOCK_PAIRS), pairs]
+    for start, stop in zip([0, *stops], stops):
+        chunk = rng.standard_normal(out=block[:stop - start])
+        # two gemvs; one 2-column product would round differently
+        phases[start:stop, 0], phases[start:stop, 1] = chunk @ weights[0], chunk @ weights[1]
+    cos_phi = np.cos(math.sqrt(PSD_CHI_CALIBRATION) * phases.ravel()[:n_traj])
     w = float(cos_phi.sum()) / n_traj
     var = max(float((cos_phi**2).sum()) - n_traj * w * w, 0.0) / (n_traj - 1)
     return CoherencePoint(w=w, std_err=math.sqrt(var / n_traj), n_traj=n_traj)

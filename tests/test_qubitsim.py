@@ -5,6 +5,7 @@ import csv
 import math
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -726,17 +727,49 @@ class TestPhasePairs:
     def test_odd_trajectory_count_is_a_loop_over_pairs(
             self, n_pulses, total_time, duration_factor, samples_per_interval,
             model, half, seed):
+        """Pair j is row j of the point's one stream of normals, m per
+        row: the two products of the (pairs x m) block with the weights,
+        and, to rounding, the pair phase_draw draws on the stream's j-th
+        m normals."""
         point = mc_point(n_pulses, total_time, duration_factor, samples_per_interval)
         n_traj = 2 * half + 1
         draw = phase_draw(model, point)
-        phases = [phi for j in range(half + 1) for phi in draw(derive_rng(seed, j))]
-        assert len(phases) == n_traj + 1
-        cos_phi = np.cos(np.array(phases[:n_traj]))
+        weights = draw.weights
+        block = derive_rng(seed).standard_normal((half + 1, weights.shape[1]))
+        phases = math.sqrt(PSD_CHI_CALIBRATION) * np.stack(
+            (block @ weights[0], block @ weights[1]), axis=1)
+        rng = derive_rng(seed)
+        looped = np.array([draw(rng) for _ in range(half + 1)])
+        # each sum of m products rounds within m ulps of its absolute sum
+        bound = (weights.shape[1] * np.finfo(float).eps * math.sqrt(PSD_CHI_CALIBRATION)
+                 * (np.abs(block) @ np.abs(weights).T))
+        assert np.all(np.abs(looped - phases) <= 2 * bound)
+        cos_phi = np.cos(phases.ravel()[:n_traj])
         p = coherence_mc(model, point, n_traj, seed)
         assert p.n_traj == n_traj
         w = float(cos_phi.sum()) / n_traj
         var = max(float((cos_phi**2).sum()) - n_traj * w * w, 0.0) / (n_traj - 1)
         assert (p.w, p.std_err) == (w, math.sqrt(var / n_traj))
+
+    @settings(max_examples=40, deadline=None)
+    @given(**POINTS, pairs=st.integers(2, 150).filter(lambda p: p % 4),
+           seed=st.integers(0, 2**32))
+    @example(4, 1e-3, 2.0, 16, COMPOSITE, 5, 3)    # a lone last row at 4
+    @example(4, 1e-3, 2.0, 16, COMPOSITE, 65, 3)   # and at 64
+    @example(0, 4e-4, 2.0, 8, WHITE, 66, 3)
+    @example(32, 2e-3, 2.0, 32, COMPOSITE, 131, 3)
+    def test_chunk_size_changes_no_byte(
+            self, n_pulses, total_time, duration_factor, samples_per_interval,
+            model, pairs, seed):
+        """The block is drawn and multiplied _BLOCK_PAIRS rows at a time;
+        any multiple of 4 rows, or the whole block, gives the same bytes."""
+        point = mc_point(n_pulses, total_time, duration_factor, samples_per_interval)
+        n_traj = 2 * pairs - 1
+        results = set()
+        for rows in (4, 64, pairs, pairs + 7):
+            with mock.patch.object(qubitsim, "_BLOCK_PAIRS", rows):
+                results.add(coherence_mc(model, point, n_traj, seed))
+        assert len(results) == 1
 
 
 def _scoped_names(source: str, names: set) -> list[tuple[str | None, str]]:
