@@ -369,7 +369,7 @@ def spectroscopy_scan(model: SpectrumModel, f_grid_hz, table, n_traj: int,
     seed ``derive_child_seed(seed, i)``, whose point j runs at
     ``derive_child_seed`` of that and j, so the result is independent of
     evaluation order.  All points of all frequencies run in one map over
-    the process pool.
+    the run's workers.
     """
     return submit_spectroscopy_scan(model, f_grid_hz, table, n_traj, seed,
                                     t2_hahn=t2_hahn)()
@@ -378,8 +378,8 @@ def spectroscopy_scan(model: SpectrumModel, f_grid_hz, table, n_traj: int,
 def submit_spectroscopy_scan(model: SpectrumModel, f_grid_hz,
                              table, n_traj: int, seed: int, *,
                              t2_hahn: float | None = None):
-    """:func:`spectroscopy_scan`, its points submitted to the run's process
-    pool and not yet collected.  Returns a handle whose call waits for
+    """:func:`spectroscopy_scan`, its points submitted to the run's workers
+    and not yet collected.  Returns a handle whose call waits for
     them, fits them and gives the :class:`PsdEstimate`."""
     taus = 1.0 / (2.0 * np.asarray(f_grid_hz, dtype=float))
     if taus.size != len(table):

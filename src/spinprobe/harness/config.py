@@ -267,8 +267,8 @@ MAX_TRAJ = 2 ** 20
 # play at most 160 (numpy 2.4, CPython 3.11, x86-64)
 MAX_SHOTS = 2 ** 20
 
-# most worker processes in a run: a pool forks all of its workers at its
-# first map, so a mistyped count would fork that many processes at once;
+# most worker processes in a run: each map of more jobs than that forks
+# all of its workers at once, so a mistyped count would fork that many;
 # 64 is far above any core count a run here gains from
 MAX_WORKERS = 64
 

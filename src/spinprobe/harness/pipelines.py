@@ -3,7 +3,7 @@
 A kind's plan turns the normalized config into everything its run reads
 (typed models, grids, derived sizes), checking each value beside its
 derivation (:class:`ConfigError` names the field); validation is the
-field walk then :func:`plan`.  A plan draws nothing and opens no pool;
+field walk then :func:`plan`.  A plan draws nothing and forks nothing;
 ``cpmg_t2_vs_n``'s finds each T2, which :func:`qubitsim.cpmg_chi` keeps
 with its table, so planning again searches nothing.  The run it returns
 fills a ``_Report``: ``files``, ``stages`` (name, derived seed,
@@ -18,7 +18,7 @@ submits as it is or plays as the tone scan's columns; no run lays out a
 point.
 
 A run's maps, its own or the library's, go through
-:func:`spinprobe._parallel.submit` to its one process pool.  It may
+:func:`spinprobe._parallel.submit` to the run's forked workers.  It may
 submit a stage's work early (``voltage_psd`` submits its spectroscopy
 scan before it builds the trace); a stage's ``seconds`` is the main
 process's wall-clock time in it, waiting for results included.
@@ -648,7 +648,7 @@ def plan_voltage_psd(cfg, stark: StarkMap):
     def run(report: _Report, out: Path) -> None:
         if spec_cfg:
             # the scan reads the model, not the trace: submit it first, with
-            # the seed of its stage (the third), so the pool runs it while
+            # the seed of its stage (the third), so the workers run it while
             # the main process builds the trace and its Welch estimate
             scan = analysis.submit_spectroscopy_scan(
                 dmodel, f_grid, table, spec_cfg["n_traj"], report.seed(2))

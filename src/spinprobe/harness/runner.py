@@ -12,14 +12,17 @@ plans again (well under a millisecond: the CPMG tables, and the T2s
 found on them, stay cached).
 
 The first run of a process freezes the heap (``gc.freeze``) just before
-its pool opens: the ~24,000 container objects that imports and
-validation built move to the collector's permanent generation.  The
-run's own full collections, those of its forked pool workers and the
-ones at interpreter exit then no longer walk them, which saves about
-20 ms per process; outputs do not change.  Later runs in the same
-process (``rerun``, the test suite, a script looping over configs)
-freeze nothing more, so what a long-lived caller builds between runs
-stays collectable.
+its pipeline starts, so before the first of the maps that may fork
+workers: the ~24,000 container objects that imports and validation built
+move to the collector's permanent generation.  The run's own full
+collections and the ones at interpreter exit then no longer walk them,
+which saves about 20 ms per process; outputs do not change.  The
+workers a map forks (:mod:`spinprobe._parallel`) inherit the frozen heap
+and leave the collector as they find it: a ``gc.freeze()`` in each
+worker, of what the run built after the freeze, measured no gain.  Later
+runs in the same process (``rerun``, the test suite, a script looping
+over configs) freeze nothing more, so what a long-lived caller builds
+between runs stays collectable.
 """
 
 from __future__ import annotations
@@ -121,15 +124,15 @@ def execute(cfg: dict, out: Path, *, workers: int | None = None) -> dict:
     config's ``workers`` field would reject, or an ``out`` that cannot be
     created or is locked, raises :class:`RunError` before anything is
     written.
-    The pipeline runs in one process pool of that many workers (none at
-    one worker), shut down before the manifest is written; if the
-    pipeline raises, the pool's queued jobs are cancelled and the lock
-    is released before the exception propagates, with no manifest left
-    in ``out``.
+    Each parallel map of the pipeline forks at most that many workers
+    (none at one worker), all reaped before the manifest is written; if
+    the pipeline raises, the workers still running are killed and reaped
+    and the lock is released before the exception propagates, with no
+    manifest left in ``out``.
     If nothing in the process has been frozen yet, the heap is frozen
-    just before the pool opens, so the workers fork from a frozen heap
-    (see the module docstring); with no ``gc.collect()`` first, as that
-    full pass would cost about a third of what the freeze saves.
+    just before the pipeline starts, so the workers fork from a frozen
+    heap (see the module docstring); with no ``gc.collect()`` first, as
+    that full pass would cost about a third of what the freeze saves.
     """
     try:
         workers = _check(workers, TOP["workers"], "--workers")

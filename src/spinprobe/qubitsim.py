@@ -43,9 +43,9 @@ A Monte Carlo point is a :class:`DecayPoint`: N, T and the trace grid
 the grid).  Every draw leaves out the rfft bins holding
 :data:`spectra.DROPPED_SHARE` of the point's |h|^2, one constant for
 every scan.  The table is a tuple of curves, each a tuple of points;
-:func:`submit_decay_table` submits exactly its points to the run's one
-process pool (:mod:`spinprobe._parallel`) in one map and returns before
-they finish.
+:func:`submit_decay_table` submits exactly its points to the run's
+workers (:mod:`spinprobe._parallel`) in one map and returns before they
+finish.
 
 Calibration convention
 ----------------------
@@ -633,7 +633,7 @@ def _decay_point(args) -> CoherencePoint:
 
 def submit_decay_table(model: SpectrumModel, table, n_traj: int, curve_seeds):
     """Submit every point of the decay ``table``, in order, to the run's
-    process pool in one :func:`_parallel.submit`.  Returns a handle whose
+    workers in one :func:`_parallel.submit`.  Returns a handle whose
     call gives the :class:`DecayCurve` of each curve.
 
     Point i of curve c is :func:`coherence_mc` at seed

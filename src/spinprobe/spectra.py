@@ -595,22 +595,25 @@ def _pairwise_row_sum(row: Callable[[int], np.ndarray], lo: int,
         total = _pairwise_row_sum(row, lo, half)
         total += _pairwise_row_sum(row, lo + half, n - half)
         return total
-    tail = n - n % 8
-
-    def tree(j: int, width: int) -> np.ndarray:
-        """The combined partial sums r_j .. r_{j + width - 1}."""
-        if width > 1:
-            total = tree(j, width // 2)
-            total += tree(j + width // 2, width // 2)
-            return total
-        total = row(lo + j).copy()
-        for i in range(j + 8, tail, 8):
-            total += row(lo + i)
-        return total
-
-    total = tree(0, 8)
-    for k in range(lo + tail, lo + n):
+    tail = lo + n - n % 8
+    total = _partial_sums(row, lo, tail, 8)
+    for k in range(tail, lo + n):
         total += row(k)
+    return total
+
+
+def _partial_sums(row: Callable[[int], np.ndarray], j: int, tail: int,
+                  width: int) -> np.ndarray:
+    """:func:`_pairwise_row_sum`'s partial sums r_j .. r_{j + width - 1},
+    combined; r_j adds rows j, j + 8, ... below ``tail``.  Not a closure:
+    one that calls itself is a cycle, which would keep ``row`` alive."""
+    if width > 1:
+        total = _partial_sums(row, j, tail, width // 2)
+        total += _partial_sums(row, j + width // 2, tail, width // 2)
+        return total
+    total = row(j).copy()
+    for i in range(j + 8, tail, 8):
+        total += row(i)
     return total
 
 

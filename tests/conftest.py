@@ -2,6 +2,8 @@
 
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import yaml
@@ -80,3 +82,31 @@ def _plot_columns(plot: dict) -> list[str]:
     y_err = plot.get("y_err", {})
     columns = [plot[key]["column"] for key in ("x", "y", "z") if key in plot]
     return columns + ([y_err] if isinstance(y_err, str) else list(y_err.values()))
+
+
+# the start of every pool script: the map under test, and a check that
+# this process has no child left, running or not yet reaped, and no pipe
+# of a map left open
+POOL_PRELUDE = """\
+import os, signal, sys, time
+from spinprobe import _parallel
+from spinprobe._parallel import run_pool, submit
+
+def no_child_left():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return not _parallel._fds
+    return False
+"""
+
+
+def _run_pool_script(body: str) -> str:
+    """Run ``body`` after :data:`POOL_PRELUDE` in a fresh interpreter and
+    return what it printed; a script that fails or takes more than 60 s
+    (a hung map) fails the test."""
+    proc = subprocess.run([sys.executable, "-c", POOL_PRELUDE + body],
+                          env=_src_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

@@ -1,7 +1,9 @@
 import ast
 import dataclasses
+import gc
 import math
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -501,6 +503,24 @@ class TestWelch:
         assert np.array_equal(est.ci_low, s[1:] * factors[0])
         assert np.array_equal(est.ci_high, s[1:] * factors[1])
         assert bool(est.warnings) == (n_seg < 2)
+
+    # 2, 8 and 299 segments: a running sum, one block of the pairwise
+    # segment sum, and splits into blocks
+    @pytest.mark.parametrize("duration", [0.03, 0.09, 3.0])
+    def test_trace_is_freed_when_the_estimate_returns(self, duration):
+        """psd_welch leaves no reference cycle behind: with the collector
+        off, the trace's samples die with the trace."""
+        tr = synthesize(WHITE, 1e4, duration, 5)
+        samples = weakref.ref(tr.samples)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            psd_welch(tr, nperseg=200)
+            del tr
+            assert samples() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     # 128, 129 and 299 segments: one block of the pairwise segment sum, and
     # splits of more than 128 segments into blocks
