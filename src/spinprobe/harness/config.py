@@ -259,12 +259,13 @@ MAX_RB_CLIFFORDS = 2 ** 20
 # The shipped runs play at most 3,000 (numpy 2.4, CPython 3.11, x86-64)
 MAX_TRAJ = 2 ** 20
 
-# most shots of a tone-scan cell or an RB sequence.  A tone shot took
-# 10.5 us and its cell held 46 B per shot (its hit list and its streams'
-# states): a cell at this bound took 11 s at n = 385 and peaked 46 MB
-# above the process.  An RB sequence draws all its shots as one binomial,
-# 24-26 us a sequence at 1 shot and at 2**62 alike.  The shipped runs
-# play at most 160 (numpy 2.4, CPython 3.11, x86-64)
+# most shots of a tone-scan cell or an RB sequence.  A cell at this bound
+# takes 2.6 s at n = 385, 2.5 us a shot, and peaks 46.4 MB above the
+# process, 44 B a shot, its streams' states and phases (a per-pair scalar
+# loop took 3.9 s and 46.4 MB on the same 2-vCPU Xeon).  An RB sequence
+# draws all its shots as one binomial, 24-26 us a sequence at 1 shot and
+# at 2**62 alike.  The shipped runs play at most 160 (numpy 2.4, CPython
+# 3.11, x86-64)
 MAX_SHOTS = 2 ** 20
 
 # most worker processes in a run: each map of more jobs than that forks

@@ -32,10 +32,13 @@ interpolation at the segment edges, toggling signs).
 Gaussian normals of a random stream: the phase of the trace
 :func:`spectra.draw_trace_samples` synthesizes from that stream, and the
 phase of its quadrature trace; the layout of both rows is :mod:`spectra`'s.
-On them :func:`phase_draw` builds the one draw that the Monte Carlo
-engine and the tone scan of :mod:`spinprobe.starktone` share, two
-trajectories per stream or per row of a point's block of normals.
-Neither forms a trace: a pair costs its normal draws and two dot products.
+On them :func:`phase_draw` builds the draw of two trajectories per row
+of normals, and :func:`block_phases` plays a block of such rows a chunk
+at a time, two gemvs per chunk.  The Monte Carlo engine and the tone scan
+of :mod:`spinprobe.starktone` share it: the engine fills a point's block
+from one stream, the tone scan each row of a cell's block from the
+row's own stream.  Neither forms a trace: a pair costs its normal draws
+and its share of two gemvs.
 
 A Monte Carlo point is a :class:`DecayPoint`: N, T and the trace grid
 (sample rate, n) it runs on, worked out by :func:`mc_point` when
@@ -92,6 +95,7 @@ __all__ = [
     "mc_point",
     "toggled_weights",
     "phase_draw",
+    "block_phases",
     "coherence_mc",
     "chi_ff",
     "CpmgChi",
@@ -294,7 +298,9 @@ def phase_draw(model: SpectrumModel, point: DecayPoint):
     ``spectra.draw_trace_samples`` would synthesize from the stream's
     kept bins alone and of its quadrature trace, which are independent
     draws from N(0, PSD_CHI_CALIBRATION * |h|^2), h being row 0.  The
-    caller may go on drawing from ``rng`` after the pair.
+    caller may go on drawing from ``rng`` after the pair.  Runs play
+    ``draw.weights`` on blocks of rows through :func:`block_phases`;
+    ``draw`` is the one-row reference, equal to it to rounding.
     """
     rate, n = point.sample_rate, point.n
     schedule = PulseSchedule(point.n_pulses, point.total_time)
@@ -317,9 +323,36 @@ def phase_draw(model: SpectrumModel, point: DecayPoint):
     return draw
 
 
-# rows coherence_mc draws and multiplies at a time: a multiple of the rows a
+# rows block_phases draws and multiplies at a time: a multiple of the rows a
 # gemv kernel sums together (4 in OpenBLAS 0.3.31), so chunks round as one product
 _BLOCK_PAIRS = 64
+
+
+def block_phases(weights: np.ndarray, phases: np.ndarray, fill):
+    """Write the calibrated phases of a (pairs x m) block of normals into
+    the (pairs x 2) ``phases``, a chunk at a time.
+
+    The block is drawn :data:`_BLOCK_PAIRS` rows at a time into one reused
+    buffer: ``fill(rows)`` writes the chunk's normals into ``rows`` in
+    place.  Row j's phases are ``sqrt(PSD_CHI_CALIBRATION)`` times row j
+    times each row of :func:`phase_draw`'s (2 x m) ``weights``, two gemvs
+    per chunk.  Each chunk yields ``(fill(rows), phases[start:stop])``
+    once its phases are written.  How the block is chunked changes no
+    byte.
+    """
+    pairs = len(phases)
+    block = np.empty((min(pairs, _BLOCK_PAIRS + 1), weights.shape[1]))
+    scale = math.sqrt(PSD_CHI_CALIBRATION)
+    # a lone last row joins the chunk before it: numpy hands a one-row
+    # product to dot, which sums in another order than gemv
+    stops = [*range(_BLOCK_PAIRS, pairs - 1, _BLOCK_PAIRS), pairs]
+    for start, stop in zip([0, *stops], stops):
+        rows, chunk = block[:stop - start], phases[start:stop]
+        drawn = fill(rows)
+        # two gemvs; one 2-column product would round differently
+        chunk[:, 0], chunk[:, 1] = rows @ weights[0], rows @ weights[1]
+        chunk *= scale
+        yield drawn, chunk
 
 
 def coherence_mc(model: SpectrumModel, point: DecayPoint, n_traj: int,
@@ -327,30 +360,21 @@ def coherence_mc(model: SpectrumModel, point: DecayPoint, n_traj: int,
     """Monte Carlo decay estimate W = <cos phi> at ``point`` over noise
     realizations.
 
-    Trajectories 2j and 2j + 1 are ``sqrt(PSD_CHI_CALIBRATION)`` times
-    row j of a (ceil(n_traj / 2) x m) block of ``derive_rng(seed)``'s
-    normals times each row of :func:`phase_draw`'s (2 x m) weights; an odd
-    ``n_traj`` drops the last pair's second.  Drawing the block
-    :data:`_BLOCK_PAIRS` rows at a time changes no byte.  The trace band
-    is [rate/n, rate/2] of the point's grid, less the bins
-    :func:`phase_draw` drops; spectral weight outside the bins it draws
-    is not seen by this estimator.
+    Trajectories 2j and 2j + 1 are the phases of row j of a (ceil(n_traj
+    / 2) x m) block of ``derive_rng(seed)``'s normals (:func:`block_phases`
+    on :func:`phase_draw`'s weights); an odd ``n_traj`` drops the last
+    pair's second.  The trace band is [rate/n, rate/2] of the point's
+    grid, less the bins :func:`phase_draw` drops; spectral weight outside
+    the bins it draws is not seen by this estimator.
     """
     if n_traj < 2:
         raise ValueError("need at least 2 trajectories for a standard error")
-    weights = phase_draw(model, point).weights
-    pairs = (n_traj + 1) // 2
     rng = derive_rng(seed)
-    block = np.empty((min(pairs, _BLOCK_PAIRS + 1), weights.shape[1]))
-    phases = np.empty((pairs, 2))
-    # a lone last row joins the chunk before it: numpy hands a one-row
-    # product to dot, which sums in another order than gemv
-    stops = [*range(_BLOCK_PAIRS, pairs - 1, _BLOCK_PAIRS), pairs]
-    for start, stop in zip([0, *stops], stops):
-        chunk = rng.standard_normal(out=block[:stop - start])
-        # two gemvs; one 2-column product would round differently
-        phases[start:stop, 0], phases[start:stop, 1] = chunk @ weights[0], chunk @ weights[1]
-    cos_phi = np.cos(math.sqrt(PSD_CHI_CALIBRATION) * phases.ravel()[:n_traj])
+    phases = np.empty(((n_traj + 1) // 2, 2))
+    for _ in block_phases(phase_draw(model, point).weights, phases,
+                          lambda rows: rng.standard_normal(out=rows)):
+        pass  # each chunk lands in phases
+    cos_phi = np.cos(phases.ravel()[:n_traj])
     w = float(cos_phi.sum()) / n_traj
     var = max(float((cos_phi**2).sum()) - n_traj * w * w, 0.0) / (n_traj - 1)
     return CoherencePoint(w=w, std_err=math.sqrt(var / n_traj), n_traj=n_traj)

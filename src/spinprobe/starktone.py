@@ -9,9 +9,12 @@ tone frequency, weaker dips at odd submultiples (where the tone rides an
 odd filter harmonic), and nothing at even submultiples where the filter
 has exact nulls.  A kept column is one decay point, laid out once by
 :func:`scan_columns`.  Its shots come in pairs, one pair per stream of
-:func:`spinprobe._rng.derive_rngs`: each pair takes its two background
-noise phases from :func:`spinprobe.qubitsim.phase_draw`, the Monte Carlo
-decay engine's draw, then its tone phases and readout uniforms.
+:func:`spinprobe._rng.derive_rngs`: each stream fills one row of the
+cell's block of normals, then draws the pair's tone phases and readout
+uniforms.  The block's rows give the pairs' two background noise phases
+through :func:`spinprobe.qubitsim.block_phases`, the Monte Carlo decay
+engine's chunked product, and each chunk's shots play as array
+operations.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ import numpy as np
 
 from . import _parallel
 from ._rng import derive_child_seeds, derive_rngs
-from .qubitsim import HARDWARE_READOUT, ReadoutModel, decay_table, phase_draw
+from .qubitsim import (HARDWARE_READOUT, ReadoutModel, block_phases, decay_table,
+                       phase_draw)
 from .sequences import cpmg_filter_function
 from .spectra import SpectrumModel
 
@@ -163,36 +167,50 @@ class ToneScanResult:
 def _tone_column(args) -> list[tuple[float, float]]:
     """``(p_hat, std_err)`` of every amplitude row of one scan column.
 
-    The column's noise draw (:func:`qubitsim.phase_draw` at its point)
-    and tone response are built once.  Shots 2j and 2j + 1 of row i play
-    on the stream ``derive_rng(cell_seeds[i], j)``: the pair's two noise
-    phases, then one ``rng.random(4)`` holding each shot's tone phase (as
-    a fraction of a turn) and then its readout uniform, or
+    The column's noise weights (:func:`qubitsim.phase_draw` at its point)
+    and tone response are built once.  Shots 2j and 2j + 1 of amplitude
+    i play on the stream ``derive_rng(cell_seeds[i], j)``: it fills row j
+    of the cell's block of normals, whose two phases are the pair's noise
+    phases, then draws one ``rng.random(4)`` holding each shot's tone
+    phase (as a fraction of a turn) and then its readout uniform, or
     ``rng.random(2)``, the two readout uniforms, at a fixed tone phase.
-    A shot is a hit when its uniform falls below its P_up; an odd
-    ``shots`` drops the last pair's second shot."""
+    :func:`qubitsim.block_phases` plays the block a chunk of rows at a
+    time, and each chunk's shots play as array operations.  A shot is a
+    hit when its uniform falls below its P_up; an odd ``shots`` drops the
+    last pair's second shot."""
     (model, point, amps_pp, coeff, f_tone, fixed_phase, shots, cell_seeds,
      readout) = args
-    draw = phase_draw(model, point)
+    weights = phase_draw(model, point).weights
     # only the modulus of the tone's response matters once its phase is random
     y_mag = math.sqrt(cpmg_filter_function(point.n_pulses, point.total_time,
                                            f_tone))
+    width = 4 if fixed_phase is None else 2
+    phases = np.empty(((shots + 1) // 2, 2))  # reused by every cell
     cells = []
     for amp_pp, cell_seed in zip(amps_pp, cell_seeds):
         a = tone_amplitude(coeff, amp_pp) * y_mag
-        hits = []
-        # per shot, only Python floats; readout keeps p inside [0, 1]
-        for rng in derive_rngs(cell_seed, (shots + 1) // 2):
-            noise = draw(rng)
+        streams = derive_rngs(cell_seed, len(phases))
+
+        def fill(rows):
+            # each pair's normals, then its uniforms, from its own stream
+            uniforms = np.empty((len(rows), width))
+            for row, u, rng in zip(rows, uniforms, streams):
+                rng.standard_normal(out=row)
+                rng.random(out=u)
+            return uniforms
+
+        hits, left = 0, shots
+        for u, phi in block_phases(weights, phases, fill):
             if fixed_phase is None:
-                u = rng.random(4).tolist()
-                thetas, reads = (2 * math.pi * u[0], 2 * math.pi * u[2]), u[1::2]
+                tone, reads = a * np.sin((2 * math.pi) * u[:, 0::2]), u[:, 1::2]
             else:
-                thetas, reads = (fixed_phase, fixed_phase), rng.random(2).tolist()
-            for phi, theta, read in zip(noise, thetas, reads):
-                p = readout.apply(0.5 * (1.0 + math.cos(phi + a * math.sin(theta))))
-                hits.append(read < p)
-        p_hat = sum(hits[:shots]) / shots
+                tone, reads = a * math.sin(fixed_phase), u
+            # readout keeps p inside [0, 1]
+            p = readout.apply(0.5 * (1.0 + np.cos(phi + tone)))
+            hit = (reads < p).ravel()[:left]
+            hits += int(np.count_nonzero(hit))
+            left -= hit.size
+        p_hat = hits / shots
         se = math.sqrt(max(p_hat * (1 - p_hat), 0.25 / shots) / shots)
         cells.append((p_hat, se))
     return cells

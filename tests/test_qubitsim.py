@@ -19,6 +19,7 @@ from spinprobe.qubitsim import (
     SAMPLES_PER_INTERVAL,
     QubitParams,
     ReadoutModel,
+    block_phases,
     chi_ff,
     cpmg_chi,
     coherence_mc,
@@ -762,13 +763,19 @@ class TestPhasePairs:
             self, n_pulses, total_time, duration_factor, samples_per_interval,
             model, pairs, seed):
         """The block is drawn and multiplied _BLOCK_PAIRS rows at a time;
-        any multiple of 4 rows, or the whole block, gives the same bytes."""
+        any multiple of 4 rows, or the whole block, gives the same bytes,
+        of every phase and of the estimate."""
         point = mc_point(n_pulses, total_time, duration_factor, samples_per_interval)
-        n_traj = 2 * pairs - 1
+        weights = phase_draw(model, point).weights
         results = set()
         for rows in (4, 64, pairs, pairs + 7):
             with mock.patch.object(qubitsim, "_BLOCK_PAIRS", rows):
-                results.add(coherence_mc(model, point, n_traj, seed))
+                rng, phases = derive_rng(seed), np.empty((pairs, 2))
+                for _ in block_phases(weights, phases,
+                                      lambda r: rng.standard_normal(out=r)):
+                    pass
+                results.add((phases.tobytes(),
+                             coherence_mc(model, point, 2 * pairs - 1, seed)))
         assert len(results) == 1
 
 

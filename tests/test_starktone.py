@@ -157,17 +157,21 @@ class TestToneScan:
                     [derive_child_seed(3, col, row)], HARDWARE_READOUT))
                 assert cell == (res.p_up[row, col], res.std_err[row, col])
 
+    # 129 shots are 65 pairs, one chunk with its lone last row joined; 131
+    # cross the 64-row chunk boundary with an odd count in the last chunk;
+    # 258 are a full chunk, then 65 rows
+    @pytest.mark.parametrize("shots", [7, 129, 131, 258])
     @pytest.mark.parametrize("phase", [None, 0.3])
-    def test_shots_play_in_pairs_per_stream(self, phase):
+    def test_shots_play_in_pairs_per_stream(self, phase, shots):
         # shots 2j and 2j + 1 share stream j: the noise pair, then each
         # shot's tone phase and readout uniform (the uniforms alone at a
-        # fixed phase); 7 shots drop the fourth pair's second
+        # fixed phase); an odd count drops the last pair's second
         ((_, point),), _ = scan_columns([25e-6], 300e-6)
         draw = phase_draw(WHITE, point)
         a = tone_amplitude(G2, 1e-4) * math.sqrt(filter_function(
             make_cpmg(point.n_pulses, point.total_time), 2e4))
         hits = []
-        for j in range(4):
+        for j in range((shots + 1) // 2):
             rng = derive_rng(9, j)
             noise = draw(rng)
             if phase is None:
@@ -178,8 +182,8 @@ class TestToneScan:
             hits += [read < 0.225 + 0.55 * 0.5 * (1 + math.cos(phi + a * math.sin(theta)))
                      for phi, (theta, read) in zip(noise, draws)]
         (cell,) = starktone._tone_column((
-            WHITE, point, [1e-4], G2, 2e4, phase, 7, [9], HARDWARE_READOUT))
-        assert cell[0] == sum(hits[:7]) / 7
+            WHITE, point, [1e-4], G2, 2e4, phase, shots, [9], HARDWARE_READOUT))
+        assert cell[0] == sum(hits[:shots]) / shots
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
