@@ -1,11 +1,11 @@
 """Experiment configuration: YAML surface, one field table, defaults.
 
-A config is one YAML document.  Required everywhere: ``kind``, ``seed``,
-``output_dir``.  ``spectrum`` describes detuning noise in rad^2/s for the
-coherence kinds and voltage noise in V^2/Hz for ``voltage_psd``.  Grids can
-be given as explicit lists or as ``{start, stop, num, spacing}`` with
-spacing ``linear`` (the default) or ``log``; a given grid replaces the
-default whole.
+A config is one YAML document, in which no mapping repeats a key.
+Required everywhere: ``kind``, ``seed``, ``output_dir``.  ``spectrum``
+describes detuning noise in rad^2/s for the coherence kinds and voltage
+noise in V^2/Hz for ``voltage_psd``.  Grids can be given as explicit
+lists or as ``{start, stop, num, spacing}`` with spacing ``linear`` (the
+default) or ``log``; a given grid replaces the default whole.
 
 Every field is declared once, as a :class:`Field` in :data:`TOP` or, for
 ``protocol``, in :data:`PROTOCOLS`: its accepted JSON types, its bounds,
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Hashable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -453,14 +454,35 @@ def validate_config(raw: dict) -> dict:
     return cfg
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that rejects a mapping which repeats a key,
+    naming the key and its line; a key is checked before any ``<<`` merge,
+    and an unhashable one is left to the base class, which rejects it."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":  # a << key
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if isinstance(key, Hashable):
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found duplicate key {key!r}", key_node.start_mark)
+                seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_config(path) -> dict:
-    """Read and validate a YAML config file."""
+    """Read and validate a YAML config file; a repeated key is a YAML
+    parse error."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
         with path.open(encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"YAML parse error in {path}: {exc}") from None
     except UnicodeDecodeError as exc:

@@ -5,17 +5,19 @@ A kind's plan turns the normalized config into everything its run reads
 derivation (:class:`ConfigError` names the field); validation is the
 field walk then :func:`plan`.  A plan draws nothing and forks nothing;
 ``cpmg_t2_vs_n``'s finds each T2, which :func:`qubitsim.cpmg_chi` keeps
-with its table, so planning again searches nothing.  The run it returns
-fills a ``_Report``: ``files``, ``stages`` (name, derived seed,
-wall-clock), ``fit_failures`` and a manifest ``summary``.  Seeds derive
-from the master seed by fixed stage indices, so outputs never depend on
-timing or worker count.
+with its table, so planning again searches nothing.  It returns a
+:class:`Plan`, whose run fills a ``_Report``: ``files``, ``stages``
+(name, derived seed, wall-clock), ``fit_failures`` and a manifest
+``summary``.  Each kind declares its stages once, the same for every
+config: stage i of the layout has seed ``derive_child_seed(cfg["seed"],
+i)`` whenever the run enters it, so outputs never depend on timing or
+worker count.
 
 A Monte Carlo scan's plan lays out and checks every decay point its run
 plays (a table: a tuple of curves, each a tuple of
-:class:`qubitsim.DecayPoint`), kept as ``run.table``, which the run
-submits as it is or plays as the tone scan's columns; no run lays out a
-point.
+:class:`qubitsim.DecayPoint`), kept as the plan's ``table``, which the
+run submits as it is or plays as the tone scan's columns; no run lays
+out a point.
 
 A run's maps, its own or the library's, go through
 :func:`spinprobe._parallel.submit` to the run's forked workers.  It may
@@ -32,12 +34,13 @@ import time
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .. import analysis, benchmarking, qubitsim, spectra, starktone
 from .._csvio import Csv, write_files
-from .._rng import derive_child_seed, derive_child_seeds
+from .._rng import derive_child_seeds
 from .._solve import distinct
 from ..qubitsim import QubitParams, ReadoutModel
 from ..spectra import MIN_TRACE_SAMPLES, SpectrumModel
@@ -58,23 +61,29 @@ VOLT_PSD_HEADER = "f_hz,S_v2_per_hz,n_bins"
 DETUNING_PSD_HEADER = "f_hz,S_rad2_per_s,n_bins"
 
 
-class _Report:
-    """Accumulates stage timings, files, and fit failures for one run."""
+class Plan(NamedTuple):
+    """A kind's run, ``run(report, out)``; its stage layout, the names of
+    the stages it may enter, in seed order; and the Monte Carlo table its
+    run plays, if any."""
+    run: Callable
+    stages: tuple
+    table: tuple | None = None
 
-    def __init__(self, master_seed: int):
-        self.master_seed = master_seed
+
+class _Report:
+    """Accumulates stage timings, files, and fit failures for one run;
+    ``seeds`` maps each declared stage to its seed."""
+
+    def __init__(self, seeds: dict):
+        self.seeds = seeds
         self.stages: list[dict] = []
         self.files: list[str] = []
         self.fit_failures: list[dict] = []
         self.summary: dict = {}
 
-    def seed(self, index: int) -> int:
-        """The seed of the run's stage number ``index``."""
-        return derive_child_seed(self.master_seed, index)
-
     @contextmanager
     def stage(self, name: str):
-        seed = self.seed(len(self.stages))
+        seed = self.seeds[name]  # a KeyError for a stage the plan does not declare
         t0 = time.perf_counter()
         info = {"name": name, "seed": seed}
         try:
@@ -249,7 +258,7 @@ def gate_index(spec) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Plans; each returns its run, ``run(report, out)``
+# Plans; each returns a Plan
 
 
 def plan_rabi_chevron(cfg, qubit: QubitParams):
@@ -281,7 +290,7 @@ def plan_rabi_chevron(cfg, qubit: QubitParams):
             "max_at_detuning_hz": float(det[imax[0]]),
             "max_at_duration_s": float(dur[imax[1]]),
         }
-    return run
+    return Plan(run, ("chevron",))
 
 
 def plan_decay(cfg, readout: ReadoutModel):
@@ -315,8 +324,7 @@ def plan_decay(cfg, readout: ReadoutModel):
             fit_dict = _decay_fit(report, "fit", proto["fit"], curve)
             _write(report, out, {"fit.json": fit_dict})
         report.summary = {"n_pulses": n_pulses, "fit": fit_dict}
-    run.table = table
-    return run
+    return Plan(run, ("decay_scan", "fit"), table)
 
 
 def plan_cpmg_t2_vs_n(cfg):
@@ -408,8 +416,7 @@ def plan_cpmg_t2_vs_n(cfg):
                                "prefactor_s": scaling_fit.prefactor}
             _write(report, out, {"scaling.json": scaling})
         report.summary = {"scaling": scaling, "n_fitted": len(t2s)}
-    run.table = table
-    return run
+    return Plan(run, ("t2_scans", "fits", "scaling_fit"), table)
 
 
 def plan_noise_spectroscopy(cfg):
@@ -437,8 +444,7 @@ def plan_noise_spectroscopy(cfg):
         report.summary = {"n_points": est.n_points,
                           "warnings": list(est.warnings),
                           "f_range_hz": [float(est.f[0]), float(est.f[-1])]}
-    run.table = table
-    return run
+    return Plan(run, ("spectroscopy",), table)
 
 
 def plan_rb(cfg, readout: ReadoutModel):
@@ -497,7 +503,7 @@ def plan_rb(cfg, readout: ReadoutModel):
                     }
         _write(report, out, {"rb_fit.json": summaries})
         report.summary = summaries
-    return run
+    return Plan(run, ("reference", "reference_fit", "interleaved", "interleaved_fit"))
 
 
 def plan_stark_map(cfg, stark: StarkMap):
@@ -550,7 +556,7 @@ def plan_stark_map(cfg, stark: StarkMap):
             }
             _write(report, out, {"stark_fit.json": result})
         report.summary = result
-    return run
+    return Plan(run, ("map_measurement", "plane_fit"))
 
 
 def plan_tone_scan(cfg, readout: ReadoutModel, stark: StarkMap):
@@ -601,8 +607,7 @@ def plan_tone_scan(cfg, readout: ReadoutModel, stark: StarkMap):
         report.summary = {"threshold_vpp": detection["threshold_vpp"],
                           "tone_column_hz": detection["tone_column_hz"],
                           "dropped_taus": list(result.dropped)}
-    run.table = table
-    return run
+    return Plan(run, ("scan", "detection"), table)
 
 
 def plan_voltage_psd(cfg, stark: StarkMap):
@@ -648,10 +653,10 @@ def plan_voltage_psd(cfg, stark: StarkMap):
     def run(report: _Report, out: Path) -> None:
         if spec_cfg:
             # the scan reads the model, not the trace: submit it first, with
-            # the seed of its stage (the third), so the workers run it while
-            # the main process builds the trace and its Welch estimate
+            # the seed of its stage, so the workers run it while the main
+            # process builds the trace and its Welch estimate
             scan = analysis.submit_spectroscopy_scan(
-                dmodel, f_grid, table, spec_cfg["n_traj"], report.seed(2))
+                dmodel, f_grid, table, spec_cfg["n_traj"], report.seeds["spectroscopy"])
         with report.stage("trace") as seed:
             trace = spectra.synthesize(vmodel, rate, proto["duration_s"], seed)
             if proto["export_trace"]:
@@ -685,8 +690,7 @@ def plan_voltage_psd(cfg, stark: StarkMap):
                                                       float(est_rec.f[-1])]
         _write(report, out, {"voltage_summary.json": summary})
         report.summary = summary
-    run.table = table if spec_cfg else None
-    return run
+    return Plan(run, ("trace", "welch", "spectroscopy"), table if spec_cfg else None)
 
 
 PLANS = {"rabi_chevron": plan_rabi_chevron, "ramsey": plan_decay,
@@ -696,10 +700,10 @@ PLANS = {"rabi_chevron": plan_rabi_chevron, "ramsey": plan_decay,
          "tone_scan": plan_tone_scan, "voltage_psd": plan_voltage_psd}
 
 
-def plan(cfg: dict):
-    """The run of a normalized config, ``run(report, out)``: the models
-    every kind checks, then the kind's plan, given the config and the
-    models its parameters name.  :class:`ConfigError` names a bad field."""
+def plan(cfg: dict) -> Plan:
+    """The :class:`Plan` of a normalized config: the models every kind
+    checks, then the kind's plan, given the config and the models its
+    parameters name.  :class:`ConfigError` names a bad field."""
     models = {}
     for section, build in (("qubit", QubitParams), ("readout", ReadoutModel),
                            ("stark", StarkMap)):
@@ -713,8 +717,9 @@ def plan(cfg: dict):
 
 
 def _plan_then_run(cfg, out: Path) -> _Report:
-    report = _Report(cfg["seed"])
-    plan(cfg)(report, out)
+    run, stages, _ = plan(cfg)
+    report = _Report(dict(zip(stages, derive_child_seeds(cfg["seed"], len(stages)))))
+    run(report, out)
     return report
 
 

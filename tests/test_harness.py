@@ -557,6 +557,20 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="parse"):
             load_config(p)
 
+    def test_merge_key_may_be_overridden(self, tmp_path):
+        # a key given beside a << merge overrides the merged one; it is
+        # not a repeated key
+        p = tmp_path / "merged.yaml"
+        p.write_text(yaml.safe_dump({k: v for k, v in TINY_RAMSEY.items()
+                                     if k != "protocol"}) + textwrap.dedent("""\
+            protocol:
+              <<: {n_traj: 16, fit: exponential}
+              fit: stretched
+              times_s: {start: 1.0e-4, stop: 4.0e-3, num: 3, spacing: log}
+            """))
+        proto = load_config(p)["protocol"]
+        assert (proto["n_traj"], proto["fit"]) == (16, "stretched")
+
 
 class TestRunner:
     def test_run_writes_outputs_and_manifest(self, tmp_path, capsys):
@@ -1167,12 +1181,43 @@ def test_run_submits_exactly_the_table_rows(tmp_path, monkeypatch, kind,
     assert submitted == [points]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")),
+                         ids=lambda p: p.stem)
+def test_each_stage_has_the_seed_of_its_declared_index(tmp_path, path, workers):
+    """A shipped run enters its stages in the order its plan declares
+    them, and each stage's seed is that of its index in the layout,
+    whenever the run enters it."""
+    cfg = load_config(path)
+    stages = pipelines.plan(cfg).stages
+    manifest = execute(cfg, tmp_path / "out", workers=workers)
+    names = [stage["name"] for stage in manifest["stages"]]
+    assert names and names == sorted(set(names), key=stages.index)
+    for stage in manifest["stages"]:
+        assert stage["seed"] == derive_child_seed(cfg["seed"],
+                                                  stages.index(stage["name"]))
+
+
+def test_entering_an_undeclared_stage_raises(tmp_path, monkeypatch):
+    # ramsey's plan, its layout less the fit stage its run still enters
+    real = pipelines.PLANS["ramsey"]
+
+    def undeclared(cfg, readout):
+        run, stages, table = real(cfg, readout)
+        return pipelines.Plan(run, stages[:-1], table)
+
+    monkeypatch.setitem(pipelines.PLANS, "ramsey", undeclared)
+    with pytest.raises(KeyError, match="fit"):
+        execute(validate_config(TINY_RAMSEY), tmp_path / "out", workers=1)
+
+
 class TestRunPool:
     def test_overlapped_voltage_psd_identical_at_1_and_2_workers(self, tmp_path):
         """Also: voltage_psd submits its scan before the trace stage opens,
-        so it names its seed by the spectroscopy stage's index; the CSV is
-        the library scan of the Stark-converted model plus the qubit floor
-        at that stage's seed, bit for bit."""
+        with the seed of the spectroscopy entry of its declared stage
+        layout, the third; the CSV is the library scan of the
+        Stark-converted model plus the qubit floor at that stage's seed,
+        bit for bit."""
         cfg = validate_config(OVERLAPPED_VOLTAGE)
         m1 = execute(cfg, tmp_path / "a", workers=1)
         m2 = execute(cfg, tmp_path / "b", workers=2)
@@ -1307,6 +1352,34 @@ class TestCli:
         p.write_text("seed: 1\n")
         assert main(["validate", str(p)]) == 2
         assert "error" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key, again", [("seed", "seed: 4"),
+                                            ("n_traj", "  n_traj: 32")],
+                             ids=["top", "protocol"])
+    def test_validate_rejects_a_repeated_key(self, tmp_path, capsys, key, again):
+        # a config that gave a key twice validated, and the run used the
+        # later value; ``again`` repeats the key on the line after it, at
+        # the top level or in protocol
+        text = yaml.safe_dump(TINY_RAMSEY)
+        p = tmp_path / "cfg.yaml"
+        p.write_text(text)
+        assert main(["validate", str(p)]) == 0
+        lines = text.splitlines(keepends=True)
+        first = next(i for i, line in enumerate(lines)
+                     if line.startswith(again.split(":")[0] + ":"))
+        lines.insert(first + 1, again + "\n")
+        p.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["validate", str(p)]) == 2
+        out = capsys.readouterr().out
+        assert "YAML parse error" in out
+        assert f"found duplicate key '{key}'\n  in \"{p}\", line {first + 2}," in out
+
+    def test_validate_rejects_an_unhashable_key(self, tmp_path, capsys):
+        p = tmp_path / "cfg.yaml"
+        p.write_text("{[1]: 2}\n")
+        assert main(["validate", str(p)]) == 2
+        assert "found unhashable key" in capsys.readouterr().out
 
     @pytest.mark.parametrize("seed, code", [(2**64 - 1, 0), (2**64, 2)])
     def test_validate_bounds_the_seed_to_64_bits(self, tmp_path, capsys,

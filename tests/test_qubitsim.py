@@ -32,7 +32,7 @@ from spinprobe.qubitsim import (
     rabi_p_up,
     resonance_frequency_hz,
 )
-from spinprobe import analysis, qubitsim, spectra
+from spinprobe import analysis, qubitsim, spectra, starktone
 from spinprobe.analysis import spectroscopy_table
 from spinprobe._rng import derive_child_seed, derive_rng
 from spinprobe.harness import execute, load_config, pipelines
@@ -957,6 +957,37 @@ def test_shipped_cpmg_draws_fewer_normals_than_its_trace():
     assert points
     for point in points:
         assert phase_draw(model, point).weights.shape[1] < point.n - 1
+
+
+# OpenBLAS splits a gemv over its threads from about this many rows times
+# columns, and a threaded gemv may round otherwise
+GEMV_THREADED_SIZE = 500_000
+
+
+def test_shipped_gemv_chunks_stay_below_the_threaded_size(tmp_path, monkeypatch):
+    """Every chunk :func:`qubitsim.block_phases` multiplies in a shipped
+    config, its rows times its kept normals, stays below the size from
+    which OpenBLAS splits a gemv over threads, so no Monte Carlo byte
+    depends on ``OPENBLAS_NUM_THREADS``.  Every Monte Carlo kind
+    multiplies a chunk."""
+    real, sizes, largest = qubitsim.block_phases, [], {}
+
+    def recording(weights, phases, fill):
+        def fill_and_record(rows):
+            sizes.append(rows.size)
+            return fill(rows)
+        return real(weights, phases, fill_and_record)
+
+    monkeypatch.setattr(qubitsim, "block_phases", recording)
+    monkeypatch.setattr(starktone, "block_phases", recording)
+    for path in sorted(CONFIG_DIR.glob("*.yaml")):
+        execute(load_config(path), tmp_path / path.stem, workers=1)
+        if sizes:
+            largest[path.stem] = max(sizes)
+            sizes.clear()
+    assert set(largest) == {"ramsey", "hahn", "cpmg_t2_vs_n", "noise_spectroscopy",
+                            "tone_scan", "voltage_psd"}
+    assert max(largest.values()) < GEMV_THREADED_SIZE
 
 
 class TestCoherenceMc:

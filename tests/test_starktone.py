@@ -165,14 +165,18 @@ class TestToneScan:
     def test_shots_play_in_pairs_per_stream(self, phase, shots):
         # shots 2j and 2j + 1 share stream j: the noise pair, then each
         # shot's tone phase and readout uniform (the uniforms alone at a
-        # fixed phase); an odd count drops the last pair's second
+        # fixed phase); an odd count drops the last pair's second.  Each odd
+        # count's cell seed makes that shot a hit and the one before it a
+        # miss at both phases, so a cell that counts the dropped shot, or
+        # drops its pair's first instead, has another p_hat
+        seed = {7: 125, 129: 32, 131: 190, 258: 9}[shots]
         ((_, point),), _ = scan_columns([25e-6], 300e-6)
         draw = phase_draw(WHITE, point)
         a = tone_amplitude(G2, 1e-4) * math.sqrt(filter_function(
             make_cpmg(point.n_pulses, point.total_time), 2e4))
         hits = []
         for j in range((shots + 1) // 2):
-            rng = derive_rng(9, j)
+            rng = derive_rng(seed, j)
             noise = draw(rng)
             if phase is None:
                 u = rng.random(4)
@@ -181,8 +185,10 @@ class TestToneScan:
                 draws = [(phase, read) for read in rng.random(2)]
             hits += [read < 0.225 + 0.55 * 0.5 * (1 + math.cos(phi + a * math.sin(theta)))
                      for phi, (theta, read) in zip(noise, draws)]
+        if shots % 2:
+            assert hits[shots] and not hits[shots - 1]
         (cell,) = starktone._tone_column((
-            WHITE, point, [1e-4], G2, 2e4, phase, shots, [9], HARDWARE_READOUT))
+            WHITE, point, [1e-4], G2, 2e4, phase, shots, [seed], HARDWARE_READOUT))
         assert cell[0] == sum(hits[:shots]) / shots
 
     def test_shape_validation(self):
