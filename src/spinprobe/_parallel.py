@@ -5,21 +5,31 @@ carries its own derived seed, so outputs are bit-identical for any worker
 count.
 
 :func:`submit` is the one map.  In a run of two or more workers
-(:func:`run_pool`), a map of more than one job forks min(workers, jobs)
-workers and returns at once; calling the handle it returns gives the
-results in order.  The workers inherit ``fn`` and the jobs through the
-fork and take job indices from one shared pipe; each sends its results,
-pickled, through a pipe of its own.  The handle reads all the pipes at
-once and reaps every worker, then raises the exception of the
-lowest-index failed job, if any.  A run waits for the maps it did not
-collect; a run that raises kills and reaps their workers.  A map flushes
+(:func:`run_pool`), a map of more than one job forks min(workers - 1,
+jobs) workers and returns at once; the process that calls the handle it
+returns is the map's last worker.  The forked workers inherit ``fn`` and
+the jobs through the fork and take job indices from one shared pipe;
+each sends its results, pickled, through a pipe of its own.  Calling the
+handle takes indices from the same pipe and runs those jobs in the
+calling process, each through a worker's own pickle round trip and
+exception capture, so a job has the same outcome wherever it runs; a
+``KeyboardInterrupt`` is the one exception it does not capture.  Between
+jobs it feeds the job pipe and reads what the workers have sent, so no
+worker waits on a full pipe for long.  It takes no index while indices
+are still to be written and a forked worker is left to take them: a read
+of an empty pipe would then wait for an index that only it can write.
+Once every job has run, the handle reads the rest and reaps every
+worker, then raises the exception of the lowest-index failed job, if
+any.  A run waits for the maps it did not collect, whose forked workers
+run all their jobs; a run that raises kills and reaps their workers, and
+so does a handle that raises before its jobs are done.  A map flushes
 ``sys.stdout`` and ``sys.stderr`` before it forks, and each worker
 flushes them once its jobs are done, so what a job prints comes out
 once.  Workers leave through ``os._exit``: no ``finally`` block or
 ``atexit`` handler of the main process runs in them.
 
-At one worker, outside a run, inside a worker, and for a map of at most
-one job, nothing forks: the handle runs the jobs inline.
+At one worker, outside a run, inside a job, and for a map of at most one
+job, nothing forks: the handle runs the jobs inline.
 """
 
 from __future__ import annotations
@@ -50,33 +60,40 @@ def _flush_stdio() -> None:
             pass
 
 
+def _outcome(fn, jobs, i: int, keep=()) -> bytes:
+    """Run job ``i`` and return ``(i, ok, result or exception)``,
+    pickled; a value that cannot be pickled and loaded again fails the
+    job.  Exceptions of the ``keep`` types propagate instead."""
+    try:
+        ok, value = True, fn(jobs[i])
+    except keep:
+        raise
+    except BaseException as exc:  # the handle re-raises it
+        import traceback
+        note = f"in a worker process:\n{traceback.format_exc()}"
+        exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
+        ok, value = False, exc
+    try:
+        payload = pickle.dumps((i, ok, value), pickle.HIGHEST_PROTOCOL)
+        pickle.loads(payload)  # what cannot be loaded here fails the job
+    except Exception as exc:
+        payload = pickle.dumps((i, False, RuntimeError(
+            f"job {i}: cannot pickle {type(value).__name__}: {exc}"
+            + ("" if ok else f"; {note}"))))
+    return payload
+
+
 def _work(fn, jobs, job_r: int, w: int) -> None:
     """A forked worker: run each job whose index it reads from ``job_r``
-    and send ``(index, ok, result or exception)`` through ``w``; never
-    returns."""
+    and send its outcome through ``w``; never returns."""
     global _run
     try:
         _run = None  # the main process's run, not this process's
-        for fd in _fds:
+        for fd in _fds - {job_r}:
             os.close(fd)
         out = open(w, "wb")
         while len(index := os.read(job_r, 4)) == 4:  # a job index
-            i = int.from_bytes(index, "little")
-            try:
-                ok, value = True, fn(jobs[i])
-            except BaseException as exc:  # the handle re-raises it
-                import traceback
-                note = f"in a worker process:\n{traceback.format_exc()}"
-                exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
-                ok, value = False, exc
-            try:
-                payload = pickle.dumps((i, ok, value), pickle.HIGHEST_PROTOCOL)
-                pickle.loads(payload)  # what cannot be loaded here fails the job
-            except Exception as exc:
-                payload = pickle.dumps((i, False, RuntimeError(
-                    f"job {i}: cannot pickle {type(value).__name__}: {exc}"
-                    + ("" if ok else f"; {note}"))))
-            out.write(payload)
+            out.write(_outcome(fn, jobs, int.from_bytes(index, "little")))
             out.flush()
         _flush_stdio()
         os._exit(0)
@@ -85,22 +102,24 @@ def _work(fn, jobs, job_r: int, w: int) -> None:
 
 
 class _Map:
-    """The forked workers of one map and the results read from them."""
+    """The forked workers of one map, its job pipe, and the results read
+    from the workers or run here."""
 
     def __init__(self, fn, jobs: list, workers: int):
-        self.n, self.results, self.exit_codes = len(jobs), {}, []
+        self.fn, self.jobs, self.n = fn, jobs, len(jobs)
+        self.results, self.exit_codes = {}, []
         self.workers = {}  # result pipe's read end -> (pid, its file)
         self.todo = b"".join(i.to_bytes(4, "little") for i in range(self.n))
-        job_r, self.job_w = os.pipe()
-        _fds.add(self.job_w)
+        self.job_r, self.job_w = os.pipe()
+        _fds.update((self.job_r, self.job_w))
         _flush_stdio()  # or the workers would write the buffered text again
         try:
-            for _ in range(min(workers, self.n)):
+            for _ in range(min(workers - 1, self.n)):
                 r, w = os.pipe()
                 _fds.add(r)
                 try:
                     if (pid := os.fork()) == 0:
-                        _work(fn, jobs, job_r, w)
+                        _work(fn, jobs, self.job_r, w)
                 except OSError:
                     _close(r)
                     raise
@@ -115,19 +134,17 @@ class _Map:
         except BaseException:
             self.close(kill=True)
             raise
-        finally:
-            os.close(job_r)
 
     def _feed(self, fd: int) -> bool:
         """Write the job indices the pipe has room for; close it, and return
-        True, after the last one or once no worker is left to read."""
+        True, after the last one or once no process is left to read."""
         try:
             while self.todo:
                 self.todo = self.todo[os.write(fd, self.todo[:_PIPE_BUF]):]
         except BlockingIOError:
             return False
         except BrokenPipeError:
-            pass  # collect reports the jobs no worker took
+            pass  # no process is left to read: collect reports the jobs not run
         _close(fd)
         self.job_w = None
         return True
@@ -146,40 +163,81 @@ class _Map:
         self.results[i] = ok, value
         return False
 
-    def close(self, *, kill: bool) -> None:
-        """Reap every worker, after reading all it sends or, with ``kill``,
-        at once."""
+    def _take(self) -> None:
+        """Run, here, the job whose index comes next out of the pipe, as a
+        worker would; at the pipe's end, close it."""
+        global _run
+        index = os.read(self.job_r, 4)
+        if not index:
+            _close(self.job_r)
+            self.job_r = None
+            return
+        run, _run = _run, None  # a job's own maps run inline, as in a worker
+        try:
+            payload = _outcome(self.fn, self.jobs, int.from_bytes(index, "little"),
+                               keep=KeyboardInterrupt)
+        finally:
+            _run = run
+        i, ok, value = pickle.loads(payload)
+        self.results[i] = ok, value
+
+    def _finish(self) -> None:
+        """Feed the job pipe and read every result until each worker is
+        reaped, running here the jobs whose indices this process takes
+        while its end of the job pipe is open.  It reads an index only
+        once every index is written, or no worker is left to take one, so
+        the pipe then holds an index or has ended."""
         import selectors
-        if kill:
-            import signal
-            self.todo = b""
-            for pid, _ in self.workers.values():
-                os.kill(pid, signal.SIGKILL)
         with selectors.DefaultSelector() as selector:
             for fd in self.workers:
                 selector.register(fd, selectors.EVENT_READ, self._read)
             if self.job_w is not None:
                 selector.register(self.job_w, selectors.EVENT_WRITE, self._feed)
-            while selector.get_map():
-                for key, _ in selector.select():
+            while selector.get_map() or self.job_r is not None:
+                timeout = None
+                if self.job_r is not None and (self.job_w is None or not self.workers):
+                    self._take()
+                    timeout = 0  # only what is ready: take the next job
+                for key, _ in selector.select(timeout):
                     if key.data(key.fd):  # closed just now
                         selector.unregister(key.fd)
 
+    def close(self, *, kill: bool) -> None:
+        """Take no more jobs here and reap every worker, after reading all
+        it sends or, with ``kill``, at once."""
+        if self.job_r is not None:
+            _close(self.job_r)
+            self.job_r = None
+        if kill:
+            import signal
+            self.todo = b""
+            for pid, _ in self.workers.values():
+                os.kill(pid, signal.SIGKILL)
+        self._finish()
+        self.fn = self.jobs = None
+
     def collect(self) -> list:
-        self.close(kill=False)
+        try:
+            self._finish()
+        except BaseException:  # a KeyboardInterrupt, here or in a job run here
+            self.close(kill=True)
+            raise
+        self.fn = self.jobs = None
+        results, self.results = self.results, {}
         for i in range(self.n):
-            if i not in self.results:
+            if i not in results:
                 raise RuntimeError(f"job {i} of {self.n} has no result: a worker "
                                    f"process ended early (exit codes {self.exit_codes})")
-            if not self.results[i][0]:
-                raise self.results[i][1]
-        return [self.results[i][1] for i in range(self.n)]
+            if not results[i][0]:
+                raise results[i][1]
+        return [results[i][1] for i in range(self.n)]
 
 
 @contextmanager
 def run_pool(workers: int):
-    """Fork at most ``workers`` (>= 1) workers for each map made inside the
-    block, none at one.  When the block ends its maps' workers are waited
+    """Fork at most ``workers - 1`` workers for each map made inside the
+    block, none at one (``workers`` >= 1); the process that collects a
+    map is its last worker.  When the block ends its maps' workers are waited
     for; if it raises, they are killed and reaped before the exception
     propagates."""
     global _run

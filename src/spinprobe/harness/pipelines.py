@@ -20,10 +20,12 @@ run submits as it is or plays as the tone scan's columns; no run lays
 out a point.
 
 A run's maps, its own or the library's, go through
-:func:`spinprobe._parallel.submit` to the run's forked workers.  It may
-submit a stage's work early (``voltage_psd`` submits its spectroscopy
-scan before it builds the trace); a stage's ``seconds`` is the main
-process's wall-clock time in it, waiting for results included.
+:func:`spinprobe._parallel.submit` to the run's forked workers, and the
+main process runs jobs of a map while it collects it.  A run may submit
+a stage's work early (``voltage_psd`` submits its spectroscopy scan
+before it builds the trace); a stage's ``seconds`` is the main
+process's wall-clock time in it, its share of the jobs and the wait for
+results included.
 """
 
 from __future__ import annotations
@@ -653,8 +655,8 @@ def plan_voltage_psd(cfg, stark: StarkMap):
     def run(report: _Report, out: Path) -> None:
         if spec_cfg:
             # the scan reads the model, not the trace: submit it first, with
-            # the seed of its stage, so the workers run it while the main
-            # process builds the trace and its Welch estimate
+            # the seed of its stage, so the forked workers run it while the
+            # main process builds the trace and its Welch estimate
             scan = analysis.submit_spectroscopy_scan(
                 dmodel, f_grid, table, spec_cfg["n_traj"], report.seeds["spectroscopy"])
         with report.stage("trace") as seed:

@@ -124,8 +124,9 @@ def execute(cfg: dict, out: Path, *, workers: int | None = None) -> dict:
     config's ``workers`` field would reject, or an ``out`` that cannot be
     created or is locked, raises :class:`RunError` before anything is
     written.
-    Each parallel map of the pipeline forks at most that many workers
-    (none at one worker), all reaped before the manifest is written; if
+    Each parallel map of the pipeline forks at most one worker fewer
+    than that (none at one worker), as the process that collects it runs
+    jobs too, all reaped before the manifest is written; if
     the pipeline raises, the workers still running are killed and reaped
     and the lock is released before the exception propagates, with no
     manifest left in ``out``.
@@ -190,20 +191,31 @@ def run(config_path, *, workers: int | None = None,
     return 0
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; one that gives a key twice raises
+    :class:`RunError` (``json.load`` would keep the later value)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise RunError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def rerun(manifest_path, *, workers: int | None = None) -> int:
     """Re-execute a manifest's config echo and compare file checksums.
 
     Runs into a temporary directory, so the original outputs are never
     touched.  Returns 0 if every file matches, 1 otherwise.  A manifest
-    that cannot be read, is not a mapping with a ``config`` and an
-    ``inventory`` mapping, or holds an invalid config raises
-    :class:`RunError` before anything runs.
+    that cannot be read, gives a key twice in any object, is not a
+    mapping with a ``config`` and an ``inventory`` mapping, or holds an
+    invalid config raises :class:`RunError` before anything runs.
     """
     manifest_path = Path(manifest_path)
     try:
         with manifest_path.open(encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            manifest = json.load(fh, object_pairs_hook=_unique_keys)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RunError) as exc:
         raise RunError(f"cannot read manifest {manifest_path}: {exc}") from None
     if not (isinstance(manifest, dict)
             and all(isinstance(manifest.get(k), dict) for k in ("config", "inventory"))):

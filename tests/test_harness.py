@@ -1140,7 +1140,8 @@ def _pid(_job) -> int:
 
 def _inner_map_pids(_job) -> list[int]:
     """The pid of the process running this job, then those its own map
-    ran its jobs in."""
+    ran its jobs in; slowly, so that no one process takes every job."""
+    time.sleep(0.05)
     return [os.getpid()] + _parallel.submit(_pid, range(3))()
 
 
@@ -1179,6 +1180,28 @@ def test_run_submits_exactly_the_table_rows(tmp_path, monkeypatch, kind,
     points = [point for curve in pipelines.plan(cfg).table for point in curve]
     assert len(points) >= 12
     assert submitted == [points]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("kind, maps", [("noise_spectroscopy", 1),
+                                        ("voltage_psd", 2)])
+def test_each_map_of_a_shipped_spectrometer_run_forks_workers_less_one(
+        tmp_path, monkeypatch, kind, maps, workers):
+    """The work a run hands to forked workers, counted: each map forks
+    workers - 1 workers, and the process that collects it is the last.
+    ``noise_spectroscopy`` makes one map, its scan; ``voltage_psd``
+    two, its scan and its Welch segment sum."""
+    forks, real = [], os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    execute(load_config(CONFIG_DIR / f"{kind}.yaml"), tmp_path / "out",
+            workers=workers)
+    _assert_no_child_left()
+    assert len(forks) == maps * (workers - 1)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -1319,13 +1342,22 @@ class TestRunPool:
         assert seen == [before]
         assert dict(os.environ) == before
 
-    def test_map_inside_a_worker_runs_inline(self):
-        # a job's own map stays in the worker that runs the job
+    def test_map_inside_a_worker_runs_inline(self, monkeypatch):
+        # a job's own map stays in the process that runs the job: the one
+        # forked worker, or this process, which takes jobs when it collects
+        forks, real = [], os.fork
+
+        def counting_fork():
+            forks.append(1)
+            return real()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
         with _parallel.run_pool(2):
             inner = _parallel.submit(_inner_map_pids, range(4))()
         _assert_no_child_left()
+        assert len(forks) == 1
+        assert len({pids[0] for pids in inner} - {os.getpid()}) == 1
         for pids in inner:
-            assert pids[0] != os.getpid()
             assert set(pids) == {pids[0]}
 
     def test_submit_collects_in_order(self):
@@ -1829,6 +1861,26 @@ class TestCli:
         assert "Traceback" not in printed.out + printed.err
         assert ran == []  # rejected before anything runs
 
+    @pytest.mark.parametrize("where", ["config", "top"])
+    def test_rerun_rejects_a_repeated_key(self, tmp_path, capsys, monkeypatch,
+                                          where):
+        # json.load kept the later of two "seed"s, so the rerun ran at
+        # another seed and reported a checksum mismatch (exit 1)
+        out = tmp_path / "out"
+        execute(validate_config(dict(TINY_RAMSEY)), out, workers=1)
+        p = out / MANIFEST_NAME
+        text = p.read_text()
+        line = ("\n    " if where == "config" else "\n  ") + '"seed": 3,'
+        assert text.count(line) == 1
+        p.write_text(text.replace(line, line + line.replace("3", "99")))
+        ran = []
+        monkeypatch.setattr(runner_module, "execute",
+                            lambda *args, **kwargs: ran.append(args))
+        assert main(["rerun", str(p), "--workers", "1"]) == 2
+        assert capsys.readouterr().out == (
+            f"error: cannot read manifest {p}: repeated key 'seed'\n")
+        assert ran == []
+
     def test_run_and_rerun(self, tmp_path, capsys):
         cfg = dict(TINY_CHEVRON, output_dir=str(tmp_path / "out"))
         p = _write_yaml(tmp_path, cfg)
@@ -2038,7 +2090,7 @@ POOL_MODULES = ["concurrent.futures.process", "multiprocessing"]
 # given worker count with every decay point leaving a file named after
 # the pid that ran it, then prints its own pid and the pool modules loaded
 _MARKED_RUN = f"""\
-import os, sys
+import os, sys, time
 from pathlib import Path
 from spinprobe import qubitsim
 from spinprobe.harness.cli import main
@@ -2047,10 +2099,12 @@ from spinprobe.harness.config import load_config
 config, workers, marks, *shipped = sys.argv[1:]
 for path in shipped:
     load_config(path)
-real = qubitsim._decay_point
+real, main_pid = qubitsim._decay_point, os.getpid()
 
 def marked(args):
     Path(marks, str(os.getpid())).touch()
+    if os.getpid() == main_pid:
+        time.sleep(0.1)  # so that the forked worker takes points too
     return real(args)
 
 qubitsim._decay_point = marked
@@ -2064,7 +2118,7 @@ def test_no_run_loads_the_pool_machinery(tmp_path, workers):
     """Importing the CLI, validating every shipped config and running a
     scan leave ``concurrent.futures.process`` and ``multiprocessing``
     unloaded at one worker and at two; at two the scan's points still
-    run in forked workers."""
+    run in a forked worker, and in the process that collects them."""
     marks = tmp_path / "marks"
     marks.mkdir()
     p = _write_yaml(tmp_path, dict(TINY_SPECTROSCOPY,
@@ -2081,7 +2135,7 @@ def test_no_run_loads_the_pool_machinery(tmp_path, workers):
     if workers == 1:
         assert ran_in == {int(pid)}
     else:
-        assert ran_in and int(pid) not in ran_in
+        assert len(ran_in - {int(pid)}) == 1
 
 
 # validates the shipped configs it is given and the tiny one, then
@@ -2090,7 +2144,7 @@ def test_no_run_loads_the_pool_machinery(tmp_path, workers):
 # process's freeze count; prints its own pid, whether the collector was
 # on after validation, and the freeze count then and after each run
 _FREEZE_RUN = """\
-import gc, os, sys
+import gc, os, sys, time
 from pathlib import Path
 from spinprobe import qubitsim
 import spinprobe.harness.cli
@@ -2102,10 +2156,12 @@ for path in shipped:
     load_config(path)
 cfg = load_config(config)
 enabled, counts = gc.isenabled(), [gc.get_freeze_count()]
-real = qubitsim._decay_point
+real, main_pid = qubitsim._decay_point, os.getpid()
 
 def marked(args):
     Path(marks, str(os.getpid())).write_text(str(gc.get_freeze_count()))
+    if os.getpid() == main_pid:
+        time.sleep(0.1)  # so that the forked worker takes points too
     return real(args)
 
 qubitsim._decay_point = marked
@@ -2121,8 +2177,8 @@ def test_first_run_freezes_the_heap_before_its_pool(tmp_path, workers):
     """Importing the CLI and validating every shipped config leave the
     heap unfrozen and the collector on.  The first ``execute`` freezes
     the heap before its pool forks, so at two workers the decay points
-    run in workers whose heap is frozen too; a second ``execute``
-    freezes nothing more."""
+    run in this process and in a forked worker whose heap is frozen too
+    (one per run); a second ``execute`` freezes nothing more."""
     marks = tmp_path / "marks"
     marks.mkdir()
     p = _write_yaml(tmp_path, TINY_SPECTROSCOPY)
@@ -2136,4 +2192,4 @@ def test_first_run_freezes_the_heap_before_its_pool(tmp_path, workers):
     assert first > 0 and second == first
     seen = {int(m.name): int(m.read_text()) for m in marks.iterdir()}
     assert seen and all(count > 0 for count in seen.values())
-    assert (set(seen) == {pid}) if workers == 1 else (pid not in seen)
+    assert (set(seen) == {pid}) if workers == 1 else (len(set(seen) - {pid}) == 2)

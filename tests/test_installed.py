@@ -180,3 +180,11 @@ def test_ci_runs_these_checks_on_the_installed_package():
     tested = paths(pytest_runs[0])
     assert Path(__file__).resolve() in tested
     assert all(p.is_file() for p in tested + paths(smoke[0]))
+    # voltage_psd run at two workers, then rerun at three: its scan and
+    # its Welch sum split differently, and every byte must stay
+    (pair,) = [r.splitlines() for r in installed if r.startswith("spinprobe run ")]
+    assert pair == ['spinprobe run "$GITHUB_WORKSPACE/configs/voltage_psd.yaml" '
+                    "--workers 2",
+                    "spinprobe rerun runs/voltage_psd/manifest.json --workers 3"]
+    config = yaml.safe_load((ROOT / "configs" / "voltage_psd.yaml").read_text())
+    assert config["output_dir"] == "runs/voltage_psd"
