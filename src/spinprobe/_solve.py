@@ -230,11 +230,12 @@ def _covariance(jac: np.ndarray, resid: np.ndarray, scaled: bool) -> np.ndarray:
     # a kept singular value whose square underflows makes the covariance
     # infinite, which the fits' caller reports as degenerate; one whose
     # square overflows would make its direction's variance 0, so the
-    # covariance is infinite then too
+    # covariance is infinite then too.  Either returns before the residual
+    # scaling, where a zero residual times an infinite variance would warn
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         square = s[keep] ** 2
         pcov = (vt[keep].T / square) @ vt[keep]
-    if np.isinf(square).any():
+    if np.isinf(square).any() or not np.isfinite(pcov).all():
         return np.full((n, n), np.inf)
     if not scaled:
         return pcov

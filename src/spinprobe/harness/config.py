@@ -269,10 +269,10 @@ MAX_TRAJ = 2 ** 20
 # 3.11, x86-64)
 MAX_SHOTS = 2 ** 20
 
-# most worker processes in a run: each map of as many jobs forks all but
-# one of them at once (the process that collects it is the last), so a
-# mistyped count would fork that many; 64 is far above any core count a
-# run here gains from
+# most workers in a run: each map of as many jobs starts a thread for all
+# but one of them at once (the thread that collects it is the last), so
+# a mistyped count would start that many; 64 is far above any core count
+# a run here gains from
 MAX_WORKERS = 64
 
 

@@ -3,7 +3,7 @@
 A kind's plan turns the normalized config into everything its run reads
 (typed models, grids, derived sizes), checking each value beside its
 derivation (:class:`ConfigError` names the field); validation is the
-field walk then :func:`plan`.  A plan draws nothing and forks nothing;
+field walk then :func:`plan`.  A plan draws nothing and maps nothing;
 ``cpmg_t2_vs_n``'s finds each T2, which :func:`qubitsim.cpmg_chi` keeps
 with its table, so planning again searches nothing.  It returns a
 :class:`Plan`, whose run fills a ``_Report``: ``files``, ``stages``
@@ -20,11 +20,11 @@ run submits as it is or plays as the tone scan's columns; no run lays
 out a point.
 
 A run's maps, its own or the library's, go through
-:func:`spinprobe._parallel.submit` to the run's forked workers, and the
-main process runs jobs of a map while it collects it.  A run may submit
-a stage's work early (``voltage_psd`` submits its spectroscopy scan
-before it builds the trace); a stage's ``seconds`` is the main
-process's wall-clock time in it, its share of the jobs and the wait for
+:func:`spinprobe._parallel.submit` to the run's worker threads, and the
+run's own thread runs jobs of a map while it collects it.  A run may
+submit a stage's work early (``voltage_psd`` submits its spectroscopy
+scan before it builds the trace); a stage's ``seconds`` is the run's
+thread's wall-clock time in it, its share of the jobs and the wait for
 results included.
 """
 
@@ -655,8 +655,8 @@ def plan_voltage_psd(cfg, stark: StarkMap):
     def run(report: _Report, out: Path) -> None:
         if spec_cfg:
             # the scan reads the model, not the trace: submit it first, with
-            # the seed of its stage, so the forked workers run it while the
-            # main process builds the trace and its Welch estimate
+            # the seed of its stage, so the worker threads run it while this
+            # thread builds the trace and its Welch estimate
             scan = analysis.submit_spectroscopy_scan(
                 dmodel, f_grid, table, spec_cfg["n_traj"], report.seeds["spectroscopy"])
         with report.stage("trace") as seed:

@@ -12,17 +12,15 @@ plans again (well under a millisecond: the CPMG tables, and the T2s
 found on them, stay cached).
 
 The first run of a process freezes the heap (``gc.freeze``) just before
-its pipeline starts, so before the first of the maps that may fork
-workers: the ~24,000 container objects that imports and validation built
-move to the collector's permanent generation.  The run's own full
-collections and the ones at interpreter exit then no longer walk them,
-which saves about 20 ms per process; outputs do not change.  The
-workers a map forks (:mod:`spinprobe._parallel`) inherit the frozen heap
-and leave the collector as they find it: a ``gc.freeze()`` in each
-worker, of what the run built after the freeze, measured no gain.  Later
-runs in the same process (``rerun``, the test suite, a script looping
-over configs) freeze nothing more, so what a long-lived caller builds
-between runs stays collectable.
+its pipeline starts: the ~24,000 container objects that imports and
+validation built move to the collector's permanent generation.  The
+run's own full collections and the ones at interpreter exit then no
+longer walk them, which saves about 20 ms per process; outputs do not
+change.  The freeze is the process's, so a map's worker threads
+(:mod:`spinprobe._parallel`) share it.  Later runs in the same process
+(``rerun``, the test suite, a script looping over configs) freeze
+nothing more, so what a long-lived caller builds between runs stays
+collectable.
 """
 
 from __future__ import annotations
@@ -124,16 +122,16 @@ def execute(cfg: dict, out: Path, *, workers: int | None = None) -> dict:
     config's ``workers`` field would reject, or an ``out`` that cannot be
     created or is locked, raises :class:`RunError` before anything is
     written.
-    Each parallel map of the pipeline forks at most one worker fewer
-    than that (none at one worker), as the process that collects it runs
-    jobs too, all reaped before the manifest is written; if
-    the pipeline raises, the workers still running are killed and reaped
+    Each parallel map of the pipeline starts at most one thread fewer
+    than that (none at one worker), as the thread that collects it runs
+    jobs too, all joined before the manifest is written; if the pipeline
+    raises, its maps hand out no more jobs, their threads are joined
     and the lock is released before the exception propagates, with no
     manifest left in ``out``.
     If nothing in the process has been frozen yet, the heap is frozen
-    just before the pipeline starts, so the workers fork from a frozen
-    heap (see the module docstring); with no ``gc.collect()`` first, as
-    that full pass would cost about a third of what the freeze saves.
+    just before the pipeline starts (see the module docstring); with no
+    ``gc.collect()`` first, as that full pass would cost about a third of
+    what the freeze saves.
     """
     try:
         workers = _check(workers, TOP["workers"], "--workers")

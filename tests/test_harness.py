@@ -14,6 +14,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from pathlib import Path
 
@@ -43,8 +44,8 @@ from spinprobe.harness.pipelines import gate_index
 from spinprobe.harness.runner import LOCK_NAME, MANIFEST_NAME, MANIFEST_TMP_NAME
 from spinprobe.qubitsim import QubitParams
 
-from conftest import (_csv_cells, _plot_columns, _reject_constant,
-                      _run_pool_script, _src_env, _write_yaml)
+from conftest import (_csv_cells, _plot_columns, _reject_constant, _src_env,
+                      _write_yaml)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -801,10 +802,10 @@ class TestRunner:
     @pytest.mark.parametrize("where", ["config", "--workers"])
     def test_worker_count_above_max_exits_2(self, tmp_path, monkeypatch,
                                             capsys, where):
-        def no_fork():
-            raise AssertionError("a rejected worker count forked a worker")
+        def no_thread(thread):
+            raise AssertionError("a rejected worker count started a worker")
 
-        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
         out = tmp_path / "out"
         cfg = dict(TINY_CHEVRON, output_dir=str(out))
         argv = ["--workers", str(MAX_WORKERS + 1)]
@@ -1128,21 +1129,32 @@ class TestPlots:
         assert np.array_equal(grid, f.reshape(v1.size, v2.size).T)
 
 
-def _assert_no_child_left() -> None:
-    """This process has no child, running or not yet reaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def _assert_no_thread_left() -> None:
+    """No thread but this one runs: every map's threads were joined."""
+    assert threading.enumerate() == [threading.main_thread()]
 
 
-def _pid(_job) -> int:
-    return os.getpid()
+def _ident(_job) -> int:
+    return threading.get_ident()
 
 
-def _inner_map_pids(_job) -> list[int]:
-    """The pid of the process running this job, then those its own map
-    ran its jobs in; slowly, so that no one process takes every job."""
+def _inner_map_idents(_job) -> list[int]:
+    """The ident of the thread running this job, then those its own map
+    ran its jobs in; slowly, so that no one thread takes every job."""
     time.sleep(0.05)
-    return [os.getpid()] + _parallel.submit(_pid, range(3))()
+    return [threading.get_ident()] + _parallel.submit(_ident, range(3))()
+
+
+def _counting_thread_starts(monkeypatch) -> list:
+    """The threads started from now on, as each starts."""
+    started, real = [], threading.Thread.start
+
+    def counting(thread):
+        started.append(thread)
+        real(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    return started
 
 
 _DECAY_POINT = qubitsim._decay_point
@@ -1182,26 +1194,37 @@ def test_run_submits_exactly_the_table_rows(tmp_path, monkeypatch, kind,
     assert submitted == [points]
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-@pytest.mark.parametrize("kind, maps", [("noise_spectroscopy", 1),
-                                        ("voltage_psd", 2)])
-def test_each_map_of_a_shipped_spectrometer_run_forks_workers_less_one(
-        tmp_path, monkeypatch, kind, maps, workers):
-    """The work a run hands to forked workers, counted: each map forks
-    workers - 1 workers, and the process that collects it is the last.
-    ``noise_spectroscopy`` makes one map, its scan; ``voltage_psd``
-    two, its scan and its Welch segment sum."""
-    forks, real = [], os.fork
-
-    def counting_fork():
-        forks.append(1)
-        return real()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["noise_spectroscopy", "voltage_psd"])
+def test_each_map_of_a_shipped_spectrometer_run_starts_workers_less_one(
+        tmp_path, monkeypatch, kind, workers):
+    """The work a run hands to worker threads, counted: each map starts
+    workers - 1 threads, and the thread that collects it is the last.
+    Both runs make one map, their scan: ``voltage_psd``'s Welch segment
+    sum runs in the thread that calls it, at any worker count."""
+    started = _counting_thread_starts(monkeypatch)
     execute(load_config(CONFIG_DIR / f"{kind}.yaml"), tmp_path / "out",
             workers=workers)
-    _assert_no_child_left()
-    assert len(forks) == maps * (workers - 1)
+    _assert_no_thread_left()
+    assert len(started) == workers - 1
+
+
+@pytest.mark.parametrize("kind", ["noise_spectroscopy", "voltage_psd"])
+def test_shipped_spectrometer_bytes_hold_when_threads_switch_often(tmp_path, kind):
+    """A race gate: with the interpreter switching threads every
+    microsecond, a shipped spectrometer run at 2 and 3 workers writes the
+    bytes of its 1-worker run.  Two jobs that wrote one buffer would
+    interleave here and change them."""
+    cfg = load_config(CONFIG_DIR / f"{kind}.yaml")
+    serial = execute(cfg, tmp_path / "1", workers=1)["inventory"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in 2, 3:
+            threaded = execute(cfg, tmp_path / str(workers), workers=workers)
+            assert threaded["inventory"] == serial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -1244,7 +1267,7 @@ class TestRunPool:
         cfg = validate_config(OVERLAPPED_VOLTAGE)
         m1 = execute(cfg, tmp_path / "a", workers=1)
         m2 = execute(cfg, tmp_path / "b", workers=2)
-        _assert_no_child_left()
+        _assert_no_thread_left()
         assert m1["inventory"] == m2["inventory"]
         assert "psd_reconstructed.csv" in m1["inventory"]
         stages = [[(s["name"], s["seed"]) for s in m["stages"]] for m in (m1, m2)]
@@ -1291,7 +1314,7 @@ class TestRunPool:
         out = tmp_path / "out"
         with pytest.raises(OSError, match="disk full"):
             execute(cfg, out, workers=2)
-        _assert_no_child_left()
+        _assert_no_thread_left()
         assert not (out / LOCK_NAME).exists()
         assert _parallel._run is None
         # of the 12 jobs, only those already handed to a worker ran
@@ -1313,18 +1336,18 @@ class TestRunPool:
         assert not (out / LOCK_NAME).exists()
 
     def test_one_worker_run_creates_no_pool(self, tmp_path, monkeypatch):
-        def no_fork():
-            raise AssertionError("a one-worker run forked a worker")
+        def no_thread(thread):
+            raise AssertionError("a one-worker run started a worker")
 
-        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
         execute(validate_config(OVERLAPPED_VOLTAGE), tmp_path / "out", workers=1)
 
     def test_submit_outside_a_run_maps_inline(self, monkeypatch):
-        def no_fork():
-            raise AssertionError("a map outside a run forked a worker")
+        def no_thread(thread):
+            raise AssertionError("a map outside a run started a worker")
 
-        # outside a run nothing forks, whatever the environment asks for
-        monkeypatch.setattr(os, "fork", no_fork)
+        # outside a run no thread starts, whatever the environment asks for
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
         monkeypatch.setenv("SPINPROBE_WORKERS", "2")
         assert _parallel.submit(abs, [-3, 1, -2, 5])() == [3, 1, 2, 5]
 
@@ -1343,34 +1366,25 @@ class TestRunPool:
         assert dict(os.environ) == before
 
     def test_map_inside_a_worker_runs_inline(self, monkeypatch):
-        # a job's own map stays in the process that runs the job: the one
-        # forked worker, or this process, which takes jobs when it collects
-        forks, real = [], os.fork
-
-        def counting_fork():
-            forks.append(1)
-            return real()
-
-        monkeypatch.setattr(os, "fork", counting_fork)
+        # a job's own map stays in the thread that runs the job: the one
+        # worker thread, or this one, which takes jobs when it collects
+        started = _counting_thread_starts(monkeypatch)
         with _parallel.run_pool(2):
-            inner = _parallel.submit(_inner_map_pids, range(4))()
-        _assert_no_child_left()
-        assert len(forks) == 1
-        assert len({pids[0] for pids in inner} - {os.getpid()}) == 1
-        for pids in inner:
-            assert set(pids) == {pids[0]}
+            inner = _parallel.submit(_inner_map_idents, range(4))()
+        _assert_no_thread_left()
+        assert len(started) == 1
+        assert len({idents[0] for idents in inner} - {threading.get_ident()}) == 1
+        for idents in inner:
+            assert set(idents) == {idents[0]}
 
     def test_submit_collects_in_order(self):
-        # in a fresh interpreter with a time limit, as a map that hangs
-        # would otherwise hold the suite
-        _run_pool_script(textwrap.dedent("""
-            with run_pool(2):
-                pending = submit(abs, [-3, 1, -2, 5])
-                assert submit(abs, [-7, 8])() == [7, 8]
-                assert pending() == [3, 1, 2, 5]
-            assert submit(abs, [-1, -2])() == [1, 2]
-            assert no_child_left()
-        """))
+        # a map collected after a later one
+        with _parallel.run_pool(2):
+            pending = _parallel.submit(abs, [-3, 1, -2, 5])
+            assert _parallel.submit(abs, [-7, 8])() == [7, 8]
+            assert pending() == [3, 1, 2, 5]
+        assert _parallel.submit(abs, [-1, -2])() == [1, 2]
+        _assert_no_thread_left()
 
 
 class TestCli:
@@ -2088,9 +2102,10 @@ POOL_MODULES = ["concurrent.futures.process", "multiprocessing"]
 
 # validates the shipped configs it is given, runs the tiny one at the
 # given worker count with every decay point leaving a file named after
-# the pid that ran it, then prints its own pid and the pool modules loaded
+# the thread that ran it, then prints this thread's name and the pool
+# modules loaded
 _MARKED_RUN = f"""\
-import os, sys, time
+import sys, threading, time
 from pathlib import Path
 from spinprobe import qubitsim
 from spinprobe.harness.cli import main
@@ -2099,17 +2114,17 @@ from spinprobe.harness.config import load_config
 config, workers, marks, *shipped = sys.argv[1:]
 for path in shipped:
     load_config(path)
-real, main_pid = qubitsim._decay_point, os.getpid()
+real, main_thread = qubitsim._decay_point, threading.main_thread()
 
 def marked(args):
-    Path(marks, str(os.getpid())).touch()
-    if os.getpid() == main_pid:
-        time.sleep(0.1)  # so that the forked worker takes points too
+    Path(marks, threading.current_thread().name).touch()
+    if threading.current_thread() is main_thread:
+        time.sleep(0.1)  # so that the worker thread takes points too
     return real(args)
 
 qubitsim._decay_point = marked
 assert main(["run", config, "--workers", workers]) == 0
-print(os.getpid(), sorted(set({POOL_MODULES!r}) & set(sys.modules)))
+print(main_thread.name, sorted(set({POOL_MODULES!r}) & set(sys.modules)))
 """
 
 
@@ -2118,7 +2133,7 @@ def test_no_run_loads_the_pool_machinery(tmp_path, workers):
     """Importing the CLI, validating every shipped config and running a
     scan leave ``concurrent.futures.process`` and ``multiprocessing``
     unloaded at one worker and at two; at two the scan's points still
-    run in a forked worker, and in the process that collects them."""
+    run in a worker thread, and in the thread that collects them."""
     marks = tmp_path / "marks"
     marks.mkdir()
     p = _write_yaml(tmp_path, dict(TINY_SPECTROSCOPY,
@@ -2129,22 +2144,22 @@ def test_no_run_loads_the_pool_machinery(tmp_path, workers):
                           str(workers), str(marks), *shipped],
                          env=_src_env(), check=True, capture_output=True,
                          text=True, timeout=120).stdout
-    pid, loaded = out.splitlines()[-1].split(" ", 1)
-    ran_in = {int(m.name) for m in marks.iterdir()}
+    main_thread, loaded = out.splitlines()[-1].split(" ", 1)
+    ran_in = {m.name for m in marks.iterdir()}
     assert loaded == "[]"
     if workers == 1:
-        assert ran_in == {int(pid)}
+        assert ran_in == {main_thread}
     else:
-        assert len(ran_in - {int(pid)}) == 1
+        assert len(ran_in - {main_thread}) == 1
 
 
 # validates the shipped configs it is given and the tiny one, then
 # executes the tiny one twice at the given worker count, with every decay
-# point leaving a file named after the pid that ran it and holding that
-# process's freeze count; prints its own pid, whether the collector was
-# on after validation, and the freeze count then and after each run
+# point leaving a file named after the thread that ran it and holding the
+# freeze count it saw; prints this thread's name, whether the collector
+# was on after validation, and the freeze count then and after each run
 _FREEZE_RUN = """\
-import gc, os, sys, time
+import gc, sys, threading, time
 from pathlib import Path
 from spinprobe import qubitsim
 import spinprobe.harness.cli
@@ -2156,19 +2171,19 @@ for path in shipped:
     load_config(path)
 cfg = load_config(config)
 enabled, counts = gc.isenabled(), [gc.get_freeze_count()]
-real, main_pid = qubitsim._decay_point, os.getpid()
+real, main_thread = qubitsim._decay_point, threading.main_thread()
 
 def marked(args):
-    Path(marks, str(os.getpid())).write_text(str(gc.get_freeze_count()))
-    if os.getpid() == main_pid:
-        time.sleep(0.1)  # so that the forked worker takes points too
+    Path(marks, threading.current_thread().name).write_text(str(gc.get_freeze_count()))
+    if threading.current_thread() is main_thread:
+        time.sleep(0.1)  # so that the worker thread takes points too
     return real(args)
 
 qubitsim._decay_point = marked
 for name in ("first", "second"):
     execute(cfg, Path(outs, name), workers=int(workers))
     counts.append(gc.get_freeze_count())
-print(os.getpid(), int(enabled), *counts)
+print(main_thread.name, int(enabled), *counts)
 """
 
 
@@ -2176,9 +2191,9 @@ print(os.getpid(), int(enabled), *counts)
 def test_first_run_freezes_the_heap_before_its_pool(tmp_path, workers):
     """Importing the CLI and validating every shipped config leave the
     heap unfrozen and the collector on.  The first ``execute`` freezes
-    the heap before its pool forks, so at two workers the decay points
-    run in this process and in a forked worker whose heap is frozen too
-    (one per run); a second ``execute`` freezes nothing more."""
+    the heap before its first map, so at two workers the decay points
+    run in this thread and in a worker thread (one per run), and each
+    sees the frozen heap; a second ``execute`` freezes nothing more."""
     marks = tmp_path / "marks"
     marks.mkdir()
     p = _write_yaml(tmp_path, TINY_SPECTROSCOPY)
@@ -2187,9 +2202,10 @@ def test_first_run_freezes_the_heap_before_its_pool(tmp_path, workers):
                           str(marks), str(tmp_path), *shipped],
                          env=_src_env(), check=True, capture_output=True,
                          text=True, timeout=120).stdout
-    pid, enabled, validated, first, second = map(int, out.split())
+    main_thread, *counts = out.split()
+    enabled, validated, first, second = map(int, counts)
     assert enabled and validated == 0
     assert first > 0 and second == first
-    seen = {int(m.name): int(m.read_text()) for m in marks.iterdir()}
+    seen = {m.name: int(m.read_text()) for m in marks.iterdir()}
     assert seen and all(count > 0 for count in seen.values())
-    assert (set(seen) == {pid}) if workers == 1 else (len(set(seen) - {pid}) == 2)
+    assert len(set(seen) - {main_thread}) == 2 * (workers - 1)

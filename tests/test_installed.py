@@ -158,7 +158,8 @@ def test_ci_runs_these_checks_on_the_installed_package():
     tests job runs ROADMAP's tier-1 command, and the installed job runs
     the console script on a shipped config and pytest on test files that
     exist, with no config or script written inline.  Each job has a
-    timeout, so a hung process pool cannot hold a runner for hours."""
+    timeout, so a hung map cannot hold a runner for hours.  Tier-1 runs on
+    every Python from pyproject's oldest to 3.12."""
     text = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
     assert "<<" not in text
     jobs = yaml.safe_load(text)["jobs"]
@@ -167,6 +168,8 @@ def test_ci_runs_these_checks_on_the_installed_package():
                       (ROOT / "ROADMAP.md").read_text()).group(1)
     assert [s["run"] for s in jobs["tests"]["steps"]
             if "pytest" in s.get("run", "")] == [tier1]
+    assert jobs["tests"]["strategy"]["matrix"]["python-version"] == [
+        "3.10", "3.11", "3.12"]
 
     def paths(command):
         return [ROOT / a.removeprefix("$GITHUB_WORKSPACE/")
@@ -180,8 +183,8 @@ def test_ci_runs_these_checks_on_the_installed_package():
     tested = paths(pytest_runs[0])
     assert Path(__file__).resolve() in tested
     assert all(p.is_file() for p in tested + paths(smoke[0]))
-    # voltage_psd run at two workers, then rerun at three: its scan and
-    # its Welch sum split differently, and every byte must stay
+    # voltage_psd run at two workers, then rerun at three: its scan's
+    # points split differently between threads, and every byte must stay
     (pair,) = [r.splitlines() for r in installed if r.startswith("spinprobe run ")]
     assert pair == ['spinprobe run "$GITHUB_WORKSPACE/configs/voltage_psd.yaml" '
                     "--workers 2",

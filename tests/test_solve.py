@@ -449,6 +449,15 @@ class TestFitErrorsWhereCurveFitRaises:
             analysis.fit_exponential([0.00390625, 0.0078125], [5e-324, 0.5],
                                      [1.0, 1.0])
 
+    def test_unweighted_decay_of_zeros_is_degenerate_without_a_warning(self):
+        # the covariance is infinite and the residual 0: it used to be
+        # scaled outside the errstate block, so 0 * inf warned, and under
+        # -W error raised that warning instead of the FitError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitError, match="degenerate"):
+                analysis.fit_exponential([1e-3, 2e-3, 3e-3], [0.0, 0.0, 0.0])
+
     def test_rb_without_spare_points(self):
         # three points, three parameters and no errors: curve_fit's
         # covariance cannot be estimated, and it reports it as inf

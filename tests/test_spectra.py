@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import gc
 import math
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -9,11 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from conftest import _run_pool_script
 from hypothesis import strategies as st
 from scipy import signal, stats
 
 from spinprobe import spectra
+from spinprobe._parallel import run_pool
 from spinprobe._csvio import write_files
 from spinprobe._rng import derive_rng
 from spinprobe.harness.pipelines import _trace_csv
@@ -434,38 +435,6 @@ def test_only_spectra_calls_numpy_fft():
         "xp.fft.rfft(w)\n") == [2, 3, 4]
 
 
-# psd_welch of a k-segment white trace outside a run and inside runs of
-# 1, 2 and 3 workers: asserts that each gives the bytes of the first, and
-# prints k and the forks each run made
-_WELCH_IN_RUNS = """
-from spinprobe import spectra
-
-real_fork, forks = os.fork, []
-
-def counting_fork():
-    forks.append(1)
-    return real_fork()
-
-os.fork = counting_fork
-white = spectra.SpectrumModel(powerlaws=(), white_floor=350.0, lines=())
-for k in 1, 7, 8, 17, 128, 129, 300:
-    trace = spectra.synthesize(white, 1e4, (k + 1) / 100, k)
-    assert spectra.welch_segments(trace.n_samples, 200) == k
-    outside = spectra.psd_welch(trace, nperseg=200)
-    made = []
-    for workers in 1, 2, 3:
-        del forks[:]
-        with run_pool(workers):
-            est = spectra.psd_welch(trace, nperseg=200)
-        made.append(len(forks))
-        assert est.warnings == outside.warnings
-        for name in "f", "s", "ci_low", "ci_high":
-            assert getattr(est, name).tobytes() == getattr(outside, name).tobytes()
-    assert no_child_left()
-    print(k, *made)
-"""
-
-
 class TestWelch:
     def test_white_level_decade_averaged(self):
         tr = synthesize(WHITE, 50e3, 4.0, 11)
@@ -604,16 +573,29 @@ class TestWelch:
         assert got.tobytes() == np.stack(list(rows), axis=-1).mean(axis=-1).tobytes()
         assert sorted(asked) == list(range(n_rows))
 
-    def test_same_bytes_in_a_run_of_any_worker_count(self):
+    def test_same_bytes_in_a_run_of_any_worker_count(self, monkeypatch):
         """On 1, 7, 8, 17, 128, 129 and 300 segments (every branch of the
         pairwise sum), the estimate inside runs of 1, 2 and 3 workers is
-        the one made outside a run, bit for bit; from 8 segments up the
-        sum's two top subtrees are one map, which forks workers - 1
-        workers.  In a fresh interpreter with a time limit, as a map that
-        hangs would otherwise hold the suite."""
-        out = _run_pool_script(_WELCH_IN_RUNS)
-        assert out.splitlines() == ["1 0 0 0", "7 0 0 0", "8 0 1 2", "17 0 1 2",
-                                    "128 0 1 2", "129 0 1 2", "300 0 1 2"]
+        the one made outside a run, bit for bit, and no thread starts: the
+        sum's segments share one buffer, so it runs in the calling
+        thread."""
+        def no_thread(thread):
+            raise AssertionError("psd_welch started a thread")
+
+        white = spectra.SpectrumModel(powerlaws=(), white_floor=350.0, lines=())
+        for k in 1, 7, 8, 17, 128, 129, 300:
+            trace = spectra.synthesize(white, 1e4, (k + 1) / 100, k)
+            assert spectra.welch_segments(trace.n_samples, 200) == k
+            outside = psd_welch(trace, nperseg=200)
+            with monkeypatch.context() as patch:
+                patch.setattr(threading.Thread, "start", no_thread)
+                for workers in 1, 2, 3:
+                    with run_pool(workers):
+                        est = psd_welch(trace, nperseg=200)
+                    assert est.warnings == outside.warnings
+                    for name in "f", "s", "ci_low", "ci_high":
+                        assert (getattr(est, name).tobytes()
+                                == getattr(outside, name).tobytes())
 
     def test_too_short_segment_rejected(self):
         with pytest.raises(ValueError, match="nperseg"):
