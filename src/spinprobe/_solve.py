@@ -14,7 +14,9 @@ least-squares fits of the decay and RB models.
   the weighted sum of squares inside the box, and the pseudo-inverse of
   JᵀJ at the optimum (J the weighted Jacobian, singular values below
   ``eps * max(J.shape) * s_max`` dropped).  With ``sigma=None`` it is
-  scaled by chi²/(m - n), and it is inf when m <= n.  Bad input raises
+  scaled by chi²/(m - n), and it is inf when m <= n, or when the
+  stretched fit ends on the plateau where every model value is 0 (which
+  ``curve_fit``'s search stops short of).  Bad input raises
   ``ValueError`` and an iteration cap ``RuntimeError``, in the cases
   where ``curve_fit`` raises them.  :func:`fit_exp_decay` is a 1-D search
   in log T2, :func:`fit_stretched_decay` a box-bounded damped Newton
@@ -371,6 +373,11 @@ def fit_stretched_decay(t, y, sigma, start, bounds):
     u, n = _newton(residual, grid[np.nanargmin(costs)], log_lo, log_hi)
     t2 = min(max(math.exp(u), lo[0]), hi[0])
     r, jac, _ = residual(np.array([math.log(t2), n]))
+    if not jac.any():
+        # the search ended on the plateau where every model value is 0, so
+        # (T2, n) is where it stopped, not a fit; no singular value is kept,
+        # and the zero matrix that leaves would claim exact values
+        return np.array([t2, n]), np.full((2, 2), np.inf)
     return np.array([t2, n]), _covariance(jac / [t2, 1.0], r, sigma is None)
 
 

@@ -15,8 +15,7 @@ import numpy as np
 
 from . import _solve
 from ._rng import derive_child_seeds
-from .qubitsim import (DURATION_FACTOR, DecayCurve, decay_table,
-                       submit_decay_table)
+from .qubitsim import DURATION_FACTOR, DecayCurve, decay_table, play_decay_table
 from .spectra import PsdEstimate, SpectrumModel
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "reconstruct_psd",
     "spectroscopy_table",
     "spectroscopy_scan",
-    "submit_spectroscopy_scan",
 ]
 
 # two-sided 95% quantile of the standard normal
@@ -368,25 +366,13 @@ def spectroscopy_scan(model: SpectrumModel, f_grid_hz, table, n_traj: int,
     Frequency i gets a fixed wait ``1/(2f)`` and a pulse-count scan at
     seed ``derive_child_seed(seed, i)``, whose point j runs at
     ``derive_child_seed`` of that and j, so the result is independent of
-    evaluation order.  All points of all frequencies run in one map over
-    the run's workers.
+    evaluation order.  All points of all frequencies play in one
+    :func:`qubitsim.play_decay_table`.
     """
-    return submit_spectroscopy_scan(model, f_grid_hz, table, n_traj, seed,
-                                    t2_hahn=t2_hahn)()
-
-
-def submit_spectroscopy_scan(model: SpectrumModel, f_grid_hz,
-                             table, n_traj: int, seed: int, *,
-                             t2_hahn: float | None = None):
-    """:func:`spectroscopy_scan`, its points submitted to the run's workers
-    and not yet collected.  Returns a handle whose call waits for
-    them, fits them and gives the :class:`PsdEstimate`."""
     taus = 1.0 / (2.0 * np.asarray(f_grid_hz, dtype=float))
     if taus.size != len(table):
         raise ValueError(f"{taus.size} frequencies but {len(table)} curves "
                          f"in the table")
-    pending = submit_decay_table(model, table, n_traj,
-                                 derive_child_seeds(seed, taus.size))
-    return lambda: reconstruct_psd([
-        spectroscopy_point(curve, tau, t2_hahn=t2_hahn)
-        for curve, tau in zip(pending(), taus)])
+    curves = play_decay_table(model, table, n_traj, derive_child_seeds(seed, taus.size))
+    return reconstruct_psd([spectroscopy_point(curve, tau, t2_hahn=t2_hahn)
+                            for curve, tau in zip(curves, taus)])

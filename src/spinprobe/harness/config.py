@@ -269,10 +269,9 @@ MAX_TRAJ = 2 ** 20
 # 3.11, x86-64)
 MAX_SHOTS = 2 ** 20
 
-# most workers in a run: each map of as many jobs starts a thread for all
-# but one of them at once (the thread that collects it is the last), so
-# a mistyped count would start that many; 64 is far above any core count
-# a run here gains from
+# most workers in a run.  A run does all its work in one thread, so the
+# count changes nothing; the field and its bounds stay because old
+# manifests, which rerun reads back, hold it
 MAX_WORKERS = 64
 
 

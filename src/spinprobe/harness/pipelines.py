@@ -16,16 +16,11 @@ worker count.
 A Monte Carlo scan's plan lays out and checks every decay point its run
 plays (a table: a tuple of curves, each a tuple of
 :class:`qubitsim.DecayPoint`), kept as the plan's ``table``, which the
-run submits as it is or plays as the tone scan's columns; no run lays
-out a point.
+run plays as it is or as the tone scan's columns; no run lays out a
+point.
 
-A run's maps, its own or the library's, go through
-:func:`spinprobe._parallel.submit` to the run's worker threads, and the
-run's own thread runs jobs of a map while it collects it.  A run may
-submit a stage's work early (``voltage_psd`` submits its spectroscopy
-scan before it builds the trace); a stage's ``seconds`` is the run's
-thread's wall-clock time in it, its share of the jobs and the wait for
-results included.
+A run does all its work in its own thread, one stage after another, at
+any worker count; a stage's ``seconds`` is its wall-clock time.
 """
 
 from __future__ import annotations
@@ -311,8 +306,8 @@ def plan_decay(cfg, readout: ReadoutModel):
 
     def run(report: _Report, out: Path) -> None:
         with report.stage("decay_scan") as seed:
-            (curve,) = qubitsim.submit_decay_table(model, table, proto["n_traj"],
-                                                   [seed])()
+            (curve,) = qubitsim.play_decay_table(model, table, proto["n_traj"],
+                                                 [seed])
             p_up = readout.apply(0.5 * (1.0 + curve.w))
             _write(report, out, {
                 "decay.csv": Csv(DECAY_HEADER,
@@ -378,11 +373,10 @@ def plan_cpmg_t2_vs_n(cfg):
 
     def run(report: _Report, out: Path) -> None:
         with report.stage("t2_scans") as seed:
-            # one map over every pulse count's points; curve i has seed
+            # every pulse count's points in one table; curve i has seed
             # derive_child_seed(seed, i), as its own decay_vs_time call would
-            curves = qubitsim.submit_decay_table(
-                model, table, proto["n_traj"],
-                derive_child_seeds(seed, len(counts)))()
+            curves = qubitsim.play_decay_table(
+                model, table, proto["n_traj"], derive_child_seeds(seed, len(counts)))
             _write(report, out, {"decay_curves.csv": Csv(
                 "n_pulses," + DECAY_HEADER.replace(",p_up", ""),
                 (np.repeat(counts, [c.times.size for c in curves]),
@@ -653,12 +647,6 @@ def plan_voltage_psd(cfg, stark: StarkMap):
                      "protocol.spectroscopy.samples_per_interval", table)
 
     def run(report: _Report, out: Path) -> None:
-        if spec_cfg:
-            # the scan reads the model, not the trace: submit it first, with
-            # the seed of its stage, so the worker threads run it while this
-            # thread builds the trace and its Welch estimate
-            scan = analysis.submit_spectroscopy_scan(
-                dmodel, f_grid, table, spec_cfg["n_traj"], report.seeds["spectroscopy"])
         with report.stage("trace") as seed:
             trace = spectra.synthesize(vmodel, rate, proto["duration_s"], seed)
             if proto["export_trace"]:
@@ -685,8 +673,9 @@ def plan_voltage_psd(cfg, stark: StarkMap):
                    "welch_ci_factors": list(spectra.welch_ci_factors(n_segments)),
                    "welch_warnings": list(est_v.warnings)}
         if spec_cfg:
-            with report.stage("spectroscopy"):
-                est_rec = scan()
+            with report.stage("spectroscopy") as seed:
+                est_rec = analysis.spectroscopy_scan(dmodel, f_grid, table,
+                                                     spec_cfg["n_traj"], seed)
                 _write(report, out, {"psd_reconstructed.csv": _psd_csv(est_rec)})
                 summary["spectroscopy_f_range_hz"] = [float(est_rec.f[0]),
                                                       float(est_rec.f[-1])]

@@ -16,11 +16,9 @@ its pipeline starts: the ~24,000 container objects that imports and
 validation built move to the collector's permanent generation.  The
 run's own full collections and the ones at interpreter exit then no
 longer walk them, which saves about 20 ms per process; outputs do not
-change.  The freeze is the process's, so a map's worker threads
-(:mod:`spinprobe._parallel`) share it.  Later runs in the same process
-(``rerun``, the test suite, a script looping over configs) freeze
-nothing more, so what a long-lived caller builds between runs stays
-collectable.
+change.  Later runs in the same process (``rerun``, the test suite, a
+script looping over configs) freeze nothing more, so what a long-lived
+caller builds between runs stays collectable.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from pathlib import Path
 
 from .. import __version__
 from .._csvio import write_files
-from .._parallel import run_pool
 from .config import TOP, ConfigError, _check, load_config, validate_config
 from .pipelines import PIPELINES
 
@@ -117,16 +114,12 @@ def _write_manifest(out: Path, manifest: dict) -> None:
 def execute(cfg: dict, out: Path, *, workers: int | None = None) -> dict:
     """Run one validated config into ``out`` and write the manifest.
 
-    Returns the manifest dict.  Worker-count precedence: the ``workers``
-    argument, then ``cfg["workers"]``, then 1; a ``workers`` argument the
-    config's ``workers`` field would reject, or an ``out`` that cannot be
-    created or is locked, raises :class:`RunError` before anything is
-    written.
-    Each parallel map of the pipeline starts at most one thread fewer
-    than that (none at one worker), as the thread that collects it runs
-    jobs too, all joined before the manifest is written; if the pipeline
-    raises, its maps hand out no more jobs, their threads are joined
-    and the lock is released before the exception propagates, with no
+    Returns the manifest dict.  The pipeline runs in the calling thread,
+    whatever the worker count: a ``workers`` argument is checked as the
+    config's ``workers`` field is, and changes nothing else.  A rejected
+    ``workers``, or an ``out`` that cannot be created or is locked, raises
+    :class:`RunError` before anything is written.  If the pipeline raises,
+    the lock is released before the exception propagates, with no
     manifest left in ``out``.
     If nothing in the process has been frozen yet, the heap is frozen
     just before the pipeline starts (see the module docstring); with no
@@ -134,10 +127,9 @@ def execute(cfg: dict, out: Path, *, workers: int | None = None) -> dict:
     what the freeze saves.
     """
     try:
-        workers = _check(workers, TOP["workers"], "--workers")
+        _check(workers, TOP["workers"], "--workers")
     except ConfigError as exc:
         raise RunError(str(exc)) from None
-    n_workers = workers or cfg.get("workers") or 1
     lock = _acquire_lock(out)
     try:
         # an earlier run's manifest would not describe files this run
@@ -146,8 +138,7 @@ def execute(cfg: dict, out: Path, *, workers: int | None = None) -> dict:
         t0 = time.perf_counter()
         if gc.get_freeze_count() == 0:
             gc.freeze()
-        with run_pool(n_workers):
-            report = PIPELINES[cfg["kind"]](cfg, out)
+        report = PIPELINES[cfg["kind"]](cfg, out)
         manifest = {
             "toolkit_version": __version__,
             "kind": cfg["kind"],

@@ -46,9 +46,7 @@ A Monte Carlo point is a :class:`DecayPoint`: N, T and the trace grid
 the grid).  Every draw leaves out the rfft bins holding
 :data:`spectra.DROPPED_SHARE` of the point's |h|^2, one constant for
 every scan.  The table is a tuple of curves, each a tuple of points;
-:func:`submit_decay_table` submits exactly its points to the run's
-workers (:mod:`spinprobe._parallel`) in one map and returns before they
-finish.
+:func:`play_decay_table` plays exactly its points, in order.
 
 Calibration convention
 ----------------------
@@ -72,7 +70,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _parallel, spectra
+from . import spectra
 from ._rng import derive_child_seeds, derive_rng
 from ._solve import brentq, distinct
 from .sequences import PulseSchedule, filter_function
@@ -101,7 +99,7 @@ __all__ = [
     "CpmgChi",
     "cpmg_chi",
     "decay_table",
-    "submit_decay_table",
+    "play_decay_table",
     "decay_vs_time",
 ]
 
@@ -649,41 +647,29 @@ def decay_table(curves, duration_factor: float,
     return tuple(table)
 
 
-def _decay_point(args) -> CoherencePoint:
-    # coherence_mc is looked up on the module per call, so a rebound one
-    # runs every point
-    return coherence_mc(*args)
-
-
-def submit_decay_table(model: SpectrumModel, table, n_traj: int, curve_seeds):
-    """Submit every point of the decay ``table``, in order, to the run's
-    workers in one :func:`_parallel.submit`.  Returns a handle whose
-    call gives the :class:`DecayCurve` of each curve.
+def play_decay_table(model: SpectrumModel, table, n_traj: int,
+                     curve_seeds) -> list[DecayCurve]:
+    """The :class:`DecayCurve` of each curve of the decay ``table``, its
+    points played in order.
 
     Point i of curve c is :func:`coherence_mc` at seed
     ``derive_child_seed(curve_seeds[c], i)``, so a curve does not depend
-    on the other curves submitted with it.
+    on the other curves played with it.  ``coherence_mc`` is looked up on
+    the module per point, so a rebound one runs every point.
     """
     if len(table) != len(curve_seeds):
         raise ValueError(f"{len(table)} curves in the table but "
                          f"{len(curve_seeds)} curve seeds")
-    pending = _parallel.submit(_decay_point, [
-        (model, point, n_traj, point_seed)
-        for curve, seed in zip(table, curve_seeds)
-        for point, point_seed in zip(curve, derive_child_seeds(seed, len(curve)))])
-
-    def collect() -> list[DecayCurve]:
-        results = iter(pending())
-        out = []
-        for curve in table:
-            decays = [next(results) for _ in curve]
-            out.append(DecayCurve(
-                times=[point.total_time for point in curve],
-                w=[p.w for p in decays],
-                std_err=[p.std_err for p in decays],
-                n_pulses=[point.n_pulses for point in curve]))
-        return out
-    return collect
+    out = []
+    for curve, seed in zip(table, curve_seeds):
+        decays = [coherence_mc(model, point, n_traj, point_seed) for point, point_seed
+                  in zip(curve, derive_child_seeds(seed, len(curve)))]
+        out.append(DecayCurve(
+            times=[point.total_time for point in curve],
+            w=[p.w for p in decays],
+            std_err=[p.std_err for p in decays],
+            n_pulses=[point.n_pulses for point in curve]))
+    return out
 
 
 def decay_vs_time(model: SpectrumModel, n_pulses: int, times, n_traj: int,
@@ -691,4 +677,4 @@ def decay_vs_time(model: SpectrumModel, n_pulses: int, times, n_traj: int,
                   samples_per_interval: int = SAMPLES_PER_INTERVAL) -> DecayCurve:
     """Coherence decay at fixed pulse count over a grid of total times."""
     table = decay_table([(n_pulses, times)], duration_factor, samples_per_interval)
-    return submit_decay_table(model, table, n_traj, [seed])()[0]
+    return play_decay_table(model, table, n_traj, [seed])[0]

@@ -585,7 +585,7 @@ def _pairwise_row_sum(row: Callable[[int], np.ndarray], lo: int,
     for once, and ``row`` may return a buffer it reuses.  The partial sums
     are formed depth first, so at most 4 are held at once, plus one sum
     per level of the split above 128 rows.  The rows are asked for in
-    turn, in the calling thread, as they may share one buffer."""
+    turn, as they may share one buffer."""
     if n < 8:
         total = 0.0 + row(lo)
         for k in range(lo + 1, lo + n):
@@ -631,10 +631,9 @@ def psd_welch(trace: NoiseTrace, *, nperseg: int) -> PsdEstimate:
     :func:`_pairwise_row_sum`, in the order in which the mean of a
     bins-by-segments power matrix adds each bin's segments, so at most 4
     partial sums stand in for that matrix (one more per split of more
-    than 128 segments).  The sum runs in the calling thread, in a run of
-    any worker count: ``seg``, ``spec`` and ``power`` are shared, and a
-    second thread's copies of them raised the shipped ``voltage_psd``'s
-    peak RSS by 16% at two workers.
+    than 128 segments).  ``seg``, ``spec`` and ``power`` are one buffer
+    each for the whole sum: a second thread's copies of them raised the
+    shipped ``voltage_psd``'s peak RSS by 16% when a run summed on two.
     """
     x = trace.samples
     n = x.size

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _parallel
 from ._rng import derive_child_seeds, derive_rngs
 from .qubitsim import (HARDWARE_READOUT, ReadoutModel, block_phases, decay_table,
                        phase_draw)
@@ -164,7 +163,9 @@ class ToneScanResult:
             raise ValueError(f"p_up/std_err must have shape {expect}")
 
 
-def _tone_column(args) -> list[tuple[float, float]]:
+def _tone_column(model: SpectrumModel, point, amps_pp, coeff: float, f_tone: float,
+                 fixed_phase: float | None, shots: int, cell_seeds,
+                 readout: ReadoutModel) -> list[tuple[float, float]]:
     """``(p_hat, std_err)`` of every amplitude row of one scan column.
 
     The column's noise weights (:func:`qubitsim.phase_draw` at its point)
@@ -178,8 +179,6 @@ def _tone_column(args) -> list[tuple[float, float]]:
     time, and each chunk's shots play as array operations.  A shot is a
     hit when its uniform falls below its P_up; an odd ``shots`` drops the
     last pair's second shot."""
-    (model, point, amps_pp, coeff, f_tone, fixed_phase, shots, cell_seeds,
-     readout) = args
     weights = phase_draw(model, point).weights
     # only the modulus of the tone's response matters once its phase is random
     y_mag = math.sqrt(cpmg_filter_function(point.n_pulses, point.total_time,
@@ -257,16 +256,16 @@ def tone_scan(model: SpectrumModel, coefficient_hz_per_v: float, f_tone: float,
     ``(keep, dropped)``.  Every cell of a kept column runs its CPMG
     sequence under the background model plus the tone.  Cells draw
     independent trajectories from seeds derived per (column, row), so
-    worker count never changes the numbers; each column is one job.
+    no column's numbers depend on another's.
     """
     if f_tone <= 0:
         raise ValueError(f"f_tone must be > 0, got {f_tone}")
     amps = np.asarray(amplitudes_vpp, dtype=float)
     keep, dropped = columns
-    jobs = [(model, point, amps.tolist(), coefficient_hz_per_v, f_tone,
-             phase, shots, derive_child_seeds(seed, amps.size, col), readout)
-            for col, (_, point) in enumerate(keep)]
-    columns = _parallel.submit(_tone_column, jobs)()
+    columns = [_tone_column(model, point, amps.tolist(), coefficient_hz_per_v,
+                            f_tone, phase, shots,
+                            derive_child_seeds(seed, amps.size, col), readout)
+               for col, (_, point) in enumerate(keep)]
     # (n_amplitudes, n_columns); an empty scan keeps that shape
     cells = np.array(columns, dtype=float).reshape(len(keep), amps.size, 2)
     p, se = cells.transpose(2, 1, 0)

@@ -21,11 +21,11 @@ from spinprobe.analysis import (
     spectroscopy_table,
     t2_scaling_exponent,
 )
-from spinprobe import _parallel, analysis
+from spinprobe import analysis, qubitsim
 from spinprobe._rng import derive_child_seed
 from spinprobe.benchmarking import RbCurve, fit_rb
 from spinprobe.qubitsim import (SAMPLES_PER_INTERVAL, DecayCurve, chi_ff,
-                                coherence_mc, mc_point, submit_decay_table)
+                                coherence_mc, mc_point, play_decay_table)
 from spinprobe.sequences import make_cpmg
 from spinprobe.spectra import PowerLawTerm, SpectrumModel, eval_psd
 
@@ -298,25 +298,25 @@ class TestSpectroscopyScan:
         np.testing.assert_array_equal(est.s, est2.s)
 
     def test_one_pool_matches_per_frequency_loop(self, monkeypatch):
-        pool_sizes = []
-        submit = _parallel.submit
+        """The scan plays each point of its table once, and gives the PSD
+        of one decay table per frequency."""
+        played = []
+        real = qubitsim.coherence_mc
 
-        def counting(fn, jobs):
-            jobs = list(jobs)
-            pool_sizes.append(len(jobs))
-            return submit(fn, jobs)
+        def counting(*args):
+            played.append(args[1])
+            return real(*args)
 
-        monkeypatch.setattr(_parallel, "submit", counting)
+        monkeypatch.setattr(qubitsim, "coherence_mc", counting)
         grid, counts = [2e3, 8e3, 3e4], [2, 4, 8]
-        est = spectroscopy_scan(PINK, grid, spectroscopy_table(grid, counts),
-                                48, 23)
-        assert pool_sizes == [len(grid) * len(counts)]
+        table = spectroscopy_table(grid, counts)
+        est = spectroscopy_scan(PINK, grid, table, 48, 23)
+        assert played == [point for curve in table for point in curve]
         points = []
         for i, f in enumerate(grid):
             tau = 1.0 / (2.0 * f)
             table = spectroscopy_table([f], counts)
-            curve = submit_decay_table(PINK, table, 48,
-                                       [derive_child_seed(23, i)])()[0]
+            curve = play_decay_table(PINK, table, 48, [derive_child_seed(23, i)])[0]
             points.append(spectroscopy_point(curve, tau))
         ref = reconstruct_psd(points)
         for name in ("f", "s", "ci_low", "ci_high"):
@@ -337,17 +337,13 @@ class TestSpectroscopyScan:
         # frequency i, count j: coherence_mc at mc_point(N_j, N_j * tau_i)
         # at derive_child_seed(derive_child_seed(seed, i), j)
         curves = []
-        submit = analysis.submit_decay_table
+        play = analysis.play_decay_table
 
-        def recording(*args, **kwargs):
-            pending = submit(*args, **kwargs)
+        def recording(*args):
+            curves.extend(play(*args))
+            return curves
 
-            def collect():
-                curves.extend(pending())
-                return curves
-            return collect
-
-        monkeypatch.setattr(analysis, "submit_decay_table", recording)
+        monkeypatch.setattr(analysis, "play_decay_table", recording)
         grid, counts = [2e3, 3e4], [2, 4, 8]
         spectroscopy_scan(PINK, grid, spectroscopy_table(
             grid, counts, duration_factor=3.0, samples_per_interval=8), 24, 31)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinprobe import _csvio, _parallel
+from spinprobe import _csvio
 from spinprobe._csvio import SLICE_ROWS, Csv, write_files
 from spinprobe.benchmarking import RbCurve
 from spinprobe.harness.pipelines import (
@@ -166,20 +166,25 @@ def _wide_columns(n: int):
 
 class TestRowBlocks:
     """Written files against the per-row and ``json.dump`` references,
-    from no rows to many, inside a run pool of one and of two workers,
-    and on both sides of the slices of ``SLICE_ROWS`` rows a CSV is
-    written in."""
+    from no rows to many, written once or over longer files already
+    there, and on both sides of the slices of ``SLICE_ROWS`` rows a CSV
+    is written in."""
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("writes", [1, 2])
     @pytest.mark.parametrize("n", [0, 1, 16383, 16384, 16385])
-    def test_csv_and_json_match_references(self, tmp_path, workers, n):
+    def test_csv_and_json_match_references(self, tmp_path, writes, n):
+        def files(n):
+            i, x, y = _wide_columns(n)
+            plot = {"title": "t", "x": {"values": x.tolist()}, "i": i.tolist(),
+                    "y": [x.tolist(), y.tolist()]}
+            return {tmp_path / "a.csv": Csv("i,x,y", (i, x, y)),
+                    tmp_path / "b.csv": Csv("x", (x,)),
+                    tmp_path / "p.json": plot}
+
+        for extra in range(writes - 1, -1, -1):
+            write_files(files(n + extra))
         i, x, y = _wide_columns(n)
-        plot = {"title": "t", "x": {"values": x.tolist()}, "i": i.tolist(),
-                "y": [x.tolist(), y.tolist()]}
-        with _parallel.run_pool(workers):
-            write_files({tmp_path / "a.csv": Csv("i,x,y", (i, x, y)),
-                         tmp_path / "b.csv": Csv("x", (x,)),
-                         tmp_path / "p.json": plot})
+        plot = files(n)[tmp_path / "p.json"]
         assert (tmp_path / "a.csv").read_text() == _reference_rows("i,x,y", zip(i, x, y))
         assert (tmp_path / "b.csv").read_text() == _reference_rows("x", zip(x))
         assert (tmp_path / "p.json").read_text() == _json_reference(plot)

@@ -15,7 +15,6 @@ import subprocess
 import sys
 import textwrap
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +25,8 @@ from hypothesis import strategies as st
 
 import spinprobe
 import spinprobe.analysis
-from spinprobe import (_csvio, _parallel, benchmarking, qubitsim, spectra,
-                       starktone)
-from spinprobe._rng import derive_child_seed, derive_rng
+from spinprobe import _csvio, benchmarking, qubitsim, spectra, starktone
+from spinprobe._rng import derive_child_seed, derive_child_seeds, derive_rng
 from spinprobe.analysis import FitError
 from spinprobe.benchmarking import CLIFFORD_DECOMPOSITIONS
 from spinprobe.harness import ConfigError, RunError, execute, rerun, run
@@ -100,9 +98,9 @@ LONG_VOLTAGE = {**TINY_VOLTAGE, "protocol": {
     "sample_rate_hz": 1e4, "duration_s": 8.0, "nperseg_s": 4.0,
     "band_hz": [1.0, 4e3]}}
 
-# LONG_VOLTAGE with a spectroscopy block, which voltage_psd submits
-# to the run's pool before it builds the trace
-OVERLAPPED_VOLTAGE = {**LONG_VOLTAGE, "protocol": {
+# LONG_VOLTAGE with a spectroscopy block, which voltage_psd plays after
+# its trace and Welch estimate
+SCANNED_VOLTAGE = {**LONG_VOLTAGE, "protocol": {
     **LONG_VOLTAGE["protocol"], "qubit_floor_rad2_s": 350.0,
     "spectroscopy": {"f_grid_hz": [2e3, 3e3, 4e3], "pulse_counts": [2, 4],
                      "n_traj": 8}}}
@@ -663,20 +661,15 @@ class TestRunner:
         assert all(r.endswith(",nan,nan") for r in rows)
 
     def test_t2_scans_make_one_map(self, tmp_path, monkeypatch):
-        maps = []
-        real = _parallel.submit
-
-        def counting(fn, jobs):
-            jobs = list(jobs)
-            maps.append((fn, len(jobs)))
-            return real(fn, jobs)
-
-        monkeypatch.setattr(_parallel, "submit", counting)
+        """Every pulse count's points play as one table, in order; curve i
+        is ``decay_vs_time`` at ``derive_child_seed(t2_scans seed, i)``."""
+        played = _recording_plays(monkeypatch)
         cfg = validate_config({**TINY_CPMG, "protocol": {
             **TINY_CPMG["protocol"], "pulse_counts": [1, 2, 4]}})
         m = execute(cfg, tmp_path / "out", workers=1)
-        assert maps == [(qubitsim._decay_point, 3 * 3)]
-        # curve i is decay_vs_time at derive_child_seed(t2_scans seed, i)
+        assert [point for point, _ in played] == [
+            point for curve in pipelines.plan(cfg).table for point in curve]
+        assert len(played) == 3 * 3
         seed = m["stages"][0]["seed"]
         cols = _read_table(tmp_path / "out" / "decay_curves.csv")
         model = spectra.SpectrumModel.from_dict(cfg["spectrum"])
@@ -800,12 +793,7 @@ class TestRunner:
         assert run(cfg_path, output_dir=tmp_path / "out") == 0
 
     @pytest.mark.parametrize("where", ["config", "--workers"])
-    def test_worker_count_above_max_exits_2(self, tmp_path, monkeypatch,
-                                            capsys, where):
-        def no_thread(thread):
-            raise AssertionError("a rejected worker count started a worker")
-
-        monkeypatch.setattr(threading.Thread, "start", no_thread)
+    def test_worker_count_above_max_exits_2(self, tmp_path, capsys, where):
         out = tmp_path / "out"
         cfg = dict(TINY_CHEVRON, output_dir=str(out))
         argv = ["--workers", str(MAX_WORKERS + 1)]
@@ -1129,102 +1117,76 @@ class TestPlots:
         assert np.array_equal(grid, f.reshape(v1.size, v2.size).T)
 
 
-def _assert_no_thread_left() -> None:
-    """No thread but this one runs: every map's threads were joined."""
-    assert threading.enumerate() == [threading.main_thread()]
+def _recording_plays(monkeypatch) -> list:
+    """What a run plays from now on, in order: each Monte Carlo decay
+    point as ``(point, seed)`` of its ``qubitsim.coherence_mc`` call, and
+    each tone-scan column as ``(point, cell_seeds)`` of its
+    ``starktone._tone_column`` call."""
+    played = []
+    coherence_mc, tone_column = qubitsim.coherence_mc, starktone._tone_column
+
+    def mc(model, point, n_traj, seed):
+        played.append((point, seed))
+        return coherence_mc(model, point, n_traj, seed)
+
+    def column(model, point, amps_pp, coeff, f_tone, fixed_phase, shots,
+               cell_seeds, readout):
+        played.append((point, cell_seeds))
+        return tone_column(model, point, amps_pp, coeff, f_tone, fixed_phase,
+                           shots, cell_seeds, readout)
+
+    monkeypatch.setattr(qubitsim, "coherence_mc", mc)
+    monkeypatch.setattr(starktone, "_tone_column", column)
+    return played
 
 
-def _ident(_job) -> int:
-    return threading.get_ident()
-
-
-def _inner_map_idents(_job) -> list[int]:
-    """The ident of the thread running this job, then those its own map
-    ran its jobs in; slowly, so that no one thread takes every job."""
-    time.sleep(0.05)
-    return [threading.get_ident()] + _parallel.submit(_ident, range(3))()
-
-
-def _counting_thread_starts(monkeypatch) -> list:
-    """The threads started from now on, as each starts."""
-    started, real = [], threading.Thread.start
-
-    def counting(thread):
-        started.append(thread)
-        real(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", counting)
-    return started
-
-
-_DECAY_POINT = qubitsim._decay_point
-_MARK_DIR = "SPINPROBE_TEST_MARK_DIR"
-
-
-def _marked_decay_point(args):
-    """A decay point that leaves a file named after its seed, slowly."""
-    (Path(os.environ[_MARK_DIR]) / str(args[3])).touch()
-    time.sleep(0.1)
-    return _DECAY_POINT(args)
+# the stage in which each shipped Monte Carlo kind plays its table
+_TABLE_STAGE = {"ramsey": "decay_scan", "hahn": "decay_scan",
+                "cpmg_t2_vs_n": "t2_scans", "noise_spectroscopy": "spectroscopy",
+                "voltage_psd": "spectroscopy", "tone_scan": "scan"}
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("kind", ["ramsey", "hahn", "cpmg_t2_vs_n",
-                                  "noise_spectroscopy", "voltage_psd",
-                                  "tone_scan"])
+@pytest.mark.parametrize("kind", list(_TABLE_STAGE))
 def test_run_submits_exactly_the_table_rows(tmp_path, monkeypatch, kind,
                                             workers):
-    """A shipped Monte Carlo run submits the points of its plan's decay
-    table, in order, in one map.  The tone scan's columns are the points
-    its plan checked."""
-    submitted = []
-    real = _parallel.submit
-
-    def recording(fn, jobs):
-        jobs = list(jobs)
-        if fn in (qubitsim._decay_point, starktone._tone_column):
-            submitted.append([job[1] for job in jobs])
-        return real(fn, jobs)
-
-    monkeypatch.setattr(_parallel, "submit", recording)
+    """A shipped Monte Carlo run plays the points of its plan's decay
+    table, in order, each once, at its curve's seed: point j of curve c
+    at ``derive_child_seed(curve seed, j)``, where the one curve of a
+    decay kind has its stage's seed and curve c of a scan
+    ``derive_child_seed(stage seed, c)``.  The tone scan's columns are
+    the points its plan checked, each at its cells' seeds."""
+    played = _recording_plays(monkeypatch)
     cfg = load_config(CONFIG_DIR / f"{kind}.yaml")
-    execute(cfg, tmp_path / "out", workers=workers)
-    points = [point for curve in pipelines.plan(cfg).table for point in curve]
+    manifest = execute(cfg, tmp_path / "out", workers=workers)
+    seed = _stage_seed(manifest, _TABLE_STAGE[kind])
+    table = pipelines.plan(cfg).table
+    if kind == "tone_scan":
+        n_amps = len(cfg["protocol"]["amplitudes_vpp"])
+        seeds = [derive_child_seeds(seed, n_amps, col) for col in range(len(table))]
+    else:
+        curve_seeds = ([seed] if kind in ("ramsey", "hahn")
+                       else derive_child_seeds(seed, len(table)))
+        seeds = [point_seed for curve, curve_seed in zip(table, curve_seeds)
+                 for point_seed in derive_child_seeds(curve_seed, len(curve))]
+    points = [point for curve in table for point in curve]
     assert len(points) >= 12
-    assert submitted == [points]
+    assert played == list(zip(points, seeds))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["noise_spectroscopy", "voltage_psd"])
-def test_each_map_of_a_shipped_spectrometer_run_starts_workers_less_one(
-        tmp_path, monkeypatch, kind, workers):
-    """The work a run hands to worker threads, counted: each map starts
-    workers - 1 threads, and the thread that collects it is the last.
-    Both runs make one map, their scan: ``voltage_psd``'s Welch segment
-    sum runs in the thread that calls it, at any worker count."""
-    started = _counting_thread_starts(monkeypatch)
+def test_no_shipped_spectrometer_run_starts_a_thread(tmp_path, monkeypatch,
+                                                     kind, workers):
+    """A run does all its work in the calling thread, at any worker
+    count: the shipped spectrometer runs, whose scans are the largest
+    maps, start no thread at 1, 2 or 3 workers."""
+    def no_thread(thread):
+        raise AssertionError("a run started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     execute(load_config(CONFIG_DIR / f"{kind}.yaml"), tmp_path / "out",
             workers=workers)
-    _assert_no_thread_left()
-    assert len(started) == workers - 1
-
-
-@pytest.mark.parametrize("kind", ["noise_spectroscopy", "voltage_psd"])
-def test_shipped_spectrometer_bytes_hold_when_threads_switch_often(tmp_path, kind):
-    """A race gate: with the interpreter switching threads every
-    microsecond, a shipped spectrometer run at 2 and 3 workers writes the
-    bytes of its 1-worker run.  Two jobs that wrote one buffer would
-    interleave here and change them."""
-    cfg = load_config(CONFIG_DIR / f"{kind}.yaml")
-    serial = execute(cfg, tmp_path / "1", workers=1)["inventory"]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for workers in 2, 3:
-            threaded = execute(cfg, tmp_path / str(workers), workers=workers)
-            assert threaded["inventory"] == serial
-    finally:
-        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -1258,16 +1220,16 @@ def test_entering_an_undeclared_stage_raises(tmp_path, monkeypatch):
 
 
 class TestRunPool:
+    """A run at any worker count: the same bytes, and the same clean-up."""
+
     def test_overlapped_voltage_psd_identical_at_1_and_2_workers(self, tmp_path):
-        """Also: voltage_psd submits its scan before the trace stage opens,
-        with the seed of the spectroscopy entry of its declared stage
-        layout, the third; the CSV is the library scan of the
-        Stark-converted model plus the qubit floor at that stage's seed,
-        bit for bit."""
-        cfg = validate_config(OVERLAPPED_VOLTAGE)
+        """Also: voltage_psd plays its scan in the spectroscopy entry of
+        its declared stage layout, the third, at that stage's seed; the
+        CSV is the library scan of the Stark-converted model plus the
+        qubit floor at that seed, bit for bit."""
+        cfg = validate_config(SCANNED_VOLTAGE)
         m1 = execute(cfg, tmp_path / "a", workers=1)
         m2 = execute(cfg, tmp_path / "b", workers=2)
-        _assert_no_thread_left()
         assert m1["inventory"] == m2["inventory"]
         assert "psd_reconstructed.csv" in m1["inventory"]
         stages = [[(s["name"], s["seed"]) for s in m["stages"]] for m in (m1, m2)]
@@ -1294,32 +1256,6 @@ class TestRunPool:
                                 (est.f, est.s, est.ci_low, est.ci_high)):
             assert np.array_equal(text, values)
 
-    def test_failed_run_cancels_queued_jobs_and_leaves_no_process(
-            self, tmp_path, monkeypatch):
-        def boom(files):
-            raise OSError("disk full")
-
-        # the pipeline calls write_files by the name it imported; the welch
-        # stage's write fails while the spectroscopy jobs are still queued
-        monkeypatch.setattr(pipelines, "write_files", boom)
-        monkeypatch.setattr(_csvio, "write_files", boom)
-        marks = tmp_path / "marks"
-        marks.mkdir()
-        monkeypatch.setenv(_MARK_DIR, str(marks))
-        monkeypatch.setattr(qubitsim, "_decay_point", _marked_decay_point)
-        cfg = validate_config({**OVERLAPPED_VOLTAGE, "protocol": {
-            **OVERLAPPED_VOLTAGE["protocol"],
-            "spectroscopy": {"f_grid_hz": [2e3, 3e3, 4e3],
-                             "pulse_counts": [2, 4, 8, 16], "n_traj": 8}}})
-        out = tmp_path / "out"
-        with pytest.raises(OSError, match="disk full"):
-            execute(cfg, out, workers=2)
-        _assert_no_thread_left()
-        assert not (out / LOCK_NAME).exists()
-        assert _parallel._run is None
-        # of the 12 jobs, only those already handed to a worker ran
-        assert len(list(marks.iterdir())) < 12
-
     def test_failed_run_leaves_no_earlier_manifest(self, tmp_path, monkeypatch):
         cfg = validate_config(TINY_VOLTAGE)
         out = tmp_path / "out"
@@ -1335,22 +1271,6 @@ class TestRunPool:
         assert not (out / MANIFEST_NAME).exists()
         assert not (out / LOCK_NAME).exists()
 
-    def test_one_worker_run_creates_no_pool(self, tmp_path, monkeypatch):
-        def no_thread(thread):
-            raise AssertionError("a one-worker run started a worker")
-
-        monkeypatch.setattr(threading.Thread, "start", no_thread)
-        execute(validate_config(OVERLAPPED_VOLTAGE), tmp_path / "out", workers=1)
-
-    def test_submit_outside_a_run_maps_inline(self, monkeypatch):
-        def no_thread(thread):
-            raise AssertionError("a map outside a run started a worker")
-
-        # outside a run no thread starts, whatever the environment asks for
-        monkeypatch.setattr(threading.Thread, "start", no_thread)
-        monkeypatch.setenv("SPINPROBE_WORKERS", "2")
-        assert _parallel.submit(abs, [-3, 1, -2, 5])() == [3, 1, 2, 5]
-
     def test_run_leaves_the_environment_alone(self, tmp_path, monkeypatch):
         seen = []
         real = pipelines.PIPELINES["ramsey"]
@@ -1364,27 +1284,6 @@ class TestRunPool:
         execute(validate_config(dict(TINY_RAMSEY)), tmp_path / "out", workers=2)
         assert seen == [before]
         assert dict(os.environ) == before
-
-    def test_map_inside_a_worker_runs_inline(self, monkeypatch):
-        # a job's own map stays in the thread that runs the job: the one
-        # worker thread, or this one, which takes jobs when it collects
-        started = _counting_thread_starts(monkeypatch)
-        with _parallel.run_pool(2):
-            inner = _parallel.submit(_inner_map_idents, range(4))()
-        _assert_no_thread_left()
-        assert len(started) == 1
-        assert len({idents[0] for idents in inner} - {threading.get_ident()}) == 1
-        for idents in inner:
-            assert set(idents) == {idents[0]}
-
-    def test_submit_collects_in_order(self):
-        # a map collected after a later one
-        with _parallel.run_pool(2):
-            pending = _parallel.submit(abs, [-3, 1, -2, 5])
-            assert _parallel.submit(abs, [-7, 8])() == [7, 8]
-            assert pending() == [3, 1, 2, 5]
-        assert _parallel.submit(abs, [-1, -2])() == [1, 2]
-        _assert_no_thread_left()
 
 
 class TestCli:
@@ -1748,10 +1647,10 @@ class TestCli:
             "total_time_s": 1e142, "f_columns_hz": [1e-140, 2e-140, 4e-140],
             "f_tone_hz": 2e-140, "shots": 4}},
          "protocol.total_time_s"),
-        ({**OVERLAPPED_VOLTAGE, "spectrum": {
+        ({**SCANNED_VOLTAGE, "spectrum": {
             "powerlaws": [{"amplitude": 1e-12, "exponent": 2.5}]},
-          "protocol": {**OVERLAPPED_VOLTAGE["protocol"], "spectroscopy": {
-              **OVERLAPPED_VOLTAGE["protocol"]["spectroscopy"],
+          "protocol": {**SCANNED_VOLTAGE["protocol"], "spectroscopy": {
+              **SCANNED_VOLTAGE["protocol"]["spectroscopy"],
               "f_grid_hz": [1e-130, 1e-129]}}},
          "protocol.spectroscopy.f_grid_hz"),
         # a wait 1/(2f) past the float range, which made an infinite sequence
@@ -2105,7 +2004,7 @@ POOL_MODULES = ["concurrent.futures.process", "multiprocessing"]
 # the thread that ran it, then prints this thread's name and the pool
 # modules loaded
 _MARKED_RUN = f"""\
-import sys, threading, time
+import sys, threading
 from pathlib import Path
 from spinprobe import qubitsim
 from spinprobe.harness.cli import main
@@ -2114,17 +2013,15 @@ from spinprobe.harness.config import load_config
 config, workers, marks, *shipped = sys.argv[1:]
 for path in shipped:
     load_config(path)
-real, main_thread = qubitsim._decay_point, threading.main_thread()
+real = qubitsim.coherence_mc
 
-def marked(args):
+def marked(*args):
     Path(marks, threading.current_thread().name).touch()
-    if threading.current_thread() is main_thread:
-        time.sleep(0.1)  # so that the worker thread takes points too
-    return real(args)
+    return real(*args)
 
-qubitsim._decay_point = marked
+qubitsim.coherence_mc = marked
 assert main(["run", config, "--workers", workers]) == 0
-print(main_thread.name, sorted(set({POOL_MODULES!r}) & set(sys.modules)))
+print(threading.main_thread().name, sorted(set({POOL_MODULES!r}) & set(sys.modules)))
 """
 
 
@@ -2132,8 +2029,8 @@ print(main_thread.name, sorted(set({POOL_MODULES!r}) & set(sys.modules)))
 def test_no_run_loads_the_pool_machinery(tmp_path, workers):
     """Importing the CLI, validating every shipped config and running a
     scan leave ``concurrent.futures.process`` and ``multiprocessing``
-    unloaded at one worker and at two; at two the scan's points still
-    run in a worker thread, and in the thread that collects them."""
+    unloaded at one worker and at two, and the scan's points all run in
+    the main thread."""
     marks = tmp_path / "marks"
     marks.mkdir()
     p = _write_yaml(tmp_path, dict(TINY_SPECTROSCOPY,
@@ -2145,21 +2042,17 @@ def test_no_run_loads_the_pool_machinery(tmp_path, workers):
                          env=_src_env(), check=True, capture_output=True,
                          text=True, timeout=120).stdout
     main_thread, loaded = out.splitlines()[-1].split(" ", 1)
-    ran_in = {m.name for m in marks.iterdir()}
     assert loaded == "[]"
-    if workers == 1:
-        assert ran_in == {main_thread}
-    else:
-        assert len(ran_in - {main_thread}) == 1
+    assert {m.name for m in marks.iterdir()} == {main_thread}
 
 
 # validates the shipped configs it is given and the tiny one, then
 # executes the tiny one twice at the given worker count, with every decay
-# point leaving a file named after the thread that ran it and holding the
-# freeze count it saw; prints this thread's name, whether the collector
-# was on after validation, and the freeze count then and after each run
+# point leaving a file named after the run and the point's seed, holding
+# the freeze count it saw; prints whether the collector was on after
+# validation, and the freeze count then and after each run
 _FREEZE_RUN = """\
-import gc, sys, threading, time
+import gc, sys
 from pathlib import Path
 from spinprobe import qubitsim
 import spinprobe.harness.cli
@@ -2171,19 +2064,17 @@ for path in shipped:
     load_config(path)
 cfg = load_config(config)
 enabled, counts = gc.isenabled(), [gc.get_freeze_count()]
-real, main_thread = qubitsim._decay_point, threading.main_thread()
+real = qubitsim.coherence_mc
 
-def marked(args):
-    Path(marks, threading.current_thread().name).write_text(str(gc.get_freeze_count()))
-    if threading.current_thread() is main_thread:
-        time.sleep(0.1)  # so that the worker thread takes points too
-    return real(args)
+def marked(model, point, n_traj, seed):
+    Path(marks, f"{name}-{seed}").write_text(str(gc.get_freeze_count()))
+    return real(model, point, n_traj, seed)
 
-qubitsim._decay_point = marked
+qubitsim.coherence_mc = marked
 for name in ("first", "second"):
     execute(cfg, Path(outs, name), workers=int(workers))
     counts.append(gc.get_freeze_count())
-print(main_thread.name, int(enabled), *counts)
+print(int(enabled), *counts)
 """
 
 
@@ -2191,9 +2082,9 @@ print(main_thread.name, int(enabled), *counts)
 def test_first_run_freezes_the_heap_before_its_pool(tmp_path, workers):
     """Importing the CLI and validating every shipped config leave the
     heap unfrozen and the collector on.  The first ``execute`` freezes
-    the heap before its first map, so at two workers the decay points
-    run in this thread and in a worker thread (one per run), and each
-    sees the frozen heap; a second ``execute`` freezes nothing more."""
+    the heap before its pipeline starts, at one worker and at two, so
+    every decay point of both runs sees the frozen heap; a second
+    ``execute`` freezes nothing more."""
     marks = tmp_path / "marks"
     marks.mkdir()
     p = _write_yaml(tmp_path, TINY_SPECTROSCOPY)
@@ -2202,10 +2093,9 @@ def test_first_run_freezes_the_heap_before_its_pool(tmp_path, workers):
                           str(marks), str(tmp_path), *shipped],
                          env=_src_env(), check=True, capture_output=True,
                          text=True, timeout=120).stdout
-    main_thread, *counts = out.split()
-    enabled, validated, first, second = map(int, counts)
+    enabled, validated, first, second = map(int, out.split())
     assert enabled and validated == 0
     assert first > 0 and second == first
     seen = {m.name: int(m.read_text()) for m in marks.iterdir()}
-    assert seen and all(count > 0 for count in seen.values())
-    assert len(set(seen) - {main_thread}) == 2 * (workers - 1)
+    assert {name.split("-")[0] for name in seen} == {"first", "second"}
+    assert all(count > 0 for count in seen.values())

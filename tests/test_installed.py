@@ -158,7 +158,7 @@ def test_ci_runs_these_checks_on_the_installed_package():
     tests job runs ROADMAP's tier-1 command, and the installed job runs
     the console script on a shipped config and pytest on test files that
     exist, with no config or script written inline.  Each job has a
-    timeout, so a hung map cannot hold a runner for hours.  Tier-1 runs on
+    timeout, so a hung run cannot hold a runner for hours.  Tier-1 runs on
     every Python from pyproject's oldest to 3.12."""
     text = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
     assert "<<" not in text
@@ -183,8 +183,8 @@ def test_ci_runs_these_checks_on_the_installed_package():
     tested = paths(pytest_runs[0])
     assert Path(__file__).resolve() in tested
     assert all(p.is_file() for p in tested + paths(smoke[0]))
-    # voltage_psd run at two workers, then rerun at three: its scan's
-    # points split differently between threads, and every byte must stay
+    # voltage_psd run at two workers, then rerun at three: the console
+    # script's rerun round trip, which every byte must survive
     (pair,) = [r.splitlines() for r in installed if r.startswith("spinprobe run ")]
     assert pair == ['spinprobe run "$GITHUB_WORKSPACE/configs/voltage_psd.yaml" '
                     "--workers 2",

@@ -26,7 +26,7 @@ from spinprobe.qubitsim import (
     decay_vs_time,
     mc_point,
     phase_draw,
-    submit_decay_table,
+    play_decay_table,
     toggled_weights,
     rabi_chevron,
     rabi_p_up,
@@ -813,7 +813,7 @@ def test_only_decay_table_works_out_a_trace_grid():
             for scope, name in _scoped_names(path.read_text(), {"mc_point"})}
     assert uses == {("qubitsim.py", "decay_table", "mc_point")}
     grid = {"duration_factor", "samples_per_interval"}
-    runners = {"qubitsim.py": {"phase_draw", "coherence_mc", "_decay_point"},
+    runners = {"qubitsim.py": {"phase_draw", "coherence_mc", "play_decay_table"},
                "starktone.py": {"_tone_column"}}
     for name, functions in runners.items():
         scopes = {scope for scope, _ in
@@ -902,23 +902,19 @@ def test_shipped_decays_sample_the_grid_decay(tmp_path, monkeypatch, kind, csv_n
     draw keeps): the sampling z rms stays near 1 and no |z| is extreme.
     A decay kind's W and errors are the ones ``csv_name`` holds, a row
     per point; a spectroscopy kind's file has a row per curve
-    (frequency), so its W are the curves the run's one submission of its
-    table returned."""
+    (frequency), so its W are the curves the run's one play of its table
+    returned."""
     cfg = load_config(CONFIG_DIR / f"{kind}.yaml")
-    submit, submitted = qubitsim.submit_decay_table, []
+    play, played = qubitsim.play_decay_table, []
 
     def spy(model, table, n_traj, curve_seeds):
-        collect = submit(model, table, n_traj, curve_seeds)
+        played.append((model, table, curves := play(model, table, n_traj, curve_seeds)))
+        return curves
 
-        def recorded():
-            submitted.append((model, table, curves := collect()))
-            return curves
-        return recorded
-
-    monkeypatch.setattr(qubitsim, "submit_decay_table", spy)
-    monkeypatch.setattr(analysis, "submit_decay_table", spy)
+    monkeypatch.setattr(qubitsim, "play_decay_table", spy)
+    monkeypatch.setattr(analysis, "play_decay_table", spy)
     execute(cfg, tmp_path, workers=1)
-    ((model, table, curves),) = submitted
+    ((model, table, curves),) = played
     assert table == pipelines.plan(cfg).table
     with open(tmp_path / csv_name, newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -1065,7 +1061,7 @@ class TestDecayScans:
         table = spectroscopy_table([0.5 / tau], counts,
                                    duration_factor=duration_factor,
                                    samples_per_interval=samples_per_interval)
-        return submit_decay_table(model, table, n_traj, [seed])()[0]
+        return play_decay_table(model, table, n_traj, [seed])[0]
 
     def test_fixed_wait_scan_times(self):
         counts = [1, 2, 4, 8]
@@ -1075,10 +1071,10 @@ class TestDecayScans:
         np.testing.assert_array_equal(curve.n_pulses, counts)
 
     def test_a_seed_per_curve(self):
-        # a curve without a seed, which collect() met as a bare StopIteration
+        # a curve without a seed, which would otherwise be dropped unplayed
         table = spectroscopy_table([5e3, 1e4], [2, 4])
         with pytest.raises(ValueError, match="2 curves in the table but 1 "):
-            submit_decay_table(WHITE, table, 8, [3])
+            play_decay_table(WHITE, table, 8, [3])
 
     def test_fixed_wait_rejects_pulse_free_points(self):
         with pytest.raises(ValueError):

@@ -122,9 +122,9 @@ def _rb():
 
 def _tone():
     # full 64-bit cell seeds, as tone_scan derives them
-    args = (MODEL, mc_point(4, 4 * 50e-6, 1.0, 8), [2e-4, 4e-4], -2.3e7, 1e4,
-            None, 40, derive_child_seeds(17, 2, 3), HARDWARE_READOUT)
-    return starktone._tone_column(args)
+    return starktone._tone_column(
+        MODEL, mc_point(4, 4 * 50e-6, 1.0, 8), [2e-4, 4e-4], -2.3e7, 1e4,
+        None, 40, derive_child_seeds(17, 2, 3), HARDWARE_READOUT)
 
 
 def _mc():

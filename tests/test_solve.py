@@ -458,6 +458,14 @@ class TestFitErrorsWhereCurveFitRaises:
             with pytest.raises(FitError, match="degenerate"):
                 analysis.fit_exponential([1e-3, 2e-3, 3e-3], [0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("errors", [None, [0.1, 0.1, 0.1]])
+    def test_stretched_decay_of_zeros_is_degenerate(self, errors):
+        # every model value underflows to 0, so no singular value is kept:
+        # the covariance is infinite, not a zero matrix that gave zero
+        # errors on a T2 and an exponent the curve cannot determine
+        with pytest.raises(FitError, match="degenerate"):
+            analysis.fit_stretched([1e-3, 2e-3, 3e-3], [0.0, 0.0, 0.0], errors)
+
     def test_rb_without_spare_points(self):
         # three points, three parameters and no errors: curve_fit's
         # covariance cannot be estimated, and it reports it as inf

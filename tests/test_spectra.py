@@ -2,7 +2,6 @@ import ast
 import dataclasses
 import gc
 import math
-import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -14,7 +13,6 @@ from hypothesis import strategies as st
 from scipy import signal, stats
 
 from spinprobe import spectra
-from spinprobe._parallel import run_pool
 from spinprobe._csvio import write_files
 from spinprobe._rng import derive_rng
 from spinprobe.harness.pipelines import _trace_csv
@@ -572,30 +570,6 @@ class TestWelch:
         got = spectra._pairwise_row_sum(row, 0, n_rows) / n_rows
         assert got.tobytes() == np.stack(list(rows), axis=-1).mean(axis=-1).tobytes()
         assert sorted(asked) == list(range(n_rows))
-
-    def test_same_bytes_in_a_run_of_any_worker_count(self, monkeypatch):
-        """On 1, 7, 8, 17, 128, 129 and 300 segments (every branch of the
-        pairwise sum), the estimate inside runs of 1, 2 and 3 workers is
-        the one made outside a run, bit for bit, and no thread starts: the
-        sum's segments share one buffer, so it runs in the calling
-        thread."""
-        def no_thread(thread):
-            raise AssertionError("psd_welch started a thread")
-
-        white = spectra.SpectrumModel(powerlaws=(), white_floor=350.0, lines=())
-        for k in 1, 7, 8, 17, 128, 129, 300:
-            trace = spectra.synthesize(white, 1e4, (k + 1) / 100, k)
-            assert spectra.welch_segments(trace.n_samples, 200) == k
-            outside = psd_welch(trace, nperseg=200)
-            with monkeypatch.context() as patch:
-                patch.setattr(threading.Thread, "start", no_thread)
-                for workers in 1, 2, 3:
-                    with run_pool(workers):
-                        est = psd_welch(trace, nperseg=200)
-                    assert est.warnings == outside.warnings
-                    for name in "f", "s", "ci_low", "ci_high":
-                        assert (getattr(est, name).tobytes()
-                                == getattr(outside, name).tobytes())
 
     def test_too_short_segment_rejected(self):
         with pytest.raises(ValueError, match="nperseg"):

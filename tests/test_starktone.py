@@ -149,12 +149,12 @@ class TestToneScan:
         columns = scan_columns(taus, 300e-6)
         res = tone_scan(WHITE, G2, 2e4, None, columns, amps, 20, 3)
         assert len(calls) == len(taus)
-        # cell (row, col) is its column's job run for that row alone
+        # cell (row, col) is its column played for that row alone
         for col, (_, point) in enumerate(columns[0]):
             for row, amp in enumerate(amps):
-                (cell,) = starktone._tone_column((
+                (cell,) = starktone._tone_column(
                     WHITE, point, [amp], G2, 2e4, None, 20,
-                    [derive_child_seed(3, col, row)], HARDWARE_READOUT))
+                    [derive_child_seed(3, col, row)], HARDWARE_READOUT)
                 assert cell == (res.p_up[row, col], res.std_err[row, col])
 
     # 129 shots are 65 pairs, one chunk with its lone last row joined; 131
@@ -187,8 +187,8 @@ class TestToneScan:
                      for phi, (theta, read) in zip(noise, draws)]
         if shots % 2:
             assert hits[shots] and not hits[shots - 1]
-        (cell,) = starktone._tone_column((
-            WHITE, point, [1e-4], G2, 2e4, phase, shots, [seed], HARDWARE_READOUT))
+        (cell,) = starktone._tone_column(
+            WHITE, point, [1e-4], G2, 2e4, phase, shots, [seed], HARDWARE_READOUT)
         assert cell[0] == sum(hits[:shots]) / shots
 
     def test_shape_validation(self):
